@@ -1,0 +1,157 @@
+//! Golden digests of the analytic fabric engine (`lg_fabric::run`).
+//!
+//! Every field of [`FabricSimResult`] — sample f64 bit patterns, counts,
+//! health events, guard journal — is folded into one FNV-1a hash per
+//! run and compared with the value recorded before the engine was made
+//! incremental per pod. An optimisation of `sim`/`corropt`/`topology`
+//! must leave every digest as it is; a deliberate model change records
+//! new ones (the failure message prints the full table).
+
+use lg_fabric::{run, FabricSimConfig, FabricSimResult, Policy};
+use lg_guardd::GuardConfig;
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, b: &[u8]) {
+        for &x in b {
+            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    /// Bit pattern, with `-0.0` folded onto `0.0`: an all-clear sample's
+    /// `total_penalty` is `(-0.0f64).max(0.0)` (the sum of no terms is
+    /// `-0.0`), whose sign IEEE 754 leaves open and which debug and
+    /// release builds resolve differently. Nothing else in a result
+    /// depends on the build profile.
+    fn f64(&mut self, v: f64) {
+        self.u64((v + 0.0).to_bits());
+    }
+}
+
+fn digest(r: &FabricSimResult) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.u64(r.samples.len() as u64);
+    for s in &r.samples {
+        h.f64(s.t_hours);
+        h.f64(s.total_penalty);
+        h.f64(s.least_paths);
+        h.f64(s.least_capacity);
+        h.u64(u64::from(s.active_corrupting));
+        h.u64(u64::from(s.disabled));
+    }
+    let c = r.counts;
+    for v in [
+        c.corruption_events,
+        c.disabled_immediately,
+        c.deferred,
+        c.optimizer_disabled,
+        c.repairs,
+        u64::from(c.peak_lg_per_fabric_switch),
+    ] {
+        h.u64(v);
+    }
+    h.u64(r.health_events.len() as u64);
+    for e in &r.health_events {
+        h.f64(e.t_hours);
+        h.u64(e.window_id);
+        h.u64(u64::from(e.link));
+        h.bytes(e.from.name().as_bytes());
+        h.bytes(e.to.name().as_bytes());
+        h.f64(e.rate);
+    }
+    h.u64(r.guard_journal.len() as u64);
+    for line in &r.guard_journal {
+        h.bytes(line.as_bytes());
+        h.bytes(b"\n");
+    }
+    h.0
+}
+
+/// Constraints {0.50, 0.75} × seeds {3, 11}, in that order.
+fn digests(policy: Policy) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    let mut i = 0;
+    for constraint in [0.50, 0.75] {
+        for seed in [3, 11] {
+            let r = run(&FabricSimConfig {
+                pods: 20,
+                horizon_hours: 24.0 * 60.0,
+                constraint,
+                policy,
+                sample_interval_hours: 4.0,
+                target_loss_rate: 1e-8,
+                seed,
+            });
+            assert!(
+                r.counts.repairs > 0 && r.counts.deferred > 0,
+                "{policy:?}@{constraint} seed {seed}: the scenario must exercise the optimizer"
+            );
+            out[i] = digest(&r);
+            i += 1;
+        }
+    }
+    out
+}
+
+fn check(policy: Policy, expected: [u64; 4]) {
+    let got = digests(policy);
+    assert_eq!(
+        got, expected,
+        "{policy:?}: FabricSimResult digests moved; got {got:#018x?}"
+    );
+}
+
+#[test]
+fn corropt_only_matches_golden() {
+    check(
+        Policy::CorrOptOnly,
+        [
+            0xb89b_28d2_b27a_7132,
+            0x9a86_2b65_7fdd_cb51,
+            0x4681_bb54_6b0f_c335,
+            0x7ce7_0e08_5211_0a01,
+        ],
+    );
+}
+
+#[test]
+fn lg_plus_corropt_matches_golden() {
+    check(
+        Policy::LgPlusCorrOpt,
+        [
+            0xbc29_54e0_2d3f_18dd,
+            0xddad_ecf1_3990_f45b,
+            0x7ae3_8c54_6546_42f1,
+            0xd7b8_383f_d310_ea6b,
+        ],
+    );
+}
+
+#[test]
+fn partial_lg_matches_golden() {
+    check(
+        Policy::PartialLg(0.5),
+        [
+            0xbc29_54e0_2d3f_18dd,
+            0xdb78_15c4_21b5_0251,
+            0x4304_0b8e_9e8c_0f4a,
+            0x6cb9_7c52_3da3_5765,
+        ],
+    );
+}
+
+#[test]
+fn lg_guardd_matches_golden() {
+    check(
+        Policy::LgGuardd(GuardConfig::default()),
+        [
+            0x8968_3268_83e1_1d4a,
+            0xc607_22ba_7d17_59dd,
+            0xc8d7_7c99_c00f_33cf,
+            0x3028_d7ff_26d5_8a6f,
+        ],
+    );
+}
