@@ -26,6 +26,7 @@ fn main() {
         target_loss_rate: 1e-8,
         seed,
     };
+    lg_bench::check_fabric_cfgs(&[mk(Policy::CorrOptOnly)]);
     let mean = |r: &lg_fabric::FabricSimResult| {
         r.samples.iter().map(|s| s.total_penalty).sum::<f64>() / r.samples.len() as f64
     };

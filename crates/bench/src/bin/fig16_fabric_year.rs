@@ -78,6 +78,7 @@ fn main() {
             });
         }
     }
+    lg_bench::check_fabric_cfgs(&cfgs);
     let all = run_many(&cfgs, sweep::threads());
     lg_bench::obs::publish_fabric_health(&cfgs, &all);
     lg_bench::obs::publish_fabric_guard(&cfgs, &all);

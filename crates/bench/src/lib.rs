@@ -62,6 +62,18 @@ pub fn flag(key: &str) -> bool {
     env::args().any(|a| a == key)
 }
 
+/// Exit with status 2 and the [`lg_fabric::FabricSimConfig::validate`]
+/// message on stderr if `lg_fabric::run` would refuse any of `cfgs`
+/// (e.g. `--sample-hours 0`, which used to loop until out of memory).
+pub fn check_fabric_cfgs(cfgs: &[lg_fabric::FabricSimConfig]) {
+    for cfg in cfgs {
+        if let Err(msg) = cfg.validate() {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Print a standard experiment banner.
 pub fn banner(id: &str, what: &str) {
     println!("==============================================================");

@@ -397,9 +397,23 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The obs sink and trace level are process-global and `cargo test`
+    /// runs tests on parallel threads: every test here that enables,
+    /// fills, drains or asserts on the sink holds this lock for its
+    /// whole body, or one test's `Session` drop drains another's lines.
+    static SINK: Mutex<()> = Mutex::new(());
+
+    fn sink_lock() -> MutexGuard<'static, ()> {
+        // A panicking test poisons the lock; the sink itself is reset by
+        // every `Session` drop, so the next test can proceed.
+        SINK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn session_defaults_are_off() {
+        let _sink = sink_lock();
         // No flags in the test harness argv: level off, no sink.
         let s = session("test_bin");
         assert_eq!(lg_obs::trace::level(), Level::Off);
@@ -409,6 +423,7 @@ mod tests {
 
     #[test]
     fn dump_shape_round_trips() {
+        let _sink = sink_lock();
         let dir = std::env::temp_dir().join("lg_obs_session_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dump.jsonl");
@@ -438,6 +453,7 @@ mod tests {
 
     #[test]
     fn dedicated_outputs_partition_the_drain() {
+        let _sink = sink_lock();
         let dir = std::env::temp_dir().join("lg_obs_session_split_test");
         std::fs::create_dir_all(&dir).unwrap();
         let (main_p, ts_p, health_p, guard_p) = (

@@ -32,17 +32,11 @@ impl CorrOpt {
 
     /// Fast checker: can `link` be disabled right now without violating
     /// the constraint? (Only its own pod is affected: fabric links are
-    /// pod-local in this topology.)
+    /// pod-local in this topology.) Reads the pod summary; `fabric` is
+    /// `&mut` only so existing callers keep compiling unchanged.
     pub fn can_disable(&self, fabric: &mut Fabric, link: LinkId) -> bool {
-        let pod = fabric.link(link).pod;
-        let prev = fabric.link(link).state;
-        if prev == LinkState::Disabled {
-            return false;
-        }
-        fabric.set_state(link, LinkState::Disabled);
-        let ok = fabric.least_paths_fraction_in_pod(pod) >= self.constraint.0 - 1e-12;
-        fabric.set_state(link, prev);
-        ok
+        fabric.link(link).state != LinkState::Disabled
+            && fabric.least_paths_fraction_without(link) >= self.constraint.0 - 1e-12
     }
 
     /// Disable `link` for repair if the fast checker allows it. Returns
@@ -59,40 +53,29 @@ impl CorrOpt {
     /// Optimizer: given the still-active corrupting links, disable as many
     /// as possible in descending loss-rate order. Returns the links newly
     /// disabled.
+    ///
+    /// Links of different pods do not interact, so a pass over one pod's
+    /// corrupting links disables what a pass over the whole fabric would
+    /// disable in that pod, in the same order.
     pub fn optimize(&self, fabric: &mut Fabric, corrupting: &[(LinkId, f64)]) -> Vec<LinkId> {
-        let mut out = Vec::new();
-        self.optimize_into(fabric, corrupting, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`CorrOpt::optimize`] for callers on an
-    /// event loop: sorts `corrupting` into `scratch` and appends newly
-    /// disabled links to `out`, so year-long sweeps (one optimizer pass
-    /// per repair event) reuse the same two buffers throughout.
-    pub fn optimize_into(
-        &self,
-        fabric: &mut Fabric,
-        corrupting: &[(LinkId, f64)],
-        scratch: &mut Vec<(LinkId, f64)>,
-        out: &mut Vec<LinkId>,
-    ) {
-        scratch.clear();
-        scratch.extend_from_slice(corrupting);
-        scratch.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN"));
-        for &(link, _) in scratch.iter() {
-            if matches!(fabric.link(link).state, LinkState::Corrupting { .. })
-                && self.try_disable(fabric, link)
-            {
-                out.push(link);
-            }
-        }
+        let mut by_rate = corrupting.to_vec();
+        by_rate.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN"));
+        by_rate
+            .into_iter()
+            .map(|(link, _)| link)
+            .filter(|&link| {
+                matches!(fabric.link(link).state, LinkState::Corrupting { .. })
+                    && self.try_disable(fabric, link)
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::LinkKind;
+    use crate::topology::{LinkKind, LINKS_PER_POD};
+    use lg_sim::Rng;
 
     fn tor_fabric_link(f: &Fabric, pod: u32, tor: u8, fab: u8) -> LinkId {
         f.pod_link_ids(pod)
@@ -176,6 +159,69 @@ mod tests {
         let disabled = co.optimize(&mut f, &[(a, 1e-5), (b, 1e-3)]);
         assert_eq!(disabled, vec![b], "worst link first");
         assert!(matches!(f.link(a).state, LinkState::Corrupting { .. }));
+    }
+
+    #[test]
+    fn pod_scoped_pass_equals_the_global_pass() {
+        // The state the simulation is in when a repair completes: every
+        // corrupting link has already failed the fast checker, then one
+        // pod gets a link back. Optimizing that pod's backlog alone must
+        // disable the same links, in the same order, as optimizing the
+        // whole fabric's backlog.
+        const PODS: u32 = 4;
+        let n_links = PODS * LINKS_PER_POD as u32;
+        for seed in 0..20u64 {
+            let mut rng = Rng::new(seed);
+            let co = CorrOpt::new(CapacityConstraint(if seed % 2 == 0 { 0.75 } else { 0.5 }));
+            let mut f = Fabric::new(PODS);
+            let mut backlog: Vec<(LinkId, f64)> = Vec::new();
+            let mut disabled: Vec<LinkId> = Vec::new();
+            let mut drained = 0;
+            for step in 0..1500 {
+                let link = LinkId(rng.below(u64::from(n_links)) as u32);
+                if f.link(link).state == LinkState::Up {
+                    let loss_rate = 10f64.powf(-(3.0 + 4.0 * rng.f64()));
+                    f.set_state(
+                        link,
+                        LinkState::Corrupting {
+                            loss_rate,
+                            lg_active: false,
+                        },
+                    );
+                    if co.try_disable(&mut f, link) {
+                        disabled.push(link);
+                    } else {
+                        backlog.push((link, loss_rate));
+                    }
+                }
+                if step % 3 != 0 || disabled.is_empty() {
+                    continue;
+                }
+                let repaired = disabled.swap_remove(rng.below(disabled.len() as u64) as usize);
+                f.set_state(repaired, LinkState::Up);
+                backlog.sort_by_key(|&(l, _)| l); // the BTreeMap order of `run`
+                let pod = f.link(repaired).pod;
+                let in_pod: Vec<(LinkId, f64)> = backlog
+                    .iter()
+                    .copied()
+                    .filter(|&(l, _)| f.link(l).pod == pod)
+                    .collect();
+                let mut global = f.clone();
+                let by_global = co.optimize(&mut global, &backlog);
+                let by_pod = co.optimize(&mut f, &in_pod);
+                assert_eq!(by_pod, by_global, "seed {seed} step {step}");
+                for id in 0..n_links {
+                    assert_eq!(f.link(LinkId(id)).state, global.link(LinkId(id)).state);
+                }
+                drained += by_pod.len();
+                backlog.retain(|(l, _)| !by_pod.contains(l));
+                disabled.extend(by_pod);
+            }
+            assert!(
+                drained > 0,
+                "seed {seed}: no repair ever freed a deferred link"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! 80% of repairs take ~2 days, the rest ~4 (§4.8).
 
 use crate::corropt::{CapacityConstraint, CorrOpt};
-use crate::topology::{Fabric, Link, LinkId, LinkState};
+use crate::topology::{Fabric, Link, LinkId, LinkState, LINKS_PER_POD};
 use crate::tracegen::{sample_loss_rate, sample_repair_hours, sample_time_to_corruption, Hours};
 use lg_guardd::{GuardAction, GuardConfig, GuardInput, GuardManager};
 use lg_obs::health::{HealthConfig, HealthEstimator, LinkHealth};
@@ -131,6 +131,31 @@ impl FabricSimConfig {
             target_loss_rate: 1e-8,
             seed,
         }
+    }
+
+    /// Reject configs [`run`] cannot finish or make sense of (a zero or
+    /// NaN sample interval never advances the sample clock).
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |ok: bool, rule: &str, got: f64| {
+            ok.then_some(()).ok_or_else(|| format!("{rule}, got {got}"))
+        };
+        let (dt, horizon) = (self.sample_interval_hours, self.horizon_hours);
+        check(
+            dt.is_finite() && dt > 0.0,
+            "sample interval must be finite and > 0 hours",
+            dt,
+        )?;
+        check(self.pods >= 1, "pods must be >= 1", f64::from(self.pods))?;
+        check(
+            (0.0..=1.0).contains(&self.constraint),
+            "capacity constraint must be in [0, 1]",
+            self.constraint,
+        )?;
+        check(
+            horizon.is_finite() && horizon >= 0.0,
+            "horizon must be finite and >= 0 hours",
+            horizon,
+        )
     }
 }
 
@@ -259,7 +284,21 @@ impl Ord for Scheduled {
 }
 
 /// Run one policy over one trace.
+///
+/// Every event costs O(pod), by an invariant checked in debug builds:
+/// after each event no deferred (`corrupting`) link passes the fast
+/// checker. Onsets and guard decisions add no paths, a repair adds
+/// paths to one pod only, and the optimizer's greedy pass leaves nothing
+/// disableable behind it, so a repair re-tries its own pod's backlog
+/// and no other (DESIGN.md §16).
+///
+/// # Panics
+/// Panics with the [`FabricSimConfig::validate`] message on an invalid
+/// config.
 pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid FabricSimConfig: {e}");
+    }
     let mut fabric = Fabric::new(cfg.pods);
     let corropt = CorrOpt::new(CapacityConstraint(cfg.constraint));
     let n_links = fabric.n_links() as u32;
@@ -344,11 +383,16 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
         }
     };
 
-    let take_sample = |t: Hours,
-                       fabric: &Fabric,
-                       corrupting: &BTreeMap<LinkId, (f64, bool)>,
-                       disabled_count: u32,
-                       samples: &mut Vec<SamplePoint>| {
+    // Each pod's (least paths, capacity) pair as of its last change:
+    // a sample recomputes only the pods dirtied since the previous one,
+    // with the same two functions, so the f64 bits are what a full
+    // rescan would give.
+    let mut pod_sample = vec![(1.0f64, 1.0f64); cfg.pods as usize];
+    let mut take_sample = |t: Hours,
+                           fabric: &mut Fabric,
+                           corrupting: &BTreeMap<LinkId, (f64, bool)>,
+                           disabled_count: u32,
+                           samples: &mut Vec<SamplePoint>| {
         let total_penalty: f64 = corrupting
             .values()
             .map(|&(r, lg_on)| link_penalty_with(lg_on, r, cfg.target_loss_rate))
@@ -358,15 +402,18 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
         let mut least_capacity: f64 = 1.0;
         for pod in 0..cfg.pods {
             // skip pods with every link nominal
-            let any_non_up = fabric
-                .pod_links(pod)
-                .iter()
-                .any(|l| l.state != LinkState::Up);
-            if !any_non_up {
+            if fabric.pod_non_up(pod) == 0 {
                 continue;
             }
-            least_paths = least_paths.min(fabric.least_paths_fraction_in_pod(pod));
-            least_capacity = least_capacity.min(fabric.pod_capacity_fraction(pod, effective_speed));
+            let cached = &mut pod_sample[pod as usize];
+            if fabric.take_dirty(pod) {
+                *cached = (
+                    fabric.least_paths_fraction_in_pod(pod),
+                    fabric.pod_capacity_fraction(pod, effective_speed),
+                );
+            }
+            least_paths = least_paths.min(cached.0);
+            least_capacity = least_capacity.min(cached.1);
         }
         samples.push(SamplePoint {
             t_hours: t,
@@ -532,19 +579,15 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
         }
     };
 
-    // Optimizer buffers, reused across every repair event: a year-long
-    // LG sweep runs the optimizer thousands of times, and per-event
-    // backlog/sort/result allocations showed up in its wall clock.
-    let mut backlog: Vec<(LinkId, f64)> = Vec::new();
-    let mut opt_scratch: Vec<(LinkId, f64)> = Vec::new();
-    let mut opt_disabled: Vec<LinkId> = Vec::new();
-
-    while let Some(Scheduled { at, ev, .. }) = heap.pop() {
-        // emit samples up to this event
-        while next_sample <= at && next_sample <= cfg.horizon_hours {
+    loop {
+        // Events past the horizon (late repairs) never run.
+        let next = heap.pop().filter(|s| s.at <= cfg.horizon_hours);
+        // emit samples up to this event, or to the horizon after the last
+        let until = next.as_ref().map_or(cfg.horizon_hours, |s| s.at);
+        while next_sample <= until {
             take_sample(
                 next_sample,
-                &fabric,
+                &mut fabric,
                 &corrupting,
                 disabled_count,
                 &mut samples,
@@ -568,9 +611,9 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
             );
             next_sample += cfg.sample_interval_hours;
         }
-        if at > cfg.horizon_hours {
+        let Some(Scheduled { at, ev, .. }) = next else {
             break;
-        }
+        };
         match ev {
             Ev::StartCorrupting(link) => {
                 counts.corruption_events += 1;
@@ -613,12 +656,14 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                         Ev::StartCorrupting(link),
                     );
                 }
-                // capacity returned: let the optimizer try the backlog
-                backlog.clear();
-                backlog.extend(corrupting.iter().map(|(&l, &(r, _))| (l, r)));
-                opt_disabled.clear();
-                corropt.optimize_into(&mut fabric, &backlog, &mut opt_scratch, &mut opt_disabled);
-                for &l in &opt_disabled {
+                // capacity returned to this pod: let the optimizer try
+                // its backlog (link ids are pod-contiguous)
+                let first = fabric.link(link).pod * LINKS_PER_POD as u32;
+                let backlog: Vec<(LinkId, f64)> = corrupting
+                    .range(LinkId(first)..LinkId(first + LINKS_PER_POD as u32))
+                    .map(|(&l, &(r, _))| (l, r))
+                    .collect();
+                for l in corropt.optimize(&mut fabric, &backlog) {
                     counts.optimizer_disabled += 1;
                     if let Some((_, true)) = corrupting.remove(&l) {
                         if let Some(n) = lg_per_switch.get_mut(&switch_key(&fabric, l)) {
@@ -631,34 +676,12 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                 }
             }
         }
-    }
-    // trailing samples
-    while next_sample <= cfg.horizon_hours {
-        take_sample(
-            next_sample,
-            &fabric,
-            &corrupting,
-            disabled_count,
-            &mut samples,
+        debug_assert!(
+            corrupting
+                .keys()
+                .all(|&l| !corropt.can_disable(&mut fabric, l)),
+            "a deferred link passes the fast checker after the event at t={at} h"
         );
-        roll_health(
-            next_sample,
-            &corrupting,
-            &mut health,
-            &mut health_window_base,
-            &mut health_events,
-        );
-        guard_step(
-            next_sample,
-            &mut guard,
-            &mut guard_fed,
-            &health_events,
-            &mut fabric,
-            &mut corrupting,
-            &mut lg_per_switch,
-            &mut counts,
-        );
-        next_sample += cfg.sample_interval_hours;
     }
 
     let guard_journal = match guard {
@@ -724,6 +747,76 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(serial, run_many(&cfgs, threads), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn deferred_links_never_pass_the_fast_checker() {
+        // Under `debug_assertions` (how tier-1 runs) `run` sweeps the
+        // pod-locality invariant after every event and panics on the
+        // first deferred link the fast checker would let go.
+        for policy in [
+            Policy::CorrOptOnly,
+            Policy::LgPlusCorrOpt,
+            Policy::PartialLg(0.5),
+            Policy::LgGuardd(GuardConfig::default()),
+        ] {
+            let r = run(&small_cfg(policy, 0.75));
+            assert!(
+                r.counts.deferred > 0 && r.counts.optimizer_disabled > 0,
+                "{policy:?}: the month must defer links and drain some: {:?}",
+                r.counts
+            );
+        }
+    }
+
+    #[test]
+    fn validate_names_each_rejected_field() {
+        let ok = small_cfg(Policy::CorrOptOnly, 0.75);
+        assert_eq!(ok.validate(), Ok(()));
+        let zero_horizon = FabricSimConfig {
+            horizon_hours: 0.0,
+            ..ok.clone()
+        };
+        assert_eq!(zero_horizon.validate(), Ok(()));
+        assert_eq!(run(&zero_horizon).samples.len(), 1);
+        for dt in [0.0, -4.0, f64::NAN, f64::INFINITY] {
+            let bad = FabricSimConfig {
+                sample_interval_hours: dt,
+                ..ok.clone()
+            };
+            let e = bad.validate().expect_err("bad interval");
+            assert!(e.starts_with("sample interval"), "{e}");
+        }
+        let bad = FabricSimConfig {
+            pods: 0,
+            ..ok.clone()
+        };
+        assert!(bad.validate().expect_err("no pods").starts_with("pods"));
+        for constraint in [-0.1, 1.5, f64::NAN] {
+            let bad = FabricSimConfig {
+                constraint,
+                ..ok.clone()
+            };
+            let e = bad.validate().expect_err("bad constraint");
+            assert!(e.starts_with("capacity constraint"), "{e}");
+        }
+        for horizon_hours in [-1.0, f64::NAN, f64::INFINITY] {
+            let bad = FabricSimConfig {
+                horizon_hours,
+                ..ok.clone()
+            };
+            let e = bad.validate().expect_err("bad horizon");
+            assert!(e.starts_with("horizon"), "{e}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sample interval must be finite and > 0 hours, got 0")]
+    fn run_refuses_a_zero_sample_interval_instead_of_looping() {
+        run(&FabricSimConfig {
+            sample_interval_hours: 0.0,
+            ..small_cfg(Policy::CorrOptOnly, 0.75)
+        });
     }
 
     #[test]

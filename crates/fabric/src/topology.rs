@@ -71,12 +71,56 @@ pub struct Link {
     pub state: LinkState,
 }
 
+/// Running per-pod summary of link states, kept current by
+/// [`Fabric::set_state`] so path counts read 48×4 numbers instead of
+/// matching 384 links.
+#[derive(Debug, Clone)]
+struct PodSummary {
+    /// Spine uplinks not `Disabled`, per fabric switch.
+    spine_up: [u8; FABRICS_PER_POD],
+    /// Per ToR: bit `f` is set while its link to fabric switch `f` is
+    /// not `Disabled`.
+    tor_up: [u8; TORS_PER_POD],
+    /// Links in any state other than `Up`.
+    non_up: u16,
+    /// A link of the pod changed state since [`Fabric::take_dirty`].
+    dirty: bool,
+}
+
+impl PodSummary {
+    fn least_paths_fraction(&self) -> f64 {
+        let min_paths = self
+            .tor_up
+            .iter()
+            .map(|&mask| {
+                (0..FABRICS_PER_POD)
+                    .map(|f| u32::from((mask >> f) & 1) * u32::from(self.spine_up[f]))
+                    .sum::<u32>()
+            })
+            .min()
+            .expect("a pod has ToRs");
+        f64::from(min_paths) / PATHS_PER_TOR as f64
+    }
+
+    /// Account for one link going `Disabled` (`up == false`) or coming
+    /// back from it.
+    fn set_link_up(&mut self, kind: LinkKind, up: bool) {
+        match kind {
+            LinkKind::FabricSpine { fabric, .. } if up => self.spine_up[fabric as usize] += 1,
+            LinkKind::FabricSpine { fabric, .. } => self.spine_up[fabric as usize] -= 1,
+            LinkKind::TorFabric { tor, fabric } if up => self.tor_up[tor as usize] |= 1 << fabric,
+            LinkKind::TorFabric { tor, fabric } => self.tor_up[tor as usize] &= !(1 << fabric),
+        }
+    }
+}
+
 /// The whole fabric.
 #[derive(Debug, Clone)]
 pub struct Fabric {
     /// Number of pods.
     pub pods: u32,
     links: Vec<Link>,
+    summaries: Vec<PodSummary>,
 }
 
 impl Fabric {
@@ -103,7 +147,17 @@ impl Fabric {
                 }
             }
         }
-        Fabric { pods, links }
+        let nominal = PodSummary {
+            spine_up: [UPLINKS_PER_FABRIC as u8; FABRICS_PER_POD],
+            tor_up: [(1 << FABRICS_PER_POD) - 1; TORS_PER_POD],
+            non_up: 0,
+            dirty: false,
+        };
+        Fabric {
+            pods,
+            links,
+            summaries: vec![nominal; pods as usize],
+        }
     }
 
     /// The ~100K-link instance of §4.8.
@@ -121,9 +175,31 @@ impl Fabric {
         &self.links[id.0 as usize]
     }
 
-    /// Mutate a link's state.
+    /// Mutate a link's state (the only mutator: it keeps the pod's
+    /// summary current and marks the pod dirty).
     pub fn set_state(&mut self, id: LinkId, state: LinkState) {
-        self.links[id.0 as usize].state = state;
+        let link = &mut self.links[id.0 as usize];
+        let pod = &mut self.summaries[link.pod as usize];
+        let up = state != LinkState::Disabled;
+        if up != (link.state != LinkState::Disabled) {
+            pod.set_link_up(link.kind, up);
+        }
+        pod.non_up += u16::from(state != LinkState::Up);
+        pod.non_up -= u16::from(link.state != LinkState::Up);
+        pod.dirty = true;
+        link.state = state;
+    }
+
+    /// Number of links of `pod` in any state other than `Up`.
+    pub fn pod_non_up(&self, pod: u32) -> u32 {
+        u32::from(self.summaries[pod as usize].non_up)
+    }
+
+    /// Whether any link of `pod` had its state set since the last call;
+    /// clears the flag. Lets a sampler keep per-pod results and redo
+    /// only the pods that changed.
+    pub fn take_dirty(&mut self, pod: u32) -> bool {
+        std::mem::take(&mut self.summaries[pod as usize].dirty)
     }
 
     /// Iterate all links of one pod.
@@ -142,31 +218,18 @@ impl Fabric {
     /// counting Disabled links as lost paths (corrupting-but-active links
     /// still carry traffic).
     pub fn least_paths_fraction_in_pod(&self, pod: u32) -> f64 {
-        let links = self.pod_links(pod);
-        // spine uplinks up per fabric switch
-        let mut upcount = [0u32; FABRICS_PER_POD];
-        let mut tor_up = [[false; FABRICS_PER_POD]; TORS_PER_POD];
-        for l in links {
-            let up = l.state != LinkState::Disabled;
-            match l.kind {
-                LinkKind::FabricSpine { fabric, .. } => {
-                    if up {
-                        upcount[fabric as usize] += 1;
-                    }
-                }
-                LinkKind::TorFabric { tor, fabric } => {
-                    tor_up[tor as usize][fabric as usize] = up;
-                }
-            }
+        self.summaries[pod as usize].least_paths_fraction()
+    }
+
+    /// What [`Fabric::least_paths_fraction_in_pod`] would read for
+    /// `id`'s pod with `id` `Disabled`; nothing is changed.
+    pub fn least_paths_fraction_without(&self, id: LinkId) -> f64 {
+        let link = self.link(id);
+        let mut pod = self.summaries[link.pod as usize].clone();
+        if link.state != LinkState::Disabled {
+            pod.set_link_up(link.kind, false);
         }
-        let mut min_paths = u32::MAX;
-        for tor in tor_up.iter() {
-            let paths: u32 = (0..FABRICS_PER_POD)
-                .map(|f| if tor[f] { upcount[f] } else { 0 })
-                .sum();
-            min_paths = min_paths.min(paths);
-        }
-        min_paths as f64 / PATHS_PER_TOR as f64
+        pod.least_paths_fraction()
     }
 
     /// Pod uplink capacity fraction: effective capacity of the pod's links

@@ -23,6 +23,10 @@ fn main() {
         target_loss_rate: 1e-8,
         seed: 2024,
     };
+    if let Err(msg) = mk(Policy::CorrOptOnly).validate() {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
     let co = run(&mk(Policy::CorrOptOnly));
     let lg = run(&mk(Policy::LgPlusCorrOpt));
 
