@@ -14,7 +14,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use lg_sim::event::reference;
-use lg_sim::{Duration, EventQueue, Rng};
+use lg_sim::{Duration, EventQueue, Rng, Time};
 
 /// Draw a scheduling horizon from the simulator's characteristic mix:
 /// 60% sub-microsecond (per-packet serialization), 30% tens of
@@ -75,6 +75,57 @@ fn churn_reference(total: u64, population: u64, seed: u64) -> u64 {
     acc
 }
 
+/// The packet fabric's queue shape (`lg_fabric::pktsim`, one shard of
+/// the paper-scale preset): ~8 K events held pending — 6,144 flow
+/// generators re-arming tens of microseconds out, 2,048 frames cycling
+/// through constant +120 ns (serialization) and +600 ns (hop latency)
+/// reschedules, ~23 events per 8 ns wheel slot — drained tick by tick
+/// with `pop_tick_into` up to a 600 ns lookahead bound, as the shard
+/// runner does. This is the load the wheel's drain cap is sized on.
+macro_rules! dense_hold {
+    ($name:ident, $queue:ty) => {
+        fn $name(total: u64, seed: u64) -> u64 {
+            const GENS: u64 = 6_144;
+            const FRAMES: u64 = 2_048;
+            let mut q: $queue = <$queue>::new();
+            let mut rng = Rng::new(seed);
+            for g in 0..GENS {
+                q.schedule_at(Time::from_ps(1 + rng.below(120_000_000)), g);
+            }
+            for f in 0..FRAMES {
+                q.schedule_at(Time::from_ps(1 + rng.below(720_000)), GENS + 2 * f);
+            }
+            let hop = Duration::from_ns(600);
+            let mut until = Time::ZERO + hop;
+            let mut tick = Vec::new();
+            let (mut done, mut acc) = (0u64, 0u64);
+            while done < total {
+                while let Some((now, first)) = q.pop_tick_into(until, &mut tick, usize::MAX) {
+                    tick.push(first);
+                    for v in tick.drain(..) {
+                        // Payload: a generator id, or a frame's id with
+                        // its phase (serializing / in flight) in bit 0.
+                        let (delay, next) = if v < GENS {
+                            (Duration::from_ps(1 + rng.below(120_000_000)), v)
+                        } else if (v - GENS) % 2 == 0 {
+                            (Duration::from_ns(120), v + 1)
+                        } else {
+                            (hop, v - 1)
+                        };
+                        q.schedule_at(now + delay, next);
+                        acc = acc.wrapping_add(now.as_ps() ^ v);
+                        done += 1;
+                    }
+                }
+                until += hop;
+            }
+            acc
+        }
+    };
+}
+dense_hold!(dense_hold_wheel, EventQueue<u64>);
+dense_hold!(dense_hold_reference, reference::EventQueue<u64>);
+
 fn bench_scheduler(c: &mut Criterion) {
     const TOTAL: u64 = 1_000_000;
     const POPULATION: u64 = 4_096;
@@ -85,6 +136,12 @@ fn bench_scheduler(c: &mut Criterion) {
     });
     g.bench_function("reference_heap/churn_1m", |b| {
         b.iter(|| churn_reference(black_box(TOTAL), POPULATION, 42))
+    });
+    g.bench_function("wheel/dense_hold", |b| {
+        b.iter(|| dense_hold_wheel(black_box(TOTAL), 42))
+    });
+    g.bench_function("reference_heap/dense_hold", |b| {
+        b.iter(|| dense_hold_reference(black_box(TOTAL), 42))
     });
     g.finish();
 }

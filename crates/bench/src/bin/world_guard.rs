@@ -48,6 +48,9 @@
 //!   (4-shard, serial-path) packet run, construction excluded. Same
 //!   ≤ 0.01 allocs/event bar as `--allocs`: per-shard arenas must make
 //!   the sharded hot path as allocation-free as the single-world one.
+//!   With `--pods N` it runs an N-pod slice of the fabric-scale preset,
+//!   where per-*cell* heap blocks would show (CI gates `--pods 30
+//!   --horizon-us 150`).
 //! - `--rss` runs the fabric-scale preset once (260 pods ≈ 100K links,
 //!   or `--pods N` for a smoke-sized slice) and prints events/s, the
 //!   per-shard memory-budget accounting, and the process peak RSS
@@ -191,6 +194,28 @@ fn pkt_cfg(shards: u32, threads: usize, horizon_us: u64) -> PktFabricConfig {
     cfg.shards = shards;
     cfg.threads = threads;
     cfg.horizon = Time::from_us(horizon_us);
+    cfg
+}
+
+/// The fabric-scale preset for the `--rss` and `--allocs-shard` gates,
+/// sliced to `pods` pods when nonzero (CI smoke size); `horizon_us` 0
+/// keeps the preset horizon.
+fn scale_cfg(
+    seed: u64,
+    pods: u32,
+    shards: u32,
+    threads: usize,
+    horizon_us: u64,
+) -> PktFabricConfig {
+    let mut cfg = PktFabricConfig::fabric_scale(seed);
+    if pods > 0 {
+        cfg.geom.pods = pods;
+    }
+    cfg.shards = shards;
+    cfg.threads = threads;
+    if horizon_us > 0 {
+        cfg.horizon = Time::from_us(horizon_us);
+    }
     cfg
 }
 
@@ -676,19 +701,13 @@ fn main() {
         // process lifetime, so reps could only inflate it.
         let shards: u32 = arg("--shards", 8);
         let threads: usize = arg("--threads", shards as usize);
-        let seed: u64 = arg("--seed", 42);
-        let pods: u32 = arg("--pods", 0);
-        let mut cfg = lg_fabric::PktFabricConfig::fabric_scale(seed);
-        if pods > 0 {
-            cfg.geom.pods = pods;
-        }
-        cfg.shards = shards;
-        cfg.threads = threads;
-        // 0 keeps the preset horizon.
-        let horizon_us: u64 = arg("--horizon-us", 0);
-        if horizon_us > 0 {
-            cfg.horizon = Time::from_us(horizon_us);
-        }
+        let cfg = scale_cfg(
+            arg("--seed", 42),
+            arg("--pods", 0),
+            shards,
+            threads,
+            arg("--horizon-us", 0),
+        );
         let links = cfg.geom.n_links();
         let t0 = std::time::Instant::now();
         let r = run_packet(&cfg);
@@ -720,10 +739,16 @@ fn main() {
         // 4-shard layout, so per-shard queues/arenas/mailboxes are all
         // live. Construction is excluded the same way: first run eats
         // first-touch growth, second run on a fresh fabric measures the
-        // loop alone.
+        // loop alone. `--pods N`: an N-pod slice of the fabric-scale
+        // preset instead (see the module docs).
         let shards: u32 = arg("--shards", 4);
         let horizon_us: u64 = arg("--horizon-us", 2000);
-        let cfg = pkt_cfg(shards, 1, horizon_us);
+        let pods: u32 = arg("--pods", 0);
+        let cfg = if pods > 0 {
+            scale_cfg(42, pods, shards, 1, horizon_us)
+        } else {
+            pkt_cfg(shards, 1, horizon_us)
+        };
         let mut f = lg_fabric::PktFabric::new(&cfg);
         let a0 = ALLOCS.load(Ordering::Relaxed);
         let stats = f.run();

@@ -69,7 +69,7 @@
 //!   (`denials == 0`), keeping output byte-identical across layouts
 //!   while still enforcing the bound.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use lg_obs::trace::{Comp, Kind, TraceRecord, TraceRing, DEFAULT_RING_CAP};
 use lg_obs::{postmortem, HealthConfig, HealthEstimator, HealthEvent, MemBudget};
@@ -199,7 +199,7 @@ impl PktTelemetryConfig {
 }
 
 impl PktFabricConfig {
-    /// A pod-scale default: 8 pods × (16·4 + 4·16) = 2048 links at
+    /// A pod-scale default: 8 pods × (16·4 + 4·16) = 1024 links at
     /// 100G, tuned so a run is seconds, not minutes, on one core.
     pub fn pod_scale(seed: u64) -> PktFabricConfig {
         PktFabricConfig {
@@ -275,6 +275,11 @@ impl PktFabricConfig {
         );
         assert!(self.sample_interval.as_ps() > 0);
         assert!(self.mean_interarrival.as_ps() > 0);
+        assert!(
+            self.mean_flow_frames >= 1.0,
+            "mean_flow_frames must be >= 1 (got {}): it is the mean of a geometric frame count",
+            self.mean_flow_frames
+        );
         assert!(self.frame_bytes > 0);
         assert!((0.0..=1.0).contains(&self.cross_pod));
         assert!((0.0..=1.0).contains(&self.corrupting_fraction));
@@ -293,10 +298,9 @@ const MAX_FLOW_FRAMES: u64 = 64;
 /// forward it without global state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Frame {
-    /// Globally unique: `flow << 8 | index`.
+    /// Globally unique: `flow << 8 | index`, the flow id being
+    /// `generator << 24 | per-generator counter`.
     key: u64,
-    /// Flow id: `generator << 24 | per-generator counter`.
-    flow: u64,
     /// Flow start instant (FCT epoch; survives source re-injection).
     start: Time,
     /// Route as global link ids; `u32::MAX` past `n_hops`.
@@ -317,17 +321,56 @@ struct Frame {
     traced: bool,
 }
 
+/// "No frame" in the intrusive cell FIFOs.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a frame plus the link that threads it into the FIFO
+/// of the cell it is queued at.
+struct Slot {
+    frame: Frame,
+    next: u32,
+}
+
+/// A shard's private frame store (the shape of `lg_packet::PacketPool`:
+/// slots plus a free list). A frame is written once when it enters the
+/// shard and its slot freed when it leaves — delivered, or copied out
+/// into a [`PktMsg`] for a foreign next hop; events and FIFOs carry the
+/// slot id. A slot id never crosses a mailbox.
+#[derive(Default)]
+struct FrameSlab {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+}
+
+impl FrameSlab {
+    fn insert(&mut self, frame: Frame) -> u32 {
+        let slot = Slot { frame, next: NIL };
+        if let Some(id) = self.free.pop() {
+            self.slots[id as usize] = slot;
+            id
+        } else {
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
+        }
+    }
+
+    fn remove(&mut self, id: u32) -> Frame {
+        self.free.push(id);
+        self.slots[id as usize].frame
+    }
+}
+
 /// Events of the packet-level world. Same-instant batches are sorted by
 /// [`canon_key`] before dispatch, so variants only need to be
 /// self-describing — handlers never rely on queue order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum PEv {
     /// Telemetry snapshot `sample_idx` of every local corrupting cell.
     Sample { idx: u32 },
     /// The cell finished serializing its head frame.
     TxDone { link: u32 },
-    /// `frame` reaches the ingress of `hops[hop]`.
-    Arrive { frame: Frame },
+    /// The frame in slab slot `frame` reaches the ingress of `hops[hop]`.
+    Arrive { frame: u32 },
     /// Generator `gen` (global id) emits a flow and reschedules itself.
     FlowStart { gen: u32 },
 }
@@ -336,12 +379,15 @@ enum PEv {
 /// global-link order; within a cell the serializer completion runs
 /// before new arrivals; unique frame keys break remaining ties.
 /// `Sample` sorts first so snapshots never observe same-instant work.
-fn canon_key(ev: &PEv) -> (u32, u8, u64) {
-    match ev {
-        PEv::Sample { idx } => (0, 0, *idx as u64),
-        PEv::TxDone { link } => (*link, 1, 0),
-        PEv::Arrive { frame } => (frame.hops[frame.hop as usize], 2, frame.key),
-        PEv::FlowStart { gen } => (*gen, 3, 0),
+fn canon_key(frames: &FrameSlab, ev: &PEv) -> (u32, u8, u64) {
+    match *ev {
+        PEv::Sample { idx } => (0, 0, idx as u64),
+        PEv::TxDone { link } => (link, 1, 0),
+        PEv::Arrive { frame } => {
+            let f = &frames.slots[frame as usize].frame;
+            (f.hops[f.hop as usize], 2, f.key)
+        }
+        PEv::FlowStart { gen } => (gen, 3, 0),
     }
 }
 
@@ -352,20 +398,31 @@ pub struct PktMsg {
     frame: Frame,
 }
 
-/// One egress cell (link direction pair collapsed to a single queue).
+/// One egress cell (link direction pair collapsed to a single queue):
+/// the part every frame-hop touches, one cache line. The FIFO is
+/// intrusive — `head`/`tail` are slab slot ids chained through
+/// [`Slot::next`].
 #[derive(Debug)]
+#[repr(align(64))]
 struct Cell {
     global: u32,
-    fifo: VecDeque<Frame>,
+    head: u32,
+    tail: u32,
+    len: u32,
+    queue_hwm: u32,
     busy: bool,
     /// Frame loss rate; 0.0 for healthy links.
     loss: f64,
-    rng: Rng,
     tx_frames: u64,
+    overflow_drops: u64,
+}
+
+/// The part of a cell only a corrupting link (`loss > 0`) ever touches,
+/// in an array parallel to the cells.
+struct CellLoss {
+    rng: Rng,
     corrupt_drops: u64,
     recoveries: u64,
-    overflow_drops: u64,
-    queue_hwm: u32,
 }
 
 /// Final per-link accounting, merged across shards in link order.
@@ -610,6 +667,12 @@ pub struct FabricShard {
     q: EventQueue<PEv>,
     /// Local cells, indexed by the slabs below.
     cells: Vec<Cell>,
+    /// Loss state, parallel to `cells`.
+    cell_loss: Vec<CellLoss>,
+    /// Local indices of the corrupting cells (`loss > 0`), link order.
+    corrupting: Vec<u32>,
+    /// Every frame currently inside this shard.
+    frames: FrameSlab,
     /// First link id of the shard's pod span.
     span_base: u32,
     /// Global→local cell index over the pod span (u32::MAX = not ours).
@@ -635,30 +698,27 @@ pub struct FabricShard {
     trace_ring: Option<TraceRing>,
     trace_log: Vec<TraceRecord>,
     trace_dropped: u64,
-    /// Health estimators over this shard's corrupting cells:
-    /// `(local cell index, estimator)`. Empty when health is off.
-    health_ests: Vec<(u32, HealthEstimator)>,
+    /// Health estimators, parallel to `corrupting`. Empty when health
+    /// is off.
+    health_ests: Vec<HealthEstimator>,
     health_events: Vec<(u32, HealthEvent)>,
     /// `(sampling counter, accumulators)`; None = profiling off.
     profile: Option<(u64, PktProfile)>,
 }
 
 impl FabricShard {
-    fn serialize(&self, bytes: u16) -> Duration {
-        self.shared.speed.serialize(bytes as u64)
-    }
-
     /// Record one packet-lifecycle trace event. Every field is global
     /// (uid = frame key + 1 so 0 stays the no-packet sentinel, link in
     /// `aux`, hop in `inst`), never shard-local — the invariant that
     /// makes the merged log identical at any layout.
     #[inline]
-    fn trace(&mut self, kind: Kind, frame: &Frame, link: u32, now: Time) {
+    fn trace(&mut self, kind: Kind, id: u32, link: u32, now: Time) {
         if let Some(ring) = &mut self.trace_ring {
+            let frame = &self.frames.slots[id as usize].frame;
             ring.push(TraceRecord {
                 t_ps: now.as_ps(),
                 uid: frame.key + 1,
-                seq: frame.flow,
+                seq: frame.key >> 8,
                 aux: link,
                 inst: frame.hop as u16,
                 comp: Comp::Link,
@@ -675,37 +735,46 @@ impl FabricShard {
         local
     }
 
-    /// Schedule `frame`'s arrival at its current hop, locally or
-    /// through the outbox when the hop belongs to another shard.
-    fn route(&mut self, frame: Frame, at: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
-        let link = frame.hops[frame.hop as usize];
-        let dst = self.shared.map.shard_of(link);
+    /// Schedule the arrival of the frame in slot `id` at its current
+    /// hop: locally the slot is reused; when the hop belongs to another
+    /// shard the frame is copied into the outbox and the slot freed.
+    fn route(&mut self, id: u32, at: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
+        let frame = &self.frames.slots[id as usize].frame;
+        let dst = self.shared.map.shard_of(frame.hops[frame.hop as usize]);
         if dst == self.id {
-            self.q.schedule_at(at, PEv::Arrive { frame });
+            self.q.schedule_at(at, PEv::Arrive { frame: id });
         } else {
             out.push(ShardMsg {
                 at,
                 seq: out.len() as u64,
                 src_shard: self.id,
                 dst_shard: dst,
-                payload: PktMsg { frame },
+                payload: PktMsg {
+                    frame: self.frames.remove(id),
+                },
             });
         }
     }
 
     fn kick(&mut self, local: u32, now: Time) {
         let cell = &mut self.cells[local as usize];
-        if cell.busy {
+        if cell.busy || cell.head == NIL {
             return;
         }
-        let Some(head) = cell.fifo.front() else {
-            return;
-        };
-        let bytes = head.bytes;
         cell.busy = true;
-        let global = cell.global;
-        let ser = self.serialize(bytes);
-        self.q.schedule_at(now + ser, PEv::TxDone { link: global });
+        let bytes = self.frames.slots[cell.head as usize].frame.bytes;
+        let ser = self.shared.speed.serialize(bytes as u64);
+        self.q
+            .schedule_at(now + ser, PEv::TxDone { link: cell.global });
+    }
+
+    /// A dropped frame goes back to its source: re-injected at its
+    /// first hop after the RTO, `start` preserved.
+    fn reinject(&mut self, id: u32, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
+        let frame = &mut self.frames.slots[id as usize].frame;
+        frame.traced = true;
+        frame.hop = 0;
+        self.route(id, now + self.shared.rto, out);
     }
 
     /// Frame reaches a cell's ingress: admission control (layout-
@@ -713,75 +782,79 @@ impl FabricShard {
     /// the store), then enqueue — or drop-tail and re-inject at the
     /// source after the RTO. Congestion loss surfaces to the transport
     /// under both policies; LinkGuardian only masks corruption.
-    fn on_arrive(&mut self, frame: Frame, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
+    fn on_arrive(&mut self, id: u32, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
+        let frame = &self.frames.slots[id as usize].frame;
         let link = frame.hops[frame.hop as usize];
         let local = self.local_cell(link);
         let cap = self.shared.cell_cap;
         let cell = &mut self.cells[local as usize];
-        let admitted = (cap == 0 || (cell.fifo.len() as u32) < cap)
+        let admitted = (cap == 0 || cell.len < cap)
             && self
                 .budget
                 .as_ref()
                 .is_none_or(|b| b.try_charge(frame.bytes as u64));
         if !admitted {
             cell.overflow_drops += 1;
-            let mut frame = frame;
-            self.trace(Kind::RxOverflow, &frame, link, now);
-            frame.traced = true;
-            frame.hop = 0;
-            let rto = self.shared.rto;
-            self.route(frame, now + rto, out);
+            self.trace(Kind::RxOverflow, id, link, now);
+            self.reinject(id, now, out);
             return;
         }
-        cell.fifo.push_back(frame);
-        cell.queue_hwm = cell.queue_hwm.max(cell.fifo.len() as u32);
+        self.frames.slots[id as usize].next = NIL;
+        if cell.head == NIL {
+            cell.head = id;
+        } else {
+            self.frames.slots[cell.tail as usize].next = id;
+        }
+        cell.tail = id;
+        cell.len += 1;
+        cell.queue_hwm = cell.queue_hwm.max(cell.len);
         self.kick(local, now);
     }
 
     fn on_tx_done(&mut self, link: u32, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
         let local = self.local_cell(link) as usize;
         let cell = &mut self.cells[local];
-        let head = *cell.fifo.front().expect("TxDone with empty FIFO");
-        let corrupted = cell.loss > 0.0 && cell.rng.bernoulli(cell.loss);
+        let id = cell.head;
+        assert_ne!(id, NIL, "TxDone with empty FIFO");
+        let corrupted = cell.loss > 0.0 && self.cell_loss[local].rng.bernoulli(cell.loss);
         if corrupted && self.shared.policy == PktPolicy::LinkGuardian {
             // Link-local retransmission: the frame stays at the head,
             // the link stays busy through the NACK turnaround plus the
             // repeat serialization. The loss never surfaces.
-            cell.recoveries += 1;
-            if let Some(f) = cell.fifo.front_mut() {
-                f.traced = true;
-            }
-            self.trace(Kind::Recovered, &head, link, now);
-            let delay = self.shared.lg_recovery + self.serialize(head.bytes);
+            self.cell_loss[local].recoveries += 1;
+            let head = &mut self.frames.slots[id as usize].frame;
+            head.traced = true;
+            let delay = self.shared.lg_recovery + self.shared.speed.serialize(head.bytes as u64);
+            self.trace(Kind::Recovered, id, link, now);
             self.q.schedule_at(now + delay, PEv::TxDone { link });
             return;
         }
-        let mut frame = cell.fifo.pop_front().expect("probed head");
+        let slot = &self.frames.slots[id as usize];
+        cell.head = slot.next;
+        cell.len -= 1;
         cell.busy = false;
         if let Some(b) = &self.budget {
-            b.release(frame.bytes as u64);
+            b.release(slot.frame.bytes as u64);
         }
         if corrupted {
-            // End-to-end recovery: drop, and re-inject the frame at its
-            // first hop after the RTO. `start` is preserved, so the
-            // flow's FCT absorbs the full timeout — the paper's no-LG
-            // cost.
-            cell.corrupt_drops += 1;
+            // End-to-end recovery: drop, and the source re-injects after
+            // the RTO, so the flow's FCT absorbs the full timeout — the
+            // paper's no-LG cost.
+            self.cell_loss[local].corrupt_drops += 1;
             self.source_retx += 1;
-            self.trace(Kind::CorruptDrop, &frame, link, now);
-            frame.traced = true;
-            frame.hop = 0;
-            self.route(frame, now + self.shared.rto, out);
+            self.trace(Kind::CorruptDrop, id, link, now);
+            self.reinject(id, now, out);
         } else {
             cell.tx_frames += 1;
-            if frame.hop + 1 == frame.n_hops {
-                if frame.traced {
-                    self.trace(Kind::Deliver, &frame, link, now);
+            if slot.frame.hop + 1 == slot.frame.n_hops {
+                if slot.frame.traced {
+                    self.trace(Kind::Deliver, id, link, now);
                 }
+                let frame = self.frames.remove(id);
                 self.on_delivered(&frame, now);
             } else {
-                frame.hop += 1;
-                self.route(frame, now + self.shared.hop_latency, out);
+                self.frames.slots[id as usize].frame.hop += 1;
+                self.route(id, now + self.shared.hop_latency, out);
             }
         }
         self.kick(local as u32, now);
@@ -790,15 +863,16 @@ impl FabricShard {
     /// Final-hop serialization succeeded: the frame reaches its
     /// destination ToR one hop latency later.
     fn on_delivered(&mut self, frame: &Frame, now: Time) {
-        let seen = self.delivered.entry(frame.flow).or_insert(0);
+        let flow = frame.key >> 8;
+        let seen = self.delivered.entry(flow).or_insert(0);
         *seen += 1;
         if *seen == frame.frames {
-            self.delivered.remove(&frame.flow);
+            self.delivered.remove(&flow);
             let done = now + self.shared.hop_latency;
             let fct = done.saturating_since(frame.start).as_ps();
             self.fct_stream.record(fct);
             if self.shared.retain_fct {
-                self.fct.push((frame.flow, fct));
+                self.fct.push((flow, fct));
             }
             self.flows_completed += 1;
         }
@@ -847,9 +921,8 @@ impl FabricShard {
         assert!(g.flows < 1 << 24, "flow counter overflow");
         self.flows += 1;
         for i in 0..frames {
-            let frame = Frame {
+            let id = self.frames.insert(Frame {
                 key: (flow << 8) | i as u64,
-                flow,
                 start: now,
                 hops,
                 hop: 0,
@@ -857,11 +930,11 @@ impl FabricShard {
                 frames,
                 bytes: s.frame_bytes,
                 traced: false,
-            };
+            });
             // The first hop is always local (generators live with their
             // first-hop link), so this never reaches the outbox — but
             // route() keeps the invariant checkable in one place.
-            self.route(frame, now + s.hop_latency, out);
+            self.route(id, now + s.hop_latency, out);
         }
         let g = &mut self.gens[local];
         let gap = Duration::from_ps((g.rng.exp(s.mean_interarrival.as_ps() as f64) as u64).max(1));
@@ -872,13 +945,14 @@ impl FabricShard {
     }
 
     fn on_sample(&mut self, idx: u32) {
-        for cell in self.cells.iter().filter(|c| c.loss > 0.0) {
+        for &local in &self.corrupting {
+            let (cell, loss) = (&self.cells[local as usize], &self.cell_loss[local as usize]);
             self.telemetry.push(TelemetryRow {
                 sample: idx,
                 link: cell.global,
                 tx_frames: cell.tx_frames,
-                corrupt_drops: cell.corrupt_drops,
-                recoveries: cell.recoveries,
+                corrupt_drops: loss.corrupt_drops,
+                recoveries: loss.recoveries,
             });
         }
         // Feed the health estimators from the same cumulative counters
@@ -888,9 +962,9 @@ impl FabricShard {
         // fixed instant, so the resulting event stream is
         // layout-invariant.
         let t_ps = self.shared.sample_interval.as_ps() * idx as u64;
-        for (local, est) in self.health_ests.iter_mut() {
-            let cell = &self.cells[*local as usize];
-            let errors = cell.corrupt_drops + cell.recoveries;
+        for (&local, est) in self.corrupting.iter().zip(&mut self.health_ests) {
+            let (cell, loss) = (&self.cells[local as usize], &self.cell_loss[local as usize]);
+            let errors = loss.corrupt_drops + loss.recoveries;
             let all = cell.tx_frames + errors;
             if let Some(ev) = est.observe_cumulative(t_ps, all, cell.tx_frames) {
                 self.health_events.push((cell.global, ev));
@@ -966,7 +1040,7 @@ impl ShardWorld for FabricShard {
                 // module docs). Handlers only schedule strictly-future
                 // events, so the drained batch is the whole tick.
                 tick.push(first);
-                tick.sort_unstable_by_key(canon_key);
+                tick.sort_unstable_by_key(|ev| canon_key(&self.frames, ev));
                 for ev in tick.drain(..) {
                     ran += sim_event(&ev);
                     self.dispatch(ev, now, out);
@@ -989,12 +1063,8 @@ impl ShardWorld for FabricShard {
     }
 
     fn inject(&mut self, msg: ShardMsg<PktMsg>) {
-        self.q.schedule_at(
-            msg.at,
-            PEv::Arrive {
-                frame: msg.payload.frame,
-            },
-        );
+        let frame = self.frames.insert(msg.payload.frame);
+        self.q.schedule_at(msg.at, PEv::Arrive { frame });
     }
 }
 
@@ -1055,6 +1125,9 @@ impl PktFabric {
                     shared: std::sync::Arc::clone(&shared),
                     q: EventQueue::new(),
                     cells: Vec::with_capacity(n_local as usize),
+                    cell_loss: Vec::with_capacity(n_local as usize),
+                    corrupting: Vec::new(),
+                    frames: FrameSlab::default(),
                     span_base: lo,
                     link_slab: vec![u32::MAX; (hi - lo + 1) as usize],
                     gens: Vec::new(),
@@ -1095,18 +1168,26 @@ impl PktFabric {
                 0.0
             };
             let shard = &mut shards[part.shard_of_link[link as usize] as usize];
-            shard.link_slab[(link - shard.span_base) as usize] = shard.cells.len() as u32;
+            let local = shard.cells.len() as u32;
+            shard.link_slab[(link - shard.span_base) as usize] = local;
+            if loss > 0.0 {
+                shard.corrupting.push(local);
+            }
             shard.cells.push(Cell {
                 global: link,
-                fifo: VecDeque::new(),
+                head: NIL,
+                tail: NIL,
+                len: 0,
+                queue_hwm: 0,
                 busy: false,
                 loss,
-                rng: Rng::new(mix_seed(cfg.seed, 2, link as u64)),
                 tx_frames: 0,
+                overflow_drops: 0,
+            });
+            shard.cell_loss.push(CellLoss {
+                rng: Rng::new(mix_seed(cfg.seed, 2, link as u64)),
                 corrupt_drops: 0,
                 recoveries: 0,
-                overflow_drops: 0,
-                queue_hwm: 0,
             });
         }
 
@@ -1154,11 +1235,9 @@ impl PktFabric {
         if let Some(hcfg) = cfg.telemetry.health {
             for shard in shards.iter_mut() {
                 shard.health_ests = shard
-                    .cells
+                    .corrupting
                     .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.loss > 0.0)
-                    .map(|(i, _)| (i as u32, HealthEstimator::new(hcfg)))
+                    .map(|_| HealthEstimator::new(hcfg))
                     .collect();
             }
         }
@@ -1198,6 +1277,11 @@ impl PktFabric {
                 shard.delivered.is_empty(),
                 "run ended with partially delivered flows"
             );
+            assert_eq!(
+                shard.frames.slots.len(),
+                shard.frames.free.len(),
+                "run ended with frames still in the shard's slab"
+            );
             // Belt and braces: run_window drains at every window close,
             // but collect() must not silently lose a residue.
             if let Some(ring) = &mut shard.trace_ring {
@@ -1228,17 +1312,17 @@ impl PktFabric {
                 mem.hwm_bytes += b.high_watermark();
                 mem.denials += b.denials();
             }
-            for cell in shard.cells {
+            for (cell, loss) in shard.cells.iter().zip(&shard.cell_loss) {
                 totals.tx_frames += cell.tx_frames;
-                totals.corrupt_drops += cell.corrupt_drops;
-                totals.recoveries += cell.recoveries;
+                totals.corrupt_drops += loss.corrupt_drops;
+                totals.recoveries += loss.recoveries;
                 totals.overflow_drops += cell.overflow_drops;
                 links.push(LinkStats {
                     link: cell.global,
                     loss_ppb: (cell.loss * 1e9).round() as u64,
                     tx_frames: cell.tx_frames,
-                    corrupt_drops: cell.corrupt_drops,
-                    recoveries: cell.recoveries,
+                    corrupt_drops: loss.corrupt_drops,
+                    recoveries: loss.recoveries,
                     overflow_drops: cell.overflow_drops,
                     queue_hwm: cell.queue_hwm,
                 });
@@ -1321,6 +1405,63 @@ mod tests {
         // Same flows were generated either way (loss draws differ, but
         // generator streams are policy-independent).
         assert_eq!(lg.totals.flows, none.totals.flows);
+        // One pod per shard: a frame dropped at hop >= 2 sits in its
+        // destination pod, so its RTO re-injection is copied out of
+        // that shard's slab and crosses the mailbox back to the source
+        // shard. collect() asserts both slabs end drained.
+        // (Seed and fraction picked so drops happen at all four hops.)
+        let mut cfg = tiny(PktPolicy::None);
+        cfg.seed = 6;
+        cfg.corrupting_fraction = 1.0;
+        cfg.telemetry.trace = true;
+        let one = run_packet(&cfg);
+        cfg.shards = 2;
+        let two = run_packet(&cfg);
+        assert!(two
+            .trace
+            .iter()
+            .any(|t| t.kind == Kind::CorruptDrop && t.inst >= 2));
+        assert!(two.simulation_eq(&one));
+    }
+
+    /// What a frame-hop touches must stay small: an event is one word
+    /// (two wheel entries per cache line), a cell exactly one line, a
+    /// frame slot three quarters of one.
+    #[test]
+    fn hot_layout_stays_compact() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<PEv>() <= 8,
+            "PEv grew to {} bytes",
+            size_of::<PEv>()
+        );
+        assert_eq!(size_of::<Cell>(), 64, "hot Cell must be one cache line");
+        assert!(
+            size_of::<Slot>() <= 48,
+            "Slot grew to {} bytes",
+            size_of::<Slot>()
+        );
+        assert!(
+            size_of::<ShardMsg<PktMsg>>() <= 72,
+            "ShardMsg<PktMsg> grew to {} bytes",
+            size_of::<ShardMsg<PktMsg>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mean_flow_frames must be >= 1")]
+    fn sub_one_mean_flow_frames_is_rejected_up_front() {
+        let mut cfg = tiny(PktPolicy::LinkGuardian);
+        cfg.mean_flow_frames = 0.5;
+        PktFabric::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean_flow_frames must be >= 1")]
+    fn nan_mean_flow_frames_is_rejected_up_front() {
+        let mut cfg = tiny(PktPolicy::LinkGuardian);
+        cfg.mean_flow_frames = f64::NAN;
+        PktFabric::new(&cfg);
     }
 
     #[test]

@@ -31,11 +31,14 @@
 //!   of level-0 slots (up to [`WINDOW_SLOTS`], capped at [`DRAIN_CAP`]
 //!   entries) into the window at once, so the per-activation overhead
 //!   (level scans, cascades, cursor math) is amortized across every
-//!   event in the run, and `pop` is a plain front-of-buffer take. The
-//!   deliberate cursor run-ahead means most handler-scheduled events
-//!   (`schedule_after` with a sub-window delay) land *below* the cursor
-//!   and are filed by one ordered insert near the window's tail instead
-//!   of a wheel insert plus a later slot activation.
+//!   event in the run, and `pop` is a plain front-of-buffer take. On a
+//!   sparse queue the deliberate cursor run-ahead means most
+//!   handler-scheduled events (`schedule_after` with a sub-window
+//!   delay) land *below* the cursor and are filed by one ordered insert
+//!   near the window's tail instead of a wheel insert plus a later slot
+//!   activation; on a dense queue the entry cap stops the run early, so
+//!   the window stays small and the same events take the O(1) wheel
+//!   insert instead of an O(window) one.
 //!
 //! Equal-time FIFO order holds because slot activation sorts the drained
 //! batch by (time, seq) before appending it, and ordered inserts place a
@@ -77,7 +80,17 @@ const WINDOW_SLOTS: usize = 256;
 /// Soft cap on entries drained into the window per activation. Whole
 /// bucket chains are always drained, so a single overfull slot may
 /// exceed this by its chain length; the cap only stops the slot run.
-const DRAIN_CAP: usize = 1024;
+///
+/// The cap bounds the sorted window, and with it the cost of filing a
+/// below-cursor event: under dense load (the packet fabric holds 6–34
+/// events per slot) a larger cap runs the cursor a microsecond ahead,
+/// so every +120 ns / +600 ns reschedule pays a binary search plus a
+/// `VecDeque::insert` memmove in a ~1,000-entry window. 64 entries
+/// (1.5 KB of `WinRef`s) keep that in L1 and the cursor a few slots
+/// ahead. Sparse queues never reach the cap — the testbed workloads
+/// peak at 60 entries per 256-slot run — and are untouched by it.
+/// Sweep in DESIGN.md §17.
+const DRAIN_CAP: usize = 64;
 
 /// Handle to a scheduled event; can be used to cancel it.
 ///
@@ -970,6 +983,44 @@ mod tests {
         // as for an event delivered through pop().
         assert!(!q.cancel(h2));
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn overfull_slot_drains_whole_and_parks_the_cursor_behind_it() {
+        let mut q = EventQueue::new();
+        // One level-0 slot whose chain alone is over twice the cap, with
+        // ties, and a later slot inside the same WINDOW_SLOTS run.
+        let n = 2 * DRAIN_CAP + 3;
+        let mut want: Vec<(Time, usize)> = (0..n)
+            .map(|i| (Time::from_ps((i % 7) as u64 * 1000), i))
+            .collect();
+        for &(at, i) in &want {
+            q.schedule_at(at, i);
+        }
+        let slot = 1u64 << GRAIN_BITS;
+        want.push((Time::from_ps(3 * slot), n));
+        q.schedule_at(Time::from_ps(3 * slot), n);
+        // The first activation takes the whole chain — chains are never
+        // split — and stops the run there: the cursor parks one slot on,
+        // not at the end of the run, and slot 3 stays in the wheel.
+        assert_eq!(q.pop(), Some((Time::ZERO, 0)));
+        assert_eq!(q.window.len(), n - 1);
+        assert_eq!(q.cursor, slot);
+        q.check_invariants();
+        // Just below the parked cursor files into the window, at the
+        // cursor into the wheel; both pop in order.
+        want.push((Time::from_ps(slot - 1), n + 1));
+        q.schedule_at(Time::from_ps(slot - 1), n + 1);
+        want.push((Time::from_ps(slot), n + 2));
+        q.schedule_at(Time::from_ps(slot), n + 2);
+        assert_eq!(q.window.len(), n);
+        q.check_invariants();
+        want.sort();
+        for &ev in &want[1..] {
+            assert_eq!(q.pop(), Some(ev));
+        }
+        assert_eq!(q.pop(), None);
+        q.check_invariants();
     }
 
     #[test]

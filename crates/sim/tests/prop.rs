@@ -191,7 +191,88 @@ proptest! {
             prop_assert_eq!(wheel.now(), oracle.now());
         }
     }
+}
 
+proptest! {
+    // Each case holds ~6,000 events and sweeps them with
+    // `check_invariants` at every step; a few cases cover the branch.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Dense-queue differential — the packet fabric's shape, which the
+    /// ≤ 400-op cases above never reach. 4,096 events pending inside one
+    /// 256-slot level-0 run (at least 4× any entry cap `advance()` has
+    /// used) make every activation stop at the cap and park the cursor
+    /// mid-run at `drained_to`; one slot's chain alone exceeds the cap
+    /// and must still drain whole. Handler-style reschedules then land
+    /// on both sides of the parked cursor: pktsim's +120 ns and +600 ns,
+    /// plus a pair straddling a slot edge 1–16 slots ahead of the clock
+    /// — wherever the cursor parked, some pair sits just below and just
+    /// above it. Small `pop_tick_into` caps split the ties. The wheel
+    /// must agree with the reference heap on every observable and pass
+    /// `check_invariants` at every step.
+    #[test]
+    fn dense_run_parks_the_cursor_mid_run(
+        seed in any::<u64>(),
+        base in 0u64..(1 << 40),
+        ops in proptest::collection::vec((0u64..16, 0usize..6), 40..120),
+    ) {
+        use lg_sim::event::reference;
+        const SLOT_BITS: u32 = 13;
+        const RUN_PS: u64 = 256 << SLOT_BITS;
+        let mut rng = Rng::new(seed);
+        let mut wheel = EventQueue::new();
+        let mut oracle = reference::EventQueue::new();
+        let mut tag = 0usize;
+        let mut sched = |wheel: &mut EventQueue<usize>,
+                         oracle: &mut reference::EventQueue<usize>,
+                         at_ps: u64| {
+            wheel.schedule_at(Time::from_ps(at_ps), tag);
+            oracle.schedule_at(Time::from_ps(at_ps), tag);
+            tag += 1;
+        };
+        let base = (base >> SLOT_BITS) << SLOT_BITS;
+        for _ in 0..4096 {
+            sched(&mut wheel, &mut oracle, base + rng.below(RUN_PS));
+        }
+        let fat = base + (rng.below(256) << SLOT_BITS);
+        for _ in 0..1500 {
+            sched(&mut wheel, &mut oracle, fat + rng.below(64) * 128);
+        }
+        let mut wheel_buf = Vec::new();
+        let mut oracle_buf = Vec::new();
+        for &(ahead, cap) in &ops {
+            let head = wheel.pop_tick_into(Time::MAX, &mut wheel_buf, cap);
+            prop_assert_eq!(head, oracle.pop_tick_into(Time::MAX, &mut oracle_buf, cap));
+            prop_assert_eq!(&wheel_buf, &oracle_buf);
+            wheel_buf.clear();
+            oracle_buf.clear();
+            wheel.check_invariants();
+            let now = head.expect("thousands still pending").0.as_ps();
+            let edge = ((now >> SLOT_BITS) + 1 + ahead) << SLOT_BITS;
+            for at in [now + 120_000, now + 600_000, edge - 1, edge] {
+                sched(&mut wheel, &mut oracle, at);
+            }
+            wheel.check_invariants();
+            prop_assert_eq!(wheel.len(), oracle.len());
+            prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
+        }
+        let mut step = 0u32;
+        loop {
+            let (w, o) = (wheel.pop(), oracle.pop());
+            prop_assert_eq!(w, o);
+            if step.is_multiple_of(128) {
+                wheel.check_invariants();
+            }
+            step += 1;
+            if w.is_none() {
+                break;
+            }
+        }
+        wheel.check_invariants();
+    }
+}
+
+proptest! {
     /// Rate arithmetic: serialize/bytes_in round-trips and is monotone.
     #[test]
     fn rate_round_trip(gbps in 1u64..800, bytes in 1u64..1_000_000) {
