@@ -43,12 +43,14 @@
 
 use lg_obs::health::HealthEvent;
 pub use lg_obs::health::LinkHealth;
-use lg_obs::json::{parse, JsonValue};
+use lg_obs::json::{Scanned, Scanner};
 use lg_obs::JsonLine;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 pub mod query;
+#[cfg(test)]
+mod reference;
 
 /// Transitions included in a decision's cause chain (most recent last).
 pub const CAUSE_CAP: usize = 4;
@@ -147,25 +149,24 @@ impl GuardInput {
         }
     }
 
-    fn to_json(self) -> String {
-        let mut l = JsonLine::new();
+    /// Write this transition's fields into the object `l` has open.
+    fn write(&self, l: &mut JsonLine) {
         l.u64("t_ps", self.t_ps)
             .u64("window_id", self.window_id)
             .u64("link", u64::from(self.link))
             .str("from", self.from.name())
             .str("to", self.to.name())
             .f64("rate", self.rate);
-        l.finish()
     }
 
-    pub(crate) fn from_json(v: &JsonValue) -> Result<GuardInput, String> {
+    pub(crate) fn from_json(v: Scanned<'_>) -> Result<GuardInput, String> {
         Ok(GuardInput {
-            t_ps: num(v, "t_ps")? as u64,
-            window_id: num(v, "window_id")? as u64,
-            link: num(v, "link")? as u32,
-            from: health_from_name(str_field(v, "from")?)?,
-            to: health_from_name(str_field(v, "to")?)?,
-            rate: num(v, "rate")?,
+            t_ps: v.num("t_ps")? as u64,
+            window_id: v.num("window_id")? as u64,
+            link: v.num("link")? as u32,
+            from: health_from_name(&v.str("from")?)?,
+            to: health_from_name(&v.str("to")?)?,
+            rate: v.num("rate")?,
         })
     }
 }
@@ -232,13 +233,13 @@ pub struct GuardDecision {
 struct LinkEntry {
     state: LinkHealth,
     rate: f64,
-    protected: bool,
     /// Re-protection suppressed until this sim time (set at retirement).
     hold_until_ps: u64,
     /// Observed poll cadence: sim time per window, from the link's own
     /// event deltas (0 until two events have been seen).
     window_ps: u64,
-    history: Vec<GuardInput>,
+    /// The last `history_cap` transitions, oldest first.
+    history: VecDeque<GuardInput>,
 }
 
 impl LinkEntry {
@@ -246,27 +247,46 @@ impl LinkEntry {
         LinkEntry {
             state: LinkHealth::Healthy,
             rate: 0.0,
-            protected: false,
             hold_until_ps: 0,
             window_ps: 0,
-            history: Vec::new(),
+            history: VecDeque::new(),
         }
     }
+}
+
+/// Decision ranking: worst observed rate first; link id breaks ties so
+/// the order is total and reproducible.
+fn rank(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1)
+        .expect("rates are finite")
+        .then_with(|| a.0.cmp(&b.0))
 }
 
 /// The guardian manager: a deterministic fold from the canonical health
 /// stream to protection decisions, a JSONL journal, and a restorable
 /// snapshot.
+///
+/// A decision pass costs what changed, not what was ever seen: the two
+/// sets it reads — `protected`, and `waiting` (unprotected links at or
+/// above `protect_on`) — are kept up to date at the only places they
+/// change (`ingest` of that link, enable, retire, `restore`).
+/// Invariant, checked after every pass in debug builds: `protected` and
+/// `waiting` are disjoint subsets of `links`' keys, and a link is in
+/// `waiting` exactly when it is not protected and its state is at or
+/// above `protect_on`.
 #[derive(Debug)]
 pub struct GuardManager {
     cfg: GuardConfig,
     run: String,
     links: BTreeMap<u32, LinkEntry>,
+    protected: BTreeSet<u32>,
+    waiting: BTreeSet<u32>,
     seq: u64,
-    budget_used: u32,
     last_t_ps: u64,
     journal: Vec<String>,
     decisions: Vec<GuardDecision>,
+    /// The enable pass's candidate list, kept for its allocation.
+    candidates: Vec<(u32, f64)>,
 }
 
 impl GuardManager {
@@ -277,11 +297,13 @@ impl GuardManager {
             cfg,
             run: run.to_string(),
             links: BTreeMap::new(),
+            protected: BTreeSet::new(),
+            waiting: BTreeSet::new(),
             seq: 0,
-            budget_used: 0,
             last_t_ps: 0,
             journal: Vec::new(),
             decisions: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -307,21 +329,17 @@ impl GuardManager {
 
     /// Links currently protected, ascending.
     pub fn protected_links(&self) -> Vec<u32> {
-        self.links
-            .iter()
-            .filter(|(_, e)| e.protected)
-            .map(|(&l, _)| l)
-            .collect()
+        self.protected.iter().copied().collect()
     }
 
     /// Whether a link is currently protected.
     pub fn is_protected(&self, link: u32) -> bool {
-        self.links.get(&link).is_some_and(|e| e.protected)
+        self.protected.contains(&link)
     }
 
     /// Budget slots in use.
     pub fn budget_used(&self) -> u32 {
-        self.budget_used
+        self.protected.len() as u32
     }
 
     /// Decisions made so far (= last journal seq).
@@ -356,7 +374,7 @@ impl GuardManager {
         );
         self.last_t_ps = ev.t_ps;
         let e = self.links.entry(ev.link).or_insert_with(LinkEntry::new);
-        if let Some(prev) = e.history.last() {
+        if let Some(prev) = e.history.back() {
             if ev.window_id > prev.window_id && ev.t_ps > prev.t_ps {
                 e.window_ps =
                     ((ev.t_ps - prev.t_ps) / (ev.window_id - prev.window_id)).min(PS_EXACT);
@@ -365,9 +383,16 @@ impl GuardManager {
         e.state = ev.to;
         e.rate = ev.rate;
         if e.history.len() == self.cfg.history_cap.max(1) {
-            e.history.remove(0);
+            e.history.pop_front();
         }
-        e.history.push(ev);
+        e.history.push_back(ev);
+        if !self.protected.contains(&ev.link) {
+            if ev.to >= self.cfg.protect_on {
+                self.waiting.insert(ev.link);
+            } else {
+                self.waiting.remove(&ev.link);
+            }
+        }
         self.decide(ev.t_ps, Some(ev.link));
     }
 
@@ -390,106 +415,102 @@ impl GuardManager {
 
     /// Run the decision pass: retire cleared links, then fill the budget
     /// worst-first, then record a defer for the triggering link if it
-    /// qualified but lost. Iteration is over the `BTreeMap` (link order)
+    /// qualified but lost. Iteration is over the two sets (link order)
     /// and an explicitly keyed sort — nothing layout-dependent.
     fn decide(&mut self, t_ps: u64, trigger: Option<u32>) {
         // Retirement: protection is withdrawn as soon as the estimator's
         // clear_factor hysteresis reads the link Healthy again. The
         // hold-down starts here: re-protection is suppressed for
         // `hold_down_windows` × the link's observed poll cadence.
-        let hold = self.cfg.hold_down_windows;
-        let mut retired: Vec<u32> = Vec::new();
-        for (&l, e) in self.links.iter_mut() {
-            if e.protected && self.cfg.retire && e.state == LinkHealth::Healthy {
-                e.protected = false;
+        if self.cfg.retire {
+            let cleared: Vec<u32> = self
+                .protected
+                .iter()
+                .copied()
+                .filter(|l| self.links[l].state == LinkHealth::Healthy)
+                .collect();
+            for l in cleared {
+                let e = self.links.get_mut(&l).expect("protected link exists");
                 e.hold_until_ps = t_ps
-                    .saturating_add(hold.saturating_mul(e.window_ps))
+                    .saturating_add(self.cfg.hold_down_windows.saturating_mul(e.window_ps))
                     .min(PS_EXACT);
-                retired.push(l);
+                self.protected.remove(&l);
+                if LinkHealth::Healthy >= self.cfg.protect_on {
+                    self.waiting.insert(l);
+                }
+                self.emit(t_ps, l, GuardAction::Retire, &[]);
             }
         }
-        for l in retired {
-            self.budget_used -= 1;
-            self.emit(t_ps, l, GuardAction::Retire, &[]);
-        }
 
-        // Candidate pool: qualifying, unprotected, out of hold-down.
-        // Worst observed rate first; link id breaks ties so the order is
-        // total and reproducible.
-        let mut candidates: Vec<(u32, f64)> = self
-            .links
-            .iter()
-            .filter(|(_, e)| {
-                !e.protected && e.state >= self.cfg.protect_on && t_ps >= e.hold_until_ps
-            })
-            .map(|(&l, e)| (l, e.rate))
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("rates are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
-
-        let mut i = 0;
-        while i < candidates.len() && self.budget_used < self.cfg.budget {
-            let (link, _) = candidates[i];
-            let beat: Vec<(u32, f64)> =
-                candidates[i + 1..].iter().take(BEAT_CAP).copied().collect();
-            self.links
-                .get_mut(&link)
-                .expect("candidate exists")
-                .protected = true;
-            self.budget_used += 1;
-            self.emit(t_ps, link, GuardAction::Enable, &beat);
-            i += 1;
+        // Candidate pool: waiting and out of hold-down, ranked. Each
+        // enable records the next candidates down as the ones it beat.
+        if self.budget_used() < self.cfg.budget && !self.waiting.is_empty() {
+            let mut candidates = std::mem::take(&mut self.candidates);
+            candidates.clear();
+            candidates.extend(self.waiting.iter().filter_map(|l| {
+                let e = &self.links[l];
+                (t_ps >= e.hold_until_ps).then_some((*l, e.rate))
+            }));
+            candidates.sort_by(rank);
+            for i in 0..candidates.len() {
+                if self.budget_used() >= self.cfg.budget {
+                    break;
+                }
+                let link = candidates[i].0;
+                self.waiting.remove(&link);
+                self.protected.insert(link);
+                let beat = &candidates[i + 1..];
+                self.emit(
+                    t_ps,
+                    link,
+                    GuardAction::Enable,
+                    &beat[..beat.len().min(BEAT_CAP)],
+                );
+            }
+            self.candidates = candidates;
         }
         // Budget exhausted: record the deferral, but only for the link
         // whose transition triggered this pass — the rest of the pool
         // was already deferred when *their* transitions arrived, and
         // re-recording them every pass would bloat the journal without
         // adding information (ticks have no trigger and record none).
-        // A defer's `beat` array is the set of
-        // links holding the budget it lost (worst-first) — by this
-        // point any candidate ranked above it was just enabled, so the
-        // protected set IS the full list of who beat it.
-        let Some(trigger) = trigger else { return };
-        if candidates[i..].iter().any(|&(l, _)| l == trigger) {
-            let mut holders: Vec<(u32, f64)> = self
-                .links
-                .iter()
-                .filter(|(_, e)| e.protected)
-                .map(|(&l, e)| (l, e.rate))
-                .collect();
-            holders.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("rates are finite")
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            holders.truncate(BEAT_CAP);
-            self.emit(t_ps, trigger, GuardAction::Defer, &holders);
+        // The trigger lost exactly when it is still waiting and out of
+        // hold-down. A defer's `beat` array is the set of links holding
+        // the budget it lost (worst-first) — by this point any
+        // candidate ranked above it was just enabled, so the protected
+        // set IS the full list of who beat it.
+        if let Some(trigger) = trigger {
+            if self.waiting.contains(&trigger) && t_ps >= self.links[&trigger].hold_until_ps {
+                let mut holders: Vec<(u32, f64)> = self
+                    .protected
+                    .iter()
+                    .map(|l| (*l, self.links[l].rate))
+                    .collect();
+                holders.sort_by(rank);
+                holders.truncate(BEAT_CAP);
+                self.emit(t_ps, trigger, GuardAction::Defer, &holders);
+            }
         }
+        #[cfg(debug_assertions)]
+        self.assert_sets();
+    }
+
+    /// The invariant tying `protected` and `waiting` to `links`.
+    #[cfg(debug_assertions)]
+    fn assert_sets(&self) {
+        for (l, e) in &self.links {
+            let waits = !self.protected.contains(l) && e.state >= self.cfg.protect_on;
+            assert_eq!(self.waiting.contains(l), waits, "link {l} waiting set");
+        }
+        let known = |l: &u32| self.links.contains_key(l);
+        assert!(self.protected.iter().all(known) && self.waiting.iter().all(known));
     }
 
     /// Append one decision to the journal and the actuation queue.
     fn emit(&mut self, t_ps: u64, link: u32, action: GuardAction, beat: &[(u32, f64)]) {
         self.seq += 1;
         let e = &self.links[&link];
-        let cause: String = {
-            let from = e.history.len().saturating_sub(CAUSE_CAP);
-            let items: Vec<String> = e.history[from..].iter().map(|h| h.to_json()).collect();
-            format!("[{}]", items.join(","))
-        };
-        let beat_json: String = {
-            let items: Vec<String> = beat
-                .iter()
-                .map(|&(l, r)| {
-                    let mut j = JsonLine::new();
-                    j.u64("link", u64::from(l)).f64("rate", r);
-                    j.finish()
-                })
-                .collect();
-            format!("[{}]", items.join(","))
-        };
+        let cause = e.history.len().saturating_sub(CAUSE_CAP);
         let mut l = JsonLine::new();
         l.str("type", "guard_event")
             .u64("t_ps", t_ps)
@@ -500,9 +521,11 @@ impl GuardManager {
             .str("state", e.state.name())
             .f64("rate", e.rate)
             .u64("budget", u64::from(self.cfg.budget))
-            .u64("budget_used", u64::from(self.budget_used))
-            .raw("cause", &cause)
-            .raw("beat", &beat_json);
+            .u64("budget_used", u64::from(self.budget_used()))
+            .objects("cause", e.history.iter().skip(cause), |l, h| h.write(l))
+            .objects("beat", beat, |l, &(link, rate)| {
+                l.u64("link", u64::from(link)).f64("rate", rate);
+            });
         self.journal.push(l.finish());
         self.decisions.push(GuardDecision {
             seq: self.seq,
@@ -520,37 +543,26 @@ impl GuardManager {
     /// every float crosses the text boundary via shortest-roundtrip
     /// formatting, so nothing drifts.
     pub fn snapshot_line(&self) -> String {
-        let links_json: String = {
-            let items: Vec<String> = self
-                .links
-                .iter()
-                .map(|(&l, e)| {
-                    let hist: Vec<String> = e.history.iter().map(|h| h.to_json()).collect();
-                    let mut j = JsonLine::new();
-                    j.u64("link", u64::from(l))
-                        .str("state", e.state.name())
-                        .f64("rate", e.rate)
-                        .bool("protected", e.protected)
-                        .u64("hold_until_ps", e.hold_until_ps)
-                        .u64("window_ps", e.window_ps)
-                        .raw("history", &format!("[{}]", hist.join(",")));
-                    j.finish()
-                })
-                .collect();
-            format!("[{}]", items.join(","))
-        };
         let mut l = JsonLine::new();
         l.str("type", "guard_snapshot")
             .u64("t_ps", self.last_t_ps)
             .u64("seq", self.seq)
             .str("run", &self.run)
             .u64("budget", u64::from(self.cfg.budget))
-            .u64("budget_used", u64::from(self.budget_used))
+            .u64("budget_used", u64::from(self.budget_used()))
             .u64("hold_down_windows", self.cfg.hold_down_windows)
             .bool("retire", self.cfg.retire)
             .str("protect_on", self.cfg.protect_on.name())
             .u64("history_cap", self.cfg.history_cap as u64)
-            .raw("links", &links_json);
+            .objects("links", &self.links, |l, (link, e)| {
+                l.u64("link", u64::from(*link))
+                    .str("state", e.state.name())
+                    .f64("rate", e.rate)
+                    .bool("protected", self.protected.contains(link))
+                    .u64("hold_until_ps", e.hold_until_ps)
+                    .u64("window_ps", e.window_ps)
+                    .objects("history", &e.history, |l, h| h.write(l));
+            });
         l.finish()
     }
 
@@ -559,55 +571,56 @@ impl GuardManager {
     /// snapshot left off, so a journal stitched from
     /// `[prefix, post-restore suffix]` is seamless.
     pub fn restore(line: &str) -> Result<GuardManager, String> {
-        let v = parse(line).map_err(|e| format!("snapshot is not valid JSON: {e}"))?;
-        if str_field(&v, "type")? != "guard_snapshot" {
+        let mut scanner = Scanner::default();
+        let v = scanner
+            .scan(line)
+            .map_err(|e| format!("snapshot is not valid JSON: {e}"))?;
+        if v.str("type")? != "guard_snapshot" {
             return Err("not a guard_snapshot record".into());
         }
+        let is_true =
+            |v: Scanned<'_>, key: &str| v.get(key).and_then(|b| b.as_bool()) == Some(true);
         let cfg = GuardConfig {
-            budget: num(&v, "budget")? as u32,
-            hold_down_windows: num(&v, "hold_down_windows")? as u64,
-            retire: matches!(v.get("retire"), Some(JsonValue::Bool(true))),
-            protect_on: health_from_name(str_field(&v, "protect_on")?)?,
-            history_cap: num(&v, "history_cap")? as usize,
+            budget: v.num("budget")? as u32,
+            hold_down_windows: v.num("hold_down_windows")? as u64,
+            retire: is_true(v, "retire"),
+            protect_on: health_from_name(&v.str("protect_on")?)?,
+            history_cap: v.num("history_cap")? as usize,
         };
-        let mut links = BTreeMap::new();
-        let mut budget_used = 0u32;
-        let Some(JsonValue::Arr(items)) = v.get("links") else {
+        let mut m = GuardManager::new("", cfg);
+        let Some(items) = v.get("links").and_then(|l| l.as_arr()) else {
             return Err("snapshot missing \"links\" array".into());
         };
         for item in items {
-            let mut history = Vec::new();
-            if let Some(JsonValue::Arr(hs)) = item.get("history") {
+            let mut history = VecDeque::new();
+            if let Some(hs) = item.get("history").and_then(|h| h.as_arr()) {
                 for h in hs {
-                    history.push(GuardInput::from_json(h)?);
+                    history.push_back(GuardInput::from_json(h)?);
                 }
             }
-            let protected = matches!(item.get("protected"), Some(JsonValue::Bool(true)));
+            let protected = is_true(item, "protected");
+            let link = item.num("link")? as u32;
+            let e = LinkEntry {
+                state: health_from_name(&item.str("state")?)?,
+                rate: item.num("rate")?,
+                hold_until_ps: item.num("hold_until_ps")? as u64,
+                window_ps: item.num("window_ps")? as u64,
+                history,
+            };
+            // Last entry wins if a hand-edited snapshot repeats a link.
+            m.protected.remove(&link);
+            m.waiting.remove(&link);
             if protected {
-                budget_used += 1;
+                m.protected.insert(link);
+            } else if e.state >= cfg.protect_on {
+                m.waiting.insert(link);
             }
-            links.insert(
-                num(item, "link")? as u32,
-                LinkEntry {
-                    state: health_from_name(str_field(item, "state")?)?,
-                    rate: num(item, "rate")?,
-                    protected,
-                    hold_until_ps: num(item, "hold_until_ps")? as u64,
-                    window_ps: num(item, "window_ps")? as u64,
-                    history,
-                },
-            );
+            m.links.insert(link, e);
         }
-        Ok(GuardManager {
-            cfg,
-            run: str_field(&v, "run")?.to_string(),
-            links,
-            seq: num(&v, "seq")? as u64,
-            budget_used,
-            last_t_ps: num(&v, "t_ps")? as u64,
-            journal: Vec::new(),
-            decisions: Vec::new(),
-        })
+        m.run = v.str("run")?.into_owned();
+        m.seq = v.num("seq")? as u64;
+        m.last_t_ps = v.num("t_ps")? as u64;
+        Ok(m)
     }
 }
 
@@ -621,21 +634,11 @@ pub fn health_from_name(s: &str) -> Result<LinkHealth, String> {
     }
 }
 
-fn num(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(|f| f.as_num())
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn str_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(|f| f.as_str())
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lg_obs::json::parse;
+    use lg_obs::JsonValue;
 
     fn tr(t: u64, w: u64, link: u32, from: LinkHealth, to: LinkHealth, rate: f64) -> GuardInput {
         GuardInput {

@@ -15,7 +15,7 @@
 //! decision in order).
 
 use crate::{health_from_name, GuardAction, GuardInput, LinkHealth};
-use lg_obs::json::{parse, JsonValue};
+use lg_obs::json::{Scanned, Scanner};
 
 /// One decoded `guard_event` record.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,17 +59,20 @@ pub struct Journal {
 /// malformed guard records fail with their line number.
 pub fn parse_journal(text: &str) -> Result<Journal, String> {
     let mut j = Journal::default();
+    let mut scanner = Scanner::default();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let n = i + 1;
-        let v = parse(line).map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
-        match v.get("type").and_then(|t| t.as_str()) {
+        let v = scanner
+            .scan(line)
+            .map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
+        match v.get("type").and_then(|t| t.as_str()).as_deref() {
             Some("guard_event") => {
-                let ev = decode_event(&v).map_err(|e| format!("line {n}: {e}"))?;
+                let ev = decode_event(v).map_err(|e| format!("line {n}: {e}"))?;
                 if j.events.is_empty() {
-                    j.run = str_field(&v, "run")?.to_string();
+                    j.run = v.str("run")?.into_owned();
                 }
                 j.events.push(ev);
             }
@@ -80,46 +83,34 @@ pub fn parse_journal(text: &str) -> Result<Journal, String> {
     Ok(j)
 }
 
-fn decode_event(v: &JsonValue) -> Result<JournalEvent, String> {
-    let action_name = str_field(v, "action")?;
-    let action =
-        GuardAction::parse(action_name).ok_or_else(|| format!("unknown action {action_name:?}"))?;
+fn decode_event(v: Scanned<'_>) -> Result<JournalEvent, String> {
+    let action_name = v.str("action")?;
+    let action = GuardAction::parse(&action_name)
+        .ok_or_else(|| format!("unknown action {action_name:?}"))?;
     let mut cause = Vec::new();
-    if let Some(JsonValue::Arr(items)) = v.get("cause") {
+    if let Some(items) = v.get("cause").and_then(|c| c.as_arr()) {
         for item in items {
             cause.push(GuardInput::from_json(item)?);
         }
     }
     let mut beat = Vec::new();
-    if let Some(JsonValue::Arr(items)) = v.get("beat") {
+    if let Some(items) = v.get("beat").and_then(|b| b.as_arr()) {
         for item in items {
-            beat.push((num(item, "link")? as u32, num(item, "rate")?));
+            beat.push((item.num("link")? as u32, item.num("rate")?));
         }
     }
     Ok(JournalEvent {
-        seq: num(v, "seq")? as u64,
-        t_ps: num(v, "t_ps")? as u64,
-        link: num(v, "link")? as u32,
+        seq: v.num("seq")? as u64,
+        t_ps: v.num("t_ps")? as u64,
+        link: v.num("link")? as u32,
         action,
-        state: health_from_name(str_field(v, "state")?)?,
-        rate: num(v, "rate")?,
-        budget: num(v, "budget")? as u64,
-        budget_used: num(v, "budget_used")? as u64,
+        state: health_from_name(&v.str("state")?)?,
+        rate: v.num("rate")?,
+        budget: v.num("budget")? as u64,
+        budget_used: v.num("budget_used")? as u64,
         cause,
         beat,
     })
-}
-
-fn num(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(|f| f.as_num())
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn str_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(|f| f.as_str())
-        .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
 impl Journal {

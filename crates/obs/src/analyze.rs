@@ -22,7 +22,7 @@
 //! property the differential proptest in `tests/analyze_diff.rs` pins
 //! against a retained reference implementation.
 
-use crate::json::{parse, JsonValue};
+use crate::json::Scanner;
 use crate::stream::LineReader;
 use crate::JsonLine;
 use std::collections::BTreeMap;
@@ -87,6 +87,9 @@ impl HealthAgg {
     }
 }
 
+/// A series' `(comp, inst, name)`.
+type SeriesKey = (String, String, String);
+
 /// Everything obs_analyze keeps from one logical run's files.
 #[derive(Default)]
 pub struct Run {
@@ -97,13 +100,17 @@ pub struct Run {
     /// Buffer-occupancy aggregates keyed `(comp, inst, name)`; only
     /// series the report covers (`*buffer_bytes` / `qdepth_bytes`) are
     /// tracked.
-    pub buffers: BTreeMap<(String, String, String), BufAgg>,
+    pub buffers: BTreeMap<SeriesKey, BufAgg>,
     /// Retained `e2e_retx` series keyed `(comp, inst, name)`, samples
     /// in file order (FCT attribution scans them against the final
     /// drop set).
-    pub e2e: BTreeMap<(String, String, String), Vec<(u64, f64)>>,
+    pub e2e: BTreeMap<SeriesKey, Vec<(u64, f64)>>,
     /// Health-transition aggregates, folded in file order.
     pub health: HealthAgg,
+    scanner: Scanner,
+    /// The current sample's series, rebuilt in place per line so that
+    /// finding a series already seen allocates nothing.
+    key: SeriesKey,
 }
 
 /// True for series names the buffer-occupancy section covers.
@@ -111,54 +118,71 @@ fn is_buffer_series(name: &str) -> bool {
     name.ends_with("buffer_bytes") || name == "qdepth_bytes"
 }
 
+/// Apply `f` to the series at `key`, creating it on first sight.
+fn upsert<V: Default>(map: &mut BTreeMap<SeriesKey, V>, key: &SeriesKey, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => {
+            let mut v = V::default();
+            f(&mut v);
+            map.insert(key.clone(), v);
+        }
+    }
+}
+
 impl Run {
-    /// Ingest one JSONL line (types the report ignores are skipped).
+    /// Ingest one JSONL line (blank lines and types the report ignores
+    /// are skipped).
     pub fn ingest_line(&mut self, line: &str) -> Result<(), String> {
-        let v = parse(line)?;
-        let ty = v.get("type").and_then(JsonValue::as_str).unwrap_or("");
-        match ty {
+        if line.trim().is_empty() {
+            return Ok(());
+        }
+        let v = self.scanner.scan(line)?;
+        let ty = v.get("type").and_then(|t| t.as_str()).unwrap_or_default();
+        match &*ty {
             "trace" => {
-                let kind = v.get("kind").and_then(JsonValue::as_str).unwrap_or("");
-                if kind != "corrupt_drop" && kind != "recovered" {
-                    return Ok(());
-                }
-                let uid = num(&v, "uid")? as u64;
-                let t = num(&v, "t_ps")? as u64;
-                if kind == "corrupt_drop" {
-                    self.drops.entry(uid).or_insert(t);
-                } else {
-                    self.recovered.entry(uid).or_insert(t);
-                }
+                let kind = v.get("kind").and_then(|k| k.as_str()).unwrap_or_default();
+                let seen = match &*kind {
+                    "corrupt_drop" => &mut self.drops,
+                    "recovered" => &mut self.recovered,
+                    _ => return Ok(()),
+                };
+                let uid = v.num("uid")? as u64;
+                let t = v.num("t_ps")? as u64;
+                seen.entry(uid).or_insert(t);
             }
             "timeseries" => {
-                let name = str_field(&v, "name")?;
-                let buffer = is_buffer_series(name);
+                let name = v.str("name")?;
+                let buffer = is_buffer_series(&name);
                 if !buffer && name != "e2e_retx" {
                     return Ok(());
                 }
-                let key = (
-                    str_field(&v, "comp")?.to_string(),
-                    str_field(&v, "inst")?.to_string(),
-                    name.to_string(),
-                );
-                let t = num(&v, "t_ps")? as u64;
-                let value = num(&v, "value")?;
+                for (part, text) in [
+                    (&mut self.key.0, v.str("comp")?),
+                    (&mut self.key.1, v.str("inst")?),
+                    (&mut self.key.2, name),
+                ] {
+                    part.clear();
+                    part.push_str(&text);
+                }
+                let t = v.num("t_ps")? as u64;
+                let value = v.num("value")?;
                 if buffer {
-                    self.buffers.entry(key).or_default().push(value);
+                    upsert(&mut self.buffers, &self.key, |agg| agg.push(value));
                 } else {
-                    self.e2e.entry(key).or_default().push((t, value));
+                    upsert(&mut self.e2e, &self.key, |samples| samples.push((t, value)));
                 }
             }
             "health_event" => {
                 // `from` and `t_ps` aren't aggregated, but stay
                 // required (checked in the retained path's field
                 // order) so malformed lines fail identically.
-                let inst = str_field(&v, "inst")?;
-                str_field(&v, "from")?;
-                let to = str_field(&v, "to")?;
-                num(&v, "t_ps")?;
-                let rate = num(&v, "rate")?;
-                self.health.push(inst, to, rate);
+                let inst = v.str("inst")?;
+                v.str("from")?;
+                let to = v.str("to")?;
+                v.num("t_ps")?;
+                let rate = v.num("rate")?;
+                self.health.push(&inst, &to, rate);
             }
             _ => {}
         }
@@ -175,12 +199,6 @@ impl Run {
             match reader.next_line() {
                 Ok(Some(line)) => {
                     line_no += 1;
-                    if line.is_empty() {
-                        continue;
-                    }
-                    // Borrow dance: ingest_line can't hold the reader's
-                    // buffer across the next refill, but it only needs
-                    // the line for the duration of the call.
                     self.ingest_line(line)
                         .map_err(|e| format!("{path}:{line_no}: {e}"))?;
                 }
@@ -269,18 +287,6 @@ impl Attribution {
             self.corruption as f64 / self.total() as f64
         }
     }
-}
-
-fn num(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_num)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn str_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
 fn pctl(sorted: &[u64], p: f64) -> u64 {

@@ -1,12 +1,20 @@
-//! Hand-written JSON line writer and minimal parser.
+//! Hand-written JSON line writer and single-pass reader.
 //!
 //! The vendored `compat/serde` is a no-op marker-trait stand-in (nothing
 //! is ever actually serialized through it), so the observability layer
-//! writes its JSONL by hand and parses it back with a small recursive-
-//! descent parser for schema validation. Output is deterministic: keys are
-//! written in insertion order, floats use Rust's shortest-roundtrip
-//! `Display`, and nothing platform-dependent enters the stream.
+//! writes its JSONL by hand and reads it back with its own scanner.
+//! Output is deterministic: keys are written in insertion order, floats
+//! use Rust's shortest-roundtrip `Display`, and nothing
+//! platform-dependent enters the stream.
+//!
+//! Reading is one pass over a line's bytes ([`Scanner`]): the whole
+//! value is validated and its fields recorded as offsets into the line,
+//! so a per-line tool reads `&str` and `f64` fields in place and a flat
+//! record costs no heap traffic. [`parse`] builds the owned
+//! [`JsonValue`] tree from the same scan, for documents (the schema
+//! file, snapshots, benchmark records).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -78,6 +86,28 @@ impl JsonLine {
     pub fn raw(&mut self, k: &str, json: &str) -> &mut Self {
         self.key(k);
         self.buf.push_str(json);
+        self
+    }
+
+    /// Add a field holding an array of objects. `each` writes one
+    /// element's fields through this same builder, so nested arrays
+    /// (and arrays inside those) append to the one line buffer.
+    pub fn objects<T>(
+        &mut self,
+        k: &str,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut JsonLine, T),
+    ) -> &mut Self {
+        self.key(k);
+        self.buf.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            self.buf.push_str(if i == 0 { "{" } else { ",{" });
+            self.first = true;
+            each(self, item);
+            self.buf.push('}');
+        }
+        self.buf.push(']');
+        self.first = false;
         self
     }
 
@@ -169,27 +199,96 @@ impl JsonValue {
     }
 }
 
-/// Parse one JSON document. Returns a message with a byte offset on error.
+/// Parse one JSON document into an owned tree. Returns a message with a
+/// byte offset on error. This is the *document* API (schema file,
+/// snapshots, benchmark records); per-line readers hold a [`Scanner`]
+/// and read fields in place. The tree is built from the same scan, so
+/// there is one implementation of the grammar.
 pub fn parse(s: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
+    Scanner::default().scan(s).map(|v| v.to_value())
 }
 
-struct Parser<'a> {
+/// Deepest container nesting [`Scanner::scan`] accepts. Our writers
+/// never nest deeper than 3; the bound keeps a hostile line from
+/// overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Byte range of a string's contents (between its quotes) in the
+/// scanned text, and whether it holds a backslash.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: usize,
+    end: usize,
+    escaped: bool,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Val {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Span),
+    Arr,
+    Obj,
+}
+
+/// One scanned value. Nodes sit in document order, so a container's
+/// members are the nodes from the one after it up to `end`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The member name, for a value inside an object.
+    key: Span,
+    val: Val,
+    /// Index one past this value's last descendant.
+    end: usize,
+}
+
+/// A reusable single-pass JSON reader. [`Scanner::scan`] validates a
+/// whole document and records its values as offsets into the text, in
+/// a node buffer that is reused from one scan to the next: a flat
+/// record costs no heap traffic once the buffer has grown to its
+/// field count.
+#[derive(Debug, Default)]
+pub struct Scanner {
+    nodes: Vec<Node>,
+}
+
+impl Scanner {
+    /// Scan one JSON document. The returned view borrows both the text
+    /// and this scanner, so it lives until the next `scan`. Errors are
+    /// a message with a byte offset.
+    pub fn scan<'a>(&'a mut self, src: &'a str) -> Result<Scanned<'a>, String> {
+        self.nodes.clear();
+        let mut c = Cursor {
+            src,
+            b: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+            nodes: &mut self.nodes,
+        };
+        c.skip_ws();
+        c.value(Span::default())?;
+        c.skip_ws();
+        if c.pos != c.b.len() {
+            return Err(format!("trailing garbage at byte {}", c.pos));
+        }
+        Ok(Scanned {
+            src,
+            nodes: &self.nodes,
+            at: 0,
+        })
+    }
+}
+
+struct Cursor<'a> {
+    src: &'a str,
     b: &'a [u8],
     pos: usize,
+    depth: usize,
+    nodes: &'a mut Vec<Node>,
 }
 
-impl<'a> Parser<'a> {
+impl Cursor<'_> {
     fn skip_ws(&mut self) {
         while let Some(&c) = self.b.get(self.pos) {
             if c == b' ' || c == b'\t' || c == b'\n' || c == b'\r' {
@@ -213,151 +312,357 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    fn push(&mut self, key: Span, val: Val) {
+        let end = self.nodes.len() + 1;
+        self.nodes.push(Node { key, val, end });
+    }
+
+    fn value(&mut self, key: Span) -> Result<(), String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.lit("false", JsonValue::Bool(false)),
-            Some(b'n') => self.lit("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => self.container(key, Val::Obj, b'}'),
+            Some(b'[') => self.container(key, Val::Arr, b']'),
+            Some(b'"') => {
+                let s = self.string()?;
+                self.push(key, Val::Str(s));
+                Ok(())
+            }
+            Some(b't') => self.lit("true", key, Val::Bool(true)),
+            Some(b'f') => self.lit("false", key, Val::Bool(false)),
+            Some(b'n') => self.lit("null", key, Val::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(key),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
-    fn lit(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
+    fn lit(&mut self, word: &str, key: Span, val: Val) -> Result<(), String> {
         if self.b[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            self.push(key, val);
+            Ok(())
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    fn number(&mut self, key: Span) -> Result<(), String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-' {
+            if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
                 self.pos += 1;
             } else {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
+        let text = &self.src[start..self.pos];
+        let n = text
+            .parse::<f64>()
+            .map_err(|_| format!("bad number '{text}' at byte {start}"))?;
+        self.push(key, Val::Num(n));
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Span, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+        let start = self.pos;
+        let (end, escaped) = string_body(self.src, start, None)?;
+        self.pos = end + 1;
+        Ok(Span {
+            start,
+            end,
+            escaped,
+        })
+    }
+
+    /// An object or an array: the opening bracket is at `pos`.
+    fn container(&mut self, key: Span, val: Val, close: u8) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        let at = self.nodes.len();
+        self.push(key, val);
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_ws();
+                let mut member = Span::default();
+                if close == b'}' {
+                    member = self.string()?;
+                    self.skip_ws();
+                    self.expect(b':')?;
+                    self.skip_ws();
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.b.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                self.value(member)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => {
+                        self.pos += 1;
+                        break;
                     }
-                    self.pos += 1;
+                    _ => {
+                        return Err(format!(
+                            "expected ',' or '{}' at byte {}",
+                            close as char, self.pos
+                        ))
+                    }
                 }
-                Some(_) => {
-                    // Advance by one full UTF-8 char.
-                    let rest = std::str::from_utf8(&self.b[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
+            }
+        }
+        self.depth -= 1;
+        self.nodes[at].end = self.nodes.len();
+        Ok(())
+    }
+}
+
+/// Walk a string's contents from just after the opening quote to the
+/// closing one, checking every escape; with `out`, also append the
+/// unescaped text. Returns the closing quote's offset and whether a
+/// backslash was seen. The only reader of the string grammar: `scan`
+/// calls it to validate, [`Scanned::as_str`] to unescape.
+fn string_body(
+    src: &str,
+    mut pos: usize,
+    mut out: Option<&mut String>,
+) -> Result<(usize, bool), String> {
+    let b = src.as_bytes();
+    let mut escaped = false;
+    loop {
+        // `"` and `\` are ASCII, so a run between them is whole chars.
+        let run = pos;
+        while b.get(pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+            pos += 1;
+        }
+        if let Some(out) = out.as_deref_mut() {
+            out.push_str(&src[run..pos]);
+        }
+        match b.get(pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => return Ok((pos, escaped)),
+            Some(_) => {
+                escaped = true;
+                pos += 1;
+                let c = match b.get(pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'u') => {
+                        let hi = hex4(b, pos + 1)?;
+                        pos += 4;
+                        // A surrogate pair is one scalar; a lone
+                        // surrogate reads as the replacement char.
+                        let lo = match (hi, b.get(pos + 1..pos + 3)) {
+                            (0xd800..=0xdbff, Some(b"\\u")) => hex4(b, pos + 3).ok(),
+                            _ => None,
+                        };
+                        match lo {
+                            Some(lo @ 0xdc00..=0xdfff) => {
+                                pos += 6;
+                                char::from_u32(0x1_0000 + ((hi - 0xd800) << 10) + (lo - 0xdc00))
+                                    .expect("a surrogate pair is a scalar")
+                            }
+                            _ => char::from_u32(hi).unwrap_or('\u{fffd}'),
+                        }
+                    }
+                    _ => return Err(format!("bad escape at byte {pos}")),
+                };
+                if let Some(out) = out.as_deref_mut() {
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                pos += 1;
             }
         }
     }
 }
 
+/// The four hex digits of a `\u` escape, starting at `at`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0u32, |acc, &d| {
+        (d as char)
+            .to_digit(16)
+            .map(|v| acc * 16 + v)
+            .ok_or_else(|| "bad \\u escape".to_string())
+    })
+}
+
+/// A value inside a scanned document: a cursor into the scanner's node
+/// buffer plus the text the nodes point into. `Copy`, and valid until
+/// the scanner's next `scan`.
+#[derive(Debug, Clone, Copy)]
+pub struct Scanned<'a> {
+    src: &'a str,
+    nodes: &'a [Node],
+    at: usize,
+}
+
+impl<'a> Scanned<'a> {
+    fn node(&self) -> &'a Node {
+        &self.nodes[self.at]
+    }
+
+    /// A string's text: a slice of the scanned line unless it holds a
+    /// backslash, and only then unescaped into an owned copy.
+    fn text(&self, s: Span) -> Cow<'a, str> {
+        if !s.escaped {
+            return Cow::Borrowed(&self.src[s.start..s.end]);
+        }
+        let mut out = String::with_capacity(s.end - s.start);
+        string_body(self.src, s.start, Some(&mut out)).expect("validated by scan");
+        Cow::Owned(out)
+    }
+
+    /// The values directly inside this array or object, in document
+    /// order (none for a scalar).
+    fn children(&self) -> Children<'a> {
+        Children {
+            next: Scanned {
+                at: self.at + 1,
+                ..*self
+            },
+            end: self.node().end,
+        }
+    }
+
+    /// Object field lookup (None for non-objects / missing keys);
+    /// duplicate keys keep the last occurrence.
+    pub fn get(&self, key: &str) -> Option<Scanned<'a>> {
+        if !matches!(self.node().val, Val::Obj) {
+            return None;
+        }
+        let (src, want) = (self.src.as_bytes(), key.as_bytes());
+        self.children()
+            .filter(|c| {
+                let k = c.node().key;
+                if k.escaped {
+                    c.text(k) == key
+                } else {
+                    // Length first: most misses cost no byte compare.
+                    k.end - k.start == want.len() && src[k.start..k.end] == *want
+                }
+            })
+            .last()
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<Cow<'a, str>> {
+        match self.node().val {
+            Val::Str(s) => Some(self.text(s)),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_num(&self) -> Option<f64> {
+        match self.node().val {
+            Val::Num(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self.node().val {
+            Val::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_arr(&self) -> Option<impl Iterator<Item = Scanned<'a>>> {
+        matches!(self.node().val, Val::Arr).then(|| self.children())
+    }
+
+    /// A required numeric field of this object.
+    pub fn num(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(|f| f.as_num())
+            .ok_or_else(|| format!("missing numeric field {key:?}"))
+    }
+
+    /// A required string field of this object.
+    pub fn str(&self, key: &str) -> Result<Cow<'a, str>, String> {
+        self.get(key)
+            .and_then(|f| f.as_str())
+            .ok_or_else(|| format!("missing string field {key:?}"))
+    }
+
+    /// Name of this value's JSON type (for validation error messages).
+    pub fn type_name(&self) -> &'static str {
+        match self.node().val {
+            Val::Null => "null",
+            Val::Bool(_) => "boolean",
+            Val::Num(_) => "number",
+            Val::Str(_) => "string",
+            Val::Arr => "array",
+            Val::Obj => "object",
+        }
+    }
+
+    /// Copy this value out into an owned tree.
+    pub fn to_value(&self) -> JsonValue {
+        match self.node().val {
+            Val::Null => JsonValue::Null,
+            Val::Bool(b) => JsonValue::Bool(b),
+            Val::Num(n) => JsonValue::Num(n),
+            Val::Str(s) => JsonValue::Str(self.text(s).into_owned()),
+            Val::Arr => JsonValue::Arr(self.children().map(|c| c.to_value()).collect()),
+            Val::Obj => {
+                let mut map = BTreeMap::new();
+                for c in self.children() {
+                    map.insert(c.text(c.node().key).into_owned(), c.to_value());
+                }
+                JsonValue::Obj(map)
+            }
+        }
+    }
+}
+
+/// Walks sibling values: from one to the node past its descendants.
+struct Children<'a> {
+    next: Scanned<'a>,
+    end: usize,
+}
+
+impl<'a> Iterator for Children<'a> {
+    type Item = Scanned<'a>;
+
+    fn next(&mut self) -> Option<Scanned<'a>> {
+        let child = self.next;
+        (child.at < self.end).then(|| {
+            self.next.at = child.node().end;
+            child
+        })
+    }
+}
+
+#[cfg(test)]
+mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `parse`, checked against the reference parser on the way.
+    fn parse(doc: &str) -> Result<JsonValue, String> {
+        let got = super::parse(doc);
+        assert_eq!(got, reference::parse(doc), "{doc}");
+        got
+    }
 
     #[test]
     fn writer_roundtrips_through_parser() {
@@ -411,6 +716,94 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_to_death() {
+        let nest = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        // One level more is the scanner's to refuse (the reference has
+        // no bound), so this goes around the checked `parse`.
+        assert_eq!(
+            super::parse(&nest(MAX_DEPTH + 1)),
+            Err(format!("nesting deeper than 128 at byte {MAX_DEPTH}"))
+        );
+        // The hostile line that used to overflow the stack.
+        let line = format!(
+            "{{\"type\":\"meta\",\"schema\":3,\"bin\":\"x\",\"a\":{}}}",
+            nest(20_000)
+        );
+        assert_eq!(
+            Scanner::default().scan(&line).map(|v| v.to_value()),
+            Err("nesting deeper than 128 at byte 167".into())
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits_and_pair_up() {
+        let text = |doc: &str| parse(doc).map(|v| v.as_str().map(str::to_string));
+        for (doc, want) in [
+            (r#""a\u+041b""#, Err("bad \\u escape")),
+            (r#""a\u-041b""#, Err("bad \\u escape")),
+            (r#""\u00g9""#, Err("bad \\u escape")),
+            (r#""\u00é""#, Err("bad \\u escape")),
+            (r#""\u12""#, Err("truncated \\u escape")),
+            (r#""\u"#, Err("truncated \\u escape")),
+            (r#""\u0041"#, Err("unterminated string")),
+            (r#""\ud834\u+d1e""#, Err("bad \\u escape")),
+            (r#""\x""#, Err("bad escape at byte 2")),
+            (r#""\u0041\u00e9\u00E9""#, Ok("Aéé")),
+            (r#""\ud834\udd1e""#, Ok("𝄞")),
+            (r#""\uD834\uDD1E!""#, Ok("𝄞!")),
+            (r#""\ud834""#, Ok("\u{fffd}")),
+            (r#""\udd1e\ud834""#, Ok("\u{fffd}\u{fffd}")),
+            (r#""\ud834\u0041""#, Ok("\u{fffd}A")),
+            (r#""\ud834\ud834\udd1e""#, Ok("\u{fffd}𝄞")),
+        ] {
+            let want = want.map(|s| Some(s.to_string())).map_err(str::to_string);
+            assert_eq!(text(doc), want, "{doc}");
+        }
+    }
+
+    #[test]
+    fn scanned_strings_borrow_unless_escaped() {
+        let line = r#"{"plain":"sw:0","esc":"a\nb","k\u00e9":1,"ké":2,"arr":[{"x":1.5},"s"]}"#;
+        let mut scanner = Scanner::default();
+        let v = scanner.scan(line).unwrap();
+        assert!(matches!(v.str("plain"), Ok(Cow::Borrowed("sw:0"))));
+        assert!(matches!(v.str("esc"), Ok(Cow::Owned(s)) if s == "a\nb"));
+        // Duplicate keys: the last wins, whichever way each is spelled.
+        assert_eq!(v.num("ké"), Ok(2.0));
+        assert_eq!(
+            v.num("plain"),
+            Err("missing numeric field \"plain\"".into())
+        );
+        assert_eq!(v.str("nope").unwrap_err(), "missing string field \"nope\"");
+        let items: Vec<_> = v.get("arr").unwrap().as_arr().unwrap().collect();
+        assert_eq!(items.len(), 2);
+        assert_eq!(items[0].num("x"), Ok(1.5));
+        assert_eq!(items[1].as_str().as_deref(), Some("s"));
+        assert!(v.as_arr().is_none() && items[1].get("x").is_none());
+        // The node buffer is reused: a second scan sees only its own line.
+        let v = scanner.scan("[true]").unwrap();
+        assert_eq!(v.to_value(), JsonValue::Arr(vec![JsonValue::Bool(true)]));
+    }
+
+    #[test]
+    fn nested_object_arrays_append_to_one_line() {
+        let mut l = JsonLine::new();
+        l.u64("a", 1)
+            .objects("outer", [1u64, 2], |l, n| {
+                l.u64("n", n).objects("inner", 0..n, |l, i| {
+                    l.u64("i", i);
+                });
+            })
+            .objects("none", [0u64; 0], |_, _| {})
+            .bool("z", true);
+        assert_eq!(
+            l.finish(),
+            r#"{"a":1,"outer":[{"n":1,"inner":[{"i":0}]},{"n":2,"inner":[{"i":0},{"i":1}]}],"none":[],"z":true}"#
+        );
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! present with the declared primitive type (`"number"`, `"string"`,
 //! `"boolean"`, `"object"`, `"array"`).
 
-use crate::json::{parse, JsonValue};
+use crate::json::{parse, JsonValue, Scanned, Scanner};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// A loaded schema.
 #[derive(Debug)]
@@ -58,17 +60,22 @@ impl Schema {
 
     /// Validate one JSONL line. Returns the record type on success.
     pub fn validate_line(&self, line: &str) -> Result<String, String> {
-        self.validate_line_value(line).map(|(ty, _)| ty)
+        let mut scanner = Scanner::default();
+        let v = scanner
+            .scan(line)
+            .map_err(|e| format!("not valid JSON: {e}"))?;
+        self.check_fields(v).map(Cow::into_owned)
     }
 
-    fn validate_line_value(&self, line: &str) -> Result<(String, JsonValue), String> {
-        let v = parse(line).map_err(|e| format!("not valid JSON: {e}"))?;
+    /// Check a scanned line's `type` and required fields; returns the
+    /// record type, borrowed from the line.
+    fn check_fields<'a>(&self, v: Scanned<'a>) -> Result<Cow<'a, str>, String> {
         let ty = v
             .get("type")
             .and_then(|t| t.as_str())
             .ok_or("missing \"type\" string field")?;
         let spec = self
-            .spec(ty)
+            .spec(&ty)
             .ok_or_else(|| format!("unknown record type \"{ty}\""))?;
         for (field, want) in spec {
             let got = v
@@ -81,8 +88,7 @@ impl Schema {
                 ));
             }
         }
-        let ty = ty.to_string();
-        Ok((ty, v))
+        Ok(ty)
     }
 
     /// Validate a whole JSONL document (blank lines skipped). Returns
@@ -93,6 +99,10 @@ impl Schema {
     /// stream, sim timestamps must be non-decreasing and window ids
     /// strictly increasing — out-of-order telemetry means a producer
     /// leaked wall-clock or thread-scheduling order into the dump.
+    /// Guardian journals are streams too: within one `run`, decision
+    /// `seq` must be strictly increasing (a gap or repeat means a
+    /// journal was truncated or stitched wrong) and `t_ps` must be
+    /// non-decreasing.
     pub fn validate(&self, text: &str) -> Result<Vec<(String, usize)>, String> {
         let mut v = self.validator();
         for line in text.lines() {
@@ -108,8 +118,9 @@ impl Schema {
     pub fn validator(&self) -> Validator<'_> {
         Validator {
             schema: self,
+            scanner: Scanner::default(),
             counts: Vec::new(),
-            streams: Vec::new(),
+            streams: Streams::default(),
             line_no: 0,
         }
     }
@@ -117,12 +128,16 @@ impl Schema {
 
 /// Incremental state of one document validation: per-type counts plus
 /// the last `(t_ps, window_id)` of every telemetry stream seen. Memory
-/// is O(record types + streams), independent of document length.
+/// is O(record types + streams), independent of document length, and a
+/// line that adds neither costs no allocation: it is scanned in place
+/// and its stream found through a reused key buffer.
 #[derive(Debug)]
 pub struct Validator<'a> {
     schema: &'a Schema,
+    scanner: Scanner,
+    /// Per-type counts, in first-seen order.
     counts: Vec<(String, usize)>,
-    streams: Vec<(String, u64, u64)>, // key, last t_ps, last window_id
+    streams: Streams,
     line_no: usize,
 }
 
@@ -135,19 +150,29 @@ impl Validator<'_> {
             return Ok(());
         }
         let n = self.line_no;
-        let (ty, v) = self
+        let v = self
+            .scanner
+            .scan(line)
+            .map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
+        let ty = self
             .schema
-            .validate_line_value(line)
+            .check_fields(v)
             .map_err(|e| format!("line {n}: {e}"))?;
-        if ty == "timeseries" || ty == "health_event" {
-            check_stream_order(&ty, &v, &mut self.streams).map_err(|e| format!("line {n}: {e}"))?;
+        let stream = match &*ty {
+            "timeseries" | "health_event" => {
+                Some((&["run", "comp", "inst", "name"][..], "window_id"))
+            }
+            "guard_event" => Some((&["run"][..], "seq")),
+            _ => None,
+        };
+        if let Some((key_fields, counter)) = stream {
+            self.streams
+                .check_order(&ty, v, key_fields, counter)
+                .map_err(|e| format!("line {n}: {e}"))?;
         }
-        if ty == "guard_event" {
-            check_guard_order(&v, &mut self.streams).map_err(|e| format!("line {n}: {e}"))?;
-        }
-        match self.counts.iter_mut().find(|(t, _)| *t == ty) {
+        match self.counts.iter_mut().find(|(t, _)| *t == *ty) {
             Some((_, c)) => *c += 1,
-            None => self.counts.push((ty, 1)),
+            None => self.counts.push((ty.into_owned(), 1)),
         }
         Ok(())
     }
@@ -161,69 +186,58 @@ impl Validator<'_> {
     }
 }
 
-/// Enforce per-stream ordering for windowed telemetry records.
-fn check_stream_order(
-    ty: &str,
-    v: &JsonValue,
-    streams: &mut Vec<(String, u64, u64)>,
-) -> Result<(), String> {
-    let field_str = |name: &str| v.get(name).and_then(|f| f.as_str()).unwrap_or("");
-    let field_num = |name: &str| v.get(name).and_then(|f| f.as_num()).unwrap_or(0.0) as u64;
-    let key = format!(
-        "{ty}|{}|{}|{}|{}",
-        field_str("run"),
-        field_str("comp"),
-        field_str("inst"),
-        field_str("name")
-    );
-    let (t_ps, window_id) = (field_num("t_ps"), field_num("window_id"));
-    match streams.iter_mut().find(|(k, _, _)| *k == key) {
-        Some((_, last_t, last_w)) => {
-            if t_ps < *last_t {
-                return Err(format!(
-                    "record type \"{ty}\": stream {key:?}: out-of-order t_ps {t_ps} after {last_t}"
-                ));
-            }
-            if window_id <= *last_w {
-                return Err(format!(
-                    "record type \"{ty}\": stream {key:?}: non-monotone window_id {window_id} after {last_w}"
-                ));
-            }
-            *last_t = t_ps;
-            *last_w = window_id;
-        }
-        None => streams.push((key, t_ps, window_id)),
-    }
-    Ok(())
+/// The last `(t_ps, window_id or seq)` of every stream seen, keyed
+/// `ty|run|comp|inst|name` (`guard_event|run` for journals).
+#[derive(Debug, Default)]
+struct Streams {
+    last: HashMap<String, (u64, u64)>,
+    /// The current line's key, rebuilt in place.
+    key: String,
 }
 
-/// Enforce per-run ordering for guardian decision journals: within one
-/// `run`, decision `seq` must be strictly increasing (a gap or repeat
-/// means a journal was truncated or stitched wrong) and `t_ps` must be
-/// non-decreasing.
-fn check_guard_order(v: &JsonValue, streams: &mut Vec<(String, u64, u64)>) -> Result<(), String> {
-    let run = v.get("run").and_then(|f| f.as_str()).unwrap_or("");
-    let field_num = |name: &str| v.get(name).and_then(|f| f.as_num()).unwrap_or(0.0) as u64;
-    let key = format!("guard_event|{run}");
-    let (t_ps, seq) = (field_num("t_ps"), field_num("seq"));
-    match streams.iter_mut().find(|(k, _, _)| *k == key) {
-        Some((_, last_t, last_seq)) => {
-            if t_ps < *last_t {
-                return Err(format!(
-                    "record type \"guard_event\": stream {key:?}: out-of-order t_ps {t_ps} after {last_t}"
-                ));
+impl Streams {
+    /// Enforce per-stream ordering: within the stream named by `ty` and
+    /// the record's `key_fields`, `t_ps` must not go back and `counter`
+    /// (`window_id`, or a journal's `seq`) must strictly increase.
+    fn check_order(
+        &mut self,
+        ty: &str,
+        v: Scanned<'_>,
+        key_fields: &[&str],
+        counter: &str,
+    ) -> Result<(), String> {
+        let key = &mut self.key;
+        key.clear();
+        key.push_str(ty);
+        for field in key_fields {
+            key.push('|');
+            if let Some(s) = v.get(field).and_then(|f| f.as_str()) {
+                key.push_str(&s);
             }
-            if seq <= *last_seq {
-                return Err(format!(
-                    "record type \"guard_event\": stream {key:?}: non-monotone seq {seq} after {last_seq}"
-                ));
-            }
-            *last_t = t_ps;
-            *last_seq = seq;
         }
-        None => streams.push((key, t_ps, seq)),
+        let field_num = |name: &str| v.get(name).and_then(|f| f.as_num()).unwrap_or(0.0) as u64;
+        let (t_ps, count) = (field_num("t_ps"), field_num(counter));
+        match self.last.get_mut(key.as_str()) {
+            Some((last_t, last_count)) => {
+                if t_ps < *last_t {
+                    return Err(format!(
+                        "record type \"{ty}\": stream {key:?}: out-of-order t_ps {t_ps} after {last_t}"
+                    ));
+                }
+                if count <= *last_count {
+                    return Err(format!(
+                        "record type \"{ty}\": stream {key:?}: non-monotone {counter} {count} after {last_count}"
+                    ));
+                }
+                *last_t = t_ps;
+                *last_count = count;
+            }
+            None => {
+                self.last.insert(key.clone(), (t_ps, count));
+            }
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

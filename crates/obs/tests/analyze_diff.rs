@@ -5,8 +5,9 @@
 //! (retain every sample, compute each section from the full vectors),
 //! re-implemented verbatim. The property feeds randomized synthetic
 //! JSONL — shuffled record interleavings (the shape of out-of-order
-//! shard drains), mixed `\n`/`\r\n` terminators, blank lines, unknown
-//! record types — through both paths and demands identical section
+//! shard drains), mixed `\n`/`\r\n` terminators, blank and
+//! whitespace-only lines, unknown record types — through both paths
+//! and demands identical section
 //! outputs. The streaming side reads through [`LineReader`] at tiny
 //! buffer capacities, so every record straddles refill boundaries.
 
@@ -48,7 +49,8 @@ enum Rec {
         rate: u64,
     },
     Junk,
-    Blank,
+    /// A line both paths skip: empty, or whitespace only.
+    Blank(&'static str),
 }
 
 fn render(r: &Rec) -> String {
@@ -82,7 +84,7 @@ fn render(r: &Rec) -> String {
             INSTS[*inst], STATES[*from], STATES[*to]
         ),
         Rec::Junk => "{\"type\":\"trace_summary\",\"records\":0,\"dropped\":0}".into(),
-        Rec::Blank => String::new(),
+        Rec::Blank(ws) => ws.to_string(),
     }
 }
 
@@ -95,7 +97,7 @@ fn rec_strategy() -> impl Strategy<Value = Rec> {
         1 => (0..INSTS.len(), 0..STATES.len(), 0..STATES.len(), 0u64..10_000_000, 0u64..1000)
             .prop_map(|(inst, from, to, t, rate)| Rec::Health { inst, from, to, t, rate }),
         1 => Just(Rec::Junk),
-        1 => Just(Rec::Blank),
+        1 => (0usize..3).prop_map(|i| Rec::Blank(["", "  ", "\t"][i])),
     ]
 }
 
@@ -111,7 +113,7 @@ struct Retained {
 impl Retained {
     fn ingest(&mut self, doc: &str) {
         for line in doc.lines() {
-            if line.is_empty() {
+            if line.trim().is_empty() {
                 continue;
             }
             let v = lg_obs::json::parse(line).expect("synthetic line parses");
@@ -251,9 +253,6 @@ proptest! {
         let mut streaming = Run::default();
         let mut reader = LineReader::with_capacity(cap, doc.as_bytes());
         while let Some(line) = reader.next_line().expect("valid utf8") {
-            if line.is_empty() {
-                continue;
-            }
             streaming.ingest_line(line).expect("synthetic line ingests");
         }
 
