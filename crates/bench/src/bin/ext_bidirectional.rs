@@ -29,6 +29,7 @@ fn run(bidirectional: bool, rev_rate: f64, trials: u32) -> (f64, u64, u64) {
         trials,
         gap: Duration::from_us(10),
     };
+    lg_bench::check_cfgs([cfg.validate()]);
     let mut w = World::new(cfg);
     w.run_to_completion();
     let mut fct = std::mem::take(&mut w.out.fct);

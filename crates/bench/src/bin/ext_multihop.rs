@@ -27,6 +27,7 @@ fn run(n_corrupting: usize, protected: bool, trials: u32) -> (f64, f64, u64) {
     );
     cfg.protected = vec![protected; n];
     cfg.seed = 60;
+    lg_bench::check_cfgs([cfg.validate()]);
     let mut w = ChainWorld::new(cfg);
     w.run_to_completion();
     (

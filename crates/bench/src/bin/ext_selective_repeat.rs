@@ -7,7 +7,7 @@
 
 use lg_bench::{arg, banner};
 use lg_link::{LinkSpeed, LossModel};
-use lg_testbed::{fct_experiment, FctTransport, Protection};
+use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 
 fn main() {
     let _obs = lg_bench::obs::session("ext_selective_repeat");
@@ -45,15 +45,10 @@ fn main() {
             FctTransport::RdmaSelectiveRepeat,
         ),
     ] {
-        let r = fct_experiment(
-            LinkSpeed::G100,
-            loss.clone(),
-            prot,
-            transport,
-            65_536,
-            trials,
-            seed,
-        );
+        let speed = LinkSpeed::G100;
+        let cfg = fct_config(speed, loss.clone(), prot, transport, 65_536, trials, seed);
+        lg_bench::check_cfgs([cfg.validate()]);
+        let r = fct_experiment(speed, loss.clone(), prot, transport, 65_536, trials, seed);
         println!(
             "{:<34} {:>10.1} {:>12.1} {:>12.1} {:>10}",
             label, r.report.p99_us, r.report.p999_us, r.report.p9999_us, r.e2e_retx

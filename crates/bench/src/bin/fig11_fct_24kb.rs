@@ -9,7 +9,7 @@
 
 use lg_bench::{arg, banner, sweep};
 use lg_link::{LinkSpeed, LossModel};
-use lg_testbed::{fct_experiment, FctTransport, Protection};
+use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 use lg_transport::CcVariant;
 
 fn main() {
@@ -40,6 +40,9 @@ fn main() {
             points.push((*transport, lm.clone(), *prot));
         }
     }
+    lg_bench::check_cfgs(points.iter().map(|(transport, lm, prot)| {
+        fct_config(speed, lm.clone(), *prot, *transport, 24_387, trials, seed).validate()
+    }));
     let results = sweep::run(&points, |(transport, lm, prot)| {
         fct_experiment(speed, lm.clone(), *prot, *transport, 24_387, trials, seed)
     });

@@ -9,7 +9,7 @@
 
 use lg_bench::{arg, banner, sweep};
 use lg_link::{LinkSpeed, LossModel};
-use lg_testbed::{fct_experiment, FctTransport, Protection};
+use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 use lg_transport::CcVariant;
 
 fn main() {
@@ -32,16 +32,12 @@ fn main() {
         ("+LG_NB (1e-3)", loss.clone(), Protection::LgNb),
         ("loss (1e-3)", loss.clone(), Protection::Off),
     ];
+    let dctcp = FctTransport::Tcp(CcVariant::Dctcp);
+    lg_bench::check_cfgs(curves.iter().map(|(_, lm, prot)| {
+        fct_config(speed, lm.clone(), *prot, dctcp, 2_097_152, trials, seed).validate()
+    }));
     let results = sweep::run(&curves, |(_, lm, prot)| {
-        fct_experiment(
-            speed,
-            lm.clone(),
-            *prot,
-            FctTransport::Tcp(CcVariant::Dctcp),
-            2_097_152,
-            trials,
-            seed,
-        )
+        fct_experiment(speed, lm.clone(), *prot, dctcp, 2_097_152, trials, seed)
     });
     for ((label, _, _), r) in curves.iter().zip(&results) {
         let p95 = r.tail_cdf.first().map(|p| p.0).unwrap_or(0.0);

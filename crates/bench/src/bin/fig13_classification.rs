@@ -7,7 +7,7 @@
 
 use lg_bench::{arg, banner};
 use lg_link::{LinkSpeed, LossModel};
-use lg_testbed::{classify_fig13, fct_experiment, FctTransport, Protection};
+use lg_testbed::{classify_fig13, fct_config, fct_experiment, FctTransport, Protection};
 use lg_transport::CcVariant;
 
 fn main() {
@@ -17,15 +17,14 @@ fn main() {
         "classification of affected 24,387B DCTCP flows with LG_NB",
     );
     let trials: u32 = arg("--trials", 30_000u32);
-    let r = fct_experiment(
-        LinkSpeed::G100,
-        LossModel::Iid { rate: 1e-3 },
-        Protection::LgNb,
-        FctTransport::Tcp(CcVariant::Dctcp),
-        24_387,
-        trials,
-        arg("--seed", 13),
-    );
+    let speed = LinkSpeed::G100;
+    let loss = LossModel::Iid { rate: 1e-3 };
+    let prot = Protection::LgNb;
+    let dctcp = FctTransport::Tcp(CcVariant::Dctcp);
+    let seed = arg("--seed", 13);
+    let cfg = fct_config(speed, loss.clone(), prot, dctcp, 24_387, trials, seed);
+    lg_bench::check_cfgs([cfg.validate()]);
+    let r = fct_experiment(speed, loss, prot, dctcp, 24_387, trials, seed);
     let affected = r.traces.iter().filter(|t| t.max_sacked_bytes > 0).count();
     println!("trials: {trials}, affected flows (received >=1 SACK): {affected}");
     let groups = classify_fig13(&r.traces, 1460);

@@ -10,7 +10,7 @@
 
 use lg_bench::{arg, banner, sweep};
 use lg_link::{LinkSpeed, LossModel};
-use lg_testbed::{fct_experiment, FctTransport, Protection};
+use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 use lg_transport::CcVariant;
 
 fn main() {
@@ -65,16 +65,12 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "variant", "99.00%", "99.90%", "99.99%", "99.999%", "std dev"
     );
+    let dctcp = FctTransport::Tcp(CcVariant::Dctcp);
+    lg_bench::check_cfgs(configs.iter().map(|(_, lm, prot)| {
+        fct_config(speed, lm.clone(), *prot, dctcp, 24_387, trials, seed).validate()
+    }));
     let results = sweep::run(&configs, |(_, lm, prot)| {
-        fct_experiment(
-            speed,
-            lm.clone(),
-            *prot,
-            FctTransport::Tcp(CcVariant::Dctcp),
-            24_387,
-            trials,
-            seed,
-        )
+        fct_experiment(speed, lm.clone(), *prot, dctcp, 24_387, trials, seed)
     });
     for ((label, _, _), r) in configs.iter().zip(&results) {
         println!(

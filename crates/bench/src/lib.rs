@@ -62,16 +62,23 @@ pub fn flag(key: &str) -> bool {
     env::args().any(|a| a == key)
 }
 
-/// Exit with status 2 and the [`lg_fabric::FabricSimConfig::validate`]
-/// message on stderr if `lg_fabric::run` would refuse any of `cfgs`
-/// (e.g. `--sample-hours 0`, which used to loop until out of memory).
-pub fn check_fabric_cfgs(cfgs: &[lg_fabric::FabricSimConfig]) {
-    for cfg in cfgs {
-        if let Err(msg) = cfg.validate() {
+/// Exit with status 2 and the message on stderr if any `validate()`
+/// result refuses its config: `World::new` and `ChainWorld::new` panic
+/// on one (`--trials 0` used to surface as a quantile-of-nothing
+/// backtrace after the whole sweep), `lg_fabric::run` used to loop
+/// until out of memory (`--sample-hours 0`).
+pub fn check_cfgs(results: impl IntoIterator<Item = Result<(), String>>) {
+    for r in results {
+        if let Err(msg) = r {
             eprintln!("error: {msg}");
             std::process::exit(2);
         }
     }
+}
+
+/// [`check_cfgs`] over fabric configurations.
+pub fn check_fabric_cfgs(cfgs: &[lg_fabric::FabricSimConfig]) {
+    check_cfgs(cfgs.iter().map(|cfg| cfg.validate()));
 }
 
 /// Print a standard experiment banner.

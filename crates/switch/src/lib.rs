@@ -12,6 +12,8 @@
 //!   traffic and 10 Mpps timer packets);
 //! * [`counters::PortCounters`] — the MAC counters `corruptd` polls;
 //! * [`switch::Switch`] — forwarding + ports + counters + pipeline latency;
+//! * [`serial::SerialLink`] — an uncontended FIFO hop (host NIC,
+//!   host-facing port) computed at hand-over instead of simulated;
 //! * [`budget::MemBudget`] — a shared per-world byte quota bounding the
 //!   sum of all participating buffers (tor-memquota idiom: charge before
 //!   storing, fail gracefully, account the high-water mark).
@@ -22,6 +24,7 @@ pub mod pktgen;
 pub mod port;
 pub mod queue;
 pub mod recirc;
+pub mod serial;
 pub mod switch;
 
 pub use budget::MemBudget;
@@ -30,4 +33,5 @@ pub use pktgen::PacketGen;
 pub use port::{Class, EgressPort, NUM_CLASSES};
 pub use queue::{ByteQueue, EnqueueOutcome};
 pub use recirc::{RecircBuffer, RecircStats};
+pub use serial::SerialLink;
 pub use switch::{PortId, Switch};

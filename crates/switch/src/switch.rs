@@ -149,6 +149,11 @@ impl Switch {
         self.counters[port]
     }
 
+    /// The counters of a port served by a [`crate::SerialLink`].
+    pub fn counters_mut(&mut self, port: PortId) -> &mut PortCounters {
+        &mut self.counters[port]
+    }
+
     /// Instantaneous occupancy of one egress queue in bytes (the
     /// "qdepth" the telemetry plane samples into its time series).
     pub fn queue_bytes(&self, port: PortId, class: Class) -> u64 {

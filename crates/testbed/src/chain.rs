@@ -17,13 +17,13 @@
 //! forward direction is protected (like the main testbed); reverse
 //! traffic carries ACKs and LinkGuardian control.
 
+use crate::host::Host;
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
 use lg_packet::{FlowId, NodeId, Packet, PacketPool, Payload, PktId};
 use lg_sim::{Duration, EventQueue, Rng, Time};
-use lg_switch::{Class, PortId, Switch};
+use lg_switch::{Class, PortId, SerialLink, Switch};
 use lg_transport::{
-    CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpConfig, TcpReceiver, TcpSender,
-    TransportAction,
+    CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
 };
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender, ReceiverAction, SenderAction};
@@ -78,11 +78,6 @@ pub enum CEv {
         host: usize,
         /// The frame.
         id: PktId,
-    },
-    /// Host NIC finished serializing.
-    HostTxDone {
-        /// 0 or 1.
-        host: usize,
     },
     /// Transport timer.
     HostWake {
@@ -164,6 +159,21 @@ pub struct ChainConfig {
 }
 
 impl ChainConfig {
+    /// Refuse a configuration [`ChainWorld::new`] cannot run.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.losses.is_empty() || self.protected.len() != self.losses.len() {
+            return Err("a chain needs >= 1 link and one `protected` flag per link".into());
+        }
+        match self.app {
+            ChainApp::TcpTrials {
+                msg_len, trials, ..
+            }
+            | ChainApp::RdmaTrials { msg_len, trials } => {
+                crate::world::check_trials(msg_len, trials)
+            }
+        }
+    }
+
     /// A chain with the given per-hop loss models, all protected.
     pub fn protected_chain(speed: LinkSpeed, losses: Vec<LossModel>, app: ChainApp) -> ChainConfig {
         let n = losses.len();
@@ -178,18 +188,6 @@ impl ChainConfig {
     }
 }
 
-/// Host endpoint state (chain flavour).
-struct CHost {
-    nic_queue: std::collections::VecDeque<PktId>,
-    busy: bool,
-    tcp_tx: Option<TcpSender>,
-    // Finished sender kept for recycling via TcpSender::renew.
-    tcp_spent: Option<TcpSender>,
-    tcp_rx: Option<TcpReceiver>,
-    rdma_tx: Option<RdmaRequester>,
-    rdma_rx: Option<RdmaResponder>,
-}
-
 /// The multi-hop world.
 pub struct ChainWorld {
     cfg: ChainConfig,
@@ -199,7 +197,10 @@ pub struct ChainWorld {
     /// links[i].0 = forward (sw i → sw i+1), links[i].1 = reverse.
     links: Vec<(LinkDirection, LinkDirection)>,
     hops: Vec<Option<Hop>>,
-    hosts: [CHost; 2],
+    /// The edge switches' host-facing ports (index = host), computed
+    /// like the NICs rather than simulated (DESIGN.md §19).
+    host_ports: [SerialLink; 2],
+    hosts: [Host; 2],
     /// Completed-flow FCTs.
     pub fct: FctCollector,
     /// Transport retransmissions observed.
@@ -212,14 +213,16 @@ pub struct ChainWorld {
     tx_scratch: Vec<SenderAction>,
     filler_scratch: Vec<PktId>,
     transport_scratch: Vec<TransportAction>,
+    dispatch_scratch: Vec<CEv>,
 }
 
 impl ChainWorld {
     /// Build a chain of `losses.len() + 1` switches.
     pub fn new(cfg: ChainConfig) -> ChainWorld {
+        if let Err(msg) = cfg.validate() {
+            panic!("invalid ChainConfig: {msg}");
+        }
         let n_links = cfg.losses.len();
-        assert!(n_links >= 1);
-        assert_eq!(cfg.protected.len(), n_links);
         let n_sw = n_links + 1;
         let mut rng = Rng::new(cfg.seed);
         let link_cfg = LinkConfig::new(cfg.speed);
@@ -274,26 +277,8 @@ impl ChainWorld {
             switches,
             links,
             hops,
-            hosts: [
-                CHost {
-                    nic_queue: Default::default(),
-                    busy: false,
-                    tcp_tx: None,
-                    tcp_spent: None,
-                    tcp_rx: None,
-                    rdma_tx: None,
-                    rdma_rx: None,
-                },
-                CHost {
-                    nic_queue: Default::default(),
-                    busy: false,
-                    tcp_tx: None,
-                    tcp_spent: None,
-                    tcp_rx: None,
-                    rdma_tx: None,
-                    rdma_rx: None,
-                },
-            ],
+            host_ports: Default::default(),
+            hosts: [Host::new(C_HOST0), Host::new(C_HOST1)],
             fct: FctCollector::new(),
             e2e_retx: 0,
             pool: PacketPool::new(),
@@ -303,6 +288,7 @@ impl ChainWorld {
             tx_scratch: Vec::new(),
             filler_scratch: Vec::new(),
             transport_scratch: Vec::new(),
+            dispatch_scratch: Vec::new(),
         }
     }
 
@@ -343,7 +329,7 @@ impl ChainWorld {
     /// which is what lets a chain instance live inside a shard.
     pub fn run_until(&mut self, until: Time) -> u64 {
         let mut ran = 0u64;
-        let mut batch = Vec::new();
+        let mut batch = std::mem::take(&mut self.dispatch_scratch);
         while let Some((now, ev)) = self.q.pop_tick_into(until, &mut batch, 64) {
             ran += 1 + batch.len() as u64;
             self.handle(ev, now);
@@ -351,6 +337,7 @@ impl ChainWorld {
                 self.handle(ev, now);
             }
         }
+        self.dispatch_scratch = batch;
         ran
     }
 
@@ -379,19 +366,14 @@ impl ChainWorld {
             }
             CEv::WireArrive { sw, from_right, id } => self.on_wire_arrive(sw, from_right, id, now),
             CEv::HostArrive { host, id } => self.on_host_arrive(host, id, now),
-            CEv::HostTxDone { host } => {
-                self.hosts[host].busy = false;
-                self.kick_host(host);
-            }
             CEv::HostWake { host } => {
                 let mut actions = std::mem::take(&mut self.transport_scratch);
-                if let Some(t) = self.hosts[host].tcp_tx.as_mut() {
-                    t.on_timer_into(now, &mut actions);
+                if self.hosts[host].on_wake(now, &mut actions) {
+                    self.apply_transport_actions(host, &mut actions, now);
+                    if let Some(at) = self.hosts[host].rearm_wake(now) {
+                        self.q.schedule_at(at, CEv::HostWake { host });
+                    }
                 }
-                if let Some(r) = self.hosts[host].rdma_tx.as_mut() {
-                    r.on_timer_into(now, &mut actions);
-                }
-                self.apply_transport_actions(host, &mut actions, now);
                 self.transport_scratch = actions;
             }
             CEv::LgTimeout { hop, generation } => {
@@ -511,59 +493,54 @@ impl ChainWorld {
     }
 
     fn deliver_from_port(&mut self, sw: usize, port: PortId, id: PktId) {
-        let n_sw = self.switches.len();
-        match port {
-            PORT_RIGHT if sw + 1 < n_sw => {
-                // forward link sw → sw+1
-                let (fwd, _) = &mut self.links[sw];
-                let prop = fwd.propagation();
-                if fwd.deliver() {
-                    self.q.schedule_after(
-                        prop,
-                        CEv::WireArrive {
-                            sw: sw + 1,
-                            from_right: false,
-                            id,
-                        },
-                    );
-                } else {
-                    self.switches[sw + 1].rx_corrupt(PORT_LEFT);
-                    self.pool.release(id);
-                }
-            }
-            PORT_LEFT if sw > 0 => {
-                let (_, rev) = &mut self.links[sw - 1];
-                let prop = rev.propagation();
-                if rev.deliver() {
-                    self.q.schedule_after(
-                        prop,
-                        CEv::WireArrive {
-                            sw: sw - 1,
-                            from_right: true,
-                            id,
-                        },
-                    );
-                } else {
-                    self.switches[sw - 1].rx_corrupt(PORT_RIGHT);
-                    self.pool.release(id);
-                }
-            }
-            PORT_RIGHT => {
-                // rightmost switch → host1
-                let delay = Duration::from_ns(100) + self.cfg.host_stack_delay;
-                self.q
-                    .schedule_after(delay, CEv::HostArrive { host: 1, id });
-            }
+        // forward link sw → sw+1, or reverse link sw → sw-1
+        let (link, peer, from_right) = match port {
+            PORT_RIGHT => (&mut self.links[sw].0, sw + 1, false),
+            _ => (&mut self.links[sw - 1].1, sw - 1, true),
+        };
+        if link.deliver() {
+            let ev = CEv::WireArrive {
+                sw: peer,
+                from_right,
+                id,
+            };
+            self.q.schedule_after(link.propagation(), ev);
+        } else {
+            let peer_port = if from_right { PORT_RIGHT } else { PORT_LEFT };
+            self.switches[peer].rx_corrupt(peer_port);
+            self.pool.release(id);
+        }
+    }
+
+    /// Send a packet through `sw`'s pipeline to egress `port`. The two
+    /// host-facing ports are computed: the frame goes straight to the
+    /// one `HostArrive` that ends the hop.
+    fn forward(&mut self, sw: usize, port: PortId, id: PktId, now: Time) {
+        let arrive = now + self.switches[sw].pipeline_latency;
+        let host = match (sw, port) {
+            (0, PORT_LEFT) => 0,
+            (_, PORT_RIGHT) if sw + 1 == self.switches.len() => 1,
             _ => {
-                let delay = Duration::from_ns(100) + self.cfg.host_stack_delay;
-                self.q
-                    .schedule_after(delay, CEv::HostArrive { host: 0, id });
+                let ev = CEv::PortEnqueue {
+                    sw,
+                    port,
+                    class: Class::Normal,
+                    id,
+                };
+                self.q.schedule_at(arrive, ev);
+                return;
             }
+        };
+        let ser = self.cfg.speed.serialize(self.pool.get(id).wire_len());
+        let counters = self.switches[sw].counters_mut(port);
+        let link = &mut self.host_ports[host];
+        if let Some(done) = link.enqueue(now, arrive, ser, id, &mut self.pool, counters) {
+            let at = done + Duration::from_ns(100) + self.cfg.host_stack_delay;
+            self.q.schedule_at(at, CEv::HostArrive { host, id });
         }
     }
 
     fn on_wire_arrive(&mut self, sw: usize, from_right: bool, id: PktId, now: Time) {
-        let pipeline = self.switches[sw].pipeline_latency;
         let flen = self.pool.get(id).frame_len();
         if !from_right {
             // forward arrival over link (sw-1 → sw): hop sw-1's receiver
@@ -580,15 +557,7 @@ impl ChainWorld {
                 self.rx_scratch = actions;
             } else {
                 // unprotected hop: plain forwarding
-                self.q.schedule_after(
-                    pipeline,
-                    CEv::PortEnqueue {
-                        sw,
-                        port: PORT_RIGHT,
-                        class: Class::Normal,
-                        id,
-                    },
-                );
+                self.forward(sw, PORT_RIGHT, id, now);
             }
         } else {
             // reverse arrival over link (sw+1 → sw): hop sw's sender
@@ -602,50 +571,23 @@ impl ChainWorld {
                     .lg_tx
                     .on_reverse_rx(id, now, &mut self.pool, &mut actions);
                 if let Some(p) = fwd {
-                    self.q.schedule_after(
-                        pipeline,
-                        CEv::PortEnqueue {
-                            sw,
-                            port: PORT_LEFT,
-                            class: Class::Normal,
-                            id: p,
-                        },
-                    );
+                    self.forward(sw, PORT_LEFT, p, now);
                 }
                 self.apply_sender_actions(hop, &actions);
                 actions.clear();
                 self.tx_scratch = actions;
             } else {
-                self.q.schedule_after(
-                    pipeline,
-                    CEv::PortEnqueue {
-                        sw,
-                        port: PORT_LEFT,
-                        class: Class::Normal,
-                        id,
-                    },
-                );
+                self.forward(sw, PORT_LEFT, id, now);
             }
         }
     }
 
-    fn apply_receiver_actions(&mut self, hop: usize, actions: &[ReceiverAction], _now: Time) {
+    fn apply_receiver_actions(&mut self, hop: usize, actions: &[ReceiverAction], now: Time) {
         // the receiver of hop `hop` lives on switch hop+1
         let sw = hop + 1;
-        let pipeline = self.switches[sw].pipeline_latency;
         for &a in actions {
             match a {
-                ReceiverAction::Deliver(id) => {
-                    self.q.schedule_after(
-                        pipeline,
-                        CEv::PortEnqueue {
-                            sw,
-                            port: PORT_RIGHT,
-                            class: Class::Normal,
-                            id,
-                        },
-                    );
-                }
+                ReceiverAction::Deliver(id) => self.forward(sw, PORT_RIGHT, id, now),
                 ReceiverAction::SendReverse { id, class } => {
                     self.switches[sw].enqueue(PORT_LEFT, class, id, &mut self.pool);
                 }
@@ -695,41 +637,7 @@ impl ChainWorld {
 
     fn on_host_arrive(&mut self, host: usize, id: PktId, now: Time) {
         let mut actions = std::mem::take(&mut self.transport_scratch);
-        let mut reply: Option<Packet> = None;
-        {
-            let pkt = self.pool.get(id);
-            let h = &mut self.hosts[host];
-            match &pkt.payload {
-                Payload::Tcp(seg) => {
-                    if seg.payload_len > 0 {
-                        if let Some(rx) = h.tcp_rx.as_mut() {
-                            if rx.flow() == seg.flow {
-                                reply = Some(rx.on_data(seg, pkt.ecn, now));
-                            }
-                        }
-                    } else if let Some(tx) = h.tcp_tx.as_mut() {
-                        if tx.flow() == seg.flow {
-                            tx.on_ack_into(seg, now, &mut actions);
-                        }
-                    }
-                }
-                Payload::Rdma(seg) => {
-                    if let Some(rx) = h.rdma_rx.as_mut() {
-                        if rx.flow() == seg.flow {
-                            reply = rx.on_data(seg, now);
-                        }
-                    }
-                }
-                Payload::RdmaAck(ack) => {
-                    if let Some(tx) = h.rdma_tx.as_mut() {
-                        if tx.flow() == ack.flow {
-                            tx.on_ack_into(ack, now, &mut actions);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+        let reply = self.hosts[host].on_frame(self.pool.get(id), now, &mut actions);
         self.pool.release(id);
         if let Some(r) = reply {
             self.host_send(host, r);
@@ -755,8 +663,10 @@ impl ChainWorld {
                     self.host_send(host, pkt);
                 }
                 TransportAction::WakeAt { deadline } => {
-                    self.q
-                        .schedule_at(deadline.max(now), CEv::HostWake { host });
+                    let at = deadline.max(now);
+                    if self.hosts[host].request_wake(at) {
+                        self.q.schedule_at(at, CEv::HostWake { host });
+                    }
                 }
                 TransportAction::Complete {
                     started, completed, ..
@@ -769,32 +679,17 @@ impl ChainWorld {
     }
 
     fn host_send(&mut self, host: usize, pkt: Packet) {
+        let ser = self.cfg.speed.serialize(pkt.wire_len());
         let id = self.pool.insert(pkt);
-        self.hosts[host].nic_queue.push_back(id);
-        self.kick_host(host);
-    }
-
-    fn kick_host(&mut self, host: usize) {
-        if self.hosts[host].busy {
-            return;
-        }
-        let Some(id) = self.hosts[host].nic_queue.pop_front() else {
-            return;
-        };
-        self.hosts[host].busy = true;
-        let ser = self.cfg.speed.serialize(self.pool.get(id).wire_len());
-        let sw = if host == 0 {
-            0
+        let sent = self.hosts[host].nic.depart(self.q.now(), ser);
+        let (sw, port) = if host == 0 {
+            (0, PORT_RIGHT)
         } else {
-            self.switches.len() - 1
+            (self.switches.len() - 1, PORT_LEFT)
         };
-        let port = if host == 0 { PORT_RIGHT } else { PORT_LEFT };
-        let arrive = self.cfg.host_stack_delay
-            + ser
-            + Duration::from_ns(100)
-            + self.switches[sw].pipeline_latency;
-        self.q.schedule_after(
-            arrive,
+        let pipeline = self.switches[sw].pipeline_latency;
+        self.q.schedule_at(
+            sent + self.cfg.host_stack_delay + Duration::from_ns(100) + pipeline,
             CEv::PortEnqueue {
                 sw,
                 port,
@@ -802,7 +697,6 @@ impl ChainWorld {
                 id,
             },
         );
-        self.q.schedule_after(ser, CEv::HostTxDone { host });
     }
 
     fn start_trial(&mut self, now: Time) {
@@ -817,21 +711,7 @@ impl ChainWorld {
                 variant, msg_len, ..
             } => {
                 self.hosts[1].tcp_rx = Some(TcpReceiver::new(flow, C_HOST1, C_HOST0));
-                let old = self.hosts[0]
-                    .tcp_spent
-                    .take()
-                    .or_else(|| self.hosts[0].tcp_tx.take());
-                let mut tx = TcpSender::renew(
-                    old,
-                    TcpConfig::default(),
-                    variant,
-                    flow,
-                    C_HOST0,
-                    C_HOST1,
-                    msg_len,
-                );
-                tx.start_into(now, &mut actions);
-                self.hosts[0].tcp_tx = Some(tx);
+                self.hosts[0].start_tcp(C_HOST1, flow, variant, msg_len, now, &mut actions);
                 self.apply_transport_actions(0, &mut actions, now);
             }
             ChainApp::RdmaTrials { msg_len, .. } => {

@@ -231,6 +231,37 @@ pub struct FctResult {
     pub lg_timeouts: u64,
 }
 
+/// The world [`fct_experiment`] runs (binaries validate it up front).
+pub fn fct_config(
+    speed: LinkSpeed,
+    loss: LossModel,
+    protection: Protection,
+    transport: FctTransport,
+    msg_len: u32,
+    trials: u32,
+    seed: u64,
+) -> WorldConfig {
+    let mut cfg = WorldConfig::new(speed, loss.clone());
+    cfg.lg = protection.lg_config(speed, loss.mean_rate());
+    cfg.seed = seed;
+    let gap = Duration::from_us(10);
+    cfg.app = match transport {
+        FctTransport::Tcp(variant) => App::TcpTrials {
+            variant,
+            msg_len,
+            trials,
+            gap,
+        },
+        FctTransport::Rdma | FctTransport::RdmaSelectiveRepeat => App::RdmaTrials {
+            msg_len,
+            trials,
+            gap,
+            selective_repeat: transport == FctTransport::RdmaSelectiveRepeat,
+        },
+    };
+    cfg
+}
+
 /// Run serial fixed-size message trials (Figs 10–12, Table 2).
 pub fn fct_experiment(
     speed: LinkSpeed,
@@ -242,29 +273,7 @@ pub fn fct_experiment(
     seed: u64,
 ) -> FctResult {
     let actual = loss.mean_rate();
-    let mut cfg = WorldConfig::new(speed, loss);
-    cfg.lg = protection.lg_config(speed, actual);
-    cfg.seed = seed;
-    cfg.app = match transport {
-        FctTransport::Tcp(variant) => App::TcpTrials {
-            variant,
-            msg_len,
-            trials,
-            gap: Duration::from_us(10),
-        },
-        FctTransport::Rdma => App::RdmaTrials {
-            msg_len,
-            trials,
-            gap: Duration::from_us(10),
-            selective_repeat: false,
-        },
-        FctTransport::RdmaSelectiveRepeat => App::RdmaTrials {
-            msg_len,
-            trials,
-            gap: Duration::from_us(10),
-            selective_repeat: true,
-        },
-    };
+    let cfg = fct_config(speed, loss, protection, transport, msg_len, trials, seed);
     let mut w = World::new(cfg);
     run_to_completion_obs(&mut w);
     w.publish_obs(&format!(

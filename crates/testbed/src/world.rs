@@ -11,7 +11,9 @@
 //! module owns the event loop that binds them: serialization and
 //! propagation timing, pipeline latencies, the PFC pause path, the
 //! self-replenishing dummy/ACK queues (port-idle fillers), LinkGuardian
-//! timeouts, host NIC pacing and transport timers.
+//! timeouts and transport timers. The host NICs and the host-facing
+//! switch ports have none of that structure, so they are computed
+//! ([`SerialLink`]) rather than simulated (DESIGN.md §19).
 
 use lg_guardd::{GuardAction, GuardInput, GuardManager};
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
@@ -22,14 +24,15 @@ use lg_obs::{lg_trace, JsonLine, MetricsRegistry};
 use lg_packet::lg::LgPacketType;
 use lg_packet::{FlowId, LgControl, NodeId, Packet, PacketPool, Payload, PktId};
 use lg_sim::{Duration, EventQueue, RateMeter, Rng, Time, TimeSeries};
-use lg_switch::{Class, EgressPort, PortId, Switch};
+use lg_switch::{Class, EgressPort, PortId, SerialLink, Switch};
 use lg_transport::{
-    CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpConfig, TcpReceiver, TcpSender,
-    TransportAction,
+    CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
 };
 use lg_workload::FctCollector;
 use linkguardian::corruptd::Corruptd;
 use linkguardian::{LgConfig, LgReceiver, LgSender, ReceiverAction, SenderAction};
+
+pub use crate::host::Host;
 
 /// Which switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,11 +110,6 @@ pub enum Ev {
         /// The frame.
         id: PktId,
     },
-    /// A host NIC finished serializing a frame.
-    HostTxDone {
-        /// Host index.
-        host: usize,
-    },
     /// Transport timer wake-up.
     HostWake {
         /// Host index.
@@ -157,7 +155,9 @@ impl Ev {
     /// Number of event kinds (sizes the profile arrays).
     pub const N_KINDS: usize = 14;
 
-    /// Kind names indexed by [`Ev::kind_idx`].
+    /// Kind names indexed by [`Ev::kind_idx`]. Slot 4 is the retired
+    /// NIC-completion event: no variant maps to it, the frozen `perf/`
+    /// schema still looks the name up.
     pub const KIND_NAMES: [&'static str; Ev::N_KINDS] = [
         "port_enqueue",
         "port_tx_done",
@@ -182,7 +182,6 @@ impl Ev {
             Ev::PortTxDone { .. } => 1,
             Ev::WireArrive { .. } => 2,
             Ev::HostArrive { .. } => 3,
-            Ev::HostTxDone { .. } => 4,
             Ev::HostWake { .. } => 5,
             Ev::LgTimeout { .. } => 6,
             Ev::LgBpTimer { .. } => 7,
@@ -292,50 +291,6 @@ impl Default for WorldObs {
     }
 }
 
-/// Per-host state: NIC pacing plus at most one active transport each way.
-pub struct Host {
-    /// This host's address.
-    pub node: NodeId,
-    nic_queue: std::collections::VecDeque<PktId>,
-    busy: bool,
-    /// TCP sender of the current trial.
-    pub tcp_tx: Option<TcpSender>,
-    /// Finished TCP sender kept for recycling by the next trial; its
-    /// per-segment state table and congestion-control box are reused
-    /// instead of reallocated (see `TcpSender::renew`).
-    tcp_spent: Option<TcpSender>,
-    /// TCP receiver of the current trial.
-    pub tcp_rx: Option<TcpReceiver>,
-    /// RDMA requester of the current trial.
-    pub rdma_tx: Option<RdmaRequester>,
-    /// RDMA responder of the current trial.
-    pub rdma_rx: Option<RdmaResponder>,
-    /// Bytes of application payload received.
-    pub payload_rx_bytes: u64,
-    /// Raw/UDP stress frames received.
-    pub stress_rx_frames: u64,
-    /// Raw/UDP stress wire bytes received.
-    pub stress_rx_wire_bytes: u64,
-}
-
-impl Host {
-    fn new(node: NodeId) -> Host {
-        Host {
-            node,
-            nic_queue: std::collections::VecDeque::new(),
-            busy: false,
-            tcp_tx: None,
-            tcp_spent: None,
-            tcp_rx: None,
-            rdma_tx: None,
-            rdma_rx: None,
-            payload_rx_bytes: 0,
-            stress_rx_frames: 0,
-            stress_rx_wire_bytes: 0,
-        }
-    }
-}
-
 /// Traffic drivers.
 #[derive(Debug, Clone)]
 pub enum App {
@@ -431,7 +386,40 @@ pub struct WorldConfig {
     pub seed: u64,
 }
 
+/// Refuse a trial series the loops cannot run or report on.
+pub(crate) fn check_trials(msg_len: u32, trials: u32) -> Result<(), String> {
+    if msg_len == 0 {
+        return Err("message length must be at least 1 byte".into());
+    }
+    if trials == 0 {
+        return Err("trials must be at least 1: an empty run has no FCT to report".into());
+    }
+    Ok(())
+}
+
 impl WorldConfig {
+    /// Refuse a configuration [`World::new`] would hang or panic deep
+    /// inside on: a zero interval re-arms its event at the same instant
+    /// forever; an empty message or trial series has nothing to measure.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.sample_interval == Some(Duration::ZERO) {
+            return Err("sample interval must be > 0".into());
+        }
+        if self.dummy_refresh == Duration::ZERO {
+            return Err("dummy refresh interval must be > 0".into());
+        }
+        match self.app {
+            App::TcpTrials {
+                msg_len, trials, ..
+            }
+            | App::RdmaTrials {
+                msg_len, trials, ..
+            } => check_trials(msg_len, trials),
+            App::TcpStream { chunk, .. } => check_trials(chunk, 1),
+            App::None => Ok(()),
+        }
+    }
+
     /// A quiet testbed at the given speed with LinkGuardian configured
     /// (active from the start) and no traffic.
     pub fn new(speed: LinkSpeed, loss: LossModel) -> WorldConfig {
@@ -506,6 +494,8 @@ pub struct World {
     pub lg2_rx: Option<LgReceiver>,
     fwd_link: LinkDirection,
     rev_link: LinkDirection,
+    /// The host-facing port of each switch (index = [`Side`] = host).
+    host_ports: [SerialLink; 2],
     /// Hosts 0 (sender side) and 1 (receiver side).
     pub hosts: Vec<Host>,
     /// Probe series.
@@ -553,6 +543,9 @@ fn port_inst(side: Side, port: PortId) -> u16 {
 impl World {
     /// Build the testbed.
     pub fn new(cfg: WorldConfig) -> World {
+        if let Err(msg) = cfg.validate() {
+            panic!("invalid WorldConfig: {msg}");
+        }
         // A fresh world owns its worker thread's trace ring: clear it so a
         // postmortem never mixes records from two worlds sharing a thread,
         // and capture the uid base for publishing normalized uids.
@@ -576,9 +569,11 @@ impl World {
             sw_tx.set_port(PORT_LINK, EgressPort::new().with_ecn_threshold(th));
         }
         let budget = cfg.mem_budget.map(lg_switch::MemBudget::new);
+        let mut host_ports = [SerialLink::default(), SerialLink::default()];
         if let Some(b) = &budget {
             sw_tx.attach_budget(b);
             sw_rx.attach_budget(b);
+            host_ports.iter_mut().for_each(|p| p.set_budget(b));
         }
 
         let lg_cfg = cfg
@@ -674,6 +669,7 @@ impl World {
             lg2_rx,
             fwd_link,
             rev_link,
+            host_ports,
             hosts: vec![Host::new(HOST0), Host::new(HOST1)],
             probes,
             out: Outcomes::default(),
@@ -753,6 +749,15 @@ impl World {
             }
         }
         self.dispatch_scratch = batch;
+        self.settle_host_ports(until);
+    }
+
+    /// Bring the host-facing ports' counters (and budget charge) to what
+    /// they read once every event at or before `upto` has run: a
+    /// computed hop has no completion event to count a frame at.
+    fn settle_host_ports(&mut self, upto: Time) {
+        self.host_ports[0].settle(upto, self.sw_tx.counters_mut(PORT_HOST));
+        self.host_ports[1].settle(upto, self.sw_rx.counters_mut(PORT_HOST));
     }
 
     /// Earliest pending timestamp, or `None` when the world is idle.
@@ -839,6 +844,7 @@ impl World {
             prof.note(idx, t0.elapsed().as_nanos() as u64);
         }
         self.obs.profile = Some(prof);
+        self.settle_host_ports(until);
     }
 
     /// Run until no events remain, measuring per-event-kind wall-clock
@@ -854,6 +860,9 @@ impl World {
     /// buffers all land as separate `(comp, inst)` rows; `corruptd` polls
     /// the same rows via [`linkguardian::Corruptd::poll_registry`].
     pub fn snapshot_metrics(&mut self, now: Time) {
+        // Taken inside an event at `now`: a host-port frame finishing at
+        // exactly `now` completes in a later-filed event, so not yet.
+        self.settle_host_ports(Time(now.as_ps().saturating_sub(1)));
         let t = now.as_ps();
         let reg = &mut self.obs.registry;
         for (sw, name) in [(&self.sw_tx, "sw_tx"), (&self.sw_rx, "sw_rx")] {
@@ -1004,18 +1013,17 @@ impl World {
                     .lg_data
                     .is_some_and(|d| d.kind == LgPacketType::Retransmit);
                 let pause = matches!(pkt.payload, Payload::Lg(LgControl::Pause(_)));
+                debug_assert_eq!(port, PORT_LINK, "host-facing ports are computed");
                 self.switch_mut(side).port_mut(port).busy = false;
                 self.switch_mut(side).tx_complete(port, flen);
-                if port == PORT_LINK {
-                    if lg_retx {
-                        self.switch_mut(side).note_lg_retx(port);
-                    }
-                    if pause {
-                        self.switch_mut(side).note_pause_tx(port);
-                    }
+                if lg_retx {
+                    self.switch_mut(side).note_lg_retx(port);
                 }
-                self.deliver_from_port(side, port, id, now);
-                if side == Side::Tx && port == PORT_LINK {
+                if pause {
+                    self.switch_mut(side).note_pause_tx(port);
+                }
+                self.deliver_from_port(side, id, now);
+                if side == Side::Tx {
                     self.refill_stress();
                 }
                 self.kick_port(side, port);
@@ -1026,19 +1034,14 @@ impl World {
                 id,
             } => self.on_wire_arrive(side, from_link, id, now),
             Ev::HostArrive { host, id } => self.on_host_arrive(host, id, now),
-            Ev::HostTxDone { host } => {
-                self.hosts[host].busy = false;
-                self.kick_host(host);
-            }
             Ev::HostWake { host } => {
                 let mut actions = std::mem::take(&mut self.transport_scratch);
-                if let Some(t) = self.hosts[host].tcp_tx.as_mut() {
-                    t.on_timer_into(now, &mut actions);
+                if self.hosts[host].on_wake(now, &mut actions) {
+                    self.apply_transport_actions(host, &mut actions, now);
+                    if let Some(at) = self.hosts[host].rearm_wake(now) {
+                        self.q.schedule_at(at, Ev::HostWake { host });
+                    }
                 }
-                if let Some(r) = self.hosts[host].rdma_tx.as_mut() {
-                    r.on_timer_into(now, &mut actions);
-                }
-                self.apply_transport_actions(host, &mut actions, now);
                 self.transport_scratch = actions;
             }
             Ev::LgTimeout {
@@ -1250,72 +1253,64 @@ impl World {
     /// A frame left a port: apply wire loss and schedule arrival. A
     /// corrupted frame's pool reference dies here — the LinkGuardian
     /// sender's Tx-buffer reference (if any) keeps the slot alive.
-    fn deliver_from_port(&mut self, side: Side, port: PortId, id: PktId, now: Time) {
-        match (side, port) {
-            (Side::Tx, PORT_LINK) => {
-                // forward over the corrupting link
-                let prop = self.fwd_link.propagation();
-                if self.fwd_link.deliver() {
-                    self.q.schedule_after(
-                        prop,
-                        Ev::WireArrive {
-                            side: Side::Rx,
-                            from_link: true,
-                            id,
-                        },
-                    );
-                } else {
-                    lg_trace!(
-                        Level::Pkt,
-                        Comp::Link,
-                        Kind::CorruptDrop,
-                        0u16,
-                        now.as_ps(),
-                        self.pool.get(id).uid,
-                        self.pool.get(id).lg_data.map_or(0, |d| d.seq.raw() as u64),
-                        id.index()
-                    );
-                    self.sw_rx.rx_corrupt(PORT_LINK);
-                    self.pool.release(id);
-                }
-            }
-            (Side::Rx, PORT_LINK) => {
-                let prop = self.rev_link.propagation();
-                if self.rev_link.deliver() {
-                    self.q.schedule_after(
-                        prop,
-                        Ev::WireArrive {
-                            side: Side::Tx,
-                            from_link: true,
-                            id,
-                        },
-                    );
-                } else {
-                    lg_trace!(
-                        Level::Pkt,
-                        Comp::Link,
-                        Kind::CorruptDrop,
-                        1u16,
-                        now.as_ps(),
-                        self.pool.get(id).uid,
-                        self.pool.get(id).lg_data.map_or(0, |d| d.seq.raw() as u64),
-                        id.index()
-                    );
-                    self.sw_tx.rx_corrupt(PORT_LINK);
-                    self.pool.release(id);
-                }
-            }
-            (Side::Tx, _) => {
-                // toward host0
-                let delay = Duration::from_ns(100) + self.cfg.host_stack_delay;
-                self.q.schedule_after(delay, Ev::HostArrive { host: 0, id });
-            }
-            (Side::Rx, _) => {
-                let delay = Duration::from_ns(100) + self.cfg.host_stack_delay;
-                self.q.schedule_after(delay, Ev::HostArrive { host: 1, id });
-            }
+    fn deliver_from_port(&mut self, side: Side, id: PktId, now: Time) {
+        // forward over the corrupting link, back over the reverse one
+        let (link, peer, peer_sw) = match side {
+            Side::Tx => (&mut self.fwd_link, Side::Rx, &mut self.sw_rx),
+            Side::Rx => (&mut self.rev_link, Side::Tx, &mut self.sw_tx),
+        };
+        if link.deliver() {
+            let ev = Ev::WireArrive {
+                side: peer,
+                from_link: true,
+                id,
+            };
+            self.q.schedule_after(link.propagation(), ev);
+        } else {
+            lg_trace!(
+                Level::Pkt,
+                Comp::Link,
+                Kind::CorruptDrop,
+                side as u16,
+                now.as_ps(),
+                self.pool.get(id).uid,
+                self.pool.get(id).lg_data.map_or(0, |d| d.seq.raw() as u64),
+                id.index()
+            );
+            peer_sw.rx_corrupt(PORT_LINK);
+            self.pool.release(id);
         }
-        let _ = now;
+    }
+
+    /// Send a tenant packet through `side`'s pipeline to its egress
+    /// port. A host-facing port is computed: the frame goes straight to
+    /// the one `HostArrive` that ends the hop.
+    fn forward(&mut self, side: Side, id: PktId, now: Time) {
+        let pkt = self.pool.get(id);
+        let (dst, ser) = (pkt.dst, self.cfg.speed.serialize(pkt.wire_len()));
+        let sw = match side {
+            Side::Tx => &mut self.sw_tx,
+            Side::Rx => &mut self.sw_rx,
+        };
+        let port = sw.route(dst).expect("route");
+        let arrive = now + sw.pipeline_latency;
+        if port != PORT_HOST {
+            let ev = Ev::PortEnqueue {
+                side,
+                port,
+                class: Class::Normal,
+                id,
+            };
+            self.q.schedule_at(arrive, ev);
+            return;
+        }
+        let counters = sw.counters_mut(port);
+        let link = &mut self.host_ports[side as usize];
+        if let Some(done) = link.enqueue(now, arrive, ser, id, &mut self.pool, counters) {
+            let at = done + Duration::from_ns(100) + self.cfg.host_stack_delay;
+            let host = side as usize;
+            self.q.schedule_at(at, Ev::HostArrive { host, id });
+        }
     }
 
     // ----------------------------------------------------- switch ingress
@@ -1373,22 +1368,12 @@ impl World {
     /// sender (ACK/notification/pause absorption) and route any surviving
     /// tenant packet onward.
     fn forward_sender_rx(&mut self, id: PktId, now: Time) {
-        let pipeline = self.sw_tx.pipeline_latency;
         let mut actions = std::mem::take(&mut self.tx_scratch);
         let fwd = self
             .lg_tx
             .on_reverse_rx(id, now, &mut self.pool, &mut actions);
         if let Some(p) = fwd {
-            let port = self.sw_tx.route(self.pool.get(p).dst).expect("route");
-            self.q.schedule_after(
-                pipeline,
-                Ev::PortEnqueue {
-                    side: Side::Tx,
-                    port,
-                    class: Class::Normal,
-                    id: p,
-                },
-            );
+            self.forward(Side::Tx, p, now);
         }
         self.apply_sender_actions(&actions, LgInstance::Forward, now);
         actions.clear();
@@ -1399,35 +1384,14 @@ impl World {
     /// to the reverse-instance sender and route any surviving tenant
     /// packet onward.
     fn reverse_sender_rx(&mut self, id: PktId, now: Time) {
-        let pipeline = self.sw_rx.pipeline_latency;
-        if self.lg2_tx.is_none() {
+        let Some(t) = self.lg2_tx.as_mut() else {
             // Unidirectional: forward deliveries route directly.
-            let port = self.sw_rx.route(self.pool.get(id).dst).expect("route");
-            self.q.schedule_after(
-                pipeline,
-                Ev::PortEnqueue {
-                    side: Side::Rx,
-                    port,
-                    class: Class::Normal,
-                    id,
-                },
-            );
-            return;
-        }
+            return self.forward(Side::Rx, id, now);
+        };
         let mut actions = std::mem::take(&mut self.tx_scratch);
-        let t = self.lg2_tx.as_mut().expect("checked");
         let fwd = t.on_reverse_rx(id, now, &mut self.pool, &mut actions);
         if let Some(p) = fwd {
-            let port = self.sw_rx.route(self.pool.get(p).dst).expect("route");
-            self.q.schedule_after(
-                pipeline,
-                Ev::PortEnqueue {
-                    side: Side::Rx,
-                    port,
-                    class: Class::Normal,
-                    id: p,
-                },
-            );
+            self.forward(Side::Rx, p, now);
         }
         self.apply_sender_actions(&actions, LgInstance::Reverse, now);
         actions.clear();
@@ -1535,55 +1499,9 @@ impl World {
             id.index()
         );
         let mut actions = std::mem::take(&mut self.transport_scratch);
-        let mut reply: Option<Packet> = None;
-        let mut rx_bytes: u64 = 0;
-        let payload_len = self.pool.get(id).payload_len() as u64;
-        {
-            let pkt = self.pool.get(id);
-            let h = &mut self.hosts[host];
-            match &pkt.payload {
-                Payload::Tcp(seg) => {
-                    if seg.payload_len > 0 {
-                        // Data segment → receiver. Stale segments from an
-                        // earlier trial carry an older flow id: dropped.
-                        if let Some(rx) = h.tcp_rx.as_mut() {
-                            if rx.flow() == seg.flow {
-                                rx_bytes = seg.payload_len as u64;
-                                reply = Some(rx.on_data(seg, pkt.ecn, now));
-                            }
-                        }
-                    } else if let Some(tx) = h.tcp_tx.as_mut() {
-                        if tx.flow() == seg.flow {
-                            tx.on_ack_into(seg, now, &mut actions);
-                        }
-                    }
-                }
-                Payload::Rdma(seg) => {
-                    if let Some(rx) = h.rdma_rx.as_mut() {
-                        if rx.flow() == seg.flow {
-                            rx_bytes = seg.payload_len as u64;
-                            reply = rx.on_data(seg, now);
-                        }
-                    }
-                }
-                Payload::RdmaAck(ack) => {
-                    // A straggler ACK/NAK from an earlier trial must not
-                    // touch the current queue pair's window.
-                    if let Some(tx) = h.rdma_tx.as_mut() {
-                        if tx.flow() == ack.flow {
-                            tx.on_ack_into(ack, now, &mut actions);
-                        }
-                    }
-                }
-                Payload::Udp(_) | Payload::Raw => {
-                    h.stress_rx_frames += 1;
-                    h.stress_rx_wire_bytes += pkt.wire_len() as u64;
-                    rx_bytes = pkt.payload_len() as u64;
-                }
-                Payload::Lg(_) => {}
-            }
-            h.payload_rx_bytes += rx_bytes;
-        }
+        let pkt = self.pool.get(id);
+        let payload_len = pkt.payload_len() as u64;
+        let reply = self.hosts[host].on_frame(pkt, now, &mut actions);
         // the frame terminates at the host: its pool slot is done
         self.pool.release(id);
         if let Some(m) = self.probes.goodput.as_mut() {
@@ -1629,7 +1547,10 @@ impl World {
                     self.host_send(host, pkt);
                 }
                 TransportAction::WakeAt { deadline } => {
-                    self.q.schedule_at(deadline.max(now), Ev::HostWake { host });
+                    let at = deadline.max(now);
+                    if self.hosts[host].request_wake(at) {
+                        self.q.schedule_at(at, Ev::HostWake { host });
+                    }
                 }
                 TransportAction::Complete {
                     started, completed, ..
@@ -1644,34 +1565,17 @@ impl World {
     /// Host-generated packets enter the pool here (the transport state
     /// machines build owned `Packet`s; the event loop only moves handles).
     fn host_send(&mut self, host: usize, pkt: Packet) {
+        let (dst, ser) = (pkt.dst, self.cfg.speed.serialize(pkt.wire_len()));
         let id = self.pool.insert(pkt);
-        self.hosts[host].nic_queue.push_back(id);
-        self.kick_host(host);
-    }
-
-    fn kick_host(&mut self, host: usize) {
-        if self.hosts[host].busy {
-            return;
-        }
-        let Some(id) = self.hosts[host].nic_queue.pop_front() else {
-            return;
-        };
-        self.hosts[host].busy = true;
-        let (wire_len, dst) = {
-            let pkt = self.pool.get(id);
-            (pkt.wire_len(), pkt.dst)
-        };
-        let ser = self.cfg.speed.serialize(wire_len);
-        // frame reaches the switch after stack delay + serialization + prop
+        let sent = self.hosts[host].nic.depart(self.q.now(), ser);
+        // the frame reaches the switch after stack delay + serialization
+        // + propagation, and its egress queue one pipeline later
         let side = if host == 0 { Side::Tx } else { Side::Rx };
-        let arrive = self.cfg.host_stack_delay + ser + Duration::from_ns(100);
-        let pipeline = self.switch_mut(side).pipeline_latency;
-        let port = match side {
-            Side::Tx => self.sw_tx.route(dst).expect("route"),
-            Side::Rx => self.sw_rx.route(dst).expect("route"),
-        };
-        self.q.schedule_after(
-            arrive + pipeline,
+        let sw = self.switch_mut(side);
+        let port = sw.route(dst).expect("route");
+        let pipeline = sw.pipeline_latency;
+        self.q.schedule_at(
+            sent + self.cfg.host_stack_delay + Duration::from_ns(100) + pipeline,
             Ev::PortEnqueue {
                 side,
                 port,
@@ -1679,7 +1583,6 @@ impl World {
                 id,
             },
         );
-        self.q.schedule_after(ser, Ev::HostTxDone { host });
     }
 
     // ----------------------------------------------------------- trials
@@ -1697,21 +1600,7 @@ impl World {
                 variant, msg_len, ..
             } => {
                 self.hosts[1].tcp_rx = Some(TcpReceiver::new(flow, HOST1, HOST0));
-                let old = self.hosts[0]
-                    .tcp_spent
-                    .take()
-                    .or_else(|| self.hosts[0].tcp_tx.take());
-                let mut tx = TcpSender::renew(
-                    old,
-                    TcpConfig::default(),
-                    variant,
-                    flow,
-                    HOST0,
-                    HOST1,
-                    msg_len,
-                );
-                tx.start_into(now, &mut actions);
-                self.hosts[0].tcp_tx = Some(tx);
+                self.hosts[0].start_tcp(HOST1, flow, variant, msg_len, now, &mut actions);
                 self.apply_transport_actions(0, &mut actions, now);
             }
             App::RdmaTrials {
@@ -1746,21 +1635,7 @@ impl World {
                     return;
                 }
                 self.hosts[1].tcp_rx = Some(TcpReceiver::new(flow, HOST1, HOST0));
-                let old = self.hosts[0]
-                    .tcp_spent
-                    .take()
-                    .or_else(|| self.hosts[0].tcp_tx.take());
-                let mut tx = TcpSender::renew(
-                    old,
-                    TcpConfig::default(),
-                    variant,
-                    flow,
-                    HOST0,
-                    HOST1,
-                    chunk,
-                );
-                tx.start_into(now, &mut actions);
-                self.hosts[0].tcp_tx = Some(tx);
+                self.hosts[0].start_tcp(HOST1, flow, variant, chunk, now, &mut actions);
                 self.apply_transport_actions(0, &mut actions, now);
             }
         }

@@ -238,6 +238,33 @@ fn bidirectional_run_matches_fixture() {
     check_fixture("golden_bidir.txt", &dump);
 }
 
+/// Each host keeps one live pending wake-up instead of one per armed
+/// timer, so wake events track trials plus real timer expirations (each
+/// ACK used to leave a stale ≈1 ms wake behind: 17 per trial on this
+/// run) — while every RTO/TLP still fires at its pinned instant. The
+/// quarter of slack covers the wakes a *sooner* deadline supersedes
+/// (they still pop, as no-ops) and each host's final-clock wake.
+#[test]
+fn wakes_are_coalesced_and_timers_fire_on_time() {
+    let s = scout(World::new(lossy_cfg()));
+    let due = LOSSY_TRIALS as u64 + s.timer_sends.len() as u64;
+    assert!(
+        s.host_wakes * 4 <= due * 5,
+        "{} host_wake events for {LOSSY_TRIALS} trials and {} timer expirations",
+        s.host_wakes,
+        s.timer_sends.len()
+    );
+    let path = format!("{}/tests/golden_lossy.txt", env!("CARGO_MANIFEST_DIR"));
+    let pinned: Vec<u64> = std::fs::read_to_string(path)
+        .expect("fixture present")
+        .lines()
+        .filter_map(|l| l.strip_prefix("timer@"))
+        .map(|t| t.parse().expect("picoseconds"))
+        .collect();
+    let fired: Vec<u64> = s.timer_sends.iter().map(|t| t.as_ps()).collect();
+    assert_eq!(fired, pinned);
+}
+
 /// The same messages over a protected 100 G link: recovered frames
 /// leave the reordering buffer in bursts, so `sw_rx`'s host port queues
 /// (at 100 G a frame serializes faster than the pipeline hands the next

@@ -268,6 +268,11 @@ impl RdmaRequester {
         }
     }
 
+    /// The armed RTO deadline, if any (see `TcpSender::next_deadline`).
+    pub fn next_deadline(&self) -> Option<Time> {
+        self.rto_at
+    }
+
     /// Whether the WRITE completed.
     pub fn is_complete(&self) -> bool {
         self.completed

@@ -603,6 +603,12 @@ impl TcpSender {
         }
     }
 
+    /// The earliest armed timer deadline (TLP or RTO), if any: what a
+    /// host keeping a single pending wake-up re-arms from.
+    pub fn next_deadline(&self) -> Option<Time> {
+        [self.tlp_at, self.rto_at].into_iter().flatten().min()
+    }
+
     /// Whether the message completed.
     pub fn is_complete(&self) -> bool {
         self.completed
@@ -695,6 +701,23 @@ mod tests {
         assert!(actions
             .iter()
             .any(|a| matches!(a, TransportAction::WakeAt { .. })));
+    }
+
+    #[test]
+    fn next_deadline_is_the_armed_timer_and_clears_on_completion() {
+        let mut s = sender(143);
+        assert_eq!(s.next_deadline(), None, "nothing armed before start");
+        let wake = |a: &[TransportAction]| {
+            a.iter().find_map(|x| match x {
+                TransportAction::WakeAt { deadline } => Some(*deadline),
+                _ => None,
+            })
+        };
+        let a = s.start(Time::ZERO);
+        assert_eq!(s.next_deadline(), wake(&a), "the deadline it asked for");
+        assert_eq!(s.next_deadline(), s.tlp_at, "tail outstanding: the probe");
+        s.on_ack(&ack(143, vec![], false), Time::from_us(30));
+        assert_eq!(s.next_deadline(), None, "completed: nothing to wake for");
     }
 
     #[test]
