@@ -23,6 +23,16 @@
 //! dropped and re-injected at its source after an RTO (policy
 //! [`PktPolicy::None`], the paper's end-to-end baseline).
 //!
+//! Only corrupting cells are *simulated* (`Arrive` → FIFO → `TxDone`):
+//! their service draws a loss and may stall on a recovery. A healthy
+//! cell is one FIFO of equal frames with nothing decided at service
+//! time, so `on_arrive` serves it in closed form — `depart = max(now,
+//! free_at) + ser`, one queue event per frame-hop instead of two — and
+//! a new flow's frames reach their first hop as one `Burst` event.
+//! Occupancy, cap, budget, trace and completion instants are exactly
+//! the simulated cell's (DESIGN.md §20): only [`PktTotals::events`]
+//! can tell the two apart.
+//!
 //! ## Determinism across shard layouts
 //!
 //! Byte-identical output at any `--shards`/`--threads` requires more
@@ -32,8 +42,9 @@
 //! * every RNG is seeded from the master seed and a *global* id (link
 //!   or generator), never from shard-local state;
 //! * every handler schedules strictly into the future (serialization,
-//!   hop latency, recovery delay and RTO are all positive), so a tick's
-//!   event set is closed before it runs;
+//!   hop latency, recovery delay and RTO are all positive — a frame
+//!   that serializes in 0 ps is rejected up front), so a tick's event
+//!   set is closed before it runs;
 //! * each shard drains a whole tick and sorts it by the
 //!   layout-invariant key `(global link, kind, frame)` before
 //!   dispatching, so queue insertion order (which *does* depend on the
@@ -69,7 +80,8 @@
 //!   (`denials == 0`), keeping output byte-identical across layouts
 //!   while still enforcing the bound.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use lg_obs::trace::{Comp, Kind, TraceRecord, TraceRing, DEFAULT_RING_CAP};
 use lg_obs::{postmortem, HealthConfig, HealthEstimator, HealthEvent, MemBudget};
@@ -281,6 +293,12 @@ impl PktFabricConfig {
             self.mean_flow_frames
         );
         assert!(self.frame_bytes > 0);
+        assert!(
+            self.speed.bps() > 0 && self.speed.serialize(self.frame_bytes as u64).as_ps() > 0,
+            "a {} B frame must take at least 1 ps to serialize at {} b/s (closed-tick rule)",
+            self.frame_bytes,
+            self.speed.bps()
+        );
         assert!((0.0..=1.0).contains(&self.cross_pod));
         assert!((0.0..=1.0).contains(&self.corrupting_fraction));
         assert!(
@@ -311,8 +329,6 @@ struct Frame {
     n_hops: u8,
     /// Frames in the flow (destination-side completion count).
     frames: u16,
-    /// Frame size in bytes.
-    bytes: u16,
     /// The frame has already hit a trace-worthy event (drop, recovery,
     /// admission refusal), so its eventual delivery is traced too —
     /// completing the postmortem span while keeping trace volume
@@ -321,11 +337,12 @@ struct Frame {
     traced: bool,
 }
 
-/// "No frame" in the intrusive cell FIFOs.
+/// "No frame" in the intrusive slot chains.
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: a frame plus the link that threads it into the FIFO
-/// of the cell it is queued at.
+/// One slab slot: a frame plus the link that threads it into the chain
+/// it is waiting in — its flow's burst on the way to the first hop,
+/// then the FIFO of the corrupting cell it is queued at.
 struct Slot {
     frame: Frame,
     next: u32,
@@ -343,8 +360,8 @@ struct FrameSlab {
 }
 
 impl FrameSlab {
-    fn insert(&mut self, frame: Frame) -> u32 {
-        let slot = Slot { frame, next: NIL };
+    fn insert(&mut self, frame: Frame, next: u32) -> u32 {
+        let slot = Slot { frame, next };
         if let Some(id) = self.free.pop() {
             self.slots[id as usize] = slot;
             id
@@ -367,10 +384,13 @@ impl FrameSlab {
 enum PEv {
     /// Telemetry snapshot `sample_idx` of every local corrupting cell.
     Sample { idx: u32 },
-    /// The cell finished serializing its head frame.
+    /// The corrupting cell finished serializing its head frame.
     TxDone { link: u32 },
     /// The frame in slab slot `frame` reaches the ingress of `hops[hop]`.
     Arrive { frame: u32 },
+    /// A new flow's frames — the slot chain from `head` — reach their
+    /// first hop: what one `Arrive` per frame would do, in one event.
+    Burst { head: u32 },
     /// Generator `gen` (global id) emits a flow and reschedules itself.
     FlowStart { gen: u32 },
 }
@@ -379,11 +399,13 @@ enum PEv {
 /// global-link order; within a cell the serializer completion runs
 /// before new arrivals; unique frame keys break remaining ties.
 /// `Sample` sorts first so snapshots never observe same-instant work.
+/// A `Burst` sorts as its head frame's arrival: a flow's keys are
+/// consecutive, so nothing can sort between its frames.
 fn canon_key(frames: &FrameSlab, ev: &PEv) -> (u32, u8, u64) {
     match *ev {
         PEv::Sample { idx } => (0, 0, idx as u64),
         PEv::TxDone { link } => (link, 1, 0),
-        PEv::Arrive { frame } => {
+        PEv::Arrive { frame } | PEv::Burst { head: frame } => {
             let f = &frames.slots[frame as usize].frame;
             (f.hops[f.hop as usize], 2, f.key)
         }
@@ -399,9 +421,10 @@ pub struct PktMsg {
 }
 
 /// One egress cell (link direction pair collapsed to a single queue):
-/// the part every frame-hop touches, one cache line. The FIFO is
-/// intrusive — `head`/`tail` are slab slot ids chained through
-/// [`Slot::next`].
+/// the part every frame-hop touches, one cache line. A healthy cell
+/// (`loss == 0`) is only `free_at` and its counters; a corrupting one is
+/// a real queue whose FIFO is intrusive — `head`/`tail` are slab slot
+/// ids chained through [`Slot::next`].
 #[derive(Debug)]
 #[repr(align(64))]
 struct Cell {
@@ -415,6 +438,9 @@ struct Cell {
     loss: f64,
     tx_frames: u64,
     overflow_drops: u64,
+    /// Healthy cells: the instant the serializer has sent everything
+    /// admitted so far.
+    free_at: Time,
 }
 
 /// The part of a cell only a corrupting link (`loss > 0`) ever touches,
@@ -463,7 +489,9 @@ pub struct TelemetryRow {
 /// Whole-run totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PktTotals {
-    /// Events executed across all shards.
+    /// Queue events executed across all shards (`Sample` excluded): a
+    /// count of the engine's mechanics, not of the fabric — a frame-hop
+    /// costs two at a corrupting cell, one at a healthy one.
     pub events: u64,
     /// Flows generated.
     pub flows: u64,
@@ -638,7 +666,8 @@ struct FlowGen {
 struct Shared {
     geom: PodGeom,
     map: PartitionMap,
-    speed: Rate,
+    /// Serialization time of one frame (every frame is `frame_bytes`).
+    ser: Duration,
     hop_latency: Duration,
     horizon: Time,
     mean_interarrival: Duration,
@@ -652,6 +681,17 @@ struct Shared {
     samples: u32,
     cell_cap: u32,
     retain_fct: bool,
+    /// Serve every cell through the event-driven path.
+    #[cfg(test)]
+    all_eventful: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fabrics built on this thread while set treat every cell as
+    /// corrupting cells are treated: the reference the differential
+    /// tests hold the computed cells to.
+    static ALL_EVENTFUL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// One shard of the packet-level fabric: the cells and generators of
@@ -682,6 +722,9 @@ pub struct FabricShard {
     gen_slab: Vec<u32>,
     /// Per-shard egress-buffer quota (None = unbounded).
     budget: Option<MemBudget>,
+    /// `(departure ps, global link)` of every frame a healthy cell has
+    /// admitted and not yet released to `budget` (empty without one).
+    departures: BinaryHeap<Reverse<(u64, u32)>>,
     /// Delivered-frame counts of flows terminating in this shard
     /// (O(in-flight flows), drained as flows complete).
     delivered: HashMap<u64, u16>,
@@ -762,10 +805,8 @@ impl FabricShard {
             return;
         }
         cell.busy = true;
-        let bytes = self.frames.slots[cell.head as usize].frame.bytes;
-        let ser = self.shared.speed.serialize(bytes as u64);
         self.q
-            .schedule_at(now + ser, PEv::TxDone { link: cell.global });
+            .schedule_at(now + self.shared.ser, PEv::TxDone { link: cell.global });
     }
 
     /// A dropped frame goes back to its source: re-injected at its
@@ -782,21 +823,56 @@ impl FabricShard {
     /// the store), then enqueue — or drop-tail and re-inject at the
     /// source after the RTO. Congestion loss surfaces to the transport
     /// under both policies; LinkGuardian only masks corruption.
+    ///
+    /// An admitted frame's departure from a healthy cell is known here,
+    /// so the cell is served in closed form: no FIFO, no `TxDone`. A
+    /// corrupting cell decides at service time and stays a queue.
     fn on_arrive(&mut self, id: u32, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
         let frame = &self.frames.slots[id as usize].frame;
         let link = frame.hops[frame.hop as usize];
         let local = self.local_cell(link);
-        let cap = self.shared.cell_cap;
+        let (cap, ser) = (self.shared.cell_cap, self.shared.ser);
+        let bytes = self.shared.frame_bytes as u64;
         let cell = &mut self.cells[local as usize];
-        let admitted = (cap == 0 || cell.len < cap)
-            && self
-                .budget
-                .as_ref()
-                .is_none_or(|b| b.try_charge(frame.bytes as u64));
+        let computed = cell.loss == 0.0;
+        #[cfg(test)]
+        let computed = computed && !self.shared.all_eventful;
+        if let Some(b) = &self.budget {
+            // Healthy cells' departures the canonical tick order runs
+            // before this arrival: earlier instants, and at this instant
+            // the cells up to this one (`TxDone` sorts before `Arrive`).
+            let upto = (now.as_ps(), link);
+            while self.departures.peek().is_some_and(|d| d.0 <= upto) {
+                self.departures.pop();
+                b.release(bytes);
+            }
+        }
+        // Frames still here — departing strictly after `now`, a cell's
+        // completion sorting before its arrivals — in a gap-free busy
+        // period of equal frames.
+        let len = if computed {
+            let backlog = cell.free_at.saturating_since(now).as_ps();
+            backlog.div_ceil(ser.as_ps()) as u32
+        } else {
+            cell.len
+        };
+        let admitted =
+            (cap == 0 || len < cap) && self.budget.as_ref().is_none_or(|b| b.try_charge(bytes));
         if !admitted {
             cell.overflow_drops += 1;
             self.trace(Kind::RxOverflow, id, link, now);
             self.reinject(id, now, out);
+            return;
+        }
+        cell.queue_hwm = cell.queue_hwm.max(len + 1);
+        if computed {
+            let depart = cell.free_at.max(now) + ser;
+            cell.free_at = depart;
+            cell.tx_frames += 1;
+            if self.budget.is_some() {
+                self.departures.push(Reverse((depart.as_ps(), link)));
+            }
+            self.forward(id, link, depart, out);
             return;
         }
         self.frames.slots[id as usize].next = NIL;
@@ -806,9 +882,24 @@ impl FabricShard {
             self.frames.slots[cell.tail as usize].next = id;
         }
         cell.tail = id;
-        cell.len += 1;
-        cell.queue_hwm = cell.queue_hwm.max(cell.len);
+        cell.len = len + 1;
         self.kick(local, now);
+    }
+
+    /// The frame in slot `id` left `link` cleanly at `at`: on to the
+    /// next hop, or delivered.
+    fn forward(&mut self, id: u32, link: u32, at: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
+        let frame = &mut self.frames.slots[id as usize].frame;
+        if frame.hop + 1 == frame.n_hops {
+            if frame.traced {
+                self.trace(Kind::Deliver, id, link, at);
+            }
+            let frame = self.frames.remove(id);
+            self.on_delivered(&frame, at);
+        } else {
+            frame.hop += 1;
+            self.route(id, at + self.shared.hop_latency, out);
+        }
     }
 
     fn on_tx_done(&mut self, link: u32, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
@@ -822,19 +913,17 @@ impl FabricShard {
             // the link stays busy through the NACK turnaround plus the
             // repeat serialization. The loss never surfaces.
             self.cell_loss[local].recoveries += 1;
-            let head = &mut self.frames.slots[id as usize].frame;
-            head.traced = true;
-            let delay = self.shared.lg_recovery + self.shared.speed.serialize(head.bytes as u64);
+            self.frames.slots[id as usize].frame.traced = true;
+            let delay = self.shared.lg_recovery + self.shared.ser;
             self.trace(Kind::Recovered, id, link, now);
             self.q.schedule_at(now + delay, PEv::TxDone { link });
             return;
         }
-        let slot = &self.frames.slots[id as usize];
-        cell.head = slot.next;
+        cell.head = self.frames.slots[id as usize].next;
         cell.len -= 1;
         cell.busy = false;
         if let Some(b) = &self.budget {
-            b.release(slot.frame.bytes as u64);
+            b.release(self.shared.frame_bytes as u64);
         }
         if corrupted {
             // End-to-end recovery: drop, and the source re-injects after
@@ -846,16 +935,7 @@ impl FabricShard {
             self.reinject(id, now, out);
         } else {
             cell.tx_frames += 1;
-            if slot.frame.hop + 1 == slot.frame.n_hops {
-                if slot.frame.traced {
-                    self.trace(Kind::Deliver, id, link, now);
-                }
-                let frame = self.frames.remove(id);
-                self.on_delivered(&frame, now);
-            } else {
-                self.frames.slots[id as usize].frame.hop += 1;
-                self.route(id, now + self.shared.hop_latency, out);
-            }
+            self.forward(id, link, now, out);
         }
         self.kick(local as u32, now);
     }
@@ -878,7 +958,7 @@ impl FabricShard {
         }
     }
 
-    fn on_flow_start(&mut self, gen_global: u32, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
+    fn on_flow_start(&mut self, gen_global: u32, now: Time) {
         let s = std::sync::Arc::clone(&self.shared);
         let local = self.gen_slab[(gen_global - self.span_base) as usize] as usize;
         let g = &mut self.gens[local];
@@ -920,22 +1000,25 @@ impl FabricShard {
         g.flows += 1;
         assert!(g.flows < 1 << 24, "flow counter overflow");
         self.flows += 1;
-        for i in 0..frames {
-            let id = self.frames.insert(Frame {
-                key: (flow << 8) | i as u64,
-                start: now,
-                hops,
-                hop: 0,
-                n_hops,
-                frames,
-                bytes: s.frame_bytes,
-                traced: false,
-            });
-            // The first hop is always local (generators live with their
-            // first-hop link), so this never reaches the outbox — but
-            // route() keeps the invariant checkable in one place.
-            self.route(id, now + s.hop_latency, out);
+        // The first hop is always local (generators live with their
+        // first-hop link), so the whole burst is one local event.
+        debug_assert_eq!(s.map.shard_of(g.id), self.id);
+        let mut head = NIL;
+        for i in (0..frames).rev() {
+            head = self.frames.insert(
+                Frame {
+                    key: (flow << 8) | i as u64,
+                    start: now,
+                    hops,
+                    hop: 0,
+                    n_hops,
+                    frames,
+                    traced: false,
+                },
+                head,
+            );
         }
+        self.q.schedule_at(now + s.hop_latency, PEv::Burst { head });
         let g = &mut self.gens[local];
         let gap = Duration::from_ps((g.rng.exp(s.mean_interarrival.as_ps() as f64) as u64).max(1));
         let next = now + gap;
@@ -981,7 +1064,16 @@ impl FabricShard {
             PEv::Sample { idx } => self.on_sample(idx),
             PEv::TxDone { link } => self.on_tx_done(link, now, out),
             PEv::Arrive { frame } => self.on_arrive(frame, now, out),
-            PEv::FlowStart { gen } => self.on_flow_start(gen, now, out),
+            PEv::Burst { mut head } => {
+                while head != NIL {
+                    // Read the link first: `on_arrive` may free the
+                    // slot or thread it into a FIFO.
+                    let next = self.frames.slots[head as usize].next;
+                    self.on_arrive(head, now, out);
+                    head = next;
+                }
+            }
+            PEv::FlowStart { gen } => self.on_flow_start(gen, now),
         }
     }
 
@@ -1002,7 +1094,7 @@ impl FabricShard {
         let kind = match &ev {
             PEv::Sample { .. } => 0,
             PEv::TxDone { .. } => 1,
-            PEv::Arrive { .. } => 2,
+            PEv::Arrive { .. } | PEv::Burst { .. } => 2,
             PEv::FlowStart { .. } => 3,
         };
         let t0 = std::time::Instant::now();
@@ -1063,7 +1155,7 @@ impl ShardWorld for FabricShard {
     }
 
     fn inject(&mut self, msg: ShardMsg<PktMsg>) {
-        let frame = self.frames.insert(msg.payload.frame);
+        let frame = self.frames.insert(msg.payload.frame, NIL);
         self.q.schedule_at(msg.at, PEv::Arrive { frame });
     }
 }
@@ -1085,11 +1177,12 @@ impl PktFabric {
         cfg.validate();
         let part: Partition = partition(&cfg.geom, cfg.shards);
         let n_links = cfg.geom.n_links();
-        let samples = (cfg.horizon.as_ps() / cfg.sample_interval.as_ps()) as u32;
+        let samples = u32::try_from(cfg.horizon.as_ps() / cfg.sample_interval.as_ps())
+            .expect("horizon / sample_interval must fit in u32 snapshots: raise sample_interval");
         let shared = std::sync::Arc::new(Shared {
             geom: cfg.geom,
             map: part.map,
-            speed: cfg.speed,
+            ser: cfg.speed.serialize(cfg.frame_bytes as u64),
             hop_latency: cfg.hop_latency,
             horizon: cfg.horizon,
             mean_interarrival: cfg.mean_interarrival,
@@ -1103,6 +1196,8 @@ impl PktFabric {
             samples,
             cell_cap: cfg.cell_cap_frames,
             retain_fct: cfg.retain_fct,
+            #[cfg(test)]
+            all_eventful: ALL_EVENTFUL.get(),
         });
 
         // Pod spans: every granularity assigns each shard a contiguous
@@ -1134,6 +1229,7 @@ impl PktFabric {
                     gen_slab: vec![u32::MAX; (hi - lo + 1) as usize],
                     budget: (cfg.mem_bytes_per_link > 0)
                         .then(|| MemBudget::new(cfg.mem_bytes_per_link * n_local as u64)),
+                    departures: BinaryHeap::new(),
                     delivered: HashMap::new(),
                     fct_stream: FctStream::new(cfg.fct_tail_k),
                     fct: Vec::new(),
@@ -1183,6 +1279,7 @@ impl PktFabric {
                 loss,
                 tx_frames: 0,
                 overflow_drops: 0,
+                free_at: Time::ZERO,
             });
             shard.cell_loss.push(CellLoss {
                 rng: Rng::new(mix_seed(cfg.seed, 2, link as u64)),
@@ -1216,6 +1313,15 @@ impl PktFabric {
                         shard.q.schedule_at(at, PEv::FlowStart { gen: id });
                     }
                 }
+            }
+        }
+
+        // Retained FCTs: one row per flow, sized up front from the
+        // shard's own generators (+1/16) so the vector never doubles.
+        if cfg.retain_fct {
+            let per_gen = (cfg.horizon.as_ps() / cfg.mean_interarrival.as_ps() + 1) as usize;
+            for shard in shards.iter_mut() {
+                shard.fct.reserve(shard.gens.len() * per_gen * 17 / 16);
             }
         }
 
@@ -1258,10 +1364,12 @@ impl PktFabric {
 
     /// Merge the shards' accumulators into the sorted, layout-invariant
     /// result.
-    pub fn collect(self, stats: ShardStats) -> PktFabricResult {
-        let mut fct = Vec::new();
+    pub fn collect(mut self, stats: ShardStats) -> PktFabricResult {
+        // The first shard's rows are moved, not copied: a second buffer
+        // the size of the result is what peak RSS would measure.
+        let mut fct = std::mem::take(&mut self.shards[0].fct);
         let mut links = Vec::new();
-        let mut telemetry = Vec::new();
+        let mut telemetry = std::mem::take(&mut self.shards[0].telemetry);
         let mut stream: Option<FctStream> = None;
         let mut mem = MemStats::default();
         let mut trace_logs = Vec::new();
@@ -1461,6 +1569,27 @@ mod tests {
     fn nan_mean_flow_frames_is_rejected_up_front() {
         let mut cfg = tiny(PktPolicy::LinkGuardian);
         cfg.mean_flow_frames = f64::NAN;
+        PktFabric::new(&cfg);
+    }
+
+    /// Rule 2 of the module docs: 1 B above 8 Tb/s serializes in 0 ps,
+    /// which would file a `TxDone` at the current instant (and divide
+    /// an occupancy by zero).
+    #[test]
+    #[should_panic(expected = "must take at least 1 ps to serialize")]
+    fn zero_serialization_time_is_rejected_up_front() {
+        let mut cfg = tiny(PktPolicy::LinkGuardian);
+        cfg.frame_bytes = 1;
+        cfg.speed = Rate::from_bps(8_000_000_000_001);
+        PktFabric::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit in u32 snapshots")]
+    fn snapshot_count_past_u32_is_rejected_up_front() {
+        let mut cfg = tiny(PktPolicy::LinkGuardian);
+        cfg.horizon = Time::from_ms(5);
+        cfg.sample_interval = Duration::from_ps(1);
         PktFabric::new(&cfg);
     }
 
@@ -1665,5 +1794,292 @@ mod tests {
         assert!(stats.messages > 0, "cross-pod traffic must cross shards");
         let r = fabric.collect(stats);
         assert!(r.cut_edges > 0);
+    }
+
+    // ---- Computed cells against simulated cells --------------------
+    //
+    // Healthy cells are served in closed form; corrupting cells by the
+    // `Arrive` → FIFO → `TxDone` queue. `ALL_EVENTFUL` sends every cell
+    // through the queue, which makes the simulated cell the oracle of
+    // the computed one: everything but the event count must agree.
+
+    const S: u64 = 120_000; // 1500 B at 100G, ps
+    const H: u64 = 600_000; // hop latency, ps
+    const RTO: u64 = 1_000_000_000;
+    const T0: u64 = 1_000_000;
+
+    /// Run `cfg` (after `script` has filed its own arrivals into shard
+    /// 0) with healthy cells computed and again with every cell
+    /// simulated; check the two agree and return the computed result.
+    fn both(cfg: &PktFabricConfig, script: impl Fn(&mut FabricShard)) -> PktFabricResult {
+        let run = |simulated: bool| {
+            ALL_EVENTFUL.set(simulated);
+            let mut fabric = PktFabric::new(cfg);
+            ALL_EVENTFUL.set(false);
+            script(&mut fabric.shards[0]);
+            let stats = fabric.run();
+            fabric.collect(stats)
+        };
+        let (computed, simulated) = (run(false), run(true));
+        let sans_events = |t: PktTotals| PktTotals { events: 0, ..t };
+        assert_eq!(computed.fct, simulated.fct);
+        assert_eq!(computed.fct_digest, simulated.fct_digest);
+        assert_eq!(computed.links, simulated.links);
+        assert_eq!(computed.telemetry, simulated.telemetry);
+        assert_eq!(sans_events(computed.totals), sans_events(simulated.totals));
+        assert_eq!(computed.trace, simulated.trace);
+        assert_eq!(computed.health, simulated.health);
+        assert_eq!(computed.mem, simulated.mem, "same layout, same budget");
+        assert_eq!(computed.stats.messages, simulated.stats.messages);
+        assert!(computed.totals.events <= simulated.totals.events);
+        computed
+    }
+
+    /// One pod, two ToRs, one fabric switch: link 0 (ToR 0), link 1
+    /// (ToR 1), link 2 (the spine uplink), all healthy, no generator
+    /// ever firing — frames enter through the test's script only.
+    fn quiet() -> PktFabricConfig {
+        let mut cfg = PktFabricConfig::pod_scale(1);
+        cfg.geom = PodGeom {
+            pods: 1,
+            tors: 2,
+            fabrics: 1,
+            uplinks: 1,
+        };
+        cfg.horizon = Time::ZERO;
+        cfg.corrupting_fraction = 0.0;
+        cfg.telemetry.trace = true;
+        cfg
+    }
+
+    /// Frame `i` of the `n` of `flow`, routed over `hops`, started at
+    /// t = 0 — so a one-frame flow's FCT is its last departure plus `H`.
+    fn frame(flow: u64, i: u16, n: u16, hops: &[u32]) -> Frame {
+        let mut route = [u32::MAX; 4];
+        route[..hops.len()].copy_from_slice(hops);
+        Frame {
+            key: (flow << 8) | i as u64,
+            start: Time::ZERO,
+            hops: route,
+            hop: 0,
+            n_hops: hops.len() as u8,
+            frames: n,
+            traced: false,
+        }
+    }
+
+    /// `frame` reaches the ingress of its current hop at `at` ps, the
+    /// way a cross-shard handoff files it.
+    fn arrive(shard: &mut FabricShard, at: u64, frame: Frame) {
+        shard.inject(ShardMsg {
+            at: Time::from_ps(at),
+            seq: 0,
+            src_shard: 0,
+            dst_shard: 0,
+            payload: PktMsg { frame },
+        });
+    }
+
+    /// A one-frame flow whose only hop is `link`.
+    fn single(shard: &mut FabricShard, at: u64, flow: u64, link: u32) {
+        arrive(shard, at, frame(flow, 0, 1, &[link]));
+    }
+
+    /// The `n` frames of `flow` reach `hops[0]` at `at` ps as one
+    /// `Burst`, the way `on_flow_start` files them.
+    fn burst(shard: &mut FabricShard, at: u64, flow: u64, n: u16, hops: &[u32]) {
+        let mut head = NIL;
+        for i in (0..n).rev() {
+            head = shard.frames.insert(frame(flow, i, n, hops), head);
+        }
+        shard.q.schedule_at(Time::from_ps(at), PEv::Burst { head });
+    }
+
+    /// `TxDone` sorts before `Arrive` in a cell's tick: a frame arriving
+    /// at the picosecond the serializer frees finds the cell empty, one
+    /// arriving a picosecond earlier finds it occupied.
+    #[test]
+    fn arrival_as_the_serializer_frees_sees_an_empty_cell() {
+        let mut cfg = quiet();
+        cfg.cell_cap_frames = 1;
+        let r = both(&cfg, |sh| {
+            single(sh, T0, 1, 0);
+            single(sh, T0 + S, 2, 0);
+            single(sh, T0 + 2 * S - 1, 3, 0);
+        });
+        assert_eq!(
+            r.fct,
+            [
+                (1, T0 + S + H),
+                (2, T0 + 2 * S + H),
+                (3, T0 + 2 * S - 1 + RTO + S + H), // refused, back an RTO later
+            ]
+        );
+        let l = r.links[0];
+        assert_eq!((l.tx_frames, l.overflow_drops, l.queue_hwm), (3, 1, 1));
+    }
+
+    #[test]
+    fn cell_cap_binds_at_exactly_cap_frames() {
+        let mut cfg = quiet();
+        cfg.cell_cap_frames = 3;
+        let r = both(&cfg, |sh| {
+            for flow in 1..=4 {
+                single(sh, T0, flow, 0); // the fourth finds three
+            }
+            single(sh, T0 + S, 5, 0); // one gone: two left, admitted
+            single(sh, T0 + S + 1, 6, 0); // three again
+        });
+        assert_eq!(
+            r.fct,
+            [
+                (1, T0 + S + H),
+                (2, T0 + 2 * S + H),
+                (3, T0 + 3 * S + H),
+                (4, T0 + RTO + S + H),
+                (5, T0 + 4 * S + H),
+                (6, T0 + S + 1 + RTO + S + H),
+            ]
+        );
+        let l = r.links[0];
+        assert_eq!((l.tx_frames, l.overflow_drops, l.queue_hwm), (6, 2, 3));
+    }
+
+    /// A three-frame shard budget, full. A departure at the arrival's
+    /// own instant has released its bytes if it is in a lower-numbered
+    /// cell or the arrival's own (`TxDone` first), and has not if it is
+    /// in a higher-numbered one.
+    #[test]
+    fn budget_release_ties_break_by_link() {
+        let mut cfg = quiet();
+        cfg.mem_bytes_per_link = 1_500; // x 3 links
+        let t1 = 10 * T0;
+        let r = both(&cfg, |sh| {
+            single(sh, T0, 1, 0); // leaves link 0 at T0 + S
+            single(sh, T0, 2, 2); // leaves link 2 at T0 + S
+            single(sh, T0 + S / 2, 3, 1); // budget full
+            single(sh, T0 + S, 4, 1); // link 0's frame is out: admitted
+            single(sh, T0 + S, 5, 1); // link 2's is not yet: refused
+            for flow in 7..=9 {
+                single(sh, t1, flow, 1); // budget full again
+            }
+            single(sh, t1 + S, 10, 1); // flow 7 left this cell: admitted
+            single(sh, t1 + 2 * S, 11, 0); // flow 8 leaves link 1 > 0: refused
+        });
+        assert_eq!(r.mem.limit_bytes, 4_500);
+        assert_eq!(r.mem.hwm_bytes, 4_500);
+        assert_eq!(r.mem.denials, 2);
+        assert_eq!(r.links[0].overflow_drops, 1);
+        assert_eq!(r.links[1].overflow_drops, 1);
+        assert_eq!(r.links[2].overflow_drops, 0);
+        let fct = |flow: u64| r.fct.iter().find(|&&(f, _)| f == flow).unwrap().1;
+        assert_eq!(fct(4), T0 + S / 2 + 2 * S + H);
+        assert_eq!(fct(5), T0 + S + RTO + S + H);
+        assert_eq!(fct(10), t1 + 4 * S + H);
+        assert_eq!(fct(11), t1 + 2 * S + RTO + S + H);
+    }
+
+    /// A five-frame burst into a two-frame cell: the head is admitted,
+    /// frames 2..5 are refused mid-chain and come back an RTO later as
+    /// three arrivals of their own (one of them refused once more),
+    /// while the admitted ones reach the last hop exactly `S` apart —
+    /// each as the one before it leaves.
+    #[test]
+    fn burst_cut_by_the_cap_reinjects_its_tail() {
+        let mut cfg = quiet();
+        cfg.cell_cap_frames = 2;
+        let r = both(&cfg, |sh| burst(sh, T0, 7, 5, &[0, 1]));
+        assert_eq!(r.fct, [(7, T0 + 2 * RTO + S + H + S + H)]);
+        let (first, last) = (r.links[0], r.links[1]);
+        assert_eq!(
+            (first.tx_frames, first.overflow_drops, first.queue_hwm),
+            (5, 4, 2)
+        );
+        assert_eq!(
+            (last.tx_frames, last.overflow_drops, last.queue_hwm),
+            (5, 0, 1)
+        );
+        let kinds = |k: Kind| r.trace.iter().filter(|t| t.kind == k).count();
+        assert_eq!((kinds(Kind::RxOverflow), kinds(Kind::Deliver)), (4, 3));
+    }
+
+    /// Link 0 is ToR 0's first hop and the last hop of everything sent
+    /// to ToR 0. A maximal burst lands on it in the same tick as two
+    /// last-hop frames whose keys sort either side of the flow's: the
+    /// burst sorts as its head frame's arrival, between them.
+    #[test]
+    fn burst_shares_its_first_hop_with_last_hop_traffic() {
+        let mut cfg = quiet();
+        cfg.cell_cap_frames = 65;
+        let n = MAX_FLOW_FRAMES;
+        let last_hop = |flow: u64| Frame {
+            hop: 1,
+            ..frame(flow, 0, 1, &[1, 0])
+        };
+        let r = both(&cfg, |sh| {
+            arrive(sh, T0, last_hop(150)); // sorts last: finds 65, refused
+            burst(sh, T0, 100, n as u16, &[0, 1]);
+            arrive(sh, T0, last_hop(50)); // sorts first
+            arrive(sh, T0 + 10 * S + 1, last_hop(160)); // 55 still queued
+        });
+        assert_eq!(
+            r.fct,
+            [
+                (50, T0 + S + H),
+                (100, T0 + (n + 1) * S + H + S + H),
+                (150, T0 + RTO + S + H + S + H), // re-enters at its source
+                (160, T0 + (n + 2) * S + H),
+            ]
+        );
+        let (shared, other) = (r.links[0], r.links[1]);
+        assert_eq!(
+            (shared.tx_frames, shared.overflow_drops, shared.queue_hwm),
+            (n + 3, 1, 65)
+        );
+        assert_eq!((other.tx_frames, other.queue_hwm), (n + 1, 1));
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Random geometry, load, admission limits (binding and
+            /// not), loss, policy and layout: the computed cells and
+            /// the simulated ones produce the same run.
+            #[test]
+            fn computed_cells_equal_simulated_cells(
+                geom in (1u32..4, 2u32..5, 1u32..3, 1u32..4),
+                load in (2u64..30, 1.0f64..24.0, 0.0f64..1.0),
+                limits in (
+                    prop_oneof![Just(0u32), 1u32..6, Just(48u32)],
+                    prop_oneof![Just(0u64), Just(1_500u64), 1_500u64..6_000, Just(1u64 << 20)],
+                ),
+                loss in (prop_oneof![Just(0.0f64), 0.05f64..0.5, Just(1.0f64)], any::<bool>()),
+                layout in (any::<u64>(), 1u32..4),
+            ) {
+                let mut cfg = PktFabricConfig::pod_scale(layout.0);
+                cfg.geom = PodGeom { pods: geom.0, tors: geom.1, fabrics: geom.2, uplinks: geom.3 };
+                cfg.horizon = Time::from_us(120);
+                cfg.sample_interval = Duration::from_us(30);
+                cfg.rto = Duration::from_us(40);
+                cfg.mean_interarrival = Duration::from_us(load.0);
+                cfg.mean_flow_frames = load.1;
+                cfg.cross_pod = load.2;
+                cfg.cell_cap_frames = limits.0;
+                cfg.mem_bytes_per_link = limits.1;
+                cfg.corrupting_fraction = loss.0;
+                cfg.policy = if loss.1 { PktPolicy::LinkGuardian } else { PktPolicy::None };
+                cfg.shards = layout.1;
+                cfg.telemetry.trace = true;
+                cfg.telemetry.trace_cap = 1 << 20;
+                cfg.telemetry.health = Some(PktTelemetryConfig::packet_health());
+                let r = both(&cfg, |_| {});
+                prop_assert_eq!(r.totals.flows, r.totals.flows_completed);
+                prop_assert_eq!(r.trace_dropped, 0);
+            }
+        }
     }
 }
