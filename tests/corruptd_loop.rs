@@ -106,6 +106,16 @@ fn corruptd_activation_mode_closes_the_loop_from_observed_counters() {
     assert!(w.lg_rx.stats().recovered > 0, "recoveries happened");
 }
 
+/// 25 G, iid 1e-3, 1518 B stress, dormant start, 5 ms samples, seed 1:
+/// the windowed rate latched at the first sample and the counters at
+/// 50 ms.
+const PINNED_RATE_BITS: u64 = 0x3f46941f2578adfa; // 6.890441972635102e-4
+const PINNED_SENT: u64 = 101_252;
+const PINNED_DELIVERED: u64 = 101_220;
+const PINNED_RECOVERED: u64 = 83;
+const PINNED_LOST_REPORTED: u64 = 83;
+const PINNED_PROTECTED_SENT: u64 = 91_089;
+
 #[test]
 fn guardd_oracle_matches_corruptd_activation_tick_for_tick() {
     // The guardian plane must be purely observational-plus-actuation:
@@ -128,15 +138,37 @@ fn guardd_oracle_matches_corruptd_activation_tick_for_tick() {
     a.enable_stress(1518);
     let mut b = World::new(b_cfg);
     b.enable_stress(1518);
+    // Activation is observed at the first `Ev::Sample` (5 ms), not
+    // before, and the trajectory to 50 ms is pinned to the values
+    // recorded on the tree that still had both planes.
+    let first_sample = Time::ZERO + Duration::from_ms(5);
     let end = Time::ZERO + Duration::from_ms(50);
-    a.run_until(end);
-    b.run_until(end);
-    assert!(a.lg_tx.is_active(), "corruptd world activated");
-    assert!(b.lg_tx.is_active(), "guardd world activated");
-    assert_eq!(a.out.stress_tx_frames, b.out.stress_tx_frames);
-    assert_eq!(a.stress_delivered(), b.stress_delivered());
-    assert_eq!(a.lg_rx.stats().recovered, b.lg_rx.stats().recovered);
-    assert_eq!(a.lg_rx.stats().lost_reported, b.lg_rx.stats().lost_reported);
+    for (w, plane) in [(&mut a, "corruptd"), (&mut b, "guardd")] {
+        w.run_until(Time(first_sample.as_ps() - 1));
+        assert!(
+            !w.lg_tx.is_active(),
+            "{plane}: dormant before the first sample"
+        );
+        w.run_until(first_sample);
+        assert!(
+            w.lg_tx.is_active(),
+            "{plane}: activated at the first sample"
+        );
+        w.run_until(end);
+        assert_eq!(w.out.stress_tx_frames, PINNED_SENT, "{plane}");
+        assert_eq!(w.stress_delivered(), PINNED_DELIVERED, "{plane}");
+        assert_eq!(w.lg_rx.stats().recovered, PINNED_RECOVERED, "{plane}");
+        assert_eq!(
+            w.lg_rx.stats().lost_reported,
+            PINNED_LOST_REPORTED,
+            "{plane}"
+        );
+        assert_eq!(
+            w.lg_tx.stats().protected_sent,
+            PINNED_PROTECTED_SENT,
+            "{plane}"
+        );
+    }
 
     // The guardian journaled exactly one enable, with its cause chain.
     let mgr = b.guardd.as_mut().expect("manager attached");
@@ -150,8 +182,10 @@ fn guardd_oracle_matches_corruptd_activation_tick_for_tick() {
         .collect();
     assert_eq!(enables.len(), 1, "oracle config latches exactly once");
     assert!(!enables[0].cause.is_empty(), "cause chain recorded");
+    assert_eq!(enables[0].rate.to_bits(), PINNED_RATE_BITS);
     // Activation used the same observed rate corruptd latched on.
     let d = a.corruptd.as_ref().expect("daemon attached");
+    assert_eq!(d.observed_rate(0).to_bits(), PINNED_RATE_BITS);
     let diff = (enables[0].rate - d.observed_rate(0)).abs();
     assert!(
         diff <= f64::EPSILON * d.observed_rate(0),
