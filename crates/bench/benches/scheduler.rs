@@ -100,7 +100,7 @@ macro_rules! dense_hold {
             let mut tick = Vec::new();
             let (mut done, mut acc) = (0u64, 0u64);
             while done < total {
-                while let Some((now, first)) = q.pop_tick_into(until, &mut tick, usize::MAX) {
+                while let Some((now, first)) = q.pop_tick_into(until, &mut tick) {
                     tick.push(first);
                     for v in tick.drain(..) {
                         // Payload: a generator id, or a frame's id with

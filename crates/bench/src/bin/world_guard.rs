@@ -14,21 +14,16 @@
 //! (`tick_cost` prints the per-tick nanosecond cost directly when the
 //! ratio needs explaining.)
 //!
-//! Three further modes guard the batched-dispatch work:
+//! Two further switches:
 //!
-//! - `--ab-dispatch` interleaves the one-event-at-a-time reference loop
-//!   (`pop` + `handle`) with the production batched loop
-//!   (`pop_tick_into` + `dispatch_batch`) and prints both medians plus
-//!   the batched/reference speedup ratio. Same interleaving rationale
-//!   as `--ab-telemetry`.
 //! - `--allocs` counts heap allocations across the steady-state reps
 //!   (warm-up excluded) and prints `allocs_per_event`; CI fails the
 //!   run if it exceeds 0.01 — the hot path must stay allocation-free.
-//! - `--history <path>` appends the run's headline numbers as one JSON
-//!   line to a trajectory file (`BENCH_history.json`). The CI perf gate
-//!   reads the *last* entry matching its mode as its reference, so the
-//!   threshold tracks the repo's own recorded trajectory instead of a
-//!   hard-coded count.
+//! - `--history <path>` makes the fabric modes below append their
+//!   headline numbers as one JSON line to a trajectory file
+//!   (`BENCH_history.json`). A CI perf gate reads the *last* entry
+//!   matching its mode as its reference, so the threshold tracks the
+//!   repo's own recorded trajectory instead of a hard-coded count.
 //!
 //! Two modes guard the sharded packet-level fabric
 //! ([`lg_fabric::run_packet`]):
@@ -76,7 +71,7 @@
 //!
 //! Usage: `cargo run --release -p lg-bench --bin world_guard
 //! [--trials 300] [--reps 5] [--telemetry | --ab-telemetry |
-//! --ab-dispatch | --ab-shard | --ab-pkt-telemetry | --ab-guardd |
+//! --ab-shard | --ab-pkt-telemetry | --ab-guardd |
 //! --rss] [--allocs | --allocs-shard] [--shards 4[,8,...]] [--pods N]
 //! [--seed 42] [--horizon-us 2000] [--history PATH]`
 
@@ -140,10 +135,9 @@ fn fig10_world(trials: u32, telemetry: bool) -> World {
     World::new(cfg)
 }
 
-/// Reference one-event-at-a-time loop: the pre-batching dispatch shape,
-/// kept as the A side of `--ab-dispatch` and for `--telemetry` runs
-/// (where the self-rescheduling `Ev::Sample` keeps the queue non-empty,
-/// so the stop condition must be the FCT count, not queue exhaustion).
+/// `World::run_until`'s loop, counting events. The stop condition is the
+/// FCT count, not queue exhaustion: under `--telemetry` the
+/// self-rescheduling `Ev::Sample` keeps the queue non-empty.
 fn run_counting(w: &mut World, trials: u32) -> u64 {
     let mut events = 0u64;
     while w.out.fct.len() as u32 != trials {
@@ -154,35 +148,11 @@ fn run_counting(w: &mut World, trials: u32) -> u64 {
     events
 }
 
-/// Production batched loop, counting events per drained tick. Mirrors
-/// `World::run_until` exactly (same `pop_tick_into` + `dispatch_batch`
-/// calls), with the FCT-count stop condition checked between ticks.
-fn run_counting_batched(w: &mut World, trials: u32) -> u64 {
-    let mut events = 0u64;
-    let mut batch = Vec::new();
-    while w.out.fct.len() as u32 != trials {
-        let (now, ev) =
-            w.q.pop_tick_into(Time::MAX, &mut batch, 64)
-                .expect("trials still in flight");
-        events += 1 + batch.len() as u64;
-        w.dispatch_batch_pub(ev, &mut batch, now);
-    }
-    events
-}
-
 /// One timed run; returns events per wall-clock second.
 fn timed_rate(trials: u32, telemetry: bool) -> f64 {
     let mut w = fig10_world(trials, telemetry);
     let t0 = std::time::Instant::now();
     let events = run_counting(&mut w, trials);
-    events as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// One timed run of the batched dispatcher.
-fn timed_rate_batched(trials: u32) -> f64 {
-    let mut w = fig10_world(trials, false);
-    let t0 = std::time::Instant::now();
-    let events = run_counting_batched(&mut w, trials);
     events as f64 / t0.elapsed().as_secs_f64()
 }
 
@@ -236,33 +206,11 @@ fn median(rates: &mut [f64]) -> f64 {
     rates[rates.len() / 2]
 }
 
-/// Append one JSON line of headline numbers to the trajectory file.
-/// JSONL by hand: two numeric fields don't justify pulling serde into
-/// the binary, and appending lines never rewrites history.
-fn append_history(path: &str, events_per_run: u64, events_per_sec: f64, dispatch_ratio: f64) {
-    use std::io::Write;
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let line = format!(
-        "{{\"unix_ts\":{ts},\"events_per_run\":{events_per_run},\
-         \"events_per_sec\":{events_per_sec:.0},\"dispatch_ratio\":{dispatch_ratio:.4}}}\n"
-    );
-    let r = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = r {
-        eprintln!("warning: could not append {path}: {e}");
-    }
-}
-
-/// Append one JSON line for an `--ab-shard` run. A distinct field name
-/// (`shard_speedup`) keys the line so the dispatch gate and the shard
-/// gate can each `grep` their own latest entry out of the shared
-/// trajectory file.
+/// Append one JSON line for an `--ab-shard` run. JSONL by hand: a few
+/// numeric fields don't justify pulling serde into the binary, and
+/// appending lines never rewrites history. A distinct field name
+/// (`shard_speedup`) keys the line so each gate can `grep` its own
+/// latest entry out of the shared trajectory file.
 fn append_history_shard(
     path: &str,
     events_per_run: u64,
@@ -447,37 +395,6 @@ fn main() {
         println!("events_per_sec_baseline: {b:.0}");
         println!("events_per_sec_telemetry: {t:.0}");
         println!("telemetry_ratio: {:.4}", median(&mut ratios));
-        return;
-    }
-    if lg_bench::flag("--ab-dispatch") {
-        // Same interleaving protocol as `--ab-telemetry`, comparing the
-        // one-event-at-a-time reference loop against the production
-        // batched dispatcher. The ratio is the honest within-process
-        // speedup of batching alone (the SoA and wheel changes are in
-        // both sides' binaries).
-        let events_per_run = run_counting_batched(&mut fig10_world(trials, false), trials);
-        let (mut refr, mut batched, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-        for i in 0..reps {
-            let (r, b) = if i % 2 == 0 {
-                let r = timed_rate(trials, false);
-                (r, timed_rate_batched(trials))
-            } else {
-                let b = timed_rate_batched(trials);
-                (timed_rate(trials, false), b)
-            };
-            refr.push(r);
-            batched.push(b);
-            ratios.push(b / r);
-        }
-        let (r, b) = (median(&mut refr), median(&mut batched));
-        let ratio = median(&mut ratios);
-        println!("events_per_run: {events_per_run}");
-        println!("events_per_sec_reference: {r:.0}");
-        println!("events_per_sec_batched: {b:.0}");
-        println!("dispatch_ratio: {ratio:.4}");
-        if !history.is_empty() {
-            append_history(&history, events_per_run, b, ratio);
-        }
         return;
     }
     if lg_bench::flag("--ab-shard") {
@@ -775,7 +692,7 @@ fn main() {
         // the delta beyond one construction's worth per rep.
         let mut w = fig10_world(trials, telemetry);
         let a0 = ALLOCS.load(Ordering::Relaxed);
-        let events_per_run = run_counting_batched(&mut w, trials);
+        let events_per_run = run_counting(&mut w, trials);
         let run_allocs = ALLOCS.load(Ordering::Relaxed) - a0;
         drop(w);
         // Second run on a fresh world: construction allocates, but the
@@ -784,7 +701,7 @@ fn main() {
         // Measure only the loop.
         let mut w = fig10_world(trials, telemetry);
         let a1 = ALLOCS.load(Ordering::Relaxed);
-        let events = run_counting_batched(&mut w, trials);
+        let events = run_counting(&mut w, trials);
         let loop_allocs = ALLOCS.load(Ordering::Relaxed) - a1;
         let per_event = loop_allocs as f64 / events as f64;
         println!("events_per_run: {events_per_run}");
@@ -799,7 +716,4 @@ fn main() {
     let median = median(&mut rates);
     println!("events_per_run: {events_per_run}");
     println!("events_per_sec: {median:.0}");
-    if !history.is_empty() {
-        append_history(&history, events_per_run, median, 0.0);
-    }
 }

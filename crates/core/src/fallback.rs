@@ -5,7 +5,7 @@
 //! demote the link — first to LinkGuardianNB, then to fully disabling
 //! protection (and letting CorrOpt take the link out).
 //!
-//! This module extends `corruptd` with that policy. It is an
+//! This module adds that policy to the activation plane. It is an
 //! implementation of the paper's *future work* sketch, driven by the same
 //! windowed loss-rate estimate the activation path uses.
 

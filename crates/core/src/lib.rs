@@ -17,14 +17,16 @@
 //!   **explicit ACK** packets (receiver) ride strictly-lowest priority so
 //!   tail losses are detected and ACKs delivered without timeouts even on
 //!   an otherwise idle link (§3.1–3.2);
-//! * [`corruptd`] is the control-plane monitor that activates the whole
-//!   machinery when a link starts corrupting (Appendix C).
+//! * the control-plane monitor that activates the whole machinery when
+//!   a link starts corrupting (`corruptd`, Appendix C) lives outside this
+//!   crate: `lg_obs::health` estimates the windowed loss rate and
+//!   `lg_guardd::GuardManager` under `GuardConfig::oracle()` latches the
+//!   activation; [`sender::LgSender::activate`] is what it calls.
 //!
 //! `LinkGuardianNB` — the out-of-order variant evaluated throughout §4 —
 //! is [`config::Mode::NonBlocking`].
 
 pub mod config;
-pub mod corruptd;
 pub mod eq;
 pub mod fallback;
 pub mod receiver;
@@ -32,7 +34,6 @@ pub mod sender;
 pub mod seqmap;
 
 pub use config::{LgConfig, Mechanisms, Mode};
-pub use corruptd::{Corruptd, CorruptionBus, CorruptionNotice};
 pub use eq::{effective_loss_rate, retx_copies};
 pub use fallback::{FallbackController, FallbackDecision, FallbackPolicy, ProtectionLevel};
 pub use receiver::{LgReceiver, ReceiverAction, ReceiverStats};

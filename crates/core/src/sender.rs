@@ -134,8 +134,8 @@ impl LgSender {
         self.tx_buffer.set_budget(budget);
     }
 
-    /// Activate protection (done by `corruptd` when corruption is
-    /// detected). Until activated the sender is a no-op pass-through.
+    /// Activate protection (done by the control plane when corruption
+    /// is detected). Until activated the sender is a no-op pass-through.
     pub fn activate(&mut self, actual_loss_rate: f64) {
         self.active = true;
         self.cfg.actual_loss_rate = actual_loss_rate;

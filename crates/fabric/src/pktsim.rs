@@ -1122,7 +1122,7 @@ impl ShardWorld for FabricShard {
         // keep `events` — the CI exact-match headline — identical at
         // any shard layout.
         let sim_event = |ev: &PEv| !matches!(ev, PEv::Sample { .. }) as u64;
-        while let Some((now, first)) = self.q.pop_tick_into(until, &mut tick, usize::MAX) {
+        while let Some((now, first)) = self.q.pop_tick_into(until, &mut tick) {
             if tick.is_empty() {
                 ran += sim_event(&first);
                 self.dispatch(first, now, out);

@@ -36,10 +36,11 @@
 //! journal suffix) as the uninterrupted run.
 //!
 //! The select/retire/persist shape follows arti's `tor-guardmgr`; the
-//! one-shot activation semantics of [`GuardConfig::oracle`] pin this
-//! manager to `corruptd`'s latch (budget ∞, hold-down 0, no retirement
-//! ⇒ the protected set is exactly the links whose observed health ever
-//! left `Healthy`).
+//! one-shot activation semantics of [`GuardConfig::oracle`] make this
+//! manager the paper's `corruptd` latch (budget ∞, hold-down 0, no
+//! retirement ⇒ the protected set is exactly the links whose observed
+//! health ever left `Healthy`) — the only implementation of Appendix C
+//! in the workspace.
 
 use lg_obs::health::HealthEvent;
 pub use lg_obs::health::LinkHealth;
@@ -103,10 +104,11 @@ impl Default for GuardConfig {
 }
 
 impl GuardConfig {
-    /// The configuration under which the guardian plane must reproduce
-    /// `corruptd`'s oracle-driven choices exactly: unbounded budget, no
+    /// The paper's `corruptd` (Appendix C): unbounded budget, no
     /// hold-down, one-shot activation (never retire) at the `Degraded`
-    /// boundary.
+    /// boundary. `tests/corruptd_loop.rs` pins a testbed world under
+    /// this configuration to the trajectory recorded when a separate
+    /// `corruptd` daemon still ran beside it.
     pub fn oracle() -> GuardConfig {
         GuardConfig {
             budget: u32::MAX,

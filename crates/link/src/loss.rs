@@ -316,6 +316,39 @@ mod tests {
     }
 
     #[test]
+    fn ge_burst_trips_the_health_estimator_steady_low_rate_does_not() {
+        use lg_obs::health::{HealthConfig, HealthEstimator, LinkHealth};
+
+        // Steady 1e-8 loss: polls of 200k frames carry ~0.002 expected
+        // errors each — the estimator never leaves Healthy.
+        let mut steady = HealthEstimator::new(HealthConfig::default());
+        let mut lp = LossProcess::new(LossModel::Iid { rate: 1e-8 }, Rng::new(42));
+        for poll in 1..=20u64 {
+            for _ in 0..200_000 {
+                let _ = lp.should_drop();
+            }
+            let ok = lp.frames() - lp.drops();
+            assert!(steady.observe_cumulative(poll, lp.frames(), ok).is_none());
+        }
+        assert_eq!(steady.state(), LinkHealth::Healthy);
+
+        // A Gilbert–Elliott process (mean rate 1e-3, mean burst 30): the
+        // bad-state burst trips the degraded threshold within a single
+        // poll window.
+        let mut bursty = HealthEstimator::new(HealthConfig::default());
+        let mut lp = LossProcess::new(LossModel::bursty(1e-3, 30.0), Rng::new(7));
+        for _ in 0..300_000 {
+            let _ = lp.should_drop();
+        }
+        assert!(lp.drops() > 0, "the GE process actually dropped frames");
+        let ev = bursty
+            .observe_cumulative(1, lp.frames(), lp.frames() - lp.drops())
+            .expect("burst trips the threshold within one window");
+        assert!(ev.rate >= HealthConfig::default().degraded_rate);
+        assert!(ev.to >= LinkHealth::Degraded);
+    }
+
+    #[test]
     fn trace_drops_exact_indices() {
         let mut p = LossProcess::new(
             LossModel::Trace {

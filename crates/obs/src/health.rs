@@ -4,8 +4,8 @@
 //! The paper's control plane (`corruptd`, Appendix C) decides when to
 //! activate LinkGuardian from *observed* `framesRxOk`/`framesRxAll`
 //! counters, not from the loss model driving the simulation. This module
-//! is that decision logic, reusable by the per-world daemon and the
-//! fabric-scale rollups: feed per-poll frame/error counts (or cumulative
+//! is that decision logic (the latch on top of it is `lg-guardd`),
+//! shared by the testbed world and the fabric-scale rollups: feed per-poll frame/error counts (or cumulative
 //! counters) into a [`HealthEstimator`], and it classifies the link as
 //! healthy → degraded → corrupting over a sliding window, emitting a
 //! structured [`HealthEvent`] on every state transition.

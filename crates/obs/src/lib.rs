@@ -23,9 +23,10 @@
 //!   JSONL rows with strictly monotone window ids.
 //! * [`health`] — the online link-health plane: a sliding-window
 //!   corruption-rate estimator with hysteresis (healthy → degraded →
-//!   corrupting) emitting `health_event` rows; `corruptd` and the fabric
-//!   rollups both run on it, so activation decisions come from observed
-//!   counters rather than oracle loss-model parameters.
+//!   corrupting) emitting `health_event` rows; the testbed's guardian
+//!   plane and the fabric rollups both run on it, so activation
+//!   decisions come from observed counters rather than oracle
+//!   loss-model parameters.
 //! * [`stream`] — bounded-memory ingestion: a reusable line-at-a-time
 //!   reader with [`str::lines`] semantics and the log-histogram +
 //!   exact-top-K quantile aggregator shared with the FCT digest, so the

@@ -68,8 +68,6 @@ pub struct MetricsRegistry {
     rows: Vec<Row>,
     /// (comp, inst, name) -> high-water mark seen so far.
     hwm: BTreeMap<(&'static str, String, &'static str), u64>,
-    /// Spare entries buffer recycled by [`MetricsRegistry::record_inplace`].
-    scratch: Vec<(&'static str, Value)>,
 }
 
 impl MetricsRegistry {
@@ -113,45 +111,9 @@ impl MetricsRegistry {
         });
     }
 
-    /// Refresh the latest snapshot of `(comp, inst)` in place instead of
-    /// appending a new row — the allocation-free path for per-tick polls
-    /// whose history nobody dumps (e.g. the row `corruptd` reads while
-    /// the sink is off, where appending would also grow the registry
-    /// without bound). Gauge high-water marks carry over from the
-    /// replaced row (the cross-snapshot `hwm` map is not consulted).
-    /// Appends normally when `(comp, inst)` has no row yet.
-    pub fn record_inplace(&mut self, t_ps: u64, comp: &'static str, inst: &str, obj: &dyn Observe) {
-        let Some(idx) = self
-            .rows
-            .iter()
-            .rposition(|r| r.comp == comp && r.inst == inst)
-        else {
-            self.record(t_ps, comp, inst, obj);
-            return;
-        };
-        let mut entries = std::mem::take(&mut self.scratch);
-        entries.clear();
-        let mut sink = MetricSink { entries };
-        obj.observe(&mut sink);
-        let row = &mut self.rows[idx];
-        row.t_ps = t_ps;
-        for (name, v) in sink.entries.iter_mut() {
-            if let Value::Gauge(cur, hwm) = v {
-                if let Some(Value::Gauge(_, old)) =
-                    row.entries.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-                {
-                    *hwm = (*old).max(*cur);
-                }
-            }
-        }
-        std::mem::swap(&mut row.entries, &mut sink.entries);
-        self.scratch = sink.entries;
-    }
-
-    /// Latest counter value recorded for `(comp, inst, name)`, if any.
-    /// `corruptd` polls frame counters through this, mirroring how the
-    /// real daemon reads MAC counters from switch telemetry rather than
-    /// from component internals.
+    /// Latest counter value recorded for `(comp, inst, name)`, if any —
+    /// how a control-plane daemon reads MAC counters from switch
+    /// telemetry rather than from component internals.
     pub fn latest_counter(&self, comp: &str, inst: &str, name: &str) -> Option<u64> {
         self.rows.iter().rev().find_map(|r| {
             if r.comp != comp || r.inst != inst {
@@ -276,28 +238,6 @@ mod tests {
         let g = Fake { sent: 0, depth: 7 };
         reg.record(300, "fake", "b", &g);
         assert_eq!(reg.latest_gauge("fake", "b", "depth"), Some((7, 7)));
-    }
-
-    #[test]
-    fn record_inplace_refreshes_without_growing() {
-        let mut reg = MetricsRegistry::new();
-        let mut f = Fake { sent: 1, depth: 10 };
-        reg.record_inplace(100, "fake", "a", &f); // no row yet: appends
-        assert_eq!(reg.len(), 1);
-        f.sent = 7;
-        f.depth = 50;
-        reg.record_inplace(200, "fake", "a", &f);
-        f.depth = 5;
-        reg.record_inplace(300, "fake", "a", &f);
-        // Still one row, fresh counters, hwm carried across refreshes.
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.latest_counter("fake", "a", "sent"), Some(7));
-        assert_eq!(reg.latest_gauge("fake", "a", "depth"), Some((5, 50)));
-        // A different instance appends its own row.
-        let g = Fake { sent: 2, depth: 3 };
-        reg.record_inplace(300, "fake", "b", &g);
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.latest_counter("fake", "b", "sent"), Some(2));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! so every published point carries the window aggregates
 //! (min/max/mean/percentile) alongside the raw value. [`WindowedRate`]
 //! is the ratio counterpart (errors over frames across the last N
-//! polls) used by the health estimator and `corruptd`.
+//! polls) used by the health estimator.
 //!
 //! Everything here is driven by sim time and window ids — no wall
 //! clock — so dumps stay byte-identical at any `--threads` value.
@@ -72,8 +72,9 @@ impl Ewma {
 
 /// Sliding-window ratio: `sum(num) / sum(den)` over the last `windows`
 /// pushes. Pushing beyond capacity evicts the oldest bucket, so the
-/// estimate tracks only the recent window — the shape `corruptd` needs
-/// to see a burst immediately and to forget it once the link is clean.
+/// estimate tracks only the recent window — the shape an activation
+/// daemon needs to see a burst immediately and to forget it once the
+/// link is clean.
 #[derive(Debug, Clone)]
 pub struct WindowedRate {
     buf: Vec<(u64, u64)>,

@@ -24,7 +24,7 @@ pub enum Level {
     /// No records are emitted.
     Off = 0,
     /// Control-plane events only (loss notifications, pauses, timeouts,
-    /// corruptd activity) — low volume.
+    /// activation-plane decisions) — low volume.
     Ctl = 1,
     /// Every per-packet event (TX, RX, drops, buffering, delivery).
     Pkt = 2,
@@ -124,7 +124,8 @@ pub enum Kind {
     DummyTx = 17,
     /// Receiver Rx buffer overflow drop.
     RxOverflow = 18,
-    /// corruptd activated/deactivated protection on a link (aux=1/0).
+    /// The activation plane (the paper's `corruptd`; `lg-guardd` here)
+    /// activated protection on a link (aux = Eq. 2 copies).
     CorruptdFlip = 19,
 }
 

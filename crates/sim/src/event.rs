@@ -45,9 +45,9 @@
 //! new event (which always carries the largest seq) after every entry at
 //! the same instant, so the window is totally ordered at all times.
 //!
-//! Batch consumers use [`EventQueue::pop_tick_into`] to drain every
-//! event sharing the earliest pending timestamp in one call — the
-//! slot-drain fast path behind the testbed's batched dispatch — and
+//! The packet fabric uses [`EventQueue::pop_tick_into`] to drain every
+//! event sharing the earliest pending timestamp in one call (it sorts
+//! each tick canonically before dispatch); the testbed loops use
 //! [`EventQueue::pop_if_before`] to bound a run without the classic
 //! `peek_time` + `pop` double lookup.
 //!
@@ -361,10 +361,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event and drain the rest of its same-instant run
-    /// into `buf` (until `buf` holds `cap` events), advancing the clock
-    /// to that instant. Returns `(timestamp, first event)`, or `None`
-    /// when the queue is empty or the next event is after `until` (clock
-    /// untouched in either case).
+    /// into `buf`, advancing the clock to that instant. Returns
+    /// `(timestamp, first event)`, or `None` when the queue is empty or
+    /// the next event is after `until` (clock untouched in either case).
     ///
     /// The first event of the tick comes back by value — the common
     /// singleton tick costs exactly one extra front peek over
@@ -372,22 +371,17 @@ impl<E> EventQueue<E> {
     /// remainder lands in `buf` in exact (time, seq) delivery order —
     /// the same order a `pop` loop would produce. Same-instant events
     /// can never straddle the window/wheel boundary, so one window scan
-    /// is exhaustive. If the tick run overflows `cap`, the remainder
-    /// stays queued and the next call resumes the same tick. Drained
-    /// events are committed: their handles are spent, and cancelling
-    /// one reports `false` exactly as for a fired event.
+    /// drains the whole tick, however long; an event scheduled at the
+    /// same instant after the call returns starts a tick of its own.
+    /// Drained events are committed: their handles are spent, and
+    /// cancelling one reports `false` exactly as for a fired event.
     #[inline]
-    pub fn pop_tick_into(
-        &mut self,
-        until: Time,
-        buf: &mut Vec<E>,
-        cap: usize,
-    ) -> Option<(Time, E)> {
-        // Inline fast path: live window front, singleton or in-progress
-        // tick. Everything else (cancelled fronts, window refill via
-        // `advance`) stays outlined so this wrapper inlines into the
-        // caller's dispatch loop just like `pop` does — without it the
-        // call costs more than the double lookup it replaces.
+    pub fn pop_tick_into(&mut self, until: Time, buf: &mut Vec<E>) -> Option<(Time, E)> {
+        // Inline fast path: live window front. Everything else
+        // (cancelled fronts, window refill via `advance`) stays outlined
+        // so this wrapper inlines into the caller's dispatch loop just
+        // like `pop` does — without it the call costs more than the
+        // double lookup it replaces.
         if let Some(&w) = self.window.front() {
             if self.arena[w.idx as usize].payload.is_some() {
                 if w.at > until {
@@ -402,7 +396,7 @@ impl<E> EventQueue<E> {
                 self.pending -= 1;
                 if let Some(n) = self.window.front() {
                     if n.at == w.at {
-                        self.drain_tick_rest(w.at, buf, cap);
+                        self.drain_tick_rest(w.at, buf);
                     }
                 }
                 debug_assert!(w.at >= self.now);
@@ -410,15 +404,10 @@ impl<E> EventQueue<E> {
                 return Some((w.at, payload));
             }
         }
-        self.pop_tick_into_slow(until, buf, cap)
+        self.pop_tick_into_slow(until, buf)
     }
 
-    fn pop_tick_into_slow(
-        &mut self,
-        until: Time,
-        buf: &mut Vec<E>,
-        cap: usize,
-    ) -> Option<(Time, E)> {
+    fn pop_tick_into_slow(&mut self, until: Time, buf: &mut Vec<E>) -> Option<(Time, E)> {
         let (at, first) = loop {
             match self.window.front() {
                 Some(&w) => {
@@ -445,17 +434,16 @@ impl<E> EventQueue<E> {
                 }
             }
         };
-        self.drain_tick_rest(at, buf, cap);
+        self.drain_tick_rest(at, buf);
         debug_assert!(at >= self.now);
         self.now = at;
         Some((at, first))
     }
 
-    /// Drain the remainder of the `at` tick's run into `buf` (until it
-    /// holds `cap` events), skipping cancelled entries.
-    fn drain_tick_rest(&mut self, at: Time, buf: &mut Vec<E>, cap: usize) {
-        while buf.len() < cap {
-            let Some(&w) = self.window.front() else { break };
+    /// Drain the remainder of the `at` tick's run into `buf`, skipping
+    /// cancelled entries.
+    fn drain_tick_rest(&mut self, at: Time, buf: &mut Vec<E>) {
+        while let Some(&w) = self.window.front() {
             if w.at != at {
                 break;
             }
@@ -937,34 +925,41 @@ mod tests {
         }
         q.schedule_at(Time::from_ns(6), 99);
         let mut buf = Vec::new();
-        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf, 64), Some((t, 0)));
+        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf), Some((t, 0)));
         assert_eq!(buf, (1..10).collect::<Vec<_>>());
         assert_eq!(q.now(), t);
         assert_eq!(q.len(), 1);
         buf.clear();
-        assert_eq!(q.pop_tick_into(Time::from_ns(5), &mut buf, 64), None);
+        assert_eq!(q.pop_tick_into(Time::from_ns(5), &mut buf), None);
         assert_eq!(
-            q.pop_tick_into(Time::from_ns(6), &mut buf, 64),
+            q.pop_tick_into(Time::from_ns(6), &mut buf),
             Some((Time::from_ns(6), 99))
         );
         assert!(buf.is_empty(), "singleton tick never touches the buffer");
     }
 
     #[test]
-    fn pop_tick_into_resumes_a_tick_split_by_cap() {
+    fn pop_tick_into_returns_a_tick_longer_than_the_drain_cap_whole() {
         let mut q = EventQueue::new();
         let t = Time::from_ns(5);
-        for i in 0..10 {
+        let n = 3 * DRAIN_CAP + 1;
+        for i in 0..n {
             q.schedule_at(t, i);
         }
+        q.schedule_at(Time::from_ns(6), n + 1);
         let mut buf = Vec::new();
-        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf, 4), Some((t, 0)));
-        assert_eq!(buf, vec![1, 2, 3, 4]);
+        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf), Some((t, 0)));
+        assert_eq!(buf, (1..n).collect::<Vec<_>>());
+        // What a handler schedules at the same instant once the call has
+        // returned is a tick of its own: alone, before the later event.
+        q.schedule_at(t, n);
         buf.clear();
-        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf, 4), Some((t, 5)));
-        assert_eq!(buf, vec![6, 7, 8, 9]);
-        buf.clear();
-        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf, 4), None);
+        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf), Some((t, n)));
+        assert!(buf.is_empty());
+        assert_eq!(
+            q.pop_tick_into(Time::MAX, &mut buf),
+            Some((Time::from_ns(6), n + 1))
+        );
         assert!(q.is_empty());
     }
 
@@ -977,7 +972,7 @@ mod tests {
         let h2 = q.schedule_at(t, 2);
         assert!(q.cancel(h1));
         let mut buf = Vec::new();
-        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf, 64), Some((t, 0)));
+        assert_eq!(q.pop_tick_into(Time::MAX, &mut buf), Some((t, 0)));
         assert_eq!(buf, vec![2]);
         // Drained events are committed: cancelling reports false, exactly
         // as for an event delivered through pop().

@@ -144,25 +144,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event and drain the rest of its same-instant run
-    /// into `buf` (until `buf` holds `cap` events), advancing the clock
-    /// to that instant. Mirrors [`super::EventQueue::pop_tick_into`].
-    pub fn pop_tick_into(
-        &mut self,
-        until: Time,
-        buf: &mut Vec<E>,
-        cap: usize,
-    ) -> Option<(Time, E)> {
+    /// into `buf`, advancing the clock to that instant. Mirrors
+    /// [`super::EventQueue::pop_tick_into`].
+    pub fn pop_tick_into(&mut self, until: Time, buf: &mut Vec<E>) -> Option<(Time, E)> {
         let (at, first) = self.pop_if_before(until)?;
-        while buf.len() < cap {
-            match self.peek_time() {
-                Some(t) if t == at => {
-                    let (_, payload) = self.pop().expect("peeked");
-                    buf.push(payload);
-                }
-                _ => break,
-            }
+        while self.peek_time() == Some(at) {
+            let (_, payload) = self.pop().expect("peeked");
+            buf.push(payload);
         }
-        self.now = at;
         Some((at, first))
     }
 

@@ -93,12 +93,10 @@ proptest! {
                     prop_assert_eq!(wheel.pop_if_before(until), oracle.pop_if_before(until));
                     prop_assert_eq!(wheel.now(), oracle.now());
                 }
-                // Batched tick drain, including caps small enough to
-                // split a same-instant run across calls.
+                // Whole-tick drain.
                 13 | 14 => {
-                    let cap = (b as usize) % 8;
-                    let wt = wheel.pop_tick_into(Time::MAX, &mut wheel_buf, cap);
-                    let ot = oracle.pop_tick_into(Time::MAX, &mut oracle_buf, cap);
+                    let wt = wheel.pop_tick_into(Time::MAX, &mut wheel_buf);
+                    let ot = oracle.pop_tick_into(Time::MAX, &mut oracle_buf);
                     prop_assert_eq!(wt, ot);
                     prop_assert_eq!(&wheel_buf, &oracle_buf);
                     prop_assert_eq!(wheel.now(), oracle.now());
@@ -163,13 +161,13 @@ proptest! {
             prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
             let Some(t_min) = wheel.peek_time() else { continue };
             let until = Time::from_ps(t_min.as_ps().saturating_add(lookahead - 1));
-            // Drain the window in bounded chunks, interleaving the
+            // Drain the window tick by tick, interleaving the
             // below-cursor schedules a dispatch handler would issue:
-            // after each chunk the wheel's cursor sits mid-slot, and the
+            // after each tick the wheel's cursor sits mid-slot, and the
             // new event lands at or before that position in slot space.
             loop {
-                let head = wheel.pop_tick_into(until, &mut wheel_buf, (b as usize) % 4);
-                let ohead = oracle.pop_tick_into(until, &mut oracle_buf, (b as usize) % 4);
+                let head = wheel.pop_tick_into(until, &mut wheel_buf);
+                let ohead = oracle.pop_tick_into(until, &mut oracle_buf);
                 prop_assert_eq!(&head, &ohead);
                 prop_assert_eq!(&wheel_buf, &oracle_buf);
                 wheel_buf.clear();
@@ -207,14 +205,14 @@ proptest! {
     /// on both sides of the parked cursor: pktsim's +120 ns and +600 ns,
     /// plus a pair straddling a slot edge 1–16 slots ahead of the clock
     /// — wherever the cursor parked, some pair sits just below and just
-    /// above it. Small `pop_tick_into` caps split the ties. The wheel
-    /// must agree with the reference heap on every observable and pass
+    /// above it. `pop_tick_into` takes the ties whole. The wheel must
+    /// agree with the reference heap on every observable and pass
     /// `check_invariants` at every step.
     #[test]
     fn dense_run_parks_the_cursor_mid_run(
         seed in any::<u64>(),
         base in 0u64..(1 << 40),
-        ops in proptest::collection::vec((0u64..16, 0usize..6), 40..120),
+        ops in proptest::collection::vec(0u64..16, 40..120),
     ) {
         use lg_sim::event::reference;
         const SLOT_BITS: u32 = 13;
@@ -240,9 +238,9 @@ proptest! {
         }
         let mut wheel_buf = Vec::new();
         let mut oracle_buf = Vec::new();
-        for &(ahead, cap) in &ops {
-            let head = wheel.pop_tick_into(Time::MAX, &mut wheel_buf, cap);
-            prop_assert_eq!(head, oracle.pop_tick_into(Time::MAX, &mut oracle_buf, cap));
+        for &ahead in &ops {
+            let head = wheel.pop_tick_into(Time::MAX, &mut wheel_buf);
+            prop_assert_eq!(head, oracle.pop_tick_into(Time::MAX, &mut oracle_buf));
             prop_assert_eq!(&wheel_buf, &oracle_buf);
             wheel_buf.clear();
             oracle_buf.clear();

@@ -6,8 +6,8 @@
 //! queue-depth high-water mark.
 //!
 //! [`PortCounters`] implements [`lg_obs::Observe`], so worlds snapshot
-//! ports into the metrics registry and `corruptd` can poll the registry
-//! (the same source) instead of reaching into component internals.
+//! ports into the metrics registry; the health estimator that drives
+//! activation differences the same two Rx counters.
 
 use lg_obs::{MetricSink, Observe};
 use serde::{Deserialize, Serialize};

@@ -10,7 +10,8 @@
 //!   loop/bandwidth accounting (Table 4, Fig 14);
 //! * [`pktgen::PacketGen`] — the dataplane packet generator (stress
 //!   traffic and 10 Mpps timer packets);
-//! * [`counters::PortCounters`] — the MAC counters `corruptd` polls;
+//! * [`counters::PortCounters`] — the MAC counters the activation plane
+//!   polls (`corruptd`, Appendix C);
 //! * [`switch::Switch`] — forwarding + ports + counters + pipeline latency;
 //! * [`serial::SerialLink`] — an uncontended FIFO hop (host NIC,
 //!   host-facing port) computed at hand-over instead of simulated;

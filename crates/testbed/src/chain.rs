@@ -213,7 +213,6 @@ pub struct ChainWorld {
     tx_scratch: Vec<SenderAction>,
     filler_scratch: Vec<PktId>,
     transport_scratch: Vec<TransportAction>,
-    dispatch_scratch: Vec<CEv>,
 }
 
 impl ChainWorld {
@@ -288,7 +287,6 @@ impl ChainWorld {
             tx_scratch: Vec::new(),
             filler_scratch: Vec::new(),
             transport_scratch: Vec::new(),
-            dispatch_scratch: Vec::new(),
         }
     }
 
@@ -316,28 +314,21 @@ impl ChainWorld {
     }
 
     /// Earliest pending timestamp, or `None` when the chain is idle.
-    /// This is the probe the shard runner uses to open windows.
     pub fn next_event_time(&mut self) -> Option<Time> {
         self.q.peek_time()
     }
 
     /// Run every event due at or before `until`, returning the number
-    /// dispatched. Dispatch is batched per tick (same delivery order as
-    /// a `pop` loop; see `World::run_until`). Window-sliced execution
-    /// is exact: a chain run as a sequence of bounded `run_until` calls
-    /// dispatches the identical event stream as one unbounded call,
-    /// which is what lets a chain instance live inside a shard.
+    /// dispatched. Window-sliced execution is exact: a chain run as a
+    /// sequence of bounded `run_until` calls dispatches the identical
+    /// event stream as one unbounded call, which is what `perf`'s traced
+    /// `chain_rdma` run relies on.
     pub fn run_until(&mut self, until: Time) -> u64 {
         let mut ran = 0u64;
-        let mut batch = std::mem::take(&mut self.dispatch_scratch);
-        while let Some((now, ev)) = self.q.pop_tick_into(until, &mut batch, 64) {
-            ran += 1 + batch.len() as u64;
+        while let Some((now, ev)) = self.q.pop_if_before(until) {
+            ran += 1;
             self.handle(ev, now);
-            for ev in batch.drain(..) {
-                self.handle(ev, now);
-            }
         }
-        self.dispatch_scratch = batch;
         ran
     }
 
@@ -734,5 +725,36 @@ impl ChainWorld {
             let at = self.q.now() + Duration::from_us(10);
             self.q.schedule_at(at, CEv::TrialStart);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn window_sliced_chain_equals_one_shot_run() {
+        let chain = || {
+            let mut cfg = ChainConfig::protected_chain(
+                LinkSpeed::G100,
+                vec![LossModel::Iid { rate: 1e-3 }, LossModel::Iid { rate: 5e-4 }],
+                ChainApp::RdmaTrials {
+                    msg_len: 4_000,
+                    trials: 30,
+                },
+            );
+            cfg.seed = 1000;
+            ChainWorld::new(cfg)
+        };
+        let mut one_shot = chain();
+        one_shot.run_to_completion();
+        let mut sliced = chain();
+        let mut ran = 0;
+        while let Some(t) = sliced.next_event_time() {
+            ran += sliced.run_until(t + Duration::from_ns(500));
+        }
+        assert!(ran > 0);
+        assert_eq!(sliced.fct.samples_us(), one_shot.fct.samples_us());
+        assert_eq!(sliced.e2e_retx, one_shot.e2e_retx);
     }
 }

@@ -16,7 +16,6 @@
 pub mod chain;
 pub mod experiments;
 mod host;
-pub mod shard;
 pub mod world;
 
 pub use chain::{ChainApp, ChainConfig, ChainWorld};
@@ -24,5 +23,4 @@ pub use experiments::{
     classify_fig13, fct_config, fct_experiment, stress_test, time_series, FctResult, FctTransport,
     Fig13Group, Protection, StressResult, TimeSeriesResult, TimeSeriesScenario,
 };
-pub use shard::{run_battery_sharded, InstanceShard, WindowRunnable};
 pub use world::{App, Ev, Host, World, WorldConfig, HOST0, HOST1};

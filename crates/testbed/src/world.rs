@@ -17,7 +17,7 @@
 
 use lg_guardd::{GuardAction, GuardInput, GuardManager};
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
-use lg_obs::health::{HealthEstimator, HealthEvent};
+use lg_obs::health::{HealthConfig, HealthEstimator, HealthEvent};
 use lg_obs::timeseries::SeriesBank;
 use lg_obs::trace::{Comp, Kind, Level};
 use lg_obs::{lg_trace, JsonLine, MetricsRegistry};
@@ -29,7 +29,6 @@ use lg_transport::{
     CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
 };
 use lg_workload::FctCollector;
-use linkguardian::corruptd::Corruptd;
 use linkguardian::{LgConfig, LgReceiver, LgSender, ReceiverAction, SenderAction};
 
 pub use crate::host::Host;
@@ -282,7 +281,7 @@ impl Default for WorldObs {
             series: SeriesBank::new(SERIES_RING_CAP, SERIES_EWMA_HALF_LIFE),
             ts_keys: None,
             next_window: 0,
-            link_health: HealthEstimator::new(linkguardian::corruptd::health_config()),
+            link_health: HealthEstimator::new(HealthConfig::default()),
             health_events: Vec::new(),
             guard_fed: 0,
             retx_delay_seen: (0, 0.0),
@@ -349,19 +348,15 @@ pub struct WorldConfig {
     pub bidirectional: bool,
     /// Activate LinkGuardian at t = 0 (otherwise schedule [`Ev::ActivateLg`]).
     pub lg_active_from_start: bool,
-    /// Attach an in-world `corruptd` daemon that polls the Rx switch's
-    /// observed frame counters at every sample tick and activates
-    /// LinkGuardian from the *measured* windowed loss rate — the
-    /// closed-loop monitoring plane of Appendix C. Requires
-    /// `sample_interval` (the poll cadence) and a dormant start
-    /// (`lg_active_from_start = false`) to be meaningful.
-    pub corruptd_activation: bool,
     /// Attach a guardian manager (`lg-guardd`) that consumes this
-    /// world's streaming health events and actuates LinkGuardian from
-    /// its budgeted, journaled decisions — the control-plane successor
-    /// to `corruptd_activation` (with `GuardConfig::oracle()` the two
-    /// activate at the identical sample tick). Requires
-    /// `sample_interval`; mutually exclusive with `corruptd_activation`.
+    /// world's streaming health events — the Rx switch's observed frame
+    /// counters, windowed at every sample tick — and activates
+    /// LinkGuardian from the *measured* loss rate through its budgeted,
+    /// journaled decisions. `GuardConfig::oracle()` is the closed-loop
+    /// monitoring plane of Appendix C (`corruptd`: one-shot latch, no
+    /// budget). Requires `sample_interval` (the poll cadence) and an
+    /// `lg` configuration; a dormant start (`lg_active_from_start =
+    /// false`) makes it meaningful.
     pub guardd: Option<lg_guardd::GuardConfig>,
     /// ECN marking threshold on the protected port's normal queue
     /// (the paper's DCTCP experiments use 100 KB).
@@ -400,13 +395,23 @@ pub(crate) fn check_trials(msg_len: u32, trials: u32) -> Result<(), String> {
 impl WorldConfig {
     /// Refuse a configuration [`World::new`] would hang or panic deep
     /// inside on: a zero interval re-arms its event at the same instant
-    /// forever; an empty message or trial series has nothing to measure.
+    /// forever; an empty message or trial series has nothing to measure;
+    /// a guardian with no sample tick never runs, and one with no `lg`
+    /// configuration would protect a link the config says is bare.
     pub fn validate(&self) -> Result<(), String> {
         if self.sample_interval == Some(Duration::ZERO) {
             return Err("sample interval must be > 0".into());
         }
         if self.dummy_refresh == Duration::ZERO {
             return Err("dummy refresh interval must be > 0".into());
+        }
+        if self.guardd.is_some() {
+            if self.sample_interval.is_none() {
+                return Err("guardd needs a sample interval: it ingests on Ev::Sample".into());
+            }
+            if self.lg.is_none() {
+                return Err("guardd needs an `lg` configuration to activate".into());
+            }
         }
         match self.app {
             App::TcpTrials {
@@ -431,7 +436,6 @@ impl WorldConfig {
             lg: Some(LgConfig::for_speed(speed, actual)),
             bidirectional: false,
             lg_active_from_start: true,
-            corruptd_activation: false,
             guardd: None,
             ecn_threshold: None,
             host_stack_delay: Duration::from_us(7),
@@ -508,8 +512,6 @@ pub struct World {
     pub obs: WorldObs,
     /// Shared memory budget when `WorldConfig::mem_budget` is set.
     pub budget: Option<lg_switch::MemBudget>,
-    /// In-world control-plane daemon (see `WorldConfig::corruptd_activation`).
-    pub corruptd: Option<Corruptd>,
     /// Guardian manager (see `WorldConfig::guardd`), fed the world's
     /// health events at every sample tick; its journal drains to the
     /// sink at publish.
@@ -527,7 +529,6 @@ pub struct World {
     tx_scratch: Vec<SenderAction>,
     filler_scratch: Vec<PktId>,
     transport_scratch: Vec<TransportAction>,
-    dispatch_scratch: Vec<Ev>,
 }
 
 /// Trace instance label for a switch port: `side * 2 + port`
@@ -630,33 +631,7 @@ impl World {
             App::TcpStream { .. } => u32::MAX,
             App::None => 0,
         };
-        let corruptd = if cfg.corruptd_activation && cfg.lg.is_some() {
-            assert!(
-                cfg.sample_interval.is_some(),
-                "corruptd_activation polls on Ev::Sample: set sample_interval"
-            );
-            Some(Corruptd::new(
-                SW_RX.0,
-                1,
-                linkguardian::corruptd::ACTIVATION_THRESHOLD,
-            ))
-        } else {
-            None
-        };
-        let guardd = match cfg.guardd {
-            Some(gc) => {
-                assert!(
-                    cfg.sample_interval.is_some(),
-                    "guardd ingests on Ev::Sample: set sample_interval"
-                );
-                assert!(
-                    !cfg.corruptd_activation,
-                    "corruptd_activation and guardd are alternative control planes"
-                );
-                Some(GuardManager::new("world", gc))
-            }
-            None => None,
-        };
+        let guardd = cfg.guardd.map(|gc| GuardManager::new("world", gc));
 
         World {
             cfg,
@@ -676,7 +651,6 @@ impl World {
             pool: PacketPool::new(),
             obs,
             budget,
-            corruptd,
             guardd,
             stress: None,
             stress_seq: 0,
@@ -689,7 +663,6 @@ impl World {
             tx_scratch: Vec::new(),
             filler_scratch: Vec::new(),
             transport_scratch: Vec::new(),
-            dispatch_scratch: Vec::new(),
         }
     }
 
@@ -722,33 +695,11 @@ impl World {
 
     // ---------------------------------------------------------- event loop
 
-    /// Events drained per [`EventQueue::pop_tick_into`] call by the
-    /// batched dispatchers. A soft bound on dispatch latency, not on the
-    /// tick: an over-long same-instant run continues in the next call.
-    const DISPATCH_BATCH: usize = 64;
-
     /// Run until the queue is empty or the clock passes `until`.
-    ///
-    /// Dispatch is batched: every event of the current tick is drained
-    /// in one queue operation, then dispatched in (time, seq) order —
-    /// identical delivery order to a `pop` loop, without the per-event
-    /// `peek_time` + `pop` double lookup.
     pub fn run_until(&mut self, until: Time) {
-        let mut batch = std::mem::take(&mut self.dispatch_scratch);
-        while let Some((now, ev)) = self
-            .q
-            .pop_tick_into(until, &mut batch, Self::DISPATCH_BATCH)
-        {
-            if batch.is_empty() {
-                // Singleton tick — the overwhelmingly common case in a
-                // sparse world: dispatch straight from the register the
-                // queue handed the event back in.
-                self.handle(ev, now);
-            } else {
-                self.dispatch_batch(ev, &mut batch, now);
-            }
+        while let Some((now, ev)) = self.q.pop_if_before(until) {
+            self.handle(ev, now);
         }
-        self.dispatch_scratch = batch;
         self.settle_host_ports(until);
     }
 
@@ -760,72 +711,9 @@ impl World {
         self.host_ports[1].settle(upto, self.sw_rx.counters_mut(PORT_HOST));
     }
 
-    /// Earliest pending timestamp, or `None` when the world is idle.
-    /// This is the probe the shard runner uses to open windows.
-    pub fn next_event_time(&mut self) -> Option<Time> {
-        self.q.peek_time()
-    }
-
     /// Run until no events remain (traffic drivers finished and drained).
     pub fn run_to_completion(&mut self) {
         self.run_until(Time::MAX);
-    }
-
-    /// Dispatch one drained tick batch in order. Contiguous runs of
-    /// [`Ev::PortEnqueue`] aimed at the same egress port are handed to
-    /// the switch as a unit: one borrow of the switch + pool, and the
-    /// per-event port kick reduced to a busy-flag check, so the queue
-    /// lanes stay hot in cache across the run (the incast/burst case
-    /// that produces many same-tick enqueues in the first place).
-    fn dispatch_batch(&mut self, first: Ev, batch: &mut Vec<Ev>, now: Time) {
-        // `batch` is disjoint from `self` (the caller took it out of
-        // `dispatch_scratch`), so draining it while `handle` borrows
-        // self is fine — and drain moves each event out exactly once,
-        // with no write-back into the buffer.
-        let mut it = std::iter::once(first).chain(batch.drain(..)).peekable();
-        while let Some(ev) = it.next() {
-            match ev {
-                Ev::PortEnqueue {
-                    side,
-                    port,
-                    class,
-                    id,
-                } if matches!(
-                    it.peek(),
-                    Some(Ev::PortEnqueue { side: s2, port: p2, .. })
-                        if *s2 == side && *p2 == port
-                ) =>
-                {
-                    // Run fast path. Semantically identical to the
-                    // one-at-a-time loop: each enqueue is followed by a
-                    // kick, and a kick on a busy port is a no-op — so
-                    // only the not-busy check survives inlining here.
-                    let (sw, pool) = self.sw_pool(side);
-                    sw.enqueue(port, class, id, pool);
-                    if !sw.port(port).busy {
-                        self.kick_port(side, port);
-                    }
-                    while let Some(&Ev::PortEnqueue {
-                        side: s2,
-                        port: p2,
-                        class: c2,
-                        id: id2,
-                    }) = it.peek()
-                    {
-                        if s2 != side || p2 != port {
-                            break;
-                        }
-                        it.next();
-                        let (sw, pool) = self.sw_pool(side);
-                        sw.enqueue(port, c2, id2, pool);
-                        if !sw.port(port).busy {
-                            self.kick_port(side, port);
-                        }
-                    }
-                }
-                _ => self.handle(ev, now),
-            }
-        }
     }
 
     /// Run until the clock passes `until`, measuring per-event-kind
@@ -857,8 +745,7 @@ impl World {
 
     /// Snapshot every instrumented component into the metrics registry at
     /// sim-time `now`. Ports, LinkGuardian instances and recirculation
-    /// buffers all land as separate `(comp, inst)` rows; `corruptd` polls
-    /// the same rows via [`linkguardian::Corruptd::poll_registry`].
+    /// buffers all land as separate `(comp, inst)` rows.
     pub fn snapshot_metrics(&mut self, now: Time) {
         // Taken inside an event at `now`: a host-port frame finishing at
         // exactly `now` completes in a later-filed event, so not yet.
@@ -971,17 +858,6 @@ impl World {
     /// Public wrapper over the event dispatcher (used by profiling tools).
     pub fn handle_pub(&mut self, ev: Ev, now: Time) {
         self.handle(ev, now);
-    }
-
-    /// Public wrapper over the batched dispatcher (used by `world_guard`'s
-    /// `--ab-dispatch` gate, which needs to count events per drained tick
-    /// while exercising the exact production batch path).
-    pub fn dispatch_batch_pub(&mut self, first: Ev, batch: &mut Vec<Ev>, now: Time) {
-        if batch.is_empty() {
-            self.handle(first, now);
-        } else {
-            self.dispatch_batch(first, batch, now);
-        }
     }
 
     fn handle(&mut self, ev: Ev, now: Time) {
@@ -1109,18 +985,10 @@ impl World {
                 self.kick_port(side, PORT_LINK);
             }
             Ev::ActivateLg => {
-                // When the monitoring plane is attached, Eq. 2 is sized
-                // from the windowed rate it *measured*; the oracle
-                // loss-model parameter is only the fallback for worlds
-                // that activate by explicit schedule.
-                let observed = self
-                    .corruptd
-                    .as_ref()
-                    .map(|d| d.observed_rate(0))
-                    .filter(|r| *r > 0.0);
-                let rate = observed
-                    .unwrap_or_else(|| self.fwd_link.loss().model().mean_rate())
-                    .max(1e-9);
+                // Activation by explicit schedule sizes Eq. 2 from the
+                // loss-model parameter; the monitoring plane
+                // (`poll_guardd`) uses the rate it measured.
+                let rate = self.fwd_link.loss().model().mean_rate().max(1e-9);
                 self.lg_tx.activate(rate);
                 self.lg_rx.activate();
                 let rev_rate = self.rev_link.loss().model().mean_rate().max(1e-9);
@@ -1686,7 +1554,6 @@ impl World {
         {
             self.obs.health_events.push(ev);
         }
-        self.poll_corruptd(now);
         self.poll_guardd(now);
         self.probes.qdepth.push(
             now,
@@ -1748,52 +1615,14 @@ impl World {
         b.sample_at(keys[5], t, w, self.e2e_retx_window as f64);
     }
 
-    /// Poll the in-world control-plane daemon (if attached) against the
-    /// metrics registry — the same rows the dashboards read — and close
-    /// the loop: activation uses the *observed* windowed rate.
-    fn poll_corruptd(&mut self, now: Time) {
-        let Some(d) = self.corruptd.as_mut() else {
-            return;
-        };
-        if d.is_active(0) {
-            return;
-        }
-        if !lg_obs::sink::metrics_enabled() {
-            // keep the registry row the daemon reads fresh even when the
-            // full telemetry dump is off; refreshed in place so polling
-            // neither allocates nor grows the registry
-            let c = self.sw_rx.counters(PORT_LINK);
-            self.obs
-                .registry
-                .record_inplace(now.as_ps(), "switch_port", "sw_rx:0", &c);
-        }
-        if let Some(notice) = d.poll_registry(0, &self.obs.registry, "switch_port", "sw_rx:0", now)
-        {
-            lg_trace!(
-                Level::Ctl,
-                Comp::World,
-                Kind::CorruptdFlip,
-                0u16,
-                now.as_ps(),
-                0u64,
-                0u64,
-                notice.retx_copies
-            );
-            self.lg_tx.activate(notice.loss_rate.max(1e-9));
-            self.lg_rx.activate();
-            self.kick_port(Side::Tx, PORT_LINK);
-            self.kick_port(Side::Rx, PORT_LINK);
-        }
-    }
-
     /// Feed the guardian manager (if attached) the health transitions
     /// accumulated since its last look at the stream, tick it, and
     /// actuate its decisions. The testbed has one protected link (id 0),
     /// so `Enable` activates LinkGuardian from the observed windowed
-    /// rate exactly as `poll_corruptd` does; `Retire`/`Defer` only move
-    /// the manager's own budget bookkeeping (there is no LinkGuardian
-    /// deactivation path in the cores — the paper treats repair as out
-    /// of band, §3.6).
+    /// rate, with the Eq. 2 copies toward `LgConfig::target_loss_rate`
+    /// on the trace row; `Retire`/`Defer` only move the manager's own
+    /// budget bookkeeping (there is no LinkGuardian deactivation path in
+    /// the cores — the paper treats repair as out of band, §3.6).
     fn poll_guardd(&mut self, now: Time) {
         let Some(mgr) = self.guardd.as_mut() else {
             return;
@@ -1814,10 +1643,7 @@ impl World {
                     now.as_ps(),
                     0u64,
                     0u64,
-                    linkguardian::eq::retx_copies(
-                        rate,
-                        linkguardian::corruptd::ACTIVATION_THRESHOLD
-                    )
+                    linkguardian::eq::retx_copies(rate, self.lg_tx.config().target_loss_rate)
                 );
                 self.lg_tx.activate(rate);
                 self.lg_rx.activate();

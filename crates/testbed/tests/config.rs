@@ -47,6 +47,29 @@ fn empty_message_is_refused() {
 }
 
 #[test]
+#[should_panic(expected = "guardd needs a sample interval")]
+fn guardd_without_a_sample_tick_is_refused() {
+    let mut c = cfg();
+    c.guardd = Some(lg_guardd::GuardConfig::oracle());
+    World::new(c);
+}
+
+#[test]
+fn guardd_cannot_protect_a_link_configured_bare() {
+    // `lg = None` is the figures' `Protection::Off`; a guardian on top
+    // used to activate a default `LgConfig` on it silently.
+    let mut c = cfg();
+    c.guardd = Some(lg_guardd::GuardConfig::oracle());
+    c.sample_interval = Some(Duration::from_ms(5));
+    assert_eq!(c.validate(), Ok(()));
+    c.lg = None;
+    assert!(c
+        .validate()
+        .unwrap_err()
+        .contains("guardd needs an `lg` configuration"));
+}
+
+#[test]
 fn validate_names_the_problem_without_panicking() {
     let mut c = cfg();
     assert_eq!(c.validate(), Ok(()));
