@@ -134,6 +134,7 @@ fn main() {
     // health estimation and sampled profiling. All-off by default, so
     // plain runs keep the bare fast path.
     cfg.telemetry = lg_bench::obs::pkt_telemetry();
+    lg_bench::check_cfgs([cfg.validate()]);
 
     // Layout report: stderr only, so stdout stays byte-identical across
     // shard layouts.

@@ -35,6 +35,7 @@ pub fn packet_rollup(pods: u32, shards: u32, threads: usize, seed: u64, horizon_
     // packet engine too: the rollup publishes merged per-link health
     // transitions (and the rest of the telemetry plane) to the sink.
     cfg.telemetry = crate::obs::pkt_telemetry();
+    crate::check_cfgs([cfg.validate()]);
 
     println!(
         "packet engine: {} pods / {} links, horizon {} us, seed {}",

@@ -71,11 +71,16 @@
 //!   ([`PktFabricConfig::retain_fct`]) for differential tests;
 //! * egress cells run under admission control: a layout-invariant
 //!   per-cell frame cap plus a per-shard [`MemBudget`] charged before
-//!   every enqueue and released on departure. A refused frame is
-//!   dropped tail-first and re-injected at its source after the RTO —
-//!   congestion loss surfaces to the transport under *both* policies
-//!   (LinkGuardian only masks corruption), so runs still drain and
-//!   every flow completes. Budget drops are layout-*dependent* (the
+//!   every enqueue and released on departure. A healthy cell's
+//!   departures are not events: their `(instant, link)` keys wait in a
+//!   calendar-ring ledger and are given back to the budget — in the
+//!   canonical order, so exactly — only before a charge that would
+//!   pass the high-water mark, the one place a stale `used` could be
+//!   told from the true one (DESIGN.md §20, tie rule 2). A refused
+//!   frame is dropped tail-first and re-injected at its source after
+//!   the RTO — congestion loss surfaces to the transport under *both*
+//!   policies (LinkGuardian only masks corruption), so runs still drain
+//!   and every flow completes. Budget drops are layout-*dependent* (the
 //!   quota is per shard); presets are sized so the budget never binds
 //!   (`denials == 0`), keeping output byte-identical across layouts
 //!   while still enforcing the bound.
@@ -277,34 +282,58 @@ impl PktFabricConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.geom.n_links() > 0, "empty fabric");
-        assert!(self.geom.tors >= 2, "need at least two ToRs per pod");
-        assert!(self.hop_latency.as_ps() > 0, "hop latency is the lookahead");
-        assert!(
+    /// Refuse a run the engine cannot keep its contracts on: a zero
+    /// lookahead or a 0 ps frame breaks the closed-tick rule, and the
+    /// snapshot count and the shard quota must fit their words.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |ok: bool, msg: &str| ok.then_some(()).ok_or_else(|| msg.to_string());
+        let n_links = self.geom.n_links() as u64;
+        check(n_links > 0, "empty fabric")?;
+        check(self.geom.tors >= 2, "need at least two ToRs per pod")?;
+        check(
+            self.hop_latency.as_ps() > 0,
+            "hop latency must be > 0: it is the lookahead",
+        )?;
+        check(
             self.lg_recovery >= self.hop_latency && self.rto >= self.hop_latency,
-            "recovery delays below the hop latency would violate the lookahead contract"
-        );
-        assert!(self.sample_interval.as_ps() > 0);
-        assert!(self.mean_interarrival.as_ps() > 0);
-        assert!(
+            "recovery delays below the hop latency would violate the lookahead contract",
+        )?;
+        check(
+            self.sample_interval.as_ps() > 0 && self.mean_interarrival.as_ps() > 0,
+            "sample_interval and mean_interarrival must be > 0",
+        )?;
+        check(
             self.mean_flow_frames >= 1.0,
-            "mean_flow_frames must be >= 1 (got {}): it is the mean of a geometric frame count",
-            self.mean_flow_frames
-        );
-        assert!(self.frame_bytes > 0);
-        assert!(
+            &format!(
+                "mean_flow_frames must be >= 1 (got {}): it is the mean of a geometric frame count",
+                self.mean_flow_frames
+            ),
+        )?;
+        check(
             self.speed.bps() > 0 && self.speed.serialize(self.frame_bytes as u64).as_ps() > 0,
-            "a {} B frame must take at least 1 ps to serialize at {} b/s (closed-tick rule)",
-            self.frame_bytes,
-            self.speed.bps()
-        );
-        assert!((0.0..=1.0).contains(&self.cross_pod));
-        assert!((0.0..=1.0).contains(&self.corrupting_fraction));
-        assert!(
+            &format!(
+                "a {} B frame must take at least 1 ps to serialize at {} b/s (closed-tick rule)",
+                self.frame_bytes,
+                self.speed.bps()
+            ),
+        )?;
+        check(
+            (0.0..=1.0).contains(&self.cross_pod)
+                && (0.0..=1.0).contains(&self.corrupting_fraction),
+            "cross_pod and corrupting_fraction must be in [0, 1]",
+        )?;
+        check(
+            self.horizon.as_ps() / self.sample_interval.as_ps() <= u32::MAX as u64,
+            "horizon / sample_interval must fit in u32 snapshots: raise sample_interval",
+        )?;
+        check(
             self.mem_bytes_per_link == 0 || self.mem_bytes_per_link >= self.frame_bytes as u64,
-            "a budget below one frame per link could never admit anything"
-        );
+            "a budget below one frame per link could never admit anything",
+        )?;
+        check(
+            self.mem_bytes_per_link.checked_mul(n_links).is_some(),
+            "mem_bytes_per_link x links overflows the shard quota",
+        )
     }
 }
 
@@ -374,6 +403,115 @@ impl FrameSlab {
     fn remove(&mut self, id: u32) -> Frame {
         self.free.push(id);
         self.slots[id as usize].frame
+    }
+}
+
+/// log2 of a ledger slot's width in ps: 4.096 ns, a thirtieth of a
+/// 1500 B frame at 100G — at the scale preset's ≈ 0.8 departures per ns
+/// per shard a slot chains three or four keys, so the scan of `now`'s
+/// slot stays a handful of compares.
+const DEP_SLOT_SHIFT: u32 = 12;
+/// Ledger ring slots: 2^13 × 4.096 ns = 33.5 µs, past the deepest
+/// backlog the scale preset can admit (256-frame cap × 120 ns =
+/// 30.7 µs), so with a cap in force every key lands in the ring.
+const DEP_SLOTS: u64 = 1 << 13;
+
+/// One pending release: its exact key and the link of its slot's chain
+/// (or of the free list).
+struct DepNode {
+    ps: u64,
+    link: u32,
+    next: u32,
+}
+
+/// The `(departure ps, global link)` of every frame a healthy cell has
+/// admitted and the shard's budget has not yet been given back: a
+/// one-level calendar ring of unordered chains over an arena with a
+/// free list, plus a heap for keys past the ring's horizon (no cell
+/// cap, slow links), as `EventQueue`'s overflow heap. It holds no
+/// events and dispatches nothing; [`Departures::settle`] only counts.
+struct Departures {
+    /// Chain head per ring slot, indexed by `(ps >> DEP_SLOT_SHIFT) %
+    /// DEP_SLOTS`.
+    heads: Vec<u32>,
+    nodes: Vec<DepNode>,
+    free: u32,
+    /// Absolute slot (`ps >> DEP_SLOT_SHIFT`) of the last settle: every
+    /// ring key's slot is in `[base, base + DEP_SLOTS)`.
+    base: u64,
+    ring_len: u32,
+    far: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl Departures {
+    fn new() -> Departures {
+        Departures {
+            heads: vec![NIL; DEP_SLOTS as usize],
+            nodes: Vec::new(),
+            free: NIL,
+            base: 0,
+            ring_len: 0,
+            far: BinaryHeap::new(),
+        }
+    }
+
+    /// File a key above every `settle` so far (a departure is later
+    /// than the arrival that computes it).
+    fn push(&mut self, ps: u64, link: u32) {
+        let slot = ps >> DEP_SLOT_SHIFT;
+        debug_assert!(slot >= self.base, "departure below the settled instant");
+        if slot - self.base >= DEP_SLOTS {
+            self.far.push(Reverse((ps, link)));
+            return;
+        }
+        let head = &mut self.heads[(slot % DEP_SLOTS) as usize];
+        let node = DepNode {
+            ps,
+            link,
+            next: *head,
+        };
+        if self.free == NIL {
+            *head = self.nodes.len() as u32;
+            self.nodes.push(node);
+        } else {
+            *head = self.free;
+            self.free = std::mem::replace(&mut self.nodes[*head as usize], node).next;
+        }
+        self.ring_len += 1;
+    }
+
+    /// Remove every key `<= (now_ps, link)` and return how many there
+    /// were. Calls come in nondecreasing key order (the canonical
+    /// dispatch order), so the slots before `now`'s hold nothing else
+    /// and only `now`'s own is split by the comparison.
+    fn settle(&mut self, now_ps: u64, link: u32) -> u64 {
+        let (upto, now_slot) = ((now_ps, link), now_ps >> DEP_SLOT_SHIFT);
+        let before = self.ring_len;
+        let mut slot = self.base;
+        while self.ring_len > 0 && slot <= now_slot {
+            let head = (slot % DEP_SLOTS) as usize;
+            let mut id = std::mem::replace(&mut self.heads[head], NIL);
+            while id != NIL {
+                let node = &mut self.nodes[id as usize];
+                let next = node.next;
+                if (node.ps, node.link) <= upto {
+                    node.next = std::mem::replace(&mut self.free, id);
+                    self.ring_len -= 1;
+                } else {
+                    node.next = std::mem::replace(&mut self.heads[head], id);
+                }
+                id = next;
+            }
+            slot += 1;
+        }
+        // An emptied ring ends the walk early: jump.
+        self.base = self.base.max(now_slot);
+        let mut far = 0;
+        while self.far.peek().is_some_and(|d| d.0 <= upto) {
+            self.far.pop();
+            far += 1;
+        }
+        (before - self.ring_len) as u64 + far
     }
 }
 
@@ -720,11 +858,9 @@ pub struct FabricShard {
     gens: Vec<FlowGen>,
     /// Global→local generator index over the pod span.
     gen_slab: Vec<u32>,
-    /// Per-shard egress-buffer quota (None = unbounded).
-    budget: Option<MemBudget>,
-    /// `(departure ps, global link)` of every frame a healthy cell has
-    /// admitted and not yet released to `budget` (empty without one).
-    departures: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per-shard egress-buffer quota (None = unbounded) and the
+    /// releases its healthy cells still owe it.
+    budget: Option<(MemBudget, Departures)>,
     /// Delivered-frame counts of flows terminating in this shard
     /// (O(in-flight flows), drained as flows complete).
     delivered: HashMap<u64, u16>,
@@ -837,14 +973,15 @@ impl FabricShard {
         let computed = cell.loss == 0.0;
         #[cfg(test)]
         let computed = computed && !self.shared.all_eventful;
-        if let Some(b) = &self.budget {
+        if let Some((b, owed)) = &mut self.budget {
             // Healthy cells' departures the canonical tick order runs
             // before this arrival: earlier instants, and at this instant
             // the cells up to this one (`TxDone` sorts before `Arrive`).
-            let upto = (now.as_ps(), link);
-            while self.departures.peek().is_some_and(|d| d.0 <= upto) {
-                self.departures.pop();
-                b.release(bytes);
+            // Unsettled, `used` only reads high — and a charge that
+            // stays within the high-water mark even so can be neither
+            // refused nor raise the mark, whatever is still owed.
+            if b.used() + bytes > b.high_watermark() {
+                b.release(bytes * owed.settle(now.as_ps(), link));
             }
         }
         // Frames still here — departing strictly after `now`, a cell's
@@ -856,8 +993,11 @@ impl FabricShard {
         } else {
             cell.len
         };
-        let admitted =
-            (cap == 0 || len < cap) && self.budget.as_ref().is_none_or(|b| b.try_charge(bytes));
+        let admitted = (cap == 0 || len < cap)
+            && self
+                .budget
+                .as_ref()
+                .is_none_or(|(b, _)| b.try_charge(bytes));
         if !admitted {
             cell.overflow_drops += 1;
             self.trace(Kind::RxOverflow, id, link, now);
@@ -869,8 +1009,8 @@ impl FabricShard {
             let depart = cell.free_at.max(now) + ser;
             cell.free_at = depart;
             cell.tx_frames += 1;
-            if self.budget.is_some() {
-                self.departures.push(Reverse((depart.as_ps(), link)));
+            if let Some((_, owed)) = &mut self.budget {
+                owed.push(depart.as_ps(), link);
             }
             self.forward(id, link, depart, out);
             return;
@@ -922,7 +1062,7 @@ impl FabricShard {
         cell.head = self.frames.slots[id as usize].next;
         cell.len -= 1;
         cell.busy = false;
-        if let Some(b) = &self.budget {
+        if let Some((b, _)) = &self.budget {
             b.release(self.shared.frame_bytes as u64);
         }
         if corrupted {
@@ -1174,11 +1314,11 @@ impl PktFabric {
     /// corrupting set and loss rates (by global link id, independent of
     /// the partition), and schedule the initial events.
     pub fn new(cfg: &PktFabricConfig) -> PktFabric {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|msg| panic!("{msg}"));
         let part: Partition = partition(&cfg.geom, cfg.shards);
         let n_links = cfg.geom.n_links();
-        let samples = u32::try_from(cfg.horizon.as_ps() / cfg.sample_interval.as_ps())
-            .expect("horizon / sample_interval must fit in u32 snapshots: raise sample_interval");
+        // Fits, and so does the shard quota below: `validate`.
+        let samples = (cfg.horizon.as_ps() / cfg.sample_interval.as_ps()) as u32;
         let shared = std::sync::Arc::new(Shared {
             geom: cfg.geom,
             map: part.map,
@@ -1227,9 +1367,10 @@ impl PktFabric {
                     link_slab: vec![u32::MAX; (hi - lo + 1) as usize],
                     gens: Vec::new(),
                     gen_slab: vec![u32::MAX; (hi - lo + 1) as usize],
-                    budget: (cfg.mem_bytes_per_link > 0)
-                        .then(|| MemBudget::new(cfg.mem_bytes_per_link * n_local as u64)),
-                    departures: BinaryHeap::new(),
+                    budget: (cfg.mem_bytes_per_link > 0).then(|| {
+                        let quota = MemBudget::new(cfg.mem_bytes_per_link * n_local as u64);
+                        (quota, Departures::new())
+                    }),
                     delivered: HashMap::new(),
                     fct_stream: FctStream::new(cfg.fct_tail_k),
                     fct: Vec::new(),
@@ -1415,7 +1556,10 @@ impl PktFabric {
                 Some(s) => s.merge(shard.fct_stream),
                 None => stream = Some(shard.fct_stream),
             }
-            if let Some(b) = &shard.budget {
+            if let Some((b, owed)) = &mut shard.budget {
+                let bytes = shard.shared.frame_bytes as u64;
+                b.release(bytes * owed.settle(u64::MAX, u32::MAX));
+                assert_eq!(b.used(), 0, "run ended with budget bytes never released");
                 mem.limit_bytes += b.limit();
                 mem.hwm_bytes += b.high_watermark();
                 mem.denials += b.denials();
@@ -1591,6 +1735,16 @@ mod tests {
         cfg.horizon = Time::from_ms(5);
         cfg.sample_interval = Duration::from_ps(1);
         PktFabric::new(&cfg);
+    }
+
+    /// A quota past `u64` used to wrap to a tiny one in release builds.
+    #[test]
+    fn quota_overflow_is_refused_by_validate() {
+        assert_eq!(PktFabricConfig::fabric_scale(1).validate(), Ok(()));
+        let mut cfg = tiny(PktPolicy::LinkGuardian);
+        cfg.mem_bytes_per_link = u64::MAX / 2;
+        let e = cfg.validate().expect_err("quota overflows");
+        assert!(e.starts_with("mem_bytes_per_link x links overflows"), "{e}");
     }
 
     #[test]
@@ -1979,6 +2133,75 @@ mod tests {
         assert_eq!(fct(11), t1 + 2 * S + RTO + S + H);
     }
 
+    /// No cell cap and 320 frames into one cell: a 38 µs backlog, past
+    /// the ledger ring's 33.5 µs, so the last forty-odd departures wait
+    /// in its far heap. The budget holds 300 frames; arrivals at another
+    /// cell as the 290th and the 300th leave are admitted only if the
+    /// far keys are settled like the ring's.
+    #[test]
+    fn backlog_past_the_ring_horizon_settles_from_the_far_heap() {
+        let mut cfg = quiet();
+        cfg.mem_bytes_per_link = 150_000; // x 3 links = 300 frames
+        let r = both(&cfg, |sh| {
+            for flow in 1..=5 {
+                burst(sh, T0, flow, 64, &[0]); // the last 20 frames refused
+            }
+            burst(sh, T0 + 290 * S, 6, 64, &[1]); // 10 + 64 held
+            burst(sh, T0 + 300 * S, 7, 64, &[2]); // 54 + 64 held
+        });
+        const { assert!(300 * S > DEP_SLOTS << DEP_SLOT_SHIFT) };
+        assert_eq!(r.mem.hwm_bytes, r.mem.limit_bytes);
+        assert_eq!((r.mem.limit_bytes, r.mem.denials), (450_000, 20));
+        assert_eq!(r.links[0].queue_hwm, 300);
+        assert_eq!(
+            (r.links[1].overflow_drops, r.links[2].overflow_drops),
+            (0, 0)
+        );
+    }
+
+    /// The two regimes of the lazy settle, each held to the all-eventful
+    /// reference's `mem` by `both`: a binding budget (`used` sits at the
+    /// mark, every charge settles first) and one a frame above the run's
+    /// own high-water mark (most charges skip the settle, none may be
+    /// refused, and the mark must come out the same).
+    #[test]
+    fn lazy_settle_is_exact_with_a_binding_budget_and_one_frame_of_slack() {
+        let mut cfg = tiny(PktPolicy::LinkGuardian);
+        cfg.mean_interarrival = Duration::from_us(3);
+        cfg.mean_flow_frames = 32.0;
+        cfg.mem_bytes_per_link = 1_500;
+        let bound = both(&cfg, |_| {});
+        assert_eq!(bound.mem.hwm_bytes, bound.mem.limit_bytes);
+        assert!(bound.mem.denials > 0);
+
+        let mut cfg = tiny(PktPolicy::LinkGuardian);
+        cfg.mem_bytes_per_link = 1 << 30;
+        let free = both(&cfg, |_| {});
+        let links = cfg.geom.n_links() as u64;
+        cfg.mem_bytes_per_link = (free.mem.hwm_bytes + 1_500).div_ceil(links);
+        let slack = both(&cfg, |_| {});
+        assert!(slack.mem.limit_bytes - free.mem.hwm_bytes < 1_500 + links);
+        assert_eq!(
+            (slack.mem.hwm_bytes, slack.mem.denials),
+            (free.mem.hwm_bytes, 0)
+        );
+        assert!(slack.simulation_eq(&free));
+    }
+
+    /// A charge nothing gives back must not pass for a drained run.
+    #[test]
+    #[should_panic(expected = "budget bytes never released")]
+    fn a_lost_release_fails_collect() {
+        let mut cfg = quiet();
+        cfg.mem_bytes_per_link = 1_500;
+        let mut fabric = PktFabric::new(&cfg);
+        single(&mut fabric.shards[0], T0, 1, 0);
+        let (b, _) = fabric.shards[0].budget.as_ref().unwrap();
+        assert!(b.try_charge(1_500));
+        let stats = fabric.run();
+        fabric.collect(stats);
+    }
+
     /// A five-frame burst into a two-frame cell: the head is admitted,
     /// frames 2..5 are refused mid-chain and come back an RTO later as
     /// three arrivals of their own (one of them refused once more),
@@ -2045,6 +2268,53 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The ledger against the heap it replaced: pushes above a
+            /// nondecreasing `(ps, link)` threshold — equal-`ps` keys on
+            /// both sides of the link, keys past the ring's horizon —
+            /// and settles after gaps from nothing to several ring
+            /// lengths return the same counts, and the same final drain.
+            #[test]
+            fn ledger_equals_the_release_heap(
+                ops in proptest::collection::vec(
+                    (
+                        any::<bool>(),
+                        prop_oneof![
+                            Just(0u64),
+                            0u64..4,
+                            0u64..9_000,
+                            0u64..400_000,
+                            30_000_000u64..80_000_000
+                        ],
+                        0u32..6,
+                    ),
+                    1..400,
+                ),
+            ) {
+                let mut ledger = Departures::new();
+                let mut heap = BinaryHeap::new();
+                let (mut now, mut at_link) = (0u64, 0u32);
+                for (push, dt, link) in ops {
+                    if push {
+                        // Strictly above the threshold, as a departure is.
+                        let ps = now + dt + u64::from(dt == 0u64 && link <= at_link);
+                        ledger.push(ps, link);
+                        heap.push(Reverse((ps, link)));
+                    } else {
+                        if dt > 0u64 || link > at_link {
+                            (now, at_link) = (now + dt, link);
+                        }
+                        let mut n = 0;
+                        while heap.peek().is_some_and(|d| d.0 <= (now, at_link)) {
+                            heap.pop();
+                            n += 1;
+                        }
+                        prop_assert_eq!(ledger.settle(now, at_link), n);
+                    }
+                }
+                prop_assert_eq!(ledger.settle(u64::MAX, u32::MAX), heap.len() as u64);
+                prop_assert_eq!(ledger.ring_len as usize + ledger.far.len(), 0);
+            }
 
             /// Random geometry, load, admission limits (binding and
             /// not), loss, policy and layout: the computed cells and
