@@ -5,9 +5,8 @@
 //!
 //! Usage: `cargo run --release -p lg-bench --bin ext_400g [--secs 0.1]`
 
-use lg_bench::{arg, banner};
+use lg_bench::{banner, secs_arg};
 use lg_link::{LinkSpeed, LossModel};
-use lg_sim::Duration;
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
@@ -16,8 +15,7 @@ fn main() {
         "Extension: higher link speeds",
         "LinkGuardian at 10G → 400G, 1e-3 corruption, line-rate stress",
     );
-    let secs: f64 = arg("--secs", 0.1);
-    let duration = Duration::from_secs_f64(secs);
+    let duration = secs_arg(0.1);
     println!(
         "{:<6} {:<6} {:>10} {:>12} {:>12} {:>12} {:>10}",
         "speed", "mode", "losses", "unrecovered", "eff.speed", "rx peak(KB)", "timeouts"

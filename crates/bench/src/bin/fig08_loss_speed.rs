@@ -14,9 +14,8 @@
 //! (the exponent law is separately validated at inflated loss rates by
 //! `tests/exponent_law.rs`).
 
-use lg_bench::{arg, banner, sweep};
+use lg_bench::{arg, banner, secs_arg, sweep};
 use lg_link::{LinkSpeed, LossModel};
-use lg_sim::Duration;
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
@@ -25,9 +24,8 @@ fn main() {
         "Figure 8",
         "effective loss rate and effective link speed, LG vs LG_NB",
     );
-    let secs: f64 = arg("--secs", 0.5);
+    let duration = secs_arg(0.5);
     let seed: u64 = arg("--seed", 1);
-    let duration = Duration::from_secs_f64(secs);
 
     println!(
         "{:<6} {:<10} {:<6} {:>8} {:>12} {:>14} {:>14} {:>10} {:>9}",

@@ -3,9 +3,8 @@
 //!
 //! Usage: `cargo run --release -p lg-bench --bin fig14_buffers [--secs 0.3]`
 
-use lg_bench::{arg, banner};
+use lg_bench::{banner, secs_arg};
 use lg_link::{LinkSpeed, LossModel};
-use lg_sim::Duration;
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
@@ -14,8 +13,7 @@ fn main() {
         "Figure 14",
         "LinkGuardian packet buffer usage (line-rate stress)",
     );
-    let secs: f64 = arg("--secs", 0.3);
-    let duration = Duration::from_secs_f64(secs);
+    let duration = secs_arg(0.3);
     println!(
         "{:<6} {:<8} {:>14} {:>14} {:>16}",
         "speed", "loss", "TX peak (KB)", "RX peak (KB)", "TX peak NB (KB)"

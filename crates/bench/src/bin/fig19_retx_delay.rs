@@ -5,9 +5,8 @@
 //! Usage: `cargo run --release -p lg-bench --bin fig19_retx_delay
 //! [--secs 0.5]`
 
-use lg_bench::{arg, banner};
+use lg_bench::{banner, secs_arg};
 use lg_link::{LinkSpeed, LossModel};
-use lg_sim::Duration;
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
@@ -16,20 +15,14 @@ fn main() {
         "Figure 19",
         "loss-detection → retransmission-received delay",
     );
-    let secs: f64 = arg("--secs", 0.5);
+    let duration = secs_arg(0.5);
     println!(
         "{:<6} {:<10} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "speed", "loss", "samples", "min(us)", "p25(us)", "p50(us)", "p99(us)", "max(us)"
     );
     for speed in [LinkSpeed::G25, LinkSpeed::G100] {
         for rate in [1e-4, 1e-3] {
-            let r = stress_test(
-                speed,
-                LossModel::Iid { rate },
-                Protection::Lg,
-                Duration::from_secs_f64(secs),
-                7,
-            );
+            let r = stress_test(speed, LossModel::Iid { rate }, Protection::Lg, duration, 7);
             let h = &r.retx_delay_ps;
             if h.is_empty() {
                 continue;

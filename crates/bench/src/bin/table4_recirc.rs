@@ -3,9 +3,8 @@
 //!
 //! Usage: `cargo run --release -p lg-bench --bin table4_recirc [--secs 0.3]`
 
-use lg_bench::{arg, banner};
+use lg_bench::{banner, secs_arg};
 use lg_link::{LinkSpeed, LossModel};
-use lg_sim::Duration;
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
@@ -14,8 +13,7 @@ fn main() {
         "Table 4",
         "recirculation overhead (% of pipe forwarding capacity)",
     );
-    let secs: f64 = arg("--secs", 0.3);
-    let duration = Duration::from_secs_f64(secs);
+    let duration = secs_arg(0.3);
     println!(
         "{:<10} {:>10} {:>10} {:>10}",
         "port", "1e-5", "1e-4", "1e-3"

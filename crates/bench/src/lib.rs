@@ -1,7 +1,6 @@
 //! `lg-bench` — regenerators for every table and figure in the paper's
 //! evaluation, one binary each (`cargo run --release -p lg-bench --bin
-//! figXX_...`), plus criterion micro-benchmarks of the core data
-//! structures.
+//! figXX_...`). Engine speed is measured by `perf/run.sh`, not here.
 //!
 //! Binaries print the same rows/series the paper reports; absolute
 //! numbers come from the simulated substrate, so `EXPERIMENTS.md`
@@ -12,6 +11,7 @@ pub mod obs;
 pub mod pktroll;
 pub mod sweep;
 
+use lg_sim::Duration;
 use std::env;
 
 /// Parse `--key value` from an explicit argument list.
@@ -54,6 +54,23 @@ where
             eprintln!("error: {msg}");
             std::process::exit(2);
         }
+    }
+}
+
+/// `--secs` as the length of a stress test, refused up front (stderr,
+/// exit 2) unless it is a whole number of picoseconds in `1..2^64`.
+/// `Duration::from_secs_f64` saturates through `as u64`: NaN, negatives
+/// and anything under half a picosecond become a zero-length run whose
+/// rates print as `inf%`/`NaN%`, and 1e30 becomes 213 simulated days.
+pub fn secs_arg(default: f64) -> Duration {
+    let secs: f64 = arg("--secs", default);
+    let ps = (secs * 1e12).round();
+    // NaN is in no range; 2^64 is where `as u64` saturates.
+    if (1.0..18_446_744_073_709_551_616.0).contains(&ps) {
+        Duration::from_secs_f64(secs)
+    } else {
+        eprintln!("error: --secs must be at least 1 ps and below 2^64 ps (got {secs} s)");
+        std::process::exit(2);
     }
 }
 

@@ -2,22 +2,18 @@
 //! one line on stderr, exit status 2 — not panic with a backtrace
 //! (`quantile of empty sample set`, status 101) after running the sweep.
 //! Likewise the packet-fabric binaries given a horizon whose snapshot
-//! count does not fit `u32` (`PktFabric::new` panics on one).
+//! count does not fit `u32` (`PktFabric::new` panics on one), and the
+//! stress binaries given a `--secs` that is not a positive duration.
 
 use std::process::Command;
 
-fn refuses_zero_trials(exe: &str) {
-    let out = Command::new(exe)
-        .args(["--trials", "0"])
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{exe}: {stderr}");
-    assert!(
-        stderr.starts_with("error: trials must be at least 1"),
-        "{exe}: {stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "{exe}: {stderr}");
+/// Run `exe args`; it must exit 2 without panicking. Returns stderr.
+fn refused(exe: &str, args: &[&str]) -> String {
+    let out = Command::new(exe).args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{exe} {args:?}: {stderr}");
+    stderr
 }
 
 #[test]
@@ -32,7 +28,11 @@ fn zero_trials_is_refused_with_exit_2() {
         env!("CARGO_BIN_EXE_ext_bidirectional"),
         env!("CARGO_BIN_EXE_ext_selective_repeat"),
     ] {
-        refuses_zero_trials(exe);
+        let stderr = refused(exe, &["--trials", "0"]);
+        assert!(
+            stderr.starts_with("error: trials must be at least 1"),
+            "{exe}: {stderr}"
+        );
     }
 }
 
@@ -45,17 +45,33 @@ fn packet_fabric_horizon_past_u32_snapshots_is_refused_with_exit_2() {
             &["--engine", "packet", "--pods", "2"][..],
         ),
     ] {
-        let out = Command::new(exe)
-            .args(engine)
-            .args(["--horizon-us", "18446744073709"])
-            .output()
-            .expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{exe}: {stderr}");
+        let args = [engine, &["--horizon-us", "18446744073709"]].concat();
+        let stderr = refused(exe, &args);
         assert!(
             stderr.contains("error: horizon / sample_interval must fit in u32 snapshots"),
             "{exe}: {stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{exe}: {stderr}");
+    }
+}
+
+/// `Duration::from_secs_f64` turned `-1` and `nan` into a zero-length
+/// run (`table4_recirc --secs 0` printed `inf%`/`NaN%` rows and exited
+/// 0) and `1e30` into 213 simulated days.
+#[test]
+fn stress_length_that_is_not_a_positive_duration_is_refused_with_exit_2() {
+    for exe in [
+        env!("CARGO_BIN_EXE_fig08_loss_speed"),
+        env!("CARGO_BIN_EXE_fig14_buffers"),
+        env!("CARGO_BIN_EXE_fig19_retx_delay"),
+        env!("CARGO_BIN_EXE_table4_recirc"),
+        env!("CARGO_BIN_EXE_ext_400g"),
+    ] {
+        for secs in ["0", "-1", "nan", "1e30", "1e-13"] {
+            let stderr = refused(exe, &["--secs", secs]);
+            assert!(
+                stderr.starts_with("error: --secs must be at least 1 ps and below 2^64 ps"),
+                "{exe} --secs {secs}: {stderr}"
+            );
+        }
     }
 }

@@ -163,13 +163,42 @@ impl GuardInput {
 
     pub(crate) fn from_json(v: Scanned<'_>) -> Result<GuardInput, String> {
         Ok(GuardInput {
-            t_ps: v.num("t_ps")? as u64,
-            window_id: v.num("window_id")? as u64,
-            link: v.num("link")? as u32,
+            t_ps: whole(v, "t_ps")?,
+            window_id: whole(v, "window_id")?,
+            link: whole(v, "link")?,
             from: health_from_name(&v.str("from")?)?,
             to: health_from_name(&v.str("to")?)?,
-            rate: v.num("rate")?,
+            rate: rate(v)?,
         })
+    }
+}
+
+/// A persisted integer field. Journals and snapshots are untrusted
+/// across invocations, and `as` would turn `-5` into 0, `4294967297.5`
+/// into link `u32::MAX` and `1e30` into a `seq` whose next increment
+/// overflows — so a value is taken only if it is a whole number in
+/// `0..=`[`PS_EXACT`] that fits the field's type.
+fn whole<T: TryFrom<u64>>(v: Scanned<'_>, key: &str) -> Result<T, String> {
+    let n = v.num(key)?;
+    let exact = n >= 0.0 && n <= PS_EXACT as f64 && n.fract() == 0.0;
+    exact
+        .then(|| T::try_from(n as u64).ok())
+        .flatten()
+        .ok_or_else(|| {
+            format!(
+                "field {key:?} must be a whole number in 0..=2^53 that fits {}, got {n}",
+                std::any::type_name::<T>()
+            )
+        })
+}
+
+/// A persisted loss rate: finite and not negative ([`rank`] orders by it).
+fn rate(v: Scanned<'_>) -> Result<f64, String> {
+    let r = v.num("rate")?;
+    if r.is_finite() && r >= 0.0 {
+        Ok(r)
+    } else {
+        Err(format!("field \"rate\" must be finite and >= 0, got {r}"))
     }
 }
 
@@ -583,30 +612,37 @@ impl GuardManager {
         let is_true =
             |v: Scanned<'_>, key: &str| v.get(key).and_then(|b| b.as_bool()) == Some(true);
         let cfg = GuardConfig {
-            budget: v.num("budget")? as u32,
-            hold_down_windows: v.num("hold_down_windows")? as u64,
+            budget: whole(v, "budget")?,
+            hold_down_windows: whole(v, "hold_down_windows")?,
             retire: is_true(v, "retire"),
             protect_on: health_from_name(&v.str("protect_on")?)?,
-            history_cap: v.num("history_cap")? as usize,
+            history_cap: whole(v, "history_cap")?,
         };
         let mut m = GuardManager::new("", cfg);
         let Some(items) = v.get("links").and_then(|l| l.as_arr()) else {
             return Err("snapshot missing \"links\" array".into());
         };
         for item in items {
+            let link: u32 = whole(item, "link")?;
             let mut history = VecDeque::new();
             if let Some(hs) = item.get("history").and_then(|h| h.as_arr()) {
                 for h in hs {
+                    // `ingest` keeps at least one transition.
+                    if history.len() == cfg.history_cap.max(1) {
+                        return Err(format!(
+                            "link {link}: \"history\" is longer than history_cap {}",
+                            cfg.history_cap
+                        ));
+                    }
                     history.push_back(GuardInput::from_json(h)?);
                 }
             }
             let protected = is_true(item, "protected");
-            let link = item.num("link")? as u32;
             let e = LinkEntry {
                 state: health_from_name(&item.str("state")?)?,
-                rate: item.num("rate")?,
-                hold_until_ps: item.num("hold_until_ps")? as u64,
-                window_ps: item.num("window_ps")? as u64,
+                rate: rate(item)?,
+                hold_until_ps: whole(item, "hold_until_ps")?,
+                window_ps: whole(item, "window_ps")?,
                 history,
             };
             // Last entry wins if a hand-edited snapshot repeats a link.
@@ -619,9 +655,24 @@ impl GuardManager {
             }
             m.links.insert(link, e);
         }
+        // `decide` only ever compares `budget_used() < budget`: a
+        // snapshot over its budget would stay over it.
+        let used = m.budget_used();
+        if used > cfg.budget {
+            return Err(format!(
+                "{used} links are \"protected\" over a \"budget\" of {}",
+                cfg.budget
+            ));
+        }
+        let recorded: u32 = whole(v, "budget_used")?;
+        if recorded != used {
+            return Err(format!(
+                "\"budget_used\" is {recorded} but {used} links are \"protected\""
+            ));
+        }
         m.run = v.str("run")?.into_owned();
-        m.seq = v.num("seq")? as u64;
-        m.last_t_ps = v.num("t_ps")? as u64;
+        m.seq = whole(v, "seq")?;
+        m.last_t_ps = whole(v, "t_ps")?;
         Ok(m)
     }
 }

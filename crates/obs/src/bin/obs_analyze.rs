@@ -41,7 +41,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 /// Print the kernel-reported peak RSS to stderr (Linux `VmHWM`; silent
-/// elsewhere). Same idiom as `world_guard --rss`.
+/// elsewhere).
 fn eprint_peak_rss() {
     if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
         for line in status.lines() {

@@ -10,9 +10,9 @@
 //!   snapshots. The registry serializes to deterministic JSONL.
 //! * [`trace`] — a structured trace layer: fixed-capacity per-thread ring
 //!   of compact [`TraceRecord`]s behind a runtime level filter. The
-//!   disabled path is a single branch on a relaxed [`AtomicU8`] load; the
-//!   `trace` cargo feature compiles emission out entirely (the
-//!   [`lg_trace!`] macro's argument expressions are never evaluated).
+//!   disabled path is a single branch on a relaxed [`AtomicU8`] load,
+//!   taken before the [`lg_trace!`] macro's argument expressions are
+//!   evaluated.
 //! * [`postmortem`] — packet-lifecycle reconstruction: trace records carry
 //!   the packet `uid`, so one call filters a drained ring down to a
 //!   packet's full causal history (TX → corrupt drop → LOSS_NOTIFICATION →

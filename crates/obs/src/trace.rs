@@ -4,9 +4,7 @@
 //! Emission sites use the [`lg_trace!`](crate::lg_trace) macro, which
 //! checks [`enabled`] *before* evaluating any of its argument expressions,
 //! so a disabled trace point costs one relaxed atomic load plus a
-//! predictable branch — measured ≤1% on the world benchmark. Building
-//! without the `trace` cargo feature turns [`enabled`] into `const false`
-//! and dead-code elimination removes the sites entirely.
+//! predictable branch — measured ≤1% on the world benchmark.
 //!
 //! Records land in a thread-local ring ([`TraceRing`]) with fixed capacity
 //! and overwrite-oldest semantics: tracing a long run keeps the most
@@ -283,19 +281,10 @@ pub fn level() -> Level {
 }
 
 /// Whether records at `l` are currently emitted. This is THE hot-path
-/// check: one relaxed `AtomicU8` load and a compare. With the `trace`
-/// feature off it is `const false`, so `lg_trace!` sites vanish.
-#[cfg(feature = "trace")]
+/// check: one relaxed `AtomicU8` load and a compare.
 #[inline(always)]
 pub fn enabled(l: Level) -> bool {
     LEVEL.load(Ordering::Relaxed) >= l as u8
-}
-
-/// Trace emission is compiled out (`trace` feature disabled).
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn enabled(_l: Level) -> bool {
-    false
 }
 
 /// Append `r` to this thread's ring. Callers must check [`enabled`] first
@@ -410,7 +399,6 @@ mod tests {
         assert!(std::mem::size_of::<TraceRecord>() <= 32);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn macro_defers_argument_evaluation() {
         set_level(Level::Off);

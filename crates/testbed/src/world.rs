@@ -1540,8 +1540,8 @@ impl World {
         // The heavyweight full-registry snapshot only serves the
         // `--metrics-out` dump; the streaming bank and the health
         // estimator are allocation-light and run on every tick, so
-        // enabling telemetry costs a few percent, not tens (the
-        // world_guard `--telemetry` gate holds it there).
+        // enabling telemetry costs a few percent, not tens (recorded as
+        // `obs.telemetry_ratio` by `perf/run.sh --trace 1`).
         if lg_obs::sink::metrics_enabled() {
             self.snapshot_metrics(now);
         }
