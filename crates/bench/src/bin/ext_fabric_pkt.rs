@@ -29,6 +29,7 @@
 use lg_bench::{arg, banner, flag};
 use lg_fabric::{partition, run_packet, PktFabricConfig, PktFabricResult, PktPolicy};
 use lg_sim::Time;
+use std::num::NonZeroU32;
 
 /// Picoseconds → microseconds for table display.
 fn us(ps: u64) -> f64 {
@@ -105,7 +106,12 @@ fn write_layout(path: &str, part: &lg_fabric::Partition, threads: usize) -> std:
 fn main() {
     let _obs = lg_bench::obs::session("ext_fabric_pkt");
     let scale = flag("--scale");
-    let shards: u32 = arg("--shards", if scale { 8 } else { 4 });
+    let default_shards = if scale {
+        const { NonZeroU32::new(8).unwrap() }
+    } else {
+        const { NonZeroU32::new(4).unwrap() }
+    };
+    let shards = arg("--shards", default_shards).get();
     let threads: usize = arg("--threads", shards as usize);
     let seed: u64 = arg("--seed", 42);
     let horizon_us: u64 = arg("--horizon-us", if scale { 400 } else { 2000 });

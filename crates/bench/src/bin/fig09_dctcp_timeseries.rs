@@ -21,6 +21,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_sim::{Duration, Time};
 use lg_testbed::{time_series, TimeSeriesScenario};
 use lg_transport::CcVariant;
+use std::num::NonZeroU64;
 
 fn main() {
     let _obs = lg_bench::obs::session("fig09_dctcp_timeseries");
@@ -28,7 +29,7 @@ fn main() {
         "Figure 9",
         "DCTCP on a 25G link: corruption starts, then LinkGuardian starts",
     );
-    let total_ms: u64 = arg("--ms", 60);
+    let total_ms = arg("--ms", const { NonZeroU64::new(60).unwrap() }).get();
     let disable_backpressure = flag("--no-bp");
     let loss = if flag("--bursty") {
         LossModel::bursty(1e-3, 3.0)

@@ -14,6 +14,7 @@ use lg_bench::{arg, banner};
 use lg_link::loss::LossProcess;
 use lg_link::{LossModel, RunLengthStats};
 use lg_sim::Rng;
+use std::num::NonZeroU64;
 
 fn run(model: LossModel, frames: u64, seed: u64) -> Vec<u64> {
     let mut p = LossProcess::new(model, Rng::new(seed));
@@ -30,7 +31,7 @@ fn main() {
         "Figure 20",
         "distribution of consecutive packets lost (1518B)",
     );
-    let frames: u64 = arg("--frames", 5_000_000u64);
+    let frames = arg("--frames", const { NonZeroU64::new(5_000_000).unwrap() }).get();
     println!("{:<28} {:>12} CDF by run length 1..7", "model", "bursts");
     for (name, model) in [
         ("iid 1%", LossModel::Iid { rate: 0.01 }),

@@ -8,6 +8,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_sim::{Duration, Time};
 use lg_testbed::{time_series, TimeSeriesScenario};
 use lg_transport::CcVariant;
+use std::num::NonZeroU64;
 
 fn run_one(name: &str, speed: LinkSpeed, variant: CcVariant, total_ms: u64, seed: u64) {
     println!("--- {name} on {} ---", speed.name());
@@ -45,7 +46,7 @@ fn run_one(name: &str, speed: LinkSpeed, variant: CcVariant, total_ms: u64, seed
 fn main() {
     let _obs = lg_bench::obs::session("fig21_cubic_bbr");
     banner("Figure 21", "CUBIC and BBR under the Fig 9 timeline");
-    let total_ms: u64 = arg("--ms", 60);
+    let total_ms = arg("--ms", const { NonZeroU64::new(60).unwrap() }).get();
     run_one("CUBIC", LinkSpeed::G25, CcVariant::Cubic, total_ms, 21);
     run_one("BBR", LinkSpeed::G10, CcVariant::Bbr, total_ms, 22);
     println!("paper: CUBIC collapses under loss and recovers with LG (qdepth grows:");

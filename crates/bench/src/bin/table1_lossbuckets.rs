@@ -7,6 +7,7 @@
 use lg_bench::{arg, banner};
 use lg_fabric::tracegen::{bucket_of, sample_loss_rate, LOSS_BUCKETS};
 use lg_sim::Rng;
+use std::num::NonZeroU64;
 
 fn main() {
     let _obs = lg_bench::obs::session("table1_lossbuckets");
@@ -14,7 +15,7 @@ fn main() {
         "Table 1",
         "corruption loss rates drawn by the trace generator",
     );
-    let samples: u64 = arg("--samples", 1_000_000u64);
+    let samples = arg("--samples", const { NonZeroU64::new(1_000_000).unwrap() }).get();
     let mut rng = Rng::new(arg("--seed", 42u64));
     let mut counts = [0u64; 4];
     for _ in 0..samples {

@@ -10,6 +10,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_sim::{Duration, Time};
 use lg_testbed::{time_series, TimeSeriesScenario};
 use lg_transport::CcVariant;
+use std::num::NonZeroU64;
 
 /// Steady-state CUBIC goodput measured over the tail of a stream.
 fn cubic_goodput(loss: LossModel, protection_lg: Option<bool>, ms: u64, seed: u64) -> f64 {
@@ -48,7 +49,7 @@ fn cubic_goodput(loss: LossModel, protection_lg: Option<bool>, ms: u64, seed: u6
 fn main() {
     let _obs = lg_bench::obs::session("table3_wharf");
     banner("Table 3", "TCP CUBIC goodput (Gb/s) on a 10G link");
-    let ms: u64 = arg("--ms", 80);
+    let ms = arg("--ms", const { NonZeroU64::new(80).unwrap() }).get();
     let model = WharfModel::table3();
     println!(
         "{:<14} {:>8} {:>8} {:>8} {:>8} {:>8}",

@@ -2,8 +2,9 @@
 //! one line on stderr, exit status 2 — not panic with a backtrace
 //! (`quantile of empty sample set`, status 101) after running the sweep.
 //! Likewise the packet-fabric binaries given a horizon whose snapshot
-//! count does not fit `u32` (`PktFabric::new` panics on one), and the
-//! stress binaries given a `--secs` that is not a positive duration.
+//! count does not fit `u32` (`PktFabric::new` panics on one), the
+//! stress binaries given a `--secs` that is not a positive duration, and
+//! the fixed-size binaries given a zero size.
 
 use std::process::Command;
 
@@ -73,5 +74,26 @@ fn stress_length_that_is_not_a_positive_duration_is_refused_with_exit_2() {
                 "{exe} --secs {secs}: {stderr}"
             );
         }
+    }
+}
+
+/// A zero-size run used to print a table and exit 0: `NaN%` buckets,
+/// a CDF over no bursts, a `0.00` Gb/s goodput, an empty series, or
+/// `0 threads`. Each size argument parses as a non-zero integer.
+#[test]
+fn zero_size_runs_are_refused_with_exit_2() {
+    for (exe, key) in [
+        (env!("CARGO_BIN_EXE_table1_lossbuckets"), "--samples"),
+        (env!("CARGO_BIN_EXE_fig20_consecutive"), "--frames"),
+        (env!("CARGO_BIN_EXE_table3_wharf"), "--ms"),
+        (env!("CARGO_BIN_EXE_fig09_dctcp_timeseries"), "--ms"),
+        (env!("CARGO_BIN_EXE_fig21_cubic_bbr"), "--ms"),
+        (env!("CARGO_BIN_EXE_ext_fabric_pkt"), "--shards"),
+    ] {
+        let stderr = refused(exe, &[key, "0"]);
+        let want = format!(
+            "error: invalid value for {key}: \"0\" (number would be zero for non-zero type)"
+        );
+        assert!(stderr.starts_with(&want), "{exe}: {stderr}");
     }
 }

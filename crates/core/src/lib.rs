@@ -28,13 +28,11 @@
 
 pub mod config;
 pub mod eq;
-pub mod fallback;
 pub mod receiver;
 pub mod sender;
 pub mod seqmap;
 
 pub use config::{LgConfig, Mechanisms, Mode};
 pub use eq::{effective_loss_rate, retx_copies};
-pub use fallback::{FallbackController, FallbackDecision, FallbackPolicy, ProtectionLevel};
 pub use receiver::{LgReceiver, ReceiverAction, ReceiverStats};
 pub use sender::{LgSender, SenderAction, SenderStats};

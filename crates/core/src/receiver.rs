@@ -25,10 +25,10 @@
 use crate::config::{LgConfig, Mode};
 use crate::seqmap::{abs_of, wire_of};
 use lg_obs::trace::{Comp, Kind, Level};
-use lg_obs::{lg_trace, MetricSink, Observe};
+use lg_obs::{lg_trace, LogHist, MetricSink, Observe};
 use lg_packet::lg::{LgAck, LgPacketType, LossNotification, PauseFrame, MAX_CONSECUTIVE_LOSSES};
 use lg_packet::{LgControl, NodeId, Packet, PacketPool, PktId};
-use lg_sim::{Duration, LogHistogram, Time};
+use lg_sim::{Duration, Time};
 use lg_switch::{Class, RecircBuffer, RecircStats};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -155,7 +155,7 @@ pub struct LgReceiver {
     delivered_above: BTreeSet<u64>,
     /// Distribution of loss-detection → recovery delays (paper Fig 19),
     /// in picoseconds.
-    retx_delay: LogHistogram,
+    retx_delay: LogHist,
     bp_state: BpState,
     /// Bytes released from the reordering buffer that are still draining
     /// through the 100 G recirculation path. Until drained they occupy the
@@ -186,7 +186,7 @@ impl LgReceiver {
             missing: BTreeSet::new(),
             missing_since: HashMap::new(),
             delivered_above: BTreeSet::new(),
-            retx_delay: LogHistogram::new(64),
+            retx_delay: LogHist::new(64),
             bp_state: BpState::Resumed,
             draining_bytes: 0,
             drain_last: Time::ZERO,
@@ -199,7 +199,7 @@ impl LgReceiver {
 
     /// Charge the reordering buffer against a shared per-world memory
     /// budget (attach before any traffic).
-    pub fn attach_budget(&mut self, budget: lg_switch::MemBudget) {
+    pub fn attach_budget(&mut self, budget: lg_obs::MemBudget) {
         self.rx_buffer.set_budget(budget);
     }
 
@@ -776,7 +776,7 @@ impl LgReceiver {
     }
 
     /// Recovery-delay histogram (ps), Fig 19.
-    pub fn retx_delay_histogram(&self) -> &LogHistogram {
+    pub fn retx_delay_histogram(&self) -> &LogHist {
         &self.retx_delay
     }
 

@@ -130,7 +130,7 @@ impl LgSender {
 
     /// Charge the Tx buffer against a shared per-world memory budget
     /// (attach before any traffic; a refused charge counts as overflow).
-    pub fn attach_budget(&mut self, budget: lg_switch::MemBudget) {
+    pub fn attach_budget(&mut self, budget: lg_obs::MemBudget) {
         self.tx_buffer.set_budget(budget);
     }
 
@@ -140,11 +140,6 @@ impl LgSender {
         self.active = true;
         self.cfg.actual_loss_rate = actual_loss_rate;
         self.n_copies = self.cfg.n_copies();
-    }
-
-    /// Deactivate protection.
-    pub fn deactivate(&mut self) {
-        self.active = false;
     }
 
     /// Whether LinkGuardian is protecting the link.

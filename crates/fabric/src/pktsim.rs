@@ -154,9 +154,6 @@ pub struct PktFabricConfig {
     /// drops are layout-dependent — size it to not bind (see module
     /// docs) when byte-identical output across layouts matters.
     pub mem_bytes_per_link: u64,
-    /// Tail-reservoir depth of the streaming FCT aggregator (largest
-    /// `fct_tail_k` FCTs kept exactly, per shard).
-    pub fct_tail_k: usize,
     /// Also retain the O(flows) per-flow FCT vector
     /// ([`PktFabricResult::fct`]). On for the small presets (the
     /// differential tests need it); off at fabric scale.
@@ -243,7 +240,6 @@ impl PktFabricConfig {
             sample_interval: Duration::from_us(500),
             cell_cap_frames: 0,
             mem_bytes_per_link: 0,
-            fct_tail_k: 65_536,
             retain_fct: true,
             telemetry: PktTelemetryConfig::default(),
         }
@@ -276,7 +272,6 @@ impl PktFabricConfig {
             sample_interval: Duration::from_us(200),
             cell_cap_frames: 256,
             mem_bytes_per_link: 64 * 1024,
-            fct_tail_k: 65_536,
             retain_fct: false,
             telemetry: PktTelemetryConfig::default(),
         }
@@ -340,6 +335,10 @@ impl PktFabricConfig {
 /// Frames per flow are capped so a single burst cannot monopolize a
 /// FIFO and flow keys stay dense in 8 bits.
 const MAX_FLOW_FRAMES: u64 = 64;
+
+/// Tail-reservoir depth of each shard's streaming FCT aggregator: the
+/// largest `FCT_TAIL_K` FCTs are kept exactly.
+const FCT_TAIL_K: usize = 65_536;
 
 /// One frame in flight. Carries its whole route so any shard can
 /// forward it without global state.
@@ -1372,7 +1371,7 @@ impl PktFabric {
                         (quota, Departures::new())
                     }),
                     delivered: HashMap::new(),
-                    fct_stream: FctStream::new(cfg.fct_tail_k),
+                    fct_stream: FctStream::new(FCT_TAIL_K),
                     fct: Vec::new(),
                     telemetry: Vec::new(),
                     flows: 0,

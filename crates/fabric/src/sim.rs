@@ -393,11 +393,12 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                            corrupting: &BTreeMap<LinkId, (f64, bool)>,
                            disabled_count: u32,
                            samples: &mut Vec<SamplePoint>| {
-        let total_penalty: f64 = corrupting
+        // Folded from +0.0, not `sum()` (which starts at -0.0): an
+        // all-clear sample must be +0.0 in every build profile.
+        let total_penalty = corrupting
             .values()
             .map(|&(r, lg_on)| link_penalty_with(lg_on, r, cfg.target_loss_rate))
-            .sum::<f64>()
-            .max(0.0);
+            .fold(0.0, |a, p| a + p);
         let mut least_paths: f64 = 1.0;
         let mut least_capacity: f64 = 1.0;
         for pod in 0..cfg.pods {

@@ -27,17 +27,6 @@ pub struct WharfParams {
 }
 
 impl WharfParams {
-    /// The parameter space Wharf evaluated (c.f. Fig 8 of Giesen et al.).
-    pub fn search_space() -> Vec<WharfParams> {
-        let mut v = Vec::new();
-        for &k in &[5u32, 10, 25] {
-            for &r in &[1u32, 2, 3] {
-                v.push(WharfParams { k, r });
-            }
-        }
-        v
-    }
-
     /// The configuration that gave Wharf's best *reported* goodput at each
     /// loss rate (Giesen et al., Fig 8) — what the paper's Table 3 uses.
     pub fn best_reported(loss_rate: f64) -> WharfParams {
@@ -94,17 +83,6 @@ impl WharfModel {
     pub fn best_wharf(&self, p: f64) -> (WharfParams, f64) {
         let params = WharfParams::best_reported(p);
         (params, self.wharf_goodput_gbps(params, p))
-    }
-
-    /// Best goodput over the whole evaluated space — an upper bound used
-    /// by the ablation bench (the real Wharf hardware did not reach this
-    /// at high loss; its reported numbers are [`Self::best_wharf`]).
-    pub fn best_over_space(&self, p: f64) -> (WharfParams, f64) {
-        WharfParams::search_space()
-            .into_iter()
-            .map(|params| (params, self.wharf_goodput_gbps(params, p)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"))
-            .expect("non-empty space")
     }
 }
 

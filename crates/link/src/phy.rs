@@ -118,22 +118,6 @@ impl Transceiver {
         }
     }
 
-    /// 100GBASE-SR4: four 25G NRZ lanes (optional RS(528,514) FEC).
-    pub fn base100g_sr4(fec: bool) -> Transceiver {
-        Transceiver {
-            name: if fec {
-                "100GBASE-SR4 (FEC)"
-            } else {
-                "100GBASE-SR4"
-            },
-            baud_gbd: 25.78125,
-            modulation: Modulation::Nrz,
-            margin_db: 31.0,
-            fec: if fec { Some(RsFec::kr4()) } else { None },
-            lanes: 4,
-        }
-    }
-
     /// Decision Q-factor in dB at the given attenuation.
     pub fn q_db(&self, attenuation_db: f64) -> f64 {
         let baud_penalty = 10.0 * (self.baud_gbd / BAUD_REF_GBD).log10();

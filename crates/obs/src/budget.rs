@@ -10,9 +10,9 @@
 //! after the fact.
 //!
 //! Lives in `lg-obs` (the dependency-free bottom of the crate graph) so
-//! both the testbed switch buffers (`lg-switch`, which re-exports it)
-//! and the sharded packet fabric (`lg-fabric`) can share the type
-//! without a dependency cycle.
+//! the testbed switch buffers (`lg-switch`), LinkGuardian's recirculation
+//! buffers (`linkguardian`) and the sharded packet fabric (`lg-fabric`)
+//! can all name this one type without a dependency cycle.
 //!
 //! Counters are relaxed atomics rather than `Cell`s only so the holder
 //! stays `Send` for the experiment harness's thread fan-out (each world

@@ -1,9 +1,10 @@
-//! Log-bucketed histogram for registry metrics.
+//! Log-bucketed histogram: the workspace's one histogram, used for
+//! registry metrics, streaming FCT quantiles and LinkGuardian's
+//! retransmission delays (Fig 19).
 //!
-//! Same shape as `lg_sim::stats::LogHistogram` (power-of-two buckets with
-//! linear sub-buckets) but dependency-free so `lg-obs` stays at the bottom
-//! of the crate graph. Bounded relative error `1/sub_buckets`, constant
-//! memory, O(1) record.
+//! Power-of-two buckets with linear sub-buckets, HdrHistogram-style;
+//! dependency-free so `lg-obs` stays at the bottom of the crate graph.
+//! Bounded relative error `1/sub_buckets`, constant memory, O(1) record.
 
 /// A histogram over `u64` values with logarithmic buckets.
 #[derive(Debug, Clone)]
@@ -93,14 +94,29 @@ impl LogHist {
         self.total == 0
     }
 
-    /// Value at quantile `q` in `[0, 1]` (bucket upper bound, clamped to
-    /// the observed max). Returns `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    /// Smallest recorded value (0 when empty).
+    pub fn min(&self) -> u64 {
         if self.total == 0 {
-            return None;
+            0
+        } else {
+            self.min
+        }
+    }
+
+    /// Largest recorded value (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// Value at quantile `q` in `[0, 1]` (bucket upper bound, clamped to
+    /// the observed max); 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        assert!((0.0..=1.0).contains(&q), "quantile {q} out of 0..=1");
+        if self.total == 0 {
+            return 0;
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        self.value_at_rank(rank)
+        self.value_at_rank(rank).expect("rank within count")
     }
 
     /// Value whose 1-based ascending rank is `rank` (bucket upper bound,
@@ -154,11 +170,11 @@ impl LogHist {
     pub fn summary(&self) -> HistSummary {
         HistSummary {
             count: self.total,
-            min: if self.total == 0 { 0 } else { self.min },
+            min: self.min(),
             max: self.max,
             mean: self.mean(),
-            p50: self.quantile(0.5).unwrap_or(0),
-            p99: self.quantile(0.99).unwrap_or(0),
+            p50: self.quantile(0.5),
+            p99: self.quantile(0.99),
         }
     }
 }
@@ -174,8 +190,8 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.len(), 16);
-        assert_eq!(h.quantile(0.0), Some(0));
-        assert_eq!(h.quantile(1.0), Some(15));
+        assert_eq!(h.quantile(0.0), 0);
+        assert_eq!(h.quantile(1.0), 15);
     }
 
     #[test]
@@ -184,13 +200,24 @@ mod tests {
         for v in [100u64, 1_000, 10_000, 1_000_000, 123_456_789] {
             let mut h1 = LogHist::new(64);
             h1.record(v);
-            let got = h1.quantile(0.5).unwrap();
+            let got = h1.quantile(0.5);
             let err = (got as f64 - v as f64).abs() / v as f64;
             assert!(err <= 1.0 / 64.0 + 1e-9, "v={v} got={got} err={err}");
             h.record(v);
         }
         assert_eq!(h.len(), 5);
         assert_eq!(h.summary().count, 5);
+        // A 100k-value uniform stream over [0, 1e6): p50 and p99.9 land
+        // within one bucket width of the exact ranks.
+        let mut u = LogHist::new(64);
+        for i in 0..100_000u64 {
+            u.record(i * 10);
+        }
+        for (q, exact) in [(0.5, 499_990.0), (0.999, 998_990.0)] {
+            let got = u.quantile(q) as f64;
+            let err = (got - exact).abs() / exact;
+            assert!(err <= 1.0 / 64.0 + 1e-9, "q={q} got={got} err={err}");
+        }
     }
 
     #[test]
@@ -201,7 +228,7 @@ mod tests {
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 0);
         assert_eq!(s.mean, 0.0);
-        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.quantile(0.5), 0);
     }
 
     #[test]
@@ -239,7 +266,7 @@ mod tests {
         assert_eq!(h.value_at_rank(1), Some(0));
         assert_eq!(h.value_at_rank(10), Some(9));
         // quantile(q) is value_at_rank(ceil(q*n)) by construction.
-        assert_eq!(h.quantile(0.5), h.value_at_rank(5));
+        assert_eq!(Some(h.quantile(0.5)), h.value_at_rank(5));
     }
 
     #[test]

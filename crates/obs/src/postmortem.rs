@@ -89,16 +89,6 @@ pub fn render(records: &[TraceRecord], what: &str) -> String {
     out
 }
 
-/// Dump the current thread's ring for `uid` to stderr (invariant-trip
-/// helper: callable from a panic path). No-op when the ring is empty or
-/// tracing is compiled out.
-pub fn eprint_for_uid(uid: u64) {
-    let snap = crate::trace::snapshot();
-    if !snap.is_empty() {
-        eprintln!("{}", report(&snap, uid));
-    }
-}
-
 /// Dump the current thread's ring for pool slot `idx` to stderr.
 pub fn eprint_for_slot(idx: u32) {
     let snap = crate::trace::snapshot();

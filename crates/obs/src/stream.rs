@@ -178,16 +178,12 @@ impl QuantileStream {
 
     /// Smallest recorded value (0 when empty).
     pub fn min(&self) -> u64 {
-        if self.hist.is_empty() {
-            0
-        } else {
-            self.hist.summary().min
-        }
+        self.hist.min()
     }
 
     /// Largest recorded value (0 when empty).
     pub fn max(&self) -> u64 {
-        self.hist.summary().max
+        self.hist.max()
     }
 
     /// Mean of recorded values (0 when empty).

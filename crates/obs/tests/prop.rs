@@ -144,3 +144,34 @@ mod timeseries_props {
         }
     }
 }
+
+mod hist_props {
+    use lg_obs::LogHist;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// LogHist quantiles stay within the recorded min/max and carry
+        /// bounded relative error vs the exact nearest-rank quantile of
+        /// the sorted values.
+        #[test]
+        fn log_histogram_bounded_error(values in proptest::collection::vec(1u64..1_000_000_000, 50..500)) {
+            let mut h = LogHist::new(64);
+            for &v in &values {
+                h.record(v);
+            }
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let n = sorted.len();
+            for q in [0.1, 0.5, 0.9, 0.99] {
+                let approx = h.quantile(q) as f64;
+                let exact = sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1] as f64;
+                prop_assert!(approx >= h.min() as f64 && approx <= h.max() as f64);
+                // one sub-bucket of relative error (1/64) plus rank slack
+                prop_assert!(
+                    (approx - exact).abs() <= exact * 0.05 + 2.0,
+                    "q={q}: approx {approx} exact {exact}"
+                );
+            }
+        }
+    }
+}

@@ -190,17 +190,6 @@ impl PacketPool {
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
-
-    /// Live slots as `(slot index, packet uid)`, for leak postmortems:
-    /// feed the uids to `lg_obs::postmortem::report` to see each leaked
-    /// packet's history.
-    pub fn live_slots(&self) -> Vec<(u32, u64)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.pkt.as_ref().map(|p| (i as u32, p.uid)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! * [`shard`]: conservative-lookahead sharding for parallelism *inside*
 //!   one run — per-shard event queues advancing in lockstep windows with
 //!   deterministic cross-shard mailbox exchange.
-//! * [`stats`]: percentile samples, log histograms, time series and rate
+//! * [`stats`]: percentile samples, time series and rate
 //!   meters used to regenerate the paper's tables and figures.
 //!
 //! Design follows the event-driven, allocation-light, "no surprises" style
@@ -33,5 +33,5 @@ pub use event::{EventHandle, EventQueue};
 pub use par::par_map;
 pub use rng::Rng;
 pub use shard::{run_sharded, ShardMsg, ShardStats, ShardWorld};
-pub use stats::{LogHistogram, RateMeter, Samples, TimeSeries};
+pub use stats::{RateMeter, Samples, TimeSeries};
 pub use time::{Duration, Rate, Time};

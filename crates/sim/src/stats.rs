@@ -1,6 +1,6 @@
-//! Measurement utilities: exact-sample percentiles, log-bucketed
-//! histograms, CDFs and time-series recorders used by the experiment
-//! harnesses.
+//! Measurement utilities: exact-sample percentiles, CDFs and
+//! time-series recorders used by the experiment harnesses. The
+//! log-bucketed histogram for unbounded streams is `lg_obs::LogHist`.
 
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// An exact-sample collector with percentile queries.
 ///
 /// Stores every sample; right for FCT experiments (up to a few hundred
-/// thousand trials). For unbounded streams use [`LogHistogram`].
+/// thousand trials). For unbounded streams use `lg_obs::LogHist`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Samples {
     values: Vec<f64>,
@@ -123,109 +123,6 @@ impl Samples {
     /// Borrow the raw samples (unsorted order not guaranteed).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-}
-
-/// Log-bucketed histogram for unbounded streams (e.g. per-packet delays).
-///
-/// Buckets are `sub_buckets` linear subdivisions of each power-of-two
-/// magnitude, HdrHistogram-style, giving a bounded relative error of
-/// `1/sub_buckets` while using O(64 * sub_buckets) memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LogHistogram {
-    sub_buckets: u32,
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-    max: u64,
-    min: u64,
-}
-
-impl LogHistogram {
-    /// Histogram with the given per-magnitude resolution (e.g. 32).
-    pub fn new(sub_buckets: u32) -> LogHistogram {
-        assert!(sub_buckets.is_power_of_two() && sub_buckets >= 2);
-        LogHistogram {
-            sub_buckets,
-            counts: vec![0; (65 * sub_buckets) as usize],
-            total: 0,
-            sum: 0.0,
-            max: 0,
-            min: u64::MAX,
-        }
-    }
-
-    fn index(&self, v: u64) -> usize {
-        if v < self.sub_buckets as u64 {
-            return v as usize;
-        }
-        let mag = 63 - v.leading_zeros();
-        let shift = mag - self.sub_buckets.trailing_zeros();
-        let offset = (v >> shift) - self.sub_buckets as u64;
-        ((shift + 1) as u64 * self.sub_buckets as u64 + offset) as usize
-    }
-
-    fn bucket_value(&self, idx: usize) -> u64 {
-        let sb = self.sub_buckets as u64;
-        let idx = idx as u64;
-        if idx < sb {
-            return idx;
-        }
-        let shift = idx / sb - 1;
-        let offset = idx % sb + sb;
-        // representative value: top of bucket
-        ((offset + 1) << shift) - 1
-    }
-
-    /// Record one integer-valued sample (e.g. picoseconds or bytes).
-    pub fn record(&mut self, v: u64) {
-        let idx = self.index(v);
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += v as f64;
-        self.max = self.max.max(v);
-        self.min = self.min.min(v);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Mean of recorded samples.
-    pub fn mean(&self) -> f64 {
-        assert!(self.total > 0);
-        self.sum / self.total as f64
-    }
-
-    /// Exact maximum recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact minimum recorded value.
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Approximate `q`-quantile (within one bucket width).
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q));
-        assert!(self.total > 0);
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut acc = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= rank {
-                return self.bucket_value(i).min(self.max).max(self.min);
-            }
-        }
-        self.max
     }
 }
 
@@ -390,37 +287,6 @@ mod tests {
             s.record(4.0);
         }
         assert_eq!(s.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn log_histogram_small_values_exact() {
-        let mut h = LogHistogram::new(32);
-        for v in 0..32 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.5), 15);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 31);
-    }
-
-    #[test]
-    fn log_histogram_quantile_bounded_error() {
-        let mut h = LogHistogram::new(64);
-        // uniform over [0, 1e6)
-        let mut r = crate::rng::Rng::new(3);
-        for _ in 0..100_000 {
-            h.record(r.below(1_000_000));
-        }
-        let p50 = h.quantile(0.5) as f64;
-        assert!(
-            (p50 - 500_000.0).abs() / 500_000.0 < 0.05,
-            "p50 {p50} too far from 500k"
-        );
-        let p999 = h.quantile(0.999) as f64;
-        assert!(
-            (p999 - 999_000.0).abs() / 999_000.0 < 0.05,
-            "p99.9 {p999} off"
-        );
     }
 
     #[test]

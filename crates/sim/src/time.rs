@@ -98,10 +98,6 @@ impl Duration {
     pub const fn from_secs(s: u64) -> Duration {
         Duration(s * 1_000_000_000_000)
     }
-    /// Construct from fractional microseconds (rounded to the nearest ps).
-    pub fn from_us_f64(us: f64) -> Duration {
-        Duration((us * 1e6).round() as u64)
-    }
     /// Construct from fractional seconds (rounded to the nearest ps).
     pub fn from_secs_f64(s: f64) -> Duration {
         Duration((s * 1e12).round() as u64)

@@ -14,12 +14,12 @@
 //!   polls (`corruptd`, Appendix C);
 //! * [`switch::Switch`] — forwarding + ports + counters + pipeline latency;
 //! * [`serial::SerialLink`] — an uncontended FIFO hop (host NIC,
-//!   host-facing port) computed at hand-over instead of simulated;
-//! * [`budget::MemBudget`] — a shared per-world byte quota bounding the
-//!   sum of all participating buffers (tor-memquota idiom: charge before
-//!   storing, fail gracefully, account the high-water mark).
+//!   host-facing port) computed at hand-over instead of simulated.
+//!
+//! Queues, recirculation buffers and serial links can all charge a
+//! shared `lg_obs::MemBudget` (a per-world byte quota bounding the sum of
+//! all participating buffers).
 
-pub mod budget;
 pub mod counters;
 pub mod pktgen;
 pub mod port;
@@ -28,7 +28,6 @@ pub mod recirc;
 pub mod serial;
 pub mod switch;
 
-pub use budget::MemBudget;
 pub use counters::PortCounters;
 pub use pktgen::PacketGen;
 pub use port::{Class, EgressPort, NUM_CLASSES};

@@ -2,6 +2,7 @@
 //! PFC-style per-class pause.
 
 use crate::queue::{ByteQueue, EnqueueOutcome};
+use lg_obs::MemBudget;
 use lg_packet::{PacketPool, PktId};
 use serde::{Deserialize, Serialize};
 
@@ -64,21 +65,15 @@ impl EgressPort {
         self
     }
 
-    /// Override the normal queue's byte capacity.
-    pub fn with_normal_capacity(mut self, cap: u64) -> EgressPort {
-        self.queues[Class::Normal as usize] = ByteQueue::new(cap);
-        self
-    }
-
     /// Charge every class queue against a shared [`MemBudget`]. Call
-    /// after the capacity/ECN builders: those replace queues wholesale.
-    pub fn with_budget(mut self, budget: crate::budget::MemBudget) -> EgressPort {
+    /// after the ECN builder: it replaces the normal queue wholesale.
+    pub fn with_budget(mut self, budget: MemBudget) -> EgressPort {
         self.set_budget(&budget);
         self
     }
 
     /// In-place form of [`EgressPort::with_budget`] (port must be idle).
-    pub fn set_budget(&mut self, budget: &crate::budget::MemBudget) {
+    pub fn set_budget(&mut self, budget: &MemBudget) {
         for q in &mut self.queues {
             q.set_budget(budget.clone());
         }
@@ -123,11 +118,6 @@ impl EgressPort {
     /// Pause or resume a class (PFC).
     pub fn set_paused(&mut self, class: Class, paused: bool) {
         self.paused[class as usize] = paused;
-    }
-
-    /// Whether a class is paused.
-    pub fn is_paused(&self, class: Class) -> bool {
-        self.paused[class as usize]
     }
 
     /// Access a class queue (for depth probes).

@@ -11,7 +11,7 @@
 //! queues' occupancy; a refused charge degrades to the same drop-tail
 //! path as a full queue.
 
-use crate::budget::MemBudget;
+use lg_obs::MemBudget;
 use lg_packet::{Ecn, PacketPool, PktId};
 use std::collections::VecDeque;
 
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn budget_denial_drop_tails_gracefully() {
         let mut pool = PacketPool::new();
-        let budget = crate::budget::MemBudget::new(250);
+        let budget = MemBudget::new(250);
         // Two queues sharing one 250-byte budget, each with ample own
         // capacity: the budget is what binds.
         let mut q1 = ByteQueue::new(10_000).with_budget(budget.clone());

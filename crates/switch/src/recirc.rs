@@ -26,7 +26,7 @@
 //! is a prefix drain that scans one contiguous key lane per cache line
 //! instead of walking tree nodes.
 
-use crate::budget::MemBudget;
+use lg_obs::MemBudget;
 use lg_obs::{MetricSink, Observe};
 use lg_packet::{PacketPool, PktId};
 use lg_sim::{Duration, Rate, Time};
@@ -399,7 +399,7 @@ mod tests {
     #[test]
     fn budget_denial_reports_overflow() {
         let mut pool = PacketPool::new();
-        let budget = crate::budget::MemBudget::new(500);
+        let budget = MemBudget::new(500);
         let mut b = RecircBuffer::new(10_000).with_budget(budget.clone());
         let (p1, p2) = (pkt(&mut pool, 400), pkt(&mut pool, 400));
         b.insert(1, p1, Time::ZERO, &pool).unwrap();

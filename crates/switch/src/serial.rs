@@ -12,9 +12,9 @@
 //! arrival until serialization starts, the queue-depth high-water mark,
 //! and TX counters that count a frame only once it has finished.
 
-use crate::budget::MemBudget;
 use crate::counters::PortCounters;
 use crate::port::DEFAULT_QUEUE_CAP;
+use lg_obs::MemBudget;
 use lg_packet::{PacketPool, PktId};
 use lg_sim::{Duration, Time};
 use std::collections::VecDeque;

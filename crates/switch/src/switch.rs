@@ -84,7 +84,7 @@ impl Switch {
 
     /// Charge every port's queues against a shared memory budget. Call
     /// after all [`Switch::set_port`] reconfiguration, while idle.
-    pub fn attach_budget(&mut self, budget: &crate::budget::MemBudget) {
+    pub fn attach_budget(&mut self, budget: &lg_obs::MemBudget) {
         for p in &mut self.ports {
             p.set_budget(budget);
         }

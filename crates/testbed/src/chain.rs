@@ -17,7 +17,7 @@
 //! forward direction is protected (like the main testbed); reverse
 //! traffic carries ACKs and LinkGuardian control.
 
-use crate::host::Host;
+use crate::host::{Host, DUMMY_REFRESH, HOST_HOP};
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
 use lg_packet::{FlowId, NodeId, Packet, PacketPool, Payload, PktId};
 use lg_sim::{Duration, EventQueue, Rng, Time};
@@ -149,9 +149,6 @@ pub struct ChainConfig {
     pub losses: Vec<LossModel>,
     /// Which hops get a LinkGuardian pair (same length).
     pub protected: Vec<bool>,
-    /// Host stack delay (7 µs ⇒ ~30 µs RTT on a 2-switch path; each
-    /// extra hop adds ~2×(serialization + pipeline)).
-    pub host_stack_delay: Duration,
     /// Traffic.
     pub app: ChainApp,
     /// Seed.
@@ -181,7 +178,6 @@ impl ChainConfig {
             speed,
             losses,
             protected: vec![true; n],
-            host_stack_delay: Duration::from_us(7),
             app,
             seed: 1,
         }
@@ -441,7 +437,7 @@ impl ChainWorld {
                 {
                     h.dummy_refresh_armed = true;
                     self.q
-                        .schedule_after(Duration::from_ns(400), CEv::DummyRefresh { hop });
+                        .schedule_after(DUMMY_REFRESH, CEv::DummyRefresh { hop });
                 }
                 if got {
                     next = self.switches[sw].dequeue(port);
@@ -526,7 +522,7 @@ impl ChainWorld {
         let counters = self.switches[sw].counters_mut(port);
         let link = &mut self.host_ports[host];
         if let Some(done) = link.enqueue(now, arrive, ser, id, &mut self.pool, counters) {
-            let at = done + Duration::from_ns(100) + self.cfg.host_stack_delay;
+            let at = done + HOST_HOP;
             self.q.schedule_at(at, CEv::HostArrive { host, id });
         }
     }
@@ -680,7 +676,7 @@ impl ChainWorld {
         };
         let pipeline = self.switches[sw].pipeline_latency;
         self.q.schedule_at(
-            sent + self.cfg.host_stack_delay + Duration::from_ns(100) + pipeline,
+            sent + HOST_HOP + pipeline,
             CEv::PortEnqueue {
                 sw,
                 port,

@@ -2,7 +2,8 @@
 
 use crate::world::{App, World, WorldConfig};
 use lg_link::{LinkSpeed, LossModel};
-use lg_sim::{Duration, LogHistogram, Time};
+use lg_obs::LogHist;
+use lg_sim::{Duration, Time};
 use lg_transport::{CcVariant, FlowTrace};
 use lg_workload::FctReport;
 use linkguardian::LgConfig;
@@ -122,7 +123,7 @@ pub struct StressResult {
     /// Receiver-side recirculation overhead.
     pub rx_recirc_overhead: f64,
     /// Loss-detection → recovery delay histogram (ps), Fig 19.
-    pub retx_delay_ps: LogHistogram,
+    pub retx_delay_ps: LogHist,
     /// Pause frames sent by the backpressure mechanism.
     pub pauses: u64,
 }

@@ -2,11 +2,22 @@
 //! and the single wake-up their timers share.
 
 use lg_packet::{FlowId, NodeId, Packet, Payload};
-use lg_sim::Time;
+use lg_sim::{Duration, Time};
 use lg_switch::SerialLink;
 use lg_transport::{
     CcVariant, RdmaRequester, RdmaResponder, TcpConfig, TcpReceiver, TcpSender, TransportAction,
 };
+
+/// One host hop, each way: 100 ns of NIC/wire latency plus the 7 µs
+/// host stack delay (7 µs on transmit and on receive makes the unloaded
+/// TCP RTT ≈ 30 µs, §4). A frame reaches its host this long after the
+/// host-facing switch port finishes serializing it, and reaches the
+/// switch this long after the host hands it to its NIC.
+pub const HOST_HOP: Duration = Duration::from_ns(100 + 7_000);
+
+/// Pacing interval of the dummy-refresh keepalive that re-arms an idle
+/// protected port's dummy queue.
+pub(crate) const DUMMY_REFRESH: Duration = Duration::from_ns(400);
 
 /// Per-host state: NIC pacing plus at most one active transport each way.
 pub struct Host {
@@ -183,7 +194,6 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lg_sim::Duration;
 
     fn host() -> Host {
         Host::new(NodeId(0))

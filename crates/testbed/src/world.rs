@@ -31,7 +31,8 @@ use lg_transport::{
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender, ReceiverAction, SenderAction};
 
-pub use crate::host::Host;
+use crate::host::DUMMY_REFRESH;
+pub use crate::host::{Host, HOST_HOP};
 
 /// Which switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,15 +362,10 @@ pub struct WorldConfig {
     /// ECN marking threshold on the protected port's normal queue
     /// (the paper's DCTCP experiments use 100 KB).
     pub ecn_threshold: Option<u64>,
-    /// Host stack delay applied on transmit and on receive (7 µs each
-    /// makes the unloaded TCP RTT ≈ 30 µs, §4).
-    pub host_stack_delay: Duration,
     /// Traffic driver.
     pub app: App,
     /// Probe sampling interval (None = no probes).
     pub sample_interval: Option<Duration>,
-    /// Pacing interval of the dummy-refresh keepalive.
-    pub dummy_refresh: Duration,
     /// Per-world memory budget in bytes (tor-memquota idiom): one shared
     /// quota covering every switch egress queue and both LinkGuardian
     /// buffer classes. Exceeding it degrades gracefully — the arriving
@@ -401,9 +397,6 @@ impl WorldConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.sample_interval == Some(Duration::ZERO) {
             return Err("sample interval must be > 0".into());
-        }
-        if self.dummy_refresh == Duration::ZERO {
-            return Err("dummy refresh interval must be > 0".into());
         }
         if self.guardd.is_some() {
             if self.sample_interval.is_none() {
@@ -438,10 +431,8 @@ impl WorldConfig {
             lg_active_from_start: true,
             guardd: None,
             ecn_threshold: None,
-            host_stack_delay: Duration::from_us(7),
             app: App::None,
             sample_interval: None,
-            dummy_refresh: Duration::from_ns(400),
             mem_budget: None,
             seed: 1,
         }
@@ -511,7 +502,7 @@ pub struct World {
     /// Observability state (metric snapshots, uid base, profile).
     pub obs: WorldObs,
     /// Shared memory budget when `WorldConfig::mem_budget` is set.
-    pub budget: Option<lg_switch::MemBudget>,
+    pub budget: Option<lg_obs::MemBudget>,
     /// Guardian manager (see `WorldConfig::guardd`), fed the world's
     /// health events at every sample tick; its journal drains to the
     /// sink at publish.
@@ -522,7 +513,6 @@ pub struct World {
     trials_remaining: u32,
     dummy_refresh_armed: [bool; 2],
     e2e_retx_window: u64,
-    rng: Rng,
     // Reusable action buffers (std::mem::take'd around each use) so the
     // steady-state event loop performs no per-packet allocation.
     rx_scratch: Vec<ReceiverAction>,
@@ -569,7 +559,7 @@ impl World {
         if let Some(th) = cfg.ecn_threshold {
             sw_tx.set_port(PORT_LINK, EgressPort::new().with_ecn_threshold(th));
         }
-        let budget = cfg.mem_budget.map(lg_switch::MemBudget::new);
+        let budget = cfg.mem_budget.map(lg_obs::MemBudget::new);
         let mut host_ports = [SerialLink::default(), SerialLink::default()];
         if let Some(b) = &budget {
             sw_tx.attach_budget(b);
@@ -658,7 +648,6 @@ impl World {
             trials_remaining,
             dummy_refresh_armed: [false; 2],
             e2e_retx_window: 0,
-            rng,
             rx_scratch: Vec::new(),
             tx_scratch: Vec::new(),
             filler_scratch: Vec::new(),
@@ -780,19 +769,7 @@ impl World {
             let stats = r.stats();
             let buf = r.rx_buffer_stats();
             let bytes = r.rx_buffer_bytes();
-            let h = r.retx_delay_histogram();
-            let summary = if h.is_empty() {
-                lg_obs::HistSummary::default()
-            } else {
-                lg_obs::HistSummary {
-                    count: h.len(),
-                    min: h.min(),
-                    max: h.max(),
-                    mean: h.mean(),
-                    p50: h.quantile(0.5),
-                    p99: h.quantile(0.99),
-                }
-            };
+            let summary = r.retx_delay_histogram().summary();
             reg.record_with(t, "lg_receiver", inst, |m| {
                 lg_obs::Observe::observe(&stats, m);
                 lg_obs::Observe::observe(&buf, m);
@@ -1052,7 +1029,7 @@ impl World {
                     {
                         self.dummy_refresh_armed[LgInstance::Forward as usize] = true;
                         self.q.schedule_after(
-                            self.cfg.dummy_refresh,
+                            DUMMY_REFRESH,
                             Ev::DummyRefresh {
                                 instance: LgInstance::Forward,
                             },
@@ -1070,7 +1047,7 @@ impl World {
                         {
                             self.dummy_refresh_armed[LgInstance::Reverse as usize] = true;
                             self.q.schedule_after(
-                                self.cfg.dummy_refresh,
+                                DUMMY_REFRESH,
                                 Ev::DummyRefresh {
                                     instance: LgInstance::Reverse,
                                 },
@@ -1175,7 +1152,7 @@ impl World {
         let counters = sw.counters_mut(port);
         let link = &mut self.host_ports[side as usize];
         if let Some(done) = link.enqueue(now, arrive, ser, id, &mut self.pool, counters) {
-            let at = done + Duration::from_ns(100) + self.cfg.host_stack_delay;
+            let at = done + HOST_HOP;
             let host = side as usize;
             self.q.schedule_at(at, Ev::HostArrive { host, id });
         }
@@ -1443,7 +1420,7 @@ impl World {
         let port = sw.route(dst).expect("route");
         let pipeline = sw.pipeline_latency;
         self.q.schedule_at(
-            sent + self.cfg.host_stack_delay + Duration::from_ns(100) + pipeline,
+            sent + HOST_HOP + pipeline,
             Ev::PortEnqueue {
                 side,
                 port,
@@ -1661,10 +1638,5 @@ impl World {
     /// Unique stress frames delivered end-to-end.
     pub fn stress_delivered(&self) -> u64 {
         self.hosts[1].stress_rx_frames
-    }
-
-    /// A deterministic child RNG for experiment drivers.
-    pub fn fork_rng(&mut self) -> Rng {
-        self.rng.fork()
     }
 }

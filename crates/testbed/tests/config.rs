@@ -30,15 +30,6 @@ fn zero_sample_interval_is_refused() {
 }
 
 #[test]
-#[should_panic(expected = "dummy refresh interval must be > 0")]
-fn zero_dummy_refresh_is_refused() {
-    let mut c = cfg();
-    c.dummy_refresh = Duration::ZERO;
-    c.app = trials(143, 1);
-    World::new(c);
-}
-
-#[test]
 #[should_panic(expected = "message length must be at least 1 byte")]
 fn empty_message_is_refused() {
     let mut c = cfg();

@@ -10,7 +10,7 @@
 
 use lg_link::{LinkSpeed, LossModel};
 use lg_sim::{Duration, Time};
-use lg_testbed::world::{Ev, PORT_HOST, PORT_LINK};
+use lg_testbed::world::{Ev, HOST_HOP, PORT_HOST, PORT_LINK};
 use lg_testbed::{App, ChainApp, ChainConfig, ChainWorld, World, WorldConfig};
 use lg_transport::CcVariant;
 use linkguardian::LgConfig;
@@ -141,10 +141,10 @@ fn scout(mut w: World) -> Scout {
     s
 }
 
-/// A frame reaches its host a fixed wire + stack delay after the
-/// host-facing switch port finished serializing it.
-fn port_done(host_arrival: Time, stack: Duration) -> Time {
-    host_arrival - Duration::from_ns(100) - stack
+/// A frame reaches its host one fixed host hop (wire + stack delay)
+/// after the host-facing switch port finished serializing it.
+fn port_done(host_arrival: Time) -> Time {
+    host_arrival - HOST_HOP
 }
 
 /// Run `cfg` with counters read at three mid-run instants — one
@@ -153,8 +153,7 @@ fn port_done(host_arrival: Time, stack: Duration) -> Time {
 /// and at the end.
 fn hop_level_dump(cfg: &WorldConfig) -> (String, Scout) {
     let s = scout(World::new(cfg.clone()));
-    let stack = cfg.host_stack_delay;
-    let pick = |v: &Vec<Time>, frac: usize| port_done(v[v.len() * frac / 8], stack);
+    let pick = |v: &Vec<Time>, frac: usize| port_done(v[v.len() * frac / 8]);
     let mut instants = [
         pick(&s.host_arrivals[1], 2) - Duration::from_ps(1),
         pick(&s.host_arrivals[1], 4),

@@ -21,13 +21,8 @@ impl Fnv {
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
-    /// Bit pattern, with `-0.0` folded onto `0.0`: an all-clear sample's
-    /// `total_penalty` is `(-0.0f64).max(0.0)` (the sum of no terms is
-    /// `-0.0`), whose sign IEEE 754 leaves open and which debug and
-    /// release builds resolve differently. Nothing else in a result
-    /// depends on the build profile.
     fn f64(&mut self, v: f64) {
-        self.u64((v + 0.0).to_bits());
+        self.u64(v.to_bits());
     }
 }
 
@@ -141,6 +136,42 @@ fn partial_lg_matches_golden() {
             0x6cb9_7c52_3da3_5765,
         ],
     );
+}
+
+/// An all-clear sample (no corrupting link) reports `+0.0`, not the
+/// `-0.0` an empty `sum()` gives: its sign used to depend on the build
+/// profile (`(-0.0f64).max(0.0)` is left open by IEEE 754).
+#[test]
+fn all_clear_total_penalty_is_positive_zero() {
+    for policy in [Policy::CorrOptOnly, Policy::LgPlusCorrOpt] {
+        let r = run(&FabricSimConfig {
+            pods: 20,
+            horizon_hours: 480.0,
+            constraint: 0.75,
+            policy,
+            sample_interval_hours: 4.0,
+            target_loss_rate: 1e-8,
+            seed: 1,
+        });
+        let clear: Vec<_> = r
+            .samples
+            .iter()
+            .filter(|s| s.active_corrupting == 0)
+            .collect();
+        assert!(
+            !clear.is_empty(),
+            "{policy:?}: the run must have an all-clear sample"
+        );
+        for s in clear {
+            assert_eq!(
+                s.total_penalty.to_bits(),
+                0,
+                "{policy:?} @ {} h: {:e}",
+                s.t_hours,
+                s.total_penalty
+            );
+        }
+    }
 }
 
 #[test]
