@@ -115,7 +115,11 @@ fn main() {
     let threads: usize = arg("--threads", shards as usize);
     let seed: u64 = arg("--seed", 42);
     let horizon_us: u64 = arg("--horizon-us", if scale { 400 } else { 2000 });
-    let pods: u32 = arg("--pods", 0);
+    let args: Vec<String> = std::env::args().collect();
+    let pods = lg_bench::try_arg::<NonZeroU32>(&args, "--pods").unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
     let dump_path: String = arg("--dump", String::new());
     let layout_path: String = arg("--layout-out", String::new());
 
@@ -129,8 +133,8 @@ fn main() {
     } else {
         PktFabricConfig::pod_scale(seed)
     };
-    if pods > 0 {
-        cfg.geom.pods = pods;
+    if let Some(pods) = pods {
+        cfg.geom.pods = pods.get();
     }
     cfg.shards = shards;
     cfg.threads = threads;

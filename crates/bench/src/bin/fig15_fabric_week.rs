@@ -24,6 +24,7 @@
 
 use lg_bench::{arg, banner, sweep};
 use lg_fabric::{run_many, FabricSimConfig, Policy};
+use std::num::NonZeroU32;
 
 fn main() {
     let _obs = lg_bench::obs::session("fig15_fabric_week");
@@ -31,14 +32,14 @@ fn main() {
         "Figure 15",
         "1-week fabric snapshot: CorrOpt vs LinkGuardian+CorrOpt",
     );
-    let pods: u32 = arg("--pods", 260u32);
+    let pods = arg("--pods", const { NonZeroU32::new(260).unwrap() });
     let days: f64 = arg("--days", 7.0);
     let seed: u64 = arg("--seed", 15);
     let engine: String = arg("--engine", "analytic".to_string());
     match engine.as_str() {
         "packet" => {
-            let shards: u32 = arg("--shards", 8);
-            let threads: usize = arg("--threads", shards as usize);
+            let shards = arg("--shards", const { NonZeroU32::new(8).unwrap() });
+            let threads: usize = arg("--threads", shards.get() as usize);
             let horizon_us: u64 = arg("--horizon-us", 400);
             lg_bench::pktroll::packet_rollup(pods, shards, threads, seed, horizon_us);
             return;
@@ -49,6 +50,7 @@ fn main() {
             std::process::exit(2);
         }
     }
+    let pods = pods.get();
     let guardd = lg_bench::flag("--guardd");
     let constraints = [0.50, 0.75];
     let mut cfgs = Vec::new();

@@ -13,6 +13,7 @@
 
 use lg_fabric::{run_packet, PktFabricConfig, PktPolicy};
 use lg_sim::Time;
+use std::num::NonZeroU32;
 
 /// Picoseconds → microseconds for table display.
 fn us(ps: u64) -> f64 {
@@ -23,12 +24,16 @@ fn us(ps: u64) -> f64 {
 /// print the per-policy rollup table. Returns after printing; the
 /// analytic path is skipped entirely when the caller selects this
 /// engine.
-pub fn packet_rollup(pods: u32, shards: u32, threads: usize, seed: u64, horizon_us: u64) {
+pub fn packet_rollup(
+    pods: NonZeroU32,
+    shards: NonZeroU32,
+    threads: usize,
+    seed: u64,
+    horizon_us: u64,
+) {
     let mut cfg = PktFabricConfig::fabric_scale(seed);
-    if pods > 0 {
-        cfg.geom.pods = pods;
-    }
-    cfg.shards = shards;
+    cfg.geom.pods = pods.get();
+    cfg.shards = shards.get();
     cfg.threads = threads;
     cfg.horizon = Time::from_us(horizon_us);
     // `--health-log`/`--metrics-out` on the figure binaries reach the

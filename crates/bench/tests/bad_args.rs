@@ -3,8 +3,9 @@
 //! (`quantile of empty sample set`, status 101) after running the sweep.
 //! Likewise the packet-fabric binaries given a horizon whose snapshot
 //! count does not fit `u32` (`PktFabric::new` panics on one), the
-//! stress binaries given a `--secs` that is not a positive duration, and
-//! the fixed-size binaries given a zero size.
+//! stress binaries given a `--secs` that is not a positive duration, the
+//! fixed-size binaries given a zero size, the packet engine given zero
+//! pods or shards, and the analytic fabric given a zero sample interval.
 
 use std::process::Command;
 
@@ -79,21 +80,52 @@ fn stress_length_that_is_not_a_positive_duration_is_refused_with_exit_2() {
 
 /// A zero-size run used to print a table and exit 0: `NaN%` buckets,
 /// a CDF over no bursts, a `0.00` Gb/s goodput, an empty series, or
-/// `0 threads`. Each size argument parses as a non-zero integer.
+/// `0 threads`. Under the packet engine `--pods 0` ran a preset (the
+/// 260-pod fabric for fig15, the 8-pod fixture for `ext_fabric_pkt`)
+/// and `--shards 0` ran anyway. Each size argument parses as a non-zero
+/// integer.
 #[test]
 fn zero_size_runs_are_refused_with_exit_2() {
-    for (exe, key) in [
-        (env!("CARGO_BIN_EXE_table1_lossbuckets"), "--samples"),
-        (env!("CARGO_BIN_EXE_fig20_consecutive"), "--frames"),
-        (env!("CARGO_BIN_EXE_table3_wharf"), "--ms"),
-        (env!("CARGO_BIN_EXE_fig09_dctcp_timeseries"), "--ms"),
-        (env!("CARGO_BIN_EXE_fig21_cubic_bbr"), "--ms"),
-        (env!("CARGO_BIN_EXE_ext_fabric_pkt"), "--shards"),
+    let fig15 = env!("CARGO_BIN_EXE_fig15_fabric_week");
+    let fig16 = env!("CARGO_BIN_EXE_fig16_fabric_year");
+    let ext_pkt = env!("CARGO_BIN_EXE_ext_fabric_pkt");
+    // A short horizon keeps the parent's silent runs short.
+    let packet = &["--engine", "packet", "--horizon-us", "10"][..];
+    for (exe, key, context) in [
+        (
+            env!("CARGO_BIN_EXE_table1_lossbuckets"),
+            "--samples",
+            &[][..],
+        ),
+        (env!("CARGO_BIN_EXE_fig20_consecutive"), "--frames", &[]),
+        (env!("CARGO_BIN_EXE_table3_wharf"), "--ms", &[]),
+        (env!("CARGO_BIN_EXE_fig09_dctcp_timeseries"), "--ms", &[]),
+        (env!("CARGO_BIN_EXE_fig21_cubic_bbr"), "--ms", &[]),
+        (ext_pkt, "--shards", &[]),
+        (ext_pkt, "--pods", &["--horizon-us", "10"]),
+        (fig15, "--pods", packet),
+        (fig15, "--shards", packet),
+        (fig16, "--shards", packet),
     ] {
-        let stderr = refused(exe, &[key, "0"]);
+        let stderr = refused(exe, &[&[key, "0"][..], context].concat());
         let want = format!(
             "error: invalid value for {key}: \"0\" (number would be zero for non-zero type)"
         );
-        assert!(stderr.starts_with(&want), "{exe}: {stderr}");
+        assert!(
+            stderr.starts_with(&want),
+            "{exe} {key} 0 {context:?}: {stderr}"
+        );
     }
+}
+
+/// `lg_fabric::run` used to loop until out of memory on a zero sample
+/// interval; the fabric config refuses it before any run starts.
+#[test]
+fn zero_sample_interval_is_refused_with_exit_2() {
+    let exe = env!("CARGO_BIN_EXE_fig16_fabric_year");
+    let stderr = refused(exe, &["--sample-hours", "0"]);
+    assert!(
+        stderr.contains("sample interval must be finite and > 0"),
+        "{exe}: {stderr}"
+    );
 }

@@ -1,49 +1,4 @@
-//! Ethernet II framing constants and header representation.
-
-use crate::wire::{ParseError, Reader, Result, Writer};
-use serde::{Deserialize, Serialize};
-
-/// A 48-bit MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct MacAddr(pub [u8; 6]);
-
-impl MacAddr {
-    /// The broadcast address ff:ff:ff:ff:ff:ff.
-    pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
-
-    /// A locally-administered unicast address derived from a node index,
-    /// convenient for simulation.
-    pub const fn from_index(i: u32) -> MacAddr {
-        let b = i.to_be_bytes();
-        MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-}
-
-/// EtherType values used in this repository.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[repr(u16)]
-pub enum EtherType {
-    /// IPv4 payload.
-    Ipv4 = 0x0800,
-    /// IEEE 802.1Qbb priority flow control / MAC control.
-    MacControl = 0x8808,
-    /// LinkGuardian control packets (loss notification, explicit ACK,
-    /// dummy). A dedicated experimental ethertype keeps them distinct from
-    /// tenant traffic, mirroring the paper's custom headers.
-    LinkGuardian = 0x88B5, // IEEE 802 local experimental ethertype 1
-}
-
-impl EtherType {
-    /// Parse from the wire value.
-    pub fn from_u16(v: u16) -> Result<EtherType> {
-        match v {
-            0x0800 => Ok(EtherType::Ipv4),
-            0x8808 => Ok(EtherType::MacControl),
-            0x88B5 => Ok(EtherType::LinkGuardian),
-            _ => Err(ParseError::Malformed),
-        }
-    }
-}
+//! Ethernet II framing constants.
 
 /// Length of the Ethernet II header (dst + src + ethertype).
 pub const HEADER_LEN: u32 = 14;
@@ -59,8 +14,6 @@ pub const MIN_FRAME_LEN: u32 = 64;
 pub const MTU: u32 = 1500;
 /// Frame length of a full-MTU frame (1500 + 14 + 4).
 pub const MTU_FRAME_LEN: u32 = MTU + HEADER_LEN + FCS_LEN; // 1518
-/// On-wire length of a full-MTU frame (paper: 1,538 octets).
-pub const MTU_WIRE_LEN: u32 = MTU_FRAME_LEN + WIRE_OVERHEAD; // 1538
 
 /// Frame length (incl. header and FCS) for an L3 payload of `l3_len` bytes,
 /// respecting the 64-byte minimum.
@@ -78,45 +31,6 @@ pub const fn wire_len(frame_len: u32) -> u32 {
     frame_len + WIRE_OVERHEAD
 }
 
-/// Ethernet II header representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EthernetRepr {
-    /// Destination MAC.
-    pub dst: MacAddr,
-    /// Source MAC.
-    pub src: MacAddr,
-    /// Payload type.
-    pub ethertype: EtherType,
-}
-
-impl EthernetRepr {
-    /// Serialized header length.
-    pub const LEN: usize = HEADER_LEN as usize;
-
-    /// Write the header into `buf` (must be at least [`Self::LEN`] bytes).
-    pub fn emit(&self, buf: &mut [u8]) {
-        let mut w = Writer::new(buf);
-        w.bytes(&self.dst.0);
-        w.bytes(&self.src.0);
-        w.u16(self.ethertype as u16);
-    }
-
-    /// Parse a header from `buf`.
-    pub fn parse(buf: &[u8]) -> Result<EthernetRepr> {
-        let mut r = Reader::new(buf);
-        let mut dst = [0u8; 6];
-        dst.copy_from_slice(r.bytes(6)?);
-        let mut src = [0u8; 6];
-        src.copy_from_slice(r.bytes(6)?);
-        let ethertype = EtherType::from_u16(r.u16()?)?;
-        Ok(EthernetRepr {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +38,7 @@ mod tests {
     #[test]
     fn mtu_wire_length_matches_paper() {
         // §4.6: "the standard MTU-sized frame is 1,538 octets on wire"
-        assert_eq!(MTU_WIRE_LEN, 1538);
+        assert_eq!(wire_len(MTU_FRAME_LEN), 1538);
         assert_eq!(MTU_FRAME_LEN, 1518);
     }
 
@@ -134,37 +48,5 @@ mod tests {
         assert_eq!(frame_len_for_payload(46), 64);
         assert_eq!(frame_len_for_payload(47), 65);
         assert_eq!(frame_len_for_payload(1500), 1518);
-    }
-
-    #[test]
-    fn header_round_trip() {
-        let h = EthernetRepr {
-            dst: MacAddr::from_index(7),
-            src: MacAddr::from_index(42),
-            ethertype: EtherType::Ipv4,
-        };
-        let mut buf = [0u8; 14];
-        h.emit(&mut buf);
-        assert_eq!(EthernetRepr::parse(&buf).unwrap(), h);
-    }
-
-    #[test]
-    fn unknown_ethertype_rejected() {
-        let h = EthernetRepr {
-            dst: MacAddr::BROADCAST,
-            src: MacAddr::from_index(1),
-            ethertype: EtherType::LinkGuardian,
-        };
-        let mut buf = [0u8; 14];
-        h.emit(&mut buf);
-        buf[12] = 0x12;
-        buf[13] = 0x34;
-        assert_eq!(EthernetRepr::parse(&buf), Err(ParseError::Malformed));
-    }
-
-    #[test]
-    fn mac_from_index_unique() {
-        assert_ne!(MacAddr::from_index(1), MacAddr::from_index(2));
-        assert_eq!(MacAddr::from_index(9), MacAddr::from_index(9));
     }
 }

@@ -1,4 +1,4 @@
-//! LinkGuardian wire formats (§3.5, Appendix A).
+//! LinkGuardian headers and control packets (§3.5, Appendix A).
 //!
 //! The sender switch adds a **3-byte data header** to every protected
 //! packet: a 16-bit sequence number plus metadata (era bit, packet type).
@@ -8,7 +8,6 @@
 //! pause/resume backpressure.
 
 use crate::seqno::SeqNo;
-use crate::wire::{ParseError, Reader, Result, Writer};
 use serde::{Deserialize, Serialize};
 
 /// Size of the LinkGuardian data header added to protected packets.
@@ -21,25 +20,13 @@ pub const CONTROL_FRAME_LEN: u32 = crate::eth::MIN_FRAME_LEN;
 
 /// Type of a protected packet, carried in the data header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[repr(u8)]
 pub enum LgPacketType {
     /// First transmission of a protected packet.
-    Original = 0,
+    Original,
     /// A retransmitted copy (one of the N copies of Eq. 2).
-    Retransmit = 1,
+    Retransmit,
     /// A self-replenishing dummy packet used for tail-loss detection (§3.2).
-    Dummy = 2,
-}
-
-impl LgPacketType {
-    fn from_bits(v: u8) -> Result<LgPacketType> {
-        match v {
-            0 => Ok(LgPacketType::Original),
-            1 => Ok(LgPacketType::Retransmit),
-            2 => Ok(LgPacketType::Dummy),
-            _ => Err(ParseError::Malformed),
-        }
-    }
+    Dummy,
 }
 
 /// The 3-byte LinkGuardian data header: 16-bit seqNo, era bit, packet type.
@@ -55,32 +42,6 @@ pub struct LgData {
     pub kind: LgPacketType,
 }
 
-impl LgData {
-    /// Serialized length.
-    pub const LEN: usize = DATA_HEADER_LEN as usize;
-
-    /// Write into `buf` (at least 3 bytes).
-    pub fn emit(&self, buf: &mut [u8]) {
-        let mut w = Writer::new(buf);
-        w.u16(self.seq.raw());
-        w.u8(((self.seq.era() as u8) << 7) | ((self.kind as u8) << 5));
-    }
-
-    /// Parse from `buf`.
-    pub fn parse(buf: &[u8]) -> Result<LgData> {
-        let mut r = Reader::new(buf);
-        let raw = r.u16()?;
-        let meta = r.u8()?;
-        if meta & 0x1F != 0 {
-            return Err(ParseError::Malformed); // reserved bits must be zero
-        }
-        Ok(LgData {
-            seq: SeqNo::new(raw, meta & 0x80 != 0),
-            kind: LgPacketType::from_bits((meta >> 5) & 0x3)?,
-        })
-    }
-}
-
 /// The 3-byte LinkGuardian ACK header: cumulative `latestRxSeqNo` + era.
 ///
 /// Piggybacked on reverse-direction traffic, or carried by a minimum-sized
@@ -92,32 +53,6 @@ pub struct LgAck {
     /// True when carried by a dedicated (explicit) ACK packet rather than
     /// piggybacked on a normal packet.
     pub explicit: bool,
-}
-
-impl LgAck {
-    /// Serialized length.
-    pub const LEN: usize = ACK_HEADER_LEN as usize;
-
-    /// Write into `buf` (at least 3 bytes).
-    pub fn emit(&self, buf: &mut [u8]) {
-        let mut w = Writer::new(buf);
-        w.u16(self.latest_rx.raw());
-        w.u8(((self.latest_rx.era() as u8) << 7) | ((self.explicit as u8) << 6));
-    }
-
-    /// Parse from `buf`.
-    pub fn parse(buf: &[u8]) -> Result<LgAck> {
-        let mut r = Reader::new(buf);
-        let raw = r.u16()?;
-        let meta = r.u8()?;
-        if meta & 0x3F != 0 {
-            return Err(ParseError::Malformed);
-        }
-        Ok(LgAck {
-            latest_rx: SeqNo::new(raw, meta & 0x80 != 0),
-            explicit: meta & 0x40 != 0,
-        })
-    }
 }
 
 /// Maximum number of consecutive losses one notification can report.
@@ -139,42 +74,6 @@ pub struct LossNotification {
     pub latest_rx: SeqNo,
 }
 
-impl LossNotification {
-    /// Serialized length: first_lost(2) meta(1) count(2) latest_rx(2) meta(1).
-    pub const LEN: usize = 8;
-
-    /// Write into `buf` (at least [`Self::LEN`] bytes).
-    pub fn emit(&self, buf: &mut [u8]) {
-        let mut w = Writer::new(buf);
-        w.u16(self.first_lost.raw());
-        w.u8((self.first_lost.era() as u8) << 7);
-        w.u16(self.count);
-        w.u16(self.latest_rx.raw());
-        w.u8((self.latest_rx.era() as u8) << 7);
-    }
-
-    /// Parse from `buf`.
-    pub fn parse(buf: &[u8]) -> Result<LossNotification> {
-        let mut r = Reader::new(buf);
-        let fl_raw = r.u16()?;
-        let fl_meta = r.u8()?;
-        let count = r.u16()?;
-        let lr_raw = r.u16()?;
-        let lr_meta = r.u8()?;
-        if fl_meta & 0x7F != 0 || lr_meta & 0x7F != 0 {
-            return Err(ParseError::Malformed);
-        }
-        if count == 0 || count > MAX_CONSECUTIVE_LOSSES {
-            return Err(ParseError::Malformed);
-        }
-        Ok(LossNotification {
-            first_lost: SeqNo::new(fl_raw, fl_meta & 0x80 != 0),
-            count,
-            latest_rx: SeqNo::new(lr_raw, lr_meta & 0x80 != 0),
-        })
-    }
-}
-
 /// A PFC-style pause/resume frame used by the backpressure mechanism
 /// (§3.3/§3.5). The receiver switch generates these; the RX MAC of the
 /// corrupting link on the sender switch absorbs them and pauses/resumes the
@@ -186,142 +85,4 @@ pub struct PauseFrame {
     /// Priority class the pause applies to (the normal packet queue's
     /// class; retransmissions ride a higher class and are never paused).
     pub class: u8,
-}
-
-impl PauseFrame {
-    /// Serialized length: opcode(2) class-enable(2) per-class quanta (2).
-    pub const LEN: usize = 6;
-
-    /// Write into `buf`.
-    pub fn emit(&self, buf: &mut [u8]) {
-        let mut w = Writer::new(buf);
-        w.u16(0x0101); // PFC opcode
-        w.u16(1 << self.class);
-        // Pause quanta: 0xFFFF = pause until further notice, 0 = resume.
-        w.u16(if self.pause { 0xFFFF } else { 0 });
-    }
-
-    /// Parse from `buf`.
-    pub fn parse(buf: &[u8]) -> Result<PauseFrame> {
-        let mut r = Reader::new(buf);
-        if r.u16()? != 0x0101 {
-            return Err(ParseError::Malformed);
-        }
-        let enable = r.u16()?;
-        if enable.count_ones() != 1 {
-            return Err(ParseError::Malformed);
-        }
-        let quanta = r.u16()?;
-        Ok(PauseFrame {
-            pause: quanta != 0,
-            class: enable.trailing_zeros() as u8,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn data_header_round_trip() {
-        for kind in [
-            LgPacketType::Original,
-            LgPacketType::Retransmit,
-            LgPacketType::Dummy,
-        ] {
-            for (raw, era) in [(0u16, false), (65_535, true), (777, true)] {
-                let h = LgData {
-                    seq: SeqNo::new(raw, era),
-                    kind,
-                };
-                let mut buf = [0u8; 3];
-                h.emit(&mut buf);
-                assert_eq!(LgData::parse(&buf).unwrap(), h);
-            }
-        }
-    }
-
-    #[test]
-    fn data_header_is_three_bytes() {
-        // §3.5: "a 3-byte LinkGuardian data header"
-        assert_eq!(LgData::LEN, 3);
-        assert_eq!(LgAck::LEN, 3);
-    }
-
-    #[test]
-    fn data_header_reserved_bits_checked() {
-        let mut buf = [0u8; 3];
-        LgData {
-            seq: SeqNo::ZERO,
-            kind: LgPacketType::Original,
-        }
-        .emit(&mut buf);
-        buf[2] |= 0x01;
-        assert_eq!(LgData::parse(&buf), Err(ParseError::Malformed));
-    }
-
-    #[test]
-    fn ack_header_round_trip() {
-        for explicit in [false, true] {
-            let h = LgAck {
-                latest_rx: SeqNo::new(4_242, true),
-                explicit,
-            };
-            let mut buf = [0u8; 3];
-            h.emit(&mut buf);
-            assert_eq!(LgAck::parse(&buf).unwrap(), h);
-        }
-    }
-
-    #[test]
-    fn loss_notification_round_trip() {
-        let n = LossNotification {
-            first_lost: SeqNo::new(100, false),
-            count: 3,
-            latest_rx: SeqNo::new(104, false),
-        };
-        let mut buf = [0u8; LossNotification::LEN];
-        n.emit(&mut buf);
-        assert_eq!(LossNotification::parse(&buf).unwrap(), n);
-    }
-
-    #[test]
-    fn loss_notification_count_bounds() {
-        let mut buf = [0u8; LossNotification::LEN];
-        let mut n = LossNotification {
-            first_lost: SeqNo::ZERO,
-            count: 0,
-            latest_rx: SeqNo::ZERO,
-        };
-        n.emit(&mut buf);
-        assert_eq!(LossNotification::parse(&buf), Err(ParseError::Malformed));
-        n.count = MAX_CONSECUTIVE_LOSSES + 1;
-        n.emit(&mut buf);
-        assert_eq!(LossNotification::parse(&buf), Err(ParseError::Malformed));
-    }
-
-    #[test]
-    fn pause_frame_round_trip() {
-        for pause in [true, false] {
-            for class in [0u8, 3, 7] {
-                let p = PauseFrame { pause, class };
-                let mut buf = [0u8; PauseFrame::LEN];
-                p.emit(&mut buf);
-                assert_eq!(PauseFrame::parse(&buf).unwrap(), p);
-            }
-        }
-    }
-
-    #[test]
-    fn pause_frame_rejects_bad_opcode() {
-        let mut buf = [0u8; PauseFrame::LEN];
-        PauseFrame {
-            pause: true,
-            class: 1,
-        }
-        .emit(&mut buf);
-        buf[0] = 0;
-        assert_eq!(PauseFrame::parse(&buf), Err(ParseError::Malformed));
-    }
 }

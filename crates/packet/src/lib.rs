@@ -1,11 +1,10 @@
-//! `lg-packet` — wire formats and the simulator's packet representation.
+//! `lg-packet` — the simulator's packet model.
 //!
-//! Follows the smoltcp idiom: every header has a typed `Repr` with
-//! `emit`/`parse` over raw bytes (round-trip and malformed-input tested),
-//! and the simulator exchanges [`Packet`] structs whose on-wire lengths are
-//! derived from those real encodings.
+//! The simulator exchanges [`Packet`] structs: typed header fields plus
+//! an on-wire length summed from the real header sizes. Nothing is
+//! encoded to or decoded from bytes.
 //!
-//! LinkGuardian-specific formats (§3.5 / Appendix A of the paper):
+//! LinkGuardian-specific headers (§3.5 / Appendix A of the paper):
 //!
 //! * [`lg::LgData`] — the 3-byte data header (16-bit seqNo + era + type);
 //! * [`lg::LgAck`] — the 3-byte ACK header (cumulative `latestRxSeqNo`);
@@ -13,20 +12,16 @@
 //! * [`seqno::SeqNo`] — era-corrected sequence-number arithmetic.
 
 pub mod eth;
-pub mod ipv4;
 pub mod lg;
 pub mod packet;
 pub mod pool;
 pub mod rdma;
 pub mod seqno;
 pub mod tcp;
-pub mod udp;
-pub mod wire;
 
-pub use ipv4::Ecn;
 pub use packet::{
-    peek_next_uid, FlowId, LgControl, NodeId, Packet, Payload, RdmaAck, RdmaSegment, TcpSegment,
-    UdpDatagram,
+    peek_next_uid, Ecn, FlowId, LgControl, NodeId, Packet, Payload, RdmaAck, RdmaSegment,
+    TcpSegment, UdpDatagram,
 };
 pub use pool::{PacketPool, PktId};
 pub use seqno::SeqNo;

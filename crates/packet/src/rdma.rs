@@ -1,102 +1,26 @@
-//! RoCEv2 (RDMA over Converged Ethernet v2) headers: the InfiniBand Base
-//! Transport Header (BTH) and ACK Extended Transport Header (AETH).
+//! RoCEv2 (RDMA over Converged Ethernet v2) packet kinds.
 //!
 //! We model the subset needed for one-sided `RDMA_WRITE` over a reliable
 //! connection (RC): WRITE first/middle/last/only opcodes, per-packet PSNs,
 //! and ACK/NAK with the go-back-N "PSN sequence error" NAK that makes RDMA
-//! reordering-intolerant (§1, §4.3 of the paper).
+//! reordering-intolerant (§1, §4.3 of the paper). Frame lengths count the
+//! BTH and AETH (`Packet::rdma_frame_len`, `Packet::rdma_ack_frame_len`).
 
-use crate::wire::{ParseError, Reader, Result, Writer};
 use serde::{Deserialize, Serialize};
 
 /// RC opcodes used by the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[repr(u8)]
 pub enum RdmaOpcode {
     /// RC RDMA WRITE First.
-    WriteFirst = 0x06,
+    WriteFirst,
     /// RC RDMA WRITE Middle.
-    WriteMiddle = 0x07,
+    WriteMiddle,
     /// RC RDMA WRITE Last.
-    WriteLast = 0x08,
+    WriteLast,
     /// RC RDMA WRITE Only (single-packet message).
-    WriteOnly = 0x0A,
+    WriteOnly,
     /// RC Acknowledge (carries an AETH).
-    Acknowledge = 0x11,
-}
-
-impl RdmaOpcode {
-    fn from_u8(v: u8) -> Result<RdmaOpcode> {
-        match v {
-            0x06 => Ok(RdmaOpcode::WriteFirst),
-            0x07 => Ok(RdmaOpcode::WriteMiddle),
-            0x08 => Ok(RdmaOpcode::WriteLast),
-            0x0A => Ok(RdmaOpcode::WriteOnly),
-            0x11 => Ok(RdmaOpcode::Acknowledge),
-            _ => Err(ParseError::Malformed),
-        }
-    }
-
-    /// True for opcodes that carry message payload.
-    pub fn is_write(self) -> bool {
-        !matches!(self, RdmaOpcode::Acknowledge)
-    }
-}
-
-/// Base Transport Header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Bth {
-    /// Operation code.
-    pub opcode: RdmaOpcode,
-    /// Destination queue pair (24-bit).
-    pub dest_qp: u32,
-    /// Packet sequence number (24-bit).
-    pub psn: u32,
-    /// Request an ACK for this packet.
-    pub ack_req: bool,
-}
-
-/// PSNs are 24-bit and wrap.
-pub const PSN_SPACE: u32 = 1 << 24;
-
-/// Wrapping PSN comparison: is `a` strictly before `b` (within half-space)?
-pub fn psn_before(a: u32, b: u32) -> bool {
-    a != b && b.wrapping_sub(a) % PSN_SPACE < PSN_SPACE / 2
-}
-
-impl Bth {
-    /// Serialized length.
-    pub const LEN: usize = 12;
-
-    /// Write into `buf` (at least 12 bytes).
-    pub fn emit(&self, buf: &mut [u8]) {
-        let mut w = Writer::new(buf);
-        w.u8(self.opcode as u8);
-        w.u8(0); // SE/M/pad/TVer
-        w.u16(0xFFFF); // partition key (default)
-        w.u8(0); // reserved
-        w.u24(self.dest_qp);
-        w.u8((self.ack_req as u8) << 7);
-        w.u24(self.psn);
-    }
-
-    /// Parse from `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Bth> {
-        let mut r = Reader::new(buf);
-        let opcode = RdmaOpcode::from_u8(r.u8()?)?;
-        let _flags = r.u8()?;
-        let _pkey = r.u16()?;
-        let _rsvd = r.u8()?;
-        let dest_qp = r.u24()?;
-        let ack_req = r.u8()? & 0x80 != 0;
-        let psn = r.u24()?;
-        Ok(Bth {
-            opcode,
-            dest_qp,
-            psn,
-            ack_req,
-        })
-    }
+    Acknowledge,
 }
 
 /// AETH syndrome: ACK or the NAK codes the simulation uses.
@@ -106,108 +30,4 @@ pub enum AethSyndrome {
     Ack,
     /// NAK: PSN sequence error — the go-back-N trigger.
     NakSequenceError,
-}
-
-/// ACK Extended Transport Header, carried by [`RdmaOpcode::Acknowledge`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Aeth {
-    /// ACK or NAK kind.
-    pub syndrome: AethSyndrome,
-    /// Message sequence number (24-bit), informational in our model.
-    pub msn: u32,
-}
-
-impl Aeth {
-    /// Serialized length.
-    pub const LEN: usize = 4;
-
-    /// Write into `buf` (at least 4 bytes).
-    pub fn emit(&self, buf: &mut [u8]) {
-        let mut w = Writer::new(buf);
-        let syndrome_bits: u8 = match self.syndrome {
-            // ACK with credit count 31 (unlimited in our model)
-            AethSyndrome::Ack => 0b0001_1111,
-            // NAK code 0 = PSN sequence error
-            AethSyndrome::NakSequenceError => 0b0110_0000,
-        };
-        w.u8(syndrome_bits);
-        w.u24(self.msn);
-    }
-
-    /// Parse from `buf`.
-    pub fn parse(buf: &[u8]) -> Result<Aeth> {
-        let mut r = Reader::new(buf);
-        let s = r.u8()?;
-        let msn = r.u24()?;
-        let syndrome = match s >> 5 {
-            0b000 => AethSyndrome::Ack,
-            0b011 if s & 0x1F == 0 => AethSyndrome::NakSequenceError,
-            _ => return Err(ParseError::Malformed),
-        };
-        Ok(Aeth { syndrome, msn })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bth_round_trip() {
-        for opcode in [
-            RdmaOpcode::WriteFirst,
-            RdmaOpcode::WriteMiddle,
-            RdmaOpcode::WriteLast,
-            RdmaOpcode::WriteOnly,
-            RdmaOpcode::Acknowledge,
-        ] {
-            let h = Bth {
-                opcode,
-                dest_qp: 0x00AB_CDEF,
-                psn: 0x0012_3456,
-                ack_req: true,
-            };
-            let mut buf = [0u8; Bth::LEN];
-            h.emit(&mut buf);
-            assert_eq!(Bth::parse(&buf).unwrap(), h);
-        }
-    }
-
-    #[test]
-    fn aeth_round_trip() {
-        for syndrome in [AethSyndrome::Ack, AethSyndrome::NakSequenceError] {
-            let h = Aeth { syndrome, msn: 42 };
-            let mut buf = [0u8; Aeth::LEN];
-            h.emit(&mut buf);
-            assert_eq!(Aeth::parse(&buf).unwrap(), h);
-        }
-    }
-
-    #[test]
-    fn psn_wrapping_compare() {
-        assert!(psn_before(0, 1));
-        assert!(psn_before(PSN_SPACE - 1, 0));
-        assert!(!psn_before(1, 0));
-        assert!(!psn_before(5, 5));
-    }
-
-    #[test]
-    fn unknown_opcode_rejected() {
-        let mut buf = [0u8; Bth::LEN];
-        Bth {
-            opcode: RdmaOpcode::WriteOnly,
-            dest_qp: 1,
-            psn: 1,
-            ack_req: false,
-        }
-        .emit(&mut buf);
-        buf[0] = 0x42;
-        assert_eq!(Bth::parse(&buf), Err(ParseError::Malformed));
-    }
-
-    #[test]
-    fn write_opcodes_classified() {
-        assert!(RdmaOpcode::WriteOnly.is_write());
-        assert!(!RdmaOpcode::Acknowledge.is_write());
-    }
 }

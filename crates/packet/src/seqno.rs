@@ -98,20 +98,6 @@ impl SeqNo {
     pub fn forward_dist(self, earlier: SeqNo) -> u16 {
         self.raw.wrapping_sub(earlier.raw)
     }
-
-    /// Pack into the 17 bits carried on the wire: raw in the low 16 bits,
-    /// era in bit 16.
-    pub fn to_wire(self) -> u32 {
-        self.raw as u32 | ((self.era as u32) << 16)
-    }
-
-    /// Unpack from the 17-bit wire form.
-    pub fn from_wire(w: u32) -> SeqNo {
-        SeqNo {
-            raw: (w & 0xFFFF) as u16,
-            era: (w >> 16) & 1 == 1,
-        }
-    }
 }
 
 impl fmt::Display for SeqNo {
@@ -167,14 +153,6 @@ mod tests {
         let b = a.succ(); // 0, era 1
         assert_eq!(b.forward_dist(a), 1);
         assert_eq!(a.forward_dist(a), 0);
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        for (raw, era) in [(0u16, false), (65_535, true), (12_345, false), (1, true)] {
-            let s = SeqNo::new(raw, era);
-            assert_eq!(SeqNo::from_wire(s.to_wire()), s);
-        }
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! TCP header with SACK option support.
+//! TCP flags and SACK blocks.
 //!
-//! The simulator's transports exchange [`TcpRepr`] structs; the wire form
-//! exists to keep header sizes honest (frame lengths and thus serialization
-//! delays are computed from the real encoded size) and is round-trip
-//! tested.
+//! The SACK option's size is counted in the frame length
+//! (`Packet::tcp_frame_len`), so serialization delays see it.
 
-use crate::wire::{ParseError, Reader, Result, Writer};
 use serde::{Deserialize, Serialize};
 
 /// TCP flags used by the simulation.
@@ -23,28 +20,6 @@ pub struct TcpFlags {
     pub ece: bool,
     /// Congestion window reduced (sender reacted to ECE).
     pub cwr: bool,
-}
-
-impl TcpFlags {
-    fn to_bits(self) -> u8 {
-        (self.fin as u8)
-            | ((self.syn as u8) << 1)
-            | ((self.psh as u8) << 3)
-            | ((self.ack as u8) << 4)
-            | ((self.ece as u8) << 6)
-            | ((self.cwr as u8) << 7)
-    }
-
-    fn from_bits(v: u8) -> TcpFlags {
-        TcpFlags {
-            fin: v & 0x01 != 0,
-            syn: v & 0x02 != 0,
-            psh: v & 0x08 != 0,
-            ack: v & 0x10 != 0,
-            ece: v & 0x40 != 0,
-            cwr: v & 0x80 != 0,
-        }
-    }
 }
 
 /// A SACK block: bytes in `[start, end)` have been received out of order.
@@ -99,8 +74,7 @@ impl SackList {
         assert!(self.try_push(b), "SackList full");
     }
 
-    /// Append a block, returning `false` when full (the wire parser treats
-    /// overflow as a malformed header instead of panicking).
+    /// Append a block, returning `false` when full.
     pub fn try_push(&mut self, b: SackBlock) -> bool {
         if (self.len as usize) < Self::CAPACITY {
             self.blocks[self.len as usize] = b;
@@ -177,204 +151,9 @@ impl FromIterator<SackBlock> for SackList {
     }
 }
 
-/// TCP header representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TcpRepr {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Sequence number of the first payload byte.
-    pub seq: u32,
-    /// Cumulative acknowledgment (valid when `flags.ack`).
-    pub ack: u32,
-    /// Flags.
-    pub flags: TcpFlags,
-    /// Receive window (in bytes; we assume no scaling in the header itself).
-    pub window: u16,
-    /// SACK blocks (empty when none).
-    pub sack: SackList,
-}
-
-impl TcpRepr {
-    /// Base header length without options.
-    pub const BASE_LEN: usize = 20;
-
-    /// Encoded header length including SACK option padding.
-    pub fn header_len(&self) -> usize {
-        if self.sack.is_empty() {
-            Self::BASE_LEN
-        } else {
-            // SACK option: kind(1) + len(1) + 8*n, padded to 4 bytes with NOPs.
-            let opt = 2 + 8 * self.sack.len();
-            Self::BASE_LEN + opt.div_ceil(4) * 4
-        }
-    }
-
-    /// Write into `buf` (at least [`Self::header_len`] bytes).
-    pub fn emit(&self, buf: &mut [u8]) {
-        assert!(self.sack.len() <= MAX_SACK_BLOCKS);
-        let hlen = self.header_len();
-        let mut w = Writer::new(buf);
-        w.u16(self.src_port);
-        w.u16(self.dst_port);
-        w.u32(self.seq);
-        w.u32(self.ack);
-        w.u8(((hlen / 4) as u8) << 4);
-        w.u8(self.flags.to_bits());
-        w.u16(self.window);
-        w.u16(0); // checksum: elided in simulation (frame FCS models corruption)
-        w.u16(0); // urgent pointer
-        if !self.sack.is_empty() {
-            let opt_len = 2 + 8 * self.sack.len();
-            w.u8(5); // kind = SACK
-            w.u8(opt_len as u8);
-            for b in &self.sack {
-                w.u32(b.start);
-                w.u32(b.end);
-            }
-            for _ in 0..(opt_len.div_ceil(4) * 4 - opt_len) {
-                w.u8(1); // NOP padding
-            }
-        }
-    }
-
-    /// Parse from `buf`.
-    pub fn parse(buf: &[u8]) -> Result<TcpRepr> {
-        let mut r = Reader::new(buf);
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let seq = r.u32()?;
-        let ack = r.u32()?;
-        let data_off = (r.u8()? >> 4) as usize * 4;
-        if data_off < Self::BASE_LEN {
-            return Err(ParseError::Malformed);
-        }
-        let flags = TcpFlags::from_bits(r.u8()?);
-        let window = r.u16()?;
-        let _ck = r.u16()?;
-        let _urg = r.u16()?;
-        let mut sack = SackList::new();
-        let mut opt_remaining = data_off - Self::BASE_LEN;
-        while opt_remaining > 0 {
-            let kind = r.u8()?;
-            opt_remaining -= 1;
-            match kind {
-                0 => break,    // end of options
-                1 => continue, // NOP
-                5 => {
-                    let len = r.u8()? as usize;
-                    if len < 2 || !(len - 2).is_multiple_of(8) {
-                        return Err(ParseError::Malformed);
-                    }
-                    let n = (len - 2) / 8;
-                    if n > MAX_SACK_BLOCKS {
-                        return Err(ParseError::Malformed);
-                    }
-                    for _ in 0..n {
-                        let b = SackBlock {
-                            start: r.u32()?,
-                            end: r.u32()?,
-                        };
-                        if !sack.try_push(b) {
-                            return Err(ParseError::Malformed);
-                        }
-                    }
-                    opt_remaining = opt_remaining.saturating_sub(len - 1);
-                }
-                _ => {
-                    let len = r.u8()? as usize;
-                    if len < 2 {
-                        return Err(ParseError::Malformed);
-                    }
-                    r.bytes(len - 2)?;
-                    opt_remaining = opt_remaining.saturating_sub(len - 1);
-                }
-            }
-        }
-        Ok(TcpRepr {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window,
-            sack,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(sack: SackList) -> TcpRepr {
-        TcpRepr {
-            src_port: 5000,
-            dst_port: 80,
-            seq: 0xDEAD_BEEF,
-            ack: 0x1234_5678,
-            flags: TcpFlags {
-                ack: true,
-                psh: true,
-                ..Default::default()
-            },
-            window: 0xFFFF,
-            sack,
-        }
-    }
-
-    #[test]
-    fn round_trip_no_options() {
-        let h = sample(SackList::new());
-        let mut buf = vec![0u8; h.header_len()];
-        h.emit(&mut buf);
-        assert_eq!(TcpRepr::parse(&buf).unwrap(), h);
-        assert_eq!(h.header_len(), 20);
-    }
-
-    #[test]
-    fn round_trip_with_sack() {
-        for n in 1..=MAX_SACK_BLOCKS {
-            let blocks: SackList = (0..n)
-                .map(|i| SackBlock {
-                    start: 1000 * i as u32,
-                    end: 1000 * i as u32 + 500,
-                })
-                .collect();
-            let h = sample(blocks);
-            let mut buf = vec![0u8; h.header_len()];
-            h.emit(&mut buf);
-            assert_eq!(TcpRepr::parse(&buf).unwrap(), h);
-        }
-    }
-
-    #[test]
-    fn header_len_includes_padding() {
-        // 1 SACK block: 20 + ceil(10/4)*4 = 20 + 12 = 32
-        assert_eq!(
-            sample(SackList::from_blocks(&[SackBlock { start: 0, end: 1 }])).header_len(),
-            32
-        );
-        // 3 blocks: 20 + ceil(26/4)*4 = 20 + 28 = 48
-        let blocks = SackList::from_blocks(&[SackBlock { start: 0, end: 1 }; 3]);
-        assert_eq!(sample(blocks).header_len(), 48);
-    }
-
-    #[test]
-    fn flags_round_trip() {
-        let all = TcpFlags {
-            syn: true,
-            ack: true,
-            fin: true,
-            psh: true,
-            ece: true,
-            cwr: true,
-        };
-        assert_eq!(TcpFlags::from_bits(all.to_bits()), all);
-        let none = TcpFlags::default();
-        assert_eq!(TcpFlags::from_bits(none.to_bits()), none);
-    }
 
     #[test]
     fn sack_list_inline_semantics() {
@@ -397,14 +176,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(a.as_slice(), &[SackBlock { start: 1, end: 2 }]);
-    }
-
-    #[test]
-    fn bad_data_offset_rejected() {
-        let h = sample(SackList::new());
-        let mut buf = vec![0u8; h.header_len()];
-        h.emit(&mut buf);
-        buf[12] = 0x10; // data offset 4 words = 16 bytes < 20
-        assert_eq!(TcpRepr::parse(&buf), Err(ParseError::Malformed));
     }
 }

@@ -1,7 +1,7 @@
-//! Per-port MAC counters, matching what `corruptd` polls from the switch
-//! driver (Appendix C): `framesRxOk` and `framesRxAll`, plus TX counters
-//! used by the experiment harnesses to measure rates and loss, and the
-//! LinkGuardian-specific counters the paper's dashboards read: retx
+//! Per-port MAC counters, matching what the paper's `corruptd` polls from
+//! the switch driver (Appendix C): `framesRxOk` and `framesRxAll`, plus TX
+//! counters used by the experiment harnesses to measure rates and loss,
+//! and the LinkGuardian-specific counters the paper's dashboards read: retx
 //! frames out, PFC-style pause frames in both directions, and the egress
 //! queue-depth high-water mark.
 //!

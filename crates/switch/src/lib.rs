@@ -8,10 +8,9 @@
 //!   classes with PFC-style per-class pause (Figure 5's queue layout);
 //! * [`recirc::RecircBuffer`] — recirculation-based packet buffering with
 //!   loop/bandwidth accounting (Table 4, Fig 14);
-//! * [`pktgen::PacketGen`] — the dataplane packet generator (stress
-//!   traffic and 10 Mpps timer packets);
 //! * [`counters::PortCounters`] — the MAC counters the activation plane
-//!   polls (`corruptd`, Appendix C);
+//!   polls (Appendix C: `lg_guardd::GuardManager`, fed through the link
+//!   health estimator);
 //! * [`switch::Switch`] — forwarding + ports + counters + pipeline latency;
 //! * [`serial::SerialLink`] — an uncontended FIFO hop (host NIC,
 //!   host-facing port) computed at hand-over instead of simulated.
@@ -21,7 +20,6 @@
 //! all participating buffers).
 
 pub mod counters;
-pub mod pktgen;
 pub mod port;
 pub mod queue;
 pub mod recirc;
@@ -29,7 +27,6 @@ pub mod serial;
 pub mod switch;
 
 pub use counters::PortCounters;
-pub use pktgen::PacketGen;
 pub use port::{Class, EgressPort, NUM_CLASSES};
 pub use queue::{ByteQueue, EnqueueOutcome};
 pub use recirc::{RecircBuffer, RecircStats};

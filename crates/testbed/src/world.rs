@@ -446,8 +446,6 @@ pub struct Probes {
     pub qdepth: TimeSeries,
     /// LinkGuardian receiver reordering-buffer occupancy (bytes).
     pub rx_buffer: TimeSeries,
-    /// LinkGuardian sender Tx-buffer occupancy (bytes).
-    pub tx_buffer: TimeSeries,
     /// Host1 delivered-goodput meter.
     pub goodput: Option<RateMeter>,
     /// End-to-end (transport) retransmissions per sample window.
@@ -655,8 +653,9 @@ impl World {
         }
     }
 
-    /// Enable switch-pktgen stress mode: keep the protected port's normal
-    /// queue backlogged with `frame_len`-byte frames addressed to host1.
+    /// Line-rate stress (the paper's packet generator, §4.1): keep the
+    /// protected port's normal queue backlogged with `frame_len`-byte
+    /// frames addressed to host1.
     pub fn enable_stress(&mut self, frame_len: u32) {
         self.stress = Some(frame_len);
         self.refill_stress();
@@ -1539,9 +1538,6 @@ impl World {
         self.probes
             .rx_buffer
             .push(now, self.lg_rx.rx_buffer_bytes() as f64);
-        self.probes
-            .tx_buffer
-            .push(now, self.lg_tx.tx_buffer_bytes() as f64);
         self.probes.e2e_retx.push(now, self.e2e_retx_window as f64);
         self.e2e_retx_window = 0;
         if let Some(m) = self.probes.goodput.as_mut() {

@@ -4,9 +4,6 @@
 use lg_sim::{Duration, Samples};
 use serde::{Deserialize, Serialize};
 
-/// The percentiles the paper reports (Table 2, Figs 10–12).
-pub const REPORT_PERCENTILES: [f64; 5] = [0.99, 0.999, 0.9999, 0.99999, 0.5];
-
 /// A collection of FCT samples for one experiment configuration.
 #[derive(Debug, Clone, Default)]
 pub struct FctCollector {
