@@ -3,7 +3,9 @@
 //! Every field of [`FabricSimResult`] — sample f64 bit patterns, counts,
 //! health events, guard journal — is folded into one FNV-1a hash per
 //! run and compared with the value recorded before the engine was made
-//! incremental per pod. An optimisation of `sim`/`corropt`/`topology`
+//! incremental per pod (the two budget-bound runs: before the health
+//! roll-up, penalty sum and guardian pass were made to cost what
+//! changed). An optimisation of `sim`/`corropt`/`topology`
 //! must leave every digest as it is; a deliberate model change records
 //! new ones (the failure message prints the full table).
 
@@ -185,4 +187,60 @@ fn lg_guardd_matches_golden() {
             0x3028_d7ff_26d5_8a6f,
         ],
     );
+}
+
+/// 60 pods × 30 days at hourly samples, constraint 0.75, seed 3: large
+/// enough that the default guardian budget (64 links) binds, so the
+/// journal holds defers with full `beat` lists and the decision pass
+/// ranks a waiting pool larger than it enables from. The 20-pod cases
+/// above never defer.
+fn budget_bound_run(policy: Policy) -> FabricSimResult {
+    run(&FabricSimConfig {
+        pods: 60,
+        horizon_hours: 24.0 * 30.0,
+        constraint: 0.75,
+        policy,
+        sample_interval_hours: 1.0,
+        target_loss_rate: 1e-8,
+        seed: 3,
+    })
+}
+
+#[test]
+fn budget_bound_lg_guardd_matches_golden() {
+    let r = budget_bound_run(Policy::LgGuardd(GuardConfig::default()));
+    let defers: Vec<&String> = r
+        .guard_journal
+        .iter()
+        .filter(|l| l.contains("\"action\":\"defer\""))
+        .collect();
+    let beaten = |l: &str| {
+        l.split("\"beat\":[")
+            .nth(1)
+            .map_or(0, |b| b.matches('{').count())
+    };
+    let full_beat = defers
+        .iter()
+        .filter(|l| beaten(l) == lg_guardd::BEAT_CAP)
+        .count();
+    let defers = defers.len();
+    assert!(
+        defers > 0 && full_beat > 0,
+        "the budget must bind: {} decisions, {defers} defers, {full_beat} with {} beaten",
+        r.guard_journal.len(),
+        lg_guardd::BEAT_CAP
+    );
+    let got = digest(&r);
+    assert_eq!(
+        got,
+        0x9128_0ac8_98ed_0ec3,
+        "digest moved; got {got:#018x} ({} decisions, {defers} defers)",
+        r.guard_journal.len()
+    );
+}
+
+#[test]
+fn budget_bound_lg_plus_corropt_matches_golden() {
+    let got = digest(&budget_bound_run(Policy::LgPlusCorrOpt));
+    assert_eq!(got, 0xbc8d_238b_8fb3_57f0, "digest moved; got {got:#018x}");
 }
