@@ -134,7 +134,8 @@ impl FabricSimConfig {
     }
 
     /// Reject configs [`run`] cannot finish or make sense of (a zero or
-    /// NaN sample interval never advances the sample clock).
+    /// NaN sample interval never advances the sample clock; Eq. 2 has
+    /// no copy count for a target outside (0, 1)).
     pub fn validate(&self) -> Result<(), String> {
         let check = |ok: bool, rule: &str, got: f64| {
             ok.then_some(()).ok_or_else(|| format!("{rule}, got {got}"))
@@ -155,6 +156,12 @@ impl FabricSimConfig {
             horizon.is_finite() && horizon >= 0.0,
             "horizon must be finite and >= 0 hours",
             horizon,
+        )?;
+        let target = self.target_loss_rate;
+        check(
+            target > 0.0 && target < 1.0,
+            "target loss rate must be in (0, 1)",
+            target,
         )
     }
 }
@@ -251,6 +258,27 @@ pub struct FabricSimResult {
     pub guard_journal: Vec<String>,
 }
 
+/// A deferred corrupting link: its raw loss rate, whether LinkGuardian
+/// runs on it, and its Eq. 2 penalty in that state. The penalty is set
+/// where the state changes (onset, guard enable and retire) and read by
+/// every sample.
+#[derive(Debug, Clone, Copy)]
+struct Deferred {
+    rate: f64,
+    lg_on: bool,
+    penalty: f64,
+}
+
+impl Deferred {
+    fn new(rate: f64, lg_on: bool, target: f64) -> Deferred {
+        Deferred {
+            rate,
+            lg_on,
+            penalty: link_penalty_with(lg_on, rate, target),
+        }
+    }
+}
+
 #[derive(Debug, PartialEq)]
 enum Ev {
     StartCorrupting(LinkId),
@@ -325,7 +353,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
     // penalty float-sum and the optimizer backlog order reproducible.
     // HashMap's per-instance random hash keys made both vary from run to
     // run (and thread to thread), which breaks byte-identical sweeps.
-    let mut corrupting: BTreeMap<LinkId, (f64, bool)> = BTreeMap::new();
+    let mut corrupting: BTreeMap<LinkId, Deferred> = BTreeMap::new();
     let mut disabled_count: u32 = 0;
     let mut counts = FabricSimCounts::default();
     let mut samples = Vec::new();
@@ -334,14 +362,17 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
     // Online per-link health estimators, fed expected windowed counts at
     // every sample tick (deterministic: no extra RNG draws, so the paired
     // per-link failure schedules are untouched). Estimators exist only
-    // for links currently corrupting or still draining back to Healthy;
-    // `health_window_base` preserves window-id monotonicity per link
-    // across heal/re-corrupt cycles.
+    // for links currently corrupting or still draining back to Healthy,
+    // kept in link order so a roll-up merges them with `corrupting`
+    // without a lookup, into `health_next`; `health_window_base`
+    // preserves window-id monotonicity per link across heal/re-corrupt
+    // cycles and is touched only at a transition or a heal.
     let health_cfg = HealthConfig {
         window_polls: 8,
         ..HealthConfig::default()
     };
-    let mut health: BTreeMap<LinkId, HealthEstimator> = BTreeMap::new();
+    let mut health: Vec<(LinkId, HealthEstimator)> = Vec::new();
+    let mut health_next: Vec<(LinkId, HealthEstimator)> = Vec::new();
     let mut health_window_base: BTreeMap<LinkId, u64> = BTreeMap::new();
     let mut health_events: Vec<FabricHealthEvent> = Vec::new();
 
@@ -390,15 +421,12 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
     let mut pod_sample = vec![(1.0f64, 1.0f64); cfg.pods as usize];
     let mut take_sample = |t: Hours,
                            fabric: &mut Fabric,
-                           corrupting: &BTreeMap<LinkId, (f64, bool)>,
+                           corrupting: &BTreeMap<LinkId, Deferred>,
                            disabled_count: u32,
                            samples: &mut Vec<SamplePoint>| {
         // Folded from +0.0, not `sum()` (which starts at -0.0): an
         // all-clear sample must be +0.0 in every build profile.
-        let total_penalty = corrupting
-            .values()
-            .map(|&(r, lg_on)| link_penalty_with(lg_on, r, cfg.target_loss_rate))
-            .fold(0.0, |a, p| a + p);
+        let total_penalty = corrupting.values().fold(0.0, |a, d| a + d.penalty);
         let mut least_paths: f64 = 1.0;
         let mut least_capacity: f64 = 1.0;
         for pod in 0..cfg.pods {
@@ -431,26 +459,47 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
     // and resolve effective rates down to ~1e-9 (one error per window).
     const HEALTH_FRAMES_PER_HOUR: f64 = 1e9;
     let roll_health = |t: Hours,
-                       corrupting: &BTreeMap<LinkId, (f64, bool)>,
-                       health: &mut BTreeMap<LinkId, HealthEstimator>,
+                       corrupting: &BTreeMap<LinkId, Deferred>,
+                       health: &mut Vec<(LinkId, HealthEstimator)>,
+                       health_next: &mut Vec<(LinkId, HealthEstimator)>,
                        window_base: &mut BTreeMap<LinkId, u64>,
                        events: &mut Vec<FabricHealthEvent>| {
-        for &l in corrupting.keys() {
-            health
-                .entry(l)
-                .or_insert_with(|| HealthEstimator::new(health_cfg));
-        }
         let frames = (HEALTH_FRAMES_PER_HOUR * cfg.sample_interval_hours).round() as u64;
         // Hour-as-second scaling: real picoseconds overflow u64 at year
         // horizons, so the monitoring plane timestamps 1 h as 1e12 ps.
         let t_ps = (t * 1e12) as u64;
-        let mut healed: Vec<LinkId> = Vec::new();
-        for (&l, est) in health.iter_mut() {
+        // One ordered merge of the watched and the corrupting links:
+        // every link in either, in link order, each paired with its
+        // corrupting entry if it has one. A corrupting link not yet
+        // watched gets a fresh estimator; a healed one is not carried
+        // into `health_next`.
+        let mut watched = health.drain(..).peekable();
+        let mut deferred = corrupting.iter().peekable();
+        loop {
+            let w = watched.peek().map(|&(l, _)| l);
+            let c = deferred.peek().map(|(&l, _)| l);
+            let from_watched = match (w, c) {
+                (None, None) => break,
+                (Some(w), Some(c)) => w <= c,
+                (w, _) => w.is_some(),
+            };
+            let (l, mut est, d) = if from_watched {
+                let (l, est) = watched.next().expect("peeked");
+                let d = if c == Some(l) {
+                    deferred.next().map(|(_, &d)| d)
+                } else {
+                    None
+                };
+                (l, est, d)
+            } else {
+                let (&l, &d) = deferred.next().expect("peeked");
+                (l, HealthEstimator::new(health_cfg), Some(d))
+            };
             // Expected windowed counts: corrupting links show their
             // effective (post-LinkGuardian) loss rate; repaired/disabled
             // links show clean windows until hysteresis clears them.
-            let errors = match corrupting.get(&l) {
-                Some(&(r, lg_on)) => {
+            let errors = match d {
+                Some(d) => {
                     // Guardian mode monitors the link-layer counters:
                     // LinkGuardian retransmits corrupted frames but the
                     // receiver still *counts* them, so the raw rate
@@ -458,17 +507,13 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                     // loop is not blinded by its own actuation. The
                     // oracle policies model the end-host view instead
                     // (the §4.8 masking story).
-                    let eff = if guard_mode {
-                        r
-                    } else {
-                        link_penalty_with(lg_on, r, cfg.target_loss_rate)
-                    };
+                    let eff = if guard_mode { d.rate } else { d.penalty };
                     (frames as f64 * eff).round() as u64
                 }
                 None => 0,
             };
-            let base = window_base.get(&l).copied().unwrap_or(0);
             if let Some(ev) = est.observe(t_ps, frames, errors) {
+                let base = window_base.get(&l).copied().unwrap_or(0);
                 events.push(FabricHealthEvent {
                     t_hours: t,
                     window_id: base + ev.window_id,
@@ -478,17 +523,17 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                     rate: ev.rate,
                 });
             }
-            if est.state() == LinkHealth::Healthy
-                && !corrupting.contains_key(&l)
+            if d.is_none()
+                && est.state() == LinkHealth::Healthy
                 && est.window_id() >= health_cfg.window_polls as u64
             {
-                healed.push(l);
+                *window_base.entry(l).or_insert(0) += est.window_id();
+            } else {
+                health_next.push((l, est));
             }
         }
-        for l in healed {
-            let est = health.remove(&l).expect("present");
-            *window_base.entry(l).or_insert(0) += est.window_id();
-        }
+        drop(watched);
+        std::mem::swap(health, health_next);
     };
 
     // Worst-case concurrent LG links per fabric switch (§5), maintained
@@ -519,7 +564,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                       fed: &mut usize,
                       events: &[FabricHealthEvent],
                       fabric: &mut Fabric,
-                      corrupting: &mut BTreeMap<LinkId, (f64, bool)>,
+                      corrupting: &mut BTreeMap<LinkId, Deferred>,
                       lg_per_switch: &mut HashMap<(u32, u8), u32>,
                       counts: &mut FabricSimCounts| {
         let Some(mgr) = guard.as_mut() else { return };
@@ -540,13 +585,12 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
             match d.action {
                 GuardAction::Enable => {
                     if let Some(e) = corrupting.get_mut(&link) {
-                        if !e.1 {
-                            e.1 = true;
-                            let loss_rate = e.0;
+                        if !e.lg_on {
+                            *e = Deferred::new(e.rate, true, cfg.target_loss_rate);
                             fabric.set_state(
                                 link,
                                 LinkState::Corrupting {
-                                    loss_rate,
+                                    loss_rate: e.rate,
                                     lg_active: true,
                                 },
                             );
@@ -559,13 +603,12 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                 }
                 GuardAction::Retire => {
                     if let Some(e) = corrupting.get_mut(&link) {
-                        if e.1 {
-                            e.1 = false;
-                            let loss_rate = e.0;
+                        if e.lg_on {
+                            *e = Deferred::new(e.rate, false, cfg.target_loss_rate);
                             fabric.set_state(
                                 link,
                                 LinkState::Corrupting {
-                                    loss_rate,
+                                    loss_rate: e.rate,
                                     lg_active: false,
                                 },
                             );
@@ -597,6 +640,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                 next_sample,
                 &corrupting,
                 &mut health,
+                &mut health_next,
                 &mut health_window_base,
                 &mut health_events,
             );
@@ -636,7 +680,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                     push(&mut heap, &mut seq, at + repair, Ev::RepairDone(link));
                 } else {
                     counts.deferred += 1;
-                    corrupting.insert(link, (rate, lg_on));
+                    corrupting.insert(link, Deferred::new(rate, lg_on, cfg.target_loss_rate));
                     if lg_on {
                         let n = lg_per_switch.entry(switch_key(&fabric, link)).or_insert(0);
                         *n += 1;
@@ -662,11 +706,11 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                 let first = fabric.link(link).pod * LINKS_PER_POD as u32;
                 let backlog: Vec<(LinkId, f64)> = corrupting
                     .range(LinkId(first)..LinkId(first + LINKS_PER_POD as u32))
-                    .map(|(&l, &(r, _))| (l, r))
+                    .map(|(&l, d)| (l, d.rate))
                     .collect();
                 for l in corropt.optimize(&mut fabric, &backlog) {
                     counts.optimizer_disabled += 1;
-                    if let Some((_, true)) = corrupting.remove(&l) {
+                    if let Some(Deferred { lg_on: true, .. }) = corrupting.remove(&l) {
                         if let Some(n) = lg_per_switch.get_mut(&switch_key(&fabric, l)) {
                             *n -= 1;
                         }
@@ -809,6 +853,14 @@ mod tests {
             let e = bad.validate().expect_err("bad horizon");
             assert!(e.starts_with("horizon"), "{e}");
         }
+        for target_loss_rate in [0.0, -1e-8, 1.0, 1.5, f64::NAN] {
+            let bad = FabricSimConfig {
+                target_loss_rate,
+                ..ok.clone()
+            };
+            let e = bad.validate().expect_err("bad target");
+            assert!(e.starts_with("target loss rate"), "{e}");
+        }
     }
 
     #[test]
@@ -816,6 +868,19 @@ mod tests {
     fn run_refuses_a_zero_sample_interval_instead_of_looping() {
         run(&FabricSimConfig {
             sample_interval_hours: 0.0,
+            ..small_cfg(Policy::CorrOptOnly, 0.75)
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid FabricSimConfig: target loss rate must be in (0, 1), got NaN"
+    )]
+    fn run_refuses_a_target_loss_rate_even_where_no_link_reads_it() {
+        // CorrOptOnly never computes Eq. 2, so without the check the
+        // bad target would be silently ignored here.
+        run(&FabricSimConfig {
+            target_loss_rate: f64::NAN,
             ..small_cfg(Policy::CorrOptOnly, 0.75)
         });
     }

@@ -283,6 +283,14 @@ impl LinkEntry {
             history: VecDeque::new(),
         }
     }
+
+    /// This link's entry in the waiting pool.
+    fn waiting(&self) -> Waiting {
+        Waiting {
+            rate: self.rate,
+            hold_until_ps: self.hold_until_ps,
+        }
+    }
 }
 
 /// Decision ranking: worst observed rate first; link id breaks ties so
@@ -293,31 +301,57 @@ fn rank(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
         .then_with(|| a.0.cmp(&b.0))
 }
 
+/// A waiting link's ranking key and hold-down, copied from its
+/// [`LinkEntry`] so the enable pass reads no `links` entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Waiting {
+    rate: f64,
+    hold_until_ps: u64,
+}
+
 /// The guardian manager: a deterministic fold from the canonical health
 /// stream to protection decisions, a JSONL journal, and a restorable
 /// snapshot.
 ///
-/// A decision pass costs what changed, not what was ever seen: the two
-/// sets it reads — `protected`, and `waiting` (unprotected links at or
-/// above `protect_on`) — are kept up to date at the only places they
-/// change (`ingest` of that link, enable, retire, `restore`).
+/// A decision pass costs what changed, not what was ever seen, and
+/// looks up `links` only for the links it decides on: the three sets
+/// it reads — `protected` (with each link's rate), `cleared` (protected
+/// links reading `Healthy`) and `waiting` (unprotected links at or
+/// above `protect_on`, with rate and hold-down) — are kept up to date
+/// at the only places they change (`ingest` of that link, enable,
+/// retire, `restore`), and only the candidates an enable or defer
+/// record uses are sorted.
 /// Invariant, checked after every pass in debug builds: `protected` and
-/// `waiting` are disjoint subsets of `links`' keys, and a link is in
-/// `waiting` exactly when it is not protected and its state is at or
-/// above `protect_on`.
+/// `waiting` are disjoint subsets of `links`' keys whose values equal
+/// the entries', a link is in `waiting` exactly when it is not
+/// protected and its state is at or above `protect_on`, and `cleared`
+/// is exactly the protected links whose state is `Healthy`.
 #[derive(Debug)]
 pub struct GuardManager {
     cfg: GuardConfig,
     run: String,
     links: BTreeMap<u32, LinkEntry>,
-    protected: BTreeSet<u32>,
-    waiting: BTreeSet<u32>,
+    protected: BTreeMap<u32, f64>,
+    cleared: BTreeSet<u32>,
+    waiting: BTreeMap<u32, Waiting>,
     seq: u64,
     last_t_ps: u64,
     journal: Vec<String>,
     decisions: Vec<GuardDecision>,
-    /// The enable pass's candidate list, kept for its allocation.
+    /// The enable and defer passes' ranking buffer, kept for its
+    /// allocation.
     candidates: Vec<(u32, f64)>,
+}
+
+/// Sort the `n` best of `pool` by [`rank`] into its front; the rest is
+/// left in no particular order. `rank` is a strict total order (link
+/// ids are distinct), so the front equals the first `n` of a full sort.
+fn rank_front(pool: &mut [(u32, f64)], n: usize) {
+    if n < pool.len() {
+        pool.select_nth_unstable_by(n, rank);
+    }
+    let n = n.min(pool.len());
+    pool[..n].sort_unstable_by(rank);
 }
 
 impl GuardManager {
@@ -328,8 +362,9 @@ impl GuardManager {
             cfg,
             run: run.to_string(),
             links: BTreeMap::new(),
-            protected: BTreeSet::new(),
-            waiting: BTreeSet::new(),
+            protected: BTreeMap::new(),
+            cleared: BTreeSet::new(),
+            waiting: BTreeMap::new(),
             seq: 0,
             last_t_ps: 0,
             journal: Vec::new(),
@@ -360,12 +395,12 @@ impl GuardManager {
 
     /// Links currently protected, ascending.
     pub fn protected_links(&self) -> Vec<u32> {
-        self.protected.iter().copied().collect()
+        self.protected.keys().copied().collect()
     }
 
     /// Whether a link is currently protected.
     pub fn is_protected(&self, link: u32) -> bool {
-        self.protected.contains(&link)
+        self.protected.contains_key(&link)
     }
 
     /// Budget slots in use.
@@ -417,12 +452,17 @@ impl GuardManager {
             e.history.pop_front();
         }
         e.history.push_back(ev);
-        if !self.protected.contains(&ev.link) {
-            if ev.to >= self.cfg.protect_on {
-                self.waiting.insert(ev.link);
+        if let Some(rate) = self.protected.get_mut(&ev.link) {
+            *rate = ev.rate;
+            if ev.to == LinkHealth::Healthy {
+                self.cleared.insert(ev.link);
             } else {
-                self.waiting.remove(&ev.link);
+                self.cleared.remove(&ev.link);
             }
+        } else if ev.to >= self.cfg.protect_on {
+            self.waiting.insert(ev.link, e.waiting());
+        } else {
+            self.waiting.remove(&ev.link);
         }
         self.decide(ev.t_ps, Some(ev.link));
     }
@@ -446,50 +486,50 @@ impl GuardManager {
 
     /// Run the decision pass: retire cleared links, then fill the budget
     /// worst-first, then record a defer for the triggering link if it
-    /// qualified but lost. Iteration is over the two sets (link order)
-    /// and an explicitly keyed sort — nothing layout-dependent.
+    /// qualified but lost. Iteration is over the sets (link order) and
+    /// an explicitly keyed selection — nothing layout-dependent.
     fn decide(&mut self, t_ps: u64, trigger: Option<u32>) {
         // Retirement: protection is withdrawn as soon as the estimator's
         // clear_factor hysteresis reads the link Healthy again. The
         // hold-down starts here: re-protection is suppressed for
         // `hold_down_windows` × the link's observed poll cadence.
         if self.cfg.retire {
-            let cleared: Vec<u32> = self
-                .protected
-                .iter()
-                .copied()
-                .filter(|l| self.links[l].state == LinkHealth::Healthy)
-                .collect();
-            for l in cleared {
+            while let Some(l) = self.cleared.pop_first() {
                 let e = self.links.get_mut(&l).expect("protected link exists");
                 e.hold_until_ps = t_ps
                     .saturating_add(self.cfg.hold_down_windows.saturating_mul(e.window_ps))
                     .min(PS_EXACT);
+                let w = e.waiting();
                 self.protected.remove(&l);
                 if LinkHealth::Healthy >= self.cfg.protect_on {
-                    self.waiting.insert(l);
+                    self.waiting.insert(l, w);
                 }
                 self.emit(t_ps, l, GuardAction::Retire, &[]);
             }
         }
 
-        // Candidate pool: waiting and out of hold-down, ranked. Each
-        // enable records the next candidates down as the ones it beat.
-        if self.budget_used() < self.cfg.budget && !self.waiting.is_empty() {
+        // Candidate pool: waiting and out of hold-down. Each enable
+        // records the next candidates down as the ones it beat, so only
+        // the `free + BEAT_CAP` best are ranked.
+        let free = self.cfg.budget - self.budget_used();
+        if free > 0 && !self.waiting.is_empty() {
             let mut candidates = std::mem::take(&mut self.candidates);
             candidates.clear();
-            candidates.extend(self.waiting.iter().filter_map(|l| {
-                let e = &self.links[l];
-                (t_ps >= e.hold_until_ps).then_some((*l, e.rate))
-            }));
-            candidates.sort_by(rank);
-            for i in 0..candidates.len() {
-                if self.budget_used() >= self.cfg.budget {
-                    break;
-                }
-                let link = candidates[i].0;
+            candidates.extend(
+                self.waiting
+                    .iter()
+                    .filter(|(_, w)| t_ps >= w.hold_until_ps)
+                    .map(|(&l, w)| (l, w.rate)),
+            );
+            let enabled = (free as usize).min(candidates.len());
+            rank_front(&mut candidates, enabled.saturating_add(BEAT_CAP));
+            for i in 0..enabled {
+                let (link, rate) = candidates[i];
                 self.waiting.remove(&link);
-                self.protected.insert(link);
+                self.protected.insert(link, rate);
+                if self.links[&link].state == LinkHealth::Healthy {
+                    self.cleared.insert(link);
+                }
                 let beat = &candidates[i + 1..];
                 self.emit(
                     t_ps,
@@ -510,31 +550,36 @@ impl GuardManager {
         // the budget it lost (worst-first) — by this point any
         // candidate ranked above it was just enabled, so the protected
         // set IS the full list of who beat it.
-        if let Some(trigger) = trigger {
-            if self.waiting.contains(&trigger) && t_ps >= self.links[&trigger].hold_until_ps {
-                let mut holders: Vec<(u32, f64)> = self
-                    .protected
-                    .iter()
-                    .map(|l| (*l, self.links[l].rate))
-                    .collect();
-                holders.sort_by(rank);
-                holders.truncate(BEAT_CAP);
-                self.emit(t_ps, trigger, GuardAction::Defer, &holders);
-            }
+        let lost = trigger.filter(|l| self.waiting.get(l).is_some_and(|w| t_ps >= w.hold_until_ps));
+        if let Some(trigger) = lost {
+            let mut holders = std::mem::take(&mut self.candidates);
+            holders.clear();
+            holders.extend(self.protected.iter().map(|(&l, &rate)| (l, rate)));
+            rank_front(&mut holders, BEAT_CAP);
+            holders.truncate(BEAT_CAP);
+            self.emit(t_ps, trigger, GuardAction::Defer, &holders);
+            self.candidates = holders;
         }
         #[cfg(debug_assertions)]
         self.assert_sets();
     }
 
-    /// The invariant tying `protected` and `waiting` to `links`.
+    /// The invariant tying `protected`, `cleared` and `waiting` to
+    /// `links`.
     #[cfg(debug_assertions)]
     fn assert_sets(&self) {
         for (l, e) in &self.links {
-            let waits = !self.protected.contains(l) && e.state >= self.cfg.protect_on;
-            assert_eq!(self.waiting.contains(l), waits, "link {l} waiting set");
+            let protected = self.protected.get(l);
+            assert!(protected.is_none_or(|&r| r == e.rate), "link {l} rate");
+            let waits = protected.is_none() && e.state >= self.cfg.protect_on;
+            let w = waits.then(|| e.waiting());
+            assert_eq!(self.waiting.get(l).copied(), w, "link {l} waiting");
+            let cleared = protected.is_some() && e.state == LinkHealth::Healthy;
+            assert_eq!(self.cleared.contains(l), cleared, "link {l} cleared");
         }
         let known = |l: &u32| self.links.contains_key(l);
-        assert!(self.protected.iter().all(known) && self.waiting.iter().all(known));
+        assert!(self.protected.keys().all(known) && self.waiting.keys().all(known));
+        assert!(self.cleared.iter().all(known));
     }
 
     /// Append one decision to the journal and the actuation queue.
@@ -589,7 +634,7 @@ impl GuardManager {
                 l.u64("link", u64::from(*link))
                     .str("state", e.state.name())
                     .f64("rate", e.rate)
-                    .bool("protected", self.protected.contains(link))
+                    .bool("protected", self.protected.contains_key(link))
                     .u64("hold_until_ps", e.hold_until_ps)
                     .u64("window_ps", e.window_ps)
                     .objects("history", &e.history, |l, h| h.write(l));
@@ -647,11 +692,15 @@ impl GuardManager {
             };
             // Last entry wins if a hand-edited snapshot repeats a link.
             m.protected.remove(&link);
+            m.cleared.remove(&link);
             m.waiting.remove(&link);
             if protected {
-                m.protected.insert(link);
+                m.protected.insert(link, e.rate);
+                if e.state == LinkHealth::Healthy {
+                    m.cleared.insert(link);
+                }
             } else if e.state >= cfg.protect_on {
-                m.waiting.insert(link);
+                m.waiting.insert(link, e.waiting());
             }
             m.links.insert(link, e);
         }

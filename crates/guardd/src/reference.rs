@@ -403,12 +403,16 @@ mod tests {
         LinkHealth::Corrupting,
     ];
     /// Few distinct rates, so that ties (broken by link id) are common.
-    const RATES: [f64; 4] = [1e-9, 5e-8, 2e-6, 1.5e-4];
+    const RATES: [f64; 5] = [0.0, 1e-9, 5e-8, 2e-6, 1.5e-4];
+    /// The widest feed: with budgets 4 and 8 its waiting pool outgrows
+    /// `free + BEAT_CAP`, so the enable pass ranks only part of it, and
+    /// with budget 24 a defer ranks only part of the protected set.
+    const MAX_LINKS: u32 = 40;
 
     /// Budget × retire × hold-down × `protect_on` × `history_cap`.
     fn configs() -> Vec<GuardConfig> {
         let mut out = Vec::new();
-        for budget in [0, 1, 3, u32::MAX] {
+        for budget in [0, 1, 3, 4, 8, 24, u32::MAX] {
             for retire in [true, false] {
                 for hold_down_windows in [0, 16] {
                     for protect_on in STATES {
@@ -435,17 +439,18 @@ mod tests {
     }
 
     /// Turn raw draws into a time-ordered interleaving of transitions
-    /// (each link's `from` is its previous `to`, its windows increase)
-    /// and ticks.
-    fn steps(raw: &[(u8, u32, usize, usize, u64)]) -> Vec<Step> {
+    /// over links `0..width` (each link's `from` is its previous `to`,
+    /// its windows increase) and ticks.
+    fn steps(width: u32, raw: &[(u8, u32, usize, usize, u64)]) -> Vec<Step> {
         let mut t_ps = 1_000_000;
-        let mut last = [(LinkHealth::Healthy, 0u64); 6];
+        let mut last = [(LinkHealth::Healthy, 0u64); MAX_LINKS as usize];
         raw.iter()
             .map(|&(kind, link, to, rate, dt)| {
                 t_ps += dt * 1_000_000;
                 if kind == 0 {
                     return Step::Tick(t_ps);
                 }
+                let link = link % width;
                 let (from, window) = &mut last[link as usize];
                 *window += 1 + dt;
                 let ev = GuardInput {
@@ -469,13 +474,14 @@ mod tests {
         /// snapshot/restore at any point of the feed.
         #[test]
         fn manager_equals_reference(
+            width in prop_oneof![Just(6u32), 1u32..MAX_LINKS + 1],
             raw in proptest::collection::vec(
-                (0u8..6, 0u32..6, 0usize..3, 0usize..4, 0u64..3),
-                0..80,
+                (0u8..6, 0u32..MAX_LINKS, 0usize..3, 0usize..RATES.len(), 0u64..3),
+                0..120,
             ),
-            cut in 0usize..81,
+            cut in 0usize..121,
         ) {
-            let steps = steps(&raw);
+            let steps = steps(width, &raw);
             let cut = cut.min(steps.len());
             for cfg in configs() {
                 let mut new = GuardManager::new("diff", cfg);
