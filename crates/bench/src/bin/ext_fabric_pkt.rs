@@ -18,7 +18,8 @@
 //! [--scale] [--pods N] [--dump PATH] [--layout-out PATH]`
 //!
 //! `--dump PATH` writes the full FCT table and telemetry rows as JSON
-//! lines — the machine-readable twin of the stdout table, also
+//! lines, replacing any existing file — the machine-readable twin of
+//! the stdout table, also
 //! layout-invariant. `--scale` switches from the 1K-link pod-scale
 //! fixture to the fabric-scale preset (260 pods ≈ 100K links, streaming
 //! FCT only), and `--pods N` shrinks either geometry for smoke runs.
@@ -191,6 +192,13 @@ fn main() {
         "recovered",
         "src.retx"
     );
+    // Each policy appends its rows to the dump; start it empty so a
+    // rerun to the same path replaces the file instead of growing it.
+    if !dump_path.is_empty() {
+        if let Err(e) = std::fs::File::create(&dump_path) {
+            eprintln!("warning: could not write {dump_path}: {e}");
+        }
+    }
     let mut results = Vec::new();
     for (label, policy) in [
         ("no-LG (RTO)", PktPolicy::None),

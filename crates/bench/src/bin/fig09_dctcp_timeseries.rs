@@ -68,20 +68,14 @@ fn main() {
         "{:>8} {:>12} {:>12} {:>12} {:>10}",
         "t(ms)", "rate(Gbps)", "qdepth(KB)", "rxbuf(KB)", "e2e_retx"
     );
-    let q = &r.qdepth;
-    let rx = &r.rx_buffer;
-    let e2e = &r.e2e_retx;
-    for (i, &(t, gbps)) in r.goodput.points().iter().enumerate() {
-        let qv = q.points().get(i).map(|p| p.1).unwrap_or(0.0) / 1024.0;
-        let rv = rx.points().get(i).map(|p| p.1).unwrap_or(0.0) / 1024.0;
-        let ev = e2e.points().get(i).map(|p| p.1).unwrap_or(0.0);
+    for row in &r.rows {
         println!(
-            "{:>8.1} {:>12.2} {:>12.1} {:>12.1} {:>10.0}",
-            t.as_secs_f64() * 1e3,
-            gbps,
-            qv,
-            rv,
-            ev
+            "{:>8.1} {:>12.2} {:>12.1} {:>12.1} {:>10}",
+            row.t.as_secs_f64() * 1e3,
+            row.goodput,
+            row.qdepth as f64 / 1024.0,
+            row.rx_buffer as f64 / 1024.0,
+            row.e2e_retx
         );
     }
     println!("rx-buffer overflow drops: {}", r.rx_overflow_drops);

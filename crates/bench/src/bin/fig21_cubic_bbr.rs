@@ -29,15 +29,13 @@ fn run_one(name: &str, speed: LinkSpeed, variant: CcVariant, total_ms: u64, seed
         "{:>8} {:>12} {:>12} {:>10}",
         "t(ms)", "rate(Gbps)", "qdepth(KB)", "e2e_retx"
     );
-    for (i, &(t, gbps)) in r.goodput.points().iter().enumerate() {
-        let qv = r.qdepth.points().get(i).map(|p| p.1).unwrap_or(0.0) / 1024.0;
-        let ev = r.e2e_retx.points().get(i).map(|p| p.1).unwrap_or(0.0);
+    for row in &r.rows {
         println!(
-            "{:>8.1} {:>12.2} {:>12.1} {:>10.0}",
-            t.as_secs_f64() * 1e3,
-            gbps,
-            qv,
-            ev
+            "{:>8.1} {:>12.2} {:>12.1} {:>10}",
+            row.t.as_secs_f64() * 1e3,
+            row.goodput,
+            row.qdepth as f64 / 1024.0,
+            row.e2e_retx
         );
     }
     println!();

@@ -38,12 +38,12 @@ fn cubic_goodput(loss: LossModel, protection_lg: Option<bool>, ms: u64, seed: u6
     }
     let r = time_series(&scen);
     // average the second half of the run (steady state)
-    let pts = r.goodput.points();
-    let half = pts.len() / 2;
-    if pts.len() <= half {
+    let rows = &r.rows;
+    let half = rows.len() / 2;
+    if rows.len() <= half {
         return 0.0;
     }
-    pts[half..].iter().map(|p| p.1).sum::<f64>() / (pts.len() - half) as f64
+    rows[half..].iter().map(|row| row.goodput).sum::<f64>() / (rows.len() - half) as f64
 }
 
 fn main() {

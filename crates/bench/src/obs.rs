@@ -250,32 +250,10 @@ pub fn publish_pkt_run(
     metric_lines.push(line.finish());
     lg_obs::sink::submit_all(&format!("pkt/{run}/0metric"), metric_lines);
 
-    // Merged packet-lifecycle trace (already span_key-sorted).
-    if !r.trace.is_empty() || r.trace_dropped > 0 {
-        let mut trace_lines: Vec<String> = r
-            .trace
-            .iter()
-            .map(|rec| {
-                let mut l = JsonLine::new();
-                l.str("type", "trace")
-                    .u64("t_ps", rec.t_ps)
-                    .str("comp", rec.comp.name())
-                    .str("kind", rec.kind.name())
-                    .u64("inst", u64::from(rec.inst))
-                    .u64("uid", rec.uid)
-                    .u64("seq", rec.seq)
-                    .u64("aux", u64::from(rec.aux));
-                l.finish()
-            })
-            .collect();
-        let mut summary = JsonLine::new();
-        summary
-            .str("type", "trace_summary")
-            .u64("records", r.trace.len() as u64)
-            .u64("dropped", r.trace_dropped);
-        trace_lines.push(summary.finish());
-        lg_obs::sink::submit_all(&format!("pkt/{run}/1trace"), trace_lines);
-    }
+    // Merged packet-lifecycle trace (already span_key-sorted; uids are
+    // global, so they publish as they are).
+    let trace_lines = lg_obs::trace::to_jsonl(&r.trace, r.trace_dropped, |uid| uid);
+    lg_obs::sink::submit_all(&format!("pkt/{run}/1trace"), trace_lines);
 
     // Per-link health transitions, (link, window) order.
     let health_lines: Vec<String> = r
@@ -307,27 +285,12 @@ pub fn publish_pkt_run(
     }
 
     // Sampled event-cost attribution (wall-clock; quarantined).
-    if r.profile.sampled() > 0 {
-        let prof_lines: Vec<String> = lg_fabric::PktProfile::KINDS
-            .iter()
-            .zip(r.profile.counts.iter().zip(r.profile.total_ns.iter()))
-            .filter(|(_, (&n, _))| n > 0)
-            .map(|(kind, (&n, &ns))| {
-                let mut l = JsonLine::new();
-                l.str("type", "profile")
-                    .str("section", &format!("pktsim/{run}"))
-                    .str("event", kind)
-                    .u64("count", n)
-                    .u64("total_ns", ns)
-                    .f64("mean_ns", ns as f64 / n as f64);
-                l.finish()
-            })
-            .collect();
-        lg_obs::sink::submit_all(
-            &format!("{}pktsim/{run}", lg_obs::sink::PROFILE_KEY_PREFIX),
-            prof_lines,
-        );
-    }
+    lg_obs::sink::submit_profile(
+        &format!("pktsim/{run}"),
+        &lg_fabric::PktProfile::KINDS,
+        &r.profile.counts,
+        &r.profile.total_ns,
+    );
 }
 
 /// Write one dump: a fresh `meta` line, then `lines`.

@@ -88,6 +88,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+use lg_obs::sink::PROFILE_STRIDE;
 use lg_obs::trace::{Comp, Kind, TraceRecord, TraceRing, DEFAULT_RING_CAP};
 use lg_obs::{postmortem, HealthConfig, HealthEstimator, HealthEvent, MemBudget};
 use lg_sim::shard::{run_sharded, ShardMsg, ShardStats, ShardWorld};
@@ -661,8 +662,8 @@ pub struct MemStats {
 }
 
 /// Sampled per-event-kind wall-clock cost attribution of one run.
-/// Every 64th handled event is timed and charged to its kind; shards
-/// merge additively at collect. Wall-clock, so layout- and
+/// Every [`PROFILE_STRIDE`]-th handled event is timed and charged to
+/// its kind; shards merge additively at collect. Wall-clock, so layout- and
 /// machine-dependent — excluded from [`PktFabricResult::simulation_eq`]
 /// and quarantined under `"type":"profile"` in JSONL dumps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1216,17 +1217,17 @@ impl FabricShard {
         }
     }
 
-    /// Dispatch one event; when profiling is on, every 64th event is
-    /// wall-clock timed and charged to its kind. Sampling keeps the
-    /// overhead a fraction of an `Instant` read per 64 events — well
-    /// under the ≥0.95 telemetry A/B gate.
+    /// Dispatch one event; when profiling is on, every
+    /// [`PROFILE_STRIDE`]-th event is wall-clock timed and charged to
+    /// its kind. Sampling keeps the overhead a fraction of an `Instant`
+    /// read per 64 events — well under the ≥0.95 telemetry A/B gate.
     fn dispatch(&mut self, ev: PEv, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
         let Some((seen, _)) = &mut self.profile else {
             self.handle(ev, now, out);
             return;
         };
         *seen += 1;
-        if *seen & 63 != 0 {
+        if *seen % PROFILE_STRIDE != 0 {
             self.handle(ev, now, out);
             return;
         }

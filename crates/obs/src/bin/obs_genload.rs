@@ -21,6 +21,7 @@
 //! aggregates (not the file) in memory, a property this generator
 //! exists to falsify at scale.
 
+use lg_obs::trace::{Comp, Kind, TraceRecord};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
@@ -91,25 +92,23 @@ fn generate(w: &mut BufWriter<File>, rng: &mut Lcg, target: u64, series: u64) ->
         )?;
         // Loss traces: a drop, usually recovered shortly after.
         if rng.below(4) == 0 {
-            let link = rng.below(64);
-            total += put(
-                w,
-                format!(
-                    "{{\"type\":\"trace\",\"t_ps\":{t_ps},\"comp\":\"link\",\
-                     \"kind\":\"corrupt_drop\",\"inst\":0,\"uid\":{uid},\
-                     \"seq\":{uid},\"aux\":{link}}}"
-                ),
-            )?;
+            let drop = TraceRecord {
+                t_ps,
+                uid,
+                seq: uid,
+                aux: rng.below(64) as u32,
+                inst: 0,
+                comp: Comp::Link,
+                kind: Kind::CorruptDrop,
+            };
+            total += put(w, drop.json_line())?;
             if rng.below(16) != 0 {
-                let t_rec = t_ps + 5_000 + rng.below(50_000);
-                total += put(
-                    w,
-                    format!(
-                        "{{\"type\":\"trace\",\"t_ps\":{t_rec},\"comp\":\"link\",\
-                         \"kind\":\"recovered\",\"inst\":0,\"uid\":{uid},\
-                         \"seq\":{uid},\"aux\":{link}}}"
-                    ),
-                )?;
+                let recovered = TraceRecord {
+                    t_ps: t_ps + 5_000 + rng.below(50_000),
+                    kind: Kind::Recovered,
+                    ..drop
+                };
+                total += put(w, recovered.json_line())?;
             }
             uid += 1;
         }

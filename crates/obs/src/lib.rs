@@ -18,7 +18,7 @@
 //!   packet's full causal history (TX → corrupt drop → LOSS_NOTIFICATION →
 //!   recirc retx → delivery) for dumping when an invariant trips.
 //! * [`timeseries`] — streaming windowed telemetry: per-metric Ewma plus a
-//!   fixed-capacity ring of recent windows (min/max/mean/percentile),
+//!   fixed-capacity ring of recent windows (min/max/mean/p99 per row),
 //!   sampled on the world's periodic sim event and dumped as `timeseries`
 //!   JSONL rows with strictly monotone window ids.
 //! * [`health`] — the online link-health plane: a sliding-window
@@ -39,7 +39,9 @@
 //! derived from simulation state (sim-time keyed, normalized packet uids).
 //! Wall-clock profile rows are quarantined under `"type":"profile"` with
 //! keys sorting after all golden sections; golden comparisons must ignore
-//! them (see `DESIGN.md` §9).
+//! them (see `DESIGN.md` §9). The `trace`, `trace_summary` and `profile`
+//! row shapes are written here only ([`trace::to_jsonl`],
+//! [`sink::submit_profile`]), whichever engine publishes them.
 //!
 //! [`AtomicU8`]: std::sync::atomic::AtomicU8
 
@@ -62,5 +64,5 @@ pub use hist::{HistSummary, LogHist};
 pub use json::{JsonLine, JsonValue};
 pub use metrics::{MetricSink, MetricsRegistry, Observe};
 pub use stream::{LineReader, QuantileStream};
-pub use timeseries::{Ewma, SeriesBank, SeriesRing, WindowedRate};
+pub use timeseries::{Ewma, SeriesBank, WindowedRate};
 pub use trace::{Comp, Kind, Level, TraceRecord};

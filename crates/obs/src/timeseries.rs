@@ -1,12 +1,12 @@
 //! Streaming time-series telemetry: windowed samples kept online.
 //!
 //! Components are sampled on a periodic sim event (the world's
-//! `Ev::Sample`); each sampled metric feeds a [`Series`] that maintains
-//! an [`Ewma`] plus a fixed-capacity [`SeriesRing`] of recent windows,
-//! so every published point carries the window aggregates
-//! (min/max/mean/percentile) alongside the raw value. [`WindowedRate`]
-//! is the ratio counterpart (errors over frames across the last N
-//! polls) used by the health estimator.
+//! `Ev::Sample`); each sampled metric feeds a `Series` that maintains
+//! an [`Ewma`] plus a fixed-capacity ring of recent windows, so every
+//! published point carries the window aggregates (min/max/mean/p99)
+//! alongside the raw value. [`WindowedRate`] is the ratio counterpart
+//! (errors over frames across the last N polls) used by the health
+//! estimator.
 //!
 //! Everything here is driven by sim time and window ids — no wall
 //! clock — so dumps stay byte-identical at any `--threads` value.
@@ -42,11 +42,6 @@ impl Ewma {
         Ewma::new(1.0 - 0.5f64.powf(1.0 / half_life))
     }
 
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Feed one sample; the first sample seeds the average directly.
     /// Returns the updated value.
     pub fn update(&mut self, v: f64) -> f64 {
@@ -62,11 +57,6 @@ impl Ewma {
     /// Current average (0.0 before the first sample).
     pub fn value(&self) -> f64 {
         self.value
-    }
-
-    /// Whether any sample has been fed yet.
-    pub fn is_seeded(&self) -> bool {
-        self.seeded
     }
 }
 
@@ -143,10 +133,9 @@ impl WindowedRate {
 }
 
 /// Fixed-capacity ring of `(window_id, value)` samples; pushing past
-/// capacity overwrites the oldest. Window aggregates are computed over
-/// whatever the ring currently holds.
+/// capacity overwrites the oldest.
 #[derive(Debug, Clone)]
-pub struct SeriesRing {
+struct SeriesRing {
     buf: Vec<(u64, f64)>,
     head: usize,
     len: usize,
@@ -154,7 +143,7 @@ pub struct SeriesRing {
 
 impl SeriesRing {
     /// A ring holding the last `cap` samples (`cap >= 1`).
-    pub fn new(cap: usize) -> SeriesRing {
+    fn new(cap: usize) -> SeriesRing {
         assert!(cap >= 1, "ring must hold at least one sample");
         SeriesRing {
             buf: vec![(0, 0.0); cap],
@@ -164,65 +153,17 @@ impl SeriesRing {
     }
 
     /// Append a sample, evicting the oldest at capacity.
-    pub fn push(&mut self, window_id: u64, value: f64) {
+    fn push(&mut self, window_id: u64, value: f64) {
         self.buf[self.head] = (window_id, value);
         self.head = (self.head + 1) % self.buf.len();
         self.len = (self.len + 1).min(self.buf.len());
     }
 
-    /// Samples currently held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Iterate the held samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         let cap = self.buf.len();
         let start = (self.head + cap - self.len) % cap;
         (0..self.len).map(move |i| self.buf[(start + i) % cap])
-    }
-
-    /// Smallest value over the ring (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        self.iter().map(|(_, v)| v).fold(f64::INFINITY, f64::min)
-    }
-
-    /// Largest value over the ring (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        self.iter()
-            .map(|(_, v)| v)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Mean over the ring (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        self.iter().map(|(_, v)| v).sum::<f64>() / self.len as f64
-    }
-
-    /// Percentile over the ring by nearest-rank on a sorted copy
-    /// (`q` in `[0, 1]`; 0.0 when empty).
-    pub fn percentile(&self, q: f64) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        let mut vals: Vec<f64> = self.iter().map(|(_, v)| v).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let idx = ((q.clamp(0.0, 1.0) * (vals.len() - 1) as f64).round()) as usize;
-        vals[idx]
     }
 }
 
@@ -279,7 +220,10 @@ impl SeriesBank {
         }
     }
 
-    fn series_idx(&mut self, comp: &str, inst: &str, name: &str) -> usize {
+    /// Intern a series key, returning a stable index for
+    /// [`SeriesBank::sample_at`] — callers on a per-event hot path
+    /// intern once and skip the string comparisons on every sample.
+    pub fn key(&mut self, comp: &str, inst: &str, name: &str) -> usize {
         if let Some(i) = self
             .keys
             .iter()
@@ -297,30 +241,9 @@ impl SeriesBank {
         self.keys.len() - 1
     }
 
-    /// Intern a series key, returning a stable index for
-    /// [`SeriesBank::sample_at`] — callers on a per-event hot path
-    /// intern once and skip the string comparisons on every sample.
-    pub fn key(&mut self, comp: &str, inst: &str, name: &str) -> usize {
-        self.series_idx(comp, inst, name)
-    }
-
-    /// Feed one sampled value for a metric at sim-time `t_ps`, window
-    /// `window_id` (strictly increasing per metric).
-    pub fn sample(
-        &mut self,
-        t_ps: u64,
-        window_id: u64,
-        comp: &str,
-        inst: &str,
-        name: &str,
-        value: f64,
-    ) {
-        let idx = self.series_idx(comp, inst, name);
-        self.sample_at(idx, t_ps, window_id, value);
-    }
-
-    /// Hot-path variant of [`SeriesBank::sample`] taking an index
-    /// interned with [`SeriesBank::key`].
+    /// Feed one sampled value for the series interned as `idx` at
+    /// sim-time `t_ps`, window `window_id` (strictly increasing per
+    /// series).
     pub fn sample_at(&mut self, idx: usize, t_ps: u64, window_id: u64, value: f64) {
         let s = &mut self.series[idx];
         if let Some(last) = s.last_window {
@@ -348,15 +271,6 @@ impl SeriesBank {
     /// Whether no samples have been fed.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Latest Ewma of a series, if it has been sampled.
-    pub fn ewma(&self, comp: &str, inst: &str, name: &str) -> Option<f64> {
-        let i = self
-            .keys
-            .iter()
-            .position(|(c, i2, n)| c == comp && i2 == inst && n == name)?;
-        Some(self.series[i].ewma.value())
     }
 
     /// Render every accumulated row as a `timeseries` JSONL line tagged
@@ -429,9 +343,8 @@ mod tests {
     #[test]
     fn ewma_first_sample_seeds() {
         let mut e = Ewma::with_half_life(4.0);
-        assert!(!e.is_seeded());
-        assert_eq!(e.update(42.0), 42.0);
-        assert!(e.is_seeded());
+        assert_eq!(e.value(), 0.0);
+        assert_eq!(e.update(42.0), 42.0, "no decay toward the zero start");
     }
 
     #[test]
@@ -452,39 +365,45 @@ mod tests {
     }
 
     #[test]
-    fn series_ring_wraps_and_aggregates() {
+    fn series_ring_wraps_oldest_first() {
         let mut r = SeriesRing::new(4);
-        assert_eq!(r.percentile(0.5), 0.0);
         for (i, v) in [5.0, 1.0, 9.0, 3.0, 7.0].iter().enumerate() {
             r.push(i as u64, *v);
         }
         // capacity 4: the 5.0 fell out
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.min(), 1.0);
-        assert_eq!(r.max(), 9.0);
-        assert!((r.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(r.percentile(1.0), 9.0);
-        assert_eq!(r.percentile(0.0), 1.0);
-        let ids: Vec<u64> = r.iter().map(|(w, _)| w).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4], "oldest first");
+        let held: Vec<(u64, f64)> = r.iter().collect();
+        assert_eq!(held, vec![(1, 1.0), (2, 9.0), (3, 3.0), (4, 7.0)]);
     }
 
     #[test]
     fn bank_emits_tagged_monotone_rows() {
         let mut b = SeriesBank::new(8, 4.0);
-        b.sample(1_000, 1, "switch_port", "sw_tx:0", "qdepth_bytes", 100.0);
-        b.sample(2_000, 2, "switch_port", "sw_tx:0", "qdepth_bytes", 300.0);
-        b.sample(2_000, 2, "lg_receiver", "fwd", "rx_buffer_bytes", 50.0);
+        let q = b.key("switch_port", "sw_tx:0", "qdepth_bytes");
+        let rx = b.key("lg_receiver", "fwd", "rx_buffer_bytes");
+        assert_eq!(
+            b.key("switch_port", "sw_tx:0", "qdepth_bytes"),
+            q,
+            "interned"
+        );
+        b.sample_at(q, 1_000, 1, 100.0);
+        b.sample_at(q, 2_000, 2, 300.0);
+        b.sample_at(rx, 2_000, 2, 50.0);
         assert_eq!(b.len(), 3);
-        let ewma = b.ewma("switch_port", "sw_tx:0", "qdepth_bytes").unwrap();
-        assert!(ewma > 100.0 && ewma < 300.0);
         let lines = b.drain_jsonl("fig9/a");
         assert!(b.is_empty());
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("{\"type\":\"timeseries\""));
         assert!(lines[0].contains("\"run\":\"fig9/a\""));
         assert!(lines[1].contains("\"window_id\":2"));
-        // parses as JSON
+        // parses as JSON; the second qdepth row's Ewma sits between the
+        // two samples, and its window aggregates span both
+        let row = crate::json::parse(&lines[1]).unwrap();
+        let num = |k: &str| row.get(k).and_then(|v| v.as_num()).unwrap();
+        assert!(num("ewma") > 100.0 && num("ewma") < 300.0);
+        assert_eq!(
+            (num("win_min"), num("win_max"), num("win_mean")),
+            (100.0, 300.0, 200.0)
+        );
         for l in &lines {
             crate::json::parse(l).unwrap();
         }

@@ -12,6 +12,7 @@
 //! ring are strictly ordered by emission; wraparound never reorders them
 //! (property-tested in `tests/prop.rs`).
 
+use crate::json::JsonLine;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -174,6 +175,48 @@ pub struct TraceRecord {
     pub comp: Comp,
     /// Event kind.
     pub kind: Kind,
+}
+
+impl TraceRecord {
+    /// The record as one `trace` JSONL line.
+    pub fn json_line(&self) -> String {
+        let mut l = JsonLine::new();
+        l.str("type", "trace")
+            .u64("t_ps", self.t_ps)
+            .str("comp", self.comp.name())
+            .str("kind", self.kind.name())
+            .u64("inst", u64::from(self.inst))
+            .u64("uid", self.uid)
+            .u64("seq", self.seq)
+            .u64("aux", u64::from(self.aux));
+        l.finish()
+    }
+}
+
+/// One `trace` line per record, its uid mapped through `uid` (a world
+/// publishes uids relative to its own base), then a `trace_summary`
+/// line with the record and `dropped` counts. Nothing when there is
+/// nothing to report.
+pub fn to_jsonl(records: &[TraceRecord], dropped: u64, uid: impl Fn(u64) -> u64) -> Vec<String> {
+    if records.is_empty() && dropped == 0 {
+        return Vec::new();
+    }
+    let mut lines: Vec<String> = records
+        .iter()
+        .map(|r| {
+            TraceRecord {
+                uid: uid(r.uid),
+                ..*r
+            }
+            .json_line()
+        })
+        .collect();
+    let mut s = JsonLine::new();
+    s.str("type", "trace_summary")
+        .u64("records", records.len() as u64)
+        .u64("dropped", dropped);
+    lines.push(s.finish());
+    lines
 }
 
 /// Fixed-capacity overwrite-oldest ring of [`TraceRecord`]s.
@@ -392,6 +435,23 @@ mod tests {
         assert_eq!(Level::parse("off"), Some(Level::Off));
         assert_eq!(Level::parse("nope"), None);
         assert!(Level::Pkt > Level::Ctl);
+    }
+
+    #[test]
+    fn jsonl_maps_uids_and_closes_with_a_summary() {
+        assert!(to_jsonl(&[], 0, |u| u).is_empty(), "nothing to report");
+        let lines = to_jsonl(&[rec(7), rec(9)], 3, |u| u - 6);
+        assert_eq!(
+            lines,
+            vec![
+                "{\"type\":\"trace\",\"t_ps\":7,\"comp\":\"port\",\"kind\":\"tx_done\",\
+                 \"inst\":0,\"uid\":1,\"seq\":7,\"aux\":0}",
+                "{\"type\":\"trace\",\"t_ps\":9,\"comp\":\"port\",\"kind\":\"tx_done\",\
+                 \"inst\":0,\"uid\":3,\"seq\":9,\"aux\":0}",
+                "{\"type\":\"trace_summary\",\"records\":2,\"dropped\":3}",
+            ]
+        );
+        assert_eq!(to_jsonl(&[], 5, |u| u).len(), 1, "a drop is reported");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`shard`]: conservative-lookahead sharding for parallelism *inside*
 //!   one run — per-shard event queues advancing in lockstep windows with
 //!   deterministic cross-shard mailbox exchange.
-//! * [`stats`]: percentile samples, time series and rate
-//!   meters used to regenerate the paper's tables and figures.
+//! * [`stats`]: exact percentile samples used to regenerate the paper's
+//!   tables and figures.
 //!
 //! Design follows the event-driven, allocation-light, "no surprises" style
 //! of smoltcp: components are pure state machines, all randomness is owned
@@ -33,5 +33,5 @@ pub use event::{EventHandle, EventQueue};
 pub use par::par_map;
 pub use rng::Rng;
 pub use shard::{run_sharded, ShardMsg, ShardStats, ShardWorld};
-pub use stats::{RateMeter, Samples, TimeSeries};
+pub use stats::Samples;
 pub use time::{Duration, Rate, Time};

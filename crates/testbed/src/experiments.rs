@@ -1,6 +1,6 @@
 //! Experiment drivers: one function per class of experiment in §4.
 
-use crate::world::{App, World, WorldConfig};
+use crate::world::{App, ProbeRow, World, WorldConfig};
 use lg_link::{LinkSpeed, LossModel};
 use lg_obs::LogHist;
 use lg_sim::{Duration, Time};
@@ -70,26 +70,6 @@ impl Protection {
     }
 }
 
-/// Run `w` to `until`, profiled when the observability sink is on (the
-/// wall-clock profile rides in the same JSONL dump, quarantined behind
-/// the `zz-profile/` sort key).
-fn run_until_obs(w: &mut World, until: Time) {
-    if lg_obs::sink::metrics_enabled() {
-        w.run_until_profiled(until);
-    } else {
-        w.run_until(until);
-    }
-}
-
-/// Run `w` to completion, profiled when the observability sink is on.
-fn run_to_completion_obs(w: &mut World) {
-    if lg_obs::sink::metrics_enabled() {
-        w.run_to_completion_profiled();
-    } else {
-        w.run_to_completion();
-    }
-}
-
 // ------------------------------------------------------------- stress test
 
 /// Result of a Fig 8 / Fig 14 / Table 4 stress run.
@@ -147,10 +127,10 @@ pub fn stress_test(
     cfg.seed = seed;
     let mut w = World::new(cfg);
     w.enable_stress(1518);
-    run_until_obs(&mut w, Time::ZERO + duration);
+    w.run_until(Time::ZERO + duration);
     // stop injecting, drain what's in flight
     w.disable_stress();
-    run_until_obs(&mut w, Time::ZERO + duration + Duration::from_ms(1));
+    w.run_until(Time::ZERO + duration + Duration::from_ms(1));
     w.publish_obs(&format!(
         "stress/{}/{:.2e}/{}/{seed}",
         speed.name(),
@@ -158,7 +138,6 @@ pub fn stress_test(
         protection.label()
     ));
 
-    let sent = w.lg_tx.stats().protected_sent.max(w.out.stress_tx_frames);
     let injected = if w.lg_tx.is_active() {
         w.lg_tx.stats().protected_sent
     } else {
@@ -171,7 +150,6 @@ pub fn stress_test(
     let elapsed = duration;
     let line_bytes = speed.rate().bytes_in(elapsed);
     let delivered_wire = w.hosts[1].stress_rx_wire_bytes;
-    let _ = sent;
     StressResult {
         sent: injected,
         delivered,
@@ -276,7 +254,7 @@ pub fn fct_experiment(
     let actual = loss.mean_rate();
     let cfg = fct_config(speed, loss, protection, transport, msg_len, trials, seed);
     let mut w = World::new(cfg);
-    run_to_completion_obs(&mut w);
+    w.run_to_completion();
     w.publish_obs(&format!(
         "fct/{}/{:.2e}/{}/{transport:?}/{msg_len}/{trials}/{seed}",
         speed.name(),
@@ -332,17 +310,13 @@ pub struct TimeSeriesScenario {
     pub seed: u64,
 }
 
-/// Result: probe series.
+/// Result: the probe timeline.
 #[derive(Debug)]
 pub struct TimeSeriesResult {
-    /// Throughput at host1 (Gb/s per window).
-    pub goodput: lg_sim::TimeSeries,
-    /// Sender-switch protected-port queue depth (bytes).
-    pub qdepth: lg_sim::TimeSeries,
-    /// LinkGuardian Rx (reordering) buffer depth (bytes).
-    pub rx_buffer: lg_sim::TimeSeries,
-    /// End-to-end retransmissions per window.
-    pub e2e_retx: lg_sim::TimeSeries,
+    /// One row per sample window: goodput at host1, the sender switch's
+    /// protected-port queue depth, the LinkGuardian Rx (reordering)
+    /// buffer depth and end-to-end retransmissions.
+    pub rows: Vec<ProbeRow>,
     /// Rx-buffer overflow drops (Fig 9b's packet losses).
     pub rx_overflow_drops: u64,
 }
@@ -375,7 +349,7 @@ pub fn time_series(s: &TimeSeriesScenario) -> TimeSeriesResult {
         crate::world::Ev::SetLoss(Box::new(s.loss.clone())),
     );
     w.q.schedule_at(s.lg_at, crate::world::Ev::ActivateLg);
-    run_until_obs(&mut w, s.end);
+    w.run_until(s.end);
     w.publish_obs(&format!(
         "ts/{}/{:?}/{:.2e}/nb={}/bp={}/{}",
         s.speed.name(),
@@ -386,15 +360,7 @@ pub fn time_series(s: &TimeSeriesScenario) -> TimeSeriesResult {
         s.seed
     ));
     TimeSeriesResult {
-        goodput: w
-            .probes
-            .goodput
-            .as_ref()
-            .map(|m| m.series().clone())
-            .unwrap_or_default(),
-        qdepth: w.probes.qdepth.clone(),
-        rx_buffer: w.probes.rx_buffer.clone(),
-        e2e_retx: w.probes.e2e_retx.clone(),
+        rows: std::mem::take(&mut w.probes),
         rx_overflow_drops: w.lg_rx.stats().rx_overflow_drops,
     }
 }

@@ -23,4 +23,4 @@ pub use experiments::{
     classify_fig13, fct_config, fct_experiment, stress_test, time_series, FctResult, FctTransport,
     Fig13Group, Protection, StressResult, TimeSeriesResult, TimeSeriesScenario,
 };
-pub use world::{App, Ev, Host, World, WorldConfig, HOST0, HOST1};
+pub use world::{App, Ev, Host, ProbeRow, World, WorldConfig, HOST0, HOST1};

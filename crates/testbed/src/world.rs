@@ -20,10 +20,10 @@ use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
 use lg_obs::health::{HealthConfig, HealthEstimator, HealthEvent};
 use lg_obs::timeseries::SeriesBank;
 use lg_obs::trace::{Comp, Kind, Level};
-use lg_obs::{lg_trace, JsonLine, MetricsRegistry};
+use lg_obs::{lg_trace, MetricsRegistry};
 use lg_packet::lg::LgPacketType;
 use lg_packet::{FlowId, LgControl, NodeId, Packet, PacketPool, Payload, PktId};
-use lg_sim::{Duration, EventQueue, RateMeter, Rng, Time, TimeSeries};
+use lg_sim::{Duration, EventQueue, Rng, Time};
 use lg_switch::{Class, EgressPort, PortId, SerialLink, Switch};
 use lg_transport::{
     CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
@@ -152,7 +152,7 @@ pub enum Ev {
 }
 
 impl Ev {
-    /// Number of event kinds (sizes the profile arrays).
+    /// Number of event kinds (sizes the profile's per-kind arrays).
     pub const N_KINDS: usize = 14;
 
     /// Kind names indexed by [`Ev::kind_idx`]. Slot 4 is the retired
@@ -195,52 +195,12 @@ impl Ev {
     }
 }
 
-/// Per-event-kind wall-clock totals collected by
-/// [`World::run_to_completion_profiled`]. Wall-clock data is inherently
-/// non-golden, so its published lines carry the
-/// [`lg_obs::sink::PROFILE_KEY_PREFIX`] sort key and land after every
-/// deterministic section of the output file.
-#[derive(Debug, Default)]
-pub struct Profile {
-    counts: [u64; Ev::N_KINDS],
-    total_ns: [u64; Ev::N_KINDS],
-}
-
-impl Profile {
-    /// Fold one handled event of kind `idx` that took `ns` wall-clock.
-    pub fn note(&mut self, idx: usize, ns: u64) {
-        self.counts[idx] += 1;
-        self.total_ns[idx] += ns;
-    }
-
-    /// Events profiled in total.
-    pub fn events(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// JSONL lines, one per event kind that occurred.
-    pub fn to_jsonl(&self, section: &str) -> Vec<String> {
-        (0..Ev::N_KINDS)
-            .filter(|&i| self.counts[i] > 0)
-            .map(|i| {
-                let mut l = JsonLine::new();
-                l.str("type", "profile")
-                    .str("section", section)
-                    .str("event", Ev::KIND_NAMES[i])
-                    .u64("count", self.counts[i])
-                    .u64("total_ns", self.total_ns[i])
-                    .f64("mean_ns", self.total_ns[i] as f64 / self.counts[i] as f64);
-                l.finish()
-            })
-            .collect()
-    }
-}
-
-/// Observability state of one world: its metrics registry plus the uid
-/// base used to normalize packet uids. Packet uids come from a
-/// thread-local counter shared by every world a worker thread runs, so
-/// raw values depend on `--threads`; published records carry
-/// `uid - uid_base + 1` instead, which is identical at any thread count.
+/// Observability state of one world: its metrics registry and sampled
+/// profile, plus the uid base used to normalize packet uids. Packet
+/// uids come from a thread-local counter shared by every world a worker
+/// thread runs, so raw values depend on `--threads`; published records
+/// carry `uid - uid_base + 1` instead, which is identical at any thread
+/// count.
 pub struct WorldObs {
     /// First uid a packet of this world can carry.
     pub uid_base: u64,
@@ -265,8 +225,15 @@ pub struct WorldObs {
     /// Windowed retx-delay bookkeeping: (count, sum) seen at the
     /// previous sample, so each window reports its own mean.
     retx_delay_seen: (u64, f64),
-    /// Wall-clock profile, present after a profiled run.
-    pub profile: Option<Box<Profile>>,
+    /// Events handled so far when the world profiles itself (the sink
+    /// was on at construction), else `None`. Every
+    /// [`lg_obs::sink::PROFILE_STRIDE`]-th event is timed into
+    /// `profile_counts`/`profile_ns` by kind; wall-clock data is
+    /// non-golden, so `publish_obs` files the rows behind the
+    /// `zz-profile/` sort key.
+    profile_seen: Option<u64>,
+    profile_counts: [u64; Ev::N_KINDS],
+    profile_ns: [u64; Ev::N_KINDS],
 }
 
 /// Recent windows each telemetry series keeps for min/max/p99.
@@ -286,7 +253,9 @@ impl Default for WorldObs {
             health_events: Vec::new(),
             guard_fed: 0,
             retx_delay_seen: (0, 0.0),
-            profile: None,
+            profile_seen: None,
+            profile_counts: [0; Ev::N_KINDS],
+            profile_ns: [0; Ev::N_KINDS],
         }
     }
 }
@@ -439,17 +408,19 @@ impl WorldConfig {
     }
 }
 
-/// Probe time series (Figs 9/21).
-#[derive(Debug, Default)]
-pub struct Probes {
+/// One probe sample (Figs 9/21), taken at every `Ev::Sample`.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbeRow {
+    /// The sample instant: the end of the window this row covers.
+    pub t: Time,
+    /// Host1 payload goodput over the window `[t - interval, t)`, Gb/s.
+    pub goodput: f64,
     /// Protected-port normal-queue depth (bytes) — the paper's "qdepth".
-    pub qdepth: TimeSeries,
+    pub qdepth: u64,
     /// LinkGuardian receiver reordering-buffer occupancy (bytes).
-    pub rx_buffer: TimeSeries,
-    /// Host1 delivered-goodput meter.
-    pub goodput: Option<RateMeter>,
-    /// End-to-end (transport) retransmissions per sample window.
-    pub e2e_retx: TimeSeries,
+    pub rx_buffer: u64,
+    /// End-to-end (transport) retransmissions in the window.
+    pub e2e_retx: u64,
 }
 
 /// Experiment results accumulated by the world.
@@ -491,8 +462,8 @@ pub struct World {
     host_ports: [SerialLink; 2],
     /// Hosts 0 (sender side) and 1 (receiver side).
     pub hosts: Vec<Host>,
-    /// Probe series.
-    pub probes: Probes,
+    /// Probe rows, one per sample tick.
+    pub probes: Vec<ProbeRow>,
     /// Results.
     pub out: Outcomes,
     /// Slab pool backing every in-flight packet of the testbed.
@@ -511,6 +482,10 @@ pub struct World {
     trials_remaining: u32,
     dummy_refresh_armed: [bool; 2],
     e2e_retx_window: u64,
+    /// Payload bytes host1 received in the open probe window, and at
+    /// its closing instant before `Ev::Sample` closed it: the windows
+    /// are `[start, end)`, so those belong to the next row.
+    goodput_bytes: [u64; 2],
     // Reusable action buffers (std::mem::take'd around each use) so the
     // steady-state event loop performs no per-packet allocation.
     rx_scratch: Vec<ReceiverAction>,
@@ -541,6 +516,7 @@ impl World {
         lg_obs::trace::reset();
         let obs = WorldObs {
             uid_base: lg_packet::peek_next_uid(),
+            profile_seen: lg_obs::sink::metrics_enabled().then_some(0),
             ..WorldObs::default()
         };
         let mut rng = Rng::new(cfg.seed);
@@ -604,10 +580,6 @@ impl World {
         if let Some(interval) = cfg.sample_interval {
             q.schedule_after(interval, Ev::Sample);
         }
-        let mut probes = Probes::default();
-        if let Some(interval) = cfg.sample_interval {
-            probes.goodput = Some(RateMeter::new(interval));
-        }
         match cfg.app {
             App::None => {}
             _ => {
@@ -634,7 +606,7 @@ impl World {
             rev_link,
             host_ports,
             hosts: vec![Host::new(HOST0), Host::new(HOST1)],
-            probes,
+            probes: Vec::new(),
             out: Outcomes::default(),
             pool: PacketPool::new(),
             obs,
@@ -646,6 +618,7 @@ impl World {
             trials_remaining,
             dummy_refresh_armed: [false; 2],
             e2e_retx_window: 0,
+            goodput_bytes: [0; 2],
             rx_scratch: Vec::new(),
             tx_scratch: Vec::new(),
             filler_scratch: Vec::new(),
@@ -683,12 +656,37 @@ impl World {
 
     // ---------------------------------------------------------- event loop
 
-    /// Run until the queue is empty or the clock passes `until`.
-    pub fn run_until(&mut self, until: Time) {
+    /// Run until the queue is empty or the clock passes `until`;
+    /// returns the number of events handled. When the world profiles
+    /// itself, every [`lg_obs::sink::PROFILE_STRIDE`]-th event is timed
+    /// (the rule `pktsim` samples by); otherwise the loop pays one
+    /// predictable branch per event.
+    pub fn run_until(&mut self, until: Time) -> u64 {
+        let mut ran = 0u64;
         while let Some((now, ev)) = self.q.pop_if_before(until) {
-            self.handle(ev, now);
+            ran += 1;
+            let timed = self.obs.profile_seen.as_mut().is_some_and(|seen| {
+                *seen += 1;
+                *seen % lg_obs::sink::PROFILE_STRIDE == 0
+            });
+            if timed {
+                self.handle_timed(ev, now);
+            } else {
+                self.handle(ev, now);
+            }
         }
         self.settle_host_ports(until);
+        ran
+    }
+
+    /// Handle one event and charge its wall-clock time to its kind.
+    #[inline(never)]
+    fn handle_timed(&mut self, ev: Ev, now: Time) {
+        let kind = ev.kind_idx();
+        let t0 = std::time::Instant::now();
+        self.handle(ev, now);
+        self.obs.profile_counts[kind] += 1;
+        self.obs.profile_ns[kind] += t0.elapsed().as_nanos() as u64;
     }
 
     /// Bring the host-facing ports' counters (and budget charge) to what
@@ -702,33 +700,6 @@ impl World {
     /// Run until no events remain (traffic drivers finished and drained).
     pub fn run_to_completion(&mut self) {
         self.run_until(Time::MAX);
-    }
-
-    /// Run until the clock passes `until`, measuring per-event-kind
-    /// wall-clock into [`WorldObs::profile`] (see
-    /// [`World::run_to_completion_profiled`]).
-    pub fn run_until_profiled(&mut self, until: Time) {
-        let mut prof = self
-            .obs
-            .profile
-            .take()
-            .unwrap_or_else(|| Box::new(Profile::default()));
-        while let Some((now, ev)) = self.q.pop_if_before(until) {
-            let idx = ev.kind_idx();
-            let t0 = std::time::Instant::now();
-            self.handle(ev, now);
-            prof.note(idx, t0.elapsed().as_nanos() as u64);
-        }
-        self.obs.profile = Some(prof);
-        self.settle_host_ports(until);
-    }
-
-    /// Run until no events remain, measuring per-event-kind wall-clock
-    /// into [`WorldObs::profile`]. Timing data is non-golden; everything
-    /// the simulation computes stays bit-identical to
-    /// [`World::run_to_completion`].
-    pub fn run_to_completion_profiled(&mut self) {
-        self.run_until_profiled(Time::MAX);
     }
 
     /// Snapshot every instrumented component into the metrics registry at
@@ -801,33 +772,21 @@ impl World {
             lines.extend(mgr.take_journal());
         }
         let dropped = lg_obs::trace::dropped();
-        let records = lg_obs::trace::drain();
         let base = self.obs.uid_base;
-        if !records.is_empty() || dropped > 0 {
-            for r in &records {
-                // uid 0 marks control records with no packet; keep it 0.
-                let rel = r.uid.checked_sub(base).map_or(0, |d| d + 1);
-                let mut l = JsonLine::new();
-                l.str("type", "trace")
-                    .u64("t_ps", r.t_ps)
-                    .str("comp", r.comp.name())
-                    .str("kind", r.kind.name())
-                    .u64("inst", r.inst as u64)
-                    .u64("uid", rel)
-                    .u64("seq", r.seq)
-                    .u64("aux", r.aux as u64);
-                lines.push(l.finish());
-            }
-            let mut s = JsonLine::new();
-            s.str("type", "trace_summary")
-                .u64("records", records.len() as u64)
-                .u64("dropped", dropped);
-            lines.push(s.finish());
-        }
+        // uid 0 marks control records with no packet; keep it 0.
+        lines.extend(lg_obs::trace::to_jsonl(
+            &lg_obs::trace::drain(),
+            dropped,
+            |uid| uid.checked_sub(base).map_or(0, |d| d + 1),
+        ));
         lg_obs::sink::submit_all(label, lines);
-        if let Some(p) = self.obs.profile.as_ref() {
-            let key = format!("{}{label}", lg_obs::sink::PROFILE_KEY_PREFIX);
-            lg_obs::sink::submit_all(&key, p.to_jsonl(label));
+        if self.obs.profile_seen.is_some() {
+            lg_obs::sink::submit_profile(
+                label,
+                &Ev::KIND_NAMES,
+                &self.obs.profile_counts,
+                &self.obs.profile_ns,
+            );
         }
     }
 
@@ -1219,7 +1178,7 @@ impl World {
         if let Some(p) = fwd {
             self.forward(Side::Tx, p, now);
         }
-        self.apply_sender_actions(&actions, LgInstance::Forward, now);
+        self.apply_sender_actions(&actions, LgInstance::Forward);
         actions.clear();
         self.tx_scratch = actions;
     }
@@ -1237,7 +1196,7 @@ impl World {
         if let Some(p) = fwd {
             self.forward(Side::Rx, p, now);
         }
-        self.apply_sender_actions(&actions, LgInstance::Reverse, now);
+        self.apply_sender_actions(&actions, LgInstance::Reverse);
         actions.clear();
         self.tx_scratch = actions;
     }
@@ -1294,7 +1253,7 @@ impl World {
         self.kick_port(rx_side, PORT_LINK);
     }
 
-    fn apply_sender_actions(&mut self, actions: &[SenderAction], instance: LgInstance, _now: Time) {
+    fn apply_sender_actions(&mut self, actions: &[SenderAction], instance: LgInstance) {
         // The side hosting this instance's sender (where retransmissions
         // are re-enqueued and pauses apply).
         let tx_side = match instance {
@@ -1348,9 +1307,10 @@ impl World {
         let reply = self.hosts[host].on_frame(pkt, now, &mut actions);
         // the frame terminates at the host: its pool slot is done
         self.pool.release(id);
-        if let Some(m) = self.probes.goodput.as_mut() {
-            if host == 1 {
-                m.record(now, payload_len);
+        if host == 1 {
+            if let Some(interval) = self.cfg.sample_interval {
+                let window_end = self.probes.last().map_or(Time::ZERO, |r| r.t) + interval;
+                self.goodput_bytes[usize::from(now >= window_end)] += payload_len;
             }
         }
         if let Some(r) = reply {
@@ -1385,9 +1345,6 @@ impl World {
                             );
                         }
                     }
-                    if let Payload::Rdma(_) = &pkt.payload {
-                        // counted via traces at trial end
-                    }
                     self.host_send(host, pkt);
                 }
                 TransportAction::WakeAt { deadline } => {
@@ -1400,7 +1357,7 @@ impl World {
                     started, completed, ..
                 } => {
                     self.out.fct.record(completed.saturating_since(started));
-                    self.finish_trial(host, now);
+                    self.finish_trial(host);
                 }
             }
         }
@@ -1486,7 +1443,7 @@ impl World {
         self.transport_scratch = actions;
     }
 
-    fn finish_trial(&mut self, host: usize, now: Time) {
+    fn finish_trial(&mut self, host: usize) {
         if let Some(tx) = self.hosts[host].tcp_tx.take() {
             self.out.tcp_traces.push(tx.trace());
             self.hosts[host].tcp_spent = Some(tx);
@@ -1504,7 +1461,6 @@ impl World {
                 App::None => Duration::ZERO,
             };
             let at = self.q.now() + gap;
-            let _ = now;
             self.q.schedule_at(at, Ev::TrialStart);
         }
     }
@@ -1521,7 +1477,7 @@ impl World {
         if lg_obs::sink::metrics_enabled() {
             self.snapshot_metrics(now);
         }
-        self.sample_timeseries(now);
+        self.sample_timeseries(now, interval);
         let c = self.sw_rx.counters(PORT_LINK);
         if let Some(ev) =
             self.obs
@@ -1531,27 +1487,18 @@ impl World {
             self.obs.health_events.push(ev);
         }
         self.poll_guardd(now);
-        self.probes.qdepth.push(
-            now,
-            self.sw_tx.port(PORT_LINK).queue(Class::Normal).bytes() as f64,
-        );
-        self.probes
-            .rx_buffer
-            .push(now, self.lg_rx.rx_buffer_bytes() as f64);
-        self.probes.e2e_retx.push(now, self.e2e_retx_window as f64);
-        self.e2e_retx_window = 0;
-        if let Some(m) = self.probes.goodput.as_mut() {
-            m.roll_to(now);
-        }
         self.q.schedule_after(interval, Ev::Sample);
     }
 
-    /// Feed one window of every tracked metric into the telemetry bank.
-    fn sample_timeseries(&mut self, now: Time) {
+    /// Feed one window of every tracked metric into the telemetry bank
+    /// and close the window's probe row.
+    fn sample_timeseries(&mut self, now: Time, interval: Duration) {
         let t = now.as_ps();
         self.obs.next_window += 1;
         let w = self.obs.next_window;
         let qdepth = self.sw_tx.queue_bytes(PORT_LINK, Class::Normal);
+        let rx_buffer = self.lg_rx.rx_buffer_bytes();
+        let e2e_retx = std::mem::take(&mut self.e2e_retx_window);
         let drops = self.fwd_link.loss().drops();
         // Per-window mean recovery latency (≈ hole duration at the
         // receiver) from the cumulative retx-delay histogram.
@@ -1582,10 +1529,19 @@ impl World {
         });
         b.sample_at(keys[0], t, w, qdepth as f64);
         b.sample_at(keys[1], t, w, self.lg_tx.tx_buffer_bytes() as f64);
-        b.sample_at(keys[2], t, w, self.lg_rx.rx_buffer_bytes() as f64);
+        b.sample_at(keys[2], t, w, rx_buffer as f64);
         b.sample_at(keys[3], t, w, win_mean);
         b.sample_at(keys[4], t, w, drops as f64);
-        b.sample_at(keys[5], t, w, self.e2e_retx_window as f64);
+        b.sample_at(keys[5], t, w, e2e_retx as f64);
+        let [bytes, late] = self.goodput_bytes;
+        self.goodput_bytes = [late, 0];
+        self.probes.push(ProbeRow {
+            t: now,
+            goodput: (bytes as f64 * 8.0) / interval.as_secs_f64() / 1e9,
+            qdepth,
+            rx_buffer,
+            e2e_retx,
+        });
     }
 
     /// Feed the guardian manager (if attached) the health transitions

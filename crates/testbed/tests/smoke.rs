@@ -247,3 +247,41 @@ fn pool_drains_after_lossy_tcp_run() {
         w.pool.live()
     );
 }
+
+/// A probe row covers `[t - interval, t)`: payload that reaches host1
+/// exactly at a sample instant counts toward the next row, whether its
+/// arrival runs before or after that instant's `Ev::Sample`.
+#[test]
+fn goodput_rows_are_start_inclusive_windows() {
+    use lg_packet::{FlowId, Packet, UdpDatagram};
+    use lg_sim::Time;
+    use lg_testbed::world::{Ev, World, WorldConfig, HOST0, HOST1};
+    let mut cfg = WorldConfig::new(LinkSpeed::G100, LossModel::None);
+    cfg.sample_interval = Some(Duration::from_us(10));
+    let mut w = World::new(cfg);
+    let arrive = |w: &mut World, at: Time, payload_len: u32| {
+        let dg = UdpDatagram {
+            flow: FlowId(0),
+            payload_len,
+            seq: u64::from(payload_len),
+        };
+        let id = w.pool.insert(Packet::udp(HOST0, HOST1, dg, Time::ZERO));
+        w.q.schedule_at(at, Ev::HostArrive { host: 1, id });
+    };
+    // Filed after the 10 µs sample (scheduled at construction): runs
+    // after it. Filed before the 20 µs sample (scheduled when the 10 µs
+    // one runs): runs before it.
+    arrive(&mut w, Time::from_us(10), 1_000);
+    arrive(&mut w, Time::from_us(20), 2_000);
+    w.run_until(Time::from_us(30));
+    let gbps = |bytes: f64| bytes * 8.0 / 10e-6 / 1e9;
+    let rows: Vec<(Time, f64)> = w.probes.iter().map(|r| (r.t, r.goodput)).collect();
+    assert_eq!(
+        rows,
+        vec![
+            (Time::from_us(10), 0.0),
+            (Time::from_us(20), gbps(1_000.0)),
+            (Time::from_us(30), gbps(2_000.0)),
+        ]
+    );
+}

@@ -1,5 +1,5 @@
-//! Flow-completion-time collection and the percentile/improvement report
-//! format the paper's FCT figures and Table 2 use.
+//! Flow-completion-time collection and the percentile report format the
+//! paper's FCT figures and Table 2 use.
 
 use lg_sim::{Duration, Samples};
 use serde::{Deserialize, Serialize};
@@ -34,11 +34,6 @@ impl FctCollector {
     /// FCT at quantile `q`, in microseconds.
     pub fn quantile_us(&mut self, q: f64) -> f64 {
         self.samples.quantile(q)
-    }
-
-    /// Standard deviation in microseconds.
-    pub fn std_dev_us(&self) -> f64 {
-        self.samples.std_dev()
     }
 
     /// The top-`frac` tail of the FCT CDF as (us, cum_prob) points
@@ -86,14 +81,6 @@ pub struct FctReport {
     pub mean_us: f64,
 }
 
-impl FctReport {
-    /// The "X× improvement" headline number: `other`'s percentile divided
-    /// by ours at the given quantile.
-    pub fn improvement_at_p999(&self, baseline: &FctReport) -> f64 {
-        baseline.p999_us / self.p999_us
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,19 +96,6 @@ mod tests {
         assert_eq!(r.p99_us, 990.0);
         assert_eq!(r.p999_us, 999.0);
         assert!((r.mean_us - 500.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn improvement_factor() {
-        let mut fast = FctCollector::new();
-        let mut slow = FctCollector::new();
-        for _ in 0..100 {
-            fast.record(Duration::from_us(10));
-            slow.record(Duration::from_us(510));
-        }
-        let f = fast.report();
-        let s = slow.report();
-        assert_eq!(f.improvement_at_p999(&s), 51.0);
     }
 
     #[test]

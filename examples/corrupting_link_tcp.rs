@@ -29,20 +29,18 @@ fn main() {
         "{:>7} {:>12} {:>12} {:>10}",
         "t(ms)", "rate(Gbps)", "qdepth(KB)", "e2e retx"
     );
-    for (i, &(t, gbps)) in r.goodput.points().iter().enumerate() {
-        let q = r.qdepth.points().get(i).map(|p| p.1).unwrap_or(0.0) / 1024.0;
-        let e = r.e2e_retx.points().get(i).map(|p| p.1).unwrap_or(0.0);
-        let phase = match t.as_secs_f64() * 1e3 {
+    for row in &r.rows {
+        let ms = row.t.as_secs_f64() * 1e3;
+        let phase = match ms {
             x if x <= 10.0 => "healthy",
             x if x <= 30.0 => "corrupting",
             _ => "LinkGuardian",
         };
         println!(
-            "{:>7.0} {:>12.2} {:>12.1} {:>10.0}   {phase}",
-            t.as_secs_f64() * 1e3,
-            gbps,
-            q,
-            e
+            "{ms:>7.0} {:>12.2} {:>12.1} {:>10}   {phase}",
+            row.goodput,
+            row.qdepth as f64 / 1024.0,
+            row.e2e_retx
         );
     }
     println!("\nonce LinkGuardian runs, end-to-end retransmissions stop and the");
