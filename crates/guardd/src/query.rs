@@ -15,7 +15,7 @@
 //! decision in order).
 
 use crate::{health_from_name, GuardAction, GuardInput, LinkHealth};
-use lg_obs::json::{Scanned, Scanner};
+use lg_obs::json::{number, string, Scanned, Scanner};
 
 /// One decoded `guard_event` record.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +54,25 @@ pub struct Journal {
     pub snapshots: usize,
 }
 
+/// The fields a journal line is read through, found in one walk.
+const FIELDS: [&str; 12] = [
+    "type",
+    "run",
+    "action",
+    "cause",
+    "beat",
+    "seq",
+    "t_ps",
+    "link",
+    "state",
+    "rate",
+    "budget",
+    "budget_used",
+];
+
+/// A journal line's [`FIELDS`], by slot.
+type Fields<'a> = [Option<Scanned<'a>>; FIELDS.len()];
+
 /// Parse a journal document. Lines whose `type` is not `guard_event` or
 /// `guard_snapshot` are skipped (session dumps carry a `meta` line);
 /// malformed guard records fail with their line number.
@@ -68,11 +87,13 @@ pub fn parse_journal(text: &str) -> Result<Journal, String> {
         let v = scanner
             .scan(line)
             .map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
-        match v.get("type").and_then(|t| t.as_str()).as_deref() {
+        let f = v.fields(&FIELDS);
+        let [ty, run, ..] = f;
+        match ty.and_then(|t| t.as_str()).as_deref() {
             Some("guard_event") => {
-                let ev = decode_event(v).map_err(|e| format!("line {n}: {e}"))?;
+                let ev = decode_event(&f).map_err(|e| format!("line {n}: {e}"))?;
                 if j.events.is_empty() {
-                    j.run = v.str("run")?.into_owned();
+                    j.run = string(run, "run")?.into_owned();
                 }
                 j.events.push(ev);
             }
@@ -83,33 +104,36 @@ pub fn parse_journal(text: &str) -> Result<Journal, String> {
     Ok(j)
 }
 
-fn decode_event(v: Scanned<'_>) -> Result<JournalEvent, String> {
-    let action_name = v.str("action")?;
+/// Decode one `guard_event`, reading (and reporting a missing field) in
+/// the order the per-field reader did.
+fn decode_event(f: &Fields<'_>) -> Result<JournalEvent, String> {
+    let [_, _, action, cause, beat, seq, t_ps, link, state, rate, budget, budget_used] = *f;
+    let action_name = string(action, "action")?;
     let action = GuardAction::parse(&action_name)
         .ok_or_else(|| format!("unknown action {action_name:?}"))?;
-    let mut cause = Vec::new();
-    if let Some(items) = v.get("cause").and_then(|c| c.as_arr()) {
+    let mut cause_chain = Vec::new();
+    if let Some(items) = cause.and_then(|c| c.as_arr()) {
         for item in items {
-            cause.push(GuardInput::from_json(item)?);
+            cause_chain.push(GuardInput::from_json(item)?);
         }
     }
-    let mut beat = Vec::new();
-    if let Some(items) = v.get("beat").and_then(|b| b.as_arr()) {
+    let mut beaten = Vec::new();
+    if let Some(items) = beat.and_then(|b| b.as_arr()) {
         for item in items {
-            beat.push((item.num("link")? as u32, item.num("rate")?));
+            beaten.push((item.num("link")? as u32, item.num("rate")?));
         }
     }
     Ok(JournalEvent {
-        seq: v.num("seq")? as u64,
-        t_ps: v.num("t_ps")? as u64,
-        link: v.num("link")? as u32,
+        seq: number(seq, "seq")? as u64,
+        t_ps: number(t_ps, "t_ps")? as u64,
+        link: number(link, "link")? as u32,
         action,
-        state: health_from_name(&v.str("state")?)?,
-        rate: v.num("rate")?,
-        budget: v.num("budget")? as u64,
-        budget_used: v.num("budget_used")? as u64,
-        cause,
-        beat,
+        state: health_from_name(&string(state, "state")?)?,
+        rate: number(rate, "rate")?,
+        budget: number(budget, "budget")? as u64,
+        budget_used: number(budget_used, "budget_used")? as u64,
+        cause: cause_chain,
+        beat: beaten,
     })
 }
 

@@ -22,10 +22,11 @@
 //! property the differential proptest in `tests/analyze_diff.rs` pins
 //! against a retained reference implementation.
 
-use crate::json::Scanner;
+use crate::json::{number, string, Scanner};
 use crate::stream::LineReader;
 use crate::JsonLine;
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 
 /// Online fold of one buffer-occupancy series, reproducing the retained
 /// path's `fold`/`sum`/`last` in file order.
@@ -132,41 +133,46 @@ fn upsert<V: Default>(map: &mut BTreeMap<SeriesKey, V>, key: &SeriesKey, f: impl
 
 impl Run {
     /// Ingest one JSONL line (blank lines and types the report ignores
-    /// are skipped).
+    /// are skipped). Every field is found in one walk over the line;
+    /// they are then read, and a missing one reported, in the order the
+    /// retained path read them.
     pub fn ingest_line(&mut self, line: &str) -> Result<(), String> {
         if line.trim().is_empty() {
             return Ok(());
         }
         let v = self.scanner.scan(line)?;
-        let ty = v.get("type").and_then(|t| t.as_str()).unwrap_or_default();
+        let [ty, kind, name, comp, inst, from, to, t_ps, value, uid, rate] = v.fields(&[
+            "type", "kind", "name", "comp", "inst", "from", "to", "t_ps", "value", "uid", "rate",
+        ]);
+        let ty = ty.and_then(|t| t.as_str()).unwrap_or_default();
         match &*ty {
             "trace" => {
-                let kind = v.get("kind").and_then(|k| k.as_str()).unwrap_or_default();
+                let kind = kind.and_then(|k| k.as_str()).unwrap_or_default();
                 let seen = match &*kind {
                     "corrupt_drop" => &mut self.drops,
                     "recovered" => &mut self.recovered,
                     _ => return Ok(()),
                 };
-                let uid = v.num("uid")? as u64;
-                let t = v.num("t_ps")? as u64;
+                let uid = number(uid, "uid")? as u64;
+                let t = number(t_ps, "t_ps")? as u64;
                 seen.entry(uid).or_insert(t);
             }
             "timeseries" => {
-                let name = v.str("name")?;
+                let name = string(name, "name")?;
                 let buffer = is_buffer_series(&name);
                 if !buffer && name != "e2e_retx" {
                     return Ok(());
                 }
                 for (part, text) in [
-                    (&mut self.key.0, v.str("comp")?),
-                    (&mut self.key.1, v.str("inst")?),
+                    (&mut self.key.0, string(comp, "comp")?),
+                    (&mut self.key.1, string(inst, "inst")?),
                     (&mut self.key.2, name),
                 ] {
                     part.clear();
                     part.push_str(&text);
                 }
-                let t = v.num("t_ps")? as u64;
-                let value = v.num("value")?;
+                let t = number(t_ps, "t_ps")? as u64;
+                let value = number(value, "value")?;
                 if buffer {
                     upsert(&mut self.buffers, &self.key, |agg| agg.push(value));
                 } else {
@@ -177,11 +183,11 @@ impl Run {
                 // `from` and `t_ps` aren't aggregated, but stay
                 // required (checked in the retained path's field
                 // order) so malformed lines fail identically.
-                let inst = v.str("inst")?;
-                v.str("from")?;
-                let to = v.str("to")?;
-                v.num("t_ps")?;
-                let rate = v.num("rate")?;
+                let inst = string(inst, "inst")?;
+                string(from, "from")?;
+                let to = string(to, "to")?;
+                number(t_ps, "t_ps")?;
+                let rate = number(rate, "rate")?;
                 self.health.push(&inst, &to, rate);
             }
             _ => {}
@@ -190,19 +196,24 @@ impl Run {
     }
 
     /// Stream one file in, line-at-a-time (O(longest line) transient
-    /// memory). Errors carry `path:line`.
+    /// memory). Errors carry `path:line`, a line that is not UTF-8
+    /// included.
     pub fn ingest_file(&mut self, path: &str) -> Result<(), String> {
         let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let mut reader = LineReader::new(file);
         let mut line_no = 0usize;
         loop {
-            match reader.next_line() {
+            let next = reader.next_line();
+            line_no += 1;
+            match next {
                 Ok(Some(line)) => {
-                    line_no += 1;
                     self.ingest_line(line)
                         .map_err(|e| format!("{path}:{line_no}: {e}"))?;
                 }
                 Ok(None) => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::InvalidData => {
+                    return Err(format!("{path}:{line_no}: {e}"))
+                }
                 Err(e) => return Err(format!("cannot read {path}: {e}")),
             }
         }

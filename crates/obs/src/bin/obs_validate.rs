@@ -16,6 +16,7 @@
 
 use lg_obs::schema::Schema;
 use lg_obs::LineReader;
+use std::io::ErrorKind;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -64,8 +65,11 @@ fn main() -> ExitCode {
     };
     let mut reader = LineReader::new(file);
     let mut validator = schema.validator();
+    let mut line_no = 0usize;
     let counts = loop {
-        match reader.next_line() {
+        let next = reader.next_line();
+        line_no += 1;
+        match next {
             Ok(Some(line)) => {
                 if let Err(e) = validator.feed(line) {
                     eprintln!("{doc_path}: {e}");
@@ -73,6 +77,10 @@ fn main() -> ExitCode {
                 }
             }
             Ok(None) => break validator.finish(),
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                eprintln!("{doc_path}: line {line_no}: {e}");
+                return ExitCode::FAILURE;
+            }
             Err(e) => {
                 eprintln!("cannot read {doc_path}: {e}");
                 return ExitCode::FAILURE;

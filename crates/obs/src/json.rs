@@ -189,13 +189,60 @@ impl JsonValue {
     /// Name of this value's JSON type (for validation error messages).
     pub fn type_name(&self) -> &'static str {
         match self {
-            JsonValue::Null => "null",
-            JsonValue::Bool(_) => "boolean",
-            JsonValue::Num(_) => "number",
-            JsonValue::Str(_) => "string",
-            JsonValue::Arr(_) => "array",
-            JsonValue::Obj(_) => "object",
+            JsonValue::Null => JsonType::Null,
+            JsonValue::Bool(_) => JsonType::Boolean,
+            JsonValue::Num(_) => JsonType::Number,
+            JsonValue::Str(_) => JsonType::String,
+            JsonValue::Arr(_) => JsonType::Array,
+            JsonValue::Obj(_) => JsonType::Object,
         }
+        .name()
+    }
+}
+
+/// The six JSON value types, by the names a schema declares them with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonType {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Boolean,
+    /// Any number.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+impl JsonType {
+    const ALL: [JsonType; 6] = [
+        JsonType::Null,
+        JsonType::Boolean,
+        JsonType::Number,
+        JsonType::String,
+        JsonType::Array,
+        JsonType::Object,
+    ];
+
+    /// The type's name: `"null"`, `"boolean"`, `"number"`, `"string"`,
+    /// `"array"` or `"object"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            JsonType::Null => "null",
+            JsonType::Boolean => "boolean",
+            JsonType::Number => "number",
+            JsonType::String => "string",
+            JsonType::Array => "array",
+            JsonType::Object => "object",
+        }
+    }
+
+    /// The type [`JsonType::name`] calls `name`, if any.
+    pub fn from_name(name: &str) -> Option<JsonType> {
+        JsonType::ALL.into_iter().find(|t| t.name() == name)
     }
 }
 
@@ -539,7 +586,9 @@ impl<'a> Scanned<'a> {
     }
 
     /// Object field lookup (None for non-objects / missing keys);
-    /// duplicate keys keep the last occurrence.
+    /// duplicate keys keep the last occurrence. One walk per call: a
+    /// reader of several fields asks [`Scanned::fields`] or
+    /// [`Scanned::fill`] for all of them at once.
     pub fn get(&self, key: &str) -> Option<Scanned<'a>> {
         if !matches!(self.node().val, Val::Obj) {
             return None;
@@ -556,6 +605,63 @@ impl<'a> Scanned<'a> {
                 }
             })
             .last()
+    }
+
+    /// The one member walk behind [`Scanned::fields`] and
+    /// [`Scanned::fill`], under `get`'s rules: members are offered in
+    /// document order, so a later duplicate overwrites an earlier one
+    /// (the last wins), and an escaped name is matched by its unescaped
+    /// text. `slot_of` names the slot a member name goes to, if any.
+    fn walk(
+        &self,
+        slot_of: impl Fn(&[u8]) -> Option<usize>,
+        mut put: impl FnMut(usize, Scanned<'a>),
+    ) {
+        if !matches!(self.node().val, Val::Obj) {
+            return;
+        }
+        let src = self.src.as_bytes();
+        for c in self.children() {
+            let k = c.node().key;
+            let slot = if k.escaped {
+                slot_of(c.text(k).as_bytes())
+            } else {
+                slot_of(&src[k.start..k.end])
+            };
+            if let Some(i) = slot {
+                put(i, c);
+            }
+        }
+    }
+
+    /// Several fields of this object in one walk over its members:
+    /// slot `i` is what `get(names[i])` returns (None for a non-object).
+    /// `names` must be distinct.
+    pub fn fields<const N: usize>(&self, names: &[&str; N]) -> [Option<Scanned<'a>>; N] {
+        debug_assert!(
+            (0..N).all(|i| !names[..i].contains(&names[i])),
+            "duplicate name in {names:?}"
+        );
+        let tags = names.map(|n| tag(n.as_bytes()));
+        let mut out = [None; N];
+        self.walk(
+            |key| {
+                let t = tag(key);
+                (0..N).find(|&i| tags[i] == t && names[i].as_bytes() == key)
+            },
+            |i, c| out[i] = Some(c),
+        );
+        out
+    }
+
+    /// [`Scanned::fields`] for a name set only known at run time (a
+    /// schema's): one walk fills `slots`, and the returned view reads
+    /// slot `i` as `get(names.name(i))` would.
+    pub fn fill<'s>(&self, names: &Names, slots: &'s mut Slots) -> Found<'a, 's> {
+        slots.at.clear();
+        slots.at.resize(names.len(), 0);
+        self.walk(|key| names.slot(key), |i, c| slots.at[i] = c.at);
+        Found { of: *self, slots }
     }
 
     /// The string payload, if this is a string.
@@ -589,28 +695,29 @@ impl<'a> Scanned<'a> {
 
     /// A required numeric field of this object.
     pub fn num(&self, key: &str) -> Result<f64, String> {
-        self.get(key)
-            .and_then(|f| f.as_num())
-            .ok_or_else(|| format!("missing numeric field {key:?}"))
+        number(self.get(key), key)
     }
 
     /// A required string field of this object.
     pub fn str(&self, key: &str) -> Result<Cow<'a, str>, String> {
-        self.get(key)
-            .and_then(|f| f.as_str())
-            .ok_or_else(|| format!("missing string field {key:?}"))
+        string(self.get(key), key)
+    }
+
+    /// This value's JSON type.
+    pub fn json_type(&self) -> JsonType {
+        match self.node().val {
+            Val::Null => JsonType::Null,
+            Val::Bool(_) => JsonType::Boolean,
+            Val::Num(_) => JsonType::Number,
+            Val::Str(_) => JsonType::String,
+            Val::Arr => JsonType::Array,
+            Val::Obj => JsonType::Object,
+        }
     }
 
     /// Name of this value's JSON type (for validation error messages).
     pub fn type_name(&self) -> &'static str {
-        match self.node().val {
-            Val::Null => "null",
-            Val::Bool(_) => "boolean",
-            Val::Num(_) => "number",
-            Val::Str(_) => "string",
-            Val::Arr => "array",
-            Val::Obj => "object",
-        }
+        self.json_type().name()
     }
 
     /// Copy this value out into an owned tree.
@@ -628,6 +735,106 @@ impl<'a> Scanned<'a> {
                 }
                 JsonValue::Obj(map)
             }
+        }
+    }
+}
+
+/// The required numeric field `key`, given what [`Scanned::fields`]
+/// found for it; the error reads as [`Scanned::num`]'s.
+pub fn number(field: Option<Scanned<'_>>, key: &str) -> Result<f64, String> {
+    field
+        .and_then(|f| f.as_num())
+        .ok_or_else(|| format!("missing numeric field {key:?}"))
+}
+
+/// The required string field `key`, given what [`Scanned::fields`]
+/// found for it; the error reads as [`Scanned::str`]'s.
+pub fn string<'a>(field: Option<Scanned<'a>>, key: &str) -> Result<Cow<'a, str>, String> {
+    field
+        .and_then(|f| f.as_str())
+        .ok_or_else(|| format!("missing string field {key:?}"))
+}
+
+/// A member name's prefilter: its length and first and last bytes. Two
+/// names of one set rarely share a tag, so a miss costs an integer
+/// compare, not a byte compare.
+fn tag(name: &[u8]) -> u32 {
+    match (name.first(), name.last()) {
+        (Some(&first), Some(&last)) => {
+            (name.len().min(0xffff) as u32) << 16 | u32::from(first) << 8 | u32::from(last)
+        }
+        _ => 0,
+    }
+}
+
+/// A set of distinct member names, compiled once for [`Scanned::fill`];
+/// slot `i` is the `i`-th name given to [`Names::new`].
+#[derive(Debug, Clone, Default)]
+pub struct Names {
+    tags: Vec<u32>,
+    names: Vec<Box<str>>,
+}
+
+impl Names {
+    /// Compile `names`, which must be distinct.
+    pub fn new<S: AsRef<str>>(names: impl IntoIterator<Item = S>) -> Names {
+        let names: Vec<Box<str>> = names.into_iter().map(|n| n.as_ref().into()).collect();
+        debug_assert!(
+            (0..names.len()).all(|i| !names[..i].contains(&names[i])),
+            "duplicate name in {names:?}"
+        );
+        Names {
+            tags: names.iter().map(|n| tag(n.as_bytes())).collect(),
+            names,
+        }
+    }
+
+    /// Number of names (slots).
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True when the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The name in slot `i`.
+    pub fn name(&self, i: usize) -> &str {
+        &self.names[i]
+    }
+
+    /// The slot of `key`, if it is one of the names.
+    pub fn slot(&self, key: &[u8]) -> Option<usize> {
+        let t = tag(key);
+        (0..self.tags.len()).find(|&i| self.tags[i] == t && self.names[i].as_bytes() == key)
+    }
+}
+
+/// Where [`Scanned::fill`] found each name of a [`Names`], kept as node
+/// positions so the buffer outlives the line and is reused: a fill
+/// allocates nothing once it has grown to the widest set.
+#[derive(Debug, Default)]
+pub struct Slots {
+    /// Node index per slot; 0 (the document's root, never a member) is
+    /// "absent".
+    at: Vec<usize>,
+}
+
+/// One [`Scanned::fill`]'s result: the filled slots read against the
+/// object they were filled from.
+#[derive(Debug)]
+pub struct Found<'a, 's> {
+    of: Scanned<'a>,
+    slots: &'s Slots,
+}
+
+impl<'a> Found<'a, '_> {
+    /// The member in slot `i`: what `get(names.name(i))` returns.
+    pub fn get(&self, i: usize) -> Option<Scanned<'a>> {
+        match self.slots.at[i] {
+            0 => None,
+            at => Some(Scanned { at, ..self.of }),
         }
     }
 }
@@ -787,6 +994,64 @@ mod tests {
         // The node buffer is reused: a second scan sees only its own line.
         let v = scanner.scan("[true]").unwrap();
         assert_eq!(v.to_value(), JsonValue::Arr(vec![JsonValue::Bool(true)]));
+    }
+
+    #[test]
+    fn one_walk_reads_every_field_as_get_does() {
+        const NAMES: [&str; 7] = ["t_ps", "type", "ké", "inst", "", "absent", "arr"];
+        let lines = [
+            // Duplicates: the last wins, whichever way each is spelled.
+            r#"{"t_ps":1,"type":"a","t_ps":2,"t\u005fps":3}"#,
+            r#"{"t_ps":3,"t\u005fps":"late","ké":1,"k\u00e9":2,"":0,"":[1]}"#,
+            r#"{"inst":{"inst":5},"arr":[{"t_ps":9}],"type":"x","typ":1,"tyqe":2}"#,
+            r#"{}"#,
+            r#"[{"t_ps":1}]"#,
+            r#""t_ps""#,
+        ];
+        let names = Names::new(NAMES);
+        let (mut scanner, mut slots) = (Scanner::default(), Slots::default());
+        for line in lines {
+            let v = scanner.scan(line).unwrap();
+            let got = v.fields(&NAMES);
+            let found = v.fill(&names, &mut slots);
+            for (i, key) in NAMES.into_iter().enumerate() {
+                let want = v.get(key).map(|f| f.to_value());
+                assert_eq!(got[i].map(|f| f.to_value()), want, "{line} {key}");
+                assert_eq!(found.get(i).map(|f| f.to_value()), want, "{line} {key}");
+            }
+        }
+        let v = scanner.scan(lines[1]).unwrap();
+        let [t_ps, _, ke, ..] = v.fields(&NAMES);
+        assert_eq!(t_ps.unwrap().as_str().as_deref(), Some("late"));
+        assert_eq!(ke.unwrap().as_num(), Some(2.0));
+        assert_eq!(
+            number(t_ps, "t_ps"),
+            Err("missing numeric field \"t_ps\"".into())
+        );
+        assert_eq!(string(None, "x"), Err("missing string field \"x\"".into()));
+        assert_eq!(
+            (names.len(), names.name(2), names.slot(b"arr")),
+            (7, "ké", Some(6))
+        );
+    }
+
+    #[test]
+    fn json_types_round_trip_their_names() {
+        for t in JsonType::ALL {
+            assert_eq!(JsonType::from_name(t.name()), Some(t));
+        }
+        assert_eq!(JsonType::from_name("integer"), None);
+        let v = parse(r#"[null,true,1,"s",[],{}]"#).unwrap();
+        let mut scanner = Scanner::default();
+        let s = scanner.scan(r#"[null,true,1,"s",[],{}]"#).unwrap();
+        let JsonValue::Arr(items) = v else { panic!() };
+        for ((t, item), scanned) in JsonType::ALL
+            .into_iter()
+            .zip(&items)
+            .zip(s.as_arr().unwrap())
+        {
+            assert_eq!((item.type_name(), scanned.json_type()), (t.name(), t));
+        }
     }
 
     #[test]

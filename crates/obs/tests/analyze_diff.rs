@@ -6,7 +6,8 @@
 //! re-implemented verbatim. The property feeds randomized synthetic
 //! JSONL — shuffled record interleavings (the shape of out-of-order
 //! shard drains), mixed `\n`/`\r\n` terminators, blank and
-//! whitespace-only lines, unknown record types — through both paths
+//! whitespace-only lines, unknown record types, duplicate keys (the
+//! last wins) and `\u`-escaped key spellings — through both paths
 //! and demands identical section
 //! outputs. The streaming side reads through [`LineReader`] at tiny
 //! buffer capacities, so every record straddles refill boundaries.
@@ -53,39 +54,112 @@ enum Rec {
     Blank(&'static str),
 }
 
-fn render(r: &Rec) -> String {
-    match r {
+/// A record's members as `(key, JSON value)`, in writing order (`None`
+/// for a line with no members).
+fn members(r: &Rec) -> Option<Vec<(&'static str, String)>> {
+    let q = |s: &str| format!("\"{s}\"");
+    Some(match r {
         Rec::Ts {
             comp,
             inst,
             name,
             t,
             v,
-        } => format!(
-            "{{\"type\":\"timeseries\",\"t_ps\":{t},\"window_id\":1,\"run\":\"p\",\
-             \"comp\":\"{}\",\"inst\":\"{}\",\"name\":\"{}\",\"value\":{v},\"ewma\":0}}",
-            COMPS[*comp], INSTS[*inst], NAMES[*name]
-        ),
-        Rec::Trace { drop, uid, t } => format!(
-            "{{\"type\":\"trace\",\"t_ps\":{t},\"comp\":\"link\",\"kind\":\"{}\",\
-             \"inst\":0,\"uid\":{uid},\"seq\":{uid},\"aux\":3}}",
-            if *drop { "corrupt_drop" } else { "recovered" }
-        ),
+        } => vec![
+            ("type", q("timeseries")),
+            ("t_ps", t.to_string()),
+            ("window_id", "1".into()),
+            ("run", q("p")),
+            ("comp", q(COMPS[*comp])),
+            ("inst", q(INSTS[*inst])),
+            ("name", q(NAMES[*name])),
+            ("value", v.to_string()),
+            ("ewma", "0".into()),
+        ],
+        Rec::Trace { drop, uid, t } => vec![
+            ("type", q("trace")),
+            ("t_ps", t.to_string()),
+            ("comp", q("link")),
+            ("kind", q(if *drop { "corrupt_drop" } else { "recovered" })),
+            ("inst", "0".into()),
+            ("uid", uid.to_string()),
+            ("seq", uid.to_string()),
+            ("aux", "3".into()),
+        ],
         Rec::Health {
             inst,
             from,
             to,
             t,
             rate,
-        } => format!(
-            "{{\"type\":\"health_event\",\"t_ps\":{t},\"window_id\":1,\"run\":\"p\",\
-             \"comp\":\"pktlink\",\"inst\":\"{}\",\"from\":\"{}\",\"to\":\"{}\",\
-             \"rate\":{rate}}}",
-            INSTS[*inst], STATES[*from], STATES[*to]
-        ),
-        Rec::Junk => "{\"type\":\"trace_summary\",\"records\":0,\"dropped\":0}".into(),
-        Rec::Blank(ws) => ws.to_string(),
+        } => vec![
+            ("type", q("health_event")),
+            ("t_ps", t.to_string()),
+            ("window_id", "1".into()),
+            ("run", q("p")),
+            ("comp", q("pktlink")),
+            ("inst", q(INSTS[*inst])),
+            ("from", q(STATES[*from])),
+            ("to", q(STATES[*to])),
+            ("rate", rate.to_string()),
+        ],
+        Rec::Junk => vec![
+            ("type", q("trace_summary")),
+            ("records", "0".into()),
+            ("dropped", "0".into()),
+        ],
+        Rec::Blank(_) => return None,
+    })
+}
+
+/// How one line spells its members: which key is written with a `\u`
+/// escape, and which member gets a duplicate (a decoy of the same JSON
+/// type, written before the real one or after it, where it wins).
+#[derive(Debug, Clone, Copy)]
+struct Spelling {
+    escaped: Option<usize>,
+    dup: Option<(usize, bool)>,
+}
+
+fn spelling_strategy() -> impl Strategy<Value = Spelling> {
+    // A member index under 10 picks one; 10..30 (two times in three)
+    // leaves the line plain.
+    (0usize..30, 0usize..30, any::<bool>()).prop_map(|(e, d, after)| Spelling {
+        escaped: (e < 10).then_some(e),
+        dup: (d < 10).then_some((d, after)),
+    })
+}
+
+fn render(r: &Rec, sp: Spelling) -> String {
+    let Some(mut members) = members(r) else {
+        let Rec::Blank(ws) = r else { unreachable!() };
+        return ws.to_string();
+    };
+    if let Some((d, after)) = sp.dup {
+        let d = d % members.len();
+        let (k, v) = members[d].clone();
+        let decoy = if v.starts_with('"') {
+            "\"decoy\"".into()
+        } else {
+            "7777".into()
+        };
+        members.insert(if after { d + 1 } else { d }, (k, decoy));
     }
+    let escaped = sp.escaped.map(|e| e % members.len());
+    let body: Vec<String> = members
+        .iter()
+        .enumerate()
+        .map(|(i, (k, v))| {
+            if escaped == Some(i) {
+                // `t_ps` -> `t_p\u0073`: the same name once unescaped.
+                let (head, last) = k.split_at(k.len() - 1);
+                format!("\"{head}\\u{:04x}\":{v}", u32::from(last.as_bytes()[0]))
+            } else {
+                format!("\"{k}\":{v}")
+            }
+        })
+        .collect();
+    format!("{{{}}}", body.join(","))
 }
 
 fn rec_strategy() -> impl Strategy<Value = Rec> {
@@ -230,6 +304,7 @@ proptest! {
     #[test]
     fn streaming_equals_retained(
         recs in proptest::collection::vec(rec_strategy(), 0..120),
+        spellings in proptest::collection::vec(spelling_strategy(), 120),
         crlf_mask in proptest::collection::vec(any::<bool>(), 0..120),
         cap in 1usize..96,
         attr_us in 0u64..5,
@@ -238,7 +313,7 @@ proptest! {
         // Serialize with per-line terminator choice.
         let mut doc = String::new();
         for (i, r) in recs.iter().enumerate() {
-            doc.push_str(&render(r));
+            doc.push_str(&render(r, spellings[i]));
             let last = i + 1 == recs.len();
             if !last || trailing_newline {
                 doc.push_str(if crlf_mask.get(i).copied().unwrap_or(false) { "\r\n" } else { "\n" });

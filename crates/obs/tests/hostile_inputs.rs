@@ -82,3 +82,19 @@ fn whitespace_only_lines_are_blank_to_both_tools() {
     let out = analyze(&path);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
+
+#[test]
+fn a_line_that_is_not_utf8_is_an_error_with_its_line_number() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("hostile_utf8.jsonl");
+    let mut bytes = format!("{META}\n").into_bytes();
+    bytes.extend_from_slice(b"{\"type\":\"meta\",\"schema\":3,\"bin\":\"\xff\"}\n");
+    std::fs::write(&path, bytes).expect("write dump");
+    let path = path.to_str().expect("UTF-8 path");
+    let why = "invalid UTF-8 in input line: invalid utf-8 sequence of 1 bytes from index 33";
+    let out = validate(path);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(stderr(&out), format!("{path}: line 2: {why}\n"));
+    let out = analyze(path);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(stderr(&out), format!("{path}:2: {why}\n"));
+}
