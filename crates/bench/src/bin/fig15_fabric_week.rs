@@ -4,8 +4,7 @@
 //! constraints.
 //!
 //! Usage: `cargo run --release -p lg-bench --bin fig15_fabric_week
-//! [--pods 260] [--days 7] [--threads N] [--engine analytic|packet]
-//! [--shards 8] [--horizon-us 400] [--guardd]`
+//! [--pods 260] [--days 7] [--threads N] [--guardd]`
 //!
 //! `--guardd` adds a third policy column per constraint: LinkGuardian
 //! driven by the `lg-guardd` control plane (budgeted decisions from the
@@ -14,13 +13,8 @@
 //! stdout (no flag) is unchanged.
 //!
 //! The four constraint × policy simulations run in parallel; output is
-//! identical at any `--threads` value.
-//!
-//! `--engine packet` swaps the analytic rollup for the packet-level
-//! fabric ([`lg_bench::pktroll`]): microseconds of real frames through
-//! the same pod geometry instead of a simulated week, as a cross-check
-//! that the closed-form story survives per-frame queueing. Stdout in
-//! this mode is byte-identical at any `--shards`/`--threads` layout.
+//! identical at any `--threads` value. The packet-level cross-check
+//! of the same pod geometry is `ext_fabric_pkt --scale`.
 
 use lg_bench::{arg, banner, sweep};
 use lg_fabric::{run_many, FabricSimConfig, Policy};
@@ -32,25 +26,9 @@ fn main() {
         "Figure 15",
         "1-week fabric snapshot: CorrOpt vs LinkGuardian+CorrOpt",
     );
-    let pods = arg("--pods", const { NonZeroU32::new(260).unwrap() });
+    let pods = arg("--pods", const { NonZeroU32::new(260).unwrap() }).get();
     let days: f64 = arg("--days", 7.0);
     let seed: u64 = arg("--seed", 15);
-    let engine: String = arg("--engine", "analytic".to_string());
-    match engine.as_str() {
-        "packet" => {
-            let shards = arg("--shards", const { NonZeroU32::new(8).unwrap() });
-            let threads: usize = arg("--threads", shards.get() as usize);
-            let horizon_us: u64 = arg("--horizon-us", 400);
-            lg_bench::pktroll::packet_rollup(pods, shards, threads, seed, horizon_us);
-            return;
-        }
-        "analytic" => {}
-        other => {
-            eprintln!("error: unknown --engine {other:?} (expected analytic or packet)");
-            std::process::exit(2);
-        }
-    }
-    let pods = pods.get();
     let guardd = lg_bench::flag("--guardd");
     let constraints = [0.50, 0.75];
     let mut cfgs = Vec::new();

@@ -4,7 +4,6 @@
 //!
 //! Usage: `cargo run --release -p lg-bench --bin fig16_fabric_year
 //! [--pods 260] [--days 365] [--sample-hours 4] [--threads N]
-//! [--engine analytic|packet] [--shards 8] [--horizon-us 400]
 //! [--guardd]`
 //!
 //! `--guardd` appends year-long runs driven by the `lg-guardd` control
@@ -13,12 +12,8 @@
 //! stdout (no flag) is unchanged.
 //!
 //! The four constraint × policy simulations run in parallel; output is
-//! identical at any `--threads` value.
-//!
-//! `--engine packet` swaps the analytic rollup for the packet-level
-//! fabric ([`lg_bench::pktroll`]) on the same pod geometry — the same
-//! cross-check `fig15_fabric_week --engine packet` runs, kept on both
-//! binaries so either figure can be sanity-checked frame-by-frame.
+//! identical at any `--threads` value. The packet-level cross-check
+//! of the same pod geometry is `ext_fabric_pkt --scale`.
 
 use lg_bench::{arg, banner, sweep};
 use lg_fabric::{run_many, FabricSimConfig, Policy};
@@ -30,27 +25,10 @@ fn main() {
         "Figure 16",
         "year-long CDFs: penalty gain and capacity decrease (LG+CorrOpt vs CorrOpt)",
     );
-    let pods = arg("--pods", const { NonZeroU32::new(260).unwrap() });
+    let pods = arg("--pods", const { NonZeroU32::new(260).unwrap() }).get();
     let days: f64 = arg("--days", 365.0);
     let sample_hours: f64 = arg("--sample-hours", 4.0);
     let seed: u64 = arg("--seed", 16);
-    let engine: String = arg("--engine", "analytic".to_string());
-    match engine.as_str() {
-        "packet" => {
-            let shards = arg("--shards", const { NonZeroU32::new(8).unwrap() });
-            let threads: usize = arg("--threads", shards.get() as usize);
-            let horizon_us: u64 = arg("--horizon-us", 400);
-            lg_bench::pktroll::packet_rollup(pods, shards, threads, seed, horizon_us);
-            return;
-        }
-        "analytic" => {}
-        other => {
-            eprintln!("error: unknown --engine {other:?} (expected analytic or packet)");
-            std::process::exit(2);
-        }
-    }
-
-    let pods = pods.get();
     let guardd = lg_bench::flag("--guardd");
     let constraints = [0.50, 0.75];
     let mut cfgs = Vec::new();

@@ -8,7 +8,6 @@
 //! against the paper.
 
 pub mod obs;
-pub mod pktroll;
 pub mod sweep;
 
 use lg_sim::Duration;

@@ -40,18 +40,13 @@ fn zero_trials_is_refused_with_exit_2() {
 
 #[test]
 fn packet_fabric_horizon_past_u32_snapshots_is_refused_with_exit_2() {
-    for (exe, engine) in [
-        (env!("CARGO_BIN_EXE_ext_fabric_pkt"), &[][..]),
-        (
-            env!("CARGO_BIN_EXE_fig15_fabric_week"),
-            &["--engine", "packet", "--pods", "2"][..],
-        ),
-    ] {
-        let args = [engine, &["--horizon-us", "18446744073709"]].concat();
+    let exe = env!("CARGO_BIN_EXE_ext_fabric_pkt");
+    for preset in [&[][..], &["--scale", "--pods", "2"]] {
+        let args = [preset, &["--horizon-us", "18446744073709"]].concat();
         let stderr = refused(exe, &args);
         assert!(
             stderr.contains("error: horizon / sample_interval must fit in u32 snapshots"),
-            "{exe}: {stderr}"
+            "{preset:?}: {stderr}"
         );
     }
 }
@@ -81,16 +76,12 @@ fn stress_length_that_is_not_a_positive_duration_is_refused_with_exit_2() {
 /// A zero-size run used to print a table and exit 0: `NaN%` buckets,
 /// a CDF over no bursts, a `0.00` Gb/s goodput, an empty series, or
 /// `0 threads`. Under the packet engine `--pods 0` ran a preset (the
-/// 260-pod fabric for fig15, the 8-pod fixture for `ext_fabric_pkt`)
-/// and `--shards 0` ran anyway. Each size argument parses as a non-zero
-/// integer.
+/// 8-pod fixture for `ext_fabric_pkt`) and `--shards 0` ran anyway.
+/// Each size argument parses as a non-zero integer.
 #[test]
 fn zero_size_runs_are_refused_with_exit_2() {
     let fig15 = env!("CARGO_BIN_EXE_fig15_fabric_week");
-    let fig16 = env!("CARGO_BIN_EXE_fig16_fabric_year");
     let ext_pkt = env!("CARGO_BIN_EXE_ext_fabric_pkt");
-    // A short horizon keeps the parent's silent runs short.
-    let packet = &["--engine", "packet", "--horizon-us", "10"][..];
     for (exe, key, context) in [
         (
             env!("CARGO_BIN_EXE_table1_lossbuckets"),
@@ -103,9 +94,7 @@ fn zero_size_runs_are_refused_with_exit_2() {
         (env!("CARGO_BIN_EXE_fig21_cubic_bbr"), "--ms", &[]),
         (ext_pkt, "--shards", &[]),
         (ext_pkt, "--pods", &["--horizon-us", "10"]),
-        (fig15, "--pods", packet),
-        (fig15, "--shards", packet),
-        (fig16, "--shards", packet),
+        (fig15, "--pods", &[]),
     ] {
         let stderr = refused(exe, &[&[key, "0"][..], context].concat());
         let want = format!(

@@ -15,16 +15,6 @@ pub enum Mode {
     NonBlocking,
 }
 
-/// Which mechanisms are active — used by the Table 2 ablation. Full
-/// LinkGuardian is `ReTx + tail + order`; LinkGuardianNB is `ReTx + tail`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Mechanisms {
-    /// Detect tail losses with dummy packets (§3.2).
-    pub tail_loss_detection: bool,
-    /// Preserve ordering with the reordering buffer (§3.3).
-    pub preserve_order: bool,
-}
-
 /// Tunable parameters of one LinkGuardian instance (one protected link
 /// direction).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -118,14 +108,6 @@ impl LgConfig {
     pub fn n_copies(&self) -> u32 {
         crate::eq::retx_copies(self.actual_loss_rate, self.target_loss_rate)
     }
-
-    /// The mechanism set implied by the mode (for the ablation harness).
-    pub fn mechanisms(&self) -> Mechanisms {
-        Mechanisms {
-            tail_loss_detection: self.dummy_copies > 0,
-            preserve_order: self.mode == Mode::Ordered,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,10 +130,7 @@ mod tests {
     fn default_mode_preserves_order() {
         let c = LgConfig::for_speed(LinkSpeed::G100, 1e-3);
         assert_eq!(c.mode, Mode::Ordered);
-        assert!(c.mechanisms().preserve_order);
-        let nb = c.non_blocking();
-        assert_eq!(nb.mode, Mode::NonBlocking);
-        assert!(!nb.mechanisms().preserve_order);
+        assert_eq!(c.non_blocking().mode, Mode::NonBlocking);
     }
 
     #[test]

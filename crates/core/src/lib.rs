@@ -32,7 +32,7 @@ pub mod receiver;
 pub mod sender;
 pub mod seqmap;
 
-pub use config::{LgConfig, Mechanisms, Mode};
+pub use config::{LgConfig, Mode};
 pub use eq::{effective_loss_rate, retx_copies};
 pub use receiver::{LgReceiver, ReceiverAction, ReceiverStats};
 pub use sender::{LgSender, SenderAction, SenderStats};

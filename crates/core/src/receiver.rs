@@ -197,12 +197,6 @@ impl LgReceiver {
         }
     }
 
-    /// Charge the reordering buffer against a shared per-world memory
-    /// budget (attach before any traffic).
-    pub fn attach_budget(&mut self, budget: lg_obs::MemBudget) {
-        self.rx_buffer.set_budget(budget);
-    }
-
     /// Activate protection.
     pub fn activate(&mut self) {
         self.active = true;

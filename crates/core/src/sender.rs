@@ -128,12 +128,6 @@ impl LgSender {
         }
     }
 
-    /// Charge the Tx buffer against a shared per-world memory budget
-    /// (attach before any traffic; a refused charge counts as overflow).
-    pub fn attach_budget(&mut self, budget: lg_obs::MemBudget) {
-        self.tx_buffer.set_budget(budget);
-    }
-
     /// Activate protection (done by the control plane when corruption
     /// is detected). Until activated the sender is a no-op pass-through.
     pub fn activate(&mut self, actual_loss_rate: f64) {

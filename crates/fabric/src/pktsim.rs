@@ -73,7 +73,7 @@
 //!   the retained per-flow vector is opt-in
 //!   ([`PktFabricConfig::retain_fct`]) for differential tests;
 //! * egress cells run under admission control: a layout-invariant
-//!   per-cell frame cap plus a per-shard [`MemBudget`] charged before
+//!   per-cell frame cap plus a per-shard byte quota charged before
 //!   every enqueue and released on departure. A healthy cell's
 //!   departures are not events: their `(instant, link)` keys wait in a
 //!   calendar-ring ledger and are given back to the budget — in the
@@ -93,7 +93,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use lg_obs::sink::PROFILE_STRIDE;
 use lg_obs::trace::{Comp, Kind, TraceRecord, TraceRing, DEFAULT_RING_CAP};
-use lg_obs::{postmortem, HealthConfig, HealthEstimator, HealthEvent, MemBudget};
+use lg_obs::{postmortem, HealthConfig, HealthEstimator, HealthEvent};
 use lg_sim::shard::{run_sharded, ShardMsg, ShardStats, ShardWorld};
 use lg_sim::{Duration, EventQueue, Rate, Rng, Time};
 
@@ -153,7 +153,7 @@ pub struct PktFabricConfig {
     /// re-injected at its source after `rto`.
     pub cell_cap_frames: u32,
     /// Egress-buffer byte budget per owned link; each shard runs one
-    /// [`MemBudget`] of `mem_bytes_per_link × local links` charged
+    /// byte quota of `mem_bytes_per_link × local links` charged
     /// before every enqueue (0 = unbounded). Per-shard, so budget
     /// drops are layout-dependent — size it to not bind (see module
     /// docs) when byte-identical output across layouts matters.
@@ -428,7 +428,7 @@ struct DepNode {
 }
 
 /// The `(departure ps, global link)` of every frame a healthy cell has
-/// admitted and the shard's budget has not yet been given back: a
+/// admitted and the shard's quota has not yet been given back: a
 /// one-level calendar ring of unordered chains over an arena with a
 /// free list, plus a heap for keys past the ring's horizon (no cell
 /// cap, slow links), as `EventQueue`'s overflow heap. It holds no
@@ -515,6 +515,56 @@ impl Departures {
             far += 1;
         }
         (before - self.ring_len) as u64 + far
+    }
+}
+
+/// One shard's egress-buffer byte quota: every admitted frame is charged
+/// before it is stored and released when it departs. A refused charge
+/// counts a denial and the caller drops the frame like a full cell.
+struct ShardQuota {
+    limit: u64,
+    used: u64,
+    high_watermark: u64,
+    denials: u64,
+    /// Releases the shard's healthy cells still owe the quota.
+    owed: Departures,
+}
+
+impl ShardQuota {
+    fn new(limit: u64) -> ShardQuota {
+        ShardQuota {
+            limit,
+            used: 0,
+            high_watermark: 0,
+            denials: 0,
+            owed: Departures::new(),
+        }
+    }
+
+    /// Charge `bytes`, or count a denial and return false if that would
+    /// pass the limit.
+    fn try_charge(&mut self, bytes: u64) -> bool {
+        let used = self.used + bytes;
+        if used > self.limit {
+            self.denials += 1;
+            return false;
+        }
+        self.used = used;
+        self.high_watermark = self.high_watermark.max(used);
+        true
+    }
+
+    /// Give back `bytes` on departure.
+    fn release(&mut self, bytes: u64) {
+        debug_assert!(self.used >= bytes, "quota release underflow");
+        self.used -= bytes;
+    }
+
+    /// Release the `bytes`-sized frames whose owed departures sort at or
+    /// before `(now_ps, link)`.
+    fn settle(&mut self, now_ps: u64, link: u32, bytes: u64) {
+        let n = self.owed.settle(now_ps, link);
+        self.release(bytes * n);
     }
 }
 
@@ -865,9 +915,8 @@ pub struct FabricShard {
     gens: Vec<FlowGen>,
     /// Global→local generator index over the pod span.
     gen_slab: Vec<u32>,
-    /// Per-shard egress-buffer quota (None = unbounded) and the
-    /// releases its healthy cells still owe it.
-    budget: Option<(MemBudget, Departures)>,
+    /// Per-shard egress-buffer quota (None = unbounded).
+    quota: Option<ShardQuota>,
     /// Delivered-frame counts of flows terminating in this shard
     /// (O(in-flight flows), drained as flows complete).
     delivered: HashMap<u64, u16>,
@@ -959,7 +1008,7 @@ impl FabricShard {
     }
 
     /// Frame reaches a cell's ingress: admission control (layout-
-    /// invariant per-cell cap, then the shard budget, charged before
+    /// invariant per-cell cap, then the shard quota, charged before
     /// the store), then enqueue — or drop-tail and re-inject at the
     /// source after the RTO. Congestion loss surfaces to the transport
     /// under both policies; LinkGuardian only masks corruption.
@@ -975,15 +1024,15 @@ impl FabricShard {
         let bytes = self.shared.frame_bytes as u64;
         let cell = &mut self.cells[local as usize];
         let computed = cell.lossy == NIL;
-        if let Some((b, owed)) = &mut self.budget {
+        if let Some(q) = &mut self.quota {
             // Healthy cells' departures the canonical tick order runs
             // before this arrival: earlier instants, and at this instant
             // the cells up to this one (`TxDone` sorts before `Arrive`).
             // Unsettled, `used` only reads high — and a charge that
             // stays within the high-water mark even so can be neither
             // refused nor raise the mark, whatever is still owed.
-            if b.used() + bytes > b.high_watermark() {
-                b.release(bytes * owed.settle(now.as_ps(), link));
+            if q.used + bytes > q.high_watermark {
+                q.settle(now.as_ps(), link, bytes);
             }
         }
         // Frames still here — departing strictly after `now`, a cell's
@@ -995,11 +1044,8 @@ impl FabricShard {
         } else {
             self.lossy[cell.lossy as usize].len
         };
-        let admitted = (cap == 0 || len < cap)
-            && self
-                .budget
-                .as_ref()
-                .is_none_or(|(b, _)| b.try_charge(bytes));
+        let admitted =
+            (cap == 0 || len < cap) && self.quota.as_mut().is_none_or(|q| q.try_charge(bytes));
         if !admitted {
             cell.overflow_drops += 1;
             self.trace(Kind::RxOverflow, id, link, now);
@@ -1011,8 +1057,8 @@ impl FabricShard {
             let depart = cell.free_at.max(now) + ser;
             cell.free_at = depart;
             cell.tx_frames += 1;
-            if let Some((_, owed)) = &mut self.budget {
-                owed.push(depart.as_ps(), link);
+            if let Some(q) = &mut self.quota {
+                q.owed.push(depart.as_ps(), link);
             }
             self.forward(id, link, depart, out);
             return;
@@ -1067,8 +1113,8 @@ impl FabricShard {
         l.head = self.frames.slots[id as usize].next;
         l.len -= 1;
         l.busy = false;
-        if let Some((b, _)) = &self.budget {
-            b.release(self.shared.frame_bytes as u64);
+        if let Some(q) = &mut self.quota {
+            q.release(self.shared.frame_bytes as u64);
         }
         if corrupted {
             // End-to-end recovery: drop, and the source re-injects after
@@ -1376,10 +1422,8 @@ impl PktFabric {
                     link_slab: vec![u32::MAX; (hi - lo + 1) as usize],
                     gens: Vec::new(),
                     gen_slab: vec![u32::MAX; (hi - lo + 1) as usize],
-                    budget: (cfg.mem_bytes_per_link > 0).then(|| {
-                        let quota = MemBudget::new(cfg.mem_bytes_per_link * n_local as u64);
-                        (quota, Departures::new())
-                    }),
+                    quota: (cfg.mem_bytes_per_link > 0)
+                        .then(|| ShardQuota::new(cfg.mem_bytes_per_link * n_local as u64)),
                     delivered: HashMap::new(),
                     fct_stream: FctStream::new(FCT_TAIL_K),
                     fct: Vec::new(),
@@ -1555,13 +1599,12 @@ impl PktFabric {
                 Some(s) => s.merge(shard.fct_stream),
                 None => stream = Some(shard.fct_stream),
             }
-            if let Some((b, owed)) = &mut shard.budget {
-                let bytes = shard.shared.frame_bytes as u64;
-                b.release(bytes * owed.settle(u64::MAX, u32::MAX));
-                assert_eq!(b.used(), 0, "run ended with budget bytes never released");
-                mem.limit_bytes += b.limit();
-                mem.hwm_bytes += b.high_watermark();
-                mem.denials += b.denials();
+            if let Some(q) = &mut shard.quota {
+                q.settle(u64::MAX, u32::MAX, shard.shared.frame_bytes as u64);
+                assert_eq!(q.used, 0, "run ended with budget bytes never released");
+                mem.limit_bytes += q.limit;
+                mem.hwm_bytes += q.high_watermark;
+                mem.denials += q.denials;
             }
             for (link, &local) in (shard.span_base..).zip(&shard.link_slab) {
                 let Some(cell) = shard.cells.get(local as usize) else {
@@ -2225,6 +2268,22 @@ mod tests {
         assert!(slack.simulation_eq(&free));
     }
 
+    /// The quota's own bookkeeping: charges up to the limit, a denial
+    /// past it, and a high-water mark that outlives the release.
+    #[test]
+    fn quota_charge_release_and_high_watermark() {
+        let mut q = ShardQuota::new(1000);
+        assert!(q.try_charge(400));
+        assert!(q.try_charge(600));
+        assert_eq!(q.used, 1000);
+        assert!(!q.try_charge(1), "at the limit: refused");
+        assert_eq!(q.denials, 1);
+        q.release(600);
+        assert_eq!(q.used, 400);
+        assert!(q.try_charge(100));
+        assert_eq!(q.high_watermark, 1000, "peak persists across release");
+    }
+
     /// A charge nothing gives back must not pass for a drained run.
     #[test]
     #[should_panic(expected = "budget bytes never released")]
@@ -2233,8 +2292,8 @@ mod tests {
         cfg.mem_bytes_per_link = 1_500;
         let mut fabric = PktFabric::new(&cfg);
         single(&mut fabric.shards[0], T0, 1, 0);
-        let (b, _) = fabric.shards[0].budget.as_ref().unwrap();
-        assert!(b.try_charge(1_500));
+        let q = fabric.shards[0].quota.as_mut().unwrap();
+        assert!(q.try_charge(1_500));
         let stats = fabric.run();
         fabric.collect(stats);
     }

@@ -49,24 +49,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--run` narrows a multi-run file before parsing: guard lines are
-    // tagged with their run label, so a plain substring match on the
-    // serialized field is exact.
-    let text = match run {
-        Some(label) => {
-            let tag = {
-                let mut quoted = String::new();
-                lg_obs::json::write_escaped(&mut quoted, &label);
-                format!("\"run\":{quoted}")
-            };
-            text.lines()
-                .filter(|l| l.contains(&tag))
-                .collect::<Vec<_>>()
-                .join("\n")
-        }
-        None => text,
-    };
-    let journal = match query::parse_journal(&text) {
+    let journal = match query::parse_run_journal(&text, run.as_deref()) {
         Ok(j) => j,
         Err(e) => {
             eprintln!("{path}: {e}");

@@ -77,6 +77,14 @@ type Fields<'a> = [Option<Scanned<'a>>; FIELDS.len()];
 /// `guard_snapshot` are skipped (session dumps carry a `meta` line);
 /// malformed guard records fail with their line number.
 pub fn parse_journal(text: &str) -> Result<Journal, String> {
+    parse_run_journal(text, None)
+}
+
+/// [`parse_journal`] narrowed to the guard records whose `run` is
+/// `run` (all of them when `None`). Every line is still read, so a
+/// malformed one fails with its line number in the file whichever run
+/// it belonged to.
+pub fn parse_run_journal(text: &str, run: Option<&str>) -> Result<Journal, String> {
     let mut j = Journal::default();
     let mut scanner = Scanner::default();
     for (i, line) in text.lines().enumerate() {
@@ -88,16 +96,23 @@ pub fn parse_journal(text: &str) -> Result<Journal, String> {
             .scan(line)
             .map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
         let f = v.fields(&FIELDS);
-        let [ty, run, ..] = f;
+        let [ty, label, ..] = f;
+        let wanted = |label: Option<&str>| run.is_none_or(|r| label == Some(r));
         match ty.and_then(|t| t.as_str()).as_deref() {
             Some("guard_event") => {
                 let ev = decode_event(&f).map_err(|e| format!("line {n}: {e}"))?;
+                let label = string(label, "run").map_err(|e| format!("line {n}: {e}"))?;
+                if !wanted(Some(&label)) {
+                    continue;
+                }
                 if j.events.is_empty() {
-                    j.run = string(run, "run")?.into_owned();
+                    j.run = label.into_owned();
                 }
                 j.events.push(ev);
             }
-            Some("guard_snapshot") => j.snapshots += 1,
+            Some("guard_snapshot") if wanted(label.and_then(|l| l.as_str()).as_deref()) => {
+                j.snapshots += 1;
+            }
             _ => {}
         }
     }

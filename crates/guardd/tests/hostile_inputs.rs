@@ -4,6 +4,7 @@
 //! bit-flipped since they were written: an `Err` naming the field,
 //! never a panic and never a manager over its budget.
 
+use lg_guardd::query::parse_journal;
 use lg_guardd::{GuardConfig, GuardInput, GuardManager, LinkHealth};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -12,12 +13,13 @@ const EVENT: &str = "{\"type\":\"guard_event\",\"t_ps\":10,\"seq\":1,\"run\":\"r
     \"action\":\"enable\",\"state\":\"degraded\",\"rate\":1e-3,\"budget\":1,\"budget_used\":1,\
     \"cause\":[],\"beat\":[]}";
 
-fn status_of(name: &str, lines: &[&str]) -> (String, Output) {
+fn status_of(name: &str, lines: &[&str], extra: &[&str]) -> (String, Output) {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::write(&path, lines.join("\n") + "\n").expect("write journal");
     let path = path.to_str().expect("UTF-8 path").to_string();
     let out = Command::new(env!("CARGO_BIN_EXE_guardctl"))
         .args([&path, "status"])
+        .args(extra)
         .output()
         .expect("guardctl runs");
     (path, out)
@@ -39,7 +41,7 @@ fn hostile_lines_fail_with_a_line_number() {
         ),
         ("hostile_escape.jsonl", signed, "bad \\u escape"),
     ] {
-        let (path, out) = status_of(name, &[EVENT, line]);
+        let (path, out) = status_of(name, &[EVENT, line], &[]);
         assert_eq!(out.status.code(), Some(1), "{name}");
         assert_eq!(
             String::from_utf8_lossy(&out.stderr),
@@ -50,9 +52,82 @@ fn hostile_lines_fail_with_a_line_number() {
 
 #[test]
 fn whitespace_only_lines_are_blank() {
-    let (_, out) = status_of("hostile_blank.jsonl", &["   ", EVENT, "\t"]);
+    let (_, out) = status_of("hostile_blank.jsonl", &["   ", EVENT, "\t"], &[]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("run \"r\": 1 decisions, 1 protected"));
+}
+
+#[test]
+fn a_first_event_without_its_run_names_its_line() {
+    let bare = EVENT.replace(",\"run\":\"r\"", "");
+    let (path, out) = status_of("hostile_no_run.jsonl", &["{\"type\":\"meta\"}", &bare], &[]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("{path}: line 2: missing string field \"run\"\n")
+    );
+}
+
+/// `--run` narrows by the decoded label: errors carry the file's line
+/// numbers, and a line of no run is an error, not filtered away.
+#[test]
+fn run_filter_keeps_file_line_numbers() {
+    let other = EVENT.replace("\"run\":\"r\"", "\"run\":\"o\"");
+    let bare = EVENT.replace(",\"run\":\"r\"", "");
+    let cut = &EVENT[..EVENT.len() - 1];
+    let run_r = ["--run", "r"];
+    let (_, out) = status_of("run_filter.jsonl", &[&other, EVENT, &other], &run_r);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("run \"r\": 1 decisions, 1 protected"));
+    for (name, line, why) in [
+        (
+            "run_filter_bare.jsonl",
+            bare.as_str(),
+            "missing string field \"run\"",
+        ),
+        ("run_filter_cut.jsonl", cut, "not valid JSON: "),
+    ] {
+        let (path, out) = status_of(name, &[&other, &other, line], &run_r);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.starts_with(&format!("{path}: line 3: {why}")),
+            "{name}: {err}"
+        );
+    }
+}
+
+/// Every prefix of a three-event journal: the complete lines' events,
+/// or an error naming the line the cut fell in — never a panic.
+#[test]
+fn a_journal_truncated_anywhere_fails_on_the_cut_line() {
+    let journal = full_budget_manager().take_journal();
+    let lines = &journal[..3];
+    let text = lines.join("\n") + "\n";
+    let whole = parse_journal(&text)
+        .expect("the whole journal parses")
+        .events;
+    assert_eq!(whole.len(), 3);
+    for cut in 0..=text.len() {
+        let prefix = &text[..cut];
+        let complete = prefix.matches('\n').count();
+        let in_line = prefix.len() - prefix.rfind('\n').map_or(0, |i| i + 1);
+        let line_done = in_line == 0 || in_line == lines[complete].len();
+        match parse_journal(prefix) {
+            Ok(j) => {
+                let n = complete + usize::from(in_line > 0);
+                assert!(line_done, "cut {cut}: a partial line parsed");
+                assert_eq!(j.events, whole[..n], "cut {cut}");
+            }
+            Err(e) => {
+                assert!(!line_done, "cut {cut}: {e}");
+                assert!(
+                    e.starts_with(&format!("line {}: ", complete + 1)),
+                    "cut {cut}: {e}"
+                );
+            }
+        }
+    }
 }
 
 /// Budget 3, four corrupting links (one deferred), two transitions of

@@ -46,7 +46,6 @@
 //! [`AtomicU8`]: std::sync::atomic::AtomicU8
 
 pub mod analyze;
-pub mod budget;
 pub mod health;
 pub mod hist;
 pub mod json;
@@ -58,7 +57,6 @@ pub mod stream;
 pub mod timeseries;
 pub mod trace;
 
-pub use budget::MemBudget;
 pub use health::{HealthConfig, HealthEstimator, HealthEvent, LinkHealth};
 pub use hist::{HistSummary, LogHist};
 pub use json::{JsonLine, JsonValue};

@@ -15,9 +15,9 @@
 //! * [`serial::SerialLink`] — an uncontended FIFO hop (host NIC,
 //!   host-facing port) computed at hand-over instead of simulated.
 //!
-//! Queues, recirculation buffers and serial links can all charge a
-//! shared `lg_obs::MemBudget` (a per-world byte quota bounding the sum of
-//! all participating buffers).
+//! Every buffer is bounded by its own byte capacity (drop-tail for
+//! queues and serial links, overflow for recirculation buffers); no quota
+//! spans several buffers.
 
 pub mod counters;
 pub mod port;

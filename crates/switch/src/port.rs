@@ -2,7 +2,6 @@
 //! PFC-style per-class pause.
 
 use crate::queue::{ByteQueue, EnqueueOutcome};
-use lg_obs::MemBudget;
 use lg_packet::{PacketPool, PktId};
 use serde::{Deserialize, Serialize};
 
@@ -63,20 +62,6 @@ impl EgressPort {
         self.queues[Class::Normal as usize] =
             ByteQueue::new(cap).with_ecn_threshold(threshold_bytes);
         self
-    }
-
-    /// Charge every class queue against a shared [`MemBudget`]. Call
-    /// after the ECN builder: it replaces the normal queue wholesale.
-    pub fn with_budget(mut self, budget: MemBudget) -> EgressPort {
-        self.set_budget(&budget);
-        self
-    }
-
-    /// In-place form of [`EgressPort::with_budget`] (port must be idle).
-    pub fn set_budget(&mut self, budget: &MemBudget) {
-        for q in &mut self.queues {
-            q.set_budget(budget.clone());
-        }
     }
 
     /// Enqueue into the given class (drop-tail releases to the pool).

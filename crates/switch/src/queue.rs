@@ -7,11 +7,8 @@
 //! never load handles — so a cache line holds 8 consecutive entries of a
 //! lane instead of interleaved pairs. A drop-tailed packet is released
 //! back to the pool here — the queue is the owner of everything pushed
-//! into it. An optional shared [`MemBudget`] bounds the sum of several
-//! queues' occupancy; a refused charge degrades to the same drop-tail
-//! path as a full queue.
+//! into it.
 
-use lg_obs::MemBudget;
 use lg_packet::{Ecn, PacketPool, PktId};
 use std::collections::VecDeque;
 
@@ -43,7 +40,6 @@ pub struct ByteQueue {
     bytes: u64,
     capacity_bytes: u64,
     ecn_threshold: Option<u64>,
-    budget: Option<MemBudget>,
     drops: u64,
     enqueued: u64,
     marked: u64,
@@ -59,7 +55,6 @@ impl ByteQueue {
             bytes: 0,
             capacity_bytes,
             ecn_threshold: None,
-            budget: None,
             drops: 0,
             enqueued: 0,
             marked: 0,
@@ -74,21 +69,6 @@ impl ByteQueue {
         self
     }
 
-    /// Charge resident bytes against a shared [`MemBudget`]. A refused
-    /// charge drop-tails the arriving packet even when this queue's own
-    /// capacity has room.
-    pub fn with_budget(mut self, budget: MemBudget) -> ByteQueue {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// In-place form of [`ByteQueue::with_budget`]. Must be called while
-    /// the queue is empty so charged and resident bytes agree.
-    pub fn set_budget(&mut self, budget: MemBudget) {
-        debug_assert!(self.is_empty(), "budget attached to a non-empty queue");
-        self.budget = Some(budget);
-    }
-
     /// Attempt to enqueue; drop-tail on overflow (the packet is released).
     pub fn push(&mut self, id: PktId, pool: &mut PacketPool) -> EnqueueOutcome {
         let len = pool.get(id).frame_len() as u64;
@@ -96,13 +76,6 @@ impl ByteQueue {
             self.drops += 1;
             pool.release(id);
             return EnqueueOutcome::Dropped;
-        }
-        if let Some(b) = &self.budget {
-            if !b.try_charge(len) {
-                self.drops += 1;
-                pool.release(id);
-                return EnqueueOutcome::Dropped;
-            }
         }
         self.bytes += len;
         self.high_watermark = self.high_watermark.max(self.bytes);
@@ -130,9 +103,6 @@ impl ByteQueue {
         let id = self.ids.pop_front()?;
         let len = self.lens.pop_front().expect("lanes in lockstep");
         self.bytes -= len as u64;
-        if let Some(b) = &self.budget {
-            b.release(len as u64);
-        }
         Some(id)
     }
 
@@ -284,41 +254,6 @@ mod tests {
         assert!(std::mem::size_of::<PktId>() <= 16);
         assert_eq!(std::mem::size_of::<PktId>(), 8);
         assert_eq!(std::mem::size_of::<u32>(), 4);
-    }
-
-    #[test]
-    fn budget_denial_drop_tails_gracefully() {
-        let mut pool = PacketPool::new();
-        let budget = MemBudget::new(250);
-        // Two queues sharing one 250-byte budget, each with ample own
-        // capacity: the budget is what binds.
-        let mut q1 = ByteQueue::new(10_000).with_budget(budget.clone());
-        let mut q2 = ByteQueue::new(10_000).with_budget(budget.clone());
-        assert_eq!(
-            q1.push(pkt(&mut pool, 100), &mut pool),
-            EnqueueOutcome::Stored { marked: false }
-        );
-        assert_eq!(
-            q2.push(pkt(&mut pool, 100), &mut pool),
-            EnqueueOutcome::Stored { marked: false }
-        );
-        // 100 more would exceed the shared 250: graceful drop-tail, the
-        // packet goes back to the pool, the denial is counted.
-        assert_eq!(
-            q2.push(pkt(&mut pool, 100), &mut pool),
-            EnqueueOutcome::Dropped
-        );
-        assert_eq!(q2.drops(), 1);
-        assert_eq!(budget.denials(), 1);
-        assert_eq!(pool.live(), 2, "denied packet released to the pool");
-        // Draining releases the charge and readmits traffic.
-        pool.release(q1.pop().unwrap());
-        assert_eq!(budget.used(), 100);
-        assert_eq!(
-            q2.push(pkt(&mut pool, 100), &mut pool),
-            EnqueueOutcome::Stored { marked: false }
-        );
-        assert_eq!(budget.high_watermark(), 200);
     }
 
     #[test]

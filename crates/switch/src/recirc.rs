@@ -26,7 +26,6 @@
 //! is a prefix drain that scans one contiguous key lane per cache line
 //! instead of walking tree nodes.
 
-use lg_obs::MemBudget;
 use lg_obs::{MetricSink, Observe};
 use lg_packet::{PacketPool, PktId};
 use lg_sim::{Duration, Rate, Time};
@@ -80,7 +79,6 @@ pub struct RecircBuffer {
     bytes: u64,
     capacity: u64,
     loop_latency: Duration,
-    budget: Option<MemBudget>,
     stats: RecircStats,
 }
 
@@ -96,7 +94,6 @@ impl RecircBuffer {
             bytes: 0,
             capacity,
             loop_latency: DEFAULT_LOOP_LATENCY,
-            budget: None,
             stats: RecircStats::default(),
         }
     }
@@ -105,20 +102,6 @@ impl RecircBuffer {
     pub fn with_loop_latency(mut self, d: Duration) -> RecircBuffer {
         self.loop_latency = d;
         self
-    }
-
-    /// Charge resident bytes against a shared [`MemBudget`]. A refused
-    /// charge is reported as an overflow, exactly like a full buffer.
-    pub fn with_budget(mut self, budget: MemBudget) -> RecircBuffer {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// In-place form of [`RecircBuffer::with_budget`]. Must be called
-    /// while the buffer is empty so charged and resident bytes agree.
-    pub fn set_budget(&mut self, budget: MemBudget) {
-        debug_assert!(self.is_empty(), "budget attached to a non-empty buffer");
-        self.budget = Some(budget);
     }
 
     /// Lane index of `key`, if buffered.
@@ -153,12 +136,6 @@ impl RecircBuffer {
         if self.bytes + frame_len as u64 > self.capacity {
             self.stats.overflows += 1;
             return Err(id);
-        }
-        if let Some(b) = &self.budget {
-            if !b.try_charge(frame_len as u64) {
-                self.stats.overflows += 1;
-                return Err(id);
-            }
         }
         self.bytes += frame_len as u64;
         self.stats.high_watermark = self.stats.high_watermark.max(self.bytes);
@@ -195,11 +172,7 @@ impl RecircBuffer {
             .max(1);
         self.stats.loops += loops;
         self.stats.loop_bytes += loops * self.wire_lens[i] as u64;
-        let frame_len = self.frame_lens[i] as u64;
-        self.bytes -= frame_len;
-        if let Some(b) = &self.budget {
-            b.release(frame_len);
-        }
+        self.bytes -= self.frame_lens[i] as u64;
     }
 
     /// Drop the entry at lane index `i` from every lane, returning its
@@ -394,23 +367,6 @@ mod tests {
         assert_eq!(b.len(), 4);
         assert_eq!(b.remove_up_to(7, Time::ZERO, &mut pool), 3);
         assert_eq!(b.min_key(), Some(9));
-    }
-
-    #[test]
-    fn budget_denial_reports_overflow() {
-        let mut pool = PacketPool::new();
-        let budget = MemBudget::new(500);
-        let mut b = RecircBuffer::new(10_000).with_budget(budget.clone());
-        let (p1, p2) = (pkt(&mut pool, 400), pkt(&mut pool, 400));
-        b.insert(1, p1, Time::ZERO, &pool).unwrap();
-        let back = b.insert(2, p2, Time::ZERO, &pool).unwrap_err();
-        assert_eq!(pool.get(back).frame_len(), 400, "caller keeps the packet");
-        assert_eq!(b.stats().overflows, 1);
-        assert_eq!(budget.denials(), 1);
-        // Departure releases the charge back to the shared budget.
-        b.remove(1, Time::from_us(1));
-        assert_eq!(budget.used(), 0);
-        assert!(b.insert(2, p2, Time::from_us(1), &pool).is_ok());
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! ([`SerialLink::depart`]); a host-facing switch port also keeps what
 //! an [`crate::EgressPort`] there observably did
 //! ([`SerialLink::enqueue`], [`SerialLink::settle`]): drop-tail at the
-//! normal queue's default byte capacity, the [`MemBudget`] charge from
-//! arrival until serialization starts, the queue-depth high-water mark,
-//! and TX counters that count a frame only once it has finished.
+//! normal queue's default byte capacity counted from arrival until
+//! serialization starts, the queue-depth high-water mark, and TX
+//! counters that count a frame only once it has finished.
 
 use crate::counters::PortCounters;
 use crate::port::DEFAULT_QUEUE_CAP;
-use lg_obs::MemBudget;
 use lg_packet::{PacketPool, PktId};
 use lg_sim::{Duration, Time};
 use std::collections::VecDeque;
@@ -37,7 +36,6 @@ pub struct SerialLink {
     free_at: Time,
     /// When that frame started.
     last_start: Time,
-    budget: Option<MemBudget>,
     waiting: VecDeque<Waiting>,
     waiting_bytes: u64,
     /// `(finish, frame_len)` of frames not yet counted as transmitted.
@@ -45,11 +43,6 @@ pub struct SerialLink {
 }
 
 impl SerialLink {
-    /// Charge queued bytes against a shared [`MemBudget`].
-    pub fn set_budget(&mut self, budget: &MemBudget) {
-        self.budget = Some(budget.clone());
-    }
-
     /// Occupy the serializer for `ser` from `arrive` or when it frees
     /// up, whichever is later; returns the instant the frame has left.
     #[inline]
@@ -82,12 +75,7 @@ impl SerialLink {
         self.start_waiting(|w| w.start < arrive || (w.start == arrive && w.kick_filed < now));
         let len = pool.get(id).frame_len();
         let depth = self.waiting_bytes + len as u64;
-        let admitted = depth <= DEFAULT_QUEUE_CAP
-            && self
-                .budget
-                .as_ref()
-                .is_none_or(|b| b.try_charge(len as u64));
-        if !admitted {
+        if depth > DEFAULT_QUEUE_CAP {
             pool.release(id);
             return None;
         }
@@ -95,11 +83,7 @@ impl SerialLink {
         let kick_filed = self.last_start;
         let idle = arrive > self.free_at;
         let done = self.depart(arrive, ser);
-        if idle {
-            if let Some(b) = &self.budget {
-                b.release(len as u64);
-            }
-        } else {
+        if !idle {
             self.waiting_bytes = depth;
             self.waiting.push_back(Waiting {
                 start: self.last_start,
@@ -111,7 +95,7 @@ impl SerialLink {
         Some(done)
     }
 
-    /// Bring `counters` and the budget to what they read once every
+    /// Bring `counters` and the queue depth to what they read once every
     /// event at or before `upto` has run.
     pub fn settle(&mut self, upto: Time, counters: &mut PortCounters) {
         self.start_waiting(|w| w.start <= upto);
@@ -121,15 +105,12 @@ impl SerialLink {
         }
     }
 
-    /// Dequeue (and stop charging for) the waiting frames `started` says
-    /// have begun serializing.
+    /// Dequeue (and stop counting the depth of) the waiting frames
+    /// `started` says have begun serializing.
     fn start_waiting(&mut self, started: impl Fn(&Waiting) -> bool) {
         while self.waiting.front().is_some_and(&started) {
             let w = self.waiting.pop_front().expect("probed");
             self.waiting_bytes -= w.len as u64;
-            if let Some(b) = &self.budget {
-                b.release(w.len as u64);
-            }
         }
     }
 }
@@ -238,19 +219,15 @@ mod tests {
         }
     }
 
-    fn check(steps: &[Step], budget: u64) {
-        let (b_ref, b_new) = (MemBudget::new(budget), MemBudget::new(budget));
-        let mut sw = Switch::new("ref", 1);
-        sw.attach_budget(&b_ref);
+    fn check(steps: &[Step]) {
         let mut r = Reference {
-            sw,
+            sw: Switch::new("ref", 1),
             pool: PacketPool::new(),
             q: BTreeMap::new(),
             filed: 0,
             left: Vec::new(),
         };
         let mut link = SerialLink::default();
-        link.set_budget(&b_new);
         let mut pool = PacketPool::new();
         let mut counters = PortCounters::default();
         let mut left = Vec::new();
@@ -289,9 +266,6 @@ mod tests {
         link.settle(Time::MAX, &mut counters);
         assert_eq!(left, r.left, "departure instants and drops");
         assert_eq!(counters, r.sw.counters(0), "counters incl. queue_hwm_bytes");
-        assert_eq!(b_new.high_watermark(), b_ref.high_watermark());
-        assert_eq!(b_new.denials(), b_ref.denials());
-        assert_eq!((b_new.used(), b_ref.used()), (0, 0));
         assert!(pool.is_drained() && r.pool.is_drained());
     }
 
@@ -303,7 +277,7 @@ mod tests {
     proptest! {
         #[test]
         fn equals_the_event_driven_port(s in steps()) {
-            check(&s, u64::MAX);
+            check(&s);
         }
 
         #[test]
@@ -311,12 +285,7 @@ mod tests {
             // An MTU burst past the 4 MiB queue, then traffic while it drains.
             let mut script = vec![(false, 0, 0, 2); burst];
             script.extend(s);
-            check(&script, u64::MAX);
-        }
-
-        #[test]
-        fn equals_it_under_a_starved_budget(s in steps(), budget in 500u64..5_000) {
-            check(&s, budget);
+            check(&script);
         }
     }
 

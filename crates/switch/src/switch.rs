@@ -82,14 +82,6 @@ impl Switch {
         self.ports[p] = port;
     }
 
-    /// Charge every port's queues against a shared memory budget. Call
-    /// after all [`Switch::set_port`] reconfiguration, while idle.
-    pub fn attach_budget(&mut self, budget: &lg_obs::MemBudget) {
-        for p in &mut self.ports {
-            p.set_budget(budget);
-        }
-    }
-
     /// Enqueue a packet for egress on `port` in `class`, counting TX on
     /// eventual dequeue (see [`Switch::tx_complete`]).
     pub fn enqueue(

@@ -335,13 +335,6 @@ pub struct WorldConfig {
     pub app: App,
     /// Probe sampling interval (None = no probes).
     pub sample_interval: Option<Duration>,
-    /// Per-world memory budget in bytes (tor-memquota idiom): one shared
-    /// quota covering every switch egress queue and both LinkGuardian
-    /// buffer classes. Exceeding it degrades gracefully — the arriving
-    /// packet is drop-tailed / rejected exactly like a full queue — and
-    /// the high-water mark and denial count surface in the metrics
-    /// registry. `None` leaves buffers bounded only by their own caps.
-    pub mem_budget: Option<u64>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -402,7 +395,6 @@ impl WorldConfig {
             ecn_threshold: None,
             app: App::None,
             sample_interval: None,
-            mem_budget: None,
             seed: 1,
         }
     }
@@ -470,8 +462,6 @@ pub struct World {
     pub pool: PacketPool,
     /// Observability state (metric snapshots, uid base, profile).
     pub obs: WorldObs,
-    /// Shared memory budget when `WorldConfig::mem_budget` is set.
-    pub budget: Option<lg_obs::MemBudget>,
     /// Guardian manager (see `WorldConfig::guardd`), fed the world's
     /// health events at every sample tick; its journal drains to the
     /// sink at publish.
@@ -533,13 +523,7 @@ impl World {
         if let Some(th) = cfg.ecn_threshold {
             sw_tx.set_port(PORT_LINK, EgressPort::new().with_ecn_threshold(th));
         }
-        let budget = cfg.mem_budget.map(lg_obs::MemBudget::new);
-        let mut host_ports = [SerialLink::default(), SerialLink::default()];
-        if let Some(b) = &budget {
-            sw_tx.attach_budget(b);
-            sw_rx.attach_budget(b);
-            host_ports.iter_mut().for_each(|p| p.set_budget(b));
-        }
+        let host_ports = [SerialLink::default(), SerialLink::default()];
 
         let lg_cfg = cfg
             .lg
@@ -547,10 +531,6 @@ impl World {
             .unwrap_or_else(|| LgConfig::for_speed(cfg.speed, 1e-9));
         let mut lg_tx = LgSender::new(lg_cfg.clone(), SW_TX, SW_RX);
         let mut lg_rx = LgReceiver::new(lg_cfg.clone(), SW_RX, SW_TX);
-        if let Some(b) = &budget {
-            lg_tx.attach_budget(b.clone());
-            lg_rx.attach_budget(b.clone());
-        }
         if cfg.lg.is_some() && cfg.lg_active_from_start {
             lg_tx.activate(cfg.loss.mean_rate().max(1e-9));
             lg_rx.activate();
@@ -563,10 +543,6 @@ impl World {
             cfg2.dummy_copies = cfg2.dummy_copies.max(2);
             let mut t = LgSender::new(cfg2.clone(), SW_RX, SW_TX);
             let mut r = LgReceiver::new(cfg2, SW_TX, SW_RX);
-            if let Some(b) = &budget {
-                t.attach_budget(b.clone());
-                r.attach_budget(b.clone());
-            }
             if cfg.lg_active_from_start {
                 t.activate(cfg.rev_loss.mean_rate().max(1e-9));
                 r.activate();
@@ -610,7 +586,6 @@ impl World {
             out: Outcomes::default(),
             pool: PacketPool::new(),
             obs,
-            budget,
             guardd,
             stress: None,
             stress_seq: 0,
@@ -689,7 +664,7 @@ impl World {
         self.obs.profile_ns[kind] += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Bring the host-facing ports' counters (and budget charge) to what
+    /// Bring the host-facing ports' counters (and queue depth) to what
     /// they read once every event at or before `upto` has run: a
     /// computed hop has no completion event to count a frame at.
     fn settle_host_ports(&mut self, upto: Time) {
@@ -746,9 +721,6 @@ impl World {
                 m.gauge("rx_buffer_bytes", bytes);
                 m.hist("retx_delay_ps", summary);
             });
-        }
-        if let Some(b) = &self.budget {
-            reg.record(t, "mem_budget", "world", b);
         }
     }
 

@@ -2,58 +2,8 @@
 
 use lg_link::{LinkSpeed, LossModel};
 use lg_sim::Duration;
-use lg_testbed::{fct_experiment, stress_test, App, FctTransport, Protection, World, WorldConfig};
+use lg_testbed::{fct_experiment, stress_test, FctTransport, Protection};
 use lg_transport::CcVariant;
-
-fn budget_world(trials: u32, mem_budget: Option<u64>) -> World {
-    let speed = LinkSpeed::G100;
-    let loss = LossModel::Iid { rate: 1e-3 };
-    let mut cfg = WorldConfig::new(speed, loss);
-    cfg.seed = 77;
-    cfg.mem_budget = mem_budget;
-    cfg.app = App::TcpTrials {
-        variant: CcVariant::Dctcp,
-        msg_len: 14_300,
-        trials,
-        gap: Duration::from_us(10),
-    };
-    World::new(cfg)
-}
-
-#[test]
-fn mem_budget_accounts_and_drains() {
-    // Generous budget: nothing is denied, every charged byte is released
-    // by the time the run drains, and the high-water mark records the
-    // true peak of all buffers combined.
-    let mut w = budget_world(30, Some(4 * 1024 * 1024));
-    w.run_to_completion();
-    assert_eq!(w.out.fct.len(), 30);
-    let b = w.budget.as_ref().expect("budget attached");
-    assert_eq!(b.denials(), 0, "4 MB never binds on this workload");
-    assert!(b.high_watermark() > 0, "buffers were actually charged");
-    assert!(b.high_watermark() <= b.limit());
-    assert_eq!(b.used(), 0, "all buffer bytes released at drain");
-}
-
-#[test]
-fn mem_budget_exceeded_degrades_gracefully() {
-    // A budget far below the workload's natural high-water mark: charges
-    // get denied, but the run still completes — denied enqueues become
-    // drop-tail losses the transport recovers end-to-end, and denied
-    // LinkGuardian buffer inserts leave packets unprotected rather than
-    // wedging the world.
-    let mut w = budget_world(30, Some(2 * 1024));
-    w.run_to_completion();
-    assert_eq!(w.out.fct.len(), 30, "trials complete under memory pressure");
-    let b = w.budget.as_ref().expect("budget attached");
-    assert!(b.denials() > 0, "the tight budget did bind");
-    assert!(
-        b.high_watermark() <= 2 * 1024,
-        "occupancy never exceeded the cap: hwm {}",
-        b.high_watermark()
-    );
-    assert_eq!(b.used(), 0, "pool and buffers drained despite denials");
-}
 
 #[test]
 fn clean_link_stress_delivers_everything() {
