@@ -30,7 +30,7 @@
 use lg_bench::{arg, banner, flag};
 use lg_fabric::{partition, run_packet, PktFabricConfig, PktFabricResult, PktPolicy};
 use lg_sim::Time;
-use std::num::NonZeroU32;
+use std::num::{NonZeroU32, NonZeroUsize};
 
 /// Picoseconds → microseconds for table display.
 fn us(ps: u64) -> f64 {
@@ -113,7 +113,8 @@ fn main() {
         const { NonZeroU32::new(4).unwrap() }
     };
     let shards = arg("--shards", default_shards).get();
-    let threads: usize = arg("--threads", shards as usize);
+    // Default: one worker per shard (clamped to the shard count below).
+    let threads = arg("--threads", NonZeroUsize::MAX).get();
     let seed: u64 = arg("--seed", 42);
     let horizon_us: u64 = arg("--horizon-us", if scale { 400 } else { 2000 });
     let args: Vec<String> = std::env::args().collect();
@@ -138,7 +139,6 @@ fn main() {
         cfg.geom.pods = pods.get();
     }
     cfg.shards = shards;
-    cfg.threads = threads;
     cfg.horizon = Time::from_us(horizon_us);
     // Telemetry plane follows the observability flags: `--trace` turns
     // on per-shard lifecycle rings, any output flag turns on per-link
@@ -150,6 +150,9 @@ fn main() {
     // Layout report: stderr only, so stdout stays byte-identical across
     // shard layouts.
     let part = partition(&cfg.geom, shards);
+    // The runner never starts more workers than there are shards.
+    let threads = threads.min(part.shards as usize);
+    cfg.threads = threads;
     let (lo, hi) = (
         part.links_per_shard.iter().min().copied().unwrap_or(0),
         part.links_per_shard.iter().max().copied().unwrap_or(0),

@@ -93,6 +93,7 @@ fn zero_size_runs_are_refused_with_exit_2() {
         (env!("CARGO_BIN_EXE_fig09_dctcp_timeseries"), "--ms", &[]),
         (env!("CARGO_BIN_EXE_fig21_cubic_bbr"), "--ms", &[]),
         (ext_pkt, "--shards", &[]),
+        (ext_pkt, "--threads", &[]),
         (ext_pkt, "--pods", &["--horizon-us", "10"]),
         (fig15, "--pods", &[]),
     ] {
@@ -105,6 +106,37 @@ fn zero_size_runs_are_refused_with_exit_2() {
             "{exe} {key} 0 {context:?}: {stderr}"
         );
     }
+}
+
+/// The packet engine runs on at most one worker per shard, and the shard
+/// count is clamped to the link count; the layout report (stderr and
+/// `--layout-out`) used to print the raw `--threads`/`--shards`
+/// instead: `128 shards … 5000 threads`.
+#[test]
+fn packet_fabric_reports_the_threads_it_runs_with() {
+    let exe = env!("CARGO_BIN_EXE_ext_fabric_pkt");
+    let layout = std::env::temp_dir().join(format!("lg_layout_{}.json", std::process::id()));
+    for (args, shards) in [
+        (&["--shards", "5000"][..], 128),
+        (&["--shards", "3", "--threads", "4294967295"], 3),
+    ] {
+        let out = Command::new(exe)
+            .args(["--pods", "1", "--horizon-us", "10", "--layout-out"])
+            .arg(&layout)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        let want = format!("{shards} shards");
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        let want = format!("{shards} threads");
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        let json = std::fs::read_to_string(&layout).expect("layout written");
+        let want = format!("\"threads\":{shards},");
+        assert!(json.contains(&want), "{args:?}: {json}");
+    }
+    let _ = std::fs::remove_file(&layout);
 }
 
 /// `lg_fabric::run` used to loop until out of memory on a zero sample

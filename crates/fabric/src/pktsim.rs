@@ -63,11 +63,15 @@
 //! At the paper's ~100K-link geometry, anything O(fabric) *per shard*
 //! or O(flows) *per run* dominates the footprint, so:
 //!
-//! * shard lookup state is a *pod-span slab*: the partition assigns
-//!   every shard a contiguous pod range, so its global→local link and
-//!   generator indices live in a vector spanning only its own pods
-//!   (`span_base` + span-sized slab), and shard routing uses the O(1)
-//!   arithmetic [`PartitionMap`] instead of a global table;
+//! * shard state spans only the shard's own link range: the partition
+//!   assigns every shard a contiguous pod range, so link `l`'s cell is
+//!   `cells[l - span_base]` with no index in between, and generators are
+//!   found through a span-sized index (`gen_slab`: a `u32` per link,
+//!   where a `FlowGen` per link would double their memory). Under
+//!   fabric-group granularity the span interleaves other shards' links,
+//!   whose offsets hold healthy placeholder cells that nothing touches.
+//!   Shard routing uses the O(1) arithmetic [`PartitionMap`] instead of
+//!   a global table;
 //! * FCTs stream into a per-shard [`FctStream`] (fixed-size histogram
 //!   plus exact top-K tail) merged deterministically at collect time;
 //!   the retained per-flow vector is opt-in
@@ -90,6 +94,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use lg_obs::sink::PROFILE_STRIDE;
 use lg_obs::trace::{Comp, Kind, TraceRecord, TraceRing, DEFAULT_RING_CAP};
@@ -636,7 +641,7 @@ struct Cell {
 #[derive(Debug)]
 struct LossyCell {
     global: u32,
-    /// Local index of the link's [`Cell`].
+    /// Index of the link's [`Cell`]: its offset in the shard's span.
     cell: u32,
     head: u32,
     tail: u32,
@@ -860,6 +865,53 @@ struct FlowGen {
     rng: Rng,
 }
 
+/// One multiply per flow id instead of SipHash's rounds. The map it
+/// serves (`delivered`) is never iterated, so the hash reaches no
+/// output, and its keys are the run's own flow ids, not a peer's input.
+#[derive(Default)]
+struct FlowHasher(u64);
+
+impl Hasher for FlowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits and the table
+        // indexes by the low ones; a flow id's low bits are its
+        // per-generator counter, a handful of values.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// Ask the cache for the line holding `r` ahead of its use. A hint: it
+/// never faults and changes nothing the program can observe. A no-op off
+/// x86_64.
+#[inline(always)]
+fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` dereferences nothing and cannot fault on
+    // any address; this one comes from a live reference besides, and
+    // SSE, which the instruction needs, is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((r as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
+/// How many events past the next one `run_window` prefetches for
+/// (`EventQueue::upcoming`'s `k`). Distances 1 to 3 measured alike on
+/// `pktfab_scale` (DESIGN.md §17).
+const PREFETCH_AHEAD: usize = 2;
+
 /// Immutable run context shared (read-only) by all shards. Carries the
 /// O(1) arithmetic [`PartitionMap`], not the O(links) table — shard
 /// routing costs a few words however large the fabric.
@@ -894,32 +946,32 @@ thread_local! {
 /// One shard of the packet-level fabric: the cells and generators of
 /// its partition class, an event queue, and local result accumulators.
 ///
-/// Lookup state is a *pod-span slab*: the partition assigns each shard
-/// a contiguous pod range, so the global→local indices span only
-/// `[span_base, span_base + slab len)` in link-id space — O(local
-/// links) per shard, never O(fabric).
+/// State is indexed by span offset: the partition assigns each shard a
+/// contiguous pod range, so its links lie in `[span_base, span_base +
+/// cells.len())` — O(local links) per shard, never O(fabric).
 pub struct FabricShard {
     id: u32,
     shared: std::sync::Arc<Shared>,
     q: EventQueue<PEv>,
-    /// Local cells, indexed by the slabs below.
+    /// One cell per link of the span: link `l`'s is `cells[l -
+    /// span_base]`. Offsets of links another shard owns (fabric-group
+    /// layouts only) hold healthy cells nothing routes to.
     cells: Vec<Cell>,
     /// Queue and loss state of the corrupting cells, link order.
     lossy: Vec<LossyCell>,
     /// Every frame currently inside this shard.
     frames: FrameSlab,
-    /// First link id of the shard's pod span.
+    /// First link id of the shard's span.
     span_base: u32,
-    /// Global→local cell index over the pod span (u32::MAX = not ours).
-    link_slab: Vec<u32>,
     gens: Vec<FlowGen>,
-    /// Global→local generator index over the pod span.
+    /// Generator index by span offset (`u32::MAX` = not a local
+    /// generator's first hop).
     gen_slab: Vec<u32>,
     /// Per-shard egress-buffer quota (None = unbounded).
     quota: Option<ShardQuota>,
     /// Delivered-frame counts of flows terminating in this shard
     /// (O(in-flight flows), drained as flows complete).
-    delivered: HashMap<u64, u16>,
+    delivered: HashMap<u64, u16, BuildHasherDefault<FlowHasher>>,
     fct_stream: FctStream,
     fct: Vec<(u64, u64)>,
     telemetry: Vec<TelemetryRow>,
@@ -959,12 +1011,30 @@ impl FabricShard {
         }
     }
 
-    /// Local cell index of an owned link (slab lookup over the pod
-    /// span).
-    fn local_cell(&self, link: u32) -> u32 {
-        let local = self.link_slab[(link - self.span_base) as usize];
-        debug_assert_ne!(local, u32::MAX, "frame routed to a foreign shard");
-        local
+    /// Prefetch the line that the event [`PREFETCH_AHEAD`] places down
+    /// the sorted window reads first: its frame's cell, or its
+    /// generator. By that event's turn the line is in cache.
+    fn prefetch_upcoming(&self) {
+        match self.q.upcoming(PREFETCH_AHEAD) {
+            Some(&(PEv::Arrive { frame } | PEv::Burst { head: frame })) => {
+                let f = &self.frames.slots[frame as usize].frame;
+                let offset = f.hops[f.hop as usize].wrapping_sub(self.span_base);
+                if let Some(cell) = self.cells.get(offset as usize) {
+                    prefetch(cell);
+                }
+            }
+            Some(&PEv::FlowStart { gen }) => {
+                let offset = gen.wrapping_sub(self.span_base) as usize;
+                if let Some(g) = self
+                    .gen_slab
+                    .get(offset)
+                    .and_then(|&g| self.gens.get(g as usize))
+                {
+                    prefetch(g);
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Schedule the arrival of the frame in slot `id` at its current
@@ -1019,10 +1089,14 @@ impl FabricShard {
     fn on_arrive(&mut self, id: u32, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
         let frame = &self.frames.slots[id as usize].frame;
         let link = frame.hops[frame.hop as usize];
-        let local = self.local_cell(link);
+        debug_assert_eq!(
+            self.shared.map.shard_of(link),
+            self.id,
+            "frame routed to a foreign shard"
+        );
         let (cap, ser) = (self.shared.cell_cap, self.shared.ser);
         let bytes = self.shared.frame_bytes as u64;
-        let cell = &mut self.cells[local as usize];
+        let cell = &mut self.cells[(link - self.span_base) as usize];
         let computed = cell.lossy == NIL;
         if let Some(q) = &mut self.quota {
             // Healthy cells' departures the canonical tick order runs
@@ -1093,7 +1167,7 @@ impl FabricShard {
     }
 
     fn on_tx_done(&mut self, link: u32, now: Time, out: &mut Vec<ShardMsg<PktMsg>>) {
-        let local = self.local_cell(link) as usize;
+        let local = (link - self.span_base) as usize;
         let lossy = self.cells[local].lossy;
         let l = &mut self.lossy[lossy as usize];
         let id = l.head;
@@ -1316,6 +1390,7 @@ impl ShardWorld for FabricShard {
         // any shard layout.
         let sim_event = |ev: &PEv| !matches!(ev, PEv::Sample { .. }) as u64;
         while let Some((now, first)) = self.q.pop_tick_into(until, &mut tick) {
+            self.prefetch_upcoming();
             if tick.is_empty() {
                 ran += sim_event(&first);
                 self.dispatch(first, now, out);
@@ -1396,10 +1471,11 @@ impl PktFabric {
         #[cfg(not(test))]
         let all_eventful = false;
 
-        // Pod spans: every granularity assigns each shard a contiguous
-        // pod range (see the partitioner's contiguity test), so a
-        // shard's slab need only cover [min owned link, max owned link]
-        // — O(local links), never O(fabric).
+        // Spans: every granularity assigns each shard a contiguous pod
+        // range (see the partitioner's contiguity test), so a shard's
+        // cells need only cover [min owned link, max owned link] —
+        // exactly its links under pod and range granularity, O(local
+        // links) under group granularity, never O(fabric).
         let mut span = vec![(u32::MAX, 0u32); part.shards as usize];
         for (link, &s) in part.shard_of_link.iter().enumerate() {
             let e = &mut span[s as usize];
@@ -1410,21 +1486,29 @@ impl PktFabric {
         let mut shards: Vec<FabricShard> = (0..part.shards)
             .map(|id| {
                 let (lo, hi) = span[id as usize];
+                let len = (hi - lo + 1) as usize;
                 let n_local = part.links_per_shard[id as usize];
                 FabricShard {
                     id,
                     shared: std::sync::Arc::clone(&shared),
                     q: EventQueue::new(),
-                    cells: Vec::with_capacity(n_local as usize),
+                    cells: (0..len)
+                        .map(|_| Cell {
+                            free_at: Time::ZERO,
+                            tx_frames: 0,
+                            overflow_drops: 0,
+                            queue_hwm: 0,
+                            lossy: NIL,
+                        })
+                        .collect(),
                     lossy: Vec::new(),
                     frames: FrameSlab::default(),
                     span_base: lo,
-                    link_slab: vec![u32::MAX; (hi - lo + 1) as usize],
                     gens: Vec::new(),
-                    gen_slab: vec![u32::MAX; (hi - lo + 1) as usize],
+                    gen_slab: vec![u32::MAX; len],
                     quota: (cfg.mem_bytes_per_link > 0)
                         .then(|| ShardQuota::new(cfg.mem_bytes_per_link * n_local as u64)),
-                    delivered: HashMap::new(),
+                    delivered: HashMap::default(),
                     fct_stream: FctStream::new(FCT_TAIL_K),
                     fct: Vec::new(),
                     telemetry: Vec::new(),
@@ -1460,14 +1544,12 @@ impl PktFabric {
                 0.0
             };
             let shard = &mut shards[part.shard_of_link[link as usize] as usize];
-            let local = shard.cells.len() as u32;
-            shard.link_slab[(link - shard.span_base) as usize] = local;
-            let mut lossy = NIL;
+            let offset = link - shard.span_base;
             if loss > 0.0 || all_eventful {
-                lossy = shard.lossy.len() as u32;
+                shard.cells[offset as usize].lossy = shard.lossy.len() as u32;
                 shard.lossy.push(LossyCell {
                     global: link,
-                    cell: local,
+                    cell: offset,
                     head: NIL,
                     tail: NIL,
                     len: 0,
@@ -1483,13 +1565,6 @@ impl PktFabric {
                         .map(HealthEstimator::new),
                 });
             }
-            shard.cells.push(Cell {
-                free_at: Time::ZERO,
-                tx_frames: 0,
-                overflow_drops: 0,
-                queue_hwm: 0,
-                lossy,
-            });
         }
 
         // Generators: one per (pod, ToR, fabric), living in the shard
@@ -1552,7 +1627,7 @@ impl PktFabric {
         // the size of the result is what peak RSS would measure.
         let mut fct = std::mem::take(&mut self.shards[0].fct);
         // One block for the rows: growing it by doubling copies it.
-        let mut links = Vec::with_capacity(self.shards.iter().map(|s| s.cells.len()).sum());
+        let mut links = Vec::with_capacity(self.shards[0].shared.geom.n_links() as usize);
         let mut telemetry = std::mem::take(&mut self.shards[0].telemetry);
         let mut stream: Option<FctStream> = None;
         let mut mem = MemStats::default();
@@ -1606,10 +1681,10 @@ impl PktFabric {
                 mem.hwm_bytes += q.high_watermark;
                 mem.denials += q.denials;
             }
-            for (link, &local) in (shard.span_base..).zip(&shard.link_slab) {
-                let Some(cell) = shard.cells.get(local as usize) else {
+            for (link, cell) in (shard.span_base..).zip(&shard.cells) {
+                if shard.shared.map.shard_of(link) != shard.id {
                     continue; // another shard's link inside the span
-                };
+                }
                 let (loss, corrupt_drops, recoveries) = shard
                     .lossy
                     .get(cell.lossy as usize)
@@ -1773,10 +1848,69 @@ mod tests {
         assert!(lossy.iter().all(|l| l.loss > 0.0 && l.health.is_some()));
         for shard in &fabric.shards {
             for (i, l) in shard.lossy.iter().enumerate() {
+                assert_eq!(
+                    l.cell,
+                    l.global - shard.span_base,
+                    "cell is the span offset"
+                );
                 assert_eq!(shard.cells[l.cell as usize].lossy, i as u32);
             }
             let healthy = shard.cells.iter().filter(|c| c.lossy == NIL).count();
             assert_eq!(healthy + shard.lossy.len(), shard.cells.len());
+        }
+    }
+
+    /// A cell is `cells[link - span_base]` at every granularity: pods
+    /// (2 shards), fabric groups (4: each span interleaves another
+    /// shard's group, whose offsets hold placeholders) and link ranges
+    /// (7). Placeholders stay untouched and never reach a result row.
+    #[test]
+    fn cells_are_indexed_by_span_offset_at_every_granularity() {
+        use crate::partition::Granularity;
+        let cfg = tiny(PktPolicy::LinkGuardian);
+        let base = run_packet(&cfg);
+        let n_links = cfg.geom.n_links();
+        for (shards, granularity) in [
+            (2, Granularity::Pods),
+            (4, Granularity::Groups),
+            (7, Granularity::Ranges),
+        ] {
+            let mut c = cfg.clone();
+            c.shards = shards;
+            let part = partition(&c.geom, shards);
+            assert_eq!(part.map.granularity(), granularity);
+            let mut fabric = PktFabric::new(&c);
+            let stats = fabric.run();
+            let mut placeholders = 0;
+            for shard in &fabric.shards {
+                let owned: Vec<u32> = (0..n_links)
+                    .filter(|&l| part.shard_of_link[l as usize] == shard.id)
+                    .collect();
+                let span = owned.last().unwrap() - owned[0] + 1;
+                assert_eq!(shard.span_base, owned[0]);
+                assert_eq!(shard.cells.len() as u32, span, "shards={shards}");
+                for (link, cell) in (shard.span_base..).zip(&shard.cells) {
+                    if part.shard_of_link[link as usize] == shard.id {
+                        continue;
+                    }
+                    placeholders += 1;
+                    assert_eq!(cell.lossy, NIL);
+                    assert_eq!(cell.free_at, Time::ZERO);
+                    assert_eq!(
+                        (cell.tx_frames, cell.overflow_drops, cell.queue_hwm),
+                        (0, 0, 0)
+                    );
+                }
+            }
+            assert_eq!(
+                placeholders > 0,
+                granularity == Granularity::Groups,
+                "shards={shards}"
+            );
+            let r = fabric.collect(stats);
+            assert_eq!(r.links.len() as u32, n_links);
+            assert!(r.links.iter().map(|l| l.link).eq(0..n_links));
+            assert!(r.simulation_eq(&base), "shards={shards}");
         }
     }
 

@@ -47,7 +47,8 @@
 //!
 //! The packet fabric uses [`EventQueue::pop_tick_into`] to drain every
 //! event sharing the earliest pending timestamp in one call (it sorts
-//! each tick canonically before dispatch); the testbed loops use
+//! each tick canonically before dispatch, and peeks further down the
+//! window with [`EventQueue::upcoming`] to prefetch); the testbed loops use
 //! [`EventQueue::pop_if_before`] to bound a run without the classic
 //! `peek_time` + `pop` double lookup.
 //!
@@ -455,6 +456,19 @@ impl<E> EventQueue<E> {
                 buf.push(payload);
             }
         }
+    }
+
+    /// The payload of the `k`-th live event (0 = the next one) among
+    /// those the sorted window already holds, or `None` when the window
+    /// ends first. A read-only hint for prefetching the state a handler
+    /// will touch: it never advances the wheel, and an event scheduled
+    /// or cancelled after the call can make it stale.
+    #[inline]
+    pub fn upcoming(&self, k: usize) -> Option<&E> {
+        self.window
+            .iter()
+            .filter_map(|w| self.arena[w.idx as usize].payload.as_ref())
+            .nth(k)
     }
 
     /// Exhaustively recount the queue's live entries and check the

@@ -51,7 +51,7 @@ proptest! {
     /// overflow horizon.
     #[test]
     fn wheel_matches_reference_oracle(
-        ops in proptest::collection::vec((0u8..15, any::<u64>(), any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..16, any::<u64>(), any::<u64>()), 1..400),
     ) {
         use lg_sim::event::reference;
         let mut wheel = EventQueue::new();
@@ -103,6 +103,11 @@ proptest! {
                     wheel_buf.clear();
                     oracle_buf.clear();
                 }
+                // A prefetch hint: read-only, so every observable the
+                // oracle is compared on must be unmoved by it.
+                15 => {
+                    let _ = wheel.upcoming((a % 8) as usize);
+                }
                 _ => {
                     prop_assert_eq!(wheel.pop(), oracle.pop());
                     prop_assert_eq!(wheel.now(), oracle.now());
@@ -119,6 +124,68 @@ proptest! {
                 break;
             }
         }
+    }
+
+    /// `upcoming(k)` names the future exactly when it names it at all:
+    /// under random interleavings of schedule (dense near the clock, so
+    /// the sorted window fills, and far), cancel, `pop` and
+    /// `pop_tick_into`, whenever it returns `Some(p)` the (k+1)-th
+    /// payload delivered after the call is `p`. The check delivers them
+    /// at once, by `pop` or `pop_tick_into`, so a later op cannot move
+    /// an earlier event in front of `p`.
+    #[test]
+    fn upcoming_names_the_kth_next_delivery(
+        ops in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..300),
+    ) {
+        let mut q = EventQueue::new();
+        let mut handles = Vec::new();
+        let mut buf = Vec::new();
+        for &(op, a, b) in &ops {
+            match op {
+                0..=2 => {
+                    let horizon_bits = [14, 20, 40][op as usize];
+                    let at = Time::from_ps(q.now().as_ps() + a % (1u64 << horizon_bits));
+                    let tag = handles.len();
+                    handles.push(q.schedule_at(at, tag));
+                }
+                3 => {
+                    if !handles.is_empty() {
+                        q.cancel(handles[(b as usize) % handles.len()]);
+                    }
+                }
+                4 => {
+                    q.pop();
+                }
+                5 => {
+                    q.pop_tick_into(Time::MAX, &mut buf);
+                    buf.clear();
+                }
+                _ => {
+                    let k = (a % 6) as usize;
+                    let Some(&p) = q.upcoming(k) else { continue };
+                    let mut delivered = Vec::new();
+                    let mut by_tick = b;
+                    while delivered.len() <= k {
+                        if by_tick & 1 == 1 {
+                            let (_, first) = q.pop_tick_into(Time::MAX, &mut buf).expect("named");
+                            delivered.push(first);
+                            delivered.append(&mut buf);
+                        } else {
+                            delivered.push(q.pop().expect("named").1);
+                        }
+                        by_tick >>= 1;
+                    }
+                    prop_assert_eq!(delivered[k], p, "upcoming({}) named {}", k, p);
+                }
+            }
+        }
+        // Not vacuous: after a dense burst and a pop the window holds
+        // the rest of the burst, so the hint must name something.
+        for i in 0..16u64 {
+            q.schedule_at(Time::from_ps(q.now().as_ps() + i * 100), usize::MAX);
+        }
+        q.pop();
+        prop_assert!(q.upcoming(2).is_some());
     }
 
     /// Shard-window usage pattern: drain to a lookahead-bounded window
