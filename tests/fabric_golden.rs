@@ -5,7 +5,8 @@
 //! run and compared with the value recorded before the engine was made
 //! incremental per pod (the two budget-bound runs: before the health
 //! roll-up, penalty sum and guardian pass were made to cost what
-//! changed). An optimisation of `sim`/`corropt`/`topology`
+//! changed; the paper-scale runs: before capacity sums and first
+//! failure draws were made to cost only the non-nominal links). An optimisation of `sim`/`corropt`/`topology`
 //! must leave every digest as it is; a deliberate model change records
 //! new ones (the failure message prints the full table).
 
@@ -136,6 +137,56 @@ fn partial_lg_matches_golden() {
             0xdb78_15c4_21b5_0251,
             0x4304_0b8e_9e8c_0f4a,
             0x6cb9_7c52_3da3_5765,
+        ],
+    );
+}
+
+/// The paper-scale fabric (260 pods, constraint 0.75, 4 h samples,
+/// seed 1) over the `fabric_year` benchmark rep's 480 h, over a zero
+/// horizon (construction and one sample only), and over one day, where
+/// about 99.99 % of the links' first failures land past the horizon.
+fn horizon_digests(policy: Policy) -> [u64; 3] {
+    [480.0, 0.0, 24.0].map(|horizon_hours| {
+        digest(&run(&FabricSimConfig {
+            pods: 260,
+            horizon_hours,
+            constraint: 0.75,
+            policy,
+            sample_interval_hours: 4.0,
+            target_loss_rate: 1e-8,
+            seed: 1,
+        }))
+    })
+}
+
+fn check_horizons(policy: Policy, expected: [u64; 3]) {
+    let got = horizon_digests(policy);
+    assert_eq!(
+        got, expected,
+        "{policy:?}: paper-scale digests moved (480 h, 0 h, 24 h); got {got:#018x?}"
+    );
+}
+
+#[test]
+fn paper_scale_lg_plus_corropt_matches_golden() {
+    check_horizons(
+        Policy::LgPlusCorrOpt,
+        [
+            0x6f4e_a8c9_470b_ccd7,
+            0x9ec9_96c6_cfdd_1be4,
+            0xc7ee_a099_3c76_acd3,
+        ],
+    );
+}
+
+#[test]
+fn paper_scale_partial_lg_matches_golden() {
+    check_horizons(
+        Policy::PartialLg(0.5),
+        [
+            0x973e_32db_4b87_d61a,
+            0x9ec9_96c6_cfdd_1be4,
+            0xa67a_1f56_53d9_6067,
         ],
     );
 }
