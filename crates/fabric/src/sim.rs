@@ -11,15 +11,17 @@
 //! 80% of repairs take ~2 days, the rest ~4 (§4.8).
 
 use crate::corropt::{CapacityConstraint, CorrOpt};
-use crate::topology::{Fabric, Link, LinkId, LinkState, LINKS_PER_POD};
-use crate::tracegen::{sample_loss_rate, sample_repair_hours, sample_time_to_corruption, Hours};
+use crate::topology::{Fabric, Link, LinkId, LinkKind, LinkState, FABRICS_PER_POD, LINKS_PER_POD};
+use crate::tracegen::{
+    corruption_within, sample_loss_rate, sample_repair_hours, sample_time_to_corruption, Hours,
+};
 use lg_guardd::{GuardAction, GuardConfig, GuardInput, GuardManager};
 use lg_obs::health::{HealthConfig, HealthEstimator, LinkHealth};
 use lg_sim::Rng;
 use linkguardian::eq::{effective_loss_rate, retx_copies};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Maintenance policy under evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -332,9 +334,13 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
     let n_links = fabric.n_links() as u32;
 
     // Per-link RNG streams forked from the master seed: the k-th failure
-    // of link i draws identical values in every policy run.
+    // of link i draws identical values in every policy run. A link draws
+    // again only after its first failure, so only the streams of links
+    // whose first failure lands inside the horizon are kept, in link
+    // order for `link_rng`'s binary search.
     let mut master = Rng::new(cfg.seed);
-    let mut link_rngs: Vec<Rng> = (0..n_links).map(|_| master.fork()).collect();
+    let first_failure = corruption_within(cfg.horizon_hours);
+    let mut link_rngs: Vec<(u32, Rng)> = Vec::new();
 
     let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -343,9 +349,10 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
         heap.push(Scheduled { at, seq: *seq, ev });
     };
     for i in 0..n_links {
-        let t = sample_time_to_corruption(&mut link_rngs[i as usize]);
-        if t <= cfg.horizon_hours {
+        let mut rng = master.fork();
+        if let Some(t) = rng.weibull_within(&first_failure) {
             push(&mut heap, &mut seq, t, Ev::StartCorrupting(LinkId(i)));
+            link_rngs.push((i, rng));
         }
     }
 
@@ -537,19 +544,16 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
     };
 
     // Worst-case concurrent LG links per fabric switch (§5), maintained
-    // incrementally as links enter and leave the corrupting set.
-    // (Recomputing it from scratch after every event made the year-long
-    // LG runs quadratic in the corrupting-set size and dominated the
-    // whole sweep's wall clock.)
-    let switch_key = |fabric: &Fabric, l: LinkId| -> (u32, u8) {
+    // incrementally as links enter and leave the corrupting set, one
+    // counter per (pod, fabric switch). (Recomputing it from scratch
+    // after every event made the year-long LG runs quadratic in the
+    // corrupting-set size and dominated the whole sweep's wall clock.)
+    let switch_of = |fabric: &Fabric, l: LinkId| -> usize {
         let link = fabric.link(l);
-        let fswitch = match link.kind {
-            crate::topology::LinkKind::TorFabric { fabric, .. } => fabric,
-            crate::topology::LinkKind::FabricSpine { fabric, .. } => fabric,
-        };
-        (link.pod, fswitch)
+        let (LinkKind::TorFabric { fabric, .. } | LinkKind::FabricSpine { fabric, .. }) = link.kind;
+        link.pod as usize * FABRICS_PER_POD + fabric as usize
     };
-    let mut lg_per_switch: HashMap<(u32, u8), u32> = HashMap::new();
+    let mut lg_per_switch = vec![0u32; cfg.pods as usize * FABRICS_PER_POD];
 
     // Guardian decision pass, run after every health rollup: feed the
     // new transitions (already in canonical (t, link) order — the
@@ -565,7 +569,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                       events: &[FabricHealthEvent],
                       fabric: &mut Fabric,
                       corrupting: &mut BTreeMap<LinkId, Deferred>,
-                      lg_per_switch: &mut HashMap<(u32, u8), u32>,
+                      lg_per_switch: &mut [u32],
                       counts: &mut FabricSimCounts| {
         let Some(mgr) = guard.as_mut() else { return };
         for ev in &events[*fed..] {
@@ -594,7 +598,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                                     lg_active: true,
                                 },
                             );
-                            let n = lg_per_switch.entry(switch_key(fabric, link)).or_insert(0);
+                            let n = &mut lg_per_switch[switch_of(fabric, link)];
                             *n += 1;
                             counts.peak_lg_per_fabric_switch =
                                 counts.peak_lg_per_fabric_switch.max(*n);
@@ -612,9 +616,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                                     lg_active: false,
                                 },
                             );
-                            if let Some(n) = lg_per_switch.get_mut(&switch_key(fabric, link)) {
-                                *n -= 1;
-                            }
+                            lg_per_switch[switch_of(fabric, link)] -= 1;
                         }
                     }
                 }
@@ -662,7 +664,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
         match ev {
             Ev::StartCorrupting(link) => {
                 counts.corruption_events += 1;
-                let rate = sample_loss_rate(&mut link_rngs[link.0 as usize]);
+                let rate = sample_loss_rate(link_rng(&mut link_rngs, link));
                 // In guardian mode no link starts protected: activation
                 // is the manager's decision, made from observed health.
                 let lg_on = capable[link.0 as usize] && !guard_mode;
@@ -676,13 +678,13 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                 if corropt.try_disable(&mut fabric, link) {
                     counts.disabled_immediately += 1;
                     disabled_count += 1;
-                    let repair = sample_repair_hours(&mut link_rngs[link.0 as usize]);
+                    let repair = sample_repair_hours(link_rng(&mut link_rngs, link));
                     push(&mut heap, &mut seq, at + repair, Ev::RepairDone(link));
                 } else {
                     counts.deferred += 1;
                     corrupting.insert(link, Deferred::new(rate, lg_on, cfg.target_loss_rate));
                     if lg_on {
-                        let n = lg_per_switch.entry(switch_key(&fabric, link)).or_insert(0);
+                        let n = &mut lg_per_switch[switch_of(&fabric, link)];
                         *n += 1;
                         counts.peak_lg_per_fabric_switch = counts.peak_lg_per_fabric_switch.max(*n);
                     }
@@ -692,7 +694,7 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                 counts.repairs += 1;
                 disabled_count -= 1;
                 fabric.set_state(link, LinkState::Up);
-                let next_fail = sample_time_to_corruption(&mut link_rngs[link.0 as usize]);
+                let next_fail = sample_time_to_corruption(link_rng(&mut link_rngs, link));
                 if at + next_fail <= cfg.horizon_hours {
                     push(
                         &mut heap,
@@ -711,12 +713,10 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
                 for l in corropt.optimize(&mut fabric, &backlog) {
                     counts.optimizer_disabled += 1;
                     if let Some(Deferred { lg_on: true, .. }) = corrupting.remove(&l) {
-                        if let Some(n) = lg_per_switch.get_mut(&switch_key(&fabric, l)) {
-                            *n -= 1;
-                        }
+                        lg_per_switch[switch_of(&fabric, l)] -= 1;
                     }
                     disabled_count += 1;
-                    let repair = sample_repair_hours(&mut link_rngs[l.0 as usize]);
+                    let repair = sample_repair_hours(link_rng(&mut link_rngs, l));
                     push(&mut heap, &mut seq, at + repair, Ev::RepairDone(l));
                 }
             }
@@ -739,6 +739,15 @@ pub fn run(cfg: &FabricSimConfig) -> FabricSimResult {
         health_events,
         guard_journal,
     }
+}
+
+/// The stream of `link`, which [`run`] keeps only for links whose first
+/// failure lands inside the horizon: no other link ever draws.
+fn link_rng(rngs: &mut [(u32, Rng)], link: LinkId) -> &mut Rng {
+    let i = rngs
+        .binary_search_by_key(&link.0, |&(l, _)| l)
+        .expect("a link draws only after its first failure");
+    &mut rngs[i].1
 }
 
 /// Run many independent configs, fanning them across up to `threads`

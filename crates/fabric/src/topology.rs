@@ -83,6 +83,9 @@ struct PodSummary {
     tor_up: [u8; TORS_PER_POD],
     /// Links in any state other than `Up`.
     non_up: u16,
+    /// Bit `i` (word `i / 64`, bit `i % 64`) is set while the pod's
+    /// `i`-th link is not `Up`: the capacity fold visits only these.
+    not_up: [u64; LINKS_PER_POD / 64],
     /// A link of the pod changed state since [`Fabric::take_dirty`].
     dirty: bool,
 }
@@ -151,6 +154,7 @@ impl Fabric {
             spine_up: [UPLINKS_PER_FABRIC as u8; FABRICS_PER_POD],
             tor_up: [(1 << FABRICS_PER_POD) - 1; TORS_PER_POD],
             non_up: 0,
+            not_up: [0; LINKS_PER_POD / 64],
             dirty: false,
         };
         Fabric {
@@ -186,6 +190,13 @@ impl Fabric {
         }
         pod.non_up += u16::from(state != LinkState::Up);
         pod.non_up -= u16::from(link.state != LinkState::Up);
+        let i = id.0 as usize % LINKS_PER_POD;
+        let bit = 1u64 << (i % 64);
+        if state == LinkState::Up {
+            pod.not_up[i / 64] &= !bit;
+        } else {
+            pod.not_up[i / 64] |= bit;
+        }
         pod.dirty = true;
         link.state = state;
     }
@@ -236,11 +247,54 @@ impl Fabric {
     /// (ToR→spine, both tiers) relative to nominal. `effective_speed`
     /// gives a link's speed fraction (e.g. the Fig 8 lookup for
     /// LinkGuardian-enabled links); Disabled links contribute zero.
+    ///
+    /// An `Up` link counts exactly 1.0: `effective_speed` is called only
+    /// for the pod's other links. The result has the bits of the left
+    /// fold `pod_links(pod).iter().map(speed).sum()` (with `speed` giving
+    /// 1.0 for `Up`), but the runs of `Up` links between two others are
+    /// added by [`add_ones`], so the cost follows the non-`Up` links.
     pub fn pod_capacity_fraction(&self, pod: u32, effective_speed: impl Fn(&Link) -> f64) -> f64 {
         let links = self.pod_links(pod);
-        let total: f64 = links.iter().map(&effective_speed).sum();
-        total / links.len() as f64
+        // -0.0, the neutral element `Iterator::sum` starts from.
+        let mut total = -0.0;
+        let mut next = 0;
+        for (w, &word) in self.summaries[pod as usize].not_up.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                total = add_ones(total, i - next) + effective_speed(&links[i]);
+                next = i + 1;
+            }
+        }
+        add_ones(total, LINKS_PER_POD - next) / LINKS_PER_POD as f64
     }
+}
+
+/// `s` after `k` sequential `s += 1.0`, bit for bit.
+///
+/// For `1 <= s < 2^53`, 1.0 is a multiple of `ulp(s)`, so `s + 1.0` is
+/// exact while it stays below the next power of two: a run of steps up
+/// to that edge is one exact add. Only the step that crosses the edge
+/// can round, and it is taken as the single `+ 1.0` the sequential fold
+/// takes. Below 1.0 (and out of that range) steps go one at a time.
+pub fn add_ones(mut s: f64, mut k: usize) -> f64 {
+    while k > 0 {
+        if (1.0..9_007_199_254_740_992.0).contains(&s) {
+            // The power of two above `s`; `edge - s` is exact (Sterbenz)
+            // and `s + j` is exact for every whole `j <= edge - s`.
+            let edge = f64::from_bits(((s.to_bits() >> 52) + 1) << 52);
+            let run = ((edge - s) as usize).min(k);
+            s += run as f64;
+            k -= run;
+            if k == 0 {
+                break;
+            }
+        }
+        s += 1.0;
+        k -= 1;
+    }
+    s
 }
 
 #[cfg(test)]

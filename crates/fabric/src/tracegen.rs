@@ -7,9 +7,7 @@
 //! log-uniform within each bucket. Repairs take ~2 days for 80% of links
 //! and ~4 days for the rest (§4.8).
 
-use crate::topology::LinkId;
-use lg_sim::Rng;
-use serde::{Deserialize, Serialize};
+use lg_sim::{Rng, WeibullHorizon};
 
 /// Hours per simulated time unit: the fabric simulation runs on a coarse
 /// clock of hours (f64).
@@ -28,17 +26,6 @@ pub const LOSS_BUCKETS: [(f64, f64, f64); 4] = [
     (1e-4, 1e-3, 0.2166),
     (1e-3, 1e-2, 0.1267),
 ];
-
-/// One corruption event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CorruptionEvent {
-    /// When the link starts corrupting (hours from simulation start).
-    pub at_hours: Hours,
-    /// Which link.
-    pub link: LinkId,
-    /// Frame loss rate drawn from Table 1.
-    pub loss_rate: f64,
-}
 
 /// Draw a loss rate from the Table 1 distribution (log-uniform within the
 /// selected bucket).
@@ -73,6 +60,14 @@ pub fn sample_time_to_corruption(rng: &mut Rng) -> Hours {
     rng.weibull(WEIBULL_BETA, MTTF_HOURS)
 }
 
+/// The law of [`sample_time_to_corruption`] cut at `horizon`: a link's
+/// first failure is `rng.weibull_within(&corruption_within(horizon))`,
+/// which consumes `rng` as `sample_time_to_corruption` does and skips
+/// `ln`/`powf` for most draws that land past the horizon.
+pub fn corruption_within(horizon: Hours) -> WeibullHorizon {
+    WeibullHorizon::new(WEIBULL_BETA, MTTF_HOURS, horizon)
+}
+
 /// Draw a repair duration: ~2 days for 80% of links, ~4 days for the rest.
 pub fn sample_repair_hours(rng: &mut Rng) -> Hours {
     if rng.bernoulli(0.8) {
@@ -80,25 +75,6 @@ pub fn sample_repair_hours(rng: &mut Rng) -> Hours {
     } else {
         96.0
     }
-}
-
-/// Generate the corruption events for `n_links` links over `horizon`
-/// hours — only each link's *first* corruption; subsequent failures after
-/// repair are drawn online by the simulation.
-pub fn initial_trace(n_links: u32, horizon: Hours, rng: &mut Rng) -> Vec<CorruptionEvent> {
-    let mut events = Vec::new();
-    for i in 0..n_links {
-        let t = sample_time_to_corruption(rng);
-        if t <= horizon {
-            events.push(CorruptionEvent {
-                at_hours: t,
-                link: LinkId(i),
-                loss_rate: sample_loss_rate(rng),
-            });
-        }
-    }
-    events.sort_by(|a, b| a.at_hours.partial_cmp(&b.at_hours).expect("no NaN"));
-    events
 }
 
 #[cfg(test)]
@@ -151,14 +127,16 @@ mod tests {
     }
 
     #[test]
-    fn initial_trace_sorted_and_scaled() {
+    fn a_year_corrupts_about_58_percent_of_links() {
+        // 1 - exp(-8760/10000) ≈ 0.584 of links fail within a year.
         let mut rng = Rng::new(4);
-        let horizon = 8_760.0; // one year
-        let events = initial_trace(100_000, horizon, &mut rng);
-        // expected fraction failing within a year: 1 - exp(-8760/10000) ≈ 0.584
-        let frac = events.len() as f64 / 100_000.0;
+        let year = corruption_within(8_760.0);
+        let n = 100_000;
+        let failed = (0..n)
+            .filter_map(|_| rng.weibull_within(&year))
+            .inspect(|&t| assert!((0.0..=8_760.0).contains(&t), "{t}"))
+            .count();
+        let frac = failed as f64 / n as f64;
         assert!((frac - 0.584).abs() < 0.01, "{frac}");
-        assert!(events.windows(2).all(|w| w[0].at_hours <= w[1].at_hours));
-        assert!(events.iter().all(|e| e.at_hours <= horizon));
     }
 }

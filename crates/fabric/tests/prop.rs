@@ -12,13 +12,16 @@
 //! layout report.
 //!
 //! `Fabric::set_state` likewise keeps running per-pod summaries (uplink
-//! counts, ToR masks, non-`Up` count, dirty flag) that the analytic
-//! engine reads instead of scanning 384 links; the last property pins
-//! them to a brute-force scan of `pod_links`.
+//! counts, ToR masks, non-`Up` count and mask, dirty flag) that the
+//! analytic engine reads instead of scanning 384 links; the summary
+//! properties pin them to a brute-force scan of `pod_links`, and pin
+//! `pod_capacity_fraction`'s sparse fold, bit for bit, to the left fold
+//! over all 384 links that it replaced.
 
 use std::collections::BTreeSet;
 
-use lg_fabric::topology::{FABRICS_PER_POD, LINKS_PER_POD, PATHS_PER_TOR, TORS_PER_POD};
+use lg_fabric::sim::lg_effective_speed;
+use lg_fabric::topology::{add_ones, FABRICS_PER_POD, LINKS_PER_POD, PATHS_PER_TOR, TORS_PER_POD};
 use lg_fabric::{partition, Fabric, Link, LinkId, LinkKind, LinkState, PodGeom};
 use proptest::prelude::*;
 
@@ -80,17 +83,92 @@ fn scan_least_paths(f: &Fabric, pod: u32, without: Option<LinkId>) -> f64 {
     f64::from(min_paths) / PATHS_PER_TOR as f64
 }
 
+/// The analytic engine's speed function: a LinkGuardian link runs at
+/// its Fig 8 speed for its own loss rate.
 fn speed(l: &Link) -> f64 {
     match l.state {
         LinkState::Up => 1.0,
         LinkState::Disabled => 0.0,
-        LinkState::Corrupting { lg_active, .. } => {
+        LinkState::Corrupting {
+            loss_rate,
+            lg_active,
+        } => {
             if lg_active {
-                0.92
+                lg_effective_speed(loss_rate)
             } else {
                 1.0
             }
         }
+    }
+}
+
+/// The state an op code names: 0 `Up`, 1 `Disabled`, 2 corrupting,
+/// 3 corrupting under LinkGuardian, at loss rate `10^log_rate`.
+fn state(code: u8, log_rate: f64) -> LinkState {
+    match code {
+        0 => LinkState::Up,
+        1 => LinkState::Disabled,
+        _ => LinkState::Corrupting {
+            loss_rate: 10f64.powf(log_rate),
+            lg_active: code == 3,
+        },
+    }
+}
+
+/// `pod_capacity_fraction` has the bits of the plain left fold over all
+/// 384 links of the pod, and asks for no `Up` link's speed (a NaN there
+/// would show).
+fn capacity_is_left_fold(f: &Fabric, pod: u32) -> TestCaseResult {
+    let fold: f64 = f.pod_links(pod).iter().map(speed).sum();
+    let want = fold / LINKS_PER_POD as f64;
+    let got = f.pod_capacity_fraction(pod, |l| match l.state {
+        LinkState::Up => f64::NAN,
+        _ => speed(l),
+    });
+    prop_assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "pod {}: {} vs {}",
+        pod,
+        got,
+        want
+    );
+    Ok(())
+}
+
+/// A one-pod fabric with link `i` in `states[i]` (`None` is `Up`).
+fn pod_with(states: &[Option<(u8, f64)>]) -> Fabric {
+    let mut f = Fabric::new(1);
+    for (i, s) in states.iter().enumerate() {
+        if let Some((code, log_rate)) = *s {
+            f.set_state(LinkId(i as u32), state(code, log_rate));
+        }
+    }
+    f
+}
+
+#[test]
+fn capacity_fold_edge_pods() {
+    let lg = Some((3, -3.0));
+    let disabled = Some((1, 0.0));
+    let mut shapes: Vec<Vec<Option<(u8, f64)>>> = vec![
+        vec![disabled; LINKS_PER_POD],
+        vec![lg; LINKS_PER_POD],
+        vec![None; LINKS_PER_POD],
+    ];
+    // A Disabled or fractional first link, then runs of `Up` links that
+    // carry a fractional sum across 128 and 256.
+    for first in [disabled, lg, Some((3, -4.5))] {
+        let mut v = vec![None; LINKS_PER_POD];
+        v[0] = first;
+        shapes.push(v.clone());
+        for i in [127, 128, 129, 255, 256, 257, 383] {
+            v[i] = lg;
+        }
+        shapes.push(v);
+    }
+    for v in shapes {
+        capacity_is_left_fold(&pod_with(&v), 0).unwrap();
     }
 }
 
@@ -102,21 +180,18 @@ proptest! {
     #[test]
     fn pod_summaries_match_brute_force_scan(
         ops in proptest::collection::vec(
-            (0u32..3 * LINKS_PER_POD as u32, 0u8..4, any::<bool>()),
+            (0u32..3 * LINKS_PER_POD as u32, 0u8..4, -9.0f64..-1.5, any::<bool>()),
             1..400,
         ),
     ) {
         const PODS: u32 = 3;
         let mut f = Fabric::new(PODS);
         let mut cached = vec![(1.0f64, 1.0f64); PODS as usize];
-        for (link, code, sample) in ops {
+        for (link, code, log_rate, sample) in ops {
             let id = LinkId(link);
-            f.set_state(id, match code {
-                0 => LinkState::Up,
-                1 => LinkState::Disabled,
-                _ => LinkState::Corrupting { loss_rate: 1e-4, lg_active: code == 3 },
-            });
+            f.set_state(id, state(code, log_rate));
             let pod = f.link(id).pod;
+            capacity_is_left_fold(&f, pod)?;
             prop_assert_eq!(f.least_paths_fraction_in_pod(pod), scan_least_paths(&f, pod, None));
             prop_assert_eq!(
                 f.least_paths_fraction_without(id),
@@ -138,6 +213,38 @@ proptest! {
                 prop_assert!(!f.take_dirty(pod), "take_dirty clears the flag");
             }
         }
+    }
+
+    /// Whole pods from all `Up` to all non-`Up`: the sparse capacity
+    /// fold is the left fold, bit for bit.
+    #[test]
+    fn capacity_fold_is_the_left_fold(
+        percent_not_up in 0u32..=100,
+        links in proptest::collection::vec((0u32..100, 1u8..4, -9.0f64..-1.5), LINKS_PER_POD),
+    ) {
+        let states: Vec<Option<(u8, f64)>> = links
+            .iter()
+            .map(|&(roll, code, log_rate)| (roll < percent_not_up).then_some((code, log_rate)))
+            .collect();
+        capacity_is_left_fold(&pod_with(&states), 0)?;
+    }
+
+    /// `add_ones(s, k)` is `k` sequential `s += 1.0`.
+    #[test]
+    fn add_ones_is_sequential_adds(
+        s in prop_oneof![
+            0.0f64..400.0,
+            0.0f64..4.0,
+            (0u32..400).prop_map(f64::from),
+            (0u32..400, 0u32..64).prop_map(|(a, b)| f64::from(a) + f64::from(b) / 64.0),
+        ],
+        k in 0usize..=LINKS_PER_POD,
+    ) {
+        let mut seq = s;
+        for _ in 0..k {
+            seq += 1.0;
+        }
+        prop_assert_eq!(add_ones(s, k).to_bits(), seq.to_bits(), "s {} k {}", s, k);
     }
 
     /// The fast cut counter equals a brute-force recount of the route

@@ -31,7 +31,7 @@ pub mod time;
 
 pub use event::{EventHandle, EventQueue};
 pub use par::par_map;
-pub use rng::Rng;
+pub use rng::{Rng, WeibullHorizon};
 pub use shard::{run_sharded, ShardMsg, ShardStats, ShardWorld};
 pub use stats::Samples;
 pub use time::{Duration, Rate, Time};

@@ -6,7 +6,7 @@
 //! the same seed produces the same experiment forever.
 
 /// xoshiro256** generator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng {
     s: [u64; 4],
 }
@@ -102,7 +102,16 @@ impl Rng {
     /// (Appendix D: β = 1, η = 10,000 hours).
     pub fn weibull(&mut self, beta: f64, eta: f64) -> f64 {
         let u = 1.0 - self.f64();
-        eta * (-u.ln()).powf(1.0 / beta)
+        weibull_at(u, beta, eta)
+    }
+
+    /// [`Rng::weibull`] when its value is at most the horizon's limit,
+    /// else `None`; the generator moves exactly as `weibull` moves it.
+    /// A uniform below [`WeibullHorizon`]'s skip point lands past the
+    /// limit whatever `ln`/`powf` round to, so it returns `None`
+    /// without computing either.
+    pub fn weibull_within(&mut self, h: &WeibullHorizon) -> Option<f64> {
+        h.bound(1.0 - self.f64())
     }
 
     /// Geometric number of failures before the first success, for success
@@ -134,9 +143,77 @@ impl Rng {
     }
 }
 
+/// The Weibull draw of the uniform `u` in `(0, 1]`.
+fn weibull_at(u: f64, beta: f64, eta: f64) -> f64 {
+    eta * (-u.ln()).powf(1.0 / beta)
+}
+
+/// A Weibull(`beta`, `eta`) law cut at `limit`, for
+/// [`Rng::weibull_within`]. Built once per horizon: it holds the
+/// uniform below which a draw certainly lands past the limit.
+#[derive(Debug, Clone, Copy)]
+pub struct WeibullHorizon {
+    beta: f64,
+    eta: f64,
+    limit: f64,
+    skip_below: f64,
+}
+
+impl WeibullHorizon {
+    /// The law cut at `limit`.
+    pub fn new(beta: f64, eta: f64, limit: f64) -> WeibullHorizon {
+        // t <= limit exactly when u >= exp(-(limit/eta)^beta). The
+        // 1e-9 relative margin is far wider than the few ulps `ln`,
+        // `powf` and `exp` can be off by, here and in `weibull_at`; a
+        // uniform inside it takes the full path.
+        let skip_below = (-(limit / eta).powf(beta)).exp() * (1.0 - 1e-9);
+        WeibullHorizon {
+            beta,
+            eta,
+            limit,
+            skip_below,
+        }
+    }
+
+    fn bound(&self, u: f64) -> Option<f64> {
+        if u < self.skip_below {
+            return None;
+        }
+        let t = weibull_at(u, self.beta, self.eta);
+        (t <= self.limit).then_some(t)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Uniforms within a thousand ulps of the skip point and of the
+    /// exact cut, where the two paths meet: the bound is the draw.
+    #[test]
+    fn bound_is_the_draw_at_the_cut() {
+        for (beta, eta) in [(1.0, 10_000.0), (0.7, 3.0), (2.5, 1e4)] {
+            for limit in [1e-9, 24.0, 480.0, 8_760.0] {
+                let h = WeibullHorizon::new(beta, eta, limit);
+                let cut = (-(limit / eta).powf(beta)).exp();
+                for centre in [h.skip_below, cut] {
+                    for k in -1_000i64..=1_000 {
+                        let u = f64::from_bits((centre.to_bits() as i64 + k) as u64);
+                        if !(u > 0.0 && u <= 1.0) {
+                            continue;
+                        }
+                        let t = weibull_at(u, beta, eta);
+                        let want = (t <= limit).then_some(t.to_bits());
+                        assert_eq!(
+                            h.bound(u).map(f64::to_bits),
+                            want,
+                            "{beta} {eta} {limit} {u}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_from_seed() {

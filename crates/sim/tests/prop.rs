@@ -1,6 +1,6 @@
 //! Property tests for the simulation kernel.
 
-use lg_sim::{Duration, EventQueue, Rate, Rng, Samples, Time};
+use lg_sim::{Duration, EventQueue, Rate, Rng, Samples, Time, WeibullHorizon};
 use proptest::prelude::*;
 
 proptest! {
@@ -380,6 +380,29 @@ proptest! {
             prop_assert_eq!(ca.next_u64(), cb.next_u64());
         }
         prop_assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    /// The horizon-bounded draw is the draw: `Some(t)` exactly when
+    /// `weibull` gives `t <= limit`, with the same bits, and both leave
+    /// the generator in the same state.
+    #[test]
+    fn weibull_within_is_weibull_cut_at_the_limit(
+        seed in any::<u64>(),
+        limit_ix in 0usize..6,
+        beta_ix in 0usize..3,
+    ) {
+        const LIMITS: [f64; 6] = [0.0, 1e-9, 24.0, 480.0, 8_760.0, 1e12];
+        const BETAS: [f64; 3] = [1.0, 0.5, 2.0];
+        let (limit, beta, eta) = (LIMITS[limit_ix], BETAS[beta_ix], 10_000.0);
+        let h = WeibullHorizon::new(beta, eta, limit);
+        let mut a = Rng::new(seed);
+        let mut b = Rng::new(seed);
+        for _ in 0..500 {
+            let t = a.weibull(beta, eta);
+            let want = (t <= limit).then_some(t.to_bits());
+            prop_assert_eq!(b.weibull_within(&h).map(f64::to_bits), want, "limit {}", limit);
+            prop_assert_eq!(&a, &b);
+        }
     }
 
     /// Duration arithmetic saturates instead of overflowing.
