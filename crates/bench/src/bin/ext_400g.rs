@@ -10,7 +10,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
-    let _obs = lg_bench::obs::session("ext_400g");
+    let _obs = lg_bench::obs::session("ext_400g", &["--secs"]);
     banner(
         "Extension: higher link speeds",
         "LinkGuardian at 10G → 400G, 1e-3 corruption, line-rate stress",

@@ -42,7 +42,7 @@ fn run(bidirectional: bool, rev_rate: f64, trials: u32) -> (f64, u64, u64) {
 }
 
 fn main() {
-    let _obs = lg_bench::obs::session("ext_bidirectional");
+    let _obs = lg_bench::obs::session("ext_bidirectional", &["--trials"]);
     banner(
         "Extension: bidirectional corruption",
         "24,387B DCTCP trials, forward loss 1e-3, varying reverse loss",

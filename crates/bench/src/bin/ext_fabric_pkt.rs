@@ -105,7 +105,18 @@ fn write_layout(path: &str, part: &lg_fabric::Partition, threads: usize) -> std:
 }
 
 fn main() {
-    let _obs = lg_bench::obs::session("ext_fabric_pkt");
+    let _obs = lg_bench::obs::session(
+        "ext_fabric_pkt",
+        &[
+            "--scale",
+            "--shards",
+            "--seed",
+            "--horizon-us",
+            "--pods",
+            "--dump",
+            "--layout-out",
+        ],
+    );
     let scale = flag("--scale");
     let default_shards = if scale {
         const { NonZeroU32::new(8).unwrap() }

@@ -38,7 +38,7 @@ fn run(n_corrupting: usize, protected: bool, trials: u32) -> (f64, f64, u64) {
 }
 
 fn main() {
-    let _obs = lg_bench::obs::session("ext_multihop");
+    let _obs = lg_bench::obs::session("ext_multihop", &["--trials"]);
     banner(
         "Extension: multiple corrupting links on a path",
         "24,387B DCTCP trials across 1-3 corrupting hops (1e-3 each, 100G)",

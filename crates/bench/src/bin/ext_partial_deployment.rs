@@ -9,7 +9,7 @@ use lg_bench::{arg, banner};
 use lg_fabric::{run, FabricSimConfig, Policy};
 
 fn main() {
-    let _obs = lg_bench::obs::session("ext_partial_deployment");
+    let _obs = lg_bench::obs::session("ext_partial_deployment", &["--pods", "--days", "--seed"]);
     banner(
         "Extension: incremental deployment",
         "penalty vs fraction of LinkGuardian-capable links (75% constraint)",

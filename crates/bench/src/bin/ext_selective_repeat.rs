@@ -10,7 +10,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 
 fn main() {
-    let _obs = lg_bench::obs::session("ext_selective_repeat");
+    let _obs = lg_bench::obs::session("ext_selective_repeat", &["--trials", "--seed"]);
     banner(
         "Extension: LG_NB x RoCE selective repeat",
         "64KB RDMA WRITEs on a corrupting (2e-3) 100G link",

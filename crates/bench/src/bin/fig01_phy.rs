@@ -7,7 +7,7 @@ use lg_bench::banner;
 use lg_link::Transceiver;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig01_phy");
+    let _obs = lg_bench::obs::session("fig01_phy", &[]);
     banner(
         "Figure 1",
         "effect of optical attenuation on various Ethernet link speeds (1518B frames)",

@@ -7,7 +7,7 @@ use lg_bench::banner;
 use lg_workload::FlowSizeDist;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig02_workloads");
+    let _obs = lg_bench::obs::session("fig02_workloads", &[]);
     banner(
         "Figure 2",
         "flow size distributions of datacenter workloads",

@@ -19,7 +19,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig08_loss_speed");
+    let _obs = lg_bench::obs::session("fig08_loss_speed", &["--secs", "--seed"]);
     banner(
         "Figure 8",
         "effective loss rate and effective link speed, LG vs LG_NB",

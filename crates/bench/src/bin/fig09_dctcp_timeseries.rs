@@ -24,7 +24,10 @@ use lg_transport::CcVariant;
 use std::num::NonZeroU64;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig09_dctcp_timeseries");
+    let _obs = lg_bench::obs::session(
+        "fig09_dctcp_timeseries",
+        &["--ms", "--no-bp", "--bursty", "--seed"],
+    );
     banner(
         "Figure 9",
         "DCTCP on a 25G link: corruption starts, then LinkGuardian starts",

@@ -14,7 +14,7 @@ use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 use lg_transport::CcVariant;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig10_fct_143b");
+    let _obs = lg_bench::obs::session("fig10_fct_143b", &["--trials", "--seed"]);
     banner(
         "Figure 10",
         "top 1% FCTs for 143B flows on a 100G link (1e-3 loss)",

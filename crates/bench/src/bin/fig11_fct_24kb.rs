@@ -13,7 +13,7 @@ use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 use lg_transport::CcVariant;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig11_fct_24kb");
+    let _obs = lg_bench::obs::session("fig11_fct_24kb", &["--trials", "--seed"]);
     banner(
         "Figure 11",
         "top 5% FCTs for 24,387B flows on a 100G link (1e-3 loss)",

@@ -13,7 +13,7 @@ use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 use lg_transport::CcVariant;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig12_fct_2mb");
+    let _obs = lg_bench::obs::session("fig12_fct_2mb", &["--trials", "--seed"]);
     banner(
         "Figure 12",
         "top 5% FCTs for 2MB DCTCP flows on a 100G link (1e-3 loss)",

@@ -11,7 +11,7 @@ use lg_testbed::{classify_fig13, fct_config, fct_experiment, FctTransport, Prote
 use lg_transport::CcVariant;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig13_classification");
+    let _obs = lg_bench::obs::session("fig13_classification", &["--trials", "--seed"]);
     banner(
         "Figure 13",
         "classification of affected 24,387B DCTCP flows with LG_NB",

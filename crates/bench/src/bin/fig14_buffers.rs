@@ -8,7 +8,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig14_buffers");
+    let _obs = lg_bench::obs::session("fig14_buffers", &["--secs"]);
     banner(
         "Figure 14",
         "LinkGuardian packet buffer usage (line-rate stress)",

@@ -21,7 +21,10 @@ use lg_fabric::{run_many, FabricSimConfig, Policy};
 use std::num::NonZeroU32;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig15_fabric_week");
+    let _obs = lg_bench::obs::session(
+        "fig15_fabric_week",
+        &["--pods", "--days", "--seed", "--guardd"],
+    );
     banner(
         "Figure 15",
         "1-week fabric snapshot: CorrOpt vs LinkGuardian+CorrOpt",

@@ -20,7 +20,10 @@ use lg_fabric::{run_many, FabricSimConfig, Policy};
 use std::num::NonZeroU32;
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig16_fabric_year");
+    let _obs = lg_bench::obs::session(
+        "fig16_fabric_year",
+        &["--pods", "--days", "--sample-hours", "--seed", "--guardd"],
+    );
     banner(
         "Figure 16",
         "year-long CDFs: penalty gain and capacity decrease (LG+CorrOpt vs CorrOpt)",

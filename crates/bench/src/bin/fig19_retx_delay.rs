@@ -10,7 +10,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig19_retx_delay");
+    let _obs = lg_bench::obs::session("fig19_retx_delay", &["--secs"]);
     banner(
         "Figure 19",
         "loss-detection → retransmission-received delay",

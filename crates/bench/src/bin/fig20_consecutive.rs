@@ -26,7 +26,7 @@ fn run(model: LossModel, frames: u64, seed: u64) -> Vec<u64> {
 }
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig20_consecutive");
+    let _obs = lg_bench::obs::session("fig20_consecutive", &["--frames"]);
     banner(
         "Figure 20",
         "distribution of consecutive packets lost (1518B)",

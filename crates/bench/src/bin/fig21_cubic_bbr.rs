@@ -42,7 +42,7 @@ fn run_one(name: &str, speed: LinkSpeed, variant: CcVariant, total_ms: u64, seed
 }
 
 fn main() {
-    let _obs = lg_bench::obs::session("fig21_cubic_bbr");
+    let _obs = lg_bench::obs::session("fig21_cubic_bbr", &["--ms"]);
     banner("Figure 21", "CUBIC and BBR under the Fig 9 timeline");
     let total_ms = arg("--ms", const { NonZeroU64::new(60).unwrap() }).get();
     run_one("CUBIC", LinkSpeed::G25, CcVariant::Cubic, total_ms, 21);

@@ -10,7 +10,7 @@ use lg_sim::Rng;
 use std::num::NonZeroU64;
 
 fn main() {
-    let _obs = lg_bench::obs::session("table1_lossbuckets");
+    let _obs = lg_bench::obs::session("table1_lossbuckets", &["--samples", "--seed"]);
     banner(
         "Table 1",
         "corruption loss rates drawn by the trace generator",

@@ -14,7 +14,7 @@ use lg_testbed::{fct_config, fct_experiment, FctTransport, Protection};
 use lg_transport::CcVariant;
 
 fn main() {
-    let _obs = lg_bench::obs::session("table2_ablation");
+    let _obs = lg_bench::obs::session("table2_ablation", &["--trials", "--seed"]);
     banner(
         "Table 2",
         "top 1% FCT (us) for 24,387B DCTCP flows per LinkGuardian mechanism",

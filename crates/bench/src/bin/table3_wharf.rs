@@ -47,7 +47,7 @@ fn cubic_goodput(loss: LossModel, protection_lg: Option<bool>, ms: u64, seed: u6
 }
 
 fn main() {
-    let _obs = lg_bench::obs::session("table3_wharf");
+    let _obs = lg_bench::obs::session("table3_wharf", &["--ms"]);
     banner("Table 3", "TCP CUBIC goodput (Gb/s) on a 10G link");
     let ms = arg("--ms", const { NonZeroU64::new(80).unwrap() }).get();
     let model = WharfModel::table3();

@@ -8,7 +8,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_testbed::{stress_test, Protection};
 
 fn main() {
-    let _obs = lg_bench::obs::session("table4_recirc");
+    let _obs = lg_bench::obs::session("table4_recirc", &["--secs"]);
     banner(
         "Table 4",
         "recirculation overhead (% of pipe forwarding capacity)",

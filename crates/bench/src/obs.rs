@@ -21,6 +21,12 @@
 //!   (default 65536; raise it when an analysis pass needs the whole
 //!   packet trace of a long run, e.g. `obs_analyze` FCT attribution).
 //!
+//! Every binary also takes `--threads N` (suite-wide runs pass it to all
+//! of them; a binary without a parallel sweep ignores it). Any other
+//! `--option` that is not in the binary's own list given to [`session`]
+//! is refused before any work, with `error: unknown option --x` and
+//! exit status 2: a misspelt option must not run the default experiment.
+//!
 //! Any of the three output flags enables the sink; each written file
 //! starts with its own `meta` line naming the binary and the schema
 //! version (`schema/obs-schema.json`), followed by the matching sink
@@ -65,12 +71,43 @@ pub struct Session {
     guard_out: Option<PathBuf>,
 }
 
-/// Parse the shared observability flags and start a session. Call first
-/// thing in `main`; keep the returned guard alive for the whole run.
-pub fn session(bin: &'static str) -> Session {
+/// Options every binary takes besides its own.
+const SESSION_OPTIONS: [&str; 8] = [
+    "--metrics-out",
+    "--timeseries-out",
+    "--health-log",
+    "--guard-log",
+    "--trace",
+    "--trace-level",
+    "--trace-cap",
+    "--threads",
+];
+
+/// The first `--option` in `args` (program name excluded) that is
+/// neither a session option nor one of `options`.
+fn unknown_option<'a>(args: &'a [String], options: &[&str]) -> Option<&'a str> {
+    args.iter()
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && !SESSION_OPTIONS.contains(a) && !options.contains(a))
+}
+
+/// Refuse any `--option` that is neither a session option nor one of
+/// the binary's own `options` (stderr, exit 2), parse the shared
+/// observability flags and start a session. Call first thing in `main`;
+/// keep the returned guard alive for the whole run.
+pub fn session(bin: &'static str, options: &[&str]) -> Session {
     let args: Vec<String> = std::env::args().collect();
+    if let Some(bad) = unknown_option(&args[1..], options) {
+        eprintln!("error: unknown option {bad}");
+        std::process::exit(2);
+    }
+    start(bin, &args)
+}
+
+/// [`session`] over `args`, once its options are known to be valid.
+fn start(bin: &'static str, args: &[String]) -> Session {
     let path_arg = |flag: &str| -> Option<PathBuf> {
-        match crate::try_arg::<String>(&args, flag) {
+        match crate::try_arg::<String>(args, flag) {
             Ok(v) => v.map(PathBuf::from),
             Err(msg) => {
                 eprintln!("error: {msg}");
@@ -83,7 +120,7 @@ pub fn session(bin: &'static str) -> Session {
     let health_out = path_arg("--health-log");
     let guard_out = path_arg("--guard-log");
     GUARD.store(guard_out.is_some(), Ordering::Relaxed);
-    let level = match crate::try_arg::<String>(&args, "--trace-level") {
+    let level = match crate::try_arg::<String>(args, "--trace-level") {
         Ok(Some(s)) => match Level::parse(&s) {
             Some(l) => l,
             None => {
@@ -92,7 +129,7 @@ pub fn session(bin: &'static str) -> Session {
             }
         },
         Ok(None) => {
-            if crate::flag("--trace") {
+            if args.iter().any(|a| a == "--trace") {
                 Level::Pkt
             } else {
                 Level::Off
@@ -104,7 +141,7 @@ pub fn session(bin: &'static str) -> Session {
         }
     };
     lg_obs::trace::set_level(level);
-    match crate::try_arg::<usize>(&args, "--trace-cap") {
+    match crate::try_arg::<usize>(args, "--trace-cap") {
         Ok(Some(cap)) => {
             lg_obs::trace::set_ring_capacity(cap);
             TRACE_CAP.store(cap, Ordering::Relaxed);
@@ -377,11 +414,23 @@ mod tests {
     #[test]
     fn session_defaults_are_off() {
         let _sink = sink_lock();
-        // No flags in the test harness argv: level off, no sink.
-        let s = session("test_bin");
+        // No flags: level off, no sink.
+        let s = start("test_bin", &["test_bin".to_string()]);
         assert_eq!(lg_obs::trace::level(), Level::Off);
         assert!(!lg_obs::sink::metrics_enabled());
         drop(s);
+    }
+
+    #[test]
+    fn only_session_and_own_options_are_known() {
+        let argv =
+            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
+        let own = ["--days", "--guardd"];
+        let ok = argv(&["--days", "-1", "--guardd", "--threads", "1", "--trace", "x"]);
+        assert_eq!(unknown_option(&ok, &own), None);
+        let typo = argv(&["--days", "2", "--sampel-hours", "1", "--trails"]);
+        assert_eq!(unknown_option(&typo, &own), Some("--sampel-hours"));
+        assert_eq!(unknown_option(&argv(&["--guardd"]), &[]), Some("--guardd"));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! count does not fit `u32` (`PktFabric::new` panics on one), the
 //! stress binaries given a `--secs` that is not a positive duration, the
 //! fixed-size binaries given a zero size, the packet engine given zero
-//! pods or shards, and the analytic fabric given a zero sample interval.
+//! pods or shards, the analytic fabric given a zero sample interval, and
+//! any binary given an option it does not take.
 
 use std::process::Command;
 
@@ -149,4 +150,37 @@ fn zero_sample_interval_is_refused_with_exit_2() {
         stderr.contains("sample interval must be finite and > 0"),
         "{exe}: {stderr}"
     );
+}
+
+/// A misspelt option used to be ignored: `fig16_fabric_year
+/// --sampel-hours 1` printed the 4-hour-sample figure and exited 0, and
+/// `fig11_fct_24kb --trails 5` ran every default trial. Each binary now
+/// refuses any option outside its own list before doing any work.
+#[test]
+fn unknown_options_are_refused_before_any_work() {
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_fig16_fabric_year"),
+            &["--sampel-hours", "1"][..],
+        ),
+        (env!("CARGO_BIN_EXE_fig11_fct_24kb"), &["--trails", "5"]),
+        (
+            env!("CARGO_BIN_EXE_ext_fabric_pkt"),
+            &["--pods", "1", "--shard", "2"],
+        ),
+    ] {
+        let out = Command::new(exe).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+        let bad = args
+            .iter()
+            .rev()
+            .find(|a| a.starts_with("--"))
+            .expect("an option");
+        assert_eq!(stderr, format!("error: unknown option {bad}\n"), "{exe}");
+        assert!(
+            out.stdout.is_empty(),
+            "{exe} {args:?} printed before refusing"
+        );
+    }
 }
