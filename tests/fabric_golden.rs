@@ -6,9 +6,10 @@
 //! incremental per pod (the two budget-bound runs: before the health
 //! roll-up, penalty sum and guardian pass were made to cost what
 //! changed; the paper-scale runs: before capacity sums and first
-//! failure draws were made to cost only the non-nominal links). An optimisation of `sim`/`corropt`/`topology`
-//! must leave every digest as it is; a deliberate model change records
-//! new ones (the failure message prints the full table).
+//! failure draws were made to cost only the non-nominal links). An
+//! optimisation of `sim`/`corropt`/`topology` must leave every digest
+//! as it is; a deliberate model change records new ones (the failure
+//! message prints the full table).
 
 use lg_fabric::{run, FabricSimConfig, FabricSimResult, Policy};
 use lg_guardd::GuardConfig;
