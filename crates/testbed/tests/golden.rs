@@ -292,15 +292,51 @@ fn three_hop_chain_rdma_matches_fixture() {
         },
     );
     cfg.seed = 13;
+    check_fixture("golden_chain.txt", &chain_dump(cfg));
+}
+
+/// Run a chain to completion: final clock, transport retransmissions,
+/// summed recoveries and timeouts, then every FCT sample.
+fn chain_dump(cfg: ChainConfig) -> String {
     let mut w = ChainWorld::new(cfg);
     w.run_to_completion();
-    let dump = format!(
+    format!(
         "end now={} e2e_retx={} recovered={} lg_timeouts={}\n{}",
         w.q.now().as_ps(),
         w.e2e_retx,
         w.total_recovered(),
         w.total_lg_timeouts(),
         encode(w.fct.samples_us())
+    )
+}
+
+/// A 4-switch chain under DCTCP with every kind of hop: a corrupting
+/// hop left bare (its losses reach the transport), a corrupting hop
+/// under LinkGuardian, and a clean bare hop. Unprotected hops sit on
+/// both sides of the protected one, so its sender and receiver share
+/// their switches with ports that carry no LinkGuardian state.
+#[test]
+fn mixed_protection_chain_dctcp_matches_fixture() {
+    let mut cfg = ChainConfig::protected_chain(
+        LinkSpeed::G100,
+        vec![
+            LossModel::Iid { rate: 5e-3 },
+            LossModel::Iid { rate: 1e-2 },
+            LossModel::None,
+        ],
+        ChainApp::TcpTrials {
+            variant: CcVariant::Dctcp,
+            msg_len: 24_387,
+            trials: 300,
+        },
     );
-    check_fixture("golden_chain.txt", &dump);
+    cfg.protected = vec![false, true, false];
+    cfg.seed = 15;
+    let dump = chain_dump(cfg);
+    let head = dump.lines().next().expect("summary line");
+    assert!(
+        !head.contains(" e2e_retx=0 ") && !head.contains(" recovered=0 "),
+        "the fixture must exercise both transport and link-local recovery: {head}"
+    );
+    check_fixture("golden_chain_mixed.txt", &dump);
 }

@@ -85,3 +85,83 @@ fn chain_world_clean_path_baseline() {
     // 3 switches: RTT slightly above the 2-switch testbed's ~62 us FCT
     assert!(p999 < 120.0, "p99.9 {p999}");
 }
+
+/// A one-link chain is the two-switch testbed: the same switches, link
+/// streams and LinkGuardian pair (an unprotected hop is the testbed's
+/// `lg: None`, an inactive pair), so the two loops must agree bit for
+/// bit on every trial — FCT samples, transport retransmissions,
+/// link-local recoveries and timeouts, and the final clock.
+#[test]
+fn one_hop_chain_is_the_world() {
+    use lg_sim::Duration;
+    use lg_testbed::{App, World, WorldConfig};
+
+    const TRIALS: u32 = 200;
+    const MSG_LEN: u32 = 24_387;
+    let speed = LinkSpeed::G100;
+    for rdma in [false, true] {
+        for protected in [false, true] {
+            for loss in [LossModel::Iid { rate: 1e-2 }, LossModel::None] {
+                for seed in [1, 7] {
+                    let (chain_app, app) = if rdma {
+                        (
+                            ChainApp::RdmaTrials {
+                                msg_len: MSG_LEN,
+                                trials: TRIALS,
+                            },
+                            App::RdmaTrials {
+                                msg_len: MSG_LEN,
+                                trials: TRIALS,
+                                gap: Duration::from_us(10),
+                                selective_repeat: false,
+                            },
+                        )
+                    } else {
+                        (
+                            ChainApp::TcpTrials {
+                                variant: CcVariant::Dctcp,
+                                msg_len: MSG_LEN,
+                                trials: TRIALS,
+                            },
+                            App::TcpTrials {
+                                variant: CcVariant::Dctcp,
+                                msg_len: MSG_LEN,
+                                trials: TRIALS,
+                                gap: Duration::from_us(10),
+                            },
+                        )
+                    };
+                    let mut ccfg =
+                        ChainConfig::protected_chain(speed, vec![loss.clone()], chain_app);
+                    ccfg.protected = vec![protected];
+                    ccfg.seed = seed;
+                    let mut chain = ChainWorld::new(ccfg);
+                    chain.run_to_completion();
+
+                    let mut wcfg = WorldConfig::new(speed, loss.clone());
+                    if !protected {
+                        wcfg.lg = None;
+                    }
+                    wcfg.app = app;
+                    wcfg.seed = seed;
+                    let mut world = World::new(wcfg);
+                    world.run_to_completion();
+
+                    let case = format!("rdma={rdma} protected={protected} {loss:?} seed={seed}");
+                    let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(chain.fct.len() as u32, TRIALS, "{case}");
+                    assert_eq!(
+                        bits(chain.fct.samples_us()),
+                        bits(world.out.fct.samples_us()),
+                        "{case}: FCT samples"
+                    );
+                    assert_eq!(chain.e2e_retx, world.out.e2e_retx_total, "{case}");
+                    let rx = world.lg_rx.stats();
+                    assert_eq!(chain.total_recovered(), rx.recovered, "{case}");
+                    assert_eq!(chain.total_lg_timeouts(), rx.timeouts, "{case}");
+                    assert_eq!(chain.q.now(), world.q.now(), "{case}: final clock");
+                }
+            }
+        }
+    }
+}
