@@ -13,11 +13,13 @@
 //! optical hardware; here we can.
 //!
 //! This module reuses every state machine from the two-switch
-//! [`crate::world`] but generalizes the event loop to `N` hops. Only the
-//! forward direction is protected (like the main testbed); reverse
-//! traffic carries ACKs and LinkGuardian control.
+//! [`crate::world`], and the same LinkGuardian port rules
+//! ([`crate::port`]), over `N` hops. Only the forward direction is
+//! protected (like the main testbed); reverse traffic carries ACKs and
+//! LinkGuardian control.
 
-use crate::host::{Host, DUMMY_REFRESH, HOST_HOP};
+use crate::host::{Host, HOST_HOP};
+use crate::port::{self, LgPort, PortEv, PortLoop, PortScratch};
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
 use lg_packet::{FlowId, NodeId, Packet, PacketPool, Payload, PktId};
 use lg_sim::{Duration, EventQueue, Rng, Time};
@@ -26,7 +28,7 @@ use lg_transport::{
     CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
 };
 use lg_workload::FctCollector;
-use linkguardian::{LgConfig, LgReceiver, LgSender, ReceiverAction, SenderAction};
+use linkguardian::{LgConfig, LgReceiver, LgSender};
 
 /// Toward host0 (decreasing switch index).
 pub const PORT_LEFT: PortId = 0;
@@ -86,34 +88,36 @@ pub enum CEv {
     },
     /// LinkGuardian receiver ackNoTimeout on hop `hop`.
     LgTimeout {
-        /// Protected hop index.
+        /// Hop index.
         hop: usize,
         /// Stall generation.
         generation: u64,
     },
     /// Backpressure timer-packet evaluation on hop `hop`.
     LgBpTimer {
-        /// Protected hop index.
+        /// Hop index.
         hop: usize,
     },
     /// PFC pause/resume applies at hop `hop`'s sender queue.
     PauseApply {
-        /// Protected hop index.
+        /// Hop index.
         hop: usize,
         /// Pause or resume.
         pause: bool,
     },
     /// Dummy keepalive for hop `hop`.
     DummyRefresh {
-        /// Protected hop index.
+        /// Hop index.
         hop: usize,
     },
     /// Start the next trial.
     TrialStart,
 }
 
-/// One protected hop: LinkGuardian pair guarding `links[hop]`'s forward
-/// direction (sender on switch `hop`, receiver on switch `hop + 1`).
+/// The LinkGuardian pair of `links[hop]`'s forward direction: sender
+/// on switch `hop`'s right port, receiver on switch `hop + 1`'s left
+/// port. An unprotected hop's pair is never activated, and an inactive
+/// pair passes every frame through (the testbed's `lg: None`).
 struct Hop {
     lg_tx: LgSender,
     lg_rx: LgReceiver,
@@ -192,7 +196,7 @@ pub struct ChainWorld {
     switches: Vec<Switch>,
     /// links[i].0 = forward (sw i → sw i+1), links[i].1 = reverse.
     links: Vec<(LinkDirection, LinkDirection)>,
-    hops: Vec<Option<Hop>>,
+    hops: Vec<Hop>,
     /// The edge switches' host-facing ports (index = host), computed
     /// like the NICs rather than simulated (DESIGN.md §19).
     host_ports: [SerialLink; 2],
@@ -205,9 +209,7 @@ pub struct ChainWorld {
     pub pool: PacketPool,
     trials_remaining: u32,
     next_flow: u64,
-    rx_scratch: Vec<ReceiverAction>,
-    tx_scratch: Vec<SenderAction>,
-    filler_scratch: Vec<PktId>,
+    lg_scratch: PortScratch,
     transport_scratch: Vec<TransportAction>,
 }
 
@@ -239,11 +241,8 @@ impl ChainWorld {
                 )
             })
             .collect();
-        let hops: Vec<Option<Hop>> = (0..n_links)
+        let hops: Vec<Hop> = (0..n_links)
             .map(|i| {
-                if !cfg.protected[i] {
-                    return None;
-                }
                 let actual = cfg.losses[i].mean_rate().max(1e-9);
                 let lg_cfg = LgConfig::for_speed(cfg.speed, actual);
                 // distinct synthetic addresses per hop
@@ -251,13 +250,15 @@ impl ChainWorld {
                 let b = NodeId(101 + 2 * i as u32);
                 let mut lg_tx = LgSender::new(lg_cfg.clone(), a, b);
                 let mut lg_rx = LgReceiver::new(lg_cfg, b, a);
-                lg_tx.activate(actual);
-                lg_rx.activate();
-                Some(Hop {
+                if cfg.protected[i] {
+                    lg_tx.activate(actual);
+                    lg_rx.activate();
+                }
+                Hop {
                     lg_tx,
                     lg_rx,
                     dummy_refresh_armed: false,
-                })
+                }
             })
             .collect();
 
@@ -279,9 +280,7 @@ impl ChainWorld {
             pool: PacketPool::new(),
             trials_remaining,
             next_flow: 1,
-            rx_scratch: Vec::new(),
-            tx_scratch: Vec::new(),
-            filler_scratch: Vec::new(),
+            lg_scratch: PortScratch::default(),
             transport_scratch: Vec::new(),
         }
     }
@@ -293,20 +292,12 @@ impl ChainWorld {
 
     /// Sum of LinkGuardian recoveries across hops.
     pub fn total_recovered(&self) -> u64 {
-        self.hops
-            .iter()
-            .flatten()
-            .map(|h| h.lg_rx.stats().recovered)
-            .sum()
+        self.hops.iter().map(|h| h.lg_rx.stats().recovered).sum()
     }
 
     /// Sum of receiver timeouts across hops.
     pub fn total_lg_timeouts(&self) -> u64 {
-        self.hops
-            .iter()
-            .flatten()
-            .map(|h| h.lg_rx.stats().timeouts)
-            .sum()
+        self.hops.iter().map(|h| h.lg_rx.stats().timeouts).sum()
     }
 
     /// Earliest pending timestamp, or `None` when the chain is idle.
@@ -340,18 +331,14 @@ impl ChainWorld {
                 port,
                 class,
                 id,
-            } => {
-                self.switches[sw].enqueue(port, class, id, &mut self.pool);
-                self.kick_port(sw, port);
-            }
+            } => port::fire(self, (sw, port), PortEv::Enqueue { class, id }, now),
             CEv::PortTxDone { sw, port, id } => {
-                let flen = self.pool.get(id).frame_len();
-                self.switches[sw].port_mut(port).busy = false;
-                self.switches[sw].tx_complete(port, flen);
-                self.deliver_from_port(sw, port, id);
-                self.kick_port(sw, port);
+                port::fire(self, (sw, port), PortEv::TxDone(id), now)
             }
-            CEv::WireArrive { sw, from_right, id } => self.on_wire_arrive(sw, from_right, id, now),
+            CEv::WireArrive { sw, from_right, id } => {
+                let port = if from_right { PORT_RIGHT } else { PORT_LEFT };
+                port::ingress(self, (sw, port), id, now)
+            }
             CEv::HostArrive { host, id } => self.on_host_arrive(host, id, now),
             CEv::HostWake { host } => {
                 let mut actions = std::mem::take(&mut self.transport_scratch);
@@ -364,119 +351,17 @@ impl ChainWorld {
                 self.transport_scratch = actions;
             }
             CEv::LgTimeout { hop, generation } => {
-                let mut actions = std::mem::take(&mut self.rx_scratch);
-                if let Some(h) = self.hops[hop].as_mut() {
-                    h.lg_rx
-                        .on_timeout(generation, now, &mut self.pool, &mut actions);
-                }
-                self.apply_receiver_actions(hop, &actions, now);
-                actions.clear();
-                self.rx_scratch = actions;
+                port::fire(self, (hop + 1, PORT_LEFT), PortEv::Timeout(generation), now)
             }
-            CEv::LgBpTimer { hop } => {
-                let mut actions = std::mem::take(&mut self.rx_scratch);
-                if let Some(h) = self.hops[hop].as_mut() {
-                    h.lg_rx.on_bp_timer(now, &mut self.pool, &mut actions);
-                }
-                self.apply_receiver_actions(hop, &actions, now);
-                actions.clear();
-                self.rx_scratch = actions;
-            }
+            CEv::LgBpTimer { hop } => port::fire(self, (hop + 1, PORT_LEFT), PortEv::BpTimer, now),
             CEv::PauseApply { hop, pause } => {
-                self.switches[hop]
-                    .port_mut(PORT_RIGHT)
-                    .set_paused(Class::Normal, pause);
-                self.kick_port(hop, PORT_RIGHT);
+                port::fire(self, (hop, PORT_RIGHT), PortEv::Pause(pause), now)
             }
             CEv::DummyRefresh { hop } => {
-                if let Some(h) = self.hops[hop].as_mut() {
-                    h.dummy_refresh_armed = false;
-                }
-                self.kick_port(hop, PORT_RIGHT);
+                port::fire(self, (hop, PORT_RIGHT), PortEv::DummyRefresh, now)
             }
             CEv::TrialStart => self.start_trial(now),
         }
-    }
-
-    /// The protected hop whose sender sits on (sw, PORT_RIGHT), if any.
-    fn hop_for_tx(&self, sw: usize, port: PortId) -> Option<usize> {
-        (port == PORT_RIGHT && sw < self.hops.len() && self.hops[sw].is_some()).then_some(sw)
-    }
-
-    /// The protected hop whose receiver piggybacks ACKs on (sw, PORT_LEFT):
-    /// hop `sw - 1` (reverse traffic toward that hop's sender).
-    fn hop_for_rx_egress(&self, sw: usize, port: PortId) -> Option<usize> {
-        if port != PORT_LEFT || sw == 0 {
-            return None;
-        }
-        let hop = sw - 1;
-        self.hops[hop].is_some().then_some(hop)
-    }
-
-    fn kick_port(&mut self, sw: usize, port: PortId) {
-        let now = self.q.now();
-        if self.switches[sw].port(port).busy {
-            return;
-        }
-        let mut next = self.switches[sw].dequeue(port);
-        if next.is_none() {
-            // idle fillers
-            if let Some(hop) = self.hop_for_tx(sw, port) {
-                let mut filler = std::mem::take(&mut self.filler_scratch);
-                let h = self.hops[hop].as_mut().expect("protected");
-                h.lg_tx.make_dummies(now, &mut self.pool, &mut filler);
-                let got = !filler.is_empty();
-                for d in filler.drain(..) {
-                    self.switches[sw].enqueue(port, Class::Low, d, &mut self.pool);
-                }
-                self.filler_scratch = filler;
-                let h = self.hops[hop].as_mut().expect("protected");
-                if h.lg_tx.has_unacked()
-                    && h.lg_tx.config().dummy_copies > 0
-                    && !h.dummy_refresh_armed
-                {
-                    h.dummy_refresh_armed = true;
-                    self.q
-                        .schedule_after(DUMMY_REFRESH, CEv::DummyRefresh { hop });
-                }
-                if got {
-                    next = self.switches[sw].dequeue(port);
-                }
-            } else if let Some(hop) = self.hop_for_rx_egress(sw, port) {
-                let mut filler = std::mem::take(&mut self.filler_scratch);
-                let h = self.hops[hop].as_mut().expect("protected");
-                h.lg_rx.make_explicit_acks(now, &mut self.pool, &mut filler);
-                let got = !filler.is_empty();
-                for a in filler.drain(..) {
-                    self.switches[sw].enqueue(port, Class::Low, a, &mut self.pool);
-                }
-                self.filler_scratch = filler;
-                if got {
-                    next = self.switches[sw].dequeue(port);
-                }
-            }
-        }
-        let Some((_class, mut id)) = next else {
-            return;
-        };
-        if let Some(hop) = self.hop_for_tx(sw, port) {
-            id = self.hops[hop]
-                .as_mut()
-                .expect("protected")
-                .lg_tx
-                .on_transmit(id, now, &mut self.pool);
-        } else if let Some(hop) = self.hop_for_rx_egress(sw, port) {
-            if self.pool.get(id).lg_ack.is_none() {
-                id = self.hops[hop]
-                    .as_mut()
-                    .expect("protected")
-                    .lg_rx
-                    .stamp_ack(id, &mut self.pool);
-            }
-        }
-        self.switches[sw].port_mut(port).busy = true;
-        let ser = self.cfg.speed.serialize(self.pool.get(id).wire_len());
-        self.q.schedule_after(ser, CEv::PortTxDone { sw, port, id });
     }
 
     fn deliver_from_port(&mut self, sw: usize, port: PortId, id: PktId) {
@@ -524,99 +409,6 @@ impl ChainWorld {
         if let Some(done) = link.enqueue(now, arrive, ser, id, &mut self.pool, counters) {
             let at = done + HOST_HOP;
             self.q.schedule_at(at, CEv::HostArrive { host, id });
-        }
-    }
-
-    fn on_wire_arrive(&mut self, sw: usize, from_right: bool, id: PktId, now: Time) {
-        let flen = self.pool.get(id).frame_len();
-        if !from_right {
-            // forward arrival over link (sw-1 → sw): hop sw-1's receiver
-            self.switches[sw].rx_ok(PORT_LEFT, flen);
-            let hop = sw - 1;
-            if self.hops[hop].is_some() {
-                let mut actions = std::mem::take(&mut self.rx_scratch);
-                if let Some(h) = self.hops[hop].as_mut() {
-                    h.lg_rx
-                        .on_protected_rx(id, now, &mut self.pool, &mut actions);
-                }
-                self.apply_receiver_actions(hop, &actions, now);
-                actions.clear();
-                self.rx_scratch = actions;
-            } else {
-                // unprotected hop: plain forwarding
-                self.forward(sw, PORT_RIGHT, id, now);
-            }
-        } else {
-            // reverse arrival over link (sw+1 → sw): hop sw's sender
-            self.switches[sw].rx_ok(PORT_RIGHT, flen);
-            let hop = sw;
-            if self.hops[hop].is_some() {
-                let mut actions = std::mem::take(&mut self.tx_scratch);
-                let fwd = self.hops[hop]
-                    .as_mut()
-                    .expect("protected")
-                    .lg_tx
-                    .on_reverse_rx(id, now, &mut self.pool, &mut actions);
-                if let Some(p) = fwd {
-                    self.forward(sw, PORT_LEFT, p, now);
-                }
-                self.apply_sender_actions(hop, &actions);
-                actions.clear();
-                self.tx_scratch = actions;
-            } else {
-                self.forward(sw, PORT_LEFT, id, now);
-            }
-        }
-    }
-
-    fn apply_receiver_actions(&mut self, hop: usize, actions: &[ReceiverAction], now: Time) {
-        // the receiver of hop `hop` lives on switch hop+1
-        let sw = hop + 1;
-        for &a in actions {
-            match a {
-                ReceiverAction::Deliver(id) => self.forward(sw, PORT_RIGHT, id, now),
-                ReceiverAction::SendReverse { id, class } => {
-                    self.switches[sw].enqueue(PORT_LEFT, class, id, &mut self.pool);
-                }
-                ReceiverAction::ArmTimeout {
-                    deadline,
-                    generation,
-                } => {
-                    self.q.schedule_at(
-                        deadline.max(self.q.now()),
-                        CEv::LgTimeout { hop, generation },
-                    );
-                }
-                ReceiverAction::ArmBpTimer { at } => {
-                    self.q
-                        .schedule_at(at.max(self.q.now()), CEv::LgBpTimer { hop });
-                }
-            }
-        }
-        self.kick_port(sw, PORT_LEFT);
-    }
-
-    fn apply_sender_actions(&mut self, hop: usize, actions: &[SenderAction]) {
-        let sw = hop; // sender lives on switch `hop`
-        let pipeline = self.switches[sw].pipeline_latency;
-        for &a in actions {
-            match a {
-                SenderAction::Emit { id, class, delay } => {
-                    self.q.schedule_after(
-                        delay + pipeline,
-                        CEv::PortEnqueue {
-                            sw,
-                            port: PORT_RIGHT,
-                            class,
-                            id,
-                        },
-                    );
-                }
-                SenderAction::PauseNormal(pause) => {
-                    self.q
-                        .schedule_after(Duration::from_ns(1_100), CEv::PauseApply { hop, pause });
-                }
-            }
         }
     }
 
@@ -721,6 +513,71 @@ impl ChainWorld {
             let at = self.q.now() + Duration::from_us(10);
             self.q.schedule_at(at, CEv::TrialStart);
         }
+    }
+}
+
+/// The chain's topology for the port rules: a port is `(switch, side)`;
+/// hop `i`'s sender sits on `(i, PORT_RIGHT)`, its receiver on
+/// `(i + 1, PORT_LEFT)`, and a frame leaves by the port opposite the
+/// one it arrived through.
+impl PortLoop for ChainWorld {
+    type Port = (usize, PortId);
+
+    fn lg_port(&mut self, (sw, port): (usize, PortId)) -> LgPort<'_> {
+        let (tx, rx) = match port {
+            PORT_RIGHT => {
+                let h = &mut self.hops[sw];
+                (Some((&mut h.lg_tx, &mut h.dummy_refresh_armed)), None)
+            }
+            _ => (None, Some(&mut self.hops[sw - 1].lg_rx)),
+        };
+        LgPort {
+            sw: &mut self.switches[sw],
+            port,
+            tx,
+            rx,
+            tx_first: true,
+            speed: self.cfg.speed,
+            pool: &mut self.pool,
+        }
+    }
+
+    fn scratch(&mut self) -> &mut PortScratch {
+        &mut self.lg_scratch
+    }
+
+    fn route(&mut self, (sw, from): (usize, PortId), id: PktId, now: Time) {
+        let out = if from == PORT_LEFT {
+            PORT_RIGHT
+        } else {
+            PORT_LEFT
+        };
+        self.forward(sw, out, id, now);
+    }
+
+    fn depart(&mut self, (sw, port): (usize, PortId), id: PktId, _now: Time) {
+        self.deliver_from_port(sw, port, id);
+    }
+
+    fn schedule(&mut self, t: Time, (sw, port): (usize, PortId), ev: PortEv) {
+        // a receiver's hop is the link to its left, a sender's to its right
+        let ev = match ev {
+            PortEv::Enqueue { class, id } => CEv::PortEnqueue {
+                sw,
+                port,
+                class,
+                id,
+            },
+            PortEv::TxDone(id) => CEv::PortTxDone { sw, port, id },
+            PortEv::Timeout(generation) => CEv::LgTimeout {
+                hop: sw - 1,
+                generation,
+            },
+            PortEv::BpTimer => CEv::LgBpTimer { hop: sw - 1 },
+            PortEv::Pause(pause) => CEv::PauseApply { hop: sw, pause },
+            PortEv::DummyRefresh => CEv::DummyRefresh { hop: sw },
+        };
+        self.q.schedule_at(t, ev);
     }
 }
 

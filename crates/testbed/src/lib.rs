@@ -16,6 +16,7 @@
 pub mod chain;
 pub mod experiments;
 mod host;
+mod port;
 pub mod world;
 
 pub use chain::{ChainApp, ChainConfig, ChainWorld};

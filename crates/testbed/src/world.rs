@@ -29,10 +29,10 @@ use lg_transport::{
     CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
 };
 use lg_workload::FctCollector;
-use linkguardian::{LgConfig, LgReceiver, LgSender, ReceiverAction, SenderAction};
+use linkguardian::{LgConfig, LgReceiver, LgSender};
 
-use crate::host::DUMMY_REFRESH;
 pub use crate::host::{Host, HOST_HOP};
+use crate::port::{self, LgPort, PortEv, PortLoop, PortScratch};
 
 /// Which switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,15 +41,6 @@ pub enum Side {
     Tx,
     /// The LinkGuardian receiver switch (downstream).
     Rx,
-}
-
-/// Which LinkGuardian instance, named by its protected direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LgInstance {
-    /// The forward instance: sender at the Tx switch (the outer tunnel).
-    Forward,
-    /// The reverse instance (bidirectional mode): sender at the Rx switch.
-    Reverse,
 }
 
 /// Port 0 of each switch faces the protected link; port 1 faces its host.
@@ -74,32 +65,28 @@ pub const SW_RX: NodeId = NodeId(101);
 /// timer-wheel entries stay cache-compact.
 #[derive(Debug)]
 pub enum Ev {
-    /// A packet enters a switch egress queue (after pipeline traversal).
+    /// A packet enters a switch's link-port egress queue (after
+    /// pipeline traversal).
     PortEnqueue {
         /// Which switch.
         side: Side,
-        /// Egress port.
-        port: PortId,
         /// Traffic class.
         class: Class,
         /// The packet.
         id: PktId,
     },
-    /// A frame finished serializing out of a port.
+    /// A frame finished serializing out of a switch's link port.
     PortTxDone {
         /// Which switch.
         side: Side,
-        /// Egress port.
-        port: PortId,
         /// The frame that completed.
         id: PktId,
     },
-    /// A frame fully arrived at a switch from a wire.
+    /// A frame fully arrived at a switch over the link (the host links
+    /// are computed and deliver straight to hosts).
     WireArrive {
         /// The switch it arrived at.
         side: Side,
-        /// True if it came over the protected (forward or reverse) link.
-        from_link: bool,
         /// The frame.
         id: PktId,
     },
@@ -119,26 +106,26 @@ pub enum Ev {
     LgTimeout {
         /// Stall generation.
         generation: u64,
-        /// Which instance's receiver.
-        instance: LgInstance,
+        /// The switch hosting the receiver (Rx: forward, Tx: reverse).
+        side: Side,
     },
     /// Timer-packet evaluation of the backpressure state while paused.
     LgBpTimer {
-        /// Which instance's receiver.
-        instance: LgInstance,
+        /// The switch hosting the receiver.
+        side: Side,
     },
     /// PFC pause/resume takes effect at the sender's normal queue.
     PauseApply {
         /// Pause or resume.
         pause: bool,
-        /// Which instance's sender (Forward → Tx switch, Reverse → Rx).
-        instance: LgInstance,
+        /// The switch hosting the sender (Tx: forward, Rx: reverse).
+        side: Side,
     },
     /// Re-offer a dummy while data is unACKed (paced stand-in for the
     /// continuously self-replenishing dummy queue).
     DummyRefresh {
-        /// Which instance's sender.
-        instance: LgInstance,
+        /// The switch hosting the sender.
+        side: Side,
     },
     /// Activate LinkGuardian on the corrupting link.
     ActivateLg,
@@ -470,28 +457,16 @@ pub struct World {
     stress_seq: u64,
     next_flow: u64,
     trials_remaining: u32,
+    /// A dummy refresh is pending for the sender at each side's link port.
     dummy_refresh_armed: [bool; 2],
     e2e_retx_window: u64,
     /// Payload bytes host1 received in the open probe window, and at
     /// its closing instant before `Ev::Sample` closed it: the windows
     /// are `[start, end)`, so those belong to the next row.
     goodput_bytes: [u64; 2],
-    // Reusable action buffers (std::mem::take'd around each use) so the
-    // steady-state event loop performs no per-packet allocation.
-    rx_scratch: Vec<ReceiverAction>,
-    tx_scratch: Vec<SenderAction>,
-    filler_scratch: Vec<PktId>,
+    lg_scratch: PortScratch,
+    // Reused around each transport call, like `lg_scratch`.
     transport_scratch: Vec<TransportAction>,
-}
-
-/// Trace instance label for a switch port: `side * 2 + port`
-/// (`0`/`1` = Tx switch link/host port, `2`/`3` = Rx switch).
-fn port_inst(side: Side, port: PortId) -> u16 {
-    let s = match side {
-        Side::Tx => 0u16,
-        Side::Rx => 1u16,
-    };
-    s * 2 + port as u16
 }
 
 impl World {
@@ -594,9 +569,7 @@ impl World {
             dummy_refresh_armed: [false; 2],
             e2e_retx_window: 0,
             goodput_bytes: [0; 2],
-            rx_scratch: Vec::new(),
-            tx_scratch: Vec::new(),
-            filler_scratch: Vec::new(),
+            lg_scratch: PortScratch::default(),
             transport_scratch: Vec::new(),
         }
     }
@@ -607,7 +580,7 @@ impl World {
     pub fn enable_stress(&mut self, frame_len: u32) {
         self.stress = Some(frame_len);
         self.refill_stress();
-        self.kick_port(Side::Tx, PORT_LINK);
+        port::kick(self, Side::Tx, self.q.now());
     }
 
     fn refill_stress(&mut self) {
@@ -769,53 +742,11 @@ impl World {
 
     fn handle(&mut self, ev: Ev, now: Time) {
         match ev {
-            Ev::PortEnqueue {
-                side,
-                port,
-                class,
-                id,
-            } => {
-                let (sw, pool) = self.sw_pool(side);
-                sw.enqueue(port, class, id, pool);
-                self.kick_port(side, port);
+            Ev::PortEnqueue { side, class, id } => {
+                port::fire(self, side, PortEv::Enqueue { class, id }, now)
             }
-            Ev::PortTxDone { side, port, id } => {
-                let pkt = self.pool.get(id);
-                let flen = pkt.frame_len();
-                lg_trace!(
-                    Level::Pkt,
-                    Comp::Port,
-                    Kind::TxDone,
-                    port_inst(side, port),
-                    now.as_ps(),
-                    pkt.uid,
-                    pkt.lg_data.map_or(0, |d| d.seq.raw() as u64),
-                    id.index()
-                );
-                let lg_retx = pkt
-                    .lg_data
-                    .is_some_and(|d| d.kind == LgPacketType::Retransmit);
-                let pause = matches!(pkt.payload, Payload::Lg(LgControl::Pause(_)));
-                debug_assert_eq!(port, PORT_LINK, "host-facing ports are computed");
-                self.switch_mut(side).port_mut(port).busy = false;
-                self.switch_mut(side).tx_complete(port, flen);
-                if lg_retx {
-                    self.switch_mut(side).note_lg_retx(port);
-                }
-                if pause {
-                    self.switch_mut(side).note_pause_tx(port);
-                }
-                self.deliver_from_port(side, id, now);
-                if side == Side::Tx {
-                    self.refill_stress();
-                }
-                self.kick_port(side, port);
-            }
-            Ev::WireArrive {
-                side,
-                from_link,
-                id,
-            } => self.on_wire_arrive(side, from_link, id, now),
+            Ev::PortTxDone { side, id } => port::fire(self, side, PortEv::TxDone(id), now),
+            Ev::WireArrive { side, id } => self.on_wire_arrive(side, id, now),
             Ev::HostArrive { host, id } => self.on_host_arrive(host, id, now),
             Ev::HostWake { host } => {
                 let mut actions = std::mem::take(&mut self.transport_scratch);
@@ -827,70 +758,24 @@ impl World {
                 }
                 self.transport_scratch = actions;
             }
-            Ev::LgTimeout {
-                generation,
-                instance,
-            } => {
-                let mut actions = std::mem::take(&mut self.rx_scratch);
-                match instance {
-                    LgInstance::Forward => {
-                        self.lg_rx
-                            .on_timeout(generation, now, &mut self.pool, &mut actions)
-                    }
-                    LgInstance::Reverse => {
-                        if let Some(r) = self.lg2_rx.as_mut() {
-                            r.on_timeout(generation, now, &mut self.pool, &mut actions);
-                        }
-                    }
-                }
-                self.apply_receiver_actions(&actions, instance, now);
-                actions.clear();
-                self.rx_scratch = actions;
+            Ev::LgTimeout { generation, side } => {
+                port::fire(self, side, PortEv::Timeout(generation), now)
             }
-            Ev::LgBpTimer { instance } => {
-                let mut actions = std::mem::take(&mut self.rx_scratch);
-                match instance {
-                    LgInstance::Forward => {
-                        self.lg_rx.on_bp_timer(now, &mut self.pool, &mut actions)
-                    }
-                    LgInstance::Reverse => {
-                        if let Some(r) = self.lg2_rx.as_mut() {
-                            r.on_bp_timer(now, &mut self.pool, &mut actions);
-                        }
-                    }
-                }
-                self.apply_receiver_actions(&actions, instance, now);
-                actions.clear();
-                self.rx_scratch = actions;
-            }
-            Ev::PauseApply { pause, instance } => {
-                let side = match instance {
-                    LgInstance::Forward => Side::Tx,
-                    LgInstance::Reverse => Side::Rx,
-                };
+            Ev::LgBpTimer { side } => port::fire(self, side, PortEv::BpTimer, now),
+            Ev::PauseApply { pause, side } => {
                 lg_trace!(
                     Level::Ctl,
                     Comp::Port,
                     Kind::PauseApply,
-                    instance as u16,
+                    side as u16,
                     now.as_ps(),
                     0u64,
                     0u64,
                     pause as u32
                 );
-                self.switch_mut(side)
-                    .port_mut(PORT_LINK)
-                    .set_paused(Class::Normal, pause);
-                self.kick_port(side, PORT_LINK);
+                port::fire(self, side, PortEv::Pause(pause), now);
             }
-            Ev::DummyRefresh { instance } => {
-                let side = match instance {
-                    LgInstance::Forward => Side::Tx,
-                    LgInstance::Reverse => Side::Rx,
-                };
-                self.dummy_refresh_armed[instance as usize] = false;
-                self.kick_port(side, PORT_LINK);
-            }
+            Ev::DummyRefresh { side } => port::fire(self, side, PortEv::DummyRefresh, now),
             Ev::ActivateLg => {
                 // Activation by explicit schedule sizes Eq. 2 from the
                 // loss-model parameter; the monitoring plane
@@ -905,8 +790,8 @@ impl World {
                 if let Some(r) = self.lg2_rx.as_mut() {
                     r.activate();
                 }
-                self.kick_port(Side::Tx, PORT_LINK);
-                self.kick_port(Side::Rx, PORT_LINK);
+                port::kick(self, Side::Tx, now);
+                port::kick(self, Side::Rx, now);
             }
             Ev::SetLoss(model) => {
                 self.fwd_link.set_loss_model(*model);
@@ -923,111 +808,10 @@ impl World {
         }
     }
 
-    /// Disjoint borrows of one switch and the packet pool.
-    fn sw_pool(&mut self, side: Side) -> (&mut Switch, &mut PacketPool) {
-        match side {
-            Side::Tx => (&mut self.sw_tx, &mut self.pool),
-            Side::Rx => (&mut self.sw_rx, &mut self.pool),
-        }
-    }
-
-    // -------------------------------------------------------- port service
-
-    /// Start serializing the next eligible frame on a port, engaging the
-    /// idle fillers (dummy / explicit-ACK queues) when the port runs dry.
-    fn kick_port(&mut self, side: Side, port: PortId) {
-        let now = self.q.now();
-        if self.switch_mut(side).port(port).busy {
-            return;
-        }
-        let mut next = self.switch_mut(side).dequeue(port);
-        if next.is_none() && port == PORT_LINK {
-            // Self-replenishing strictly-low-priority queues (Fig 5):
-            // dummies from this side's sender instance, explicit ACKs from
-            // this side's receiver instance (the latter only exists on the
-            // Rx switch unless running bidirectionally).
-            let mut filler = std::mem::take(&mut self.filler_scratch);
-            match side {
-                Side::Tx => {
-                    self.lg_tx.make_dummies(now, &mut self.pool, &mut filler);
-                    if let Some(r) = self.lg2_rx.as_mut() {
-                        r.make_explicit_acks(now, &mut self.pool, &mut filler);
-                    }
-                    if self.lg_tx.has_unacked()
-                        && self.lg_tx.config().dummy_copies > 0
-                        && !self.dummy_refresh_armed[LgInstance::Forward as usize]
-                    {
-                        self.dummy_refresh_armed[LgInstance::Forward as usize] = true;
-                        self.q.schedule_after(
-                            DUMMY_REFRESH,
-                            Ev::DummyRefresh {
-                                instance: LgInstance::Forward,
-                            },
-                        );
-                    }
-                }
-                Side::Rx => {
-                    self.lg_rx
-                        .make_explicit_acks(now, &mut self.pool, &mut filler);
-                    if let Some(t) = self.lg2_tx.as_mut() {
-                        t.make_dummies(now, &mut self.pool, &mut filler);
-                        if t.has_unacked()
-                            && t.config().dummy_copies > 0
-                            && !self.dummy_refresh_armed[LgInstance::Reverse as usize]
-                        {
-                            self.dummy_refresh_armed[LgInstance::Reverse as usize] = true;
-                            self.q.schedule_after(
-                                DUMMY_REFRESH,
-                                Ev::DummyRefresh {
-                                    instance: LgInstance::Reverse,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            let got = !filler.is_empty();
-            for f in filler.drain(..) {
-                let (sw, pool) = self.sw_pool(side);
-                sw.enqueue(PORT_LINK, Class::Low, f, pool);
-            }
-            self.filler_scratch = filler;
-            if got {
-                next = self.switch_mut(side).dequeue(port);
-            }
-        }
-        let Some((_class, mut id)) = next else {
-            return;
-        };
-        // Egress hooks: piggyback the *other* direction's ACK first so it
-        // rides inside this direction's protection, then stamp. Each hook
-        // copies-on-write, so a retransmit copy sharing its buffer with the
-        // Tx mirror never mutates the shared slot in place.
-        if side == Side::Tx && port == PORT_LINK {
-            if self.pool.get(id).lg_ack.is_none() {
-                if let Some(r) = self.lg2_rx.as_mut() {
-                    id = r.stamp_ack(id, &mut self.pool);
-                }
-            }
-            id = self.lg_tx.on_transmit(id, now, &mut self.pool);
-        } else if side == Side::Rx && port == PORT_LINK {
-            if self.pool.get(id).lg_ack.is_none() {
-                // Piggyback the cumulative ACK on reverse-direction traffic.
-                id = self.lg_rx.stamp_ack(id, &mut self.pool);
-            }
-            if let Some(t) = self.lg2_tx.as_mut() {
-                id = t.on_transmit(id, now, &mut self.pool);
-            }
-        }
-        self.switch_mut(side).port_mut(port).busy = true;
-        let ser = self.cfg.speed.serialize(self.pool.get(id).wire_len());
-        self.q
-            .schedule_after(ser, Ev::PortTxDone { side, port, id });
-    }
-
-    /// A frame left a port: apply wire loss and schedule arrival. A
-    /// corrupted frame's pool reference dies here — the LinkGuardian
-    /// sender's Tx-buffer reference (if any) keeps the slot alive.
+    /// A frame left `side`'s link port: apply wire loss and schedule
+    /// arrival. A corrupted frame's pool reference dies here — the
+    /// LinkGuardian sender's Tx-buffer reference (if any) keeps the
+    /// slot alive.
     fn deliver_from_port(&mut self, side: Side, id: PktId, now: Time) {
         // forward over the corrupting link, back over the reverse one
         let (link, peer, peer_sw) = match side {
@@ -1035,11 +819,7 @@ impl World {
             Side::Rx => (&mut self.rev_link, Side::Tx, &mut self.sw_tx),
         };
         if link.deliver() {
-            let ev = Ev::WireArrive {
-                side: peer,
-                from_link: true,
-                id,
-            };
+            let ev = Ev::WireArrive { side: peer, id };
             self.q.schedule_after(link.propagation(), ev);
         } else {
             lg_trace!(
@@ -1057,9 +837,9 @@ impl World {
         }
     }
 
-    /// Send a tenant packet through `side`'s pipeline to its egress
-    /// port. A host-facing port is computed: the frame goes straight to
-    /// the one `HostArrive` that ends the hop.
+    /// Send a tenant packet that arrived over the link through `side`'s
+    /// pipeline to its host. The host-facing port is computed: the frame
+    /// goes straight to the one `HostArrive` that ends the hop.
     fn forward(&mut self, side: Side, id: PktId, now: Time) {
         let pkt = self.pool.get(id);
         let (dst, ser) = (pkt.dst, self.cfg.speed.serialize(pkt.wire_len()));
@@ -1067,19 +847,9 @@ impl World {
             Side::Tx => &mut self.sw_tx,
             Side::Rx => &mut self.sw_rx,
         };
-        let port = sw.route(dst).expect("route");
+        debug_assert_eq!(sw.route(dst), Some(PORT_HOST), "no hairpin route");
         let arrive = now + sw.pipeline_latency;
-        if port != PORT_HOST {
-            let ev = Ev::PortEnqueue {
-                side,
-                port,
-                class: Class::Normal,
-                id,
-            };
-            self.q.schedule_at(arrive, ev);
-            return;
-        }
-        let counters = sw.counters_mut(port);
+        let counters = sw.counters_mut(PORT_HOST);
         let link = &mut self.host_ports[side as usize];
         if let Some(done) = link.enqueue(now, arrive, ser, id, &mut self.pool, counters) {
             let at = done + HOST_HOP;
@@ -1088,12 +858,8 @@ impl World {
         }
     }
 
-    // ----------------------------------------------------- switch ingress
-
-    fn on_wire_arrive(&mut self, side: Side, from_link: bool, id: PktId, now: Time) {
-        assert!(from_link, "host links deliver straight to hosts");
+    fn on_wire_arrive(&mut self, side: Side, id: PktId, now: Time) {
         let pkt = self.pool.get(id);
-        let flen = pkt.frame_len();
         lg_trace!(
             Level::Pkt,
             Comp::Link,
@@ -1107,157 +873,7 @@ impl World {
         if matches!(pkt.payload, Payload::Lg(LgControl::Pause(_))) {
             self.switch_mut(side).note_pause_rx(PORT_LINK);
         }
-        match side {
-            Side::Rx => {
-                // Forward arrivals: the forward receiver is the outer
-                // tunnel; its in-order deliveries then pass through the
-                // reverse-instance sender (ACK absorption) before routing.
-                self.sw_rx.rx_ok(PORT_LINK, flen);
-                let mut actions = std::mem::take(&mut self.rx_scratch);
-                self.lg_rx
-                    .on_protected_rx(id, now, &mut self.pool, &mut actions);
-                self.apply_receiver_actions(&actions, LgInstance::Forward, now);
-                actions.clear();
-                self.rx_scratch = actions;
-            }
-            Side::Tx => {
-                self.sw_tx.rx_ok(PORT_LINK, flen);
-                if self.lg2_rx.is_some() {
-                    // Bidirectional: reverse-instance receiver first, its
-                    // deliveries then reach the forward sender.
-                    let mut actions = std::mem::take(&mut self.rx_scratch);
-                    if let Some(r) = self.lg2_rx.as_mut() {
-                        r.on_protected_rx(id, now, &mut self.pool, &mut actions);
-                    }
-                    self.apply_receiver_actions(&actions, LgInstance::Reverse, now);
-                    actions.clear();
-                    self.rx_scratch = actions;
-                } else {
-                    self.forward_sender_rx(id, now);
-                }
-            }
-        }
-    }
-
-    /// Hand a packet that arrived at the Tx switch to the forward-instance
-    /// sender (ACK/notification/pause absorption) and route any surviving
-    /// tenant packet onward.
-    fn forward_sender_rx(&mut self, id: PktId, now: Time) {
-        let mut actions = std::mem::take(&mut self.tx_scratch);
-        let fwd = self
-            .lg_tx
-            .on_reverse_rx(id, now, &mut self.pool, &mut actions);
-        if let Some(p) = fwd {
-            self.forward(Side::Tx, p, now);
-        }
-        self.apply_sender_actions(&actions, LgInstance::Forward);
-        actions.clear();
-        self.tx_scratch = actions;
-    }
-
-    /// Hand a packet delivered by the forward receiver (at the Rx switch)
-    /// to the reverse-instance sender and route any surviving tenant
-    /// packet onward.
-    fn reverse_sender_rx(&mut self, id: PktId, now: Time) {
-        let Some(t) = self.lg2_tx.as_mut() else {
-            // Unidirectional: forward deliveries route directly.
-            return self.forward(Side::Rx, id, now);
-        };
-        let mut actions = std::mem::take(&mut self.tx_scratch);
-        let fwd = t.on_reverse_rx(id, now, &mut self.pool, &mut actions);
-        if let Some(p) = fwd {
-            self.forward(Side::Rx, p, now);
-        }
-        self.apply_sender_actions(&actions, LgInstance::Reverse);
-        actions.clear();
-        self.tx_scratch = actions;
-    }
-
-    fn apply_receiver_actions(
-        &mut self,
-        actions: &[ReceiverAction],
-        instance: LgInstance,
-        now: Time,
-    ) {
-        // The side hosting this instance's receiver (where its control
-        // packets and deliveries originate).
-        let rx_side = match instance {
-            LgInstance::Forward => Side::Rx,
-            LgInstance::Reverse => Side::Tx,
-        };
-        for &a in actions {
-            match a {
-                ReceiverAction::Deliver(id) => match instance {
-                    // Deliveries pass through the co-located sender of the
-                    // opposite direction (ACK absorption), then route.
-                    LgInstance::Forward => self.reverse_sender_rx(id, now),
-                    LgInstance::Reverse => self.forward_sender_rx(id, now),
-                },
-                ReceiverAction::SendReverse { id, class } => {
-                    // Ingress-mirrored control (loss notifications, pause
-                    // frames) reaches the reverse egress queue immediately;
-                    // enqueueing it before the port is kicked guarantees it
-                    // beats the self-replenishing explicit-ACK queue, as
-                    // strict priority does in hardware.
-                    let (sw, pool) = self.sw_pool(rx_side);
-                    sw.enqueue(PORT_LINK, class, id, pool);
-                }
-                ReceiverAction::ArmTimeout {
-                    deadline,
-                    generation,
-                } => {
-                    self.q.schedule_at(
-                        deadline.max(self.q.now()),
-                        Ev::LgTimeout {
-                            generation,
-                            instance,
-                        },
-                    );
-                }
-                ReceiverAction::ArmBpTimer { at } => {
-                    self.q
-                        .schedule_at(at.max(self.q.now()), Ev::LgBpTimer { instance });
-                }
-            }
-        }
-        // The receiver may now owe an explicit ACK; if its egress port is
-        // idle, the self-replenishing ACK queue must transmit it.
-        self.kick_port(rx_side, PORT_LINK);
-    }
-
-    fn apply_sender_actions(&mut self, actions: &[SenderAction], instance: LgInstance) {
-        // The side hosting this instance's sender (where retransmissions
-        // are re-enqueued and pauses apply).
-        let tx_side = match instance {
-            LgInstance::Forward => Side::Tx,
-            LgInstance::Reverse => Side::Rx,
-        };
-        let pipeline = self.switch_mut(tx_side).pipeline_latency;
-        for &a in actions {
-            match a {
-                SenderAction::Emit { id, class, delay } => {
-                    self.q.schedule_after(
-                        delay + pipeline,
-                        Ev::PortEnqueue {
-                            side: tx_side,
-                            port: PORT_LINK,
-                            class,
-                            id,
-                        },
-                    );
-                }
-                SenderAction::PauseNormal(pause) => {
-                    // RX MAC absorbs the PFC frame and applies it after the
-                    // MAC/scheduler processing delay; with the reverse-path
-                    // latency this reproduces the paper's measured
-                    // tflight_resume of 1.6-1.9 us (Appendix B.1).
-                    self.q.schedule_after(
-                        Duration::from_ns(1_100),
-                        Ev::PauseApply { pause, instance },
-                    );
-                }
-            }
-        }
+        port::ingress(self, side, id, now);
     }
 
     // ------------------------------------------------------------- hosts
@@ -1342,20 +958,14 @@ impl World {
         let id = self.pool.insert(pkt);
         let sent = self.hosts[host].nic.depart(self.q.now(), ser);
         // the frame reaches the switch after stack delay + serialization
-        // + propagation, and its egress queue one pipeline later
+        // + propagation, and its egress queue (the link port) one
+        // pipeline later
         let side = if host == 0 { Side::Tx } else { Side::Rx };
         let sw = self.switch_mut(side);
-        let port = sw.route(dst).expect("route");
-        let pipeline = sw.pipeline_latency;
-        self.q.schedule_at(
-            sent + HOST_HOP + pipeline,
-            Ev::PortEnqueue {
-                side,
-                port,
-                class: Class::Normal,
-                id,
-            },
-        );
+        debug_assert_eq!(sw.route(dst), Some(PORT_LINK));
+        let at = sent + HOST_HOP + sw.pipeline_latency;
+        let class = Class::Normal;
+        self.q.schedule_at(at, Ev::PortEnqueue { side, class, id });
     }
 
     // ----------------------------------------------------------- trials
@@ -1548,8 +1158,8 @@ impl World {
                 );
                 self.lg_tx.activate(rate);
                 self.lg_rx.activate();
-                self.kick_port(Side::Tx, PORT_LINK);
-                self.kick_port(Side::Rx, PORT_LINK);
+                port::kick(self, Side::Tx, now);
+                port::kick(self, Side::Rx, now);
             }
         }
     }
@@ -1562,5 +1172,86 @@ impl World {
     /// Unique stress frames delivered end-to-end.
     pub fn stress_delivered(&self) -> u64 {
         self.hosts[1].stress_rx_frames
+    }
+}
+
+/// The testbed's topology for the port rules: one link port per switch.
+/// The forward instance is the outer tunnel, so the Tx port's sender
+/// and the Rx port's receiver fill an idle port first.
+impl PortLoop for World {
+    type Port = Side;
+
+    fn lg_port(&mut self, side: Side) -> LgPort<'_> {
+        let [tx_armed, rx_armed] = &mut self.dummy_refresh_armed;
+        let (sw, tx, rx) = match side {
+            Side::Tx => (
+                &mut self.sw_tx,
+                Some((&mut self.lg_tx, tx_armed)),
+                self.lg2_rx.as_mut(),
+            ),
+            Side::Rx => (
+                &mut self.sw_rx,
+                self.lg2_tx.as_mut().map(|t| (t, rx_armed)),
+                Some(&mut self.lg_rx),
+            ),
+        };
+        LgPort {
+            sw,
+            port: PORT_LINK,
+            tx,
+            rx,
+            tx_first: side == Side::Tx,
+            speed: self.cfg.speed,
+            pool: &mut self.pool,
+        }
+    }
+
+    fn scratch(&mut self) -> &mut PortScratch {
+        &mut self.lg_scratch
+    }
+
+    fn route(&mut self, from: Side, id: PktId, now: Time) {
+        self.forward(from, id, now);
+    }
+
+    fn depart(&mut self, side: Side, id: PktId, now: Time) {
+        let pkt = self.pool.get(id);
+        lg_trace!(
+            Level::Pkt,
+            Comp::Port,
+            Kind::TxDone,
+            // trace label `side * 2 + port`: 0 and 2 are the link ports
+            side as u16 * 2 + PORT_LINK as u16,
+            now.as_ps(),
+            pkt.uid,
+            pkt.lg_data.map_or(0, |d| d.seq.raw() as u64),
+            id.index()
+        );
+        let lg_retx = pkt
+            .lg_data
+            .is_some_and(|d| d.kind == LgPacketType::Retransmit);
+        let pause = matches!(pkt.payload, Payload::Lg(LgControl::Pause(_)));
+        if lg_retx {
+            self.switch_mut(side).note_lg_retx(PORT_LINK);
+        }
+        if pause {
+            self.switch_mut(side).note_pause_tx(PORT_LINK);
+        }
+        self.deliver_from_port(side, id, now);
+        if side == Side::Tx {
+            self.refill_stress();
+        }
+    }
+
+    fn schedule(&mut self, t: Time, side: Side, ev: PortEv) {
+        let ev = match ev {
+            PortEv::Enqueue { class, id } => Ev::PortEnqueue { side, class, id },
+            PortEv::TxDone(id) => Ev::PortTxDone { side, id },
+            PortEv::Timeout(generation) => Ev::LgTimeout { generation, side },
+            PortEv::BpTimer => Ev::LgBpTimer { side },
+            PortEv::Pause(pause) => Ev::PauseApply { pause, side },
+            PortEv::DummyRefresh => Ev::DummyRefresh { side },
+        };
+        self.q.schedule_at(t, ev);
     }
 }
