@@ -135,6 +135,18 @@ fn main() {
     });
     let dump_path: String = arg("--dump", String::new());
     let layout_path: String = arg("--layout-out", String::new());
+    // Create both outputs before any work, so an unwritable path is
+    // refused up front; this also starts the dump empty, so a rerun to
+    // the same path replaces the file instead of growing it (each policy
+    // appends its rows).
+    for path in [&dump_path, &layout_path] {
+        if !path.is_empty() {
+            if let Err(e) = std::fs::File::create(path) {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(2);
+            }
+        }
+    }
 
     banner(
         "Extension: packet-level fabric (sharded)",
@@ -179,7 +191,8 @@ fn main() {
     );
     if !layout_path.is_empty() {
         if let Err(e) = write_layout(&layout_path, &part, threads) {
-            eprintln!("warning: could not write {layout_path}: {e}");
+            eprintln!("error: cannot write {layout_path}: {e}");
+            std::process::exit(1);
         }
     }
 
@@ -206,13 +219,6 @@ fn main() {
         "recovered",
         "src.retx"
     );
-    // Each policy appends its rows to the dump; start it empty so a
-    // rerun to the same path replaces the file instead of growing it.
-    if !dump_path.is_empty() {
-        if let Err(e) = std::fs::File::create(&dump_path) {
-            eprintln!("warning: could not write {dump_path}: {e}");
-        }
-    }
     let mut results = Vec::new();
     for (label, policy) in [
         ("no-LG (RTO)", PktPolicy::None),
@@ -244,7 +250,8 @@ fn main() {
         );
         if !dump_path.is_empty() {
             if let Err(e) = dump(&dump_path, label, &r) {
-                eprintln!("warning: could not write {dump_path}: {e}");
+                eprintln!("error: cannot write {dump_path}: {e}");
+                std::process::exit(1);
             }
         }
         lg_bench::obs::publish_pkt_run(label, &c, &r);

@@ -27,7 +27,12 @@
 //! is refused before any work, with `error: unknown option --x` and
 //! exit status 2: a misspelt option must not run the default experiment.
 //!
-//! Any of the three output flags enables the sink; each written file
+//! Every output file is created when the session starts, before any
+//! work: a path that cannot be written is refused up front with
+//! `error: cannot write <path>: <reason>` and exit status 2, not found
+//! out after a long run. A write that fails at exit exits 1.
+//!
+//! Any of the output flags enables the sink; each written file
 //! starts with its own `meta` line naming the binary and the schema
 //! version (`schema/obs-schema.json`), followed by the matching sink
 //! lines in deterministic key order — identical at any `--threads`
@@ -119,6 +124,15 @@ fn start(bin: &'static str, args: &[String]) -> Session {
     let ts_out = path_arg("--timeseries-out");
     let health_out = path_arg("--health-log");
     let guard_out = path_arg("--guard-log");
+    for path in [&out, &ts_out, &health_out, &guard_out]
+        .into_iter()
+        .flatten()
+    {
+        if let Err(e) = std::fs::File::create(path) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    }
     GUARD.store(guard_out.is_some(), Ordering::Relaxed);
     let level = match crate::try_arg::<String>(args, "--trace-level") {
         Ok(Some(s)) => match Level::parse(&s) {
@@ -330,8 +344,9 @@ pub fn publish_pkt_run(
     );
 }
 
-/// Write one dump: a fresh `meta` line, then `lines`.
-fn write_dump(path: &PathBuf, bin: &str, lines: Vec<String>) {
+/// Write one dump: a fresh `meta` line, then `lines`. Returns false
+/// (after saying why on stderr) if the file could not be written.
+fn write_dump(path: &PathBuf, bin: &str, lines: Vec<String>) -> bool {
     let mut meta = JsonLine::new();
     meta.str("type", "meta")
         .u64("schema", SCHEMA_VERSION)
@@ -342,13 +357,20 @@ fn write_dump(path: &PathBuf, bin: &str, lines: Vec<String>) {
     let mut doc = all.join("\n");
     doc.push('\n');
     match std::fs::File::create(path).and_then(|mut f| f.write_all(doc.as_bytes())) {
-        Ok(()) => eprintln!("wrote {n} observability records to {}", path.display()),
-        Err(e) => eprintln!("error writing {}: {e}", path.display()),
+        Ok(()) => {
+            eprintln!("wrote {n} observability records to {}", path.display());
+            true
+        }
+        Err(e) => {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            false
+        }
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
+        let mut written = true;
         if self.out.is_some()
             || self.ts_out.is_some()
             || self.health_out.is_some()
@@ -374,23 +396,24 @@ impl Drop for Session {
                     main_lines.push(line);
                 }
             }
-            if let Some(path) = self.out.take() {
-                write_dump(&path, self.bin, main_lines);
-            }
-            if let Some(path) = self.ts_out.take() {
-                write_dump(&path, self.bin, ts_lines);
-            }
-            if let Some(path) = self.health_out.take() {
-                write_dump(&path, self.bin, health_lines);
-            }
-            if let Some(path) = self.guard_out.take() {
-                write_dump(&path, self.bin, guard_lines);
+            for (path, lines) in [
+                (self.out.take(), main_lines),
+                (self.ts_out.take(), ts_lines),
+                (self.health_out.take(), health_lines),
+                (self.guard_out.take(), guard_lines),
+            ] {
+                if let Some(path) = path {
+                    written &= write_dump(&path, self.bin, lines);
+                }
             }
         }
         GUARD.store(false, Ordering::Relaxed);
         lg_obs::sink::disable_and_clear();
         lg_obs::trace::set_level(Level::Off);
         lg_obs::trace::reset();
+        if !written {
+            std::process::exit(1);
+        }
     }
 }
 

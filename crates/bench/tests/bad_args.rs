@@ -5,8 +5,9 @@
 //! count does not fit `u32` (`PktFabric::new` panics on one), the
 //! stress binaries given a `--secs` that is not a positive duration, the
 //! fixed-size binaries given a zero size, the packet engine given zero
-//! pods or shards, the analytic fabric given a zero sample interval, and
-//! any binary given an option it does not take.
+//! pods or shards, the analytic fabric given a zero sample interval,
+//! any binary given an option it does not take, and any binary given an
+//! output path it cannot create.
 
 use std::process::Command;
 
@@ -181,6 +182,85 @@ fn unknown_options_are_refused_before_any_work() {
         assert!(
             out.stdout.is_empty(),
             "{exe} {args:?} printed before refusing"
+        );
+    }
+}
+
+/// An output path that cannot be created used to be found out only when
+/// the run wrote it: `fig15_fabric_week --metrics-out /nonexistent/x`
+/// ran the whole week, printed `error writing …` and exited 0, and
+/// `ext_fabric_pkt --dump` warned three times. Every output a binary is
+/// given is now created before any work.
+#[test]
+fn unwritable_output_paths_are_refused_before_any_work() {
+    let missing = std::env::temp_dir().join(format!("lg_no_such_dir_{}", std::process::id()));
+    let path = missing.join("out.jsonl");
+    let path = path.to_str().expect("utf-8 temp path");
+    let fig15 = env!("CARGO_BIN_EXE_fig15_fabric_week");
+    let ext_pkt = env!("CARGO_BIN_EXE_ext_fabric_pkt");
+    for (exe, flag, context) in [
+        (fig15, "--metrics-out", &["--pods", "2", "--days", "1"][..]),
+        (fig15, "--timeseries-out", &["--pods", "2", "--days", "1"]),
+        (fig15, "--health-log", &["--pods", "2", "--days", "1"]),
+        (fig15, "--guard-log", &["--pods", "2", "--days", "1"]),
+        (ext_pkt, "--dump", &["--pods", "2", "--horizon-us", "100"]),
+        (
+            ext_pkt,
+            "--layout-out",
+            &["--pods", "2", "--horizon-us", "100"],
+        ),
+        (
+            ext_pkt,
+            "--metrics-out",
+            &["--pods", "2", "--horizon-us", "100"],
+        ),
+    ] {
+        let out = Command::new(exe)
+            .args(context)
+            .args([flag, path])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe} {flag}: {stderr}");
+        let want = format!("error: cannot write {path}: ");
+        assert!(stderr.starts_with(&want), "{exe} {flag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{exe} {flag}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{exe} {flag} printed before refusing"
+        );
+    }
+    assert!(!missing.exists());
+}
+
+/// A write that fails at the end of the run (a full device here) exits
+/// 1 after saying so, as `obs_analyze --out` does, instead of 0.
+#[test]
+fn failed_final_writes_exit_non_zero() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_fig15_fabric_week"),
+            &["--pods", "2", "--days", "1", "--metrics-out"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_ext_fabric_pkt"),
+            &["--pods", "2", "--horizon-us", "100", "--dump"],
+        ),
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .arg(full)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: cannot write /dev/full: "),
+            "{exe}: {stderr}"
         );
     }
 }
