@@ -539,11 +539,8 @@ impl PortLoop for ChainWorld {
             tx_first: true,
             speed: self.cfg.speed,
             pool: &mut self.pool,
+            scratch: &mut self.lg_scratch,
         }
-    }
-
-    fn scratch(&mut self) -> &mut PortScratch {
-        &mut self.lg_scratch
     }
 
     fn route(&mut self, (sw, from): (usize, PortId), id: PktId, now: Time) {

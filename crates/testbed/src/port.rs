@@ -47,6 +47,8 @@ pub(crate) struct LgPort<'a> {
     pub speed: LinkSpeed,
     /// The loop's packet pool.
     pub pool: &'a mut PacketPool,
+    /// The loop's action buffers.
+    pub scratch: &'a mut PortScratch,
 }
 
 /// Reusable action buffers (taken around each use) so the steady-state
@@ -87,10 +89,8 @@ pub(crate) enum PortEv {
 pub(crate) trait PortLoop {
     /// Names one link-facing port of the loop.
     type Port: Copy;
-    /// Borrow the port, its halves and the packet pool.
+    /// Borrow the port, its halves, the packet pool and the buffers.
     fn lg_port(&mut self, at: Self::Port) -> LgPort<'_>;
-    /// The loop's action buffers.
-    fn scratch(&mut self) -> &mut PortScratch;
     /// Route a tenant frame that arrived through `from` onward.
     fn route(&mut self, from: Self::Port, id: PktId, now: Time);
     /// A frame finished serializing out of `from`: put it on the wire.
@@ -151,9 +151,7 @@ pub(crate) fn ingress<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time)
 /// Start serializing the next eligible frame on port `at`, engaging the
 /// idle fillers when the port runs dry.
 pub(crate) fn kick<L: PortLoop>(w: &mut L, at: L::Port, now: Time) {
-    let mut filler = std::mem::take(&mut w.scratch().filler);
-    let (next, refresh) = w.lg_port(at).next_frame(now, &mut filler);
-    w.scratch().filler = filler;
+    let (next, refresh) = w.lg_port(at).next_frame(now);
     if refresh {
         w.schedule(now + DUMMY_REFRESH, at, PortEv::DummyRefresh);
     }
@@ -166,7 +164,7 @@ impl LgPort<'_> {
     /// Dequeue and stamp the port's next frame and mark the port busy;
     /// returns the frame with its serialization time, and whether the
     /// sender's dummy refresh must be armed.
-    fn next_frame(self, now: Time, filler: &mut Vec<PktId>) -> (Option<(PktId, Duration)>, bool) {
+    fn next_frame(self, now: Time) -> (Option<(PktId, Duration)>, bool) {
         let LgPort {
             sw,
             port,
@@ -175,6 +173,7 @@ impl LgPort<'_> {
             tx_first,
             speed,
             pool,
+            scratch,
         } = self;
         if sw.port(port).busy {
             return (None, false);
@@ -182,6 +181,7 @@ impl LgPort<'_> {
         let mut refresh = false;
         let mut next = sw.dequeue(port);
         if next.is_none() {
+            let filler = &mut scratch.filler;
             // Self-replenishing strictly-low-priority queues (Fig 5):
             // the sender's dummies and the receiver's explicit ACKs, the
             // outer tunnel's first.
@@ -230,16 +230,15 @@ impl LgPort<'_> {
 /// Hand a frame at port `at` to the port's sender and route whatever
 /// survives onward.
 fn sender_rx<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time) {
-    let mut actions = std::mem::take(&mut w.scratch().tx);
     let p = w.lg_port(at);
-    let fwd = match p.tx {
-        Some((s, _)) => s.on_reverse_rx(id, now, p.pool, &mut actions),
-        None => Some(id),
+    let Some((s, _)) = p.tx else {
+        return w.route(at, id, now);
     };
-    if let Some(id) = fwd {
+    let pipeline = p.sw.pipeline_latency;
+    let mut actions = std::mem::take(&mut p.scratch.tx);
+    if let Some(id) = s.on_reverse_rx(id, now, p.pool, &mut actions) {
         w.route(at, id, now);
     }
-    let pipeline = w.lg_port(at).sw.pipeline_latency;
     for &a in &actions {
         match a {
             // retransmitted copies re-enter the port's egress queue
@@ -252,7 +251,7 @@ fn sender_rx<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time) {
         }
     }
     actions.clear();
-    w.scratch().tx = actions;
+    w.lg_port(at).scratch.tx = actions;
 }
 
 /// Feed the receiver at port `at` one input, apply the actions it asks
@@ -263,8 +262,8 @@ fn receive<L: PortLoop>(
     now: Time,
     input: impl FnOnce(&mut LgReceiver, &mut PacketPool, &mut Vec<ReceiverAction>),
 ) {
-    let mut actions = std::mem::take(&mut w.scratch().rx);
     let p = w.lg_port(at);
+    let mut actions = std::mem::take(&mut p.scratch.rx);
     if let Some(rx) = p.rx {
         input(rx, p.pool, &mut actions);
     }
@@ -288,7 +287,7 @@ fn receive<L: PortLoop>(
         }
     }
     actions.clear();
-    w.scratch().rx = actions;
+    w.lg_port(at).scratch.rx = actions;
     // The receiver may now owe an explicit ACK; if the port is idle, the
     // self-replenishing ACK queue must transmit it.
     kick(w, at, now);

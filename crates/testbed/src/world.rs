@@ -1203,11 +1203,8 @@ impl PortLoop for World {
             tx_first: side == Side::Tx,
             speed: self.cfg.speed,
             pool: &mut self.pool,
+            scratch: &mut self.lg_scratch,
         }
-    }
-
-    fn scratch(&mut self) -> &mut PortScratch {
-        &mut self.lg_scratch
     }
 
     fn route(&mut self, from: Side, id: PktId, now: Time) {
