@@ -331,10 +331,8 @@ impl ChainWorld {
                 port,
                 class,
                 id,
-            } => port::fire(self, (sw, port), PortEv::Enqueue { class, id }, now),
-            CEv::PortTxDone { sw, port, id } => {
-                port::fire(self, (sw, port), PortEv::TxDone(id), now)
-            }
+            } => port::enqueue(self, (sw, port), class, id, now),
+            CEv::PortTxDone { sw, port, id } => port::tx_done(self, (sw, port), id, now),
             CEv::WireArrive { sw, from_right, id } => {
                 let port = if from_right { PORT_RIGHT } else { PORT_LEFT };
                 port::ingress(self, (sw, port), id, now)
@@ -351,15 +349,11 @@ impl ChainWorld {
                 self.transport_scratch = actions;
             }
             CEv::LgTimeout { hop, generation } => {
-                port::fire(self, (hop + 1, PORT_LEFT), PortEv::Timeout(generation), now)
+                port::timeout(self, (hop + 1, PORT_LEFT), generation, now)
             }
-            CEv::LgBpTimer { hop } => port::fire(self, (hop + 1, PORT_LEFT), PortEv::BpTimer, now),
-            CEv::PauseApply { hop, pause } => {
-                port::fire(self, (hop, PORT_RIGHT), PortEv::Pause(pause), now)
-            }
-            CEv::DummyRefresh { hop } => {
-                port::fire(self, (hop, PORT_RIGHT), PortEv::DummyRefresh, now)
-            }
+            CEv::LgBpTimer { hop } => port::bp_timer(self, (hop + 1, PORT_LEFT), now),
+            CEv::PauseApply { hop, pause } => port::pause(self, (hop, PORT_RIGHT), pause, now),
+            CEv::DummyRefresh { hop } => port::dummy_refresh(self, (hop, PORT_RIGHT), now),
             CEv::TrialStart => self.start_trial(now),
         }
     }

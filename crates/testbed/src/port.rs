@@ -61,8 +61,9 @@ pub(crate) struct PortScratch {
 }
 
 /// What the port rules schedule for a port; each loop maps it onto an
-/// event of its own and hands it back to [`fire`] when it is due.
-#[derive(Debug, Clone, Copy)]
+/// event of its own and hands it back to the matching function here
+/// ([`enqueue`], [`tx_done`], [`timeout`], ...) when it is due.
+#[derive(Clone, Copy)]
 pub(crate) enum PortEv {
     /// The frame reaches the port's egress queue (post-pipeline).
     Enqueue {
@@ -99,34 +100,47 @@ pub(crate) trait PortLoop {
     fn schedule(&mut self, t: Time, at: Self::Port, ev: PortEv);
 }
 
-/// Handle a due [`PortEv`] at port `at`.
-pub(crate) fn fire<L: PortLoop>(w: &mut L, at: L::Port, ev: PortEv, now: Time) {
+/// A frame reaches port `at`'s egress queue.
+pub(crate) fn enqueue<L: PortLoop>(w: &mut L, at: L::Port, class: Class, id: PktId, now: Time) {
     let p = w.lg_port(at);
-    match ev {
-        PortEv::Enqueue { class, id } => {
-            p.sw.enqueue(p.port, class, id, p.pool);
-        }
-        PortEv::TxDone(id) => {
-            let flen = p.pool.get(id).frame_len();
-            p.sw.port_mut(p.port).busy = false;
-            p.sw.tx_complete(p.port, flen);
-            w.depart(at, id, now);
-        }
-        // the receiver's actions end with a kick of the port
-        PortEv::Timeout(generation) => {
-            return receive(w, at, now, |rx, pool, out| {
-                rx.on_timeout(generation, now, pool, out)
-            })
-        }
-        PortEv::BpTimer => {
-            return receive(w, at, now, |rx, pool, out| rx.on_bp_timer(now, pool, out))
-        }
-        PortEv::Pause(pause) => p.sw.port_mut(p.port).set_paused(Class::Normal, pause),
-        PortEv::DummyRefresh => {
-            if let Some((_, armed)) = p.tx {
-                *armed = false;
-            }
-        }
+    p.sw.enqueue(p.port, class, id, p.pool);
+    kick(w, at, now);
+}
+
+/// The frame serializing out of port `at` is done: put it on the wire
+/// and start the next.
+pub(crate) fn tx_done<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time) {
+    let p = w.lg_port(at);
+    let flen = p.pool.get(id).frame_len();
+    p.sw.port_mut(p.port).busy = false;
+    p.sw.tx_complete(p.port, flen);
+    w.depart(at, id, now);
+    kick(w, at, now);
+}
+
+/// The ackNoTimeout of stall `generation` at port `at`'s receiver.
+pub(crate) fn timeout<L: PortLoop>(w: &mut L, at: L::Port, generation: u64, now: Time) {
+    receive(w, at, now, |rx, pool, out| {
+        rx.on_timeout(generation, now, pool, out)
+    });
+}
+
+/// A timer packet re-evaluates port `at`'s receiver backpressure state.
+pub(crate) fn bp_timer<L: PortLoop>(w: &mut L, at: L::Port, now: Time) {
+    receive(w, at, now, |rx, pool, out| rx.on_bp_timer(now, pool, out));
+}
+
+/// A PFC pause (true) or resume reaches port `at`'s normal queue.
+pub(crate) fn pause<L: PortLoop>(w: &mut L, at: L::Port, pause: bool, now: Time) {
+    let p = w.lg_port(at);
+    p.sw.port_mut(p.port).set_paused(Class::Normal, pause);
+    kick(w, at, now);
+}
+
+/// The dummy refresh armed for port `at`'s sender fires.
+pub(crate) fn dummy_refresh<L: PortLoop>(w: &mut L, at: L::Port, now: Time) {
+    if let Some((_, armed)) = w.lg_port(at).tx {
+        *armed = false;
     }
     kick(w, at, now);
 }

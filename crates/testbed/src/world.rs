@@ -742,10 +742,8 @@ impl World {
 
     fn handle(&mut self, ev: Ev, now: Time) {
         match ev {
-            Ev::PortEnqueue { side, class, id } => {
-                port::fire(self, side, PortEv::Enqueue { class, id }, now)
-            }
-            Ev::PortTxDone { side, id } => port::fire(self, side, PortEv::TxDone(id), now),
+            Ev::PortEnqueue { side, class, id } => port::enqueue(self, side, class, id, now),
+            Ev::PortTxDone { side, id } => port::tx_done(self, side, id, now),
             Ev::WireArrive { side, id } => self.on_wire_arrive(side, id, now),
             Ev::HostArrive { host, id } => self.on_host_arrive(host, id, now),
             Ev::HostWake { host } => {
@@ -758,10 +756,8 @@ impl World {
                 }
                 self.transport_scratch = actions;
             }
-            Ev::LgTimeout { generation, side } => {
-                port::fire(self, side, PortEv::Timeout(generation), now)
-            }
-            Ev::LgBpTimer { side } => port::fire(self, side, PortEv::BpTimer, now),
+            Ev::LgTimeout { generation, side } => port::timeout(self, side, generation, now),
+            Ev::LgBpTimer { side } => port::bp_timer(self, side, now),
             Ev::PauseApply { pause, side } => {
                 lg_trace!(
                     Level::Ctl,
@@ -773,9 +769,9 @@ impl World {
                     0u64,
                     pause as u32
                 );
-                port::fire(self, side, PortEv::Pause(pause), now);
+                port::pause(self, side, pause, now);
             }
-            Ev::DummyRefresh { side } => port::fire(self, side, PortEv::DummyRefresh, now),
+            Ev::DummyRefresh { side } => port::dummy_refresh(self, side, now),
             Ev::ActivateLg => {
                 // Activation by explicit schedule sizes Eq. 2 from the
                 // loss-model parameter; the monitoring plane
