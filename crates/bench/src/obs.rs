@@ -256,50 +256,14 @@ pub fn publish_pkt_run(
     }
     let t_end = cfg.horizon.as_ps();
 
-    // Per-corrupting-link counters, link order (layout-invariant).
-    let mut metric_lines = Vec::new();
+    // Per-corrupting-link counters in link order (layout-invariant),
+    // then the whole-run totals under the run label.
+    let mut reg = lg_obs::MetricsRegistry::new();
     for l in r.links.iter().filter(|l| l.loss_ppb > 0) {
-        let mut line = JsonLine::new();
-        line.str("type", "metric")
-            .u64("t_ps", t_end)
-            .str("comp", "pktlink")
-            .str("inst", &l.link.to_string());
-        let mut counters = JsonLine::new();
-        counters
-            .u64("tx_frames", l.tx_frames)
-            .u64("corrupt_drops", l.corrupt_drops)
-            .u64("recoveries", l.recoveries)
-            .u64("overflow_drops", l.overflow_drops)
-            .u64("loss_ppb", l.loss_ppb);
-        line.raw("counters", &counters.finish());
-        let mut gauges = JsonLine::new();
-        let mut hwm = JsonLine::new();
-        hwm.u64("value", u64::from(l.queue_hwm))
-            .u64("hwm", u64::from(l.queue_hwm));
-        gauges.raw("queue_frames", &hwm.finish());
-        line.raw("gauges", &gauges.finish());
-        metric_lines.push(line.finish());
+        reg.record(t_end, "pktlink", &l.link.to_string(), l);
     }
-    // Whole-run totals under the run label.
-    let t = &r.totals;
-    let mut line = JsonLine::new();
-    line.str("type", "metric")
-        .u64("t_ps", t_end)
-        .str("comp", "pktfabric")
-        .str("inst", run);
-    let mut counters = JsonLine::new();
-    counters
-        .u64("events", t.events)
-        .u64("flows", t.flows)
-        .u64("flows_completed", t.flows_completed)
-        .u64("tx_frames", t.tx_frames)
-        .u64("corrupt_drops", t.corrupt_drops)
-        .u64("recoveries", t.recoveries)
-        .u64("source_retx", t.source_retx)
-        .u64("overflow_drops", t.overflow_drops);
-    line.raw("counters", &counters.finish());
-    metric_lines.push(line.finish());
-    lg_obs::sink::submit_all(&format!("pkt/{run}/0metric"), metric_lines);
+    reg.record(t_end, "pktfabric", run, &r.totals);
+    lg_obs::sink::submit_all(&format!("pkt/{run}/0metric"), reg.to_jsonl());
 
     // Merged packet-lifecycle trace (already span_key-sorted; uids are
     // global, so they publish as they are).

@@ -30,18 +30,23 @@
 //! byte-identical-across-shards contract survives dropping the
 //! retained vector.
 
-use lg_obs::QuantileStream;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use lg_obs::hist::quantile_index;
+use lg_obs::LogHist;
 
 /// Sub-bucket resolution of the FCT histogram.
 const SUB_BUCKETS: u32 = 64;
 
 /// Incremental FCT aggregator: O(buckets + K) memory however many
-/// flows complete. A thin FCT-flavored wrapper over
-/// [`lg_obs::QuantileStream`] (which this module originated) fixing
-/// the histogram resolution at 64 sub-buckets.
+/// flows complete. A [`LogHist`] records every value; a min-heap keeps
+/// the `tail_k` largest exactly.
 #[derive(Debug)]
 pub struct FctStream {
-    inner: QuantileStream,
+    hist: LogHist,
+    tail: BinaryHeap<Reverse<u64>>,
+    k: usize,
 }
 
 /// Fixed quantile summary of a finished stream. All fields are exact
@@ -69,53 +74,96 @@ impl FctStream {
     /// A stream retaining the `tail_k` largest values exactly.
     pub fn new(tail_k: usize) -> FctStream {
         FctStream {
-            inner: QuantileStream::new(SUB_BUCKETS, tail_k),
+            hist: LogHist::new(SUB_BUCKETS),
+            tail: BinaryHeap::with_capacity(tail_k.saturating_add(1)),
+            k: tail_k,
         }
     }
 
     /// Record one completion time.
     pub fn record(&mut self, fct: u64) {
-        self.inner.record(fct);
+        self.hist.record(fct);
+        self.offer_tail(fct);
+    }
+
+    fn offer_tail(&mut self, v: u64) {
+        if self.k == 0 {
+            return;
+        }
+        if self.tail.len() < self.k {
+            self.tail.push(Reverse(v));
+        } else if v > self.tail.peek().expect("non-empty at capacity").0 {
+            self.tail.pop();
+            self.tail.push(Reverse(v));
+        }
     }
 
     /// Completions recorded.
     pub fn len(&self) -> u64 {
-        self.inner.len()
+        self.hist.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.hist.is_empty()
     }
 
     /// Merge another stream (consumed) into this one. The result is
     /// indistinguishable from one stream that recorded both inputs, so
     /// merge order cannot change the digest (see module docs).
     pub fn merge(&mut self, other: FctStream) {
-        self.inner.merge(other.inner);
+        assert_eq!(self.k, other.k, "merging streams of different tail size");
+        self.hist.merge(&other.hist);
+        for Reverse(v) in other.tail {
+            self.offer_tail(v);
+        }
+    }
+
+    /// The tail reservoir sorted descending, so one sort serves every
+    /// query of a digest.
+    fn tail_desc(&self) -> Vec<u64> {
+        let mut desc: Vec<u64> = self.tail.iter().map(|&Reverse(v)| v).collect();
+        desc.sort_unstable_by(|a, b| b.cmp(a));
+        desc
+    }
+
+    /// [`FctStream::quantile`] against the tail as sorted by
+    /// [`FctStream::tail_desc`].
+    fn quantile_with_tail(&self, desc: &[u64], q: f64) -> u64 {
+        let count = self.hist.len();
+        if count == 0 {
+            return 0;
+        }
+        let i = quantile_index(count as usize, q) as u64;
+        let from_top = (count - 1 - i) as usize;
+        if from_top < desc.len() {
+            desc[from_top]
+        } else {
+            self.hist.value_at_rank(i + 1).expect("rank within count")
+        }
     }
 
     /// Value at quantile `q` in `[0, 1]`, reproducing the retained-Vec
-    /// convention (`i = round((len-1)·q)` into the ascending sort):
+    /// convention (rank `i` from [`quantile_index`] into the ascending sort):
     /// exact via the tail reservoir when rank `i` falls inside it, a
     /// histogram bucket bound otherwise. 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        self.inner.quantile(q)
+        self.quantile_with_tail(&self.tail_desc(), q)
     }
 
     /// The fixed quantile summary (shares one tail sort).
     pub fn digest(&self) -> FctDigest {
-        if self.inner.is_empty() {
+        if self.is_empty() {
             return FctDigest::default();
         }
-        let desc = self.inner.tail_desc();
+        let desc = self.tail_desc();
         FctDigest {
-            count: self.inner.len(),
-            min: self.inner.min(),
-            max: self.inner.max(),
-            p50: self.inner.quantile_with_tail(&desc, 0.5),
-            p99: self.inner.quantile_with_tail(&desc, 0.99),
-            p999: self.inner.quantile_with_tail(&desc, 0.999),
+            count: self.hist.len(),
+            min: self.hist.min(),
+            max: self.hist.max(),
+            p50: self.quantile_with_tail(&desc, 0.5),
+            p99: self.quantile_with_tail(&desc, 0.99),
+            p999: self.quantile_with_tail(&desc, 0.999),
         }
     }
 }
@@ -127,8 +175,7 @@ mod tests {
 
     /// The retained-Vec convention the stream must reproduce.
     fn vec_percentile(sorted: &[u64], q: f64) -> u64 {
-        let i = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[i.min(sorted.len() - 1)]
+        sorted[quantile_index(sorted.len(), q)]
     }
 
     fn sample(n: usize, seed: u64) -> Vec<u64> {
@@ -198,6 +245,9 @@ mod tests {
                 merged.merge(s);
             }
             assert_eq!(merged.digest(), whole.digest(), "parts={parts}");
+            for q in [0.0, 1.0] {
+                assert_eq!(merged.quantile(q), whole.quantile(q), "parts={parts} q={q}");
+            }
             assert_eq!(merged.len(), whole.len());
         }
     }

@@ -96,9 +96,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
+use lg_obs::hist::quantile_index;
 use lg_obs::sink::PROFILE_STRIDE;
 use lg_obs::trace::{Comp, Kind, TraceRecord, TraceRing, DEFAULT_RING_CAP};
-use lg_obs::{postmortem, HealthConfig, HealthEstimator, HealthEvent};
+use lg_obs::{postmortem, HealthConfig, HealthEstimator, HealthEvent, MetricSink, Observe};
 use lg_sim::shard::{run_sharded, ShardMsg, ShardStats, ShardWorld};
 use lg_sim::{Duration, EventQueue, Rate, Rng, Time};
 
@@ -677,6 +678,18 @@ pub struct LinkStats {
     pub queue_hwm: u32,
 }
 
+/// A corrupting link's `pktlink` metric row.
+impl Observe for LinkStats {
+    fn observe(&self, m: &mut MetricSink) {
+        m.counter("tx_frames", self.tx_frames);
+        m.counter("corrupt_drops", self.corrupt_drops);
+        m.counter("recoveries", self.recoveries);
+        m.counter("overflow_drops", self.overflow_drops);
+        m.counter("loss_ppb", self.loss_ppb);
+        m.gauge("queue_frames", u64::from(self.queue_hwm));
+    }
+}
+
 /// One cumulative telemetry snapshot of a corrupting link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryRow {
@@ -713,6 +726,20 @@ pub struct PktTotals {
     pub source_retx: u64,
     /// Frames refused by admission control (cell cap or shard budget).
     pub overflow_drops: u64,
+}
+
+/// The run's `pktfabric` metric row.
+impl Observe for PktTotals {
+    fn observe(&self, m: &mut MetricSink) {
+        m.counter("events", self.events);
+        m.counter("flows", self.flows);
+        m.counter("flows_completed", self.flows_completed);
+        m.counter("tx_frames", self.tx_frames);
+        m.counter("corrupt_drops", self.corrupt_drops);
+        m.counter("recoveries", self.recoveries);
+        m.counter("source_retx", self.source_retx);
+        m.counter("overflow_drops", self.overflow_drops);
+    }
 }
 
 /// Memory-budget accounting of one run. Per-shard quotas summed, so
@@ -840,8 +867,7 @@ impl PktFabricResult {
         }
         let mut fcts: Vec<u64> = self.fct.iter().map(|&(_, f)| f).collect();
         fcts.sort_unstable();
-        let i = ((fcts.len() - 1) as f64 * q).round() as usize;
-        fcts[i.min(fcts.len() - 1)]
+        fcts[quantile_index(fcts.len(), q)]
     }
 }
 

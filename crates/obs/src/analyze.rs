@@ -22,6 +22,7 @@
 //! property the differential proptest in `tests/analyze_diff.rs` pins
 //! against a retained reference implementation.
 
+use crate::hist::quantile_index;
 use crate::json::{number, string, Scanner};
 use crate::stream::LineReader;
 use crate::JsonLine;
@@ -304,8 +305,7 @@ fn pctl(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let idx = ((p * (sorted.len() - 1) as f64).round()) as usize;
-    sorted[idx]
+    sorted[quantile_index(sorted.len(), p)]
 }
 
 fn mean(sorted: &[u64]) -> f64 {

@@ -5,6 +5,8 @@
 //! Power-of-two buckets with linear sub-buckets, HdrHistogram-style;
 //! dependency-free so `lg-obs` stays at the bottom of the crate graph.
 //! Bounded relative error `1/sub_buckets`, constant memory, O(1) record.
+//!
+//! [`quantile_index`] is the rank rule for retained, sorted samples.
 
 /// A histogram over `u64` values with logarithmic buckets.
 #[derive(Debug, Clone)]
@@ -179,6 +181,18 @@ impl LogHist {
     }
 }
 
+/// Index of the `q`-quantile (`q` in `[0, 1]`) in an ascending slice of
+/// `len` values: `round((len − 1)·q)`, clamped to the last index (0 when
+/// `len` is 0). The one rank rule for retained samples: the packet
+/// fabric's retained FCTs, `FctStream`'s exact tail, the analyzer's
+/// percentiles and the time-series window p99 all index through it.
+/// [`LogHist::quantile`] and `lg_workload::FctCollector` use nearest
+/// rank (`ceil(q·n)`) instead.
+pub fn quantile_index(len: usize, q: f64) -> usize {
+    let last = len.saturating_sub(1);
+    ((last as f64 * q).round() as usize).min(last)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,5 +292,25 @@ mod tests {
         assert_eq!(s.min, 10);
         assert_eq!(s.max, 30);
         assert!((s.mean - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quantile_index_matches_a_sorted_vec() {
+        // (len, the value at q = 0, 0.5, 0.99, 0.999, 1) for the samples
+        // 10·i + 1, recorded in descending order and sorted.
+        let table: [(u64, [u64; 5]); 3] = [
+            (1, [1, 1, 1, 1, 1]),
+            (2, [1, 11, 11, 11, 11]),
+            (1000, [1, 5001, 9891, 9981, 9991]),
+        ];
+        for (len, want) in table {
+            let mut sorted: Vec<u64> = (0..len).rev().map(|i| 10 * i + 1).collect();
+            sorted.sort_unstable();
+            for (q, want) in [0.0, 0.5, 0.99, 0.999, 1.0].into_iter().zip(want) {
+                let i = quantile_index(sorted.len(), q);
+                assert_eq!(sorted[i], want, "len={len} q={q}");
+            }
+        }
+        assert_eq!(quantile_index(0, 0.5), 0);
     }
 }

@@ -1,13 +1,14 @@
 //! `lg-obs` — the simulator's observability layer.
 //!
-//! Three layers, all dependency-free (the build is offline and the vendored
+//! Its layers, all dependency-free (the build is offline and the vendored
 //! `compat/serde` is a no-op stand-in, so JSONL is hand-written):
 //!
 //! * [`metrics`] — a poll-based metrics registry. Components keep owning
 //!   their stats structs; anything implementing [`Observe`] is visited at
 //!   sim-time snapshot points and its counters/gauges/histograms recorded
 //!   per component instance. Gauges track high-water marks across
-//!   snapshots. The registry serializes to deterministic JSONL.
+//!   snapshots. The registry serializes to deterministic JSONL and is the
+//!   one writer of `metric` rows, whichever engine publishes them.
 //! * [`trace`] — a structured trace layer: fixed-capacity per-thread ring
 //!   of compact [`TraceRecord`]s behind a runtime level filter. The
 //!   disabled path is a single branch on a relaxed [`AtomicU8`] load,
@@ -27,10 +28,11 @@
 //!   plane and the fabric rollups both run on it, so activation
 //!   decisions come from observed counters rather than oracle
 //!   loss-model parameters.
+//! * [`hist`] — the workspace's one histogram ([`LogHist`]) and its one
+//!   rank rule for retained, sorted samples ([`hist::quantile_index`]).
 //! * [`stream`] — bounded-memory ingestion: a reusable line-at-a-time
-//!   reader with [`str::lines`] semantics and the log-histogram +
-//!   exact-top-K quantile aggregator shared with the FCT digest, so the
-//!   analysis binaries hold O(1) state over multi-GB dumps.
+//!   reader with [`str::lines`] semantics, so the analysis binaries hold
+//!   O(1) state over multi-GB dumps.
 //! * [`analyze`] — the streaming analysis core behind `obs_analyze`:
 //!   incremental per-section aggregates fed line-at-a-time, bit-for-bit
 //!   equal to the retained whole-file path it replaced.
@@ -61,6 +63,6 @@ pub use health::{HealthConfig, HealthEstimator, HealthEvent, LinkHealth};
 pub use hist::{HistSummary, LogHist};
 pub use json::{JsonLine, JsonValue};
 pub use metrics::{MetricSink, MetricsRegistry, Observe};
-pub use stream::{LineReader, QuantileStream};
+pub use stream::LineReader;
 pub use timeseries::{Ewma, SeriesBank, WindowedRate};
 pub use trace::{Comp, Kind, Level, TraceRecord};

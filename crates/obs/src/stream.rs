@@ -1,30 +1,18 @@
-//! Bounded-memory streaming ingestion primitives.
+//! Bounded-memory streaming ingestion.
 //!
 //! Fabric-scale telemetry dumps run to hundreds of megabytes; anything
 //! that `read_to_string`s them holds the whole file (plus per-line
-//! `String`s) resident at once. This module supplies the two pieces the
-//! analysis binaries need to stay O(1) in file size:
-//!
-//! * [`LineReader`] — a line-at-a-time reader over any [`Read`] that
-//!   yields each line in place from its read buffer (a line split across
-//!   two reads from one reused line buffer). Lines are yielded with
-//!   the same semantics as [`str::lines`] (terminator stripped, a
-//!   trailing `\r` removed, a final unterminated line still yielded),
-//!   so a streaming consumer is a drop-in replacement for
-//!   `read_to_string(..)?.lines()` — the property the differential
-//!   proptest pins.
-//! * [`QuantileStream`] — the log-histogram + exact top-K tail
-//!   aggregator factored out of `lg_fabric::fct` so any consumer (the
-//!   FCT digest, the streaming analyzer) can answer retained-Vec
-//!   percentile queries (`i = round((n-1)·q)` into the ascending sort)
-//!   in O(buckets + K) memory. Merging is layout-invariant: the merged
-//!   stream is indistinguishable from one that recorded both inputs.
+//! `String`s) resident at once. [`LineReader`] keeps the analysis
+//! binaries O(1) in file size: a line-at-a-time reader over any
+//! [`Read`] that yields each line in place from its read buffer (a line
+//! split across two reads from one reused line buffer). Lines are
+//! yielded with the same semantics as [`str::lines`] (terminator
+//! stripped, a trailing `\r` removed, a final unterminated line still
+//! yielded), so a streaming consumer is a drop-in replacement for
+//! `read_to_string(..)?.lines()` — the property the differential
+//! proptest pins.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io::{self, Read};
-
-use crate::hist::LogHist;
 
 /// Default read-buffer size for [`LineReader`].
 pub const DEFAULT_READ_BUF: usize = 64 * 1024;
@@ -156,120 +144,6 @@ fn find_newline(b: &[u8]) -> Option<usize> {
         .map(|i| tail + i)
 }
 
-/// Streaming quantile aggregator: a [`LogHist`] recording every value
-/// plus an exact top-K tail reservoir (min-heap over the K largest).
-///
-/// Quantiles follow the retained-Vec convention `i = round((n-1)·q)`
-/// into the ascending sort: exact through the reservoir when the rank
-/// falls inside it, a histogram bucket bound (relative error ≤
-/// 1/sub_buckets) otherwise. `lg_fabric::fct::FctStream` is a thin
-/// wrapper fixing `sub_buckets = 64`.
-#[derive(Debug, Clone)]
-pub struct QuantileStream {
-    hist: LogHist,
-    tail: BinaryHeap<Reverse<u64>>,
-    k: usize,
-}
-
-impl QuantileStream {
-    /// A stream with `sub_buckets` histogram resolution (power of two)
-    /// retaining the `tail_k` largest values exactly.
-    pub fn new(sub_buckets: u32, tail_k: usize) -> QuantileStream {
-        QuantileStream {
-            hist: LogHist::new(sub_buckets),
-            tail: BinaryHeap::with_capacity(tail_k.saturating_add(1)),
-            k: tail_k,
-        }
-    }
-
-    /// Record one value.
-    pub fn record(&mut self, v: u64) {
-        self.hist.record(v);
-        self.offer_tail(v);
-    }
-
-    fn offer_tail(&mut self, v: u64) {
-        if self.k == 0 {
-            return;
-        }
-        if self.tail.len() < self.k {
-            self.tail.push(Reverse(v));
-        } else if v > self.tail.peek().expect("non-empty at capacity").0 {
-            self.tail.pop();
-            self.tail.push(Reverse(v));
-        }
-    }
-
-    /// Values recorded.
-    pub fn len(&self) -> u64 {
-        self.hist.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.hist.is_empty()
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.hist.min()
-    }
-
-    /// Largest recorded value (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.hist.max()
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.hist.mean()
-    }
-
-    /// Merge another stream (consumed) into this one. Histogram merge
-    /// is exact bucket addition and the reservoir keeps the top-K of
-    /// the union multiset, so merge order cannot change any answer.
-    pub fn merge(&mut self, other: QuantileStream) {
-        assert_eq!(self.k, other.k, "merging streams of different tail size");
-        self.hist.merge(&other.hist);
-        for Reverse(v) in other.tail {
-            self.offer_tail(v);
-        }
-    }
-
-    /// The tail reservoir sorted descending (shared by multi-quantile
-    /// callers so one sort serves every query).
-    pub fn tail_desc(&self) -> Vec<u64> {
-        let mut desc: Vec<u64> = self.tail.iter().map(|&Reverse(v)| v).collect();
-        desc.sort_unstable_by(|a, b| b.cmp(a));
-        desc
-    }
-
-    /// Quantile against a pre-sorted descending tail from
-    /// [`QuantileStream::tail_desc`].
-    pub fn quantile_with_tail(&self, desc: &[u64], q: f64) -> u64 {
-        let count = self.hist.len();
-        if count == 0 {
-            return 0;
-        }
-        let i = (((count - 1) as f64 * q).round() as u64).min(count - 1);
-        let from_top = (count - 1 - i) as usize;
-        if from_top < desc.len() {
-            desc[from_top]
-        } else {
-            self.hist.value_at_rank(i + 1).expect("rank within count")
-        }
-    }
-
-    /// Value at quantile `q` in `[0, 1]` (retained-Vec convention;
-    /// 0 when empty). Sorts the tail per call — batch queries should
-    /// go through [`QuantileStream::tail_desc`] +
-    /// [`QuantileStream::quantile_with_tail`].
-    pub fn quantile(&self, q: f64) -> u64 {
-        let desc = self.tail_desc();
-        self.quantile_with_tail(&desc, q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,57 +269,5 @@ mod tests {
         let mut r = LineReader::with_capacity(4, bytes);
         assert_eq!(r.next_line().unwrap(), Some("ok"));
         assert!(r.next_line().is_err());
-    }
-
-    #[test]
-    fn quantiles_match_vec_convention_when_tail_covers() {
-        let vals: Vec<u64> = (0..1000).map(|i| (i * 7919) % 10_007).collect();
-        let mut s = QuantileStream::new(64, 2048);
-        for &v in &vals {
-            s.record(v);
-        }
-        let mut sorted = vals.clone();
-        sorted.sort_unstable();
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            let i = ((sorted.len() - 1) as f64 * q).round() as usize;
-            assert_eq!(s.quantile(q), sorted[i], "q={q}");
-        }
-        assert_eq!(s.min(), sorted[0]);
-        assert_eq!(s.max(), *sorted.last().unwrap());
-    }
-
-    #[test]
-    fn merge_is_order_invariant() {
-        let vals: Vec<u64> = (0..500).map(|i| (i * 2654435761u64) % 1_000_003).collect();
-        let mut whole = QuantileStream::new(64, 64);
-        for &v in &vals {
-            whole.record(v);
-        }
-        for parts in [2usize, 5] {
-            let mut shards: Vec<QuantileStream> =
-                (0..parts).map(|_| QuantileStream::new(64, 64)).collect();
-            for (i, &v) in vals.iter().enumerate() {
-                shards[i % parts].record(v);
-            }
-            shards.reverse();
-            let mut merged = shards.pop().unwrap();
-            for s in shards {
-                merged.merge(s);
-            }
-            for q in [0.0, 0.5, 0.99, 1.0] {
-                assert_eq!(merged.quantile(q), whole.quantile(q), "parts={parts} q={q}");
-            }
-            assert_eq!(merged.len(), whole.len());
-        }
-    }
-
-    #[test]
-    fn empty_stream_is_zeroed() {
-        let s = QuantileStream::new(64, 16);
-        assert!(s.is_empty());
-        assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.min(), 0);
-        assert_eq!(s.max(), 0);
-        assert_eq!(s.mean(), 0.0);
     }
 }

@@ -11,6 +11,7 @@
 //! Everything here is driven by sim time and window ids — no wall
 //! clock — so dumps stay byte-identical at any `--threads` value.
 
+use crate::hist::quantile_index;
 use crate::json::JsonLine;
 
 /// Exponentially weighted moving average parameterized by half-life.
@@ -294,7 +295,7 @@ impl SeriesBank {
                     self.scratch.push(v);
                 }
                 let n = self.scratch.len();
-                let p99_idx = ((0.99 * (n - 1) as f64).round()) as usize;
+                let p99_idx = quantile_index(n, 0.99);
                 let (_, p99, _) = self.scratch.select_nth_unstable_by(p99_idx, |a, b| {
                     a.partial_cmp(b).expect("no NaN samples")
                 });

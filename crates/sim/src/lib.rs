@@ -15,8 +15,10 @@
 //! * [`shard`]: conservative-lookahead sharding for parallelism *inside*
 //!   one run — per-shard event queues advancing in lockstep windows with
 //!   deterministic cross-shard mailbox exchange.
-//! * [`stats`]: exact percentile samples used to regenerate the paper's
-//!   tables and figures.
+//!
+//! Measurement lives with its users: FCT samples in
+//! `lg_workload::FctCollector` and `lg_fabric::FctStream`, histograms
+//! and the rank rule in `lg_obs::hist`.
 //!
 //! Design follows the event-driven, allocation-light, "no surprises" style
 //! of smoltcp: components are pure state machines, all randomness is owned
@@ -26,12 +28,10 @@ pub mod event;
 pub mod par;
 pub mod rng;
 pub mod shard;
-pub mod stats;
 pub mod time;
 
 pub use event::{EventHandle, EventQueue};
 pub use par::par_map;
 pub use rng::{Rng, WeibullHorizon};
 pub use shard::{run_sharded, ShardMsg, ShardStats, ShardWorld};
-pub use stats::Samples;
 pub use time::{Duration, Rate, Time};

@@ -54,8 +54,10 @@
 //! must be excluded from byte-identical comparisons. `lg_fabric`'s
 //! packet simulator is the worked example of both rules.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 
 use crate::time::{Duration, Time};
 
@@ -189,7 +191,9 @@ fn drain_inbox<W: ShardWorld>(shard: &mut W, inbox: &mut Vec<ShardMsg<W::Msg>>) 
 /// would open after `horizon` (events at exactly `horizon` still run).
 ///
 /// Results are identical at any `threads`; `threads <= 1` runs
-/// everything on the calling thread.
+/// everything on the calling thread. So is failure: a panic in a shard
+/// or in the exchange's contract check surfaces on the caller with its
+/// own message.
 pub fn run_sharded<W: ShardWorld>(
     shards: &mut [W],
     lookahead: Duration,
@@ -267,6 +271,19 @@ impl<T> Slots<T> {
 /// window ends are clamped below it by `window_end`.
 const SHUTDOWN: u64 = u64::MAX;
 
+/// The first panic payload raised by any party of a threaded run.
+type FirstPanic = Mutex<Option<Box<dyn Any + Send>>>;
+const HELD: &str = "the first-panic slot is never locked across a panic";
+
+/// Run `f`, parking its panic in `first` (the earliest wins) instead of
+/// unwinding: a party that left the barrier protocol would leave the
+/// others parked at the barrier forever.
+fn catch_into(first: &FirstPanic, f: impl FnOnce()) {
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
+        first.lock().expect(HELD).get_or_insert(payload);
+    }
+}
+
 fn run_parallel<W: ShardWorld>(
     shards: &mut [W],
     lookahead: Duration,
@@ -287,10 +304,11 @@ fn run_parallel<W: ShardWorld>(
     let barrier = Barrier::new(threads + 1);
     let claim = AtomicUsize::new(0);
     let until_ps = AtomicU64::new(0);
+    let failure = FirstPanic::default();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let (barrier, claim, until_ps) = (&barrier, &claim, &until_ps);
+            let (barrier, claim, until_ps, failure) = (&barrier, &claim, &until_ps, &failure);
             let (shard_slots, out_slots, in_slots, event_slots) =
                 (&shard_slots, &out_slots, &in_slots, &event_slots);
             scope.spawn(move || loop {
@@ -305,7 +323,7 @@ fn run_parallel<W: ShardWorld>(
                 if until == SHUTDOWN {
                     break;
                 }
-                loop {
+                catch_into(failure, || loop {
                     let i = claim.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
@@ -316,17 +334,20 @@ fn run_parallel<W: ShardWorld>(
                     let out = unsafe { &mut *out_slots.get(i) };
                     let ran = shard.run_window(Time::from_ps(until), out);
                     unsafe { *event_slots.get(i) += ran };
-                }
+                });
                 // Exchange phase: workers park here while the
-                // coordinator owns every shard.
+                // coordinator owns every shard — also after a panic,
+                // so the coordinator can end the run.
                 barrier.wait();
             });
         }
 
         // Coordinator. Between the end barrier of one window and the
         // start barrier of the next, all workers are parked, so the
-        // coordinator may touch every shard through the slots.
-        loop {
+        // coordinator may touch every shard through the slots. It
+        // leaves the loop when every shard is done or any party has
+        // panicked, with the workers parked at the start barrier.
+        catch_into(&failure, || loop {
             let t_min = {
                 let mut t_min = None::<Time>;
                 for i in 0..n {
@@ -339,8 +360,6 @@ fn run_parallel<W: ShardWorld>(
                 t_min
             };
             let Some(t_min) = t_min.filter(|&t| t <= horizon) else {
-                until_ps.store(SHUTDOWN, Ordering::Relaxed);
-                barrier.wait();
                 break;
             };
             let until = window_end(t_min, lookahead);
@@ -348,6 +367,9 @@ fn run_parallel<W: ShardWorld>(
             until_ps.store(until.as_ps(), Ordering::Relaxed);
             barrier.wait(); // open the window
             barrier.wait(); // wait for every shard to finish it
+            if failure.lock().expect(HELD).is_some() {
+                break;
+            }
             let m = {
                 // Gather through the same per-element slots the workers
                 // use — the barrier crossing above handed every shard,
@@ -370,8 +392,13 @@ fn run_parallel<W: ShardWorld>(
             stats.windows += 1;
             stats.messages += m;
             stats.max_window_messages = stats.max_window_messages.max(m);
-        }
+        });
+        until_ps.store(SHUTDOWN, Ordering::Relaxed);
+        barrier.wait();
     });
+    if let Some(payload) = failure.into_inner().expect(HELD) {
+        panic::resume_unwind(payload);
+    }
 
     stats.events = events.iter().sum();
     // A horizon cut can strand the final exchange in the inboxes; flush
@@ -398,6 +425,8 @@ mod tests {
         total: u64,
         latency: Duration,
         limit: u64,
+        /// A token whose arrival makes the shard panic.
+        panic_at: Option<u64>,
         q: EventQueue<u64>,
         log: Vec<(u64, u64)>,
     }
@@ -418,6 +447,9 @@ mod tests {
         fn run_window(&mut self, until: Time, out: &mut Vec<ShardMsg<u64>>) -> u64 {
             let mut ran = 0;
             while let Some((now, token)) = self.q.pop_if_before(until) {
+                if self.panic_at == Some(token) {
+                    panic!("shard {} failed at token {token}", self.id);
+                }
                 ran += 1;
                 self.log.push((now.as_ps(), token));
                 let next = token + 1;
@@ -458,6 +490,7 @@ mod tests {
                     total,
                     latency,
                     limit,
+                    panic_at: None,
                     q: EventQueue::new(),
                     log: Vec::new(),
                 };
@@ -533,13 +566,47 @@ mod tests {
         assert!(stats.events >= 2 && stats.events < 1000, "{stats:?}");
     }
 
+    /// The message of the panic `run` raises at each of `threads`,
+    /// required to be the same at every thread count.
+    fn panic_message(threads: &[usize], run: impl Fn(usize)) -> String {
+        let msgs: Vec<String> = threads
+            .iter()
+            .map(|&t| {
+                let payload = panic::catch_unwind(AssertUnwindSafe(|| run(t)))
+                    .expect_err("the run must panic");
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .expect("a string panic payload")
+            })
+            .collect();
+        assert!(msgs.windows(2).all(|w| w[0] == w[1]), "{msgs:?}");
+        msgs[0].clone()
+    }
+
     #[test]
-    #[should_panic(expected = "lookahead contract")]
     fn lookahead_violation_is_caught() {
-        let latency = Duration::from_ns(3);
-        let mut shards = ring(2, 4, 1000, latency);
-        // Claim a lookahead larger than the actual handoff latency:
-        // the first cross-shard message lands inside the window.
-        run_sharded(&mut shards, Duration::from_ns(50), Time::MAX, 1);
+        let msg = panic_message(&[1, 2], |threads| {
+            let latency = Duration::from_ns(3);
+            let mut shards = ring(2, 4, 1000, latency);
+            // Claim a lookahead larger than the actual handoff latency:
+            // the first cross-shard message lands inside the window.
+            run_sharded(&mut shards, Duration::from_ns(50), Time::MAX, threads);
+        });
+        assert!(msg.contains("lookahead contract"), "{msg}");
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_the_run() {
+        let msg = panic_message(&[1, 2], |threads| {
+            let latency = Duration::from_ns(3);
+            let mut shards = ring(2, 4, 1000, latency);
+            // Token 9 is the second token to reach shard 0 after a
+            // handoff, so both shards have run windows by then.
+            shards[0].panic_at = Some(9);
+            run_sharded(&mut shards, latency, Time::MAX, threads);
+        });
+        assert_eq!(msg, "shard 0 failed at token 9");
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the simulation kernel.
 
-use lg_sim::{Duration, EventQueue, Rate, Rng, Samples, Time, WeibullHorizon};
+use lg_sim::{Duration, EventQueue, Rate, Rng, Time, WeibullHorizon};
 use proptest::prelude::*;
 
 proptest! {
@@ -346,26 +346,6 @@ proptest! {
         let back = r.bytes_in(d);
         prop_assert!(back <= bytes && bytes - back <= 1, "{bytes} -> {back}");
         prop_assert!(r.serialize(bytes + 1) >= d);
-    }
-
-    /// Exact-sample quantiles bracket every recorded value and are
-    /// monotone in q.
-    #[test]
-    fn samples_quantile_monotone(values in proptest::collection::vec(0f64..1e9, 1..300)) {
-        let mut s = Samples::new();
-        for &v in &values {
-            s.record(v);
-        }
-        let qs = [0.0, 0.25, 0.5, 0.9, 0.99, 1.0];
-        let mut last = f64::NEG_INFINITY;
-        for &q in &qs {
-            let v = s.quantile(q);
-            prop_assert!(v >= last);
-            prop_assert!(values.contains(&v), "quantile is an actual sample");
-            last = v;
-        }
-        prop_assert_eq!(s.quantile(1.0), s.max());
-        prop_assert_eq!(s.quantile(0.0), s.min());
     }
 
     /// Deterministic streams: forked children differ from parents but are
