@@ -173,9 +173,10 @@ mod tests {
     use super::*;
     use lg_sim::Rng;
 
-    /// The retained-Vec convention the stream must reproduce.
+    /// The retained-Vec convention the stream must reproduce, written
+    /// out rather than borrowed from the stream's own rank function.
     fn vec_percentile(sorted: &[u64], q: f64) -> u64 {
-        sorted[quantile_index(sorted.len(), q)]
+        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
     }
 
     fn sample(n: usize, seed: u64) -> Vec<u64> {

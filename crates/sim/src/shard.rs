@@ -191,9 +191,8 @@ fn drain_inbox<W: ShardWorld>(shard: &mut W, inbox: &mut Vec<ShardMsg<W::Msg>>) 
 /// would open after `horizon` (events at exactly `horizon` still run).
 ///
 /// Results are identical at any `threads`; `threads <= 1` runs
-/// everything on the calling thread. So is failure: a panic in a shard
-/// or in the exchange's contract check surfaces on the caller with its
-/// own message.
+/// everything on the calling thread. So is failure: a panic surfaces on
+/// the caller with the message `run_serial` would raise.
 pub fn run_sharded<W: ShardWorld>(
     shards: &mut [W],
     lookahead: Duration,
@@ -271,16 +270,20 @@ impl<T> Slots<T> {
 /// window ends are clamped below it by `window_end`.
 const SHUTDOWN: u64 = u64::MAX;
 
-/// The first panic payload raised by any party of a threaded run.
-type FirstPanic = Mutex<Option<Box<dyn Any + Send>>>;
-const HELD: &str = "the first-panic slot is never locked across a panic";
+/// A threaded run's panic and its party (shard `i`, the coordinator `n`).
+/// The lowest party wins, as in `run_serial`'s order, so the message
+/// does not depend on which worker got there first.
+type Failure = Mutex<Option<(usize, Box<dyn Any + Send>)>>;
+const HELD: &str = "the failure slot is never locked across a panic";
 
-/// Run `f`, parking its panic in `first` (the earliest wins) instead of
-/// unwinding: a party that left the barrier protocol would leave the
-/// others parked at the barrier forever.
-fn catch_into(first: &FirstPanic, f: impl FnOnce()) {
+/// Run `f` as `party`, parking its panic in `failure`: a party that
+/// unwound would leave the others parked at the barrier forever.
+fn catch_into(failure: &Failure, party: usize, f: impl FnOnce()) {
     if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-        first.lock().expect(HELD).get_or_insert(payload);
+        let mut slot = failure.lock().expect(HELD);
+        if slot.as_ref().is_none_or(|&(p, _)| party < p) {
+            *slot = Some((party, payload));
+        }
     }
 }
 
@@ -304,7 +307,7 @@ fn run_parallel<W: ShardWorld>(
     let barrier = Barrier::new(threads + 1);
     let claim = AtomicUsize::new(0);
     let until_ps = AtomicU64::new(0);
-    let failure = FirstPanic::default();
+    let failure = Failure::default();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -323,21 +326,22 @@ fn run_parallel<W: ShardWorld>(
                 if until == SHUTDOWN {
                     break;
                 }
-                catch_into(failure, || loop {
+                loop {
                     let i = claim.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
-                    let shard = unsafe { &mut *shard_slots.get(i) };
-                    let inbox = unsafe { &mut *in_slots.get(i) };
-                    drain_inbox(shard, inbox);
-                    let out = unsafe { &mut *out_slots.get(i) };
-                    let ran = shard.run_window(Time::from_ps(until), out);
-                    unsafe { *event_slots.get(i) += ran };
-                });
+                    catch_into(failure, i, || {
+                        let shard = unsafe { &mut *shard_slots.get(i) };
+                        let inbox = unsafe { &mut *in_slots.get(i) };
+                        drain_inbox(shard, inbox);
+                        let out = unsafe { &mut *out_slots.get(i) };
+                        let ran = shard.run_window(Time::from_ps(until), out);
+                        unsafe { *event_slots.get(i) += ran };
+                    });
+                }
                 // Exchange phase: workers park here while the
-                // coordinator owns every shard — also after a panic,
-                // so the coordinator can end the run.
+                // coordinator owns every shard (also after a panic).
                 barrier.wait();
             });
         }
@@ -345,9 +349,8 @@ fn run_parallel<W: ShardWorld>(
         // Coordinator. Between the end barrier of one window and the
         // start barrier of the next, all workers are parked, so the
         // coordinator may touch every shard through the slots. It
-        // leaves the loop when every shard is done or any party has
-        // panicked, with the workers parked at the start barrier.
-        catch_into(&failure, || loop {
+        // leaves when the run is done or any party has panicked.
+        catch_into(&failure, n, || loop {
             let t_min = {
                 let mut t_min = None::<Time>;
                 for i in 0..n {
@@ -396,7 +399,7 @@ fn run_parallel<W: ShardWorld>(
         until_ps.store(SHUTDOWN, Ordering::Relaxed);
         barrier.wait();
     });
-    if let Some(payload) = failure.into_inner().expect(HELD) {
+    if let Some((_, payload)) = failure.into_inner().expect(HELD) {
         panic::resume_unwind(payload);
     }
 
@@ -608,5 +611,22 @@ mod tests {
             run_sharded(&mut shards, latency, Time::MAX, threads);
         });
         assert_eq!(msg, "shard 0 failed at token 9");
+    }
+
+    #[test]
+    fn shards_panicking_in_one_window_fail_with_the_lowest_shards_message() {
+        // Repeat the threaded run: two workers race to report.
+        let msg = panic_message(&[1, 2, 2, 2, 2, 2, 2, 2, 2], |threads| {
+            let latency = Duration::from_ns(3);
+            let mut shards = ring(2, 4, 1000, latency);
+            // A second token starts in shard 1 (cell 4) beside token 0,
+            // and each shard panics on its first token: both panic in
+            // the first window.
+            shards[1].q.schedule_at(Time::from_ns(5), 4);
+            shards[0].panic_at = Some(0);
+            shards[1].panic_at = Some(4);
+            run_sharded(&mut shards, latency, Time::MAX, threads);
+        });
+        assert_eq!(msg, "shard 0 failed at token 0");
     }
 }
