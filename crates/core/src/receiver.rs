@@ -25,7 +25,7 @@
 use crate::config::{LgConfig, Mode};
 use crate::seqmap::{abs_of, wire_of};
 use lg_obs::trace::{Comp, Kind, Level};
-use lg_obs::{lg_trace, LogHist, MetricSink, Observe};
+use lg_obs::{lg_trace, Counters, LogHist};
 use lg_packet::lg::{LgAck, LgPacketType, LossNotification, PauseFrame, MAX_CONSECUTIVE_LOSSES};
 use lg_packet::{LgControl, NodeId, Packet, PacketPool, PktId};
 use lg_sim::{Duration, Time};
@@ -105,25 +105,23 @@ pub struct ReceiverStats {
     pub delivered: u64,
 }
 
-impl Observe for ReceiverStats {
-    fn observe(&self, m: &mut MetricSink) {
-        m.counter("protected_rx", self.protected_rx);
-        m.counter("dummies_rx", self.dummies_rx);
-        m.counter("gaps_detected", self.gaps_detected);
-        m.counter("lost_reported", self.lost_reported);
-        m.counter("notifications_sent", self.notifications_sent);
-        m.counter("recovered", self.recovered);
-        m.counter("dup_drops", self.dup_drops);
-        m.counter("buffered", self.buffered);
-        m.counter("rx_overflow_drops", self.rx_overflow_drops);
-        m.counter("timeouts", self.timeouts);
-        m.counter("skipped", self.skipped);
-        m.counter("pauses_sent", self.pauses_sent);
-        m.counter("resumes_sent", self.resumes_sent);
-        m.counter("explicit_acks_sent", self.explicit_acks_sent);
-        m.counter("delivered", self.delivered);
-    }
-}
+lg_obs::counters!(ReceiverStats {
+    protected_rx,
+    dummies_rx,
+    gaps_detected,
+    lost_reported,
+    notifications_sent,
+    recovered,
+    dup_drops,
+    buffered,
+    rx_overflow_drops,
+    timeouts,
+    skipped,
+    pauses_sent,
+    resumes_sent,
+    explicit_acks_sent,
+    delivered,
+});
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BpState {
@@ -751,6 +749,53 @@ impl LgReceiver {
             out.push(pool.insert(p));
         }
         self.pending_explicit_acks = 0;
+    }
+
+    /// What a periodic run must find unchanged, relative to this
+    /// receiver's sequence and `now`; false while a recovery is under
+    /// way (anything missing, buffered, paused or timed).
+    pub fn shape(&self, now: Time, out: &mut Vec<u64>) -> bool {
+        let draining = self.draining_bytes > 0;
+        out.extend([
+            self.active as u64,
+            self.latest_rx.wrapping_sub(self.ack_no),
+            self.pending_explicit_acks as u64,
+            draining as u64,
+        ]);
+        if draining {
+            out.push(now.saturating_since(self.drain_last).as_ps());
+        }
+        self.rx_buffer.is_empty()
+            && self.missing.is_empty()
+            && self.missing_since.is_empty()
+            && self.delivered_above.is_empty()
+            && self.bp_state == BpState::Resumed
+            && !self.timeout_armed
+    }
+
+    /// Visit the sequence fields, instants and counters a period moves.
+    pub fn scalars(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        let seqs = [
+            &mut self.latest_rx,
+            &mut self.ack_no,
+            &mut self.timeout_generation,
+        ];
+        seqs.into_iter().for_each(&mut *f);
+        f(&mut self.drain_last.0);
+        self.stats.each_counter(f);
+        self.rx_buffer.scalars(f);
+    }
+
+    /// Drain the recirculation path through `k` more in-order arrivals
+    /// `period` apart of `frame_len`-byte frames: each drains what the
+    /// link rate moved since the last and, while anything is left,
+    /// queues behind it (see `accept_data`).
+    pub fn advance(&mut self, k: u64, period: Duration, frame_len: u32) {
+        let drained = self.cfg.speed.rate().bytes_in(period);
+        for _ in 0..k {
+            let left = self.draining_bytes.saturating_sub(drained);
+            self.draining_bytes = if left > 0 { left + frame_len as u64 } else { 0 };
+        }
     }
 
     /// Reordering-buffer occupancy in bytes (the "Rx buffer" series of

@@ -23,7 +23,7 @@
 use crate::config::LgConfig;
 use crate::seqmap::{abs_of, wire_of};
 use lg_obs::trace::{Comp, Kind, Level};
-use lg_obs::{lg_trace, MetricSink, Observe};
+use lg_obs::{lg_trace, Counters};
 use lg_packet::lg::{LgAck, LgData, LgPacketType, LossNotification};
 use lg_packet::{LgControl, NodeId, Packet, PacketPool, Payload, PktId};
 use lg_sim::{Duration, Rng, Time};
@@ -74,19 +74,17 @@ pub struct SenderStats {
     pub resumes_rx: u64,
 }
 
-impl Observe for SenderStats {
-    fn observe(&self, m: &mut MetricSink) {
-        m.counter("protected_sent", self.protected_sent);
-        m.counter("notifications_rx", self.notifications_rx);
-        m.counter("retx_packets", self.retx_packets);
-        m.counter("retx_copies_sent", self.retx_copies_sent);
-        m.counter("retx_misses", self.retx_misses);
-        m.counter("dummies_sent", self.dummies_sent);
-        m.counter("buffer_overflows", self.buffer_overflows);
-        m.counter("pauses_rx", self.pauses_rx);
-        m.counter("resumes_rx", self.resumes_rx);
-    }
-}
+lg_obs::counters!(SenderStats {
+    protected_sent,
+    notifications_rx,
+    retx_packets,
+    retx_copies_sent,
+    retx_misses,
+    dummies_sent,
+    buffer_overflows,
+    pauses_rx,
+    resumes_rx,
+});
 
 /// The sender-side state machine for one protected link direction.
 #[derive(Debug)]
@@ -396,6 +394,27 @@ impl LgSender {
         // true value; the latest sent packet always qualifies because the
         // Tx window is far smaller than 32K packets.
         self.next_seq.max(1)
+    }
+
+    /// What a periodic run must find unchanged, relative to this
+    /// sender's sequence and `now`; the buffered handles go to `ids`.
+    pub fn shape(&self, now: Time, out: &mut Vec<u64>, ids: &mut Vec<PktId>) {
+        out.extend([self.active as u64, self.next_seq - self.latest_rx]);
+        self.tx_buffer.shape(self.next_seq, now, out, ids);
+    }
+
+    /// Visit the sequence fields and counters a period moves.
+    pub fn scalars(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        [&mut self.next_seq, &mut self.latest_rx]
+            .into_iter()
+            .for_each(&mut *f);
+        self.stats.each_counter(f);
+        self.tx_buffer.scalars(f);
+    }
+
+    /// File the buffered copies `dseq` sequence numbers and `dt` on.
+    pub fn advance(&mut self, dseq: u64, dt: Duration) {
+        self.tx_buffer.advance(dseq, dt);
     }
 
     /// Current Tx buffer occupancy in bytes.

@@ -89,6 +89,12 @@ impl LinkDirection {
         &self.loss
     }
 
+    /// The underlying loss process, for drawing ahead
+    /// ([`LossProcess::skip_clean`]).
+    pub fn loss_mut(&mut self) -> &mut LossProcess {
+        &mut self.loss
+    }
+
     /// The link configuration.
     pub fn config(&self) -> LinkConfig {
         self.cfg

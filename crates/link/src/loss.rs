@@ -150,6 +150,23 @@ impl LossProcess {
         lost
     }
 
+    /// Decide the fate of up to `max` next frames, stopping before the
+    /// first lost one: returns how many were delivered. The state is that
+    /// of as many [`LossProcess::should_drop`] calls, so the lost frame's
+    /// draw is still ahead.
+    pub fn skip_clean(&mut self, max: u64) -> u64 {
+        for n in 0..max {
+            let before = (self.rng.clone(), self.in_bad_state, self.trace_pos);
+            if self.should_drop() {
+                (self.rng, self.in_bad_state, self.trace_pos) = before;
+                self.frame_index -= 1;
+                self.drops -= 1;
+                return n;
+            }
+        }
+        max
+    }
+
     /// Frames processed so far.
     pub fn frames(&self) -> u64 {
         self.frame_index
@@ -251,6 +268,50 @@ impl RunLengthStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drawing ahead leaves the process where as many plain draws would,
+    /// with the lost frame's draw still to come.
+    #[test]
+    fn skip_clean_equals_as_many_plain_draws() {
+        let models = [
+            LossModel::None,
+            LossModel::Iid { rate: 0.05 },
+            LossModel::bursty(0.05, 3.0),
+            LossModel::Trace {
+                drops: vec![3, 4, 40],
+            },
+        ];
+        for model in models {
+            let (mut ahead, mut plain) = (
+                LossProcess::new(model.clone(), Rng::new(9)),
+                LossProcess::new(model.clone(), Rng::new(9)),
+            );
+            for round in 0..200u64 {
+                let max = round % 37;
+                let n = ahead.skip_clean(max);
+                assert!(n <= max);
+                assert!(
+                    (0..n).all(|_| !plain.should_drop()),
+                    "{model:?}: a skipped frame was lost"
+                );
+                assert_eq!(
+                    (ahead.frames(), ahead.drops()),
+                    (plain.frames(), plain.drops())
+                );
+                if n < max {
+                    assert!(
+                        ahead.should_drop() && plain.should_drop(),
+                        "{model:?}: stopped early"
+                    );
+                }
+                assert_eq!(ahead.should_drop(), plain.should_drop(), "{model:?}");
+            }
+            assert_eq!(
+                (ahead.frames(), ahead.drops()),
+                (plain.frames(), plain.drops())
+            );
+        }
+    }
 
     #[test]
     fn none_never_drops() {

@@ -62,7 +62,7 @@ pub mod trace;
 pub use health::{HealthConfig, HealthEstimator, HealthEvent, LinkHealth};
 pub use hist::{HistSummary, LogHist};
 pub use json::{JsonLine, JsonValue};
-pub use metrics::{MetricSink, MetricsRegistry, Observe};
+pub use metrics::{Counters, MetricSink, MetricsRegistry, Observe};
 pub use stream::LineReader;
 pub use timeseries::{Ewma, SeriesBank, WindowedRate};
 pub use trace::{Comp, Kind, Level, TraceRecord};

@@ -17,6 +17,32 @@ pub trait Observe {
     fn observe(&self, m: &mut MetricSink);
 }
 
+/// A struct of `u64` counters a periodic model can move on in closed
+/// form: it visits each one (gauges and high-water marks excluded).
+pub trait Counters {
+    /// Visit every counter.
+    fn each_counter(&mut self, f: &mut dyn FnMut(&mut u64));
+}
+
+/// Implement [`Observe`] (each counter, then each gauge, in the order
+/// named) and [`Counters`] for a struct of `u64` fields.
+#[macro_export]
+macro_rules! counters {
+    ($ty:ty { $($c:ident),* $(,)? } $(gauges { $($g:ident),* })?) => {
+        impl $crate::Observe for $ty {
+            fn observe(&self, m: &mut $crate::MetricSink) {
+                $(m.counter(stringify!($c), self.$c);)*
+                $($(m.gauge(stringify!($g), self.$g);)*)?
+            }
+        }
+        impl $crate::Counters for $ty {
+            fn each_counter(&mut self, f: &mut dyn FnMut(&mut u64)) {
+                $(f(&mut self.$c);)*
+            }
+        }
+    };
+}
+
 /// One instrument value collected during a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 enum Value {

@@ -20,8 +20,8 @@ pub mod seqno;
 pub mod tcp;
 
 pub use packet::{
-    peek_next_uid, Ecn, FlowId, LgControl, NodeId, Packet, Payload, RdmaAck, RdmaSegment,
-    TcpSegment, UdpDatagram,
+    peek_next_uid, skip_uids, Ecn, FlowId, LgControl, NodeId, Packet, Payload, RdmaAck,
+    RdmaSegment, TcpSegment, UdpDatagram,
 };
 pub use pool::{PacketPool, PktId};
 pub use seqno::SeqNo;

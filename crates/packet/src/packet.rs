@@ -66,6 +66,12 @@ pub fn peek_next_uid() -> u64 {
     NEXT_UID.with(|c| c.get())
 }
 
+/// Advance this thread's uid counter past `n` uids, as if `n` packets
+/// had been created (a computed run of periods creates none).
+pub fn skip_uids(n: u64) {
+    NEXT_UID.with(|c| c.set(c.get() + n));
+}
+
 /// A TCP segment's metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TcpSegment {

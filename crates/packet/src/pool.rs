@@ -171,6 +171,14 @@ impl PacketPool {
         self.insert(copy)
     }
 
+    /// Apply `f` to every live packet once, shared slots included.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(&mut Packet)) {
+        self.slots
+            .iter_mut()
+            .filter_map(|s| s.pkt.as_mut())
+            .for_each(&mut f);
+    }
+
     /// Current reference count of `id`'s slot.
     pub fn refcount(&self, id: PktId) -> u32 {
         self.slot(id).rc

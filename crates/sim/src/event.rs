@@ -471,6 +471,48 @@ impl<E> EventQueue<E> {
             .nth(k)
     }
 
+    /// Every pending event with its instant, in filing order.
+    pub fn pending(&self) -> Vec<(Time, &E)> {
+        let mut v: Vec<_> = (self.arena.iter())
+            .filter_map(|e| Some((e.seq, e.at, e.payload.as_ref()?)))
+            .collect();
+        v.sort_unstable_by_key(|e| e.0);
+        v.into_iter().map(|(_, at, p)| (at, p)).collect()
+    }
+
+    /// Advance the clock by `d` without popping — over a run a periodic
+    /// model computes instead of simulating. `place` takes every pending
+    /// event in filing order and hands it back to move by `d` (`true`)
+    /// or keep its instant (`false`), or consumes it (`None`). Moved and
+    /// kept events keep their filing order, and every moved one files
+    /// after every kept one, as if scheduled last. Spends every handle.
+    ///
+    /// # Panics
+    /// Panics if a kept event would fall before the new clock.
+    pub fn translate(&mut self, d: Duration, mut place: impl FnMut(E) -> Option<(E, bool)>) {
+        let mut all = Vec::with_capacity(self.pending);
+        loop {
+            while let Some(w) = self.window.pop_front() {
+                let payload = self.arena[w.idx as usize].payload.take();
+                self.release(w.idx);
+                all.extend(payload.map(|p| (w.seq, w.at, p)));
+            }
+            if !self.advance() {
+                break;
+            }
+        }
+        self.pending = 0;
+        all.sort_unstable_by_key(|e| e.0);
+        self.now += d;
+        let mut placed: Vec<_> = (all.into_iter())
+            .filter_map(|(_, at, e)| place(e).map(|(e, moved)| (moved, at, e)))
+            .collect();
+        placed.sort_by_key(|e| e.0);
+        for (moved, at, p) in placed {
+            self.schedule_at(if moved { at + d } else { at }, p);
+        }
+    }
+
     /// Exhaustively recount the queue's live entries and check the
     /// structural invariants that `len`/`is_empty` rely on:
     ///

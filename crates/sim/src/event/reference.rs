@@ -155,6 +155,24 @@ impl<E> EventQueue<E> {
         Some((at, first))
     }
 
+    /// Advance the clock by `d`, moving, keeping or consuming each
+    /// pending event as `place` says. Mirrors
+    /// [`super::EventQueue::translate`].
+    pub fn translate(&mut self, d: Duration, mut place: impl FnMut(E) -> Option<(E, bool)>) {
+        let mut all = std::mem::take(&mut self.heap).into_vec();
+        all.retain(|s| self.pending_seqs.contains(&s.seq));
+        all.sort_by_key(|s| s.seq);
+        self.pending_seqs.clear();
+        self.now += d;
+        let mut placed: Vec<_> = (all.into_iter())
+            .filter_map(|s| place(s.payload).map(|(p, moved)| (s.at, p, moved)))
+            .collect();
+        placed.sort_by_key(|e| e.2);
+        for (at, p, moved) in placed {
+            self.schedule_at(if moved { at + d } else { at }, p);
+        }
+    }
+
     /// Peek at the timestamp of the next pending event without popping it.
     pub fn peek_time(&mut self) -> Option<Time> {
         // Drop cancelled events from the head so the peek is accurate.

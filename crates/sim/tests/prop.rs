@@ -47,11 +47,11 @@ proptest! {
     /// Differential test: the timer-wheel queue and the reference
     /// binary-heap queue agree on every observable (popped events, clock,
     /// cancel results, lengths, peeks) under arbitrary interleavings of
-    /// schedule / cancel / peek / pop across all wheel levels and the
-    /// overflow horizon.
+    /// schedule / cancel / peek / pop / translate across all wheel levels
+    /// and the overflow horizon.
     #[test]
     fn wheel_matches_reference_oracle(
-        ops in proptest::collection::vec((0u8..16, any::<u64>(), any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..18, any::<u64>(), any::<u64>()), 1..400),
     ) {
         use lg_sim::event::reference;
         let mut wheel = EventQueue::new();
@@ -63,10 +63,11 @@ proptest! {
         for &(op, a, b) in &ops {
             match op {
                 // Schedule with horizons spanning sub-slot distances,
-                // every wheel level and the overflow heap.
+                // every wheel level and the overflow heap; op 0 lands on
+                // one of four instants, so same-instant ties are common.
                 0..=5 => {
                     let horizon_bits = [10, 14, 24, 34, 44, 60][op as usize];
-                    let d = a % (1u64 << horizon_bits);
+                    let d = if op == 0 { (a % 4) << 10 } else { a % (1u64 << horizon_bits) };
                     let at = Time::from_ps(wheel.now().as_ps().saturating_add(d));
                     let tag = wheel_handles.len();
                     wheel_handles.push(wheel.schedule_at(at, tag));
@@ -107,6 +108,31 @@ proptest! {
                 // oracle is compared on must be unmoved by it.
                 15 => {
                     let _ = wheel.upcoming((a % 8) as usize);
+                }
+                // Translate: move, keep or consume each event by its tag;
+                // a quarter of the time the first moved event lands
+                // exactly on the first kept one, so the tie rule (moved
+                // files after kept) is exercised.
+                16 | 17 => {
+                    let fate = |tag: &usize| (*tag as u64 ^ b) % 4;
+                    let place = |tag: usize| (fate(&tag) != 3).then_some((tag, fate(&tag) != 0));
+                    let pending = wheel.pending();
+                    prop_assert_eq!(pending.len(), wheel.len());
+                    let first = |f: u64| {
+                        pending.iter().filter(|(_, t)| fate(t) == f).map(|(at, _)| *at).min()
+                    };
+                    let now = wheel.now().as_ps();
+                    let mut d = a % (1 << 24);
+                    if let (Some(k), Some(m), 0) = (first(0), first(1), b % 4) {
+                        d = k.as_ps().saturating_sub(m.as_ps());
+                    }
+                    if let Some(k) = first(0) {
+                        d = d.min(k.as_ps() - now);
+                    }
+                    wheel.translate(Duration::from_ps(d), place);
+                    oracle.translate(Duration::from_ps(d), place);
+                    prop_assert_eq!(wheel.now(), oracle.now());
+                    prop_assert_eq!(wheel.now().as_ps(), now + d);
                 }
                 _ => {
                     prop_assert_eq!(wheel.pop(), oracle.pop());

@@ -9,7 +9,6 @@
 //! ports into the metrics registry; the health estimator that drives
 //! activation differences the same two Rx counters.
 
-use lg_obs::{MetricSink, Observe};
 use serde::{Deserialize, Serialize};
 
 /// Port statistics.
@@ -88,19 +87,16 @@ impl PortCounters {
     }
 }
 
-impl Observe for PortCounters {
-    fn observe(&self, m: &mut MetricSink) {
-        m.counter("frames_rx_ok", self.frames_rx_ok);
-        m.counter("frames_rx_all", self.frames_rx_all);
-        m.counter("frames_tx", self.frames_tx);
-        m.counter("bytes_tx", self.bytes_tx);
-        m.counter("bytes_rx_ok", self.bytes_rx_ok);
-        m.counter("lg_retx_tx", self.lg_retx_tx);
-        m.counter("pause_tx", self.pause_tx);
-        m.counter("pause_rx", self.pause_rx);
-        m.gauge("queue_hwm_bytes", self.queue_hwm_bytes);
-    }
-}
+lg_obs::counters!(PortCounters {
+    frames_rx_ok,
+    frames_rx_all,
+    frames_tx,
+    bytes_tx,
+    bytes_rx_ok,
+    lg_retx_tx,
+    pause_tx,
+    pause_rx,
+} gauges { queue_hwm_bytes });
 
 #[cfg(test)]
 mod tests {

@@ -105,6 +105,14 @@ impl EgressPort {
         self.paused[class as usize] = paused;
     }
 
+    /// Busy and pause flags and every class queue's
+    /// [`ByteQueue::shape`].
+    pub fn shape(&self, out: &mut Vec<u64>, ids: &mut Vec<PktId>) {
+        out.push(self.busy as u64);
+        out.extend(self.paused.map(u64::from));
+        self.queues.iter().for_each(|q| q.shape(out, ids));
+    }
+
     /// Access a class queue (for depth probes).
     pub fn queue(&self, class: Class) -> &ByteQueue {
         &self.queues[class as usize]

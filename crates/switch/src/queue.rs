@@ -98,6 +98,13 @@ impl ByteQueue {
         EnqueueOutcome::Stored { marked: did_mark }
     }
 
+    /// Depth, drops and marks, for telling whether two instants look
+    /// alike; the resident handles, head first, go to `ids`.
+    pub fn shape(&self, out: &mut Vec<u64>, ids: &mut Vec<PktId>) {
+        out.extend([self.ids.len() as u64, self.bytes, self.drops, self.marked]);
+        ids.extend(self.ids.iter().copied());
+    }
+
     /// Dequeue the head packet; ownership passes to the caller.
     pub fn pop(&mut self) -> Option<PktId> {
         let id = self.ids.pop_front()?;

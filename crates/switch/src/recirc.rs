@@ -26,7 +26,7 @@
 //! is a prefix drain that scans one contiguous key lane per cache line
 //! instead of walking tree nodes.
 
-use lg_obs::{MetricSink, Observe};
+use lg_obs::{Counters, MetricSink, Observe};
 use lg_packet::{PacketPool, PktId};
 use lg_sim::{Duration, Rate, Time};
 use std::collections::VecDeque;
@@ -52,14 +52,7 @@ pub struct RecircStats {
     pub high_watermark: u64,
 }
 
-impl Observe for RecircStats {
-    fn observe(&self, m: &mut MetricSink) {
-        m.counter("loops", self.loops);
-        m.counter("loop_bytes", self.loop_bytes);
-        m.counter("overflows", self.overflows);
-        m.gauge("high_watermark", self.high_watermark);
-    }
-}
+lg_obs::counters!(RecircStats { loops, loop_bytes, overflows } gauges { high_watermark });
 
 /// An ordered packet buffer with byte-capacity and loop accounting.
 ///
@@ -213,6 +206,30 @@ impl RecircBuffer {
             freed += 1;
         }
         freed
+    }
+
+    /// The buffer relative to `key_ref` and `now`, for telling whether
+    /// two instants a period apart look alike; the handles, in key
+    /// order, go to `ids`.
+    pub fn shape(&self, key_ref: u64, now: Time, out: &mut Vec<u64>, ids: &mut Vec<PktId>) {
+        out.extend([self.keys.len() as u64, self.bytes]);
+        for (i, &key) in self.keys.iter().enumerate() {
+            let since = now.as_ps().wrapping_sub(self.inserted_at[i].as_ps());
+            let lens = [self.frame_lens[i], self.wire_lens[i]].map(u64::from);
+            out.extend([key_ref.wrapping_sub(key), since, lens[0], lens[1]]);
+        }
+        ids.extend(self.ids.iter().copied());
+    }
+
+    /// Visit the loop and overflow counters (the high-water mark holds).
+    pub fn scalars(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        self.stats.each_counter(f);
+    }
+
+    /// File every entry `dkey` keys on, inserted `dt` later.
+    pub fn advance(&mut self, dkey: u64, dt: Duration) {
+        self.keys.iter_mut().for_each(|k| *k += dkey);
+        self.inserted_at.iter_mut().for_each(|t| *t += dt);
     }
 
     /// Peek the smallest key currently buffered.

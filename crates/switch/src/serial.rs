@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 /// An accepted frame that had not started serializing at the last
 /// hand-over.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Waiting {
     start: Time,
     /// When its predecessor started — the instant the event loop would
@@ -30,7 +30,7 @@ struct Waiting {
 }
 
 /// See the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SerialLink {
     /// When the serializer finishes the last accepted frame.
     free_at: Time,
@@ -64,6 +64,23 @@ impl SerialLink {
         pool: &mut PacketPool,
         counters: &mut PortCounters,
     ) -> Option<Time> {
+        let done = self.enqueue_len(now, arrive, ser, pool.get(id).frame_len(), counters);
+        if done.is_none() {
+            pool.release(id);
+        }
+        done
+    }
+
+    /// [`SerialLink::enqueue`] of a `len`-byte frame that is not in a
+    /// pool: a drop-tailed frame is only reported.
+    pub fn enqueue_len(
+        &mut self,
+        now: Time,
+        arrive: Time,
+        ser: Duration,
+        len: u32,
+        counters: &mut PortCounters,
+    ) -> Option<Time> {
         // Keeps the ring short between reads. Strictly before `now`: a
         // completion at exactly `now` may be filed behind the caller.
         while self.in_flight.front().is_some_and(|&(end, _)| end < now) {
@@ -73,10 +90,8 @@ impl SerialLink {
         // A frame due to start exactly at `arrive` is still queued if the
         // completion that starts it was filed after this hand-over.
         self.start_waiting(|w| w.start < arrive || (w.start == arrive && w.kick_filed < now));
-        let len = pool.get(id).frame_len();
         let depth = self.waiting_bytes + len as u64;
         if depth > DEFAULT_QUEUE_CAP {
-            pool.release(id);
             return None;
         }
         counters.note_queue_depth(depth);

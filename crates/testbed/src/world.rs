@@ -14,17 +14,27 @@
 //! timeouts and transport timers. The host NICs and the host-facing
 //! switch ports have none of that structure, so they are computed
 //! ([`SerialLink`]) rather than simulated (DESIGN.md §19).
+//!
+//! Under line-rate stress the world repeats itself one frame period
+//! later until a frame is lost, so [`World::run_until`] computes those
+//! clean stretches instead of paying five events per frame: at a
+//! forward departure it compares the world with the one a period
+//! earlier and, if they match up to the shift, advances every pending
+//! instant, sequence, counter and uid by whole periods, drawing the
+//! wire losses ahead in order (DESIGN.md §23). [`World::handle_pub`]
+//! and everything that is not a clean stress period stay event by
+//! event.
 
 use lg_guardd::{GuardAction, GuardInput, GuardManager};
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
 use lg_obs::health::{HealthConfig, HealthEstimator, HealthEvent};
 use lg_obs::timeseries::SeriesBank;
 use lg_obs::trace::{Comp, Kind, Level};
-use lg_obs::{lg_trace, MetricsRegistry};
+use lg_obs::{lg_trace, Counters, MetricsRegistry};
 use lg_packet::lg::LgPacketType;
 use lg_packet::{FlowId, LgControl, NodeId, Packet, PacketPool, Payload, PktId};
 use lg_sim::{Duration, EventQueue, Rng, Time};
-use lg_switch::{Class, EgressPort, PortId, SerialLink, Switch};
+use lg_switch::{Class, EgressPort, PortCounters, PortId, SerialLink, Switch};
 use lg_transport::{
     CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
 };
@@ -33,6 +43,7 @@ use linkguardian::{LgConfig, LgReceiver, LgSender};
 
 pub use crate::host::{Host, HOST_HOP};
 use crate::port::{self, LgPort, PortEv, PortLoop, PortScratch};
+use std::cmp::Ordering;
 
 /// Which switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,6 +478,60 @@ pub struct World {
     lg_scratch: PortScratch,
     // Reused around each transport call, like `lg_scratch`.
     transport_scratch: Vec<TransportAction>,
+    /// The world at the last forward departure, when it was marked for
+    /// a stretch (DESIGN.md §23), and no mark is taken before
+    /// `stretch_after`, pushed out by `stretch_misses` failed tries.
+    mark: Option<Mark>,
+    stretch_after: Time,
+    stretch_misses: u32,
+    /// Events `run_until` handled that are not a stress period's.
+    off_cycle: u64,
+}
+
+/// A stretch is worth its entry cost from this many periods on.
+const MIN_STRETCH: u64 = 64;
+
+/// The world at a forward departure, made relative to the instant, the
+/// sequences and the uid counter, so two marks a period apart compare
+/// equal exactly when the world repeats (DESIGN.md §23). Host1's port
+/// and arrivals are left out: that port drains a backlog at its own
+/// rate, so a stretch computes it frame by frame.
+struct Mark {
+    shape: Vec<u64>,
+    pkts: Vec<Packet>,
+    /// [`World::scalars`], in visiting order.
+    scalars: Vec<u64>,
+    /// What [`shift`] moves packets by: the uid counter, the instant,
+    /// `stress_seq`, the forward sender's and receiver's sequences; then
+    /// the reverse link's frame count.
+    refs: [u64; 6],
+    /// The first pending event a stretch keeps in place, the latest one
+    /// it moves falls, and the last pending host1 arrival.
+    horizon: Time,
+    lead: Duration,
+    host_last: Time,
+    /// The length of the frame serializing forward, and the next frame
+    /// to reach the receiver switch: when, and as it is delivered.
+    frame_len: u32,
+    next_rx: Option<(Time, Packet)>,
+}
+
+/// Move the fields of `p` a period moves by `by`: uid, creation
+/// instant (ps), UDP sequence and the LinkGuardian data and ACK
+/// sequences, wrapping (so a negated reference makes them relative).
+fn shift(p: &mut Packet, by: &[u64]) {
+    p.uid = p.uid.wrapping_add(by[0]);
+    p.created_at = Time(p.created_at.as_ps().wrapping_add(by[1]));
+    if let Payload::Udp(u) = &mut p.payload {
+        u.seq = u.seq.wrapping_add(by[2]);
+    }
+    let wire = |n: u64| (n % (2 * 65_536)) as u32;
+    if let Some(h) = &mut p.lg_data {
+        h.seq = h.seq.advance(wire(by[3]));
+    }
+    if let Some(a) = &mut p.lg_ack {
+        a.latest_rx = a.latest_rx.advance(wire(by[4]));
+    }
 }
 
 impl World {
@@ -571,13 +636,27 @@ impl World {
             goodput_bytes: [0; 2],
             lg_scratch: PortScratch::default(),
             transport_scratch: Vec::new(),
+            mark: None,
+            stretch_after: Time::ZERO,
+            stretch_misses: 0,
+            off_cycle: 0,
         }
     }
 
     /// Line-rate stress (the paper's packet generator, §4.1): keep the
     /// protected port's normal queue backlogged with `frame_len`-byte
     /// frames addressed to host1.
+    ///
+    /// # Panics
+    /// Panics unless `frame_len` is a whole Ethernet frame, 64 to 1518
+    /// bytes: a shorter one is padded (or, below its 46 bytes of
+    /// headers, has no payload to carry).
     pub fn enable_stress(&mut self, frame_len: u32) {
+        let (lo, hi) = (lg_packet::eth::MIN_FRAME_LEN, lg_packet::eth::MTU_FRAME_LEN);
+        assert!(
+            (lo..=hi).contains(&frame_len),
+            "stress frame length {frame_len} B is outside [{lo}, {hi}] B"
+        );
         self.stress = Some(frame_len);
         self.refill_stress();
         port::kick(self, Side::Tx, self.q.now());
@@ -608,11 +687,15 @@ impl World {
     /// returns the number of events handled. When the world profiles
     /// itself, every [`lg_obs::sink::PROFILE_STRIDE`]-th event is timed
     /// (the rule `pktsim` samples by); otherwise the loop pays one
-    /// predictable branch per event.
+    /// predictable branch per event. Under stress, the clean stretches
+    /// of the run are computed rather than simulated (DESIGN.md §23).
     pub fn run_until(&mut self, until: Time) -> u64 {
         let mut ran = 0u64;
+        self.mark = None;
         while let Some((now, ev)) = self.q.pop_if_before(until) {
             ran += 1;
+            let fwd_done = matches!(ev, Ev::PortTxDone { side: Side::Tx, .. });
+            self.off_cycle += cycle_place(&ev).is_none() as u64;
             let timed = self.obs.profile_seen.as_mut().is_some_and(|seen| {
                 *seen += 1;
                 *seen % lg_obs::sink::PROFILE_STRIDE == 0
@@ -622,9 +705,239 @@ impl World {
             } else {
                 self.handle(ev, now);
             }
+            if fwd_done && self.stress.is_some() && now >= self.stretch_after {
+                self.try_stretch(until);
+            }
         }
         self.settle_host_ports(until);
         ran
+    }
+
+    /// At a forward departure, mark the world; if it repeats the mark
+    /// of the departure before, advance it by the clean periods that
+    /// end before the next lost frame, the first pending event that is
+    /// not a period's, and `until`, in one step (DESIGN.md §23).
+    fn try_stretch(&mut self, until: Time) {
+        let now = self.q.now();
+        let Some(mark) = self.mark_world(now) else {
+            return self.miss(now);
+        };
+        let Some(prev) = self.mark.replace(mark) else {
+            return;
+        };
+        let cur = self.mark.take().expect("just marked");
+        if (&prev.shape, &prev.pkts) != (&cur.shape, &cur.pkts) {
+            return self.miss(now);
+        }
+        let step: [u64; 6] = std::array::from_fn(|i| cur.refs[i] - prev.refs[i]);
+        let period = step[1];
+        // Moved events must all land before a kept one: no tie to order.
+        let mut end = until;
+        if cur.horizon != Time::MAX {
+            end = end.min(cur.horizon - cur.lead - Duration::from_ps(1));
+        }
+        let most = end.saturating_since(now).as_ps() / period;
+        // Every pending host1 arrival must fall inside the stretch.
+        let least = MIN_STRETCH.max(cur.host_last.saturating_since(now).as_ps() / period + 1);
+        // Cut short by a kept event, try again once it has run; by a
+        // lost frame, once its recovery has flushed out.
+        self.stretch_misses = 0;
+        self.stretch_after = cur.horizon.min(until);
+        let mut ahead = self.fwd_link.loss().clone();
+        let k = if most < least {
+            0
+        } else {
+            ahead.skip_clean(most)
+        };
+        let end = now + Duration::from_ps(k * period);
+        if k < most {
+            self.stretch_after = end + Duration::from_ps(period) + HOST_HOP;
+        }
+        let Some((tmpl, host_port, delivered, late)) = (k >= least)
+            .then(|| self.host_leg(&cur, k, period, end))
+            .flatten()
+        else {
+            return;
+        };
+        *self.fwd_link.loss_mut() = ahead;
+        let by = step.map(|s| k * s);
+        let mut i = 0;
+        self.scalars(&mut |x| {
+            *x += k * (*x - prev.scalars[i]);
+            i += 1;
+        });
+        lg_packet::skip_uids(by[0]);
+        self.rev_link.loss_mut().skip_clean(by[5]);
+        // Host1's pending arrivals all fall inside the stretch.
+        let mut arrived = Vec::new();
+        self.q.translate(end - now, |ev| match cycle_place(&ev) {
+            Some((3, _, id)) => {
+                arrived.push(id);
+                None
+            }
+            moved => Some((ev, moved.is_some())),
+        });
+        for id in arrived {
+            self.on_host_arrive(1, id, end);
+        }
+        self.pool.for_each_mut(|p| shift(p, &by));
+        self.lg_tx.advance(by[3], end - now);
+        self.lg_rx
+            .advance(k, Duration::from_ps(period), cur.frame_len);
+        (self.host_ports[1], *self.sw_rx.counters_mut(PORT_HOST)) = host_port;
+        // The stretch's own frames: delivered inside it, or filed.
+        for _ in 0..delivered {
+            let id = self.pool.insert(tmpl.clone());
+            self.on_host_arrive(1, id, end);
+        }
+        for (j, at) in late {
+            let mut p = tmpl.clone();
+            shift(&mut p, &step.map(|s| j * s));
+            let id = self.pool.insert(p);
+            self.q.schedule_at(at, Ev::HostArrive { host: 1, id });
+        }
+    }
+
+    /// Host1's port through the `k` periods up to `end`: the frame it is
+    /// handed each period (as marked), the port and its counters after
+    /// the last, how many frames reach host1 by `end`, and which ones
+    /// (counted from the marked one) reach it later, when. `None` if one
+    /// reaches it exactly at `end`, a tie the stretch does not order.
+    #[allow(clippy::type_complexity)]
+    fn host_leg(
+        &self,
+        cur: &Mark,
+        k: u64,
+        period: u64,
+        end: Time,
+    ) -> Option<(Packet, (SerialLink, PortCounters), u64, Vec<(u64, Time)>)> {
+        let (first, tmpl) = cur.next_rx.clone()?;
+        let (mut link, mut counters) = (self.host_ports[1].clone(), self.sw_rx.counters(PORT_HOST));
+        let (ser, pipe) = (
+            self.cfg.speed.serialize(tmpl.wire_len()),
+            self.sw_rx.pipeline_latency,
+        );
+        let (mut delivered, mut late) = (0, Vec::new());
+        for j in 0..k {
+            let at = first + Duration::from_ps(j * period);
+            // None: drop-tailed
+            let Some(done) = link.enqueue_len(at, at + pipe, ser, tmpl.frame_len(), &mut counters)
+            else {
+                continue;
+            };
+            match (done + HOST_HOP).cmp(&end) {
+                Ordering::Less => delivered += 1,
+                Ordering::Equal => return None,
+                Ordering::Greater => late.push((j, done + HOST_HOP)),
+            }
+        }
+        Some((tmpl, (link, counters), delivered, late))
+    }
+
+    /// The world does not repeat yet: take no mark for a host hop,
+    /// doubled per miss in a row (up to 8x), about what a recovery
+    /// takes to flush out.
+    fn miss(&mut self, now: Time) {
+        self.mark = None;
+        self.stretch_misses = (self.stretch_misses + 1).min(3);
+        self.stretch_after = now + Duration::from_ps(HOST_HOP.as_ps() << self.stretch_misses);
+    }
+
+    /// The world as [`Mark`] compares it, or `None` where a stretch is
+    /// not computed: a recovery under way, the reverse instance, a
+    /// corrupting reverse link, host traffic (host0 then receives
+    /// nothing) or a packet-level trace.
+    fn mark_world(&mut self, now: Time) -> Option<Mark> {
+        let plain = self.lg2_tx.is_none() && matches!(self.cfg.app, App::None);
+        if !plain
+            || *self.rev_link.loss().model() != LossModel::None
+            || lg_obs::trace::enabled(Level::Pkt)
+        {
+            return None;
+        }
+        let (tx_seq, rx_seq) = (self.lg_tx.last_sent(), self.lg_rx.latest_rx());
+        let mut shape = vec![self.off_cycle, tx_seq.wrapping_sub(rx_seq)];
+        let mut ids = Vec::new();
+        if !self.lg_rx.shape(now, &mut shape) {
+            return None;
+        }
+        self.lg_tx.shape(now, &mut shape, &mut ids);
+        for sw in [&self.sw_tx, &self.sw_rx] {
+            (0..sw.n_ports()).for_each(|p| sw.port(p).shape(&mut shape, &mut ids));
+        }
+        shape.extend(self.dummy_refresh_armed.map(u64::from));
+        let (mut horizon, mut lead, mut host_last) = (Time::MAX, Duration::ZERO, now);
+        let (mut frame_len, mut next_rx, mut hosted) = (0, None, 0);
+        for (at, ev) in self.q.pending() {
+            match cycle_place(ev) {
+                None => horizon = horizon.min(at),
+                Some((3, _, _)) => (host_last, hosted) = (host_last.max(at), hosted + 1),
+                Some((kind, place, id)) => {
+                    let pkt = self.pool.get(id);
+                    if (kind, place) == (1, 0) {
+                        frame_len = pkt.frame_len();
+                    }
+                    if (kind, place) == (2, 1) && next_rx.as_ref().is_none_or(|(t, _)| at < *t) {
+                        next_rx = Some((
+                            at,
+                            Packet {
+                                lg_data: None,
+                                ..pkt.clone()
+                            },
+                        ));
+                    }
+                    lead = lead.max(at - now);
+                    shape.extend([kind, place, (at - now).as_ps()]);
+                    ids.push(id);
+                }
+            }
+        }
+        shape.push(self.pool.live() as u64 - hosted);
+        shape.extend(ids.iter().map(|&id| self.pool.refcount(id) as u64));
+        let rev = self.rev_link.loss().frames();
+        let refs = [
+            lg_packet::peek_next_uid(),
+            now.as_ps(),
+            self.stress_seq,
+            tx_seq,
+            rx_seq,
+            rev,
+        ];
+        let to_relative = refs.map(u64::wrapping_neg);
+        let pkts = (ids.iter())
+            .map(|&id| {
+                let mut p = self.pool.get(id).clone();
+                shift(&mut p, &to_relative);
+                p
+            })
+            .collect();
+        let mut scalars = Vec::new();
+        self.scalars(&mut |x| scalars.push(*x));
+        Some(Mark {
+            shape,
+            pkts,
+            scalars,
+            refs,
+            horizon,
+            lead,
+            host_last,
+            frame_len,
+            next_rx,
+        })
+    }
+
+    /// Visit every counter and sequence field a stress period moves by a
+    /// fixed step, but host1's, which [`World::host_leg`] computes
+    /// (high-water marks hold).
+    fn scalars(&mut self, f: &mut dyn FnMut(&mut u64)) {
+        for sw in [&mut self.sw_tx, &mut self.sw_rx] {
+            sw.counters_mut(PORT_LINK).each_counter(f);
+        }
+        self.lg_tx.scalars(f);
+        self.lg_rx.scalars(f);
+        [&mut self.stress_seq, &mut self.out.stress_tx_frames]
+            .into_iter()
+            .for_each(f);
     }
 
     /// Handle one event and charge its wall-clock time to its kind.
@@ -1168,6 +1481,17 @@ impl World {
     /// Unique stress frames delivered end-to-end.
     pub fn stress_delivered(&self) -> u64 {
         self.hosts[1].stress_rx_frames
+    }
+}
+
+/// Kind (1-3), side or host, and frame of an event a stress period
+/// repeats: a departure, a link arrival or a host1 arrival.
+fn cycle_place(ev: &Ev) -> Option<(u64, u64, PktId)> {
+    match *ev {
+        Ev::PortTxDone { side, id } => Some((1, side as u64, id)),
+        Ev::WireArrive { side, id } => Some((2, side as u64, id)),
+        Ev::HostArrive { host: 1, id } => Some((3, 1, id)),
+        _ => None,
     }
 }
 
