@@ -793,6 +793,9 @@ impl LgReceiver {
     pub fn advance(&mut self, k: u64, period: Duration, frame_len: u32) {
         let drained = self.cfg.speed.rate().bytes_in(period);
         for _ in 0..k {
+            if self.draining_bytes == 0 {
+                break;
+            }
             let left = self.draining_bytes.saturating_sub(drained);
             self.draining_bytes = if left > 0 { left + frame_len as u64 } else { 0 };
         }

@@ -471,13 +471,19 @@ impl<E> EventQueue<E> {
             .nth(k)
     }
 
-    /// Every pending event with its instant, in filing order.
-    pub fn pending(&self) -> Vec<(Time, &E)> {
-        let mut v: Vec<_> = (self.arena.iter())
-            .filter_map(|e| Some((e.seq, e.at, e.payload.as_ref()?)))
-            .collect();
-        v.sort_unstable_by_key(|e| e.0);
-        v.into_iter().map(|(_, at, p)| (at, p)).collect()
+    /// Visit every pending event with its instant, in filing order.
+    pub fn for_each_pending(&mut self, mut f: impl FnMut(Time, &E)) {
+        let mut live = std::mem::take(&mut self.batch_scratch);
+        live.clear();
+        live.extend(
+            (0..self.arena.len() as u32).filter(|&i| self.arena[i as usize].payload.is_some()),
+        );
+        live.sort_unstable_by_key(|&i| self.arena[i as usize].seq);
+        for &i in &live {
+            let e = &self.arena[i as usize];
+            f(e.at, e.payload.as_ref().expect("live"));
+        }
+        self.batch_scratch = live;
     }
 
     /// Advance the clock by `d` without popping — over a run a periodic

@@ -116,7 +116,8 @@ proptest! {
                 16 | 17 => {
                     let fate = |tag: &usize| (*tag as u64 ^ b) % 4;
                     let place = |tag: usize| (fate(&tag) != 3).then_some((tag, fate(&tag) != 0));
-                    let pending = wheel.pending();
+                    let mut pending = Vec::new();
+                    wheel.for_each_pending(|at, &tag| pending.push((at, tag)));
                     prop_assert_eq!(pending.len(), wheel.len());
                     let first = |f: u64| {
                         pending.iter().filter(|(_, t)| fate(t) == f).map(|(at, _)| *at).min()

@@ -100,7 +100,7 @@ impl ByteQueue {
 
     /// Depth, drops and marks, for telling whether two instants look
     /// alike; the resident handles, head first, go to `ids`.
-    pub fn shape(&self, out: &mut Vec<u64>, ids: &mut Vec<PktId>) {
+    pub(crate) fn shape(&self, out: &mut Vec<u64>, ids: &mut Vec<PktId>) {
         out.extend([self.ids.len() as u64, self.bytes, self.drops, self.marked]);
         ids.extend(self.ids.iter().copied());
     }

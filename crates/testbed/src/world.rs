@@ -482,6 +482,8 @@ pub struct World {
     /// a stretch (DESIGN.md §23), and no mark is taken before
     /// `stretch_after`, pushed out by `stretch_misses` failed tries.
     mark: Option<Mark>,
+    /// Marks done with, whose buffers the next ones reuse.
+    spare_marks: Vec<Mark>,
     stretch_after: Time,
     stretch_misses: u32,
     /// Events `run_until` handled that are not a stress period's.
@@ -496,9 +498,12 @@ const MIN_STRETCH: u64 = 64;
 /// equal exactly when the world repeats (DESIGN.md §23). Host1's port
 /// and arrivals are left out: that port drains a backlog at its own
 /// rate, so a stretch computes it frame by frame.
+#[derive(Default)]
 struct Mark {
     shape: Vec<u64>,
     pkts: Vec<Packet>,
+    /// The frames `pkts` normalizes (a buffer, not compared).
+    ids: Vec<PktId>,
     /// [`World::scalars`], in visiting order.
     scalars: Vec<u64>,
     /// What [`shift`] moves packets by: the uid counter, the instant,
@@ -510,10 +515,9 @@ struct Mark {
     horizon: Time,
     lead: Duration,
     host_last: Time,
-    /// The length of the frame serializing forward, and the next frame
-    /// to reach the receiver switch: when, and as it is delivered.
-    frame_len: u32,
-    next_rx: Option<(Time, Packet)>,
+    /// The next frame to reach the receiver switch, and when (its
+    /// receiver files link arrivals in time order).
+    next_rx: Option<(Time, PktId)>,
 }
 
 /// Move the fields of `p` a period moves by `by`: uid, creation
@@ -637,6 +641,7 @@ impl World {
             lg_scratch: PortScratch::default(),
             transport_scratch: Vec::new(),
             mark: None,
+            spare_marks: Vec::new(),
             stretch_after: Time::ZERO,
             stretch_misses: 0,
             off_cycle: 0,
@@ -691,7 +696,7 @@ impl World {
     /// of the run are computed rather than simulated (DESIGN.md §23).
     pub fn run_until(&mut self, until: Time) -> u64 {
         let mut ran = 0u64;
-        self.mark = None;
+        self.spare_marks.extend(self.mark.take());
         while let Some((now, ev)) = self.q.pop_if_before(until) {
             ran += 1;
             let fwd_done = matches!(ev, Ev::PortTxDone { side: Side::Tx, .. });
@@ -726,9 +731,16 @@ impl World {
             return;
         };
         let cur = self.mark.take().expect("just marked");
-        if (&prev.shape, &prev.pkts) != (&cur.shape, &cur.pkts) {
-            return self.miss(now);
+        if (&prev.shape, &prev.pkts) == (&cur.shape, &cur.pkts) {
+            self.stretch(&prev, &cur, now, until);
+        } else {
+            self.miss(now);
         }
+        self.spare_marks.extend([prev, cur]);
+    }
+
+    /// The world at `now` repeats `prev`: compute the stretch.
+    fn stretch(&mut self, prev: &Mark, cur: &Mark, now: Time, until: Time) {
         let step: [u64; 6] = std::array::from_fn(|i| cur.refs[i] - prev.refs[i]);
         let period = step[1];
         // Moved events must all land before a kept one: no tie to order.
@@ -743,19 +755,25 @@ impl World {
         // lost frame, once its recovery has flushed out.
         self.stretch_misses = 0;
         self.stretch_after = cur.horizon.min(until);
+        if most < least {
+            return;
+        }
         let mut ahead = self.fwd_link.loss().clone();
-        let k = if most < least {
-            0
-        } else {
-            ahead.skip_clean(most)
-        };
+        let k = ahead.skip_clean(most);
         let end = now + Duration::from_ps(k * period);
         if k < most {
             self.stretch_after = end + Duration::from_ps(period) + HOST_HOP;
         }
-        let Some((tmpl, host_port, delivered, late)) = (k >= least)
-            .then(|| self.host_leg(&cur, k, period, end))
-            .flatten()
+        let Some((first, next)) = cur.next_rx.filter(|_| k >= least) else {
+            return;
+        };
+        // The frame as it arrives at the receiver switch, and as delivered.
+        let arriving_len = self.pool.get(next).frame_len();
+        let tmpl = Packet {
+            lg_data: None,
+            ..self.pool.get(next).clone()
+        };
+        let Some((link, counters, delivered, late)) = self.host_leg(&tmpl, first, k, period, end)
         else {
             return;
         };
@@ -783,12 +801,17 @@ impl World {
         self.pool.for_each_mut(|p| shift(p, &by));
         self.lg_tx.advance(by[3], end - now);
         self.lg_rx
-            .advance(k, Duration::from_ps(period), cur.frame_len);
-        (self.host_ports[1], *self.sw_rx.counters_mut(PORT_HOST)) = host_port;
-        // The stretch's own frames: delivered inside it, or filed.
-        for _ in 0..delivered {
+            .advance(k, Duration::from_ps(period), arriving_len);
+        (self.host_ports[1], *self.sw_rx.counters_mut(PORT_HOST)) = (link, counters);
+        // The stretch's own frames: delivered inside it — all alike, so
+        // host1 counts one and then the rest at once — or filed.
+        if delivered > 0 {
+            let before = self.host1_counts().map(|c| *c);
             let id = self.pool.insert(tmpl.clone());
             self.on_host_arrive(1, id, end);
+            for (c, b) in self.host1_counts().into_iter().zip(before) {
+                *c += (delivered - 1) * (*c - b);
+            }
         }
         for (j, at) in late {
             let mut p = tmpl.clone();
@@ -798,20 +821,20 @@ impl World {
         }
     }
 
-    /// Host1's port through the `k` periods up to `end`: the frame it is
-    /// handed each period (as marked), the port and its counters after
-    /// the last, how many frames reach host1 by `end`, and which ones
-    /// (counted from the marked one) reach it later, when. `None` if one
-    /// reaches it exactly at `end`, a tie the stretch does not order.
+    /// Host1's port handed `tmpl` each of the `k` periods up to `end`,
+    /// the first at `first`: the port and its counters after the last,
+    /// how many frames reach host1 by `end`, and which ones (counted from
+    /// the first) reach it later, when. `None` if one reaches it exactly
+    /// at `end`, a tie the stretch does not order.
     #[allow(clippy::type_complexity)]
     fn host_leg(
         &self,
-        cur: &Mark,
+        tmpl: &Packet,
+        first: Time,
         k: u64,
         period: u64,
         end: Time,
-    ) -> Option<(Packet, (SerialLink, PortCounters), u64, Vec<(u64, Time)>)> {
-        let (first, tmpl) = cur.next_rx.clone()?;
+    ) -> Option<(SerialLink, PortCounters, u64, Vec<(u64, Time)>)> {
         let (mut link, mut counters) = (self.host_ports[1].clone(), self.sw_rx.counters(PORT_HOST));
         let (ser, pipe) = (
             self.cfg.speed.serialize(tmpl.wire_len()),
@@ -831,14 +854,21 @@ impl World {
                 Ordering::Greater => late.push((j, done + HOST_HOP)),
             }
         }
-        Some((tmpl, (link, counters), delivered, late))
+        Some((link, counters, delivered, late))
+    }
+
+    /// What host1 counts per frame it receives.
+    fn host1_counts(&mut self) -> [&mut u64; 5] {
+        let (h, [g0, g1]) = (&mut self.hosts[1], &mut self.goodput_bytes);
+        let (bytes, frames) = (&mut h.payload_rx_bytes, &mut h.stress_rx_frames);
+        [bytes, frames, &mut h.stress_rx_wire_bytes, g0, g1]
     }
 
     /// The world does not repeat yet: take no mark for a host hop,
     /// doubled per miss in a row (up to 8x), about what a recovery
     /// takes to flush out.
     fn miss(&mut self, now: Time) {
-        self.mark = None;
+        self.spare_marks.extend(self.mark.take());
         self.stretch_misses = (self.stretch_misses + 1).min(3);
         self.stretch_after = now + Duration::from_ps(HOST_HOP.as_ps() << self.stretch_misses);
     }
@@ -855,47 +885,41 @@ impl World {
         {
             return None;
         }
+        let mut m = self.spare_marks.pop().unwrap_or_default();
+        let (shape, ids) = (&mut m.shape, &mut m.ids);
+        shape.clear();
+        ids.clear();
+        m.pkts.clear();
+        m.scalars.clear();
         let (tx_seq, rx_seq) = (self.lg_tx.last_sent(), self.lg_rx.latest_rx());
-        let mut shape = vec![self.off_cycle, tx_seq.wrapping_sub(rx_seq)];
-        let mut ids = Vec::new();
-        if !self.lg_rx.shape(now, &mut shape) {
+        shape.extend([self.off_cycle, tx_seq.wrapping_sub(rx_seq)]);
+        if !self.lg_rx.shape(now, shape) {
+            self.spare_marks.push(m);
             return None;
         }
-        self.lg_tx.shape(now, &mut shape, &mut ids);
+        self.lg_tx.shape(now, shape, ids);
         for sw in [&self.sw_tx, &self.sw_rx] {
-            (0..sw.n_ports()).for_each(|p| sw.port(p).shape(&mut shape, &mut ids));
+            (0..sw.n_ports()).for_each(|p| sw.port(p).shape(shape, ids));
         }
         shape.extend(self.dummy_refresh_armed.map(u64::from));
-        let (mut horizon, mut lead, mut host_last) = (Time::MAX, Duration::ZERO, now);
-        let (mut frame_len, mut next_rx, mut hosted) = (0, None, 0);
-        for (at, ev) in self.q.pending() {
-            match cycle_place(ev) {
-                None => horizon = horizon.min(at),
-                Some((3, _, _)) => (host_last, hosted) = (host_last.max(at), hosted + 1),
-                Some((kind, place, id)) => {
-                    let pkt = self.pool.get(id);
-                    if (kind, place) == (1, 0) {
-                        frame_len = pkt.frame_len();
-                    }
-                    if (kind, place) == (2, 1) && next_rx.as_ref().is_none_or(|(t, _)| at < *t) {
-                        next_rx = Some((
-                            at,
-                            Packet {
-                                lg_data: None,
-                                ..pkt.clone()
-                            },
-                        ));
-                    }
-                    lead = lead.max(at - now);
-                    shape.extend([kind, place, (at - now).as_ps()]);
-                    ids.push(id);
+        (m.horizon, m.lead, m.host_last, m.next_rx) = (Time::MAX, Duration::ZERO, now, None);
+        let mut hosted = 0;
+        self.q.for_each_pending(|at, ev| match cycle_place(ev) {
+            None => m.horizon = m.horizon.min(at),
+            Some((3, _, _)) => (m.host_last, hosted) = (m.host_last.max(at), hosted + 1),
+            Some((kind, place, id)) => {
+                if (kind, place) == (2, 1) && m.next_rx.is_none() {
+                    m.next_rx = Some((at, id));
                 }
+                m.lead = m.lead.max(at - now);
+                shape.extend([kind, place, (at - now).as_ps()]);
+                ids.push(id);
             }
-        }
+        });
         shape.push(self.pool.live() as u64 - hosted);
         shape.extend(ids.iter().map(|&id| self.pool.refcount(id) as u64));
         let rev = self.rev_link.loss().frames();
-        let refs = [
+        m.refs = [
             lg_packet::peek_next_uid(),
             now.as_ps(),
             self.stress_seq,
@@ -903,27 +927,15 @@ impl World {
             rx_seq,
             rev,
         ];
-        let to_relative = refs.map(u64::wrapping_neg);
-        let pkts = (ids.iter())
-            .map(|&id| {
-                let mut p = self.pool.get(id).clone();
-                shift(&mut p, &to_relative);
-                p
-            })
-            .collect();
-        let mut scalars = Vec::new();
+        let to_relative = m.refs.map(u64::wrapping_neg);
+        m.pkts.extend(ids.iter().map(|&id| {
+            let mut p = self.pool.get(id).clone();
+            shift(&mut p, &to_relative);
+            p
+        }));
+        let scalars = &mut m.scalars;
         self.scalars(&mut |x| scalars.push(*x));
-        Some(Mark {
-            shape,
-            pkts,
-            scalars,
-            refs,
-            horizon,
-            lead,
-            host_last,
-            frame_len,
-            next_rx,
-        })
+        Some(m)
     }
 
     /// Visit every counter and sequence field a stress period moves by a
