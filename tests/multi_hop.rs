@@ -90,10 +90,13 @@ fn chain_world_clean_path_baseline() {
 /// streams and LinkGuardian pair (an unprotected hop is the testbed's
 /// `lg: None`, an inactive pair), so the two loops must agree bit for
 /// bit on every trial — FCT samples, transport retransmissions,
-/// link-local recoveries and timeouts, and the final clock.
+/// link-local recoveries and timeouts, the final clock, and the work
+/// behind them: the events each loop handled, the packets it created
+/// and the pool slots it grew to.
 #[test]
 fn one_hop_chain_is_the_world() {
-    use lg_sim::Duration;
+    use lg_packet::peek_next_uid;
+    use lg_sim::{Duration, Time};
     use lg_testbed::{App, World, WorldConfig};
 
     const TRIALS: u32 = 200;
@@ -136,7 +139,9 @@ fn one_hop_chain_is_the_world() {
                     ccfg.protected = vec![protected];
                     ccfg.seed = seed;
                     let mut chain = ChainWorld::new(ccfg);
-                    chain.run_to_completion();
+                    let uid0 = peek_next_uid();
+                    let chain_events = chain.run_until(Time::MAX);
+                    let chain_packets = peek_next_uid() - uid0;
 
                     let mut wcfg = WorldConfig::new(speed, loss.clone());
                     if !protected {
@@ -145,7 +150,9 @@ fn one_hop_chain_is_the_world() {
                     wcfg.app = app;
                     wcfg.seed = seed;
                     let mut world = World::new(wcfg);
-                    world.run_to_completion();
+                    let uid0 = peek_next_uid();
+                    let world_events = world.run_until(Time::MAX);
+                    let world_packets = peek_next_uid() - uid0;
 
                     let case = format!("rdma={rdma} protected={protected} {loss:?} seed={seed}");
                     let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -160,6 +167,13 @@ fn one_hop_chain_is_the_world() {
                     assert_eq!(chain.total_recovered(), rx.recovered, "{case}");
                     assert_eq!(chain.total_lg_timeouts(), rx.timeouts, "{case}");
                     assert_eq!(chain.q.now(), world.q.now(), "{case}: final clock");
+                    assert_eq!(chain_events, world_events, "{case}: events handled");
+                    assert_eq!(chain_packets, world_packets, "{case}: packets created");
+                    assert_eq!(
+                        chain.pool.slot_count(),
+                        world.pool.slot_count(),
+                        "{case}: pool slots"
+                    );
                 }
             }
         }
