@@ -54,6 +54,18 @@ pub struct RecircStats {
 
 lg_obs::counters!(RecircStats { loops, loop_bytes, overflows } gauges { high_watermark });
 
+impl RecircStats {
+    /// Recirculation overhead as a fraction of a pipeline's packet-
+    /// processing capacity over `elapsed` (Table 4 reports ≈0.45–0.66% at
+    /// line rate with `pipe_capacity_pps` ≈ 1.5 Gpps for Tofino).
+    pub fn overhead_fraction(&self, elapsed: Duration, pipe_capacity_pps: f64) -> f64 {
+        if elapsed == Duration::ZERO {
+            return 0.0;
+        }
+        self.loops as f64 / elapsed.as_secs_f64() / pipe_capacity_pps
+    }
+}
+
 /// An ordered packet buffer with byte-capacity and loop accounting.
 ///
 /// Keys are caller-maintained monotonically increasing sequence indices
@@ -277,17 +289,6 @@ impl RecircBuffer {
     pub fn stats(&self) -> RecircStats {
         self.stats
     }
-
-    /// Recirculation overhead as a fraction of a pipeline's packet-
-    /// processing capacity over `elapsed` (Table 4 reports ≈0.45–0.66% at
-    /// line rate with `pipe_capacity_pps` ≈ 1.5 Gpps for Tofino).
-    pub fn overhead_fraction(&self, elapsed: Duration, pipe_capacity_pps: f64) -> f64 {
-        if elapsed == Duration::ZERO {
-            return 0.0;
-        }
-        let loops_per_sec = self.stats.loops as f64 / elapsed.as_secs_f64();
-        loops_per_sec / pipe_capacity_pps
-    }
 }
 
 impl Observe for RecircBuffer {
@@ -428,7 +429,7 @@ mod tests {
         b.insert(1, p, Time::ZERO, &pool).unwrap();
         b.remove(1, Time::from_us(1)); // 1 loop... resident 1us/1us = 1 loop
                                        // 1 loop over 1 us = 1e6 loops/s; at 1e9 pps capacity = 0.1%
-        let f = b.overhead_fraction(Duration::from_us(1), 1e9);
+        let f = b.stats().overhead_fraction(Duration::from_us(1), 1e9);
         assert!((f - 1e-3).abs() < 1e-9, "{f}");
     }
 }

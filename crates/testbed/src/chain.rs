@@ -12,21 +12,19 @@
 //! independently" (§5). The paper could not evaluate this for lack of
 //! optical hardware; here we can.
 //!
-//! This module reuses every state machine from the two-switch
-//! [`crate::world`], and the same LinkGuardian port rules
-//! ([`crate::port`]), over `N` hops. Only the forward direction is
-//! protected (like the main testbed); reverse traffic carries ACKs and
-//! LinkGuardian control.
+//! This module is the chain's topology only; its events run through the
+//! event path the two-switch [`crate::world`] runs through. Only the
+//! forward direction is protected (like the main testbed); reverse
+//! traffic carries ACKs and LinkGuardian control.
 
-use crate::host::{Host, HOST_HOP};
-use crate::port::{self, LgPort, PortEv, PortLoop, PortScratch};
+use crate::host::{Host, Trials};
+use crate::port::{self, Ev, Exit, LgPort, Parts, PortLoop, PortScratch};
+use crate::world::App;
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
-use lg_packet::{FlowId, NodeId, Packet, PacketPool, Payload, PktId};
+use lg_packet::{NodeId, PacketPool};
 use lg_sim::{Duration, EventQueue, Rng, Time};
-use lg_switch::{Class, PortId, SerialLink, Switch};
-use lg_transport::{
-    CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
-};
+use lg_switch::{PortId, SerialLink, Switch};
+use lg_transport::CcVariant;
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender};
 
@@ -35,84 +33,11 @@ pub const PORT_LEFT: PortId = 0;
 /// Toward host1 (increasing switch index).
 pub const PORT_RIGHT: PortId = 1;
 
-/// Host addresses.
-pub const C_HOST0: NodeId = NodeId(0);
-/// Receiver-side host.
-pub const C_HOST1: NodeId = NodeId(1);
+/// Host addresses: the testbed's.
+pub use crate::world::{HOST0 as C_HOST0, HOST1 as C_HOST1};
 
-/// Events of the chain world. Packet-carrying variants hold [`PktId`]
-/// pool handles, mirroring [`crate::world::Ev`].
-#[derive(Debug)]
-pub enum CEv {
-    /// Enqueue on switch `sw`'s `port` in `class` (post-pipeline).
-    PortEnqueue {
-        /// Switch index.
-        sw: usize,
-        /// Egress port.
-        port: PortId,
-        /// Class.
-        class: Class,
-        /// Packet.
-        id: PktId,
-    },
-    /// A frame finished serializing out of `sw`'s `port`.
-    PortTxDone {
-        /// Switch index.
-        sw: usize,
-        /// Egress port.
-        port: PortId,
-        /// The frame.
-        id: PktId,
-    },
-    /// A frame arrived at switch `sw` over the link on its `from_right`
-    /// side (false = from the left neighbour).
-    WireArrive {
-        /// Switch index.
-        sw: usize,
-        /// True when the frame came from the right-hand link.
-        from_right: bool,
-        /// The frame.
-        id: PktId,
-    },
-    /// A frame arrived at a host.
-    HostArrive {
-        /// 0 or 1.
-        host: usize,
-        /// The frame.
-        id: PktId,
-    },
-    /// Transport timer.
-    HostWake {
-        /// 0 or 1.
-        host: usize,
-    },
-    /// LinkGuardian receiver ackNoTimeout on hop `hop`.
-    LgTimeout {
-        /// Hop index.
-        hop: usize,
-        /// Stall generation.
-        generation: u64,
-    },
-    /// Backpressure timer-packet evaluation on hop `hop`.
-    LgBpTimer {
-        /// Hop index.
-        hop: usize,
-    },
-    /// PFC pause/resume applies at hop `hop`'s sender queue.
-    PauseApply {
-        /// Hop index.
-        hop: usize,
-        /// Pause or resume.
-        pause: bool,
-    },
-    /// Dummy keepalive for hop `hop`.
-    DummyRefresh {
-        /// Hop index.
-        hop: usize,
-    },
-    /// Start the next trial.
-    TrialStart,
-}
+/// A chain port: `(switch, PORT_LEFT | PORT_RIGHT)`.
+type ChainPort = (usize, PortId);
 
 /// The LinkGuardian pair of `links[hop]`'s forward direction: sender
 /// on switch `hop`'s right port, receiver on switch `hop + 1`'s left
@@ -145,6 +70,32 @@ pub enum ChainApp {
     },
 }
 
+impl ChainApp {
+    /// The testbed driver this app runs as: serial trials 10 µs apart,
+    /// RDMA under go-back-N.
+    fn lower(&self) -> App {
+        let gap = Duration::from_us(10);
+        match *self {
+            ChainApp::TcpTrials {
+                variant,
+                msg_len,
+                trials,
+            } => App::TcpTrials {
+                variant,
+                msg_len,
+                trials,
+                gap,
+            },
+            ChainApp::RdmaTrials { msg_len, trials } => App::RdmaTrials {
+                msg_len,
+                trials,
+                gap,
+                selective_repeat: false,
+            },
+        }
+    }
+}
+
 /// Chain configuration.
 pub struct ChainConfig {
     /// Link speed everywhere.
@@ -165,14 +116,7 @@ impl ChainConfig {
         if self.losses.is_empty() || self.protected.len() != self.losses.len() {
             return Err("a chain needs >= 1 link and one `protected` flag per link".into());
         }
-        match self.app {
-            ChainApp::TcpTrials {
-                msg_len, trials, ..
-            }
-            | ChainApp::RdmaTrials { msg_len, trials } => {
-                crate::world::check_trials(msg_len, trials)
-            }
-        }
+        self.app.lower().check()
     }
 
     /// A chain with the given per-hop loss models, all protected.
@@ -190,9 +134,9 @@ impl ChainConfig {
 
 /// The multi-hop world.
 pub struct ChainWorld {
-    cfg: ChainConfig,
+    speed: LinkSpeed,
     /// Event queue.
-    pub q: EventQueue<CEv>,
+    pub q: EventQueue<Ev<ChainPort>>,
     switches: Vec<Switch>,
     /// links[i].0 = forward (sw i → sw i+1), links[i].1 = reverse.
     links: Vec<(LinkDirection, LinkDirection)>,
@@ -203,14 +147,13 @@ pub struct ChainWorld {
     hosts: [Host; 2],
     /// Completed-flow FCTs.
     pub fct: FctCollector,
-    /// Transport retransmissions observed.
+    /// TCP segments sent again by either host's transport. RDMA
+    /// go-back-N re-sends are not counted, so an RDMA chain reads 0.
     pub e2e_retx: u64,
     /// Slab pool backing every in-flight packet of the chain.
     pub pool: PacketPool,
-    trials_remaining: u32,
-    next_flow: u64,
+    trials: Trials,
     lg_scratch: PortScratch,
-    transport_scratch: Vec<TransportAction>,
 }
 
 impl ChainWorld {
@@ -224,13 +167,9 @@ impl ChainWorld {
         let mut rng = Rng::new(cfg.seed);
         let link_cfg = LinkConfig::new(cfg.speed);
 
-        let mut switches = Vec::with_capacity(n_sw);
-        for i in 0..n_sw {
-            let mut sw = Switch::new(format!("sw{i}"), 2);
-            sw.add_route(C_HOST1, PORT_RIGHT);
-            sw.add_route(C_HOST0, PORT_LEFT);
-            switches.push(sw);
-        }
+        let switches = (0..n_sw)
+            .map(|i| Switch::new(format!("sw{i}"), 2))
+            .collect();
         let links: Vec<(LinkDirection, LinkDirection)> = cfg
             .losses
             .iter()
@@ -263,12 +202,9 @@ impl ChainWorld {
             .collect();
 
         let mut q = EventQueue::new();
-        q.schedule_at(Time::ZERO, CEv::TrialStart);
-        let trials_remaining = match cfg.app {
-            ChainApp::TcpTrials { trials, .. } | ChainApp::RdmaTrials { trials, .. } => trials,
-        };
+        q.schedule_at(Time::ZERO, Ev::TrialStart);
         ChainWorld {
-            cfg,
+            speed: cfg.speed,
             q,
             switches,
             links,
@@ -278,10 +214,8 @@ impl ChainWorld {
             fct: FctCollector::new(),
             e2e_retx: 0,
             pool: PacketPool::new(),
-            trials_remaining,
-            next_flow: 1,
+            trials: Trials::new(cfg.app.lower()),
             lg_scratch: PortScratch::default(),
-            transport_scratch: Vec::new(),
         }
     }
 
@@ -314,7 +248,7 @@ impl ChainWorld {
         let mut ran = 0u64;
         while let Some((now, ev)) = self.q.pop_if_before(until) {
             ran += 1;
-            self.handle(ev, now);
+            port::handle(self, ev, now);
         }
         ran
     }
@@ -323,201 +257,17 @@ impl ChainWorld {
     pub fn run_to_completion(&mut self) {
         self.run_until(Time::MAX);
     }
-
-    fn handle(&mut self, ev: CEv, now: Time) {
-        match ev {
-            CEv::PortEnqueue {
-                sw,
-                port,
-                class,
-                id,
-            } => port::enqueue(self, (sw, port), class, id, now),
-            CEv::PortTxDone { sw, port, id } => port::tx_done(self, (sw, port), id, now),
-            CEv::WireArrive { sw, from_right, id } => {
-                let port = if from_right { PORT_RIGHT } else { PORT_LEFT };
-                port::ingress(self, (sw, port), id, now)
-            }
-            CEv::HostArrive { host, id } => self.on_host_arrive(host, id, now),
-            CEv::HostWake { host } => {
-                let mut actions = std::mem::take(&mut self.transport_scratch);
-                if self.hosts[host].on_wake(now, &mut actions) {
-                    self.apply_transport_actions(host, &mut actions, now);
-                    if let Some(at) = self.hosts[host].rearm_wake(now) {
-                        self.q.schedule_at(at, CEv::HostWake { host });
-                    }
-                }
-                self.transport_scratch = actions;
-            }
-            CEv::LgTimeout { hop, generation } => {
-                port::timeout(self, (hop + 1, PORT_LEFT), generation, now)
-            }
-            CEv::LgBpTimer { hop } => port::bp_timer(self, (hop + 1, PORT_LEFT), now),
-            CEv::PauseApply { hop, pause } => port::pause(self, (hop, PORT_RIGHT), pause, now),
-            CEv::DummyRefresh { hop } => port::dummy_refresh(self, (hop, PORT_RIGHT), now),
-            CEv::TrialStart => self.start_trial(now),
-        }
-    }
-
-    fn deliver_from_port(&mut self, sw: usize, port: PortId, id: PktId) {
-        // forward link sw → sw+1, or reverse link sw → sw-1
-        let (link, peer, from_right) = match port {
-            PORT_RIGHT => (&mut self.links[sw].0, sw + 1, false),
-            _ => (&mut self.links[sw - 1].1, sw - 1, true),
-        };
-        if link.deliver() {
-            let ev = CEv::WireArrive {
-                sw: peer,
-                from_right,
-                id,
-            };
-            self.q.schedule_after(link.propagation(), ev);
-        } else {
-            let peer_port = if from_right { PORT_RIGHT } else { PORT_LEFT };
-            self.switches[peer].rx_corrupt(peer_port);
-            self.pool.release(id);
-        }
-    }
-
-    /// Send a packet through `sw`'s pipeline to egress `port`. The two
-    /// host-facing ports are computed: the frame goes straight to the
-    /// one `HostArrive` that ends the hop.
-    fn forward(&mut self, sw: usize, port: PortId, id: PktId, now: Time) {
-        let arrive = now + self.switches[sw].pipeline_latency;
-        let host = match (sw, port) {
-            (0, PORT_LEFT) => 0,
-            (_, PORT_RIGHT) if sw + 1 == self.switches.len() => 1,
-            _ => {
-                let ev = CEv::PortEnqueue {
-                    sw,
-                    port,
-                    class: Class::Normal,
-                    id,
-                };
-                self.q.schedule_at(arrive, ev);
-                return;
-            }
-        };
-        let ser = self.cfg.speed.serialize(self.pool.get(id).wire_len());
-        let counters = self.switches[sw].counters_mut(port);
-        let link = &mut self.host_ports[host];
-        if let Some(done) = link.enqueue(now, arrive, ser, id, &mut self.pool, counters) {
-            let at = done + HOST_HOP;
-            self.q.schedule_at(at, CEv::HostArrive { host, id });
-        }
-    }
-
-    // ----------------------------------------------------------- hosts
-
-    fn on_host_arrive(&mut self, host: usize, id: PktId, now: Time) {
-        let mut actions = std::mem::take(&mut self.transport_scratch);
-        let reply = self.hosts[host].on_frame(self.pool.get(id), now, &mut actions);
-        self.pool.release(id);
-        if let Some(r) = reply {
-            self.host_send(host, r);
-        }
-        self.apply_transport_actions(host, &mut actions, now);
-        self.transport_scratch = actions;
-    }
-
-    fn apply_transport_actions(
-        &mut self,
-        host: usize,
-        actions: &mut Vec<TransportAction>,
-        now: Time,
-    ) {
-        for a in actions.drain(..) {
-            match a {
-                TransportAction::Send(pkt) => {
-                    if let Payload::Tcp(t) = &pkt.payload {
-                        if t.is_retx {
-                            self.e2e_retx += 1;
-                        }
-                    }
-                    self.host_send(host, pkt);
-                }
-                TransportAction::WakeAt { deadline } => {
-                    let at = deadline.max(now);
-                    if self.hosts[host].request_wake(at) {
-                        self.q.schedule_at(at, CEv::HostWake { host });
-                    }
-                }
-                TransportAction::Complete {
-                    started, completed, ..
-                } => {
-                    self.fct.record(completed.saturating_since(started));
-                    self.finish_trial(host);
-                }
-            }
-        }
-    }
-
-    fn host_send(&mut self, host: usize, pkt: Packet) {
-        let ser = self.cfg.speed.serialize(pkt.wire_len());
-        let id = self.pool.insert(pkt);
-        let sent = self.hosts[host].nic.depart(self.q.now(), ser);
-        let (sw, port) = if host == 0 {
-            (0, PORT_RIGHT)
-        } else {
-            (self.switches.len() - 1, PORT_LEFT)
-        };
-        let pipeline = self.switches[sw].pipeline_latency;
-        self.q.schedule_at(
-            sent + HOST_HOP + pipeline,
-            CEv::PortEnqueue {
-                sw,
-                port,
-                class: Class::Normal,
-                id,
-            },
-        );
-    }
-
-    fn start_trial(&mut self, now: Time) {
-        if self.trials_remaining == 0 {
-            return;
-        }
-        let flow = FlowId(self.next_flow);
-        self.next_flow += 1;
-        let mut actions = std::mem::take(&mut self.transport_scratch);
-        match self.cfg.app.clone() {
-            ChainApp::TcpTrials {
-                variant, msg_len, ..
-            } => {
-                self.hosts[1].tcp_rx = Some(TcpReceiver::new(flow, C_HOST1, C_HOST0));
-                self.hosts[0].start_tcp(C_HOST1, flow, variant, msg_len, now, &mut actions);
-                self.apply_transport_actions(0, &mut actions, now);
-            }
-            ChainApp::RdmaTrials { msg_len, .. } => {
-                self.hosts[1].rdma_rx = Some(RdmaResponder::new(flow, C_HOST1, C_HOST0, false));
-                let mut tx =
-                    RdmaRequester::new(RdmaConfig::default(), flow, C_HOST0, C_HOST1, msg_len);
-                tx.start_into(now, &mut actions);
-                self.hosts[0].rdma_tx = Some(tx);
-                self.apply_transport_actions(0, &mut actions, now);
-            }
-        }
-        self.transport_scratch = actions;
-    }
-
-    fn finish_trial(&mut self, host: usize) {
-        self.hosts[host].tcp_spent = self.hosts[host].tcp_tx.take();
-        self.hosts[host].rdma_tx = None;
-        self.trials_remaining = self.trials_remaining.saturating_sub(1);
-        if self.trials_remaining > 0 {
-            let at = self.q.now() + Duration::from_us(10);
-            self.q.schedule_at(at, CEv::TrialStart);
-        }
-    }
 }
 
-/// The chain's topology for the port rules: a port is `(switch, side)`;
-/// hop `i`'s sender sits on `(i, PORT_RIGHT)`, its receiver on
-/// `(i + 1, PORT_LEFT)`, and a frame leaves by the port opposite the
-/// one it arrived through.
+/// The chain's topology for the shared event path: a port is
+/// `(switch, side)`; hop `i`'s sender sits on `(i, PORT_RIGHT)`, its
+/// receiver on `(i + 1, PORT_LEFT)`, and a frame leaves a switch by the
+/// port opposite the one it arrived through. The edge switches' outer
+/// ports face the hosts.
 impl PortLoop for ChainWorld {
-    type Port = (usize, PortId);
+    type Port = ChainPort;
 
-    fn lg_port(&mut self, (sw, port): (usize, PortId)) -> LgPort<'_> {
+    fn lg_port(&mut self, (sw, port): ChainPort) -> LgPort<'_> {
         let (tx, rx) = match port {
             PORT_RIGHT => {
                 let h = &mut self.hops[sw];
@@ -527,48 +277,67 @@ impl PortLoop for ChainWorld {
         };
         LgPort {
             sw: &mut self.switches[sw],
+            index: sw,
             port,
             tx,
             rx,
             tx_first: true,
-            speed: self.cfg.speed,
+            speed: self.speed,
             pool: &mut self.pool,
             scratch: &mut self.lg_scratch,
         }
     }
 
-    fn route(&mut self, (sw, from): (usize, PortId), id: PktId, now: Time) {
-        let out = if from == PORT_LEFT {
-            PORT_RIGHT
-        } else {
-            PORT_LEFT
-        };
-        self.forward(sw, out, id, now);
+    fn parts(&mut self) -> Parts<'_, ChainPort> {
+        Parts {
+            q: &mut self.q,
+            pool: &mut self.pool,
+            speed: self.speed,
+            hosts: &mut self.hosts,
+            trials: &mut self.trials,
+            fct: &mut self.fct,
+            e2e_retx: &mut self.e2e_retx,
+        }
     }
 
-    fn depart(&mut self, (sw, port): (usize, PortId), id: PktId, _now: Time) {
-        self.deliver_from_port(sw, port, id);
+    fn link(&mut self, (sw, port): ChainPort) -> (&mut LinkDirection, usize, ChainPort) {
+        // forward link sw → sw+1, or reverse link sw → sw-1
+        match port {
+            PORT_RIGHT => (&mut self.links[sw].0, 2 * sw, (sw + 1, PORT_LEFT)),
+            _ => (&mut self.links[sw - 1].1, 2 * sw - 1, (sw - 1, PORT_RIGHT)),
+        }
     }
 
-    fn schedule(&mut self, t: Time, (sw, port): (usize, PortId), ev: PortEv) {
-        // a receiver's hop is the link to its left, a sender's to its right
-        let ev = match ev {
-            PortEv::Enqueue { class, id } => CEv::PortEnqueue {
-                sw,
-                port,
-                class,
-                id,
-            },
-            PortEv::TxDone(id) => CEv::PortTxDone { sw, port, id },
-            PortEv::Timeout(generation) => CEv::LgTimeout {
-                hop: sw - 1,
-                generation,
-            },
-            PortEv::BpTimer => CEv::LgBpTimer { hop: sw - 1 },
-            PortEv::Pause(pause) => CEv::PauseApply { hop: sw, pause },
-            PortEv::DummyRefresh => CEv::DummyRefresh { hop: sw },
+    fn exit(&self, (sw, from): ChainPort) -> Exit<ChainPort> {
+        match from {
+            PORT_LEFT if sw + 1 == self.switches.len() => Exit::Host(1),
+            PORT_LEFT => Exit::Link((sw, PORT_RIGHT)),
+            _ if sw == 0 => Exit::Host(0),
+            _ => Exit::Link((sw, PORT_LEFT)),
+        }
+    }
+
+    fn uplink(&self, host: usize) -> ChainPort {
+        match host {
+            0 => (0, PORT_RIGHT),
+            _ => (self.switches.len() - 1, PORT_LEFT),
+        }
+    }
+
+    fn host_port(
+        &mut self,
+        host: usize,
+    ) -> (&mut Switch, PortId, &mut SerialLink, &mut PacketPool) {
+        let (sw, port) = match host {
+            0 => (0, PORT_LEFT),
+            _ => (self.switches.len() - 1, PORT_RIGHT),
         };
-        self.q.schedule_at(t, ev);
+        let link = &mut self.host_ports[host];
+        (&mut self.switches[sw], port, link, &mut self.pool)
+    }
+
+    fn control(&mut self, ev: Ev<ChainPort>, _now: Time) {
+        unreachable!("a chain schedules no {ev:?}");
     }
 }
 

@@ -150,6 +150,7 @@ pub fn stress_test(
     let elapsed = duration;
     let line_bytes = speed.rate().bytes_in(elapsed);
     let delivered_wire = w.hosts[1].stress_rx_wire_bytes;
+    let (tx_buf, rx_buf) = (w.lg_tx.tx_buffer_stats(), w.lg_rx.rx_buffer_stats());
     StressResult {
         sent: injected,
         delivered,
@@ -169,14 +170,10 @@ pub fn stress_test(
         },
         timeouts: rx.timeouts,
         n_copies,
-        tx_buffer_peak: w.lg_tx.tx_buffer_stats().high_watermark,
-        rx_buffer_peak: w.lg_rx.rx_buffer_stats().high_watermark,
-        tx_recirc_overhead: w.lg_tx.tx_buffer_stats().loops as f64
-            / elapsed.as_secs_f64()
-            / PIPE_CAPACITY_PPS,
-        rx_recirc_overhead: w.lg_rx.rx_buffer_stats().loops as f64
-            / elapsed.as_secs_f64()
-            / PIPE_CAPACITY_PPS,
+        tx_buffer_peak: tx_buf.high_watermark,
+        rx_buffer_peak: rx_buf.high_watermark,
+        tx_recirc_overhead: tx_buf.overhead_fraction(elapsed, PIPE_CAPACITY_PPS),
+        rx_recirc_overhead: rx_buf.overhead_fraction(elapsed, PIPE_CAPACITY_PPS),
         retx_delay_ps: w.lg_rx.retx_delay_histogram().clone(),
         pauses: w.lg_rx.stats().pauses_sent,
     }

@@ -1,12 +1,20 @@
-//! An end host of either testbed loop: its NIC, its transport endpoints
-//! and the single wake-up their timers share.
+//! An end host of either testbed loop — its NIC, its transport endpoints
+//! and the single wake-up their timers share — and the code both loops
+//! run for it: frame delivery, the transport actions, the host's sends
+//! and the serial trial driver.
 
-use lg_packet::{FlowId, NodeId, Packet, Payload};
+use lg_obs::lg_trace;
+use lg_obs::trace::{Comp, Kind, Level};
+use lg_packet::{FlowId, NodeId, Packet, Payload, PktId};
 use lg_sim::{Duration, Time};
-use lg_switch::SerialLink;
+use lg_switch::{Class, SerialLink};
 use lg_transport::{
-    CcVariant, RdmaRequester, RdmaResponder, TcpConfig, TcpReceiver, TcpSender, TransportAction,
+    CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpConfig, TcpReceiver, TcpSender,
+    TransportAction,
 };
+
+use crate::port::{Ev, PortLoop};
+use crate::world::{App, HOST0, HOST1};
 
 /// One host hop, each way: 100 ns of NIC/wire latency plus the 7 µs
 /// host stack delay (7 µs on transmit and on receive makes the unloaded
@@ -188,6 +196,195 @@ impl Host {
         }
         self.payload_rx_bytes += rx_bytes;
         reply
+    }
+}
+
+/// The serial trial driver of a loop: what each trial runs, how many
+/// are left, the next flow id, and the transport action buffer (taken
+/// around each transport call, like the port rules' scratch).
+pub(crate) struct Trials {
+    app: App,
+    remaining: u32,
+    next_flow: u64,
+    scratch: Vec<TransportAction>,
+}
+
+impl Trials {
+    pub(crate) fn new(app: App) -> Trials {
+        let remaining = match app {
+            App::TcpTrials { trials, .. } | App::RdmaTrials { trials, .. } => trials,
+            App::TcpStream { .. } => u32::MAX,
+            App::None => 0,
+        };
+        Trials {
+            app,
+            remaining,
+            next_flow: 1,
+            scratch: Vec::new(),
+        }
+    }
+}
+
+/// A frame reached host `host`: the host consumes it (its pool slot is
+/// done), replies, and applies what its transport asks for.
+pub(crate) fn arrive<L: PortLoop>(w: &mut L, host: usize, id: PktId, now: Time) {
+    let p = w.parts();
+    let pkt = p.pool.get(id);
+    lg_trace!(
+        Level::Pkt,
+        Comp::Host,
+        Kind::HostDeliver,
+        host as u16,
+        now.as_ps(),
+        pkt.uid,
+        0u64,
+        id.index()
+    );
+    let mut actions = std::mem::take(&mut p.trials.scratch);
+    let bytes = pkt.payload_len() as u64;
+    let reply = p.hosts[host].on_frame(pkt, now, &mut actions);
+    p.pool.release(id);
+    w.host_rx(host, bytes, now);
+    if let Some(r) = reply {
+        send(w, host, r);
+    }
+    apply(w, host, &mut actions, now);
+    w.parts().trials.scratch = actions;
+}
+
+/// Host `host`'s wake event fired: run its transport timers.
+pub(crate) fn wake<L: PortLoop>(w: &mut L, host: usize, now: Time) {
+    let p = w.parts();
+    let mut actions = std::mem::take(&mut p.trials.scratch);
+    if p.hosts[host].on_wake(now, &mut actions) {
+        apply(w, host, &mut actions, now);
+        let p = w.parts();
+        if let Some(at) = p.hosts[host].rearm_wake(now) {
+            p.q.schedule_at(at, Ev::HostWake { host });
+        }
+    }
+    w.parts().trials.scratch = actions;
+}
+
+fn apply<L: PortLoop>(w: &mut L, host: usize, actions: &mut Vec<TransportAction>, now: Time) {
+    for a in actions.drain(..) {
+        match a {
+            TransportAction::Send(pkt) => {
+                if let Payload::Tcp(t) = &pkt.payload {
+                    if t.is_retx {
+                        *w.parts().e2e_retx += 1;
+                        lg_trace!(
+                            Level::Ctl,
+                            Comp::Transport,
+                            Kind::E2eRetx,
+                            host as u16,
+                            now.as_ps(),
+                            pkt.uid,
+                            t.seq as u64,
+                            0u32
+                        );
+                    }
+                }
+                send(w, host, pkt);
+            }
+            TransportAction::WakeAt { deadline } => {
+                let at = deadline.max(now);
+                let p = w.parts();
+                if p.hosts[host].request_wake(at) {
+                    p.q.schedule_at(at, Ev::HostWake { host });
+                }
+            }
+            TransportAction::Complete {
+                started, completed, ..
+            } => {
+                w.parts().fct.record(completed.saturating_since(started));
+                finish_trial(w, host);
+            }
+        }
+    }
+}
+
+/// Host-generated packets enter the pool here (the transport state
+/// machines build owned `Packet`s; the event loop only moves handles).
+/// The frame reaches the switch after stack delay + serialization +
+/// propagation, and its egress queue (the uplink) one pipeline later.
+fn send<L: PortLoop>(w: &mut L, host: usize, pkt: Packet) {
+    let at = w.uplink(host);
+    let pipeline = w.host_port(host).0.pipeline_latency;
+    let p = w.parts();
+    let ser = p.speed.serialize(pkt.wire_len());
+    let id = p.pool.insert(pkt);
+    let sent = p.hosts[host].nic.depart(p.q.now(), ser);
+    let class = Class::Normal;
+    let ev = Ev::PortEnqueue { at, class, id };
+    p.q.schedule_at(sent + HOST_HOP + pipeline, ev);
+}
+
+/// Start the next trial: host0 sends one message to host1.
+pub(crate) fn start_trial<L: PortLoop>(w: &mut L, now: Time) {
+    let p = w.parts();
+    let t = &mut *p.trials;
+    if t.remaining == 0 {
+        return;
+    }
+    let flow = FlowId(t.next_flow);
+    t.next_flow += 1;
+    let mut actions = std::mem::take(&mut t.scratch);
+    let hosts = &mut *p.hosts;
+    match t.app {
+        App::None => {}
+        App::TcpStream { end, .. } if now > end => t.remaining = 0,
+        App::TcpTrials {
+            variant,
+            msg_len: len,
+            ..
+        }
+        | App::TcpStream {
+            variant,
+            chunk: len,
+            ..
+        } => {
+            hosts[1].tcp_rx = Some(TcpReceiver::new(flow, HOST1, HOST0));
+            hosts[0].start_tcp(HOST1, flow, variant, len, now, &mut actions);
+        }
+        App::RdmaTrials {
+            msg_len,
+            selective_repeat,
+            ..
+        } => {
+            hosts[1].rdma_rx = Some(RdmaResponder::new(flow, HOST1, HOST0, selective_repeat));
+            let cfg = RdmaConfig {
+                selective_repeat,
+                ..RdmaConfig::default()
+            };
+            let mut tx = RdmaRequester::new(cfg, flow, HOST0, HOST1, msg_len);
+            tx.start_into(now, &mut actions);
+            hosts[0].rdma_tx = Some(tx);
+        }
+    }
+    apply(w, 0, &mut actions, now);
+    w.parts().trials.scratch = actions;
+}
+
+fn finish_trial<L: PortLoop>(w: &mut L, host: usize) {
+    w.trial_done(host);
+    let p = w.parts();
+    let h = &mut p.hosts[host];
+    if let Some(tx) = h.tcp_tx.take() {
+        h.tcp_spent = Some(tx);
+    }
+    h.rdma_tx = None;
+    let t = &mut *p.trials;
+    if t.remaining != u32::MAX {
+        t.remaining = t.remaining.saturating_sub(1);
+    }
+    if t.remaining > 0 {
+        let gap = match t.app {
+            App::TcpTrials { gap, .. } | App::RdmaTrials { gap, .. } => gap,
+            App::TcpStream { .. } | App::None => Duration::ZERO,
+        };
+        let at = p.q.now() + gap;
+        p.q.schedule_at(at, Ev::TrialStart);
     }
 }
 

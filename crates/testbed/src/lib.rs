@@ -3,8 +3,10 @@
 //!
 //! [`world::World`] binds the pure state machines of the other crates —
 //! switches, the corrupting link, LinkGuardian sender/receiver, transport
-//! endpoints — into one deterministic event loop. [`experiments`] provides
-//! one driver per experiment class:
+//! endpoints — into one deterministic event loop, and [`chain::ChainWorld`]
+//! into a multi-hop path. Both run one event enum ([`Ev`]) through one
+//! event path and differ only in struct, constructor and topology.
+//! [`experiments`] provides one driver per experiment class:
 //!
 //! * [`experiments::stress_test`] — line-rate MTU stress (Fig 8 effective
 //!   loss/speed, Fig 14 buffers, Table 4 recirculation, Fig 19 delays);

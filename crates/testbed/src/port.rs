@@ -1,5 +1,6 @@
-//! The LinkGuardian rules at one link-facing switch port, shared by both
-//! testbed loops.
+//! The one event path of both testbed loops: their event enum, its
+//! dispatcher, the LinkGuardian rules at a link-facing switch port, and
+//! the routing of a frame over a link or to a host.
 //!
 //! A link-facing port hosts at most two LinkGuardian halves: the sender
 //! of the direction that leaves through it and the receiver of the
@@ -13,26 +14,168 @@
 //! on each link independently" (§5), so a one-link chain is the
 //! two-switch testbed, bit for bit (`tests/multi_hop.rs`).
 //!
-//! The rules here are the same for every port of either loop; a loop
-//! supplies only its topology and its event enum through [`PortLoop`].
+//! Everything here is the same for either loop. A loop answers only
+//! topology questions through [`PortLoop`] — which halves sit at a port,
+//! which link leaves it and to which peer, where a frame leaves the
+//! switch it arrived at, which host a port faces — and lends its queue,
+//! pool, hosts and trial driver. What only [`crate::World`] does (the
+//! stress generator, probes, kept traces, its control events) it does
+//! in the hooks the trait names.
 
-use lg_link::LinkSpeed;
-use lg_packet::{PacketPool, PktId};
-use lg_sim::{Duration, Time};
-use lg_switch::{Class, PortId, Switch};
+use lg_link::{LinkDirection, LinkSpeed, LossModel};
+use lg_obs::lg_trace;
+use lg_obs::trace::{Comp, Kind, Level};
+use lg_packet::lg::LgPacketType;
+use lg_packet::{LgControl, Packet, PacketPool, Payload, PktId};
+use lg_sim::{Duration, EventQueue, Time};
+use lg_switch::{Class, PortId, SerialLink, Switch};
+use lg_workload::FctCollector;
 use linkguardian::{LgReceiver, LgSender, ReceiverAction, SenderAction};
 
-use crate::host::DUMMY_REFRESH;
+use crate::host::{self, Host, Trials, DUMMY_REFRESH, HOST_HOP};
+use crate::world::Side;
 
 /// RX MAC absorbs a PFC frame and applies it after the MAC/scheduler
 /// processing delay; with the reverse-path latency this reproduces the
 /// paper's measured tflight_resume of 1.6-1.9 us (Appendix B.1).
 const PAUSE_APPLY: Duration = Duration::from_ns(1_100);
 
+/// Events of a testbed loop whose link-facing ports are named by `P`:
+/// a [`Side`] in [`crate::World`], `(switch, port)` in
+/// [`crate::ChainWorld`].
+///
+/// Packet-carrying variants hold a [`PktId`] pool handle (8 bytes), not an
+/// owned [`Packet`]; the event that holds the handle owns its pool
+/// reference. `size_of::<Ev<_>>()` is bounded by a regression test so the
+/// timer-wheel entries stay cache-compact.
+#[derive(Debug)]
+pub enum Ev<P = Side> {
+    /// A packet enters a link port's egress queue (after pipeline
+    /// traversal).
+    PortEnqueue {
+        /// The port.
+        at: P,
+        /// Traffic class.
+        class: Class,
+        /// The packet.
+        id: PktId,
+    },
+    /// A frame finished serializing out of a link port.
+    PortTxDone {
+        /// The port.
+        at: P,
+        /// The frame that completed.
+        id: PktId,
+    },
+    /// A frame fully arrived at a link port over its link (the host
+    /// links are computed and deliver straight to hosts).
+    WireArrive {
+        /// The port it arrived at.
+        at: P,
+        /// The frame.
+        id: PktId,
+    },
+    /// A frame fully arrived at a host NIC (stack delay included).
+    HostArrive {
+        /// Host index (0 or 1).
+        host: usize,
+        /// The frame.
+        id: PktId,
+    },
+    /// Transport timer wake-up.
+    HostWake {
+        /// Host index.
+        host: usize,
+    },
+    /// LinkGuardian receiver ackNoTimeout.
+    LgTimeout {
+        /// Stall generation.
+        generation: u64,
+        /// The port hosting the receiver.
+        at: P,
+    },
+    /// Timer-packet evaluation of the backpressure state while paused.
+    LgBpTimer {
+        /// The port hosting the receiver.
+        at: P,
+    },
+    /// PFC pause/resume takes effect at the sender's normal queue.
+    PauseApply {
+        /// Pause or resume.
+        pause: bool,
+        /// The port hosting the sender.
+        at: P,
+    },
+    /// Re-offer a dummy while data is unACKed (paced stand-in for the
+    /// continuously self-replenishing dummy queue).
+    DummyRefresh {
+        /// The port hosting the sender.
+        at: P,
+    },
+    /// Activate LinkGuardian on the corrupting link.
+    ActivateLg,
+    /// Change the forward loss model (the "VOA knob"). Boxed: this rare
+    /// control event must not widen the hot packet events.
+    SetLoss(Box<LossModel>),
+    /// Periodic probe sample.
+    Sample,
+    /// Start the next trial.
+    TrialStart,
+}
+
+/// The kinds [`crate::World`] profiles its events by.
+impl Ev {
+    /// Number of event kinds (sizes the profile's per-kind arrays).
+    pub const N_KINDS: usize = 14;
+
+    /// Kind names indexed by [`Ev::kind_idx`]. Slot 4 is the retired
+    /// NIC-completion event: no variant maps to it, the frozen `perf/`
+    /// schema still looks the name up.
+    pub const KIND_NAMES: [&'static str; Ev::N_KINDS] = [
+        "port_enqueue",
+        "port_tx_done",
+        "wire_arrive",
+        "host_arrive",
+        "host_tx_done",
+        "host_wake",
+        "lg_timeout",
+        "lg_bp_timer",
+        "pause_apply",
+        "dummy_refresh",
+        "activate_lg",
+        "set_loss",
+        "sample",
+        "trial_start",
+    ];
+}
+
+impl<P> Ev<P> {
+    /// Stable index of this event's kind (for per-kind profiling).
+    pub fn kind_idx(&self) -> usize {
+        match self {
+            Ev::PortEnqueue { .. } => 0,
+            Ev::PortTxDone { .. } => 1,
+            Ev::WireArrive { .. } => 2,
+            Ev::HostArrive { .. } => 3,
+            Ev::HostWake { .. } => 5,
+            Ev::LgTimeout { .. } => 6,
+            Ev::LgBpTimer { .. } => 7,
+            Ev::PauseApply { .. } => 8,
+            Ev::DummyRefresh { .. } => 9,
+            Ev::ActivateLg => 10,
+            Ev::SetLoss(_) => 11,
+            Ev::Sample => 12,
+            Ev::TrialStart => 13,
+        }
+    }
+}
+
 /// One link-facing port, borrowed from its loop.
 pub(crate) struct LgPort<'a> {
     /// The switch the port belongs to.
     pub sw: &'a mut Switch,
+    /// The switch's index in its loop (labels trace rows).
+    pub index: usize,
     /// The port's index on `sw`.
     pub port: PortId,
     /// The sender of the direction leaving through the port, with the
@@ -60,88 +203,169 @@ pub(crate) struct PortScratch {
     filler: Vec<PktId>,
 }
 
-/// What the port rules schedule for a port; each loop maps it onto an
-/// event of its own and hands it back to the matching function here
-/// ([`enqueue`], [`tx_done`], [`timeout`], ...) when it is due.
-#[derive(Clone, Copy)]
-pub(crate) enum PortEv {
-    /// The frame reaches the port's egress queue (post-pipeline).
-    Enqueue {
-        /// Traffic class.
-        class: Class,
-        /// The frame.
-        id: PktId,
-    },
-    /// The frame finished serializing out of the port.
-    TxDone(PktId),
-    /// The port receiver's ackNoTimeout of the given stall generation.
-    Timeout(u64),
-    /// Timer-packet evaluation of the port receiver's backpressure state.
-    BpTimer,
-    /// PFC pause (true) or resume reaches the port's normal queue.
-    Pause(bool),
-    /// Re-offer the port sender's dummies while data is unACKed (paced
-    /// stand-in for the continuously self-replenishing dummy queue).
-    DummyRefresh,
+/// What the host, transport and trial code works on, borrowed from its
+/// loop.
+pub(crate) struct Parts<'a, P> {
+    /// The loop's event queue.
+    pub q: &'a mut EventQueue<Ev<P>>,
+    /// The loop's packet pool.
+    pub pool: &'a mut PacketPool,
+    /// Line rate of every link.
+    pub speed: LinkSpeed,
+    /// Hosts 0 (sender side) and 1 (receiver side).
+    pub hosts: &'a mut [Host],
+    /// The trial driver.
+    pub trials: &'a mut Trials,
+    /// Completed-trial FCTs.
+    pub fct: &'a mut FctCollector,
+    /// TCP segments sent again by either host's transport.
+    pub e2e_retx: &'a mut u64,
 }
 
-/// A testbed loop as the port rules see it: where the halves sit, where
-/// a frame goes next, and how a [`PortEv`] becomes one of its events.
+/// Where a tenant frame leaves the switch it arrived at.
+pub(crate) enum Exit<P> {
+    /// By a link port, through its egress queue.
+    Link(P),
+    /// By the computed port facing this host.
+    Host(usize),
+}
+
+/// A testbed loop as the shared event path sees it: its topology, the
+/// parts it lends, and the hooks where [`crate::World`] does what only
+/// it does (the defaults do nothing).
 pub(crate) trait PortLoop {
     /// Names one link-facing port of the loop.
     type Port: Copy;
     /// Borrow the port, its halves, the packet pool and the buffers.
     fn lg_port(&mut self, at: Self::Port) -> LgPort<'_>;
-    /// Route a tenant frame that arrived through `from` onward.
-    fn route(&mut self, from: Self::Port, id: PktId, now: Time);
-    /// A frame finished serializing out of `from`: put it on the wire.
-    fn depart(&mut self, from: Self::Port, id: PktId, now: Time);
-    /// Schedule `ev` for port `at` at instant `t`.
-    fn schedule(&mut self, t: Time, at: Self::Port, ev: PortEv);
+    /// Borrow the queue, pool, hosts and trial driver.
+    fn parts(&mut self) -> Parts<'_, Self::Port>;
+    /// The link leaving `from`, its trace label and the port at its far
+    /// end. A link's two directions are labelled `2i` and `2i + 1`.
+    fn link(&mut self, from: Self::Port) -> (&mut LinkDirection, usize, Self::Port);
+    /// Where a tenant frame that arrived through `from` leaves its switch.
+    fn exit(&self, from: Self::Port) -> Exit<Self::Port>;
+    /// The link port host `host`'s frames leave its switch by.
+    fn uplink(&self, host: usize) -> Self::Port;
+    /// The switch host `host` hangs off, its port facing the host, that
+    /// port computed, and the packet pool.
+    fn host_port(&mut self, host: usize)
+        -> (&mut Switch, PortId, &mut SerialLink, &mut PacketPool);
+    /// A frame left port `from` for its link.
+    fn departed(&mut self, _from: Self::Port) {}
+    /// Host `host` consumed a frame carrying `bytes` of payload.
+    fn host_rx(&mut self, _host: usize, _bytes: u64, _now: Time) {}
+    /// Host `host`'s trial completed; its transports are still in place.
+    fn trial_done(&mut self, _host: usize) {}
+    /// An event no port, host or trial handles: `ActivateLg`, `SetLoss`
+    /// or `Sample`.
+    fn control(&mut self, ev: Ev<Self::Port>, now: Time);
 }
 
-/// A frame reaches port `at`'s egress queue.
-pub(crate) fn enqueue<L: PortLoop>(w: &mut L, at: L::Port, class: Class, id: PktId, now: Time) {
-    let p = w.lg_port(at);
-    p.sw.enqueue(p.port, class, id, p.pool);
-    kick(w, at, now);
+/// Dispatch one event of loop `w` due at `now`.
+pub(crate) fn handle<L: PortLoop>(w: &mut L, ev: Ev<L::Port>, now: Time) {
+    match ev {
+        Ev::PortEnqueue { at, class, id } => {
+            let p = w.lg_port(at);
+            p.sw.enqueue(p.port, class, id, p.pool);
+            kick(w, at, now);
+        }
+        Ev::PortTxDone { at, id } => tx_done(w, at, id, now),
+        Ev::WireArrive { at, id } => ingress(w, at, id, now),
+        Ev::HostArrive { host, id } => host::arrive(w, host, id, now),
+        Ev::HostWake { host } => host::wake(w, host, now),
+        Ev::LgTimeout { generation, at } => receive(w, at, now, |rx, pool, out| {
+            rx.on_timeout(generation, now, pool, out)
+        }),
+        Ev::LgBpTimer { at } => receive(w, at, now, |rx, pool, out| rx.on_bp_timer(now, pool, out)),
+        Ev::PauseApply { pause, at } => {
+            let p = w.lg_port(at);
+            lg_trace!(
+                Level::Ctl,
+                Comp::Port,
+                Kind::PauseApply,
+                p.index,
+                now.as_ps(),
+                0u64,
+                0u64,
+                pause as u32
+            );
+            p.sw.port_mut(p.port).set_paused(Class::Normal, pause);
+            kick(w, at, now);
+        }
+        Ev::DummyRefresh { at } => {
+            if let Some((_, armed)) = w.lg_port(at).tx {
+                *armed = false;
+            }
+            kick(w, at, now);
+        }
+        Ev::TrialStart => host::start_trial(w, now),
+        Ev::ActivateLg | Ev::SetLoss(_) | Ev::Sample => w.control(ev, now),
+    }
 }
 
-/// The frame serializing out of port `at` is done: put it on the wire
-/// and start the next.
-pub(crate) fn tx_done<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time) {
+/// Schedule `ev` on loop `w`'s queue at `t`.
+fn schedule<L: PortLoop>(w: &mut L, t: Time, ev: Ev<L::Port>) {
+    w.parts().q.schedule_at(t, ev);
+}
+
+/// The LinkGuardian sequence a frame carries, 0 without one (trace rows).
+fn lg_seq(pkt: &Packet) -> u64 {
+    pkt.lg_data.map_or(0, |d| d.seq.raw() as u64)
+}
+
+/// The frame serializing out of port `at` is done: count what the port
+/// sent, put the frame on the link, and start the next. The link either
+/// delivers the frame to the far port after its propagation delay or
+/// corrupts it; a corrupted frame's pool reference dies at the far MAC
+/// (the sender's Tx-buffer reference, if any, keeps the slot alive).
+fn tx_done<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time) {
     let p = w.lg_port(at);
-    let flen = p.pool.get(id).frame_len();
+    let pkt = p.pool.get(id);
+    lg_trace!(
+        Level::Pkt,
+        Comp::Port,
+        Kind::TxDone,
+        // every switch has two ports: 0 and 2 are `World`'s link ports
+        p.index * 2 + p.port,
+        now.as_ps(),
+        pkt.uid,
+        lg_seq(pkt),
+        id.index()
+    );
+    if pkt
+        .lg_data
+        .is_some_and(|d| d.kind == LgPacketType::Retransmit)
+    {
+        p.sw.note_lg_retx(p.port);
+    }
+    if matches!(pkt.payload, Payload::Lg(LgControl::Pause(_))) {
+        p.sw.note_pause_tx(p.port);
+    }
+    let flen = pkt.frame_len();
     p.sw.port_mut(p.port).busy = false;
     p.sw.tx_complete(p.port, flen);
-    w.depart(at, id, now);
-    kick(w, at, now);
-}
-
-/// The ackNoTimeout of stall `generation` at port `at`'s receiver.
-pub(crate) fn timeout<L: PortLoop>(w: &mut L, at: L::Port, generation: u64, now: Time) {
-    receive(w, at, now, |rx, pool, out| {
-        rx.on_timeout(generation, now, pool, out)
-    });
-}
-
-/// A timer packet re-evaluates port `at`'s receiver backpressure state.
-pub(crate) fn bp_timer<L: PortLoop>(w: &mut L, at: L::Port, now: Time) {
-    receive(w, at, now, |rx, pool, out| rx.on_bp_timer(now, pool, out));
-}
-
-/// A PFC pause (true) or resume reaches port `at`'s normal queue.
-pub(crate) fn pause<L: PortLoop>(w: &mut L, at: L::Port, pause: bool, now: Time) {
-    let p = w.lg_port(at);
-    p.sw.port_mut(p.port).set_paused(Class::Normal, pause);
-    kick(w, at, now);
-}
-
-/// The dummy refresh armed for port `at`'s sender fires.
-pub(crate) fn dummy_refresh<L: PortLoop>(w: &mut L, at: L::Port, now: Time) {
-    if let Some((_, armed)) = w.lg_port(at).tx {
-        *armed = false;
+    let (link, label, peer) = w.link(at);
+    if link.deliver() {
+        let arrive = now + link.propagation();
+        schedule(w, arrive, Ev::WireArrive { at: peer, id });
+    } else {
+        let p = w.lg_port(peer);
+        let pkt = p.pool.get(id);
+        lg_trace!(
+            Level::Pkt,
+            Comp::Link,
+            Kind::CorruptDrop,
+            label,
+            now.as_ps(),
+            pkt.uid,
+            lg_seq(pkt),
+            id.index()
+        );
+        p.sw.rx_corrupt(p.port);
+        p.pool.release(id);
     }
+    w.departed(at);
     kick(w, at, now);
 }
 
@@ -149,10 +373,29 @@ pub(crate) fn dummy_refresh<L: PortLoop>(w: &mut L, at: L::Port, now: Time) {
 /// port's receiver, pass the receiver's in-order deliveries to the
 /// port's sender (ACK, notification and pause absorption), and route
 /// whatever survives onward. Without a receiver the frame goes straight
-/// to the sender; with neither half it is routed.
-pub(crate) fn ingress<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time) {
+/// to the sender; with neither half it is routed. Kept out of line: the
+/// inlined copy made the dispatcher's frame heavier for every event kind
+/// (`testbed_fct` ran ≈3 % slower).
+#[inline(never)]
+fn ingress<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time) {
+    // the direction arriving at `at` is the twin of the one leaving it
+    let label = w.link(at).1 ^ 1;
     let p = w.lg_port(at);
-    let flen = p.pool.get(id).frame_len();
+    let pkt = p.pool.get(id);
+    lg_trace!(
+        Level::Pkt,
+        Comp::Link,
+        Kind::WireRx,
+        label,
+        now.as_ps(),
+        pkt.uid,
+        lg_seq(pkt),
+        id.index()
+    );
+    if matches!(pkt.payload, Payload::Lg(LgControl::Pause(_))) {
+        p.sw.note_pause_rx(p.port);
+    }
+    let flen = pkt.frame_len();
     p.sw.rx_ok(p.port, flen);
     if p.rx.is_none() {
         return sender_rx(w, at, id, now);
@@ -162,15 +405,38 @@ pub(crate) fn ingress<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time)
     });
 }
 
+/// Send a tenant frame that arrived through `from` through its switch's
+/// pipeline to the port it leaves by: a link port's egress queue, or the
+/// computed port facing a host, whose one `HostArrive` ends the hop.
+fn route<L: PortLoop>(w: &mut L, from: L::Port, id: PktId, now: Time) {
+    match w.exit(from) {
+        Exit::Link(out) => {
+            let arrive = now + w.lg_port(from).sw.pipeline_latency;
+            let class = Class::Normal;
+            schedule(w, arrive, Ev::PortEnqueue { at: out, class, id });
+        }
+        Exit::Host(host) => {
+            let p = w.parts();
+            let ser = p.speed.serialize(p.pool.get(id).wire_len());
+            let (sw, port, link, pool) = w.host_port(host);
+            let arrive = now + sw.pipeline_latency;
+            let counters = sw.counters_mut(port);
+            if let Some(done) = link.enqueue(now, arrive, ser, id, pool, counters) {
+                schedule(w, done + HOST_HOP, Ev::HostArrive { host, id });
+            }
+        }
+    }
+}
+
 /// Start serializing the next eligible frame on port `at`, engaging the
 /// idle fillers when the port runs dry.
 pub(crate) fn kick<L: PortLoop>(w: &mut L, at: L::Port, now: Time) {
     let (next, refresh) = w.lg_port(at).next_frame(now);
     if refresh {
-        w.schedule(now + DUMMY_REFRESH, at, PortEv::DummyRefresh);
+        schedule(w, now + DUMMY_REFRESH, Ev::DummyRefresh { at });
     }
     if let Some((id, ser)) = next {
-        w.schedule(now + ser, at, PortEv::TxDone(id));
+        schedule(w, now + ser, Ev::PortTxDone { at, id });
     }
 }
 
@@ -181,6 +447,7 @@ impl LgPort<'_> {
     fn next_frame(self, now: Time) -> (Option<(PktId, Duration)>, bool) {
         let LgPort {
             sw,
+            index: _,
             port,
             mut tx,
             mut rx,
@@ -246,21 +513,23 @@ impl LgPort<'_> {
 fn sender_rx<L: PortLoop>(w: &mut L, at: L::Port, id: PktId, now: Time) {
     let p = w.lg_port(at);
     let Some((s, _)) = p.tx else {
-        return w.route(at, id, now);
+        return route(w, at, id, now);
     };
     let pipeline = p.sw.pipeline_latency;
     let mut actions = std::mem::take(&mut p.scratch.tx);
     if let Some(id) = s.on_reverse_rx(id, now, p.pool, &mut actions) {
-        w.route(at, id, now);
+        route(w, at, id, now);
     }
     for &a in &actions {
         match a {
             // retransmitted copies re-enter the port's egress queue
-            SenderAction::Emit { id, class, delay } => {
-                w.schedule(now + (delay + pipeline), at, PortEv::Enqueue { class, id })
-            }
+            SenderAction::Emit { id, class, delay } => schedule(
+                w,
+                now + (delay + pipeline),
+                Ev::PortEnqueue { at, class, id },
+            ),
             SenderAction::PauseNormal(pause) => {
-                w.schedule(now + PAUSE_APPLY, at, PortEv::Pause(pause))
+                schedule(w, now + PAUSE_APPLY, Ev::PauseApply { pause, at })
             }
         }
     }
@@ -296,8 +565,8 @@ fn receive<L: PortLoop>(
             ReceiverAction::ArmTimeout {
                 deadline,
                 generation,
-            } => w.schedule(deadline.max(now), at, PortEv::Timeout(generation)),
-            ReceiverAction::ArmBpTimer { at: t } => w.schedule(t.max(now), at, PortEv::BpTimer),
+            } => schedule(w, deadline.max(now), Ev::LgTimeout { generation, at }),
+            ReceiverAction::ArmBpTimer { at: t } => schedule(w, t.max(now), Ev::LgBpTimer { at }),
         }
     }
     actions.clear();

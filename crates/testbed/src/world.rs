@@ -7,13 +7,13 @@
 //!        ◄──       ◄═(clean reverse)════╡       ◄──
 //! ```
 //!
-//! All components are the pure state machines from the other crates; this
-//! module owns the event loop that binds them: serialization and
-//! propagation timing, pipeline latencies, the PFC pause path, the
-//! self-replenishing dummy/ACK queues (port-idle fillers), LinkGuardian
-//! timeouts and transport timers. The host NICs and the host-facing
-//! switch ports have none of that structure, so they are computed
-//! ([`SerialLink`]) rather than simulated (DESIGN.md §19).
+//! All components are the pure state machines from the other crates, and
+//! the events that bind them run through the event path both testbed
+//! loops share (the `port` and `host` modules). This module holds the
+//! testbed's topology and what only it has: the stress generator, probes,
+//! telemetry, the guardian poll and its control events. The host NICs
+//! and host-facing switch ports are computed ([`SerialLink`]), not
+//! simulated (DESIGN.md §19).
 //!
 //! Under line-rate stress the world repeats itself one frame period
 //! later until a frame is lost, so [`World::run_until`] computes those
@@ -31,18 +31,16 @@ use lg_obs::health::{HealthConfig, HealthEstimator, HealthEvent};
 use lg_obs::timeseries::SeriesBank;
 use lg_obs::trace::{Comp, Kind, Level};
 use lg_obs::{lg_trace, Counters, MetricsRegistry};
-use lg_packet::lg::LgPacketType;
-use lg_packet::{FlowId, LgControl, NodeId, Packet, PacketPool, Payload, PktId};
+use lg_packet::{FlowId, NodeId, Packet, PacketPool, Payload, PktId};
 use lg_sim::{Duration, EventQueue, Rng, Time};
 use lg_switch::{Class, EgressPort, PortCounters, PortId, SerialLink, Switch};
-use lg_transport::{
-    CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpReceiver, TransportAction,
-};
+use lg_transport::CcVariant;
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender};
 
+use crate::host::{self, Trials};
 pub use crate::host::{Host, HOST_HOP};
-use crate::port::{self, LgPort, PortEv, PortLoop, PortScratch};
+use crate::port::{self, Exit, LgPort, Parts, PortLoop, PortScratch};
 use std::cmp::Ordering;
 
 /// Which switch.
@@ -68,130 +66,7 @@ pub const SW_TX: NodeId = NodeId(100);
 /// The receiver switch (control-packet origin).
 pub const SW_RX: NodeId = NodeId(101);
 
-/// Events of the testbed world.
-///
-/// Packet-carrying variants hold a [`PktId`] pool handle (8 bytes), not an
-/// owned [`Packet`]; the event that holds the handle owns its pool
-/// reference. `size_of::<Ev>()` is bounded by a regression test so the
-/// timer-wheel entries stay cache-compact.
-#[derive(Debug)]
-pub enum Ev {
-    /// A packet enters a switch's link-port egress queue (after
-    /// pipeline traversal).
-    PortEnqueue {
-        /// Which switch.
-        side: Side,
-        /// Traffic class.
-        class: Class,
-        /// The packet.
-        id: PktId,
-    },
-    /// A frame finished serializing out of a switch's link port.
-    PortTxDone {
-        /// Which switch.
-        side: Side,
-        /// The frame that completed.
-        id: PktId,
-    },
-    /// A frame fully arrived at a switch over the link (the host links
-    /// are computed and deliver straight to hosts).
-    WireArrive {
-        /// The switch it arrived at.
-        side: Side,
-        /// The frame.
-        id: PktId,
-    },
-    /// A frame fully arrived at a host NIC (stack delay included).
-    HostArrive {
-        /// Host index (0 or 1).
-        host: usize,
-        /// The frame.
-        id: PktId,
-    },
-    /// Transport timer wake-up.
-    HostWake {
-        /// Host index.
-        host: usize,
-    },
-    /// LinkGuardian receiver ackNoTimeout.
-    LgTimeout {
-        /// Stall generation.
-        generation: u64,
-        /// The switch hosting the receiver (Rx: forward, Tx: reverse).
-        side: Side,
-    },
-    /// Timer-packet evaluation of the backpressure state while paused.
-    LgBpTimer {
-        /// The switch hosting the receiver.
-        side: Side,
-    },
-    /// PFC pause/resume takes effect at the sender's normal queue.
-    PauseApply {
-        /// Pause or resume.
-        pause: bool,
-        /// The switch hosting the sender (Tx: forward, Rx: reverse).
-        side: Side,
-    },
-    /// Re-offer a dummy while data is unACKed (paced stand-in for the
-    /// continuously self-replenishing dummy queue).
-    DummyRefresh {
-        /// The switch hosting the sender.
-        side: Side,
-    },
-    /// Activate LinkGuardian on the corrupting link.
-    ActivateLg,
-    /// Change the forward loss model (the "VOA knob"). Boxed: this rare
-    /// control event must not widen the hot packet events.
-    SetLoss(Box<LossModel>),
-    /// Periodic probe sample.
-    Sample,
-    /// Start the next FCT trial.
-    TrialStart,
-}
-
-impl Ev {
-    /// Number of event kinds (sizes the profile's per-kind arrays).
-    pub const N_KINDS: usize = 14;
-
-    /// Kind names indexed by [`Ev::kind_idx`]. Slot 4 is the retired
-    /// NIC-completion event: no variant maps to it, the frozen `perf/`
-    /// schema still looks the name up.
-    pub const KIND_NAMES: [&'static str; Ev::N_KINDS] = [
-        "port_enqueue",
-        "port_tx_done",
-        "wire_arrive",
-        "host_arrive",
-        "host_tx_done",
-        "host_wake",
-        "lg_timeout",
-        "lg_bp_timer",
-        "pause_apply",
-        "dummy_refresh",
-        "activate_lg",
-        "set_loss",
-        "sample",
-        "trial_start",
-    ];
-
-    /// Stable index of this event's kind (for per-kind profiling).
-    pub fn kind_idx(&self) -> usize {
-        match self {
-            Ev::PortEnqueue { .. } => 0,
-            Ev::PortTxDone { .. } => 1,
-            Ev::WireArrive { .. } => 2,
-            Ev::HostArrive { .. } => 3,
-            Ev::HostWake { .. } => 5,
-            Ev::LgTimeout { .. } => 6,
-            Ev::LgBpTimer { .. } => 7,
-            Ev::PauseApply { .. } => 8,
-            Ev::DummyRefresh { .. } => 9,
-            Ev::ActivateLg => 10,
-            Ev::SetLoss(_) => 11,
-            Ev::Sample => 12,
-            Ev::TrialStart => 13,
-        }
-    }
-}
+pub use crate::port::Ev;
 
 /// Observability state of one world: its metrics registry and sampled
 /// profile, plus the uid base used to normalize packet uids. Packet
@@ -337,15 +212,27 @@ pub struct WorldConfig {
     pub seed: u64,
 }
 
-/// Refuse a trial series the loops cannot run or report on.
-pub(crate) fn check_trials(msg_len: u32, trials: u32) -> Result<(), String> {
-    if msg_len == 0 {
-        return Err("message length must be at least 1 byte".into());
+impl App {
+    /// Refuse a trial series the loops cannot run or report on.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let (msg_len, trials) = match *self {
+            App::TcpTrials {
+                msg_len, trials, ..
+            }
+            | App::RdmaTrials {
+                msg_len, trials, ..
+            } => (msg_len, trials),
+            App::TcpStream { chunk, .. } => (chunk, 1),
+            App::None => return Ok(()),
+        };
+        if msg_len == 0 {
+            return Err("message length must be at least 1 byte".into());
+        }
+        if trials == 0 {
+            return Err("trials must be at least 1: an empty run has no FCT to report".into());
+        }
+        Ok(())
     }
-    if trials == 0 {
-        return Err("trials must be at least 1: an empty run has no FCT to report".into());
-    }
-    Ok(())
 }
 
 impl WorldConfig {
@@ -366,16 +253,7 @@ impl WorldConfig {
                 return Err("guardd needs an `lg` configuration to activate".into());
             }
         }
-        match self.app {
-            App::TcpTrials {
-                msg_len, trials, ..
-            }
-            | App::RdmaTrials {
-                msg_len, trials, ..
-            } => check_trials(msg_len, trials),
-            App::TcpStream { chunk, .. } => check_trials(chunk, 1),
-            App::None => Ok(()),
-        }
+        self.app.check()
     }
 
     /// A quiet testbed at the given speed with LinkGuardian configured
@@ -424,7 +302,9 @@ pub struct Outcomes {
     pub rdma_traces: Vec<lg_transport::RdmaTrace>,
     /// Stress frames injected.
     pub stress_tx_frames: u64,
-    /// Transport-level retransmitted segments observed leaving host0.
+    /// TCP segments sent again by either host's transport. RDMA
+    /// go-back-N re-sends are not counted (`fct_experiment` adds the
+    /// `rdma_traces` sums for its `e2e_retx`).
     pub e2e_retx_total: u64,
 }
 
@@ -466,18 +346,16 @@ pub struct World {
     pub guardd: Option<GuardManager>,
     stress: Option<u32>, // frame_len when stress mode active
     stress_seq: u64,
-    next_flow: u64,
-    trials_remaining: u32,
+    trials: Trials,
     /// A dummy refresh is pending for the sender at each side's link port.
     dummy_refresh_armed: [bool; 2],
-    e2e_retx_window: u64,
+    /// `out.e2e_retx_total` at the last probe sample.
+    e2e_retx_seen: u64,
     /// Payload bytes host1 received in the open probe window, and at
     /// its closing instant before `Ev::Sample` closed it: the windows
     /// are `[start, end)`, so those belong to the next row.
     goodput_bytes: [u64; 2],
     lg_scratch: PortScratch,
-    // Reused around each transport call, like `lg_scratch`.
-    transport_scratch: Vec<TransportAction>,
     /// The world at the last forward departure, when it was marked for
     /// a stretch (DESIGN.md §23), and no mark is taken before
     /// `stretch_after`, pushed out by `stretch_misses` failed tries.
@@ -559,11 +437,7 @@ impl World {
         let rev_link = LinkDirection::corrupting(link_cfg, cfg.rev_loss.clone(), rng.fork());
 
         let mut sw_tx = Switch::new("sw_tx", 2);
-        let mut sw_rx = Switch::new("sw_rx", 2);
-        sw_tx.add_route(HOST1, PORT_LINK);
-        sw_tx.add_route(HOST0, PORT_HOST);
-        sw_rx.add_route(HOST0, PORT_LINK);
-        sw_rx.add_route(HOST1, PORT_HOST);
+        let sw_rx = Switch::new("sw_rx", 2);
         if let Some(th) = cfg.ecn_threshold {
             sw_tx.set_port(PORT_LINK, EgressPort::new().with_ecn_threshold(th));
         }
@@ -600,18 +474,11 @@ impl World {
         if let Some(interval) = cfg.sample_interval {
             q.schedule_after(interval, Ev::Sample);
         }
-        match cfg.app {
-            App::None => {}
-            _ => {
-                q.schedule_at(Time::ZERO, Ev::TrialStart);
-            }
+        if !matches!(cfg.app, App::None) {
+            q.schedule_at(Time::ZERO, Ev::TrialStart);
         }
-        let trials_remaining = match cfg.app {
-            App::TcpTrials { trials, .. } | App::RdmaTrials { trials, .. } => trials,
-            App::TcpStream { .. } => u32::MAX,
-            App::None => 0,
-        };
         let guardd = cfg.guardd.map(|gc| GuardManager::new("world", gc));
+        let trials = Trials::new(cfg.app.clone());
 
         World {
             cfg,
@@ -633,13 +500,11 @@ impl World {
             guardd,
             stress: None,
             stress_seq: 0,
-            next_flow: 1,
-            trials_remaining,
+            trials,
             dummy_refresh_armed: [false; 2],
-            e2e_retx_window: 0,
+            e2e_retx_seen: 0,
             goodput_bytes: [0; 2],
             lg_scratch: PortScratch::default(),
-            transport_scratch: Vec::new(),
             mark: None,
             spare_marks: Vec::new(),
             stretch_after: Time::ZERO,
@@ -699,7 +564,7 @@ impl World {
         self.spare_marks.extend(self.mark.take());
         while let Some((now, ev)) = self.q.pop_if_before(until) {
             ran += 1;
-            let fwd_done = matches!(ev, Ev::PortTxDone { side: Side::Tx, .. });
+            let fwd_done = matches!(ev, Ev::PortTxDone { at: Side::Tx, .. });
             self.off_cycle += cycle_place(&ev).is_none() as u64;
             let timed = self.obs.profile_seen.as_mut().is_some_and(|seen| {
                 *seen += 1;
@@ -708,7 +573,7 @@ impl World {
             if timed {
                 self.handle_timed(ev, now);
             } else {
-                self.handle(ev, now);
+                port::handle(self, ev, now);
             }
             if fwd_done && self.stress.is_some() && now >= self.stretch_after {
                 self.try_stretch(until);
@@ -796,7 +661,7 @@ impl World {
             moved => Some((ev, moved.is_some())),
         });
         for id in arrived {
-            self.on_host_arrive(1, id, end);
+            host::arrive(self, 1, id, end);
         }
         self.pool.for_each_mut(|p| shift(p, &by));
         self.lg_tx.advance(by[3], end - now);
@@ -808,7 +673,7 @@ impl World {
         if delivered > 0 {
             let before = self.host1_counts().map(|c| *c);
             let id = self.pool.insert(tmpl.clone());
-            self.on_host_arrive(1, id, end);
+            host::arrive(self, 1, id, end);
             for (c, b) in self.host1_counts().into_iter().zip(before) {
                 *c += (delivered - 1) * (*c - b);
             }
@@ -957,7 +822,7 @@ impl World {
     fn handle_timed(&mut self, ev: Ev, now: Time) {
         let kind = ev.kind_idx();
         let t0 = std::time::Instant::now();
-        self.handle(ev, now);
+        port::handle(self, ev, now);
         self.obs.profile_counts[kind] += 1;
         self.obs.profile_ns[kind] += t0.elapsed().as_nanos() as u64;
     }
@@ -1062,310 +927,7 @@ impl World {
 
     /// Public wrapper over the event dispatcher (used by profiling tools).
     pub fn handle_pub(&mut self, ev: Ev, now: Time) {
-        self.handle(ev, now);
-    }
-
-    fn handle(&mut self, ev: Ev, now: Time) {
-        match ev {
-            Ev::PortEnqueue { side, class, id } => port::enqueue(self, side, class, id, now),
-            Ev::PortTxDone { side, id } => port::tx_done(self, side, id, now),
-            Ev::WireArrive { side, id } => self.on_wire_arrive(side, id, now),
-            Ev::HostArrive { host, id } => self.on_host_arrive(host, id, now),
-            Ev::HostWake { host } => {
-                let mut actions = std::mem::take(&mut self.transport_scratch);
-                if self.hosts[host].on_wake(now, &mut actions) {
-                    self.apply_transport_actions(host, &mut actions, now);
-                    if let Some(at) = self.hosts[host].rearm_wake(now) {
-                        self.q.schedule_at(at, Ev::HostWake { host });
-                    }
-                }
-                self.transport_scratch = actions;
-            }
-            Ev::LgTimeout { generation, side } => port::timeout(self, side, generation, now),
-            Ev::LgBpTimer { side } => port::bp_timer(self, side, now),
-            Ev::PauseApply { pause, side } => {
-                lg_trace!(
-                    Level::Ctl,
-                    Comp::Port,
-                    Kind::PauseApply,
-                    side as u16,
-                    now.as_ps(),
-                    0u64,
-                    0u64,
-                    pause as u32
-                );
-                port::pause(self, side, pause, now);
-            }
-            Ev::DummyRefresh { side } => port::dummy_refresh(self, side, now),
-            Ev::ActivateLg => {
-                // Activation by explicit schedule sizes Eq. 2 from the
-                // loss-model parameter; the monitoring plane
-                // (`poll_guardd`) uses the rate it measured.
-                let rate = self.fwd_link.loss().model().mean_rate().max(1e-9);
-                self.lg_tx.activate(rate);
-                self.lg_rx.activate();
-                let rev_rate = self.rev_link.loss().model().mean_rate().max(1e-9);
-                if let Some(t) = self.lg2_tx.as_mut() {
-                    t.activate(rev_rate);
-                }
-                if let Some(r) = self.lg2_rx.as_mut() {
-                    r.activate();
-                }
-                port::kick(self, Side::Tx, now);
-                port::kick(self, Side::Rx, now);
-            }
-            Ev::SetLoss(model) => {
-                self.fwd_link.set_loss_model(*model);
-            }
-            Ev::Sample => self.on_sample(now),
-            Ev::TrialStart => self.start_trial(now),
-        }
-    }
-
-    fn switch_mut(&mut self, side: Side) -> &mut Switch {
-        match side {
-            Side::Tx => &mut self.sw_tx,
-            Side::Rx => &mut self.sw_rx,
-        }
-    }
-
-    /// A frame left `side`'s link port: apply wire loss and schedule
-    /// arrival. A corrupted frame's pool reference dies here — the
-    /// LinkGuardian sender's Tx-buffer reference (if any) keeps the
-    /// slot alive.
-    fn deliver_from_port(&mut self, side: Side, id: PktId, now: Time) {
-        // forward over the corrupting link, back over the reverse one
-        let (link, peer, peer_sw) = match side {
-            Side::Tx => (&mut self.fwd_link, Side::Rx, &mut self.sw_rx),
-            Side::Rx => (&mut self.rev_link, Side::Tx, &mut self.sw_tx),
-        };
-        if link.deliver() {
-            let ev = Ev::WireArrive { side: peer, id };
-            self.q.schedule_after(link.propagation(), ev);
-        } else {
-            lg_trace!(
-                Level::Pkt,
-                Comp::Link,
-                Kind::CorruptDrop,
-                side as u16,
-                now.as_ps(),
-                self.pool.get(id).uid,
-                self.pool.get(id).lg_data.map_or(0, |d| d.seq.raw() as u64),
-                id.index()
-            );
-            peer_sw.rx_corrupt(PORT_LINK);
-            self.pool.release(id);
-        }
-    }
-
-    /// Send a tenant packet that arrived over the link through `side`'s
-    /// pipeline to its host. The host-facing port is computed: the frame
-    /// goes straight to the one `HostArrive` that ends the hop.
-    fn forward(&mut self, side: Side, id: PktId, now: Time) {
-        let pkt = self.pool.get(id);
-        let (dst, ser) = (pkt.dst, self.cfg.speed.serialize(pkt.wire_len()));
-        let sw = match side {
-            Side::Tx => &mut self.sw_tx,
-            Side::Rx => &mut self.sw_rx,
-        };
-        debug_assert_eq!(sw.route(dst), Some(PORT_HOST), "no hairpin route");
-        let arrive = now + sw.pipeline_latency;
-        let counters = sw.counters_mut(PORT_HOST);
-        let link = &mut self.host_ports[side as usize];
-        if let Some(done) = link.enqueue(now, arrive, ser, id, &mut self.pool, counters) {
-            let at = done + HOST_HOP;
-            let host = side as usize;
-            self.q.schedule_at(at, Ev::HostArrive { host, id });
-        }
-    }
-
-    fn on_wire_arrive(&mut self, side: Side, id: PktId, now: Time) {
-        let pkt = self.pool.get(id);
-        lg_trace!(
-            Level::Pkt,
-            Comp::Link,
-            Kind::WireRx,
-            if side == Side::Rx { 0u16 } else { 1u16 },
-            now.as_ps(),
-            pkt.uid,
-            pkt.lg_data.map_or(0, |d| d.seq.raw() as u64),
-            id.index()
-        );
-        if matches!(pkt.payload, Payload::Lg(LgControl::Pause(_))) {
-            self.switch_mut(side).note_pause_rx(PORT_LINK);
-        }
-        port::ingress(self, side, id, now);
-    }
-
-    // ------------------------------------------------------------- hosts
-
-    fn on_host_arrive(&mut self, host: usize, id: PktId, now: Time) {
-        lg_trace!(
-            Level::Pkt,
-            Comp::Host,
-            Kind::HostDeliver,
-            host as u16,
-            now.as_ps(),
-            self.pool.get(id).uid,
-            0u64,
-            id.index()
-        );
-        let mut actions = std::mem::take(&mut self.transport_scratch);
-        let pkt = self.pool.get(id);
-        let payload_len = pkt.payload_len() as u64;
-        let reply = self.hosts[host].on_frame(pkt, now, &mut actions);
-        // the frame terminates at the host: its pool slot is done
-        self.pool.release(id);
-        if host == 1 {
-            if let Some(interval) = self.cfg.sample_interval {
-                let window_end = self.probes.last().map_or(Time::ZERO, |r| r.t) + interval;
-                self.goodput_bytes[usize::from(now >= window_end)] += payload_len;
-            }
-        }
-        if let Some(r) = reply {
-            self.host_send(host, r);
-        }
-        self.apply_transport_actions(host, &mut actions, now);
-        self.transport_scratch = actions;
-    }
-
-    fn apply_transport_actions(
-        &mut self,
-        host: usize,
-        actions: &mut Vec<TransportAction>,
-        now: Time,
-    ) {
-        for a in actions.drain(..) {
-            match a {
-                TransportAction::Send(pkt) => {
-                    if let Payload::Tcp(t) = &pkt.payload {
-                        if t.is_retx {
-                            self.out.e2e_retx_total += 1;
-                            self.e2e_retx_window += 1;
-                            lg_trace!(
-                                Level::Ctl,
-                                Comp::Transport,
-                                Kind::E2eRetx,
-                                host as u16,
-                                now.as_ps(),
-                                pkt.uid,
-                                t.seq as u64,
-                                0u32
-                            );
-                        }
-                    }
-                    self.host_send(host, pkt);
-                }
-                TransportAction::WakeAt { deadline } => {
-                    let at = deadline.max(now);
-                    if self.hosts[host].request_wake(at) {
-                        self.q.schedule_at(at, Ev::HostWake { host });
-                    }
-                }
-                TransportAction::Complete {
-                    started, completed, ..
-                } => {
-                    self.out.fct.record(completed.saturating_since(started));
-                    self.finish_trial(host);
-                }
-            }
-        }
-    }
-
-    /// Host-generated packets enter the pool here (the transport state
-    /// machines build owned `Packet`s; the event loop only moves handles).
-    fn host_send(&mut self, host: usize, pkt: Packet) {
-        let (dst, ser) = (pkt.dst, self.cfg.speed.serialize(pkt.wire_len()));
-        let id = self.pool.insert(pkt);
-        let sent = self.hosts[host].nic.depart(self.q.now(), ser);
-        // the frame reaches the switch after stack delay + serialization
-        // + propagation, and its egress queue (the link port) one
-        // pipeline later
-        let side = if host == 0 { Side::Tx } else { Side::Rx };
-        let sw = self.switch_mut(side);
-        debug_assert_eq!(sw.route(dst), Some(PORT_LINK));
-        let at = sent + HOST_HOP + sw.pipeline_latency;
-        let class = Class::Normal;
-        self.q.schedule_at(at, Ev::PortEnqueue { side, class, id });
-    }
-
-    // ----------------------------------------------------------- trials
-
-    fn start_trial(&mut self, now: Time) {
-        if self.trials_remaining == 0 {
-            return;
-        }
-        let flow = FlowId(self.next_flow);
-        self.next_flow += 1;
-        let mut actions = std::mem::take(&mut self.transport_scratch);
-        match self.cfg.app.clone() {
-            App::None => {}
-            App::TcpTrials {
-                variant, msg_len, ..
-            } => {
-                self.hosts[1].tcp_rx = Some(TcpReceiver::new(flow, HOST1, HOST0));
-                self.hosts[0].start_tcp(HOST1, flow, variant, msg_len, now, &mut actions);
-                self.apply_transport_actions(0, &mut actions, now);
-            }
-            App::RdmaTrials {
-                msg_len,
-                selective_repeat,
-                ..
-            } => {
-                self.hosts[1].rdma_rx =
-                    Some(RdmaResponder::new(flow, HOST1, HOST0, selective_repeat));
-                let mut tx = RdmaRequester::new(
-                    RdmaConfig {
-                        selective_repeat,
-                        ..RdmaConfig::default()
-                    },
-                    flow,
-                    HOST0,
-                    HOST1,
-                    msg_len,
-                );
-                tx.start_into(now, &mut actions);
-                self.hosts[0].rdma_tx = Some(tx);
-                self.apply_transport_actions(0, &mut actions, now);
-            }
-            App::TcpStream {
-                variant,
-                chunk,
-                end,
-            } => {
-                if now > end {
-                    self.trials_remaining = 0;
-                    self.transport_scratch = actions;
-                    return;
-                }
-                self.hosts[1].tcp_rx = Some(TcpReceiver::new(flow, HOST1, HOST0));
-                self.hosts[0].start_tcp(HOST1, flow, variant, chunk, now, &mut actions);
-                self.apply_transport_actions(0, &mut actions, now);
-            }
-        }
-        self.transport_scratch = actions;
-    }
-
-    fn finish_trial(&mut self, host: usize) {
-        if let Some(tx) = self.hosts[host].tcp_tx.take() {
-            self.out.tcp_traces.push(tx.trace());
-            self.hosts[host].tcp_spent = Some(tx);
-        }
-        if let Some(tx) = self.hosts[host].rdma_tx.take() {
-            self.out.rdma_traces.push(tx.trace());
-        }
-        if self.trials_remaining != u32::MAX {
-            self.trials_remaining = self.trials_remaining.saturating_sub(1);
-        }
-        if self.trials_remaining > 0 {
-            let gap = match self.cfg.app {
-                App::TcpTrials { gap, .. } | App::RdmaTrials { gap, .. } => gap,
-                App::TcpStream { .. } => Duration::ZERO,
-                App::None => Duration::ZERO,
-            };
-            let at = self.q.now() + gap;
-            self.q.schedule_at(at, Ev::TrialStart);
-        }
+        port::handle(self, ev, now);
     }
 
     // ------------------------------------------------------------ probes
@@ -1401,7 +963,8 @@ impl World {
         let w = self.obs.next_window;
         let qdepth = self.sw_tx.queue_bytes(PORT_LINK, Class::Normal);
         let rx_buffer = self.lg_rx.rx_buffer_bytes();
-        let e2e_retx = std::mem::take(&mut self.e2e_retx_window);
+        let total = self.out.e2e_retx_total;
+        let e2e_retx = total - std::mem::replace(&mut self.e2e_retx_seen, total);
         let drops = self.fwd_link.loss().drops();
         // Per-window mean recovery latency (≈ hole duration at the
         // receiver) from the cumulative retx-delay histogram.
@@ -1500,14 +1063,15 @@ impl World {
 /// repeats: a departure, a link arrival or a host1 arrival.
 fn cycle_place(ev: &Ev) -> Option<(u64, u64, PktId)> {
     match *ev {
-        Ev::PortTxDone { side, id } => Some((1, side as u64, id)),
-        Ev::WireArrive { side, id } => Some((2, side as u64, id)),
+        Ev::PortTxDone { at, id } => Some((1, at as u64, id)),
+        Ev::WireArrive { at, id } => Some((2, at as u64, id)),
         Ev::HostArrive { host: 1, id } => Some((3, 1, id)),
         _ => None,
     }
 }
 
-/// The testbed's topology for the port rules: one link port per switch.
+/// The testbed's topology for the shared event path: one link port per
+/// switch, facing the other's; each switch's other port faces its host.
 /// The forward instance is the outer tunnel, so the Tx port's sender
 /// and the Rx port's receiver fill an idle port first.
 impl PortLoop for World {
@@ -1529,6 +1093,7 @@ impl PortLoop for World {
         };
         LgPort {
             sw,
+            index: side as usize,
             port: PORT_LINK,
             tx,
             rx,
@@ -1539,48 +1104,94 @@ impl PortLoop for World {
         }
     }
 
-    fn route(&mut self, from: Side, id: PktId, now: Time) {
-        self.forward(from, id, now);
+    fn parts(&mut self) -> Parts<'_, Side> {
+        Parts {
+            q: &mut self.q,
+            pool: &mut self.pool,
+            speed: self.cfg.speed,
+            hosts: &mut self.hosts,
+            trials: &mut self.trials,
+            fct: &mut self.out.fct,
+            e2e_retx: &mut self.out.e2e_retx_total,
+        }
     }
 
-    fn depart(&mut self, side: Side, id: PktId, now: Time) {
-        let pkt = self.pool.get(id);
-        lg_trace!(
-            Level::Pkt,
-            Comp::Port,
-            Kind::TxDone,
-            // trace label `side * 2 + port`: 0 and 2 are the link ports
-            side as u16 * 2 + PORT_LINK as u16,
-            now.as_ps(),
-            pkt.uid,
-            pkt.lg_data.map_or(0, |d| d.seq.raw() as u64),
-            id.index()
-        );
-        let lg_retx = pkt
-            .lg_data
-            .is_some_and(|d| d.kind == LgPacketType::Retransmit);
-        let pause = matches!(pkt.payload, Payload::Lg(LgControl::Pause(_)));
-        if lg_retx {
-            self.switch_mut(side).note_lg_retx(PORT_LINK);
+    fn link(&mut self, from: Side) -> (&mut LinkDirection, usize, Side) {
+        // forward over the corrupting link, back over the reverse one
+        match from {
+            Side::Tx => (&mut self.fwd_link, 0, Side::Rx),
+            Side::Rx => (&mut self.rev_link, 1, Side::Tx),
         }
-        if pause {
-            self.switch_mut(side).note_pause_tx(PORT_LINK);
-        }
-        self.deliver_from_port(side, id, now);
-        if side == Side::Tx {
+    }
+
+    fn exit(&self, from: Side) -> Exit<Side> {
+        Exit::Host(from as usize)
+    }
+
+    fn uplink(&self, host: usize) -> Side {
+        [Side::Tx, Side::Rx][host]
+    }
+
+    fn host_port(
+        &mut self,
+        host: usize,
+    ) -> (&mut Switch, PortId, &mut SerialLink, &mut PacketPool) {
+        let sw = match host {
+            0 => &mut self.sw_tx,
+            _ => &mut self.sw_rx,
+        };
+        let link = &mut self.host_ports[host];
+        (sw, PORT_HOST, link, &mut self.pool)
+    }
+
+    fn departed(&mut self, from: Side) {
+        if from == Side::Tx {
             self.refill_stress();
         }
     }
 
-    fn schedule(&mut self, t: Time, side: Side, ev: PortEv) {
-        let ev = match ev {
-            PortEv::Enqueue { class, id } => Ev::PortEnqueue { side, class, id },
-            PortEv::TxDone(id) => Ev::PortTxDone { side, id },
-            PortEv::Timeout(generation) => Ev::LgTimeout { generation, side },
-            PortEv::BpTimer => Ev::LgBpTimer { side },
-            PortEv::Pause(pause) => Ev::PauseApply { pause, side },
-            PortEv::DummyRefresh => Ev::DummyRefresh { side },
-        };
-        self.q.schedule_at(t, ev);
+    fn host_rx(&mut self, host: usize, bytes: u64, now: Time) {
+        // goodput of the open probe window
+        if host == 1 {
+            if let Some(interval) = self.cfg.sample_interval {
+                let window_end = self.probes.last().map_or(Time::ZERO, |r| r.t) + interval;
+                self.goodput_bytes[usize::from(now >= window_end)] += bytes;
+            }
+        }
+    }
+
+    fn trial_done(&mut self, host: usize) {
+        let h = &self.hosts[host];
+        if let Some(tx) = &h.tcp_tx {
+            self.out.tcp_traces.push(tx.trace());
+        }
+        if let Some(tx) = &h.rdma_tx {
+            self.out.rdma_traces.push(tx.trace());
+        }
+    }
+
+    fn control(&mut self, ev: Ev, now: Time) {
+        match ev {
+            Ev::ActivateLg => {
+                // Activation by explicit schedule sizes Eq. 2 from the
+                // loss-model parameter; the monitoring plane
+                // (`poll_guardd`) uses the rate it measured.
+                let rate = self.fwd_link.loss().model().mean_rate().max(1e-9);
+                self.lg_tx.activate(rate);
+                self.lg_rx.activate();
+                let rev_rate = self.rev_link.loss().model().mean_rate().max(1e-9);
+                if let Some(t) = self.lg2_tx.as_mut() {
+                    t.activate(rev_rate);
+                }
+                if let Some(r) = self.lg2_rx.as_mut() {
+                    r.activate();
+                }
+                port::kick(self, Side::Tx, now);
+                port::kick(self, Side::Rx, now);
+            }
+            Ev::SetLoss(model) => self.fwd_link.set_loss_model(*model),
+            Ev::Sample => self.on_sample(now),
+            _ => unreachable!("the shared event path handles {ev:?}"),
+        }
     }
 }

@@ -157,20 +157,18 @@ fn rdma_gets_ordered_recovery() {
 }
 
 /// The event payload must stay cache-compact: packet events carry 8-byte
-/// pool handles, and the rare `SetLoss` model is boxed. Two `Ev`s plus a
-/// timer-wheel entry header fit in a cache line.
+/// pool handles, and the rare `SetLoss` model is boxed. Two events plus a
+/// timer-wheel entry header fit in a cache line, at either loop's port.
 #[test]
 fn event_payload_stays_slim() {
+    use lg_testbed::world::{Ev, Side};
+    let world = std::mem::size_of::<Ev<Side>>();
+    let chain = std::mem::size_of::<Ev<(usize, lg_switch::PortId)>>();
     assert!(
-        std::mem::size_of::<lg_testbed::world::Ev>() <= 32,
-        "Ev grew to {} bytes; box or shrink the offending variant",
-        std::mem::size_of::<lg_testbed::world::Ev>()
+        world <= 32,
+        "Ev<Side> grew to {world} bytes; box or shrink the offending variant"
     );
-    assert!(
-        std::mem::size_of::<lg_testbed::chain::CEv>() <= 32,
-        "CEv grew to {} bytes",
-        std::mem::size_of::<lg_testbed::chain::CEv>()
-    );
+    assert!(chain <= 32, "the chain's Ev grew to {chain} bytes");
 }
 
 /// Pool hygiene: once a trial run quiesces (event queue drained, every
