@@ -1,11 +1,12 @@
-//! The switch: egress ports, per-port counters and pipeline latency. Event scheduling (serialization completion, pipeline
+//! The switch: forwarding table, egress ports, per-port counters and
+//! pipeline latency. Event scheduling (serialization completion, pipeline
 //! traversal) is interpreted by the testbed crate; this struct holds the
 //! state machines.
 
 use crate::counters::PortCounters;
 use crate::port::{Class, EgressPort};
 use crate::queue::EnqueueOutcome;
-use lg_packet::{PacketPool, PktId};
+use lg_packet::{NodeId, PacketPool, PktId};
 use lg_sim::Duration;
 
 /// Index of a switch port.
@@ -21,6 +22,11 @@ pub struct Switch {
     pub name: String,
     ports: Vec<EgressPort>,
     counters: Vec<PortCounters>,
+    /// Forwarding table, sorted by destination. Topologies install a
+    /// handful of routes once and look one up per forwarded packet, so a
+    /// sorted vec's branch-light binary search beats hashing the key on
+    /// every packet (`route` sits on the per-hop hot path).
+    fib: Vec<(NodeId, PortId)>,
     /// One-way pipeline traversal latency.
     pub pipeline_latency: Duration,
 }
@@ -32,8 +38,28 @@ impl Switch {
             name: name.into(),
             ports: (0..n_ports).map(|_| EgressPort::new()).collect(),
             counters: vec![PortCounters::default(); n_ports],
+            fib: Vec::new(),
             pipeline_latency: DEFAULT_PIPELINE_LATENCY,
         }
+    }
+
+    /// Install a forwarding entry: traffic to `dst` leaves via `port`.
+    /// Re-adding a destination replaces its route.
+    pub fn add_route(&mut self, dst: NodeId, port: PortId) {
+        assert!(port < self.ports.len());
+        match self.fib.binary_search_by_key(&dst, |&(d, _)| d) {
+            Ok(i) => self.fib[i].1 = port,
+            Err(i) => self.fib.insert(i, (dst, port)),
+        }
+    }
+
+    /// Look up the egress port for a destination.
+    #[inline]
+    pub fn route(&self, dst: NodeId) -> Option<PortId> {
+        self.fib
+            .binary_search_by_key(&dst, |&(d, _)| d)
+            .ok()
+            .map(|i| self.fib[i].1)
     }
 
     /// Number of ports.
@@ -130,11 +156,21 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lg_packet::{NodeId, Packet};
+    use lg_packet::Packet;
     use lg_sim::Time;
 
     fn pkt(pool: &mut PacketPool, dst: u32) -> PktId {
         pool.insert(Packet::raw(NodeId(0), NodeId(dst), 100, Time::ZERO))
+    }
+
+    #[test]
+    fn routing() {
+        let mut sw = Switch::new("sw1", 4);
+        sw.add_route(NodeId(7), 2);
+        sw.add_route(NodeId(8), 3);
+        assert_eq!(sw.route(NodeId(7)), Some(2));
+        assert_eq!(sw.route(NodeId(8)), Some(3));
+        assert_eq!(sw.route(NodeId(9)), None);
     }
 
     #[test]
@@ -159,5 +195,12 @@ mod tests {
         let c = sw.counters(0);
         assert_eq!(c.frames_rx_all, 2);
         assert_eq!(c.frames_rx_ok, 1);
+    }
+
+    #[test]
+    #[should_panic]
+    fn route_to_invalid_port_panics() {
+        let mut sw = Switch::new("sw1", 1);
+        sw.add_route(NodeId(1), 5);
     }
 }

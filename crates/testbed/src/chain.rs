@@ -168,7 +168,12 @@ impl ChainWorld {
         let link_cfg = LinkConfig::new(cfg.speed);
 
         let switches = (0..n_sw)
-            .map(|i| Switch::new(format!("sw{i}"), 2))
+            .map(|i| {
+                let mut sw = Switch::new(format!("sw{i}"), 2);
+                sw.add_route(C_HOST1, PORT_RIGHT);
+                sw.add_route(C_HOST0, PORT_LEFT);
+                sw
+            })
             .collect();
         let links: Vec<(LinkDirection, LinkDirection)> = cfg
             .losses
@@ -334,10 +339,6 @@ impl PortLoop for ChainWorld {
         };
         let link = &mut self.host_ports[host];
         (&mut self.switches[sw], port, link, &mut self.pool)
-    }
-
-    fn control(&mut self, ev: Ev<ChainPort>, _now: Time) {
-        unreachable!("a chain schedules no {ev:?}");
     }
 }
 

@@ -310,7 +310,9 @@ fn apply<L: PortLoop>(w: &mut L, host: usize, actions: &mut Vec<TransportAction>
 /// propagation, and its egress queue (the uplink) one pipeline later.
 fn send<L: PortLoop>(w: &mut L, host: usize, pkt: Packet) {
     let at = w.uplink(host);
-    let pipeline = w.host_port(host).0.pipeline_latency;
+    let p = w.lg_port(at);
+    debug_assert_eq!(p.sw.route(pkt.dst), Some(p.port), "host {host}'s uplink");
+    let pipeline = p.sw.pipeline_latency;
     let p = w.parts();
     let ser = p.speed.serialize(pkt.wire_len());
     let id = p.pool.insert(pkt);

@@ -232,10 +232,10 @@ pub(crate) enum Exit<P> {
 
 /// A testbed loop as the shared event path sees it: its topology, the
 /// parts it lends, and the hooks where [`crate::World`] does what only
-/// it does (the defaults do nothing).
+/// it does (the defaults of the three data-path hooks do nothing).
 pub(crate) trait PortLoop {
     /// Names one link-facing port of the loop.
-    type Port: Copy;
+    type Port: Copy + std::fmt::Debug;
     /// Borrow the port, its halves, the packet pool and the buffers.
     fn lg_port(&mut self, at: Self::Port) -> LgPort<'_>;
     /// Borrow the queue, pool, hosts and trial driver.
@@ -258,8 +258,10 @@ pub(crate) trait PortLoop {
     /// Host `host`'s trial completed; its transports are still in place.
     fn trial_done(&mut self, _host: usize) {}
     /// An event no port, host or trial handles: `ActivateLg`, `SetLoss`
-    /// or `Sample`.
-    fn control(&mut self, ev: Ev<Self::Port>, now: Time);
+    /// or `Sample`. A loop that schedules none keeps the default.
+    fn control(&mut self, ev: Ev<Self::Port>, _now: Time) {
+        unreachable!("no control events: {ev:?}");
+    }
 }
 
 /// Dispatch one event of loop `w` due at `now`.
@@ -419,6 +421,7 @@ fn route<L: PortLoop>(w: &mut L, from: L::Port, id: PktId, now: Time) {
             let p = w.parts();
             let ser = p.speed.serialize(p.pool.get(id).wire_len());
             let (sw, port, link, pool) = w.host_port(host);
+            debug_assert_eq!(sw.route(pool.get(id).dst), Some(port), "no hairpin route");
             let arrive = now + sw.pipeline_latency;
             let counters = sw.counters_mut(port);
             if let Some(done) = link.enqueue(now, arrive, ser, id, pool, counters) {

@@ -437,7 +437,11 @@ impl World {
         let rev_link = LinkDirection::corrupting(link_cfg, cfg.rev_loss.clone(), rng.fork());
 
         let mut sw_tx = Switch::new("sw_tx", 2);
-        let sw_rx = Switch::new("sw_rx", 2);
+        let mut sw_rx = Switch::new("sw_rx", 2);
+        sw_tx.add_route(HOST1, PORT_LINK);
+        sw_tx.add_route(HOST0, PORT_HOST);
+        sw_rx.add_route(HOST0, PORT_LINK);
+        sw_rx.add_route(HOST1, PORT_HOST);
         if let Some(th) = cfg.ecn_threshold {
             sw_tx.set_port(PORT_LINK, EgressPort::new().with_ecn_threshold(th));
         }
