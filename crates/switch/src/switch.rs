@@ -23,9 +23,8 @@ pub struct Switch {
     ports: Vec<EgressPort>,
     counters: Vec<PortCounters>,
     /// Forwarding table, sorted by destination. Topologies install a
-    /// handful of routes once and look one up per forwarded packet, so a
-    /// sorted vec's branch-light binary search beats hashing the key on
-    /// every packet (`route` sits on the per-hop hot path).
+    /// handful of routes once; the testbed routes by its topology and
+    /// checks each routed frame against this table in debug builds.
     fib: Vec<(NodeId, PortId)>,
     /// One-way pipeline traversal latency.
     pub pipeline_latency: Duration,
