@@ -789,16 +789,12 @@ impl LgReceiver {
     /// Drain the recirculation path through `k` more in-order arrivals
     /// `period` apart of `frame_len`-byte frames: each drains what the
     /// link rate moved since the last and, while anything is left,
-    /// queues behind it (see `accept_data`).
+    /// queues behind it (see `accept_data`). Each arrival above
+    /// `drained` moves the backlog by the same net amount, and one at or
+    /// below it empties the path, so the `k` steps are counted, not run.
     pub fn advance(&mut self, k: u64, period: Duration, frame_len: u32) {
         let drained = self.cfg.speed.rate().bytes_in(period);
-        for _ in 0..k {
-            if self.draining_bytes == 0 {
-                break;
-            }
-            let left = self.draining_bytes.saturating_sub(drained);
-            self.draining_bytes = if left > 0 { left + frame_len as u64 } else { 0 };
-        }
+        self.draining_bytes = drain_after(self.draining_bytes, k, drained, frame_len as u64);
     }
 
     /// Reordering-buffer occupancy in bytes (the "Rx buffer" series of
@@ -835,6 +831,31 @@ impl LgReceiver {
     /// The configuration in force.
     pub fn config(&self) -> &LgConfig {
         &self.cfg
+    }
+}
+
+/// The draining backlog `draining` after `k` in-order arrivals of `len`
+/// bytes, each draining `drained` first: an arrival that finds more than
+/// `drained` left queues behind the rest, any other one empties the path.
+fn drain_after(draining: u64, k: u64, drained: u64, len: u64) -> u64 {
+    if draining == 0 || k == 0 {
+        return draining;
+    }
+    if draining <= drained {
+        return 0;
+    }
+    if drained <= len {
+        // Never falls to `drained`: grows (or holds) by the difference.
+        return draining + k * (len - drained);
+    }
+    // Falls by `net` per arrival; the first at or below `drained` is the
+    // last the backlog survives.
+    let net = drained - len;
+    let above = (draining - drained).div_ceil(net);
+    if k <= above {
+        draining - k * net
+    } else {
+        0
     }
 }
 
@@ -1389,5 +1410,33 @@ mod tests {
         let mut acks = Vec::new();
         r.make_explicit_acks(Time::from_us(1), &mut pool, &mut acks);
         assert_eq!(acks.len(), 3);
+    }
+
+    /// The counted drain equals the per-arrival recurrence it replaced.
+    #[test]
+    fn drain_after_equals_the_recurrence() {
+        let step = |d: u64, drained: u64, len: u64| {
+            let left = d.saturating_sub(drained);
+            if left > 0 {
+                left + len
+            } else {
+                0
+            }
+        };
+        for draining in (0..400).step_by(7).chain([1_000, 50_000]) {
+            for (drained, len) in [(1541, 1521), (100, 100), (90, 100), (1, 64), (64, 1)] {
+                let mut d = draining;
+                for k in 0..3_000 {
+                    assert_eq!(
+                        drain_after(draining, k, drained, len),
+                        d,
+                        "{draining} {k} {drained} {len}"
+                    );
+                    if d != 0 {
+                        d = step(d, drained, len);
+                    }
+                }
+            }
+        }
     }
 }

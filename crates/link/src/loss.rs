@@ -153,12 +153,50 @@ impl LossProcess {
     /// Decide the fate of up to `max` next frames, stopping before the
     /// first lost one: returns how many were delivered. The state is that
     /// of as many [`LossProcess::should_drop`] calls, so the lost frame's
-    /// draw is still ahead.
+    /// draw is still ahead. A loss-free model or a trace answers without
+    /// a draw; an i.i.d. one draws in a tight loop.
     pub fn skip_clean(&mut self, max: u64) -> u64 {
+        let n = match &self.model {
+            LossModel::None => max,
+            LossModel::Iid { rate } => {
+                // `Rng::bernoulli` draws nothing at the ends of the range.
+                let rate = *rate;
+                if rate <= 0.0 {
+                    max
+                } else if rate >= 1.0 {
+                    0
+                } else {
+                    let mut rng = self.rng.clone();
+                    let mut n = 0;
+                    while n < max {
+                        let mut next = rng.clone();
+                        if next.f64() < rate {
+                            break;
+                        }
+                        rng = next;
+                        n += 1;
+                    }
+                    self.rng = rng;
+                    n
+                }
+            }
+            LossModel::Trace { drops } => match drops.get(self.trace_pos) {
+                // A drop index already behind the count never matches.
+                Some(&next) if next >= self.frame_index => max.min(next - self.frame_index),
+                _ => max,
+            },
+            LossModel::GilbertElliott { .. } => return self.skip_clean_stepwise(max),
+        };
+        self.frame_index += n;
+        n
+    }
+
+    /// [`LossProcess::skip_clean`] one plain draw at a time.
+    fn skip_clean_stepwise(&mut self, max: u64) -> u64 {
         for n in 0..max {
-            let before = (self.rng.clone(), self.in_bad_state, self.trace_pos);
+            let before = (self.rng.clone(), self.in_bad_state);
             if self.should_drop() {
-                (self.rng, self.in_bad_state, self.trace_pos) = before;
+                (self.rng, self.in_bad_state) = before;
                 self.frame_index -= 1;
                 self.drops -= 1;
                 return n;
@@ -279,6 +317,13 @@ mod tests {
             LossModel::bursty(0.05, 3.0),
             LossModel::Trace {
                 drops: vec![3, 4, 40],
+            },
+            // The fast paths' edges: no draw at either end of the rate
+            // range, and a trace whose next drop lies beyond `max`.
+            LossModel::Iid { rate: 0.0 },
+            LossModel::Iid { rate: 1.0 },
+            LossModel::Trace {
+                drops: vec![1_000, 1_001, 5_000],
             },
         ];
         for model in models {

@@ -182,6 +182,10 @@ pub struct EventQueue<E> {
     drain_scratch: Vec<WinRef>,
     /// Events beyond the wheel horizon.
     overflow: BinaryHeap<HeapRef>,
+    /// Reusable buffers of [`EventQueue::translate`]: every pending
+    /// event as (filing seq, instant, payload), and the moved ones.
+    translate_all: Vec<(u64, Time, E)>,
+    translate_moved: Vec<(Time, E)>,
     /// Lower bound (in ps) on every event stored in `slots`/`overflow`.
     /// Always level-0 aligned; may run ahead of `now` but never behind.
     cursor: u64,
@@ -210,6 +214,8 @@ impl<E> EventQueue<E> {
             window: VecDeque::new(),
             drain_scratch: Vec::new(),
             overflow: BinaryHeap::new(),
+            translate_all: Vec::new(),
+            translate_moved: Vec::new(),
             cursor: 0,
             now: Time::ZERO,
             next_seq: 0,
@@ -496,7 +502,8 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if a kept event would fall before the new clock.
     pub fn translate(&mut self, d: Duration, mut place: impl FnMut(E) -> Option<(E, bool)>) {
-        let mut all = Vec::with_capacity(self.pending);
+        let mut all = std::mem::take(&mut self.translate_all);
+        let mut moved = std::mem::take(&mut self.translate_moved);
         loop {
             while let Some(w) = self.window.pop_front() {
                 let payload = self.arena[w.idx as usize].payload.take();
@@ -510,13 +517,20 @@ impl<E> EventQueue<E> {
         self.pending = 0;
         all.sort_unstable_by_key(|e| e.0);
         self.now += d;
-        let mut placed: Vec<_> = (all.into_iter())
-            .filter_map(|(_, at, e)| place(e).map(|(e, moved)| (moved, at, e)))
-            .collect();
-        placed.sort_by_key(|e| e.0);
-        for (moved, at, p) in placed {
-            self.schedule_at(if moved { at + d } else { at }, p);
+        // Kept events file now, in filing order; moved ones after them.
+        for (_, at, e) in all.drain(..) {
+            match place(e) {
+                Some((e, false)) => {
+                    self.schedule_at(at, e);
+                }
+                Some((e, true)) => moved.push((at + d, e)),
+                None => {}
+            }
         }
+        for (at, e) in moved.drain(..) {
+            self.schedule_at(at, e);
+        }
+        (self.translate_all, self.translate_moved) = (all, moved);
     }
 
     /// Exhaustively recount the queue's live entries and check the

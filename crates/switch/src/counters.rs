@@ -54,6 +54,12 @@ impl PortCounters {
         self.bytes_tx += frame_len as u64;
     }
 
+    /// Record `frames` transmitted frames of `frame_len` bytes each.
+    pub fn tx_many(&mut self, frames: u64, frame_len: u32) {
+        self.frames_tx += frames;
+        self.bytes_tx += frames * frame_len as u64;
+    }
+
     /// Record a transmitted LinkGuardian retransmission copy (in addition
     /// to the plain [`PortCounters::tx`] accounting).
     pub fn tx_lg_retx(&mut self) {

@@ -30,5 +30,5 @@ pub use counters::PortCounters;
 pub use port::{Class, EgressPort, NUM_CLASSES};
 pub use queue::{ByteQueue, EnqueueOutcome};
 pub use recirc::{RecircBuffer, RecircStats};
-pub use serial::SerialLink;
+pub use serial::{SerialLink, Train};
 pub use switch::{PortId, Switch};

@@ -21,6 +21,7 @@ use std::collections::VecDeque;
 /// An accepted frame that had not started serializing at the last
 /// hand-over.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Waiting {
     start: Time,
     /// When its predecessor started — the instant the event loop would
@@ -29,8 +30,38 @@ struct Waiting {
     len: u32,
 }
 
+/// `n` equal frames handed to a [`SerialLink`] one every `period`, the
+/// first at `first`; each reaches the queue `pipe` after its hand-over,
+/// and serializes in `ser`.
+#[derive(Debug, Clone, Copy)]
+pub struct Train {
+    /// The first hand-over.
+    pub first: Time,
+    /// Frames in the train.
+    pub n: u64,
+    /// Between two hand-overs.
+    pub period: Duration,
+    /// Between a hand-over and the frame's arrival at the queue.
+    pub pipe: Duration,
+    /// Serialization time of one frame.
+    pub ser: Duration,
+    /// Frame length in bytes.
+    pub len: u32,
+}
+
+impl Waiting {
+    /// Whether the frame has begun serializing by the hand-over at `now`
+    /// of a frame that reaches the queue at `arrive`: a frame due to
+    /// start exactly at `arrive` is still queued if the completion that
+    /// starts it was filed after this hand-over.
+    fn started(&self, arrive: Time, now: Time) -> bool {
+        self.start < arrive || (self.start == arrive && self.kick_filed < now)
+    }
+}
+
 /// See the module docs.
 #[derive(Debug, Default, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct SerialLink {
     /// When the serializer finishes the last accepted frame.
     free_at: Time,
@@ -87,9 +118,7 @@ impl SerialLink {
             let (_, len) = self.in_flight.pop_front().expect("probed");
             counters.tx(len);
         }
-        // A frame due to start exactly at `arrive` is still queued if the
-        // completion that starts it was filed after this hand-over.
-        self.start_waiting(|w| w.start < arrive || (w.start == arrive && w.kick_filed < now));
+        self.start_waiting(|w| w.started(arrive, now));
         let depth = self.waiting_bytes + len as u64;
         if depth > DEFAULT_QUEUE_CAP {
             return None;
@@ -108,6 +137,120 @@ impl SerialLink {
         }
         self.in_flight.push_back((done, len));
         Some(done)
+    }
+
+    /// [`SerialLink::enqueue_len`] of every frame of `train`, computed in
+    /// two arithmetic phases instead of frame by frame (DESIGN.md §23):
+    /// while the backlog lasts the frames leave back to back, each
+    /// starting `period - ser` closer to its arrival; after it, every
+    /// frame finds the port idle. Because `ser <= period`, the queue is
+    /// never deeper than at the first two hand-overs. Only the frames
+    /// waiting or in flight at the train's last hand-over are stored.
+    ///
+    /// Returns how many frames, `hop` after leaving the port, reach the
+    /// far end before `end`; `late` receives `(index in the train,
+    /// instant)` of the others. Refuses (`None`, nothing changed) a train
+    /// a frame of which would be drop-tailed or reach the far end exactly
+    /// at `end`, and one that meets a backlog of another frame length.
+    ///
+    /// # Panics
+    /// Panics if `ser > period`.
+    pub fn enqueue_train(
+        &mut self,
+        t: &Train,
+        counters: &mut PortCounters,
+        hop: Duration,
+        end: Time,
+        late: &mut Vec<(u64, Time)>,
+    ) -> Option<u64> {
+        let (p, ser) = (t.period.as_ps(), t.ser.as_ps());
+        assert!(
+            ser <= p,
+            "a train frame serializes in {} > its period {}",
+            t.ser,
+            t.period
+        );
+        if t.n == 0 {
+            return Some(0);
+        }
+        let len = t.len as u64;
+        let same = |l: u32| l == t.len;
+        if !(self.waiting.iter().all(|w| same(w.len))
+            && self.in_flight.iter().all(|&(_, l)| same(l)))
+        {
+            return None;
+        }
+        // Frame `j` arrives at `a0 + j·p` and waits `d0 - j·(p - ser)`
+        // while that is positive.
+        let (h0, a0) = (t.first, t.first + t.pipe);
+        let d0 = self.free_at.saturating_since(a0).as_ps();
+        let start = |j: u64| a0 + Duration::from_ps(j * p + d0.saturating_sub(j * (p - ser)));
+        let done = |j: u64| start(j) + t.ser;
+        let (last, free0, start0) = (t.n - 1, self.free_at, self.last_start);
+        // Idle: arrives after its predecessor has left.
+        let idle = |j: u64| {
+            let arrive = a0 + Duration::from_ps(j * p);
+            arrive > if j == 0 { free0 } else { done(j - 1) }
+        };
+        let frame = |j: u64| Waiting {
+            start: start(j),
+            kick_filed: if j == 0 { start0 } else { start(j - 1) },
+            len: t.len,
+        };
+        // The queue frame `j` joins: the backlog and the train's frames
+        // that have not started by its hand-over.
+        let depth = |j: u64| {
+            let (arrive, now) = (a0 + Duration::from_ps(j * p), h0 + Duration::from_ps(j * p));
+            let queued = self
+                .waiting
+                .iter()
+                .filter(|w| !w.started(arrive, now))
+                .count() as u64
+                + (0..j)
+                    .filter(|&i| !idle(i) && !frame(i).started(arrive, now))
+                    .count() as u64;
+            (queued + 1) * len
+        };
+        // Each period starts at least one queued frame, once a train
+        // frame is among them; so the queue is deepest at the first or
+        // second hand-over (the first may find a frame just starting
+        // that never queued).
+        let deepest = (0..t.n.min(2)).map(depth).max().expect("n > 0");
+        if deepest > DEFAULT_QUEUE_CAP {
+            return None;
+        }
+        let mut delivered = t.n;
+        while delivered > 0 && done(delivered - 1) + hop >= end {
+            if done(delivered - 1) + hop == end {
+                return None;
+            }
+            delivered -= 1;
+        }
+        counters.note_queue_depth(deepest);
+        // The state after the last hand-over, as `enqueue_len` leaves it.
+        let h_last = h0 + Duration::from_ps(last * p);
+        let a_last = h_last + t.pipe;
+        while self.in_flight.front().is_some_and(|&(end, _)| end < h_last) {
+            let (_, len) = self.in_flight.pop_front().expect("probed");
+            counters.tx(len);
+        }
+        self.start_waiting(|w| w.started(a_last, h_last));
+        let mut first_kept = t.n;
+        while first_kept > 0 && done(first_kept - 1) >= h_last {
+            first_kept -= 1;
+        }
+        counters.tx_many(first_kept, t.len);
+        for j in first_kept..t.n {
+            self.in_flight.push_back((done(j), t.len));
+            let w = frame(j);
+            if !idle(j) && (j == last || !w.started(a_last, h_last)) {
+                self.waiting_bytes += len;
+                self.waiting.push_back(w);
+            }
+        }
+        (self.last_start, self.free_at) = (start(last), done(last));
+        late.extend((delivered..t.n).map(|j| (j, done(j) + hop)));
+        Some(delivered)
     }
 
     /// Bring `counters` and the queue depth to what they read once every
@@ -302,6 +445,202 @@ mod tests {
             script.extend(s);
             check(&script);
         }
+    }
+
+    /// The per-frame loop [`SerialLink::enqueue_train`] replaced, refusing
+    /// what it refuses: a drop-tailed frame, or one reaching `end` exactly.
+    fn train_stepwise(
+        link: &mut SerialLink,
+        t: &Train,
+        counters: &mut PortCounters,
+        hop: Duration,
+        end: Time,
+        late: &mut Vec<(u64, Time)>,
+    ) -> Option<u64> {
+        let mut delivered = 0;
+        for j in 0..t.n {
+            let at = t.first + Duration::from_ps(j * t.period.as_ps());
+            let done = link.enqueue_len(at, at + t.pipe, t.ser, t.len, counters)?;
+            match (done + hop).cmp(&end) {
+                std::cmp::Ordering::Less => delivered += 1,
+                std::cmp::Ordering::Equal => return None,
+                std::cmp::Ordering::Greater => late.push((j, done + hop)),
+            }
+        }
+        Some(delivered)
+    }
+
+    /// A backlog of `gaps.len()` frames handed over `gaps` apart, a read
+    /// strictly before the train when `read` says where, then the train;
+    /// both ways of handing it over must leave the same port.
+    #[allow(clippy::too_many_arguments)]
+    fn check_train(
+        len: u32,
+        ser_ps: u64,
+        slack_ps: u64,
+        pipe_ps: u64,
+        gaps: &[u64],
+        read: Option<u64>,
+        lead_ps: u64,
+        n: u64,
+        hop_ps: u64,
+        end_sel: (u8, u64),
+    ) {
+        let (ser, pipe, hop) = (
+            Duration::from_ps(ser_ps),
+            Duration::from_ps(pipe_ps),
+            Duration::from_ps(hop_ps),
+        );
+        let period = Duration::from_ps(ser_ps + slack_ps);
+        let mut link = SerialLink::default();
+        let mut counters = PortCounters::default();
+        let mut now = Time::from_us(1);
+        for &g in gaps {
+            now += Duration::from_ps(g);
+            link.enqueue_len(now, now + pipe, ser, len, &mut counters);
+        }
+        let first = now + Duration::from_ps(lead_ps);
+        if let Some(r) = read {
+            let span = first.saturating_since(now).as_ps();
+            if span > 0 {
+                link.settle(now + Duration::from_ps(r % span), &mut counters);
+            }
+        }
+        let t = Train {
+            first,
+            n,
+            period,
+            pipe,
+            ser,
+            len,
+        };
+        // Ends that tie a departure in either phase are the ones to try.
+        let (sel, j) = end_sel;
+        let j = j % (n + 2);
+        let end = match sel % 4 {
+            0 => first + pipe + Duration::from_ps(j * period.as_ps()) + ser + hop,
+            1 => link.free_at + Duration::from_ps((j + 1) * ser_ps) + hop,
+            2 => first + Duration::from_ps(n * period.as_ps()),
+            _ => first + Duration::from_ps(j * 997),
+        };
+        let (mut want_link, mut want_counters, mut want_late) =
+            (link.clone(), counters, Vec::new());
+        let want = train_stepwise(
+            &mut want_link,
+            &t,
+            &mut want_counters,
+            hop,
+            end,
+            &mut want_late,
+        );
+        let (before, counters_before) = (link.clone(), counters);
+        let mut late = Vec::new();
+        let got = link.enqueue_train(&t, &mut counters, hop, end, &mut late);
+        assert_eq!(got, want, "delivered");
+        if got.is_some() {
+            assert_eq!(late, want_late, "late frames");
+            assert_eq!(counters, want_counters, "counters incl. queue_hwm_bytes");
+            assert_eq!(link, want_link, "waiting and in-flight rings");
+        } else {
+            assert!(late.is_empty());
+            assert_eq!(
+                (link, counters),
+                (before, counters_before),
+                "a refusal changes nothing"
+            );
+        }
+    }
+
+    /// `(len, ser per byte, slack selector, pipe selector)`.
+    fn train_shape() -> impl Strategy<Value = (u32, u64, u64, u64)> {
+        (0u8..3, 0u8..4, 0u64..3_000, 0u8..4).prop_map(|(l, sl, jitter, pl)| {
+            let len = LENS[l as usize];
+            let ser = (len as u64 + 20) * 800;
+            // Equal to `ser` (a bare link), a few ps over (a stripped
+            // header), a frame over, or anything.
+            let slack = [0, 24 * 80, ser, jitter][sl as usize];
+            let pipe = [0, LEAD.as_ps(), ser, jitter * 7][pl as usize];
+            (len, ser, slack, pipe)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn train_equals_the_per_frame_loop(
+            shape in train_shape(),
+            gaps in proptest::collection::vec(
+                prop_oneof![Just(0u64), 0u64..2_000_000], 0..40),
+            read in (any::<bool>(), 0u64..u64::MAX),
+            lead in prop_oneof![Just(0u64), 0u64..3_000_000],
+            n in 1u64..300,
+            hop in prop_oneof![Just(0u64), Just(1_000_000u64), 0u64..5_000_000],
+            end_sel in (0u8..4, 0u64..400),
+        ) {
+            let (len, ser, slack, pipe) = shape;
+            let read = read.0.then_some(read.1);
+            check_train(len, ser, slack, pipe, &gaps, read, lead, n, hop, end_sel);
+        }
+
+        #[test]
+        fn train_equals_it_at_the_queue_cap(
+            burst in 2_600usize..2_900,
+            lead in 0u64..2_000_000_000,
+            n in 1u64..100,
+            end_sel in (0u8..4, 0u64..100),
+        ) {
+            // An MTU burst at the 4 MiB queue's edge, then a train of
+            // frames a little longer apart than they take to serialize.
+            let ser = 1538 * 800;
+            check_train(1518, ser, 1_920, 0, &vec![0; burst], None, lead, n, 1_000_000, end_sel);
+        }
+    }
+
+    #[test]
+    fn a_train_meeting_another_frame_length_is_refused() {
+        let mut link = SerialLink::default();
+        let mut counters = PortCounters::default();
+        let ser = |len: u64| Duration::from_ps((len + 20) * 800);
+        let t0 = Time::from_us(1);
+        link.enqueue_len(t0, t0, ser(64), 64, &mut counters);
+        link.enqueue_len(t0, t0, ser(64), 64, &mut counters);
+        let t = Train {
+            first: t0,
+            n: 10,
+            period: ser(1518),
+            pipe: Duration::ZERO,
+            ser: ser(1518),
+            len: 1518,
+        };
+        let before = link.clone();
+        let got = link.enqueue_train(
+            &t,
+            &mut counters,
+            Duration::ZERO,
+            Time::MAX,
+            &mut Vec::new(),
+        );
+        assert_eq!((got, link), (None, before));
+    }
+
+    #[test]
+    #[should_panic(expected = "serializes in")]
+    fn a_train_faster_than_its_frames_serialize_is_refused() {
+        let t = Train {
+            first: Time::ZERO,
+            n: 1,
+            period: Duration::from_ps(10),
+            pipe: Duration::ZERO,
+            ser: Duration::from_ps(11),
+            len: 64,
+        };
+        let mut counters = PortCounters::default();
+        SerialLink::default().enqueue_train(
+            &t,
+            &mut counters,
+            Duration::ZERO,
+            Time::MAX,
+            &mut Vec::new(),
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ use lg_obs::trace::{Comp, Kind, Level};
 use lg_obs::{lg_trace, Counters, MetricsRegistry};
 use lg_packet::{FlowId, NodeId, Packet, PacketPool, Payload, PktId};
 use lg_sim::{Duration, EventQueue, Rng, Time};
-use lg_switch::{Class, EgressPort, PortCounters, PortId, SerialLink, Switch};
+use lg_switch::{Class, EgressPort, PortId, SerialLink, Switch, Train};
 use lg_transport::CcVariant;
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender};
@@ -41,7 +41,6 @@ use linkguardian::{LgConfig, LgReceiver, LgSender};
 use crate::host::{self, Trials};
 pub use crate::host::{Host, HOST_HOP};
 use crate::port::{self, Exit, LgPort, Parts, PortLoop, PortScratch};
-use std::cmp::Ordering;
 
 /// Which switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,19 +356,44 @@ pub struct World {
     goodput_bytes: [u64; 2],
     lg_scratch: PortScratch,
     /// The world at the last forward departure, when it was marked for
-    /// a stretch (DESIGN.md §23), and no mark is taken before
-    /// `stretch_after`, pushed out by `stretch_misses` failed tries.
+    /// a stretch (DESIGN.md §23), and the forward departures to let pass
+    /// before the next mark.
     mark: Option<Mark>,
+    stretch_wait: u64,
     /// Marks done with, whose buffers the next ones reuse.
     spare_marks: Vec<Mark>,
-    stretch_after: Time,
-    stretch_misses: u32,
+    /// A stretch's host1 arrivals and late frames, kept for the next.
+    arrived: Vec<PktId>,
+    late: Vec<(u64, Time)>,
+    census: StretchCensus,
     /// Events `run_until` handled that are not a stress period's.
     off_cycle: u64,
 }
 
 /// A stretch is worth its entry cost from this many periods on.
 const MIN_STRETCH: u64 = 64;
+
+/// Forward departures between a failed mark and the next try. A mark
+/// costs about what six simulated frames do, and a recovery settles
+/// into a period within a few of them after it flushes out.
+const RETRY_PERIODS: u64 = 8;
+
+/// How [`World::run_until`] spent a stress run: the census of its
+/// computed stretches (DESIGN.md §23).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StretchCensus {
+    /// Stretches computed.
+    pub stretches: u64,
+    /// Frame periods they computed instead of simulating.
+    pub periods: u64,
+    /// Marks taken at forward departures.
+    pub marks: u64,
+    /// Marks refused outright (a recovery under way, or a world a
+    /// stretch does not compute).
+    pub refused: u64,
+    /// Marks that did not repeat the one a period earlier.
+    pub unequal: u64,
+}
 
 /// The world at a forward departure, made relative to the instant, the
 /// sequences and the uid counter, so two marks a period apart compare
@@ -510,9 +534,11 @@ impl World {
             goodput_bytes: [0; 2],
             lg_scratch: PortScratch::default(),
             mark: None,
+            stretch_wait: 0,
             spare_marks: Vec::new(),
-            stretch_after: Time::ZERO,
-            stretch_misses: 0,
+            arrived: Vec::new(),
+            late: Vec::new(),
+            census: StretchCensus::default(),
             off_cycle: 0,
         }
     }
@@ -579,8 +605,11 @@ impl World {
             } else {
                 port::handle(self, ev, now);
             }
-            if fwd_done && self.stress.is_some() && now >= self.stretch_after {
-                self.try_stretch(until);
+            if fwd_done && self.stress.is_some() {
+                match self.stretch_wait.checked_sub(1) {
+                    Some(wait) => self.stretch_wait = wait,
+                    None => self.try_stretch(until),
+                }
             }
         }
         self.settle_host_ports(until);
@@ -593,8 +622,10 @@ impl World {
     /// not a period's, and `until`, in one step (DESIGN.md §23).
     fn try_stretch(&mut self, until: Time) {
         let now = self.q.now();
+        self.census.marks += 1;
         let Some(mark) = self.mark_world(now) else {
-            return self.miss(now);
+            self.census.refused += 1;
+            return self.miss();
         };
         let Some(prev) = self.mark.replace(mark) else {
             return;
@@ -603,7 +634,8 @@ impl World {
         if (&prev.shape, &prev.pkts) == (&cur.shape, &cur.pkts) {
             self.stretch(&prev, &cur, now, until);
         } else {
-            self.miss(now);
+            self.census.unequal += 1;
+            self.miss();
         }
         self.spare_marks.extend([prev, cur]);
     }
@@ -620,19 +652,22 @@ impl World {
         let most = end.saturating_since(now).as_ps() / period;
         // Every pending host1 arrival must fall inside the stretch.
         let least = MIN_STRETCH.max(cur.host_last.saturating_since(now).as_ps() / period + 1);
-        // Cut short by a kept event, try again once it has run; by a
-        // lost frame, once its recovery has flushed out.
-        self.stretch_misses = 0;
-        self.stretch_after = cur.horizon.min(until);
+        // Cut short by a kept event or `until`, try again once it has
+        // run; by a lost frame, a few periods on.
+        let kept = cur.horizon.min(until);
+        let periods_to = |from: Time| kept.saturating_since(from).as_ps() / period;
+        self.stretch_wait = periods_to(now);
         if most < least {
             return;
         }
         let mut ahead = self.fwd_link.loss().clone();
         let k = ahead.skip_clean(most);
         let end = now + Duration::from_ps(k * period);
-        if k < most {
-            self.stretch_after = end + Duration::from_ps(period) + HOST_HOP;
-        }
+        self.stretch_wait = if k < most {
+            RETRY_PERIODS
+        } else {
+            periods_to(end)
+        };
         let Some((first, next)) = cur.next_rx.filter(|_| k >= least) else {
             return;
         };
@@ -642,10 +677,28 @@ impl World {
             lg_data: None,
             ..self.pool.get(next).clone()
         };
-        let Some((link, counters, delivered, late)) = self.host_leg(&tmpl, first, k, period, end)
-        else {
+        // Host1's port is handed the stretch's frames one a period, the
+        // first at `first`.
+        let train = Train {
+            first,
+            n: k,
+            period: Duration::from_ps(period),
+            pipe: self.sw_rx.pipeline_latency,
+            ser: self.cfg.speed.serialize(tmpl.wire_len()),
+            len: tmpl.frame_len(),
+        };
+        self.late.clear();
+        let Some(delivered) = self.host_ports[1].enqueue_train(
+            &train,
+            self.sw_rx.counters_mut(PORT_HOST),
+            HOST_HOP,
+            end,
+            &mut self.late,
+        ) else {
             return;
         };
+        self.census.stretches += 1;
+        self.census.periods += k;
         *self.fwd_link.loss_mut() = ahead;
         let by = step.map(|s| k * s);
         let mut i = 0;
@@ -656,7 +709,8 @@ impl World {
         lg_packet::skip_uids(by[0]);
         self.rev_link.loss_mut().skip_clean(by[5]);
         // Host1's pending arrivals all fall inside the stretch.
-        let mut arrived = Vec::new();
+        let mut arrived = std::mem::take(&mut self.arrived);
+        arrived.clear();
         self.q.translate(end - now, |ev| match cycle_place(&ev) {
             Some((3, _, id)) => {
                 arrived.push(id);
@@ -664,14 +718,14 @@ impl World {
             }
             moved => Some((ev, moved.is_some())),
         });
-        for id in arrived {
+        for &id in &arrived {
             host::arrive(self, 1, id, end);
         }
+        self.arrived = arrived;
         self.pool.for_each_mut(|p| shift(p, &by));
         self.lg_tx.advance(by[3], end - now);
         self.lg_rx
             .advance(k, Duration::from_ps(period), arriving_len);
-        (self.host_ports[1], *self.sw_rx.counters_mut(PORT_HOST)) = (link, counters);
         // The stretch's own frames: delivered inside it — all alike, so
         // host1 counts one and then the rest at once — or filed.
         if delivered > 0 {
@@ -682,48 +736,12 @@ impl World {
                 *c += (delivered - 1) * (*c - b);
             }
         }
-        for (j, at) in late {
+        for &(j, at) in &self.late {
             let mut p = tmpl.clone();
             shift(&mut p, &step.map(|s| j * s));
             let id = self.pool.insert(p);
             self.q.schedule_at(at, Ev::HostArrive { host: 1, id });
         }
-    }
-
-    /// Host1's port handed `tmpl` each of the `k` periods up to `end`,
-    /// the first at `first`: the port and its counters after the last,
-    /// how many frames reach host1 by `end`, and which ones (counted from
-    /// the first) reach it later, when. `None` if one reaches it exactly
-    /// at `end`, a tie the stretch does not order.
-    #[allow(clippy::type_complexity)]
-    fn host_leg(
-        &self,
-        tmpl: &Packet,
-        first: Time,
-        k: u64,
-        period: u64,
-        end: Time,
-    ) -> Option<(SerialLink, PortCounters, u64, Vec<(u64, Time)>)> {
-        let (mut link, mut counters) = (self.host_ports[1].clone(), self.sw_rx.counters(PORT_HOST));
-        let (ser, pipe) = (
-            self.cfg.speed.serialize(tmpl.wire_len()),
-            self.sw_rx.pipeline_latency,
-        );
-        let (mut delivered, mut late) = (0, Vec::new());
-        for j in 0..k {
-            let at = first + Duration::from_ps(j * period);
-            // None: drop-tailed
-            let Some(done) = link.enqueue_len(at, at + pipe, ser, tmpl.frame_len(), &mut counters)
-            else {
-                continue;
-            };
-            match (done + HOST_HOP).cmp(&end) {
-                Ordering::Less => delivered += 1,
-                Ordering::Equal => return None,
-                Ordering::Greater => late.push((j, done + HOST_HOP)),
-            }
-        }
-        Some((link, counters, delivered, late))
     }
 
     /// What host1 counts per frame it receives.
@@ -733,13 +751,10 @@ impl World {
         [bytes, frames, &mut h.stress_rx_wire_bytes, g0, g1]
     }
 
-    /// The world does not repeat yet: take no mark for a host hop,
-    /// doubled per miss in a row (up to 8x), about what a recovery
-    /// takes to flush out.
-    fn miss(&mut self, now: Time) {
+    /// The world does not repeat yet: mark it again a few periods on.
+    fn miss(&mut self) {
         self.spare_marks.extend(self.mark.take());
-        self.stretch_misses = (self.stretch_misses + 1).min(3);
-        self.stretch_after = now + Duration::from_ps(HOST_HOP.as_ps() << self.stretch_misses);
+        self.stretch_wait = RETRY_PERIODS;
     }
 
     /// The world as [`Mark`] compares it, or `None` where a stretch is
@@ -808,8 +823,8 @@ impl World {
     }
 
     /// Visit every counter and sequence field a stress period moves by a
-    /// fixed step, but host1's, which [`World::host_leg`] computes
-    /// (high-water marks hold).
+    /// fixed step, but host1's, which [`SerialLink::enqueue_train`]
+    /// computes (high-water marks hold).
     fn scalars(&mut self, f: &mut dyn FnMut(&mut u64)) {
         for sw in [&mut self.sw_tx, &mut self.sw_rx] {
             sw.counters_mut(PORT_LINK).each_counter(f);
@@ -1060,6 +1075,11 @@ impl World {
     /// Unique stress frames delivered end-to-end.
     pub fn stress_delivered(&self) -> u64 {
         self.hosts[1].stress_rx_frames
+    }
+
+    /// The census of the stretches [`World::run_until`] computed.
+    pub fn stretch_census(&self) -> StretchCensus {
+        self.census
     }
 }
 

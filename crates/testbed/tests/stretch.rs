@@ -180,6 +180,82 @@ fn computed_stretches_hold_at_every_frame_length() {
     }
 }
 
+/// `ms` of 1518 B stress through `run_until`: the events handled and
+/// the world, whose census says how the run was spent.
+fn stress_run(cfg: WorldConfig, ms: u64) -> (u64, World) {
+    let mut w = World::new(cfg);
+    w.enable_stress(1518);
+    let ran = w.run_until(Time::ZERO + Duration::from_ms(ms));
+    (ran, w)
+}
+
+/// The stretches start within a few periods of a recovery: on the
+/// `testbed_stress` configuration (100 G LG, iid 1e-3, seed 1) a frame
+/// cost 0.78 events under the doubling host-hop back-off, and costs
+/// 0.267 with the fixed retry (0.310 if a miss waits one host hop).
+/// The counts repeat exactly.
+#[test]
+fn a_stress_frame_costs_under_three_tenths_of_an_event() {
+    let cfg = config(
+        LinkSpeed::G100,
+        LossModel::Iid { rate: 1e-3 },
+        Protection::Lg,
+        false,
+        1,
+    );
+    let (ran, w) = stress_run(cfg, 20);
+    let frames = w.out.stress_tx_frames;
+    let census = w.stretch_census();
+    let per_frame = ran as f64 / frames as f64;
+    assert!(
+        per_frame < 0.3,
+        "{ran} events for {frames} frames: {per_frame:.3} per frame"
+    );
+    let computed = census.periods as f64 / frames as f64;
+    assert!(
+        computed >= 0.9,
+        "{census:?}: {computed:.3} of {frames} frames computed"
+    );
+}
+
+/// The census DESIGN.md §23 tabulates: 100 ms of stress per
+/// configuration. Run with `cargo test --release -p lg-testbed --test
+/// stretch -- --ignored --nocapture`.
+#[test]
+#[ignore]
+fn stretch_census() {
+    let losses = [
+        LossModel::Iid { rate: 1e-2 },
+        LossModel::Iid { rate: 1e-3 },
+        LossModel::Iid { rate: 1e-4 },
+        LossModel::Iid { rate: 1e-5 },
+        LossModel::bursty(1e-3, 3.0),
+    ];
+    println!("| configuration | frames | computed | stretches | mean periods | refused | unequal | events per simulated frame |");
+    println!("|---|---|---|---|---|---|---|---|");
+    for speed in [LinkSpeed::G25, LinkSpeed::G100, LinkSpeed::G400] {
+        for p in [Protection::Lg, Protection::LgNb, Protection::Off] {
+            for loss in &losses {
+                let (ran, w) = stress_run(config(speed, loss.clone(), p, false, 1), 100);
+                let c = w.stretch_census();
+                let frames = w.out.stress_tx_frames;
+                println!(
+                    "| {} {} {:?} | {frames} | {:.1} % | {} | {} | {} | {} | {:.2} |",
+                    speed.name(),
+                    p.label(),
+                    loss,
+                    100.0 * c.periods as f64 / frames as f64,
+                    c.stretches,
+                    c.periods.checked_div(c.stretches).unwrap_or(0),
+                    c.refused,
+                    c.unequal,
+                    ran as f64 / (frames - c.periods) as f64,
+                );
+            }
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "stress frame length 45 B is outside [64, 1518] B")]
 fn a_frame_shorter_than_its_headers_is_refused() {
