@@ -368,12 +368,11 @@ impl LgReceiver {
                     pool.release(id);
                     return;
                 }
-                // NB mode has no ackNo hold; use ack_no as the dedup
-                // floor: everything strictly below it was forwarded.
-                // Deliveries may be out of order, so track delivered seqs
-                // above the floor via the buffered-key set trick: we reuse
-                // `rx_buffer` keys? No — NB delivers immediately; dedup of
-                // still-above-floor copies uses `delivered_above` below.
+                // NB mode has no ackNo hold: `ack_no` is only the dedup
+                // floor, below which every frame was forwarded or given
+                // up. NB forwards out of order, so the frames forwarded
+                // above the floor are kept in `delivered_above` until the
+                // floor passes them.
                 if self.delivered_above.contains(&abs) {
                     self.stats.dup_drops += 1;
                     lg_trace!(
@@ -698,7 +697,11 @@ impl LgReceiver {
 
     fn note_latest_changed(&mut self) {
         self.pending_explicit_acks = self.cfg.control_copies.max(1);
-        // Bound the NB bookkeeping far below the 32K era-correction limit.
+        // Bound the NB bookkeeping far below the 32K era-correction limit:
+        // a hole this far behind the latest frame is given up, so NB's
+        // dedup floor moves past it (a copy arriving later is a
+        // duplicate), and so does the floor over what was forwarded
+        // above it.
         let floor = self.latest_rx.saturating_sub(16_384);
         while let Some(&m) = self.missing.iter().next() {
             if m >= floor {
@@ -712,6 +715,12 @@ impl LgReceiver {
                 break;
             }
             self.delivered_above.remove(&d);
+        }
+        if self.cfg.mode == Mode::NonBlocking && self.ack_no < floor {
+            self.ack_no = floor;
+            while self.delivered_above.remove(&self.ack_no) {
+                self.ack_no += 1;
+            }
         }
     }
 
@@ -771,6 +780,13 @@ impl LgReceiver {
             && self.delivered_above.is_empty()
             && self.bp_state == BpState::Resumed
             && !self.timeout_armed
+    }
+
+    /// Whether frames released from the reordering buffer may still be
+    /// draining through the recirculation path (their backlog is not
+    /// part of [`LgReceiver::shape`]).
+    pub fn is_draining(&self) -> bool {
+        self.draining_bytes > 0
     }
 
     /// Visit the sequence fields, instants and counters a period moves.
@@ -1318,6 +1334,36 @@ mod tests {
         let dup = rx(&mut r, p2b, Time::from_us(3), &mut pool);
         assert!(delivered(&dup, &pool).is_empty());
         assert_eq!(r.stats().dup_drops, 1);
+    }
+
+    /// A hole NB never recovers stops pinning its floor once it falls
+    /// 16,384 sequence numbers behind the latest frame: the floor moves
+    /// past it, nothing is tracked above it, and a periodic run may be
+    /// marked again.
+    #[test]
+    fn nb_mode_gives_up_a_hole_left_far_behind() {
+        let mut pool = PacketPool::new();
+        let mut r = nb_rx();
+        let mut shape = Vec::new();
+        let send = |r: &mut LgReceiver, pool: &mut PacketPool, abs: u64| {
+            let p = data(pool, abs, LgPacketType::Original);
+            rx(r, p, Time::ZERO, pool);
+        };
+        send(&mut r, &mut pool, 1);
+        // 2 is lost for good: no copy ever arrives
+        let n = 40;
+        for abs in 3..=16_386 + n {
+            send(&mut r, &mut pool, abs);
+        }
+        assert_eq!(r.ack_no(), 16_387 + n, "the floor passed the hole");
+        assert!(r.delivered_above.is_empty());
+        assert!(r.missing.is_empty());
+        assert!(r.shape(Time::ZERO, &mut shape), "a mark is accepted");
+        // a late copy of the hole is a duplicate now
+        let late = data(&mut pool, 2, LgPacketType::Retransmit);
+        assert!(delivered(&rx(&mut r, late, Time::ZERO, &mut pool), &pool).is_empty());
+        assert_eq!(r.stats().dup_drops, 1);
+        assert_eq!(r.stats().delivered, 16_385 + n);
     }
 
     #[test]

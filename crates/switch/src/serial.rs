@@ -253,6 +253,35 @@ impl SerialLink {
         Some(delivered)
     }
 
+    /// What a repeating run must find unchanged, relative to `now`: the
+    /// serializer's last start and finish, and every frame waiting or
+    /// not yet counted (DESIGN.md §23).
+    pub fn shape(&self, now: Time, out: &mut Vec<u64>) {
+        let rel = |t: Time| t.as_ps().wrapping_sub(now.as_ps());
+        out.extend([rel(self.free_at), rel(self.last_start), self.waiting_bytes]);
+        out.push(self.waiting.len() as u64);
+        for w in &self.waiting {
+            out.extend([rel(w.start), rel(w.kick_filed), w.len as u64]);
+        }
+        out.push(self.in_flight.len() as u64);
+        out.extend(
+            self.in_flight
+                .iter()
+                .flat_map(|&(end, len)| [rel(end), len as u64]),
+        );
+    }
+
+    /// Move every stored instant `d` later.
+    pub fn advance(&mut self, d: Duration) {
+        self.free_at += d;
+        self.last_start += d;
+        for w in &mut self.waiting {
+            w.start += d;
+            w.kick_filed += d;
+        }
+        self.in_flight.iter_mut().for_each(|(end, _)| *end += d);
+    }
+
     /// Bring `counters` and the queue depth to what they read once every
     /// event at or before `upto` has run.
     pub fn settle(&mut self, upto: Time, counters: &mut PortCounters) {

@@ -14,7 +14,7 @@ use lg_transport::{
 };
 
 use crate::port::{Ev, PortLoop};
-use crate::world::{App, HOST0, HOST1};
+use crate::world::{App, Hold, HOST0, HOST1};
 
 /// One host hop, each way: 100 ns of NIC/wire latency plus the 7 µs
 /// host stack delay (7 µs on transmit and on receive makes the unloaded
@@ -142,6 +142,46 @@ impl Host {
         })
     }
 
+    /// What a repeating trial series must find unchanged at a trial
+    /// start, relative to `now`: which transports are in place and the
+    /// NIC. The pending wake and the latest deadline go to `instants`: a
+    /// batch of trials may keep them where they are (DESIGN.md §23).
+    pub(crate) fn shape(&self, now: Time, out: &mut Vec<u64>, instants: &mut Vec<(Time, Hold)>) {
+        let held = [
+            self.tcp_tx.is_some(),
+            self.tcp_spent.is_some(),
+            self.tcp_rx.is_some(),
+            self.rdma_tx.is_some(),
+            self.rdma_rx.is_some(),
+            self.wake_at.is_some(),
+        ];
+        out.extend(held.map(u64::from));
+        self.nic.shape(now, out);
+        instants.extend(self.wake_at.map(|at| (at, Hold::Either)));
+        instants.push((self.wake_latest, Hold::Lapsed));
+    }
+
+    /// Move the NIC `d` later, and the instants [`Host::shape`] listed
+    /// unless `kept` (in the same order) says they stay.
+    pub(crate) fn advance<'a>(&mut self, d: Duration, kept: &mut impl Iterator<Item = &'a bool>) {
+        self.nic.advance(d);
+        let wakes = self.wake_at.iter_mut().chain([&mut self.wake_latest]);
+        for (at, &stays) in wakes.zip(kept) {
+            if !stays {
+                *at += d;
+            }
+        }
+    }
+
+    /// What the host counts per frame it receives.
+    pub(crate) fn counters(&mut self) -> [&mut u64; 3] {
+        [
+            &mut self.payload_rx_bytes,
+            &mut self.stress_rx_frames,
+            &mut self.stress_rx_wire_bytes,
+        ]
+    }
+
     /// A frame reached this host: feed the endpoint it belongs to,
     /// collecting what the sender wants done in `actions`. Returns the
     /// receiver's reply (an ACK), if any.
@@ -222,6 +262,22 @@ impl Trials {
             next_flow: 1,
             scratch: Vec::new(),
         }
+    }
+
+    /// A serial series of fixed-size trials, which repeat one another.
+    pub(crate) fn is_series(&self) -> bool {
+        matches!(self.app, App::TcpTrials { .. } | App::RdmaTrials { .. })
+    }
+
+    /// Trials not yet finished, and the flow id of the next to start.
+    pub(crate) fn left(&self) -> (u32, u64) {
+        (self.remaining, self.next_flow)
+    }
+
+    /// Account for `k` trials run elsewhere, as if started and finished.
+    pub(crate) fn skip(&mut self, k: u32) {
+        self.remaining -= k;
+        self.next_flow += u64::from(k);
     }
 }
 

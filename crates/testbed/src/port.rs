@@ -232,7 +232,7 @@ pub(crate) enum Exit<P> {
 
 /// A testbed loop as the shared event path sees it: its topology, the
 /// parts it lends, and the hooks where [`crate::World`] does what only
-/// it does (the defaults of the three data-path hooks do nothing).
+/// it does (the defaults of the four data-path hooks do nothing).
 pub(crate) trait PortLoop {
     /// Names one link-facing port of the loop.
     type Port: Copy + std::fmt::Debug;
@@ -255,6 +255,11 @@ pub(crate) trait PortLoop {
     fn departed(&mut self, _from: Self::Port) {}
     /// Host `host` consumed a frame carrying `bytes` of payload.
     fn host_rx(&mut self, _host: usize, _bytes: u64, _now: Time) {}
+    /// A trial is due at `now`: the instant it starts at, later if the
+    /// loop computed the trials before it.
+    fn trial_start(&mut self, now: Time) -> Time {
+        now
+    }
     /// Host `host`'s trial completed; its transports are still in place.
     fn trial_done(&mut self, _host: usize) {}
     /// An event no port, host or trial handles: `ActivateLg`, `SetLoss`
@@ -301,7 +306,10 @@ pub(crate) fn handle<L: PortLoop>(w: &mut L, ev: Ev<L::Port>, now: Time) {
             }
             kick(w, at, now);
         }
-        Ev::TrialStart => host::start_trial(w, now),
+        Ev::TrialStart => {
+            let now = w.trial_start(now);
+            host::start_trial(w, now);
+        }
         Ev::ActivateLg | Ev::SetLoss(_) | Ev::Sample => w.control(ev, now),
     }
 }

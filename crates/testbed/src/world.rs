@@ -21,8 +21,10 @@
 //! forward departure it compares the world with the one a period
 //! earlier and, if they match up to the shift, advances every pending
 //! instant, sequence, counter and uid by whole periods, drawing the
-//! wire losses ahead in order (DESIGN.md §23). [`World::handle_pub`]
-//! and everything that is not a clean stress period stay event by
+//! wire losses ahead in order (DESIGN.md §23). A serial trial series
+//! repeats itself one trial later the same way, so at a trial start it
+//! computes the clean trials alike. [`World::handle_pub`] and everything
+//! that is neither a clean stress period nor a clean trial stay event by
 //! event.
 
 use lg_guardd::{GuardAction, GuardInput, GuardManager};
@@ -365,9 +367,17 @@ pub struct World {
     /// A stretch's host1 arrivals and late frames, kept for the next.
     arrived: Vec<PktId>,
     late: Vec<(u64, Time)>,
+    /// Which instants of a trial mark a batch keeps in place.
+    kept: Vec<bool>,
     census: StretchCensus,
     /// Events `run_until` handled that are not a stress period's.
     off_cycle: u64,
+    /// Events `run_until` handled, and those the computed trials stand
+    /// for.
+    events: u64,
+    /// The horizon of the `run_until` under way: only that loop computes
+    /// trials.
+    until: Option<Time>,
 }
 
 /// A stretch is worth its entry cost from this many periods on.
@@ -378,8 +388,9 @@ const MIN_STRETCH: u64 = 64;
 /// into a period within a few of them after it flushes out.
 const RETRY_PERIODS: u64 = 8;
 
-/// How [`World::run_until`] spent a stress run: the census of its
-/// computed stretches (DESIGN.md §23).
+/// How [`World::run_until`] spent a run: the census of the stretches
+/// of a stress run and the batches of a trial series it computed
+/// (DESIGN.md §23).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StretchCensus {
     /// Stretches computed.
@@ -388,18 +399,25 @@ pub struct StretchCensus {
     pub periods: u64,
     /// Marks taken at forward departures.
     pub marks: u64,
-    /// Marks refused outright (a recovery under way, or a world a
-    /// stretch does not compute).
+    /// Marks of either kind refused outright (a recovery under way, or
+    /// a world a stretch or batch does not compute).
     pub refused: u64,
-    /// Marks that did not repeat the one a period earlier.
+    /// Marks (of either kind) that did not repeat the one before.
     pub unequal: u64,
+    /// Marks taken at trial starts.
+    pub trial_marks: u64,
+    /// Trials computed instead of simulated.
+    pub trials: u64,
+    /// Batches of trials computed.
+    pub batches: u64,
 }
 
-/// The world at a forward departure, made relative to the instant, the
-/// sequences and the uid counter, so two marks a period apart compare
-/// equal exactly when the world repeats (DESIGN.md §23). Host1's port
-/// and arrivals are left out: that port drains a backlog at its own
-/// rate, so a stretch computes it frame by frame.
+/// The world at a forward departure or at a trial start, made relative
+/// to the instant, the sequences, the uid counter and the next flow id,
+/// so two marks a period or a trial apart compare equal exactly when the
+/// world repeats (DESIGN.md §23). A stress mark leaves host1's port and
+/// arrivals out: that port drains a backlog at its own rate, so a
+/// stretch computes it frame by frame.
 #[derive(Default)]
 struct Mark {
     shape: Vec<u64>,
@@ -410,8 +428,16 @@ struct Mark {
     scalars: Vec<u64>,
     /// What [`shift`] moves packets by: the uid counter, the instant,
     /// `stress_seq`, the forward sender's and receiver's sequences; then
-    /// the reverse link's frame count.
-    refs: [u64; 6],
+    /// the reverse and forward links' frame counts, and the next flow id.
+    refs: [u64; 8],
+    /// A trial mark's instants, which a batch moves or keeps in place:
+    /// the first `pending` are the pending events in filing order, then
+    /// each host's.
+    instants: Vec<(Time, Hold)>,
+    pending: usize,
+    /// FCT samples, TCP and RDMA traces recorded, and frames the links
+    /// lost, so far.
+    done: [u64; 4],
     /// The first pending event a stretch keeps in place, the latest one
     /// it moves falls, and the last pending host1 arrival.
     horizon: Time,
@@ -422,14 +448,36 @@ struct Mark {
     next_rx: Option<(Time, PktId)>,
 }
 
+/// Whether a batch of trials moves an instant of its mark with the
+/// clock or keeps it in place: whichever the mark a trial earlier
+/// shows, where a rule allows both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hold {
+    /// Repeats a trial later.
+    Moves,
+    /// Stays where it is: a control event, never part of a trial.
+    Stays,
+    /// Either: a transport wake an earlier trial may have armed.
+    Either,
+    /// Moves, or stays if already past: a latest deadline, which stays
+    /// only while no trial asks for a later one.
+    Lapsed,
+}
+
 /// Move the fields of `p` a period moves by `by`: uid, creation
-/// instant (ps), UDP sequence and the LinkGuardian data and ACK
-/// sequences, wrapping (so a negated reference makes them relative).
+/// instant (ps), UDP sequence, the LinkGuardian data and ACK sequences
+/// and the flow id of a transport frame, wrapping (so a negated
+/// reference makes them relative).
 fn shift(p: &mut Packet, by: &[u64]) {
     p.uid = p.uid.wrapping_add(by[0]);
     p.created_at = Time(p.created_at.as_ps().wrapping_add(by[1]));
-    if let Payload::Udp(u) = &mut p.payload {
-        u.seq = u.seq.wrapping_add(by[2]);
+    let flow = |f: &mut FlowId| f.0 = f.0.wrapping_add(by[7]);
+    match &mut p.payload {
+        Payload::Udp(u) => u.seq = u.seq.wrapping_add(by[2]),
+        Payload::Tcp(t) => flow(&mut t.flow),
+        Payload::Rdma(r) => flow(&mut r.flow),
+        Payload::RdmaAck(a) => flow(&mut a.flow),
+        Payload::Raw | Payload::Lg(_) => {}
     }
     let wire = |n: u64| (n % (2 * 65_536)) as u32;
     if let Some(h) = &mut p.lg_data {
@@ -538,8 +586,11 @@ impl World {
             spare_marks: Vec::new(),
             arrived: Vec::new(),
             late: Vec::new(),
+            kept: Vec::new(),
             census: StretchCensus::default(),
             off_cycle: 0,
+            events: 0,
+            until: None,
         }
     }
 
@@ -587,13 +638,17 @@ impl World {
     /// returns the number of events handled. When the world profiles
     /// itself, every [`lg_obs::sink::PROFILE_STRIDE`]-th event is timed
     /// (the rule `pktsim` samples by); otherwise the loop pays one
-    /// predictable branch per event. Under stress, the clean stretches
-    /// of the run are computed rather than simulated (DESIGN.md §23).
+    /// predictable branch per event. The clean stretches of a stress run
+    /// and the clean trials of a trial series are computed rather than
+    /// simulated (DESIGN.md §23). A computed trial counts the events it
+    /// stands for, so a trial series reports what the event path would;
+    /// a computed stretch counts none.
     pub fn run_until(&mut self, until: Time) -> u64 {
-        let mut ran = 0u64;
+        let start = self.events;
         self.spare_marks.extend(self.mark.take());
+        self.until = Some(until);
         while let Some((now, ev)) = self.q.pop_if_before(until) {
-            ran += 1;
+            self.events += 1;
             let fwd_done = matches!(ev, Ev::PortTxDone { at: Side::Tx, .. });
             self.off_cycle += cycle_place(&ev).is_none() as u64;
             let timed = self.obs.profile_seen.as_mut().is_some_and(|seen| {
@@ -612,8 +667,9 @@ impl World {
                 }
             }
         }
+        self.until = None;
         self.settle_host_ports(until);
-        ran
+        self.events - start
     }
 
     /// At a forward departure, mark the world; if it repeats the mark
@@ -623,7 +679,7 @@ impl World {
     fn try_stretch(&mut self, until: Time) {
         let now = self.q.now();
         self.census.marks += 1;
-        let Some(mark) = self.mark_world(now) else {
+        let Some(mark) = self.mark_world(now, false) else {
             self.census.refused += 1;
             return self.miss();
         };
@@ -642,7 +698,7 @@ impl World {
 
     /// The world at `now` repeats `prev`: compute the stretch.
     fn stretch(&mut self, prev: &Mark, cur: &Mark, now: Time, until: Time) {
-        let step: [u64; 6] = std::array::from_fn(|i| cur.refs[i] - prev.refs[i]);
+        let step: [u64; 8] = std::array::from_fn(|i| cur.refs[i].wrapping_sub(prev.refs[i]));
         let period = step[1];
         // Moved events must all land before a kept one: no tie to order.
         let mut end = until;
@@ -701,11 +757,7 @@ impl World {
         self.census.periods += k;
         *self.fwd_link.loss_mut() = ahead;
         let by = step.map(|s| k * s);
-        let mut i = 0;
-        self.scalars(&mut |x| {
-            *x += k * (*x - prev.scalars[i]);
-            i += 1;
-        });
+        self.advance_scalars(false, &prev.scalars, k);
         lg_packet::skip_uids(by[0]);
         self.rev_link.loss_mut().skip_clean(by[5]);
         // Host1's pending arrivals all fall inside the stretch.
@@ -744,11 +796,125 @@ impl World {
         }
     }
 
+    /// When a trial is due at `now`, before it starts, mark the world;
+    /// if it repeats the mark of the trial start before, advance it by
+    /// the whole trials that end before the next lost frame, the first
+    /// pending event kept in place and `until`, in one step, leaving the
+    /// last trial to the event path (DESIGN.md §23). Returns the instant
+    /// the trial at hand starts at.
+    fn try_trials(&mut self, now: Time, until: Time) -> Time {
+        if !self.trials.is_series() {
+            return now;
+        }
+        self.census.trial_marks += 1;
+        let Some(cur) = self.mark_world(now, true) else {
+            self.census.refused += 1;
+            self.spare_marks.extend(self.mark.take());
+            return now;
+        };
+        let Some(prev) = self.mark.take() else {
+            self.mark = Some(cur);
+            return now;
+        };
+        let mut kept = std::mem::take(&mut self.kept);
+        let start = if repeats(&prev, &cur, &mut kept) {
+            self.batch(&prev, &cur, &kept, until)
+        } else {
+            self.census.unequal += 1;
+            None
+        };
+        self.kept = kept;
+        self.spare_marks.push(prev);
+        match start {
+            Some(start) => {
+                // The world at the trial start the batch ends on: what the
+                // next trial start compares with.
+                self.spare_marks.push(cur);
+                self.mark = self.mark_world(start, true);
+                start
+            }
+            None => {
+                self.mark = Some(cur);
+                now
+            }
+        }
+    }
+
+    /// The world at `cur` repeats `prev` a trial later: compute the trials
+    /// that follow, and return the instant the first trial not computed
+    /// starts at, or `None` if none is.
+    fn batch(&mut self, prev: &Mark, cur: &Mark, kept: &[bool], until: Time) -> Option<Time> {
+        let step: [u64; 8] = std::array::from_fn(|i| cur.refs[i].wrapping_sub(prev.refs[i]));
+        let (now, trial) = (Time(cur.refs[1]), step[1]);
+        // The last trial runs as events, so the run ends on its clock.
+        let mut k = u64::from(self.trials.left().0.saturating_sub(1));
+        k = k.min(until.saturating_since(now).as_ps() / trial);
+        // Moved events must all land before a kept one: no tie to order.
+        let (mut horizon, mut lead) = (Time::MAX, 0);
+        for (&(at, _), &kept) in cur.instants[..cur.pending].iter().zip(kept) {
+            if kept {
+                horizon = horizon.min(at);
+            } else {
+                lead = lead.max((at - now).as_ps());
+            }
+        }
+        let before_kept = horizon
+            .saturating_since(now)
+            .as_ps()
+            .saturating_sub(lead + 1);
+        k = k.min(before_kept / trial);
+        // Every frame of the `k` trials must cross its link.
+        let frames = [step[6], step[5]];
+        for (link, per) in [&self.fwd_link, &self.rev_link].into_iter().zip(frames) {
+            if per > 0 && k > 0 {
+                k = k.min(link.loss().clone().skip_clean(k * per) / per);
+            }
+        }
+        if k == 0 {
+            return None;
+        }
+        self.census.batches += 1;
+        self.census.trials += k;
+        for (link, per) in [&mut self.fwd_link, &mut self.rev_link]
+            .into_iter()
+            .zip(frames)
+        {
+            link.loss_mut().skip_clean(k * per);
+        }
+        let by = step.map(|s| k * s);
+        let dt = Duration::from_ps(by[1]);
+        self.advance_scalars(true, &prev.scalars, k);
+        lg_packet::skip_uids(by[0]);
+        self.trials
+            .skip(u32::try_from(k).expect("fewer than the trials left"));
+        let mut kept = kept.iter();
+        self.q
+            .translate(dt, |ev| Some((ev, !kept.next().expect("marked"))));
+        for h in &mut self.hosts {
+            h.advance(dt, &mut kept);
+        }
+        self.host_ports.iter_mut().for_each(|p| p.advance(dt));
+        self.pool.for_each_mut(|p| shift(p, &by));
+        self.lg_tx.advance(by[3], dt);
+        // Each trial records the marked one's sample and trace.
+        let out = &mut self.out;
+        out.fct.repeat_last(k as usize);
+        if cur.done[1] > prev.done[1] {
+            let t = *out.tcp_traces.last().expect("traced");
+            out.tcp_traces.extend(std::iter::repeat_n(t, k as usize));
+        }
+        if cur.done[2] > prev.done[2] {
+            let t = *out.rdma_traces.last().expect("traced");
+            out.rdma_traces.extend(std::iter::repeat_n(t, k as usize));
+        }
+        Some(now + dt)
+    }
+
     /// What host1 counts per frame it receives.
     fn host1_counts(&mut self) -> [&mut u64; 5] {
-        let (h, [g0, g1]) = (&mut self.hosts[1], &mut self.goodput_bytes);
-        let (bytes, frames) = (&mut h.payload_rx_bytes, &mut h.stress_rx_frames);
-        [bytes, frames, &mut h.stress_rx_wire_bytes, g0, g1]
+        let [g0, g1] = &mut self.goodput_bytes;
+        let [bytes, frames, wire] = self.hosts[1].counters();
+        [bytes, frames, wire, g0, g1]
     }
 
     /// The world does not repeat yet: mark it again a few periods on.
@@ -757,16 +923,24 @@ impl World {
         self.stretch_wait = RETRY_PERIODS;
     }
 
-    /// The world as [`Mark`] compares it, or `None` where a stretch is
-    /// not computed: a recovery under way, the reverse instance, a
-    /// corrupting reverse link, host traffic (host0 then receives
-    /// nothing) or a packet-level trace.
-    fn mark_world(&mut self, now: Time) -> Option<Mark> {
-        let plain = self.lg2_tx.is_none() && matches!(self.cfg.app, App::None);
-        if !plain
-            || *self.rev_link.loss().model() != LossModel::None
-            || lg_obs::trace::enabled(Level::Pkt)
-        {
+    /// The world as [`Mark`] compares it at a forward departure or, if
+    /// `trial`, at a trial start before the trial's event runs; `None`
+    /// where neither a stretch nor a batch is computed: a recovery under
+    /// way, the reverse instance, a trace, and for a stretch also a
+    /// corrupting reverse link or host traffic (host0 then receives
+    /// nothing), for a batch stress, a receiver still draining or a
+    /// world that profiles itself.
+    fn mark_world(&mut self, now: Time, trial: bool) -> Option<Mark> {
+        // A world that profiles itself samples the events it handles.
+        let plain = if trial {
+            self.trials.is_series() && self.stress.is_none() && self.obs.profile_seen.is_none()
+        } else {
+            matches!(self.cfg.app, App::None) && *self.rev_link.loss().model() == LossModel::None
+        };
+        // A batch runs no handler, so it would leave a control-level
+        // trace row out too; a stretch only packet-level ones.
+        let traced = lg_obs::trace::enabled(if trial { Level::Ctl } else { Level::Pkt });
+        if !plain || traced || self.lg2_tx.is_some() {
             return None;
         }
         let mut m = self.spare_marks.pop().unwrap_or_default();
@@ -775,9 +949,12 @@ impl World {
         ids.clear();
         m.pkts.clear();
         m.scalars.clear();
+        m.instants.clear();
         let (tx_seq, rx_seq) = (self.lg_tx.last_sent(), self.lg_rx.latest_rx());
-        shape.extend([self.off_cycle, tx_seq.wrapping_sub(rx_seq)]);
-        if !self.lg_rx.shape(now, shape) {
+        // A batch counts the events it stands for among its scalars.
+        let off_cycle = if trial { 0 } else { self.off_cycle };
+        shape.extend([off_cycle, tx_seq.wrapping_sub(rx_seq)]);
+        if !self.lg_rx.shape(now, shape) || trial && self.lg_rx.is_draining() {
             self.spare_marks.push(m);
             return None;
         }
@@ -786,30 +963,54 @@ impl World {
             (0..sw.n_ports()).for_each(|p| sw.port(p).shape(shape, ids));
         }
         shape.extend(self.dummy_refresh_armed.map(u64::from));
-        (m.horizon, m.lead, m.host_last, m.next_rx) = (Time::MAX, Duration::ZERO, now, None);
         let mut hosted = 0;
-        self.q.for_each_pending(|at, ev| match cycle_place(ev) {
-            None => m.horizon = m.horizon.min(at),
-            Some((3, _, _)) => (m.host_last, hosted) = (m.host_last.max(at), hosted + 1),
-            Some((kind, place, id)) => {
-                if (kind, place) == (2, 1) && m.next_rx.is_none() {
-                    m.next_rx = Some((at, id));
-                }
-                m.lead = m.lead.max(at - now);
-                shape.extend([kind, place, (at - now).as_ps()]);
-                ids.push(id);
+        if trial {
+            if !mark_trial_events(&mut self.q, &mut m) {
+                self.spare_marks.push(m);
+                return None;
             }
-        });
+            m.pending = m.instants.len();
+            for h in &self.hosts {
+                h.shape(now, &mut m.shape, &mut m.instants);
+            }
+            self.host_ports
+                .iter()
+                .for_each(|p| p.shape(now, &mut m.shape));
+        } else {
+            (m.horizon, m.lead, m.host_last, m.next_rx) = (Time::MAX, Duration::ZERO, now, None);
+            self.q.for_each_pending(|at, ev| match cycle_place(ev) {
+                None => m.horizon = m.horizon.min(at),
+                Some((3, _, _)) => (m.host_last, hosted) = (m.host_last.max(at), hosted + 1),
+                Some((kind, place, id)) => {
+                    if (kind, place) == (2, 1) && m.next_rx.is_none() {
+                        m.next_rx = Some((at, id));
+                    }
+                    m.lead = m.lead.max(at - now);
+                    shape.extend([kind, place, (at - now).as_ps()]);
+                    ids.push(id);
+                }
+            });
+        }
+        let (shape, ids) = (&mut m.shape, &m.ids);
         shape.push(self.pool.live() as u64 - hosted);
         shape.extend(ids.iter().map(|&id| self.pool.refcount(id) as u64));
-        let rev = self.rev_link.loss().frames();
+        let (fwd, rev) = (self.fwd_link.loss(), self.rev_link.loss());
         m.refs = [
             lg_packet::peek_next_uid(),
             now.as_ps(),
             self.stress_seq,
             tx_seq,
             rx_seq,
-            rev,
+            rev.frames(),
+            fwd.frames(),
+            self.trials.left().1,
+        ];
+        let out = &self.out;
+        m.done = [
+            out.fct.len() as u64,
+            out.tcp_traces.len() as u64,
+            out.rdma_traces.len() as u64,
+            fwd.drops() + rev.drops(),
         ];
         let to_relative = m.refs.map(u64::wrapping_neg);
         m.pkts.extend(ids.iter().map(|&id| {
@@ -818,22 +1019,50 @@ impl World {
             p
         }));
         let scalars = &mut m.scalars;
-        self.scalars(&mut |x| scalars.push(*x));
+        self.scalars(trial, &mut |x| scalars.push(*x));
         Some(m)
     }
 
-    /// Visit every counter and sequence field a stress period moves by a
-    /// fixed step, but host1's, which [`SerialLink::enqueue_train`]
-    /// computes (high-water marks hold).
-    fn scalars(&mut self, f: &mut dyn FnMut(&mut u64)) {
+    /// Visit every counter and sequence field a stress period, or if
+    /// `trial` a trial, moves by a fixed step. A stress period leaves out
+    /// host1's, which [`SerialLink::enqueue_train`] computes (high-water
+    /// marks hold).
+    fn scalars(&mut self, trial: bool, f: &mut dyn FnMut(&mut u64)) {
+        let ports: &[PortId] = if trial {
+            &[PORT_LINK, PORT_HOST]
+        } else {
+            &[PORT_LINK]
+        };
         for sw in [&mut self.sw_tx, &mut self.sw_rx] {
-            sw.counters_mut(PORT_LINK).each_counter(f);
+            ports
+                .iter()
+                .for_each(|&p| sw.counters_mut(p).each_counter(f));
         }
         self.lg_tx.scalars(f);
         self.lg_rx.scalars(f);
         [&mut self.stress_seq, &mut self.out.stress_tx_frames]
             .into_iter()
-            .for_each(f);
+            .for_each(&mut *f);
+        if trial {
+            for h in &mut self.hosts {
+                h.counters().into_iter().for_each(&mut *f);
+            }
+            let [g0, g1] = &mut self.goodput_bytes;
+            let (retx, off_cycle) = (&mut self.out.e2e_retx_total, &mut self.off_cycle);
+            [g0, g1, retx, off_cycle, &mut self.events]
+                .into_iter()
+                .for_each(f);
+        }
+    }
+
+    /// Move every scalar `k` steps of its change since `prev` (the
+    /// scalars of the mark a period or a trial ago).
+    fn advance_scalars(&mut self, trial: bool, prev: &[u64], k: u64) {
+        let mut i = 0;
+        self.scalars(trial, &mut |x| {
+            *x = x.wrapping_add(k.wrapping_mul(x.wrapping_sub(prev[i])));
+            i += 1;
+        });
     }
 
     /// Handle one event and charge its wall-clock time to its kind.
@@ -1083,6 +1312,67 @@ impl World {
     }
 }
 
+/// A trial mark's pending events, in filing order: kind and place into
+/// its shape, frames into its ids, and each instant with what a batch
+/// may do with it. False if a receiver timer or a pause is pending: they
+/// belong to a recovery.
+fn mark_trial_events(q: &mut EventQueue<Ev>, m: &mut Mark) -> bool {
+    let mut recovering = false;
+    q.for_each_pending(|at, ev| {
+        let (place, hold) = match *ev {
+            Ev::PortEnqueue { at, class, id } => {
+                m.ids.push(id);
+                ([at as u64, class as u64], Hold::Moves)
+            }
+            Ev::PortTxDone { at, id } | Ev::WireArrive { at, id } => {
+                m.ids.push(id);
+                ([at as u64, 0], Hold::Moves)
+            }
+            Ev::HostArrive { host, id } => {
+                m.ids.push(id);
+                ([host as u64, 0], Hold::Moves)
+            }
+            Ev::HostWake { host } => ([host as u64, 0], Hold::Either),
+            Ev::DummyRefresh { at } => ([at as u64, 0], Hold::Moves),
+            Ev::ActivateLg | Ev::SetLoss(_) | Ev::Sample | Ev::TrialStart => ([0, 0], Hold::Stays),
+            Ev::LgTimeout { .. } | Ev::LgBpTimer { .. } | Ev::PauseApply { .. } => {
+                recovering = true;
+                ([0, 0], Hold::Stays)
+            }
+        };
+        m.shape.extend([ev.kind_idx() as u64, place[0], place[1]]);
+        m.instants.push((at, hold));
+    });
+    !recovering
+}
+
+/// Whether the world at `cur` repeats the one at `prev` a trial later:
+/// equal shapes and frames; one trial completed, with no frame lost;
+/// and each instant either a trial on (it moves) or, where its rule
+/// allows, where it was (it is kept, as `kept` records in order).
+fn repeats(prev: &Mark, cur: &Mark, kept: &mut Vec<bool>) -> bool {
+    let (p, c) = (prev.refs[1], cur.refs[1]);
+    let done: [u64; 4] = std::array::from_fn(|i| cur.done[i] - prev.done[i]);
+    if (&prev.shape, &prev.pkts) != (&cur.shape, &cur.pkts) || done[0] != 1 || done[3] != 0 {
+        return false;
+    }
+    kept.clear();
+    for (&(a, hold), &(b, _)) in prev.instants.iter().zip(&cur.instants) {
+        let moves = b.as_ps().wrapping_sub(c) == a.as_ps().wrapping_sub(p);
+        let stays = a == b
+            && match hold {
+                Hold::Moves => false,
+                Hold::Stays | Hold::Either => true,
+                Hold::Lapsed => b.as_ps() <= c,
+            };
+        if !(moves && hold != Hold::Stays || stays) {
+            return false;
+        }
+        kept.push(stays);
+    }
+    true
+}
+
 /// Kind (1-3), side or host, and frame of an event a stress period
 /// repeats: a departure, a link arrival or a host1 arrival.
 fn cycle_place(ev: &Ev) -> Option<(u64, u64, PktId)> {
@@ -1181,6 +1471,13 @@ impl PortLoop for World {
                 let window_end = self.probes.last().map_or(Time::ZERO, |r| r.t) + interval;
                 self.goodput_bytes[usize::from(now >= window_end)] += bytes;
             }
+        }
+    }
+
+    fn trial_start(&mut self, now: Time) -> Time {
+        match self.until {
+            Some(until) => self.try_trials(now, until),
+            None => now,
         }
     }
 

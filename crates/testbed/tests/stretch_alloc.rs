@@ -1,12 +1,16 @@
 //! A computed stretch allocates nothing (DESIGN.md §23): its marks, the
 //! host1 arrivals it consumes, the late frames it files and the queue's
-//! translation all reuse buffers the world and its queue keep.
+//! translation all reuse buffers the world and its queue keep. A
+//! computed batch of trials allocates only what the FCT samples and the
+//! traces it records grow by.
 //!
 //! One test per binary: the counting allocator sees every thread.
 
 use lg_link::{LinkSpeed, LossModel};
 use lg_sim::{Duration, Time};
-use lg_testbed::{World, WorldConfig};
+use lg_testbed::experiments::{fct_config, FctTransport};
+use lg_testbed::{Protection, World, WorldConfig};
+use lg_transport::CcVariant;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,6 +40,11 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn stretches_allocate_nothing_after_warm_up() {
+    stress_stretches();
+    trial_batches();
+}
+
+fn stress_stretches() {
     // `testbed_stress`: 100 G, LinkGuardian ordered, iid 1e-3, seed 1.
     let mut w = World::new(WorldConfig::new(
         LinkSpeed::G100,
@@ -50,4 +59,40 @@ fn stretches_allocate_nothing_after_warm_up() {
     let ran = w.stretch_census().stretches - census.stretches;
     assert!(ran > 100, "only {ran} stretches ran");
     assert_eq!(allocs, 0, "{allocs} allocations across {ran} stretches");
+}
+
+/// Allocations a vector growing from `before` to `after` elements can
+/// make: each at least doubles its capacity.
+fn growth(before: usize, after: usize) -> u64 {
+    u64::from((after / before.max(1)).max(1).ilog2()) + 2
+}
+
+fn trial_batches() {
+    // A 143 B DCTCP series: a wake the first trial armed ≈1 ms ahead
+    // cuts a batch every millisecond, so batches alternate with the
+    // trials that run as events.
+    let cfg = fct_config(
+        LinkSpeed::G100,
+        LossModel::None,
+        Protection::Lg,
+        FctTransport::Tcp(CcVariant::Dctcp),
+        143,
+        2_000,
+        1,
+    );
+    let mut w = World::new(cfg);
+    w.run_until(Time::ZERO + Duration::from_ms(4));
+    let census = w.stretch_census();
+    let lens = |w: &World| (w.out.fct.len(), w.out.tcp_traces.len());
+    let (before, at) = (lens(&w), ALLOCS.load(Ordering::Relaxed));
+    w.run_until(Time::ZERO + Duration::from_ms(40));
+    let allocs = ALLOCS.load(Ordering::Relaxed) - at;
+    let after = lens(&w);
+    let batches = w.stretch_census().batches - census.batches;
+    assert!(batches > 20, "only {batches} batches ran");
+    let grown = growth(before.0, after.0) + growth(before.1, after.1);
+    assert!(
+        allocs <= grown,
+        "{allocs} allocations across {batches} batches, samples {before:?} -> {after:?}"
+    );
 }

@@ -884,6 +884,89 @@ mod tests {
         assert!(second >= first_deadline + Duration::from_ms(4));
     }
 
+    /// One ACK script, fed at `t0`: what the sender emits (packet uids
+    /// left out: they come from a process-wide counter), the deadline it
+    /// keeps after each step, and its trace.
+    fn run_script(s: &mut TcpSender, t0: Time) -> (Vec<String>, Vec<Option<Time>>, String) {
+        let at = |us: u64| t0 + Duration::from_us(us);
+        let mut out = (Vec::new(), Vec::new());
+        let mut step = |s: &mut TcpSender, a: &mut Vec<TransportAction>| {
+            for x in a.drain(..) {
+                out.0.push(match x {
+                    TransportAction::Send(p) => format!("{:?}", Packet { uid: 0, ..p }),
+                    x => format!("{x:?}"),
+                });
+            }
+            out.1.push(s.next_deadline());
+        };
+        let mut a = Vec::new();
+        s.start_into(at(0), &mut a);
+        step(s, &mut a);
+        s.on_ack_into(&ack(MSS, vec![], false), at(30), &mut a);
+        step(s, &mut a);
+        let sack = vec![SackBlock {
+            start: 3 * MSS,
+            end: 7 * MSS,
+        }];
+        s.on_ack_into(&ack(2 * MSS, sack, true), at(35), &mut a);
+        step(s, &mut a);
+        let wake = s.next_deadline().expect("a timer armed");
+        s.on_timer_into(wake, &mut a);
+        step(s, &mut a);
+        for (i, acked) in [8, 12, 20].into_iter().enumerate() {
+            let t = wake + Duration::from_us(30 + 5 * i as u64);
+            s.on_ack_into(&ack(acked * MSS, vec![], false), t, &mut a);
+            step(s, &mut a);
+        }
+        (out.0, out.1, format!("{:?}", s.trace()))
+    }
+
+    /// `TcpSender::renew` is a full reset, which the computed trials of
+    /// a trial series rest on (DESIGN.md §23): a sender left in the
+    /// middle of a recovery — SACK scoreboard, RTO backoff, probe armed
+    /// — renews into one that behaves as a fresh `new` under every
+    /// congestion control.
+    #[test]
+    fn a_renewed_sender_is_a_fresh_one() {
+        for variant in [CcVariant::Dctcp, CcVariant::Cubic, CcVariant::Bbr] {
+            let cfg = TcpConfig::default;
+            let fresh =
+                || TcpSender::new(cfg(), variant, FlowId(2), NodeId(1), NodeId(2), 20 * MSS);
+            let mut old = TcpSender::new(cfg(), variant, FlowId(1), NodeId(1), NodeId(2), 6 * MSS);
+            let mut a = Vec::new();
+            old.start_into(Time::ZERO, &mut a);
+            // the first segment lost, the rest SACKed; then the probe and
+            // the RTO fire, and the probe is armed again
+            let sack = vec![SackBlock {
+                start: MSS,
+                end: 6 * MSS,
+            }];
+            old.on_ack_into(&ack(0, sack, true), Time::from_us(30), &mut a);
+            while old.rto_backoff == 0 {
+                let wake = old.next_deadline().expect("a timer armed");
+                old.on_timer_into(wake, &mut a);
+            }
+            assert!(old.rto_backoff > 0, "{variant:?}: backed off");
+            assert!(old.segs.iter().any(|s| s.sacked), "{variant:?}: SACKed");
+            assert!(old.tlp_at.is_some(), "{variant:?}: probe armed");
+            let t0 = Time::from_ms(5);
+            let renewed = TcpSender::renew(
+                Some(old),
+                cfg(),
+                variant,
+                FlowId(2),
+                NodeId(1),
+                NodeId(2),
+                20 * MSS,
+            );
+            assert_eq!(
+                run_script(&mut { renewed }, t0),
+                run_script(&mut fresh(), t0),
+                "{variant:?}"
+            );
+        }
+    }
+
     #[test]
     fn spurious_wake_is_noop() {
         let mut s = sender(2 * MSS);

@@ -28,6 +28,17 @@ impl FctCollector {
         self.sorted = false;
     }
 
+    /// Record the last recorded completion time `n` more times, as `n`
+    /// trials that repeat it would.
+    ///
+    /// # Panics
+    /// Panics if nothing was recorded since the samples were last sorted.
+    pub fn repeat_last(&mut self, n: usize) {
+        assert!(!self.sorted, "the last sample is lost once sorted");
+        let last = *self.samples.last().expect("a sample to repeat");
+        self.samples.extend(std::iter::repeat_n(last, n));
+    }
+
     /// Number of flows recorded.
     pub fn len(&self) -> usize {
         self.samples.len()
