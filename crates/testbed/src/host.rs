@@ -269,9 +269,14 @@ impl Trials {
         matches!(self.app, App::TcpTrials { .. } | App::RdmaTrials { .. })
     }
 
-    /// Trials not yet finished, and the flow id of the next to start.
-    pub(crate) fn left(&self) -> (u32, u64) {
-        (self.remaining, self.next_flow)
+    /// Trials not yet finished.
+    pub(crate) fn left(&self) -> u32 {
+        self.remaining
+    }
+
+    /// The flow id of the next trial to start.
+    pub(crate) fn next_flow(&self) -> u64 {
+        self.next_flow
     }
 
     /// Account for `k` trials run elsewhere, as if started and finished.

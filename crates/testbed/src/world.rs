@@ -847,7 +847,7 @@ impl World {
         let step: [u64; 8] = std::array::from_fn(|i| cur.refs[i].wrapping_sub(prev.refs[i]));
         let (now, trial) = (Time(cur.refs[1]), step[1]);
         // The last trial runs as events, so the run ends on its clock.
-        let mut k = u64::from(self.trials.left().0.saturating_sub(1));
+        let mut k = u64::from(self.trials.left().saturating_sub(1));
         k = k.min(until.saturating_since(now).as_ps() / trial);
         // Moved events must all land before a kept one: no tie to order.
         let (mut horizon, mut lead) = (Time::MAX, 0);
@@ -1003,7 +1003,7 @@ impl World {
             rx_seq,
             rev.frames(),
             fwd.frames(),
-            self.trials.left().1,
+            self.trials.next_flow(),
         ];
         let out = &self.out;
         m.done = [
