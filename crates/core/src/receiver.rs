@@ -782,11 +782,18 @@ impl LgReceiver {
             && !self.timeout_armed
     }
 
-    /// Whether frames released from the reordering buffer may still be
-    /// draining through the recirculation path (their backlog is not
-    /// part of [`LgReceiver::shape`]).
-    pub fn is_draining(&self) -> bool {
-        self.draining_bytes > 0
+    /// Whether frames released from the reordering buffer are still
+    /// draining through the recirculation path at `now` (their backlog
+    /// is not part of [`LgReceiver::shape`]). The backlog is decayed only
+    /// at the next arrival; this reads what it would be at `now` without
+    /// moving it.
+    pub fn is_draining(&self, now: Time) -> bool {
+        let drained = self
+            .cfg
+            .speed
+            .rate()
+            .bytes_in(now.saturating_since(self.drain_last));
+        self.draining_bytes > drained
     }
 
     /// Visit the sequence fields, instants and counters a period moves.

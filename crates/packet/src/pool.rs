@@ -179,6 +179,16 @@ impl PacketPool {
             .for_each(&mut f);
     }
 
+    /// Visit every live packet with its slot index ([`PktId::index`]),
+    /// in index order, shared or not.
+    pub fn for_each_indexed_mut(&mut self, mut f: impl FnMut(u32, &mut Packet)) {
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            if let Some(p) = s.pkt.as_mut() {
+                f(i as u32, p);
+            }
+        }
+    }
+
     /// Current reference count of `id`'s slot.
     pub fn refcount(&self, id: PktId) -> u32 {
         self.slot(id).rc

@@ -13,17 +13,20 @@
 //! optical hardware; here we can.
 //!
 //! This module is the chain's topology only; its events run through the
-//! event path the two-switch [`crate::world`] runs through. Only the
-//! forward direction is protected (like the main testbed); reverse
-//! traffic carries ACKs and LinkGuardian control.
+//! event path the two-switch [`crate::world`] runs through, and its clean
+//! trials are computed by the trial batches `World` computes (DESIGN.md
+//! §23, "Computed trials"). Only the forward direction is protected
+//! (like the main testbed); reverse traffic carries ACKs and
+//! LinkGuardian control.
 
+use crate::cycle::{self, Cycle, Periodic};
 use crate::host::{Host, Trials};
 use crate::port::{self, Ev, Exit, LgPort, Parts, PortLoop, PortScratch};
-use crate::world::App;
+use crate::world::{App, StretchCensus};
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
 use lg_packet::{NodeId, PacketPool};
 use lg_sim::{Duration, EventQueue, Rng, Time};
-use lg_switch::{PortId, SerialLink, Switch};
+use lg_switch::{PortCounters, PortId, SerialLink, Switch};
 use lg_transport::CcVariant;
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender};
@@ -154,6 +157,8 @@ pub struct ChainWorld {
     pub pool: PacketPool,
     trials: Trials,
     lg_scratch: PortScratch,
+    /// The marks, census and event count of `run_until`'s computed trials.
+    cycle: Cycle,
 }
 
 impl ChainWorld {
@@ -221,12 +226,18 @@ impl ChainWorld {
             pool: PacketPool::new(),
             trials: Trials::new(cfg.app.lower()),
             lg_scratch: PortScratch::default(),
+            cycle: Cycle::default(),
         }
     }
 
     /// Number of switches.
     pub fn n_switches(&self) -> usize {
         self.switches.len()
+    }
+
+    /// The counters of port `port` of switch `sw`.
+    pub fn port_counters(&self, sw: usize, port: PortId) -> PortCounters {
+        self.switches[sw].counters(port)
     }
 
     /// Sum of LinkGuardian recoveries across hops.
@@ -245,17 +256,38 @@ impl ChainWorld {
     }
 
     /// Run every event due at or before `until`, returning the number
-    /// dispatched. Window-sliced execution is exact: a chain run as a
-    /// sequence of bounded `run_until` calls dispatches the identical
-    /// event stream as one unbounded call, which is what `perf`'s traced
-    /// `chain_rdma` run relies on.
+    /// handled. The clean trials of the series are computed rather than
+    /// simulated, and a computed trial counts the events it stands for,
+    /// so the count is the event path's. Window-sliced execution is
+    /// exact: a batch of trials never reaches past `until`, so a chain
+    /// run as a sequence of bounded `run_until` calls ends in the state
+    /// one unbounded call reaches and counts the same events, which is
+    /// what `perf`'s traced `chain_rdma` run relies on.
     pub fn run_until(&mut self, until: Time) -> u64 {
-        let mut ran = 0u64;
+        let start = self.cycle.begin(until);
         while let Some((now, ev)) = self.q.pop_if_before(until) {
-            ran += 1;
+            self.cycle.events += 1;
             port::handle(self, ev, now);
         }
-        ran
+        self.cycle.end(start)
+    }
+
+    /// Handle one event on the event path, computing nothing: the
+    /// reference `run_until` is checked against.
+    pub fn handle_pub(&mut self, ev: Ev<(usize, PortId)>, now: Time) {
+        port::handle(self, ev, now);
+    }
+
+    /// The census of the trials [`ChainWorld::run_until`] computed.
+    pub fn stretch_census(&self) -> StretchCensus {
+        self.cycle.census
+    }
+
+    /// Hop `hop`'s LinkGuardian sender and receiver (inactive on an
+    /// unprotected hop).
+    pub fn lg_pair(&self, hop: usize) -> (&LgSender, &LgReceiver) {
+        let h = &self.hops[hop];
+        (&h.lg_tx, &h.lg_rx)
     }
 
     /// Run until no events remain.
@@ -339,6 +371,69 @@ impl PortLoop for ChainWorld {
         };
         let link = &mut self.host_ports[host];
         (&mut self.switches[sw], port, link, &mut self.pool)
+    }
+
+    fn trial_start(&mut self, now: Time) -> Time {
+        cycle::trial_start(self, now)
+    }
+}
+
+/// What a trial moves in the chain: every hop's pair, every switch and
+/// both directions of every link.
+impl Periodic for ChainWorld {
+    fn cycle(&mut self) -> &mut Cycle {
+        &mut self.cycle
+    }
+
+    fn batches(&self) -> bool {
+        true
+    }
+
+    fn pairs(&self) -> usize {
+        self.hops.len()
+    }
+
+    fn pair(&mut self, i: usize) -> (&mut LgSender, &mut LgReceiver, &mut bool) {
+        let h = &mut self.hops[i];
+        (&mut h.lg_tx, &mut h.lg_rx, &mut h.dummy_refresh_armed)
+    }
+
+    /// A switch's right port sends its hop's data, its left port returns
+    /// the ACKs of the hop before.
+    fn pair_at(sw: usize, port: PortId) -> usize {
+        match port {
+            PORT_RIGHT => sw,
+            _ => sw.saturating_sub(1),
+        }
+    }
+
+    fn locate(at: ChainPort) -> (usize, PortId) {
+        at
+    }
+
+    fn switches(&self) -> usize {
+        self.switches.len()
+    }
+
+    fn switch(&mut self, i: usize) -> &mut Switch {
+        &mut self.switches[i]
+    }
+
+    fn directions(&self) -> usize {
+        2 * self.links.len()
+    }
+
+    fn direction(&mut self, label: usize) -> &mut LinkDirection {
+        let (fwd, rev) = &mut self.links[label / 2];
+        if label.is_multiple_of(2) {
+            fwd
+        } else {
+            rev
+        }
+    }
+
+    fn host_ports(&mut self) -> &mut [SerialLink; 2] {
+        &mut self.host_ports
     }
 }
 

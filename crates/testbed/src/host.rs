@@ -13,8 +13,9 @@ use lg_transport::{
     TransportAction,
 };
 
+use crate::cycle::Hold;
 use crate::port::{Ev, PortLoop};
-use crate::world::{App, Hold, HOST0, HOST1};
+use crate::world::{App, HOST0, HOST1};
 
 /// One host hop, each way: 100 ns of NIC/wire latency plus the 7 µs
 /// host stack delay (7 µs on transmit and on receive makes the unloaded

@@ -16,6 +16,7 @@
 //!   with the VOA engaged mid-run and LinkGuardian activated later.
 
 pub mod chain;
+mod cycle;
 pub mod experiments;
 mod host;
 mod port;

@@ -32,14 +32,16 @@ use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
 use lg_obs::health::{HealthConfig, HealthEstimator, HealthEvent};
 use lg_obs::timeseries::SeriesBank;
 use lg_obs::trace::{Comp, Kind, Level};
-use lg_obs::{lg_trace, Counters, MetricsRegistry};
-use lg_packet::{FlowId, NodeId, Packet, PacketPool, Payload, PktId};
+use lg_obs::{lg_trace, MetricsRegistry};
+use lg_packet::{FlowId, NodeId, Packet, PacketPool, PktId};
 use lg_sim::{Duration, EventQueue, Rng, Time};
 use lg_switch::{Class, EgressPort, PortId, SerialLink, Switch, Train};
-use lg_transport::CcVariant;
+use lg_transport::{CcVariant, FlowTrace, RdmaTrace};
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender};
 
+pub use crate::cycle::StretchCensus;
+use crate::cycle::{self, shift, Cycle, Mark, Periodic, NOW, UID};
 use crate::host::{self, Trials};
 pub use crate::host::{Host, HOST_HOP};
 use crate::port::{self, Exit, LgPort, Parts, PortLoop, PortScratch};
@@ -357,27 +359,16 @@ pub struct World {
     /// are `[start, end)`, so those belong to the next row.
     goodput_bytes: [u64; 2],
     lg_scratch: PortScratch,
-    /// The world at the last forward departure, when it was marked for
-    /// a stretch (DESIGN.md §23), and the forward departures to let pass
-    /// before the next mark.
-    mark: Option<Mark>,
+    /// The marks, census and event count of `run_until`'s computed
+    /// stretches and trials, and the forward departures to let pass
+    /// before the next stress mark.
+    cycle: Cycle,
     stretch_wait: u64,
-    /// Marks done with, whose buffers the next ones reuse.
-    spare_marks: Vec<Mark>,
     /// A stretch's host1 arrivals and late frames, kept for the next.
     arrived: Vec<PktId>,
     late: Vec<(u64, Time)>,
-    /// Which instants of a trial mark a batch keeps in place.
-    kept: Vec<bool>,
-    census: StretchCensus,
     /// Events `run_until` handled that are not a stress period's.
     off_cycle: u64,
-    /// Events `run_until` handled, and those the computed trials stand
-    /// for.
-    events: u64,
-    /// The horizon of the `run_until` under way: only that loop computes
-    /// trials.
-    until: Option<Time>,
 }
 
 /// A stretch is worth its entry cost from this many periods on.
@@ -387,106 +378,6 @@ const MIN_STRETCH: u64 = 64;
 /// costs about what six simulated frames do, and a recovery settles
 /// into a period within a few of them after it flushes out.
 const RETRY_PERIODS: u64 = 8;
-
-/// How [`World::run_until`] spent a run: the census of the stretches
-/// of a stress run and the batches of a trial series it computed
-/// (DESIGN.md §23).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StretchCensus {
-    /// Stretches computed.
-    pub stretches: u64,
-    /// Frame periods they computed instead of simulating.
-    pub periods: u64,
-    /// Marks taken at forward departures.
-    pub marks: u64,
-    /// Marks of either kind refused outright (a recovery under way, or
-    /// a world a stretch or batch does not compute).
-    pub refused: u64,
-    /// Marks (of either kind) that did not repeat the one before.
-    pub unequal: u64,
-    /// Marks taken at trial starts.
-    pub trial_marks: u64,
-    /// Trials computed instead of simulated.
-    pub trials: u64,
-    /// Batches of trials computed.
-    pub batches: u64,
-}
-
-/// The world at a forward departure or at a trial start, made relative
-/// to the instant, the sequences, the uid counter and the next flow id,
-/// so two marks a period or a trial apart compare equal exactly when the
-/// world repeats (DESIGN.md §23). A stress mark leaves host1's port and
-/// arrivals out: that port drains a backlog at its own rate, so a
-/// stretch computes it frame by frame.
-#[derive(Default)]
-struct Mark {
-    shape: Vec<u64>,
-    pkts: Vec<Packet>,
-    /// The frames `pkts` normalizes (a buffer, not compared).
-    ids: Vec<PktId>,
-    /// [`World::scalars`], in visiting order.
-    scalars: Vec<u64>,
-    /// What [`shift`] moves packets by: the uid counter, the instant,
-    /// `stress_seq`, the forward sender's and receiver's sequences; then
-    /// the reverse and forward links' frame counts, and the next flow id.
-    refs: [u64; 8],
-    /// A trial mark's instants, which a batch moves or keeps in place:
-    /// the first `pending` are the pending events in filing order, then
-    /// each host's.
-    instants: Vec<(Time, Hold)>,
-    pending: usize,
-    /// FCT samples, TCP and RDMA traces recorded, and frames the links
-    /// lost, so far.
-    done: [u64; 4],
-    /// The first pending event a stretch keeps in place, the latest one
-    /// it moves falls, and the last pending host1 arrival.
-    horizon: Time,
-    lead: Duration,
-    host_last: Time,
-    /// The next frame to reach the receiver switch, and when (its
-    /// receiver files link arrivals in time order).
-    next_rx: Option<(Time, PktId)>,
-}
-
-/// Whether a batch of trials moves an instant of its mark with the
-/// clock or keeps it in place: whichever the mark a trial earlier
-/// shows, where a rule allows both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Hold {
-    /// Repeats a trial later.
-    Moves,
-    /// Stays where it is: a control event, never part of a trial.
-    Stays,
-    /// Either: a transport wake an earlier trial may have armed.
-    Either,
-    /// Moves, or stays if already past: a latest deadline, which stays
-    /// only while no trial asks for a later one.
-    Lapsed,
-}
-
-/// Move the fields of `p` a period moves by `by`: uid, creation
-/// instant (ps), UDP sequence, the LinkGuardian data and ACK sequences
-/// and the flow id of a transport frame, wrapping (so a negated
-/// reference makes them relative).
-fn shift(p: &mut Packet, by: &[u64]) {
-    p.uid = p.uid.wrapping_add(by[0]);
-    p.created_at = Time(p.created_at.as_ps().wrapping_add(by[1]));
-    let flow = |f: &mut FlowId| f.0 = f.0.wrapping_add(by[7]);
-    match &mut p.payload {
-        Payload::Udp(u) => u.seq = u.seq.wrapping_add(by[2]),
-        Payload::Tcp(t) => flow(&mut t.flow),
-        Payload::Rdma(r) => flow(&mut r.flow),
-        Payload::RdmaAck(a) => flow(&mut a.flow),
-        Payload::Raw | Payload::Lg(_) => {}
-    }
-    let wire = |n: u64| (n % (2 * 65_536)) as u32;
-    if let Some(h) = &mut p.lg_data {
-        h.seq = h.seq.advance(wire(by[3]));
-    }
-    if let Some(a) = &mut p.lg_ack {
-        a.latest_rx = a.latest_rx.advance(wire(by[4]));
-    }
-}
 
 impl World {
     /// Build the testbed.
@@ -581,16 +472,11 @@ impl World {
             e2e_retx_seen: 0,
             goodput_bytes: [0; 2],
             lg_scratch: PortScratch::default(),
-            mark: None,
+            cycle: Cycle::default(),
             stretch_wait: 0,
-            spare_marks: Vec::new(),
             arrived: Vec::new(),
             late: Vec::new(),
-            kept: Vec::new(),
-            census: StretchCensus::default(),
             off_cycle: 0,
-            events: 0,
-            until: None,
         }
     }
 
@@ -644,11 +530,9 @@ impl World {
     /// stands for, so a trial series reports what the event path would;
     /// a computed stretch counts none.
     pub fn run_until(&mut self, until: Time) -> u64 {
-        let start = self.events;
-        self.spare_marks.extend(self.mark.take());
-        self.until = Some(until);
+        let start = self.cycle.begin(until);
         while let Some((now, ev)) = self.q.pop_if_before(until) {
-            self.events += 1;
+            self.cycle.events += 1;
             let fwd_done = matches!(ev, Ev::PortTxDone { at: Side::Tx, .. });
             self.off_cycle += cycle_place(&ev).is_none() as u64;
             let timed = self.obs.profile_seen.as_mut().is_some_and(|seen| {
@@ -667,39 +551,73 @@ impl World {
                 }
             }
         }
-        self.until = None;
+        let ran = self.cycle.end(start);
         self.settle_host_ports(until);
-        self.events - start
+        ran
     }
 
     /// At a forward departure, mark the world; if it repeats the mark
     /// of the departure before, advance it by the clean periods that
     /// end before the next lost frame, the first pending event that is
-    /// not a period's, and `until`, in one step (DESIGN.md §23).
+    /// not a period's, and `until`, in one step (DESIGN.md §23). No
+    /// stretch is computed with host traffic (host0 then receives
+    /// nothing), a corrupting reverse link, the reverse instance or a
+    /// packet-level trace (a stretch runs no handler).
     fn try_stretch(&mut self, until: Time) {
         let now = self.q.now();
-        self.census.marks += 1;
-        let Some(mark) = self.mark_world(now, false) else {
-            self.census.refused += 1;
+        self.cycle.census.marks += 1;
+        let plain = matches!(self.cfg.app, App::None)
+            && *self.rev_link.loss().model() == LossModel::None
+            && self.lg2_tx.is_none()
+            && !lg_obs::trace::enabled(Level::Pkt);
+        let marked = plain
+            .then(|| cycle::mark(self, now, false, |w, m| w.mark_period(now, m)))
+            .flatten();
+        let Some(mark) = marked else {
+            self.cycle.census.refused += 1;
             return self.miss();
         };
-        let Some(prev) = self.mark.replace(mark) else {
+        let Some(prev) = self.cycle.mark.replace(mark) else {
             return;
         };
-        let cur = self.mark.take().expect("just marked");
-        if (&prev.shape, &prev.pkts) == (&cur.shape, &cur.pkts) {
+        let cur = self.cycle.mark.take().expect("just marked");
+        if prev.same(&cur) {
             self.stretch(&prev, &cur, now, until);
         } else {
-            self.census.unequal += 1;
+            self.cycle.census.unequal += 1;
             self.miss();
         }
-        self.spare_marks.extend([prev, cur]);
+        self.cycle.spare.extend([prev, cur]);
+    }
+
+    /// A stress mark's pending events: each departure and link arrival
+    /// as (kind, side, lead) with its frame, the first event a stretch
+    /// keeps in place, the lead of the latest it moves, the last host1
+    /// arrival and the next link arrival at the receiver switch; and the
+    /// events handled off the period. Returns the host1 arrivals, which
+    /// the mark leaves out.
+    fn mark_period(&mut self, now: Time, m: &mut Mark) -> Option<u64> {
+        m.shape.push(self.off_cycle);
+        let mut hosted = 0;
+        (m.horizon, m.lead, m.host_last, m.next_rx) = (Time::MAX, Duration::ZERO, now, None);
+        self.q.for_each_pending(|at, ev| match cycle_place(ev) {
+            None => m.horizon = m.horizon.min(at),
+            Some((3, _, _)) => (m.host_last, hosted) = (m.host_last.max(at), hosted + 1),
+            Some((kind, place, id)) => {
+                if (kind, place) == (2, 1) && m.next_rx.is_none() {
+                    m.next_rx = Some((at, id));
+                }
+                m.lead = m.lead.max(at - now);
+                m.shape.extend([kind, place, (at - now).as_ps()]);
+                m.hold(id, 0);
+            }
+        });
+        Some(hosted)
     }
 
     /// The world at `now` repeats `prev`: compute the stretch.
     fn stretch(&mut self, prev: &Mark, cur: &Mark, now: Time, until: Time) {
-        let step: [u64; 8] = std::array::from_fn(|i| cur.refs[i].wrapping_sub(prev.refs[i]));
-        let period = step[1];
+        let period = cycle::steps(prev, cur, 1)(NOW);
         // Moved events must all land before a kept one: no tie to order.
         let mut end = until;
         if cur.horizon != Time::MAX {
@@ -753,13 +671,13 @@ impl World {
         ) else {
             return;
         };
-        self.census.stretches += 1;
-        self.census.periods += k;
+        self.cycle.census.stretches += 1;
+        self.cycle.census.periods += k;
         *self.fwd_link.loss_mut() = ahead;
-        let by = step.map(|s| k * s);
-        self.advance_scalars(false, &prev.scalars, k);
-        lg_packet::skip_uids(by[0]);
-        self.rev_link.loss_mut().skip_clean(by[5]);
+        let by = cycle::steps(prev, cur, k);
+        cycle::advance_scalars(self, false, prev, k);
+        lg_packet::skip_uids(by(UID));
+        self.rev_link.loss_mut().skip_clean(by(cur.frames(1)));
         // Host1's pending arrivals all fall inside the stretch.
         let mut arrived = std::mem::take(&mut self.arrived);
         arrived.clear();
@@ -774,8 +692,8 @@ impl World {
             host::arrive(self, 1, id, end);
         }
         self.arrived = arrived;
-        self.pool.for_each_mut(|p| shift(p, &by));
-        self.lg_tx.advance(by[3], end - now);
+        self.pool.for_each_mut(|p| shift(p, by, 0));
+        self.lg_tx.advance(by(Mark::data(0)), end - now);
         self.lg_rx
             .advance(k, Duration::from_ps(period), arriving_len);
         // The stretch's own frames: delivered inside it — all alike, so
@@ -790,124 +708,10 @@ impl World {
         }
         for &(j, at) in &self.late {
             let mut p = tmpl.clone();
-            shift(&mut p, &step.map(|s| j * s));
+            shift(&mut p, cycle::steps(prev, cur, j), 0);
             let id = self.pool.insert(p);
             self.q.schedule_at(at, Ev::HostArrive { host: 1, id });
         }
-    }
-
-    /// When a trial is due at `now`, before it starts, mark the world;
-    /// if it repeats the mark of the trial start before, advance it by
-    /// the whole trials that end before the next lost frame, the first
-    /// pending event kept in place and `until`, in one step, leaving the
-    /// last trial to the event path (DESIGN.md §23). Returns the instant
-    /// the trial at hand starts at.
-    fn try_trials(&mut self, now: Time, until: Time) -> Time {
-        if !self.trials.is_series() {
-            return now;
-        }
-        self.census.trial_marks += 1;
-        let Some(cur) = self.mark_world(now, true) else {
-            self.census.refused += 1;
-            self.spare_marks.extend(self.mark.take());
-            return now;
-        };
-        let Some(prev) = self.mark.take() else {
-            self.mark = Some(cur);
-            return now;
-        };
-        let mut kept = std::mem::take(&mut self.kept);
-        let start = if repeats(&prev, &cur, &mut kept) {
-            self.batch(&prev, &cur, &kept, until)
-        } else {
-            self.census.unequal += 1;
-            None
-        };
-        self.kept = kept;
-        self.spare_marks.push(prev);
-        match start {
-            Some(start) => {
-                // The world at the trial start the batch ends on: what the
-                // next trial start compares with.
-                self.spare_marks.push(cur);
-                self.mark = self.mark_world(start, true);
-                start
-            }
-            None => {
-                self.mark = Some(cur);
-                now
-            }
-        }
-    }
-
-    /// The world at `cur` repeats `prev` a trial later: compute the trials
-    /// that follow, and return the instant the first trial not computed
-    /// starts at, or `None` if none is.
-    fn batch(&mut self, prev: &Mark, cur: &Mark, kept: &[bool], until: Time) -> Option<Time> {
-        let step: [u64; 8] = std::array::from_fn(|i| cur.refs[i].wrapping_sub(prev.refs[i]));
-        let (now, trial) = (Time(cur.refs[1]), step[1]);
-        // The last trial runs as events, so the run ends on its clock.
-        let mut k = u64::from(self.trials.left().saturating_sub(1));
-        k = k.min(until.saturating_since(now).as_ps() / trial);
-        // Moved events must all land before a kept one: no tie to order.
-        let (mut horizon, mut lead) = (Time::MAX, 0);
-        for (&(at, _), &kept) in cur.instants[..cur.pending].iter().zip(kept) {
-            if kept {
-                horizon = horizon.min(at);
-            } else {
-                lead = lead.max((at - now).as_ps());
-            }
-        }
-        let before_kept = horizon
-            .saturating_since(now)
-            .as_ps()
-            .saturating_sub(lead + 1);
-        k = k.min(before_kept / trial);
-        // Every frame of the `k` trials must cross its link.
-        let frames = [step[6], step[5]];
-        for (link, per) in [&self.fwd_link, &self.rev_link].into_iter().zip(frames) {
-            if per > 0 && k > 0 {
-                k = k.min(link.loss().clone().skip_clean(k * per) / per);
-            }
-        }
-        if k == 0 {
-            return None;
-        }
-        self.census.batches += 1;
-        self.census.trials += k;
-        for (link, per) in [&mut self.fwd_link, &mut self.rev_link]
-            .into_iter()
-            .zip(frames)
-        {
-            link.loss_mut().skip_clean(k * per);
-        }
-        let by = step.map(|s| k * s);
-        let dt = Duration::from_ps(by[1]);
-        self.advance_scalars(true, &prev.scalars, k);
-        lg_packet::skip_uids(by[0]);
-        self.trials
-            .skip(u32::try_from(k).expect("fewer than the trials left"));
-        let mut kept = kept.iter();
-        self.q
-            .translate(dt, |ev| Some((ev, !kept.next().expect("marked"))));
-        for h in &mut self.hosts {
-            h.advance(dt, &mut kept);
-        }
-        self.host_ports.iter_mut().for_each(|p| p.advance(dt));
-        self.pool.for_each_mut(|p| shift(p, &by));
-        self.lg_tx.advance(by[3], dt);
-        // Each trial records the marked one's sample and trace.
-        let out = &mut self.out;
-        out.fct.repeat_last(k as usize);
-        if cur.done[1] > prev.done[1] {
-            let t = *out.tcp_traces.last().expect("traced");
-            out.tcp_traces.extend(std::iter::repeat_n(t, k as usize));
-        }
-        if cur.done[2] > prev.done[2] {
-            let t = *out.rdma_traces.last().expect("traced");
-            out.rdma_traces.extend(std::iter::repeat_n(t, k as usize));
-        }
-        Some(now + dt)
     }
 
     /// What host1 counts per frame it receives.
@@ -919,150 +723,8 @@ impl World {
 
     /// The world does not repeat yet: mark it again a few periods on.
     fn miss(&mut self) {
-        self.spare_marks.extend(self.mark.take());
+        self.cycle.forget();
         self.stretch_wait = RETRY_PERIODS;
-    }
-
-    /// The world as [`Mark`] compares it at a forward departure or, if
-    /// `trial`, at a trial start before the trial's event runs; `None`
-    /// where neither a stretch nor a batch is computed: a recovery under
-    /// way, the reverse instance, a trace, and for a stretch also a
-    /// corrupting reverse link or host traffic (host0 then receives
-    /// nothing), for a batch stress, a receiver still draining or a
-    /// world that profiles itself.
-    fn mark_world(&mut self, now: Time, trial: bool) -> Option<Mark> {
-        // A world that profiles itself samples the events it handles.
-        let plain = if trial {
-            self.trials.is_series() && self.stress.is_none() && self.obs.profile_seen.is_none()
-        } else {
-            matches!(self.cfg.app, App::None) && *self.rev_link.loss().model() == LossModel::None
-        };
-        // A batch runs no handler, so it would leave a control-level
-        // trace row out too; a stretch only packet-level ones.
-        let traced = lg_obs::trace::enabled(if trial { Level::Ctl } else { Level::Pkt });
-        if !plain || traced || self.lg2_tx.is_some() {
-            return None;
-        }
-        let mut m = self.spare_marks.pop().unwrap_or_default();
-        let (shape, ids) = (&mut m.shape, &mut m.ids);
-        shape.clear();
-        ids.clear();
-        m.pkts.clear();
-        m.scalars.clear();
-        m.instants.clear();
-        let (tx_seq, rx_seq) = (self.lg_tx.last_sent(), self.lg_rx.latest_rx());
-        // A batch counts the events it stands for among its scalars.
-        let off_cycle = if trial { 0 } else { self.off_cycle };
-        shape.extend([off_cycle, tx_seq.wrapping_sub(rx_seq)]);
-        if !self.lg_rx.shape(now, shape) || trial && self.lg_rx.is_draining() {
-            self.spare_marks.push(m);
-            return None;
-        }
-        self.lg_tx.shape(now, shape, ids);
-        for sw in [&self.sw_tx, &self.sw_rx] {
-            (0..sw.n_ports()).for_each(|p| sw.port(p).shape(shape, ids));
-        }
-        shape.extend(self.dummy_refresh_armed.map(u64::from));
-        let mut hosted = 0;
-        if trial {
-            if !mark_trial_events(&mut self.q, &mut m) {
-                self.spare_marks.push(m);
-                return None;
-            }
-            m.pending = m.instants.len();
-            for h in &self.hosts {
-                h.shape(now, &mut m.shape, &mut m.instants);
-            }
-            self.host_ports
-                .iter()
-                .for_each(|p| p.shape(now, &mut m.shape));
-        } else {
-            (m.horizon, m.lead, m.host_last, m.next_rx) = (Time::MAX, Duration::ZERO, now, None);
-            self.q.for_each_pending(|at, ev| match cycle_place(ev) {
-                None => m.horizon = m.horizon.min(at),
-                Some((3, _, _)) => (m.host_last, hosted) = (m.host_last.max(at), hosted + 1),
-                Some((kind, place, id)) => {
-                    if (kind, place) == (2, 1) && m.next_rx.is_none() {
-                        m.next_rx = Some((at, id));
-                    }
-                    m.lead = m.lead.max(at - now);
-                    shape.extend([kind, place, (at - now).as_ps()]);
-                    ids.push(id);
-                }
-            });
-        }
-        let (shape, ids) = (&mut m.shape, &m.ids);
-        shape.push(self.pool.live() as u64 - hosted);
-        shape.extend(ids.iter().map(|&id| self.pool.refcount(id) as u64));
-        let (fwd, rev) = (self.fwd_link.loss(), self.rev_link.loss());
-        m.refs = [
-            lg_packet::peek_next_uid(),
-            now.as_ps(),
-            self.stress_seq,
-            tx_seq,
-            rx_seq,
-            rev.frames(),
-            fwd.frames(),
-            self.trials.next_flow(),
-        ];
-        let out = &self.out;
-        m.done = [
-            out.fct.len() as u64,
-            out.tcp_traces.len() as u64,
-            out.rdma_traces.len() as u64,
-            fwd.drops() + rev.drops(),
-        ];
-        let to_relative = m.refs.map(u64::wrapping_neg);
-        m.pkts.extend(ids.iter().map(|&id| {
-            let mut p = self.pool.get(id).clone();
-            shift(&mut p, &to_relative);
-            p
-        }));
-        let scalars = &mut m.scalars;
-        self.scalars(trial, &mut |x| scalars.push(*x));
-        Some(m)
-    }
-
-    /// Visit every counter and sequence field a stress period, or if
-    /// `trial` a trial, moves by a fixed step. A stress period leaves out
-    /// host1's, which [`SerialLink::enqueue_train`] computes (high-water
-    /// marks hold).
-    fn scalars(&mut self, trial: bool, f: &mut dyn FnMut(&mut u64)) {
-        let ports: &[PortId] = if trial {
-            &[PORT_LINK, PORT_HOST]
-        } else {
-            &[PORT_LINK]
-        };
-        for sw in [&mut self.sw_tx, &mut self.sw_rx] {
-            ports
-                .iter()
-                .for_each(|&p| sw.counters_mut(p).each_counter(f));
-        }
-        self.lg_tx.scalars(f);
-        self.lg_rx.scalars(f);
-        [&mut self.stress_seq, &mut self.out.stress_tx_frames]
-            .into_iter()
-            .for_each(&mut *f);
-        if trial {
-            for h in &mut self.hosts {
-                h.counters().into_iter().for_each(&mut *f);
-            }
-            let [g0, g1] = &mut self.goodput_bytes;
-            let (retx, off_cycle) = (&mut self.out.e2e_retx_total, &mut self.off_cycle);
-            [g0, g1, retx, off_cycle, &mut self.events]
-                .into_iter()
-                .for_each(f);
-        }
-    }
-
-    /// Move every scalar `k` steps of its change since `prev` (the
-    /// scalars of the mark a period or a trial ago).
-    fn advance_scalars(&mut self, trial: bool, prev: &[u64], k: u64) {
-        let mut i = 0;
-        self.scalars(trial, &mut |x| {
-            *x = x.wrapping_add(k.wrapping_mul(x.wrapping_sub(prev[i])));
-            i += 1;
-        });
     }
 
     /// Handle one event and charge its wall-clock time to its kind.
@@ -1306,71 +968,11 @@ impl World {
         self.hosts[1].stress_rx_frames
     }
 
-    /// The census of the stretches [`World::run_until`] computed.
+    /// The census of the stretches and trials [`World::run_until`]
+    /// computed.
     pub fn stretch_census(&self) -> StretchCensus {
-        self.census
+        self.cycle.census
     }
-}
-
-/// A trial mark's pending events, in filing order: kind and place into
-/// its shape, frames into its ids, and each instant with what a batch
-/// may do with it. False if a receiver timer or a pause is pending: they
-/// belong to a recovery.
-fn mark_trial_events(q: &mut EventQueue<Ev>, m: &mut Mark) -> bool {
-    let mut recovering = false;
-    q.for_each_pending(|at, ev| {
-        let (place, hold) = match *ev {
-            Ev::PortEnqueue { at, class, id } => {
-                m.ids.push(id);
-                ([at as u64, class as u64], Hold::Moves)
-            }
-            Ev::PortTxDone { at, id } | Ev::WireArrive { at, id } => {
-                m.ids.push(id);
-                ([at as u64, 0], Hold::Moves)
-            }
-            Ev::HostArrive { host, id } => {
-                m.ids.push(id);
-                ([host as u64, 0], Hold::Moves)
-            }
-            Ev::HostWake { host } => ([host as u64, 0], Hold::Either),
-            Ev::DummyRefresh { at } => ([at as u64, 0], Hold::Moves),
-            Ev::ActivateLg | Ev::SetLoss(_) | Ev::Sample | Ev::TrialStart => ([0, 0], Hold::Stays),
-            Ev::LgTimeout { .. } | Ev::LgBpTimer { .. } | Ev::PauseApply { .. } => {
-                recovering = true;
-                ([0, 0], Hold::Stays)
-            }
-        };
-        m.shape.extend([ev.kind_idx() as u64, place[0], place[1]]);
-        m.instants.push((at, hold));
-    });
-    !recovering
-}
-
-/// Whether the world at `cur` repeats the one at `prev` a trial later:
-/// equal shapes and frames; one trial completed, with no frame lost;
-/// and each instant either a trial on (it moves) or, where its rule
-/// allows, where it was (it is kept, as `kept` records in order).
-fn repeats(prev: &Mark, cur: &Mark, kept: &mut Vec<bool>) -> bool {
-    let (p, c) = (prev.refs[1], cur.refs[1]);
-    let done: [u64; 4] = std::array::from_fn(|i| cur.done[i] - prev.done[i]);
-    if (&prev.shape, &prev.pkts) != (&cur.shape, &cur.pkts) || done[0] != 1 || done[3] != 0 {
-        return false;
-    }
-    kept.clear();
-    for (&(a, hold), &(b, _)) in prev.instants.iter().zip(&cur.instants) {
-        let moves = b.as_ps().wrapping_sub(c) == a.as_ps().wrapping_sub(p);
-        let stays = a == b
-            && match hold {
-                Hold::Moves => false,
-                Hold::Stays | Hold::Either => true,
-                Hold::Lapsed => b.as_ps() <= c,
-            };
-        if !(moves && hold != Hold::Stays || stays) {
-            return false;
-        }
-        kept.push(stays);
-    }
-    true
 }
 
 /// Kind (1-3), side or host, and frame of an event a stress period
@@ -1475,10 +1077,7 @@ impl PortLoop for World {
     }
 
     fn trial_start(&mut self, now: Time) -> Time {
-        match self.until {
-            Some(until) => self.try_trials(now, until),
-            None => now,
-        }
+        cycle::trial_start(self, now)
     }
 
     fn trial_done(&mut self, host: usize) {
@@ -1514,5 +1113,87 @@ impl PortLoop for World {
             Ev::Sample => self.on_sample(now),
             _ => unreachable!("the shared event path handles {ev:?}"),
         }
+    }
+}
+
+/// What a trial moves in the testbed: its one forward pair (the reverse
+/// instance refuses every mark), both switches and both link directions.
+/// A world under stress or that profiles itself (built while the metrics
+/// sink is on: its profile samples every 64th event handled) computes no
+/// trial.
+impl Periodic for World {
+    fn cycle(&mut self) -> &mut Cycle {
+        &mut self.cycle
+    }
+
+    fn batches(&self) -> bool {
+        self.stress.is_none() && self.obs.profile_seen.is_none() && self.lg2_tx.is_none()
+    }
+
+    fn pairs(&self) -> usize {
+        1
+    }
+
+    fn pair(&mut self, _: usize) -> (&mut LgSender, &mut LgReceiver, &mut bool) {
+        let armed = &mut self.dummy_refresh_armed[Side::Tx as usize];
+        (&mut self.lg_tx, &mut self.lg_rx, armed)
+    }
+
+    fn pair_at(_: usize, _: PortId) -> usize {
+        0
+    }
+
+    fn locate(at: Side) -> (usize, PortId) {
+        (at as usize, PORT_LINK)
+    }
+
+    fn switches(&self) -> usize {
+        2
+    }
+
+    fn switch(&mut self, i: usize) -> &mut Switch {
+        match i {
+            0 => &mut self.sw_tx,
+            _ => &mut self.sw_rx,
+        }
+    }
+
+    /// A stress period leaves out the host ports' counters, which
+    /// [`SerialLink::enqueue_train`] computes (high-water marks hold).
+    fn moves_counters(port: PortId, trial: bool) -> bool {
+        trial || port == PORT_LINK
+    }
+
+    fn directions(&self) -> usize {
+        2
+    }
+
+    fn direction(&mut self, label: usize) -> &mut LinkDirection {
+        match label {
+            0 => &mut self.fwd_link,
+            _ => &mut self.rev_link,
+        }
+    }
+
+    fn host_ports(&mut self) -> &mut [SerialLink; 2] {
+        &mut self.host_ports
+    }
+
+    fn traces(&mut self) -> Option<(&mut Vec<FlowTrace>, &mut Vec<RdmaTrace>)> {
+        Some((&mut self.out.tcp_traces, &mut self.out.rdma_traces))
+    }
+
+    fn extras(&mut self, trial: bool, f: &mut dyn FnMut(&mut u64)) {
+        [&mut self.stress_seq, &mut self.out.stress_tx_frames]
+            .into_iter()
+            .for_each(&mut *f);
+        if trial {
+            let [g0, g1] = &mut self.goodput_bytes;
+            [g0, g1, &mut self.off_cycle].into_iter().for_each(f);
+        }
+    }
+
+    fn udp_seq(&self) -> u64 {
+        self.stress_seq
     }
 }

@@ -2,14 +2,14 @@
 //! host1 arrivals it consumes, the late frames it files and the queue's
 //! translation all reuse buffers the world and its queue keep. A
 //! computed batch of trials allocates only what the FCT samples and the
-//! traces it records grow by.
+//! traces it records grow by, on either testbed loop.
 //!
 //! One test per binary: the counting allocator sees every thread.
 
 use lg_link::{LinkSpeed, LossModel};
 use lg_sim::{Duration, Time};
 use lg_testbed::experiments::{fct_config, FctTransport};
-use lg_testbed::{Protection, World, WorldConfig};
+use lg_testbed::{ChainApp, ChainConfig, ChainWorld, Protection, World, WorldConfig};
 use lg_transport::CcVariant;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +42,7 @@ static GLOBAL: Counting = Counting;
 fn stretches_allocate_nothing_after_warm_up() {
     stress_stretches();
     trial_batches();
+    chain_batches();
 }
 
 fn stress_stretches() {
@@ -94,5 +95,32 @@ fn trial_batches() {
     assert!(
         allocs <= grown,
         "{allocs} allocations across {batches} batches, samples {before:?} -> {after:?}"
+    );
+}
+
+fn chain_batches() {
+    // The same series across three protected hops: every hop's pair,
+    // switch and link is marked, compared and advanced per batch.
+    let cfg = ChainConfig::protected_chain(
+        LinkSpeed::G100,
+        vec![LossModel::None; 3],
+        ChainApp::TcpTrials {
+            variant: CcVariant::Dctcp,
+            msg_len: 143,
+            trials: 2_000,
+        },
+    );
+    let mut w = ChainWorld::new(cfg);
+    w.run_until(Time::ZERO + Duration::from_ms(4));
+    let census = w.stretch_census();
+    let (before, at) = (w.fct.len(), ALLOCS.load(Ordering::Relaxed));
+    w.run_until(Time::ZERO + Duration::from_ms(40));
+    let allocs = ALLOCS.load(Ordering::Relaxed) - at;
+    let after = w.fct.len();
+    let batches = w.stretch_census().batches - census.batches;
+    assert!(batches > 20, "only {batches} batches ran");
+    assert!(
+        allocs <= growth(before, after),
+        "{allocs} allocations across {batches} batches, samples {before} -> {after}"
     );
 }

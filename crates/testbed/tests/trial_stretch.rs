@@ -10,7 +10,7 @@ use lg_link::{LinkSpeed, LossModel};
 use lg_sim::{Duration, Rng, Time};
 use lg_testbed::experiments::{fct_config, FctTransport};
 use lg_testbed::world::{PORT_HOST, PORT_LINK};
-use lg_testbed::{Protection, World, WorldConfig};
+use lg_testbed::{ChainApp, ChainConfig, ChainWorld, Protection, World, WorldConfig};
 use lg_transport::CcVariant;
 
 /// The simulated path: every event handled, no batch ever computed.
@@ -232,7 +232,8 @@ fn computed_trials_hold_under_every_protection() {
 }
 
 /// The `testbed_fct` configuration (100 G LG, iid 1e-3, 24,387 B DCTCP,
-/// seed 1): most trials are computed, and the last one never is.
+/// seed 1): most trials are computed, the last one never is, and no
+/// trial mark is refused.
 #[test]
 fn most_testbed_fct_trials_are_computed() {
     let cfg = config(
@@ -249,6 +250,39 @@ fn most_testbed_fct_trials_are_computed() {
     assert_eq!(w.out.fct.len(), 2_000);
     assert!(c.trials < 2_000 - 1, "{c:?}: the last trial runs as events");
     assert!(c.trials * 10 >= 2_000 * 8, "{c:?}: under 80 % computed");
+    // A drain that ended long ago does not refuse the next mark.
+    assert_eq!(c.refused, 0, "{c:?}");
+}
+
+/// The `chain_rdma` shape (100 G, three protected hops at iid 1e-3 each,
+/// 24,387 B RDMA go-back-N, seed 1): most trials are computed, and the
+/// last one never is.
+#[test]
+fn most_chain_rdma_trials_are_computed() {
+    let mut w = chain_rdma(2_000, true, 1);
+    w.run_until(Time::MAX);
+    let c = w.stretch_census();
+    assert_eq!(w.fct.len(), 2_000);
+    assert!(c.trials < 2_000 - 1, "{c:?}: the last trial runs as events");
+    assert!(c.trials * 10 >= 2_000 * 6, "{c:?}: under 60 % computed");
+}
+
+/// The `chain_rdma` chain: three hops at iid 1e-3, every hop protected,
+/// or only the middle one.
+fn chain_rdma(trials: u32, protected: bool, seed: u64) -> ChainWorld {
+    let mut cfg = ChainConfig::protected_chain(
+        LinkSpeed::G100,
+        vec![LossModel::Iid { rate: 1e-3 }; 3],
+        ChainApp::RdmaTrials {
+            msg_len: 24_387,
+            trials,
+        },
+    );
+    if !protected {
+        cfg.protected = vec![false, true, false];
+    }
+    cfg.seed = seed;
+    ChainWorld::new(cfg)
 }
 
 /// The census DESIGN.md §23 tabulates for trial series: the share of
@@ -343,14 +377,25 @@ fn stretch_census() {
             1,
         ));
         w.run_until(Time::MAX);
-        let c = w.stretch_census();
-        println!(
-            "| {label} | {trials} | {:.1} % | {} | {} | {} | {} |",
-            100.0 * c.trials as f64 / f64::from(trials),
-            c.batches,
-            c.trials.checked_div(c.batches).unwrap_or(0),
-            c.refused,
-            c.unequal,
-        );
+        row(label, trials, w.stretch_census());
     }
+    for (label, protected) in [
+        ("chain_rdma 3 hops, all LG", true),
+        ("chain_rdma 3 hops, middle LG", false),
+    ] {
+        let mut w = chain_rdma(20_000, protected, 1);
+        w.run_until(Time::MAX);
+        row(label, 20_000, w.stretch_census());
+    }
+}
+
+fn row(label: &str, trials: u32, c: lg_testbed::StretchCensus) {
+    println!(
+        "| {label} | {trials} | {:.1} % | {} | {} | {} | {} |",
+        100.0 * c.trials as f64 / f64::from(trials),
+        c.batches,
+        c.trials.checked_div(c.batches).unwrap_or(0),
+        c.refused,
+        c.unequal,
+    );
 }

@@ -91,8 +91,10 @@ fn chain_world_clean_path_baseline() {
 /// `lg: None`, an inactive pair), so the two loops must agree bit for
 /// bit on every trial — FCT samples, transport retransmissions,
 /// link-local recoveries and timeouts, the final clock, and the work
-/// behind them: the events each loop handled, the packets it created
-/// and the pool slots it grew to.
+/// behind them: the events each loop handled (a computed trial counts
+/// the events it stands for), the packets it created and the pool slots
+/// it grew to. Both loops compute their clean trials through the same
+/// code, so they compute the same trials in the same batches.
 #[test]
 fn one_hop_chain_is_the_world() {
     use lg_packet::peek_next_uid;
@@ -168,6 +170,11 @@ fn one_hop_chain_is_the_world() {
                     assert_eq!(chain.total_lg_timeouts(), rx.timeouts, "{case}");
                     assert_eq!(chain.q.now(), world.q.now(), "{case}: final clock");
                     assert_eq!(chain_events, world_events, "{case}: events handled");
+                    assert_eq!(
+                        chain.stretch_census(),
+                        world.stretch_census(),
+                        "{case}: trials and batches computed"
+                    );
                     assert_eq!(chain_packets, world_packets, "{case}: packets created");
                     assert_eq!(
                         chain.pool.slot_count(),
