@@ -764,7 +764,7 @@ impl LgReceiver {
     /// receiver's sequence and `now`; false while a recovery is under
     /// way (anything missing, buffered, paused or timed).
     pub fn shape(&self, now: Time, out: &mut Vec<u64>) -> bool {
-        let draining = self.draining_bytes > 0;
+        let draining = self.is_draining(now);
         out.extend([
             self.active as u64,
             self.latest_rx.wrapping_sub(self.ack_no),
@@ -794,6 +794,15 @@ impl LgReceiver {
             .rate()
             .bytes_in(now.saturating_since(self.drain_last));
         self.draining_bytes > drained
+    }
+
+    /// Drop a backlog that has drained by `now`. Exact: every later read
+    /// decays it first, to 0 at any instant from `now` on; and with no
+    /// backlog left, when it was last decayed is read by nothing.
+    pub fn forget_drained(&mut self, now: Time) {
+        if !self.is_draining(now) {
+            self.draining_bytes = 0;
+        }
     }
 
     /// Visit the sequence fields, instants and counters a period moves.
@@ -1463,6 +1472,89 @@ mod tests {
         let mut acks = Vec::new();
         r.make_explicit_acks(Time::from_us(1), &mut pool, &mut acks);
         assert_eq!(acks.len(), 3);
+    }
+
+    /// A receiver that recovered `lost` behind `held` buffered frames
+    /// (each arrival 1 µs after the last), and the first instant its
+    /// drain backlog has decayed to 0.
+    fn drained_after_recovery(lost: u64, held: u64, pool: &mut PacketPool) -> (LgReceiver, Time) {
+        let mut r = ordered_rx();
+        let mut t = Time::ZERO;
+        let seqs = (1..lost).chain(lost + 1..=lost + held);
+        for (seq, kind) in seqs
+            .map(|s| (s, LgPacketType::Original))
+            .chain([(lost, LgPacketType::Retransmit)])
+        {
+            t += Duration::from_us(1);
+            let id = data(pool, seq, kind);
+            for a in rx(&mut r, id, t, pool) {
+                if let ReceiverAction::Deliver(id) | ReceiverAction::SendReverse { id, .. } = a {
+                    pool.release(id);
+                }
+            }
+        }
+        assert!(r.is_draining(t), "the recovery left a backlog");
+        let (mut lo, mut hi) = (t.as_ps(), t.as_ps() + 1_000_000_000);
+        while lo + 1 < hi {
+            let mid = (lo + hi) / 2;
+            if r.is_draining(Time::from_ps(mid)) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (r, Time::from_ps(hi))
+    }
+
+    proptest::proptest! {
+        /// A receiver whose drain backlog has decayed to 0 by `now`
+        /// shapes like one with none, and then delivers, acknowledges,
+        /// occupies the recirculation path and drains alike through any
+        /// later arrivals: in order, across a hole, or a hole's copy.
+        #[test]
+        fn a_drained_backlog_is_no_backlog(
+            lost in 2u64..20,
+            held in 1u64..30,
+            late in proptest::prop_oneof![proptest::strategy::Just(0u64), 0u64..2_000_000],
+            script in proptest::collection::vec((0u64..300_000, 0u8..4), 1..60),
+        ) {
+            let mut pools = [PacketPool::new(), PacketPool::new()];
+            let [a, b] = &mut pools;
+            let (mut with, drained) = drained_after_recovery(lost, held, a);
+            let (mut without, _) = drained_after_recovery(lost, held, b);
+            let now = drained + Duration::from_ps(late);
+            without.forget_drained(now);
+            let runs = [(&mut with, a), (&mut without, b)].map(|(r, pool)| {
+                let mut shape = Vec::new();
+                let repeats = r.shape(now, &mut shape);
+                let mut seen = vec![format!("{repeats} {shape:?} {}", r.is_draining(now))];
+                let (mut t, mut next, mut holes) = (now, lost + held + 1, Vec::new());
+                for &(gap, kind) in &script {
+                    t += Duration::from_ps(gap);
+                    let (seq, copy) = match kind {
+                        0 | 1 => (next, false),
+                        2 => {
+                            holes.push(next);
+                            (next + 1, false)
+                        }
+                        _ => holes.pop().map_or((next, false), |h| (h, true)),
+                    };
+                    next = next.max(seq + 1);
+                    let k = if copy { LgPacketType::Retransmit } else { LgPacketType::Original };
+                    let id = data(pool, seq, k);
+                    let actions = rx(r, id, t, pool);
+                    seen.push(format!(
+                        "{actions:?} occ {} draining {} ack {} {:?}",
+                        r.recirc_occupancy(t),
+                        r.is_draining(t),
+                        r.ack_no(),
+                        r.stats(),
+                    ));
+                }
+                seen
+            });
+            proptest::prop_assert_eq!(&runs[0], &runs[1]);
+        }
     }
 
     /// The counted drain equals the per-arrival recurrence it replaced.

@@ -255,10 +255,19 @@ impl SerialLink {
 
     /// What a repeating run must find unchanged, relative to `now`: the
     /// serializer's last start and finish, and every frame waiting or
-    /// not yet counted (DESIGN.md §23).
+    /// not yet counted (DESIGN.md §23). A serializer that finished before
+    /// `now` shapes as one constant, whatever its last start and finish:
+    /// a later hand-over reads them only through `max(arrive, free_at)`
+    /// and `arrive > free_at`, the same for any finish before it.
     pub fn shape(&self, now: Time, out: &mut Vec<u64>) {
         let rel = |t: Time| t.as_ps().wrapping_sub(now.as_ps());
-        out.extend([rel(self.free_at), rel(self.last_start), self.waiting_bytes]);
+        // Relative to `now`, no finish at or after it reads `u64::MAX`.
+        let [free, start] = if self.free_at < now {
+            [u64::MAX; 2]
+        } else {
+            [rel(self.free_at), rel(self.last_start)]
+        };
+        out.extend([free, start, self.waiting_bytes]);
         out.push(self.waiting.len() as u64);
         for w in &self.waiting {
             out.extend([rel(w.start), rel(w.kick_filed), w.len as u64]);
@@ -474,6 +483,69 @@ mod tests {
             script.extend(s);
             check(&script);
         }
+
+        #[test]
+        fn an_idle_port_forgets_its_last_frame(
+            a in history(),
+            b in history(),
+            idle in prop_oneof![Just(0u64), 0u64..3_000_000],
+            script in steps(),
+        ) {
+            check_idle(&a, &b, idle, &script);
+        }
+    }
+
+    /// `(gap before, frame selector)` per hand-over.
+    fn history() -> impl Strategy<Value = Vec<(u64, u8)>> {
+        let gap = prop_oneof![Just(0u64), 0u64..2_000_000];
+        proptest::collection::vec((gap, 0u8..3), 0..40)
+    }
+
+    /// Two ports handed histories `a` and `b`, then read 1 ps before an
+    /// instant `idle` past both finishing, shape alike there and leave
+    /// every frame of `script` (hand-overs and reads from that instant
+    /// on) at the same instant with the same counts, whatever their last
+    /// start and finish were.
+    fn check_idle(a: &[(u64, u8)], b: &[(u64, u8)], idle: u64, script: &[Step]) {
+        let ports = [a, b].map(|history| {
+            let mut link = SerialLink::default();
+            let mut at = Time::from_us(1);
+            for &(g, f) in history {
+                at += Duration::from_ps(g);
+                let len = LENS[f as usize];
+                let mut counters = PortCounters::default();
+                link.enqueue_len(at, at + LEAD, ser(len + 20), len, &mut counters);
+            }
+            (link, at)
+        });
+        let last = ports.iter().map(|(l, at)| l.free_at.max(*at)).max();
+        let now = last.expect("two ports") + Duration::from_ps(1 + idle);
+        let runs = ports.map(|(mut link, _)| {
+            link.settle(now - Duration::from_ps(1), &mut PortCounters::default());
+            let mut shape = Vec::new();
+            link.shape(now, &mut shape);
+            let mut counters = PortCounters::default();
+            let (mut t, mut after_read, mut seen) = (now, false, Vec::new());
+            for &(is_read, sel, jitter, frame) in script {
+                if !seen.is_empty() {
+                    t += gap(sel, jitter, after_read);
+                }
+                after_read = is_read;
+                if is_read {
+                    link.settle(t, &mut counters);
+                    seen.push((None, counters));
+                } else {
+                    let len = LENS[frame as usize % 3];
+                    let done = link.enqueue_len(t, t + LEAD, ser(len + 20), len, &mut counters);
+                    seen.push((done, counters));
+                }
+            }
+            link.settle(Time::MAX, &mut counters);
+            (shape, seen, counters)
+        });
+        assert_eq!(runs[0].0, runs[1].0, "shapes at {now}");
+        assert_eq!(runs[0].1, runs[1].1, "departures and counts");
+        assert_eq!(runs[0].2, runs[1].2, "final counts");
     }
 
     /// The per-frame loop [`SerialLink::enqueue_train`] replaced, refusing

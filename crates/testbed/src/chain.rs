@@ -256,7 +256,8 @@ impl ChainWorld {
     }
 
     /// Run every event due at or before `until`, returning the number
-    /// handled. The clean trials of the series are computed rather than
+    /// handled, and settle the host-facing ports' counters to `until`.
+    /// The clean trials of the series are computed rather than
     /// simulated, and a computed trial counts the events it stands for,
     /// so the count is the event path's. Window-sliced execution is
     /// exact: a batch of trials never reaches past `until`, so a chain
@@ -269,7 +270,9 @@ impl ChainWorld {
             self.cycle.events += 1;
             port::handle(self, ev, now);
         }
-        self.cycle.end(start)
+        let ran = self.cycle.end(start);
+        port::settle_host_ports(self, until);
+        ran
     }
 
     /// Handle one event on the event path, computing nothing: the
@@ -430,10 +433,6 @@ impl Periodic for ChainWorld {
         } else {
             rev
         }
-    }
-
-    fn host_ports(&mut self) -> &mut [SerialLink; 2] {
-        &mut self.host_ports
     }
 }
 

@@ -13,11 +13,11 @@ use lg_obs::trace::Level;
 use lg_obs::Counters;
 use lg_packet::{FlowId, Packet, Payload, PktId};
 use lg_sim::{Duration, Time};
-use lg_switch::{PortId, SerialLink, Switch};
+use lg_switch::{PortId, Switch};
 use lg_transport::{FlowTrace, RdmaTrace};
 use linkguardian::{LgReceiver, LgSender};
 
-use crate::port::{Ev, PortLoop};
+use crate::port::{self, Ev, PortLoop};
 
 /// A testbed loop as a computed trial batch sees it: what a trial moves.
 pub(crate) trait Periodic: PortLoop {
@@ -48,8 +48,6 @@ pub(crate) trait Periodic: PortLoop {
     fn directions(&self) -> usize;
     /// The link direction labelled `label` (see [`PortLoop::link`]).
     fn direction(&mut self, label: usize) -> &mut LinkDirection;
-    /// The host-facing ports (index = host).
-    fn host_ports(&mut self) -> &mut [SerialLink; 2];
     /// The per-trial TCP and RDMA traces the loop keeps, if any.
     fn traces(&mut self) -> Option<(&mut Vec<FlowTrace>, &mut Vec<RdmaTrace>)> {
         None
@@ -85,6 +83,64 @@ pub struct StretchCensus {
     pub trials: u64,
     /// Batches of trials computed.
     pub batches: u64,
+    /// Batches that took the step of the last batch before them: their
+    /// trial mark repeated that batch's, not the mark a trial before.
+    pub resumed: u64,
+    /// The unequal trial marks, by what first differed.
+    pub causes: Causes,
+}
+
+/// The trial marks that did not repeat the one a trial before, by the
+/// first thing found to differ, in the order the comparison looks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Causes {
+    /// A link lost a frame between the two marks (or not exactly one
+    /// trial completed).
+    pub lost: u64,
+    /// The shape of a LinkGuardian pair: sequences in flight, refresh
+    /// flag, sender and receiver state.
+    pub pair: u64,
+    /// The shape of a switch port: queues, pause state, buffered frames.
+    pub switch: u64,
+    /// The pending events: their kinds and places.
+    pub events: u64,
+    /// The shape of a host: transports in place, pending wake, NIC.
+    pub host: u64,
+    /// The shape of a host-facing switch port.
+    pub host_port: u64,
+    /// The pool: live packets, their reference counts or contents.
+    pub packets: u64,
+    /// An instant a trial moves, not a trial on.
+    pub moved: u64,
+    /// An instant that may stay, neither where it was nor a trial on.
+    pub kept: u64,
+}
+
+/// What [`repeats`] found first to differ.
+#[derive(Debug, Clone, Copy)]
+enum Cause {
+    Lost,
+    /// The shape section ([`Mark::ends`]) it differs in.
+    Shape(usize),
+    Packets,
+    Moved,
+    Kept,
+}
+
+impl Causes {
+    fn count(&mut self, cause: Cause) {
+        *match cause {
+            Cause::Lost => &mut self.lost,
+            Cause::Shape(0) => &mut self.pair,
+            Cause::Shape(1) => &mut self.switch,
+            Cause::Shape(2) => &mut self.events,
+            Cause::Shape(3) => &mut self.host,
+            Cause::Shape(_) => &mut self.host_port,
+            Cause::Packets => &mut self.packets,
+            Cause::Moved => &mut self.moved,
+            Cause::Kept => &mut self.kept,
+        } += 1;
+    }
 }
 
 /// A loop's periodic-state bookkeeping.
@@ -94,7 +150,11 @@ pub(crate) struct Cycle {
     pub mark: Option<Mark>,
     /// Marks done with, whose buffers the next ones reuse.
     pub spare: Vec<Mark>,
-    /// Which instants of a trial mark a batch keeps in place.
+    /// The last batch's marks and what it repeated: a later trial mark
+    /// that matches them batches with their step. Kept across `run_until`
+    /// calls, since its step was measured inside one.
+    template: Option<Template>,
+    /// Which instants of a trial mark a batch keeps in place (a buffer).
     kept: Vec<bool>,
     pub census: StretchCensus,
     /// Events `run_until` handled, and those the computed trials stand
@@ -146,6 +206,10 @@ const FLOW: usize = 3;
 pub(crate) struct Mark {
     /// Everything compared that is not a packet.
     pub shape: Vec<u64>,
+    /// Where a trial mark's shape of the pairs, the switches, the
+    /// pending events, the hosts and the host-facing ports ends (the
+    /// pool's follows).
+    ends: [usize; 5],
     pkts: Vec<Packet>,
     /// The frames `pkts` normalizes (a buffer, not compared), and the
     /// pair whose sequences each carries.
@@ -304,6 +368,7 @@ fn fill<L: Periodic>(
         let (tx_seq, rx_seq) = (tx.last_sent(), rx.latest_rx());
         m.shape
             .extend([tx_seq.wrapping_sub(rx_seq), u64::from(*armed)]);
+        rx.forget_drained(now);
         if !rx.shape(now, &mut m.shape) || trial && rx.is_draining(now) {
             return None;
         }
@@ -311,6 +376,7 @@ fn fill<L: Periodic>(
         m.refs.extend([tx_seq, rx_seq]);
         m.owners.resize(m.ids.len(), i);
     }
+    m.ends[0] = m.shape.len();
     for s in 0..w.switches() {
         let sw = w.switch(s);
         for p in 0..sw.n_ports() {
@@ -319,6 +385,7 @@ fn fill<L: Periodic>(
                 .resize(m.ids.len(), L::pair_at(s, p).min(m.pairs - 1));
         }
     }
+    m.ends[1] = m.shape.len();
     let hosted = events(w, m)?;
     let mut drops = 0;
     for l in 0..w.directions() {
@@ -371,12 +438,19 @@ fn visit_scalars<L: Periodic>(w: &mut L, trial: bool, f: &mut dyn FnMut(&mut u64
     }
 }
 
-/// Move every scalar `k` steps of its change since `prev` (the scalars
-/// of the mark a period or a trial ago).
-pub(crate) fn advance_scalars<L: Periodic>(w: &mut L, trial: bool, prev: &Mark, k: u64) {
+/// Move every scalar `k` steps of its change from `prev` to `cur`, the
+/// scalars of two marks a period or a trial apart.
+pub(crate) fn advance_scalars<L: Periodic>(
+    w: &mut L,
+    trial: bool,
+    prev: &Mark,
+    cur: &Mark,
+    k: u64,
+) {
     let mut i = 0;
     visit_scalars(w, trial, &mut |x| {
-        *x = x.wrapping_add(k.wrapping_mul(x.wrapping_sub(prev.scalars[i])));
+        let step = cur.scalars[i].wrapping_sub(prev.scalars[i]);
+        *x = x.wrapping_add(k.wrapping_mul(step));
         i += 1;
     });
 }
@@ -426,14 +500,20 @@ fn trial_events<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<u64> 
         return None;
     }
     m.pending = m.instants.len();
+    m.ends[2] = m.shape.len();
     let p = w.parts();
     for h in p.hosts.iter() {
         h.shape(now, &mut m.shape, &mut m.instants);
     }
+    m.ends[3] = m.shape.len();
     let live = p.pool.live();
-    for port in w.host_ports().iter() {
-        port.shape(now, &mut m.shape);
+    // Count the frames already finished, so that no port holds a past
+    // completion: what a port shapes is then what a later event reads.
+    port::settle_host_ports(w, Time(now.as_ps().saturating_sub(1)));
+    for host in 0..2 {
+        w.host_port(host).2.shape(now, &mut m.shape);
     }
+    m.ends[4] = m.shape.len();
     m.slots.clear();
     m.slots.extend(
         m.ids
@@ -450,11 +530,22 @@ fn trial_events<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<u64> 
 /// equal shapes and frames; one trial completed, with no frame lost;
 /// and each instant either a trial on (it moves) or, where its rule
 /// allows, where it was (it is kept, as `kept` records in order).
-fn repeats(prev: &Mark, cur: &Mark, kept: &mut Vec<bool>) -> bool {
+/// Otherwise the first thing found to differ.
+fn repeats(prev: &Mark, cur: &Mark, kept: &mut Vec<bool>) -> Result<(), Cause> {
     let (p, c) = (prev.refs[NOW], cur.refs[NOW]);
     let done: [u64; 4] = std::array::from_fn(|i| cur.done[i] - prev.done[i]);
-    if !prev.same(cur) || done[0] != 1 || done[3] != 0 {
-        return false;
+    if done[0] != 1 || done[3] != 0 {
+        return Err(Cause::Lost);
+    }
+    if prev.shape != cur.shape {
+        let (a, b) = (&prev.shape, &cur.shape);
+        let at = a.iter().zip(b).position(|(x, y)| x != y);
+        let at = at.unwrap_or(a.len().min(b.len()));
+        let section = (0..5).find(|&s| at < prev.ends[s].max(cur.ends[s]));
+        return Err(section.map_or(Cause::Packets, Cause::Shape));
+    }
+    if prev.pkts != cur.pkts {
+        return Err(Cause::Packets);
     }
     kept.clear();
     for (&(a, hold), &(b, _)) in prev.instants.iter().zip(&cur.instants) {
@@ -466,20 +557,91 @@ fn repeats(prev: &Mark, cur: &Mark, kept: &mut Vec<bool>) -> bool {
                 Hold::Lapsed => b.as_ps() <= c,
             };
         if !(moves && hold != Hold::Stays || stays) {
-            return false;
+            return Err(if hold == Hold::Moves {
+                Cause::Moved
+            } else {
+                Cause::Kept
+            });
         }
         kept.push(stays);
     }
-    true
+    Ok(())
+}
+
+/// The last batch's step: the two trial marks it was taken between,
+/// which of their instants it kept, and what the marked trial recorded.
+struct Template {
+    prev: Mark,
+    cur: Mark,
+    kept: Vec<bool>,
+    /// The marked trial's FCT sample (µs), and its TCP and RDMA traces
+    /// where the loop keeps them.
+    fct_us: f64,
+    tcp: Option<FlowTrace>,
+    rdma: Option<RdmaTrace>,
+}
+
+impl Template {
+    /// `prev` repeats as `cur` a trial later, keeping the instants
+    /// `kept` says: the step, with the sample and traces the trial
+    /// between them recorded.
+    fn new<L: Periodic>(w: &mut L, prev: Mark, cur: Mark, kept: Vec<bool>) -> Template {
+        let fct_us = w.parts().fct.last_us();
+        let traced = |i: usize| cur.done[i] > prev.done[i];
+        let (tcp, rdma) = match w.traces() {
+            Some((tcp, rdma)) => (
+                tcp.last().copied().filter(|_| traced(1)),
+                rdma.last().copied().filter(|_| traced(2)),
+            ),
+            None => (None, None),
+        };
+        Template {
+            prev,
+            cur,
+            kept,
+            fct_us,
+            tcp,
+            rdma,
+        }
+    }
+
+    /// Whether the world at `m`, a trial start that did not repeat the
+    /// one before, repeats this template's: a batch may then take its
+    /// step. Equal shapes and frames; every instant the template moved
+    /// at its offset into the trial; and every one it kept where it kept
+    /// it, or a deadline already past, or a wake no later into the trial
+    /// than the template's marked trial found its own. That trial filed
+    /// no request before its wake, and each later trial repeats its
+    /// requests at the same offsets, so none files one before `m`'s.
+    fn resumes(&self, m: &Mark) -> bool {
+        if !self.cur.same(m) {
+            return false;
+        }
+        let (start, now) = (self.prev.refs[NOW], m.refs[NOW]);
+        let into = |at: Time, from: u64| at.as_ps().wrapping_sub(from);
+        let pairs = self.cur.instants.iter().zip(&m.instants);
+        pairs.zip(&self.kept).all(|((&(a, hold), &(b, _)), &kept)| {
+            if !kept {
+                return into(b, now) == into(a, self.cur.refs[NOW]);
+            }
+            b == a
+                || match hold {
+                    Hold::Lapsed => b.as_ps() <= now,
+                    Hold::Either => into(b, now) <= into(a, start),
+                    Hold::Moves | Hold::Stays => false,
+                }
+        })
+    }
 }
 
 /// A trial is due at `now`: inside `run_until`, mark the world before it
-/// starts; if it repeats the mark of the trial start before, advance it
-/// by the whole trials that end before the next lost frame, the first
-/// pending event kept in place and `until`, in one step, leaving the
-/// last trial to the event path (DESIGN.md §23). Returns the instant the
-/// trial at hand starts at. The mark is refused while a trace is on: a
-/// batch runs no handler, so it would leave control-level rows out.
+/// starts; if it repeats the mark of the trial start before, or else the
+/// last batch's template, advance it by the whole trials that end before
+/// the next lost frame, the first pending event kept in place and
+/// `until`, in one step, leaving the last trial to the event path
+/// (DESIGN.md §23). Returns the instant the trial at hand starts at. The
+/// mark is refused while a trace is on: a batch runs no handler, so it
+/// would leave control-level rows out.
 pub(crate) fn trial_start<L: Periodic>(w: &mut L, now: Time) -> Time {
     let Some(until) = w.cycle().until else {
         return now;
@@ -497,54 +659,73 @@ pub(crate) fn trial_start<L: Periodic>(w: &mut L, now: Time) -> Time {
         c.forget();
         return now;
     };
-    let Some(prev) = w.cycle().mark.take() else {
-        w.cycle().mark = Some(cur);
-        return now;
-    };
-    let mut kept = std::mem::take(&mut w.cycle().kept);
-    let start = if repeats(&prev, &cur, &mut kept) {
-        batch(w, &prev, &cur, &kept, until)
-    } else {
-        w.cycle().census.unequal += 1;
-        None
-    };
     let c = w.cycle();
-    c.kept = kept;
-    c.spare.push(prev);
-    match start {
-        Some(start) => {
-            // The world at the trial start the batch ends on: what the
-            // next trial start compares with.
+    let mut kept = std::mem::take(&mut c.kept);
+    let prev = c.mark.take();
+    let repeat = prev.as_ref().map(|prev| repeats(prev, &cur, &mut kept));
+    let start = match (prev, repeat) {
+        (Some(prev), Some(Ok(()))) => {
+            let t = Template::new(w, prev, cur, kept);
+            match batch(w, &t, &t.cur, until) {
+                Some(start) => {
+                    let c = w.cycle();
+                    if let Some(old) = c.template.replace(t) {
+                        c.spare.extend([old.prev, old.cur]);
+                        c.kept = old.kept;
+                    }
+                    start
+                }
+                None => {
+                    let c = w.cycle();
+                    c.spare.push(t.prev);
+                    c.mark = Some(t.cur);
+                    c.kept = t.kept;
+                    return now;
+                }
+            }
+        }
+        (prev, repeat) => {
+            let c = w.cycle();
+            c.kept = kept;
+            c.spare.extend(prev);
+            if let Some(Err(cause)) = repeat {
+                c.census.unequal += 1;
+                c.census.causes.count(cause);
+            }
+            let t = c.template.take();
+            let resumed = t.as_ref().filter(|t| t.resumes(&cur));
+            let start = resumed.and_then(|t| batch(w, t, &cur, until));
+            let c = w.cycle();
+            c.template = t;
+            let Some(start) = start else {
+                c.mark = Some(cur);
+                return now;
+            };
+            c.census.resumed += 1;
             c.spare.push(cur);
-            let next = mark(w, start, true, |w, m| trial_events(w, start, m));
-            w.cycle().mark = next;
             start
         }
-        None => {
-            c.mark = Some(cur);
-            now
-        }
-    }
+    };
+    // The world at the trial start the batch ends on: what the next
+    // trial start compares with.
+    let next = mark(w, start, true, |w, m| trial_events(w, start, m));
+    w.cycle().mark = next;
+    start
 }
 
-/// The world at `cur` repeats `prev` a trial later: compute the trials
-/// that follow, and return the instant the first trial not computed
-/// starts at, or `None` if none is.
-fn batch<L: Periodic>(
-    w: &mut L,
-    prev: &Mark,
-    cur: &Mark,
-    kept: &[bool],
-    until: Time,
-) -> Option<Time> {
+/// The world at `at` repeats the template's marks: compute the trials
+/// that follow, each a step of the template's, and return the instant
+/// the first trial not computed starts at, or `None` if none is.
+fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Option<Time> {
+    let (prev, cur) = (&t.prev, &t.cur);
     let step = steps(prev, cur, 1);
-    let (now, trial) = (Time(cur.refs[NOW]), step(NOW));
+    let (now, trial) = (Time(at.refs[NOW]), step(NOW));
     // The last trial runs as events, so the run ends on its clock.
     let mut k = u64::from(w.parts().trials.left().saturating_sub(1));
     k = k.min(until.saturating_since(now).as_ps() / trial);
     // Moved events must all land before a kept one: no tie to order.
     let (mut horizon, mut lead) = (Time::MAX, 0);
-    for (&(at, _), &kept) in cur.instants[..cur.pending].iter().zip(kept) {
+    for (&(at, _), &kept) in at.instants[..at.pending].iter().zip(&t.kept) {
         if kept {
             horizon = horizon.min(at);
         } else {
@@ -576,36 +757,36 @@ fn batch<L: Periodic>(
     }
     let by = steps(prev, cur, k);
     let dt = Duration::from_ps(by(NOW));
-    advance_scalars(w, true, prev, k);
+    advance_scalars(w, true, prev, cur, k);
     lg_packet::skip_uids(by(UID));
     let p = w.parts();
     p.trials
         .skip(u32::try_from(k).expect("fewer than the trials left"));
-    let mut kept = kept.iter();
+    let mut kept = t.kept.iter();
     p.q.translate(dt, |ev| Some((ev, !kept.next().expect("marked"))));
     for h in p.hosts.iter_mut() {
         h.advance(dt, &mut kept);
     }
-    let mut slots = cur.slots.iter();
+    let mut slots = at.slots.iter();
     p.pool.for_each_indexed_mut(|slot, pkt| {
         let &(marked, pair) = slots.next().expect("every live packet marked");
         debug_assert_eq!(marked, slot, "a live packet the mark missed");
         shift(pkt, by, pair);
     });
     // Each trial records the marked one's sample and trace.
-    p.fct.repeat_last(k as usize);
-    w.host_ports().iter_mut().for_each(|p| p.advance(dt));
+    p.fct.repeat_us(t.fct_us, k as usize);
+    for host in 0..2 {
+        w.host_port(host).2.advance(dt);
+    }
     for i in 0..w.pairs() {
         w.pair(i).0.advance(by(Mark::data(i)), dt);
     }
     if let Some((tcp, rdma)) = w.traces() {
-        if cur.done[1] > prev.done[1] {
-            let t = *tcp.last().expect("traced");
-            tcp.extend(std::iter::repeat_n(t, k as usize));
+        if let Some(f) = t.tcp {
+            tcp.extend(std::iter::repeat_n(f, k as usize));
         }
-        if cur.done[2] > prev.done[2] {
-            let t = *rdma.last().expect("traced");
-            rdma.extend(std::iter::repeat_n(t, k as usize));
+        if let Some(r) = t.rdma {
+            rdma.extend(std::iter::repeat_n(r, k as usize));
         }
     }
     Some(now + dt)

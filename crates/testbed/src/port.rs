@@ -269,6 +269,16 @@ pub(crate) trait PortLoop {
     }
 }
 
+/// Bring the host-facing ports' counters (and queue depth) to what
+/// they read once every event at or before `upto` has run: a computed
+/// hop has no completion event to count a frame at.
+pub(crate) fn settle_host_ports<L: PortLoop>(w: &mut L, upto: Time) {
+    for host in 0..2 {
+        let (sw, port, link, _) = w.host_port(host);
+        link.settle(upto, sw.counters_mut(port));
+    }
+}
+
 /// Dispatch one event of loop `w` due at `now`.
 pub(crate) fn handle<L: PortLoop>(w: &mut L, ev: Ev<L::Port>, now: Time) {
     match ev {

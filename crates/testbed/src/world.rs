@@ -40,8 +40,8 @@ use lg_transport::{CcVariant, FlowTrace, RdmaTrace};
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender};
 
-pub use crate::cycle::StretchCensus;
 use crate::cycle::{self, shift, Cycle, Mark, Periodic, NOW, UID};
+pub use crate::cycle::{Causes, StretchCensus};
 use crate::host::{self, Trials};
 pub use crate::host::{Host, HOST_HOP};
 use crate::port::{self, Exit, LgPort, Parts, PortLoop, PortScratch};
@@ -552,7 +552,7 @@ impl World {
             }
         }
         let ran = self.cycle.end(start);
-        self.settle_host_ports(until);
+        port::settle_host_ports(self, until);
         ran
     }
 
@@ -675,7 +675,7 @@ impl World {
         self.cycle.census.periods += k;
         *self.fwd_link.loss_mut() = ahead;
         let by = cycle::steps(prev, cur, k);
-        cycle::advance_scalars(self, false, prev, k);
+        cycle::advance_scalars(self, false, prev, cur, k);
         lg_packet::skip_uids(by(UID));
         self.rev_link.loss_mut().skip_clean(by(cur.frames(1)));
         // Host1's pending arrivals all fall inside the stretch.
@@ -737,14 +737,6 @@ impl World {
         self.obs.profile_ns[kind] += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Bring the host-facing ports' counters (and queue depth) to what
-    /// they read once every event at or before `upto` has run: a
-    /// computed hop has no completion event to count a frame at.
-    fn settle_host_ports(&mut self, upto: Time) {
-        self.host_ports[0].settle(upto, self.sw_tx.counters_mut(PORT_HOST));
-        self.host_ports[1].settle(upto, self.sw_rx.counters_mut(PORT_HOST));
-    }
-
     /// Run until no events remain (traffic drivers finished and drained).
     pub fn run_to_completion(&mut self) {
         self.run_until(Time::MAX);
@@ -756,7 +748,7 @@ impl World {
     pub fn snapshot_metrics(&mut self, now: Time) {
         // Taken inside an event at `now`: a host-port frame finishing at
         // exactly `now` completes in a later-filed event, so not yet.
-        self.settle_host_ports(Time(now.as_ps().saturating_sub(1)));
+        port::settle_host_ports(self, Time(now.as_ps().saturating_sub(1)));
         let t = now.as_ps();
         let reg = &mut self.obs.registry;
         for (sw, name) in [(&self.sw_tx, "sw_tx"), (&self.sw_rx, "sw_rx")] {
@@ -1173,10 +1165,6 @@ impl Periodic for World {
             0 => &mut self.fwd_link,
             _ => &mut self.rev_link,
         }
-    }
-
-    fn host_ports(&mut self) -> &mut [SerialLink; 2] {
-        &mut self.host_ports
     }
 
     fn traces(&mut self) -> Option<(&mut Vec<FlowTrace>, &mut Vec<RdmaTrace>)> {

@@ -232,8 +232,8 @@ fn computed_trials_hold_under_every_protection() {
 }
 
 /// The `testbed_fct` configuration (100 G LG, iid 1e-3, 24,387 B DCTCP,
-/// seed 1): most trials are computed, the last one never is, and no
-/// trial mark is refused.
+/// seed 1): most trials are computed (1,816 of 2,000), the last one
+/// never is, and no trial mark is refused.
 #[test]
 fn most_testbed_fct_trials_are_computed() {
     let cfg = config(
@@ -249,14 +249,37 @@ fn most_testbed_fct_trials_are_computed() {
     let c = w.stretch_census();
     assert_eq!(w.out.fct.len(), 2_000);
     assert!(c.trials < 2_000 - 1, "{c:?}: the last trial runs as events");
-    assert!(c.trials * 10 >= 2_000 * 8, "{c:?}: under 80 % computed");
+    assert!(c.trials * 100 >= 2_000 * 90, "{c:?}: under 90 % computed");
     // A drain that ended long ago does not refuse the next mark.
     assert_eq!(c.refused, 0, "{c:?}");
 }
 
+/// Fig 10's 143 B RDMA series (100 G LG, iid 1e-3, seed 1): the ≈1 ms
+/// wake the first trial arms cuts a batch every ≈25 trials, and the
+/// trial start after it resumes from the last batch's step, so almost
+/// every trial is computed (1,914 of 2,000).
+#[test]
+fn most_short_rdma_trials_are_computed() {
+    let cfg = config(
+        FctTransport::Rdma,
+        (143, 2_000),
+        LossModel::Iid { rate: 1e-3 },
+        Protection::Lg,
+        false,
+        1,
+    );
+    let mut w = World::new(cfg);
+    w.run_until(Time::MAX);
+    let c = w.stretch_census();
+    assert_eq!(w.out.fct.len(), 2_000);
+    assert!(c.trials < 2_000 - 1, "{c:?}: the last trial runs as events");
+    assert!(c.trials * 100 >= 2_000 * 95, "{c:?}: under 95 % computed");
+    assert!(c.resumed > 0, "{c:?}: no batch resumed");
+}
+
 /// The `chain_rdma` shape (100 G, three protected hops at iid 1e-3 each,
-/// 24,387 B RDMA go-back-N, seed 1): most trials are computed, and the
-/// last one never is.
+/// 24,387 B RDMA go-back-N, seed 1): most trials are computed (1,771 of
+/// 2,000), and the last one never is.
 #[test]
 fn most_chain_rdma_trials_are_computed() {
     let mut w = chain_rdma(2_000, true, 1);
@@ -264,7 +287,7 @@ fn most_chain_rdma_trials_are_computed() {
     let c = w.stretch_census();
     assert_eq!(w.fct.len(), 2_000);
     assert!(c.trials < 2_000 - 1, "{c:?}: the last trial runs as events");
-    assert!(c.trials * 10 >= 2_000 * 6, "{c:?}: under 60 % computed");
+    assert!(c.trials * 100 >= 2_000 * 88, "{c:?}: under 88 % computed");
 }
 
 /// The `chain_rdma` chain: three hops at iid 1e-3, every hop protected,
@@ -363,8 +386,7 @@ fn stretch_census() {
             Protection::LgNb,
         ),
     ];
-    println!("| configuration, iid 1e-3 unless noted | trials | computed | batches | mean trials per batch | refused | unequal |");
-    println!("|---|---|---|---|---|---|---|");
+    let mut rows = Vec::new();
     for (label, t, len, loss, p) in configs {
         let trials = if len > 1_000_000 { 300 } else { 20_000 };
         let mut w = World::new(fct_config(
@@ -377,7 +399,7 @@ fn stretch_census() {
             1,
         ));
         w.run_until(Time::MAX);
-        row(label, trials, w.stretch_census());
+        rows.push((label, trials, w.stretch_census()));
     }
     for (label, protected) in [
         ("chain_rdma 3 hops, all LG", true),
@@ -385,17 +407,29 @@ fn stretch_census() {
     ] {
         let mut w = chain_rdma(20_000, protected, 1);
         w.run_until(Time::MAX);
-        row(label, 20_000, w.stretch_census());
+        rows.push((label, 20_000, w.stretch_census()));
     }
-}
-
-fn row(label: &str, trials: u32, c: lg_testbed::StretchCensus) {
-    println!(
-        "| {label} | {trials} | {:.1} % | {} | {} | {} | {} |",
-        100.0 * c.trials as f64 / f64::from(trials),
-        c.batches,
-        c.trials.checked_div(c.batches).unwrap_or(0),
-        c.refused,
-        c.unequal,
-    );
+    println!("| configuration, iid 1e-3 unless noted | trials | computed | batches | mean trials per batch | resumed | refused | unequal |");
+    println!("|---|---|---|---|---|---|---|---|");
+    for &(label, trials, c) in &rows {
+        println!(
+            "| {label} | {trials} | {:.1} % | {} | {} | {} | {} | {} |",
+            100.0 * c.trials as f64 / f64::from(trials),
+            c.batches,
+            c.trials.checked_div(c.batches).unwrap_or(0),
+            c.resumed,
+            c.refused,
+            c.unequal,
+        );
+    }
+    println!();
+    println!("| unequal trial marks, first cause | lost | pair | switch | events | host | host port | packets | moved | kept |");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
+    for (label, _, c) in rows {
+        let u = c.causes;
+        println!(
+            "| {label} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
+            u.lost, u.pair, u.switch, u.events, u.host, u.host_port, u.packets, u.moved, u.kept,
+        );
+    }
 }

@@ -28,15 +28,21 @@ impl FctCollector {
         self.sorted = false;
     }
 
-    /// Record the last recorded completion time `n` more times, as `n`
-    /// trials that repeat it would.
+    /// The last completion time recorded, in microseconds.
     ///
     /// # Panics
     /// Panics if nothing was recorded since the samples were last sorted.
-    pub fn repeat_last(&mut self, n: usize) {
+    pub fn last_us(&self) -> f64 {
         assert!(!self.sorted, "the last sample is lost once sorted");
-        let last = *self.samples.last().expect("a sample to repeat");
-        self.samples.extend(std::iter::repeat_n(last, n));
+        *self.samples.last().expect("a sample recorded")
+    }
+
+    /// Record the completion time `us` (microseconds, as
+    /// [`FctCollector::last_us`] reads it) `n` times, as `n` trials that
+    /// repeat it would.
+    pub fn repeat_us(&mut self, us: f64, n: usize) {
+        self.samples.extend(std::iter::repeat_n(us, n));
+        self.sorted &= n == 0;
     }
 
     /// Number of flows recorded.

@@ -44,9 +44,6 @@ impl Loop {
                     w.handle_pub(ev, now);
                     ran += 1;
                 }
-                // Handles nothing: it only settles the computed host
-                // ports, as the run loop does at its end.
-                assert_eq!(w.run_until(until), 0);
             }
             Loop::Chain(w) => {
                 while let Some((now, ev)) = w.q.pop_if_before(until) {
@@ -55,6 +52,9 @@ impl Loop {
                 }
             }
         }
+        // Handles nothing: it only settles the computed host ports, as
+        // the run loop does at its end.
+        assert_eq!(self.run_until(until), 0);
         ran
     }
 
