@@ -31,6 +31,9 @@ use lg_switch::recirc::{DEFAULT_LOOP_LATENCY, RECIRC_DRAIN_RATE};
 use lg_switch::{Class, RecircBuffer, RecircStats};
 use serde::{Deserialize, Serialize};
 
+/// The least gap between two dummy bursts.
+const DUMMY_PACE: Duration = Duration::from_ns(300);
+
 /// Side effects the testbed must apply after feeding the sender an input.
 #[derive(Debug, Clone, Copy)]
 pub enum SenderAction {
@@ -212,10 +215,8 @@ impl LgSender {
         // Pace dummy bursts: the hardware queue replenishes via egress
         // mirroring (one recirculation pass between dummies); back-to-back
         // emission at 100 G would add nothing the receiver acts on.
-        if let Some(last) = self.last_dummy_at {
-            if now.saturating_since(last) < Duration::from_ns(300) {
-                return;
-            }
+        if self.since_dummy(now) < DUMMY_PACE {
+            return;
         }
         self.last_dummy_at = Some(now);
         for _ in 0..self.cfg.dummy_copies {
@@ -396,10 +397,21 @@ impl LgSender {
         self.next_seq.max(1)
     }
 
+    /// How long before `now` the last dummy burst went out, as far as
+    /// the pacing reads it: [`DUMMY_PACE`] or more is as good as never.
+    fn since_dummy(&self, now: Time) -> Duration {
+        self.last_dummy_at
+            .map_or(DUMMY_PACE, |last| now.saturating_since(last).min(DUMMY_PACE))
+    }
+
     /// What a periodic run must find unchanged, relative to this
     /// sender's sequence and `now`; the buffered handles go to `ids`.
     pub fn shape(&self, now: Time, out: &mut Vec<u64>, ids: &mut Vec<PktId>) {
-        out.extend([self.active as u64, self.next_seq - self.latest_rx]);
+        out.extend([
+            self.active as u64,
+            self.next_seq - self.latest_rx,
+            self.since_dummy(now).as_ps(),
+        ]);
         self.tx_buffer.shape(self.next_seq, now, out, ids);
     }
 
@@ -412,9 +424,15 @@ impl LgSender {
         self.tx_buffer.scalars(f);
     }
 
-    /// File the buffered copies `dseq` sequence numbers and `dt` on.
+    /// File the buffered copies `dseq` sequence numbers and `dt` on,
+    /// and the last dummy burst `dt` later: a burst in every period
+    /// moves it so, and one paced out before the period still reads as
+    /// paced out.
     pub fn advance(&mut self, dseq: u64, dt: Duration) {
         self.tx_buffer.advance(dseq, dt);
+        if let Some(last) = self.last_dummy_at.as_mut() {
+            *last += dt;
+        }
     }
 
     /// Current Tx buffer occupancy in bytes.
@@ -738,5 +756,118 @@ mod tests {
         assert!(pool.get(p2).lg_data.is_some(), "still stamped");
         assert_eq!(s.stats().buffer_overflows, 1);
         assert_eq!(pool.refcount(p2), 1, "no mirror reference leaked");
+    }
+
+    /// A sender that sent `sent` frames one MTU period apart from
+    /// `start`, heard the first `acked` acknowledged, and (with any left
+    /// unacknowledged) made a dummy burst as its port ran dry: the
+    /// instant that happened.
+    fn history(s: &mut LgSender, sent: u64, acked: u64, pool: &mut PacketPool) -> Time {
+        let (start, gap) = (Time::from_ps(5_000_000), Duration::from_ps(123_280));
+        let mut t = start;
+        for _ in 0..sent {
+            let id = data_pkt(pool);
+            let id = s.on_transmit(id, t, pool);
+            pool.release(id);
+            t += gap;
+        }
+        let id = ack(pool, acked.min(sent));
+        reverse(s, id, t, pool);
+        let mut dummies = Vec::new();
+        s.make_dummies(t, pool, &mut dummies);
+        dummies.into_iter().for_each(|id| pool.release(id));
+        t
+    }
+
+    proptest::proptest! {
+        /// The law a computed period rests on (DESIGN.md §23): a sender
+        /// whose sequences are stepped `dseq` on (its scalars) and whose
+        /// Tx buffer and dummy pacing are filed `dseq` and `dt` on
+        /// (`advance`) answers any later script of frames, ACKs, loss
+        /// notifications and dummy calls, shifted by the same amounts,
+        /// as the unshifted sender answers the script: the same actions
+        /// on the same slots and delays, frames carrying the shifted
+        /// sequences, the same counters and buffer.
+        #[test]
+        fn an_advanced_sender_is_a_shifted_one(
+            sent in 1u64..40,
+            acked in 0u64..40,
+            dseq in 0u64..300_000,
+            dt in 0u64..10_000_000_000,
+            script in proptest::collection::vec((0u64..400_000, 0u8..4, 0u64..40, 1u16..4), 1..40),
+        ) {
+            let runs = [0, dseq].map(|by| {
+                let mut pool = PacketPool::new();
+                let mut s = mk_sender();
+                let mut t = history(&mut s, sent, acked, &mut pool);
+                let mut i = 0;
+                s.scalars(&mut |x| {
+                    if i < 2 {
+                        *x += by;
+                    }
+                    i += 1;
+                });
+                let dt = Duration::from_ps(if by == 0 { 0 } else { dt });
+                s.advance(by, dt);
+                // The buffered copies' headers, as a batch shifts them.
+                pool.for_each_mut(|p| {
+                    if let Some(h) = p.lg_data.as_mut() {
+                        h.seq = h.seq.advance((by % (2 * 65_536)) as u32);
+                    }
+                });
+                t += dt;
+                // A frame's sequence made relative to the shift.
+                let seq = |s: &LgSender, pool: &PacketPool, id: PktId| {
+                    pool.get(id).lg_data.map(|h| {
+                        (h.kind, abs_of(h.seq, s.last_sent().max(1)) - by)
+                    })
+                };
+                let mut seen = vec![format!("{:?}", s.stats())];
+                for &(gap, kind, arg, count) in &script {
+                    t += Duration::from_ps(gap);
+                    let (base, top) = (s.acked() - by, s.last_sent() - by);
+                    let mut out = Vec::new();
+                    let actions = match kind {
+                        0 => {
+                            let id = data_pkt(&mut pool);
+                            let id = s.on_transmit(id, t, &mut pool);
+                            out.push(id);
+                            Vec::new()
+                        }
+                        1 => {
+                            let id = ack(&mut pool, base + arg.min(top - base) + by);
+                            reverse(&mut s, id, t, &mut pool).1
+                        }
+                        2 => {
+                            let first = base + 1 + arg % (top - base + 1);
+                            let id = notif(&mut pool, first + by, count, first - 1 + by);
+                            reverse(&mut s, id, t, &mut pool).1
+                        }
+                        _ => {
+                            s.make_dummies(t, &mut pool, &mut out);
+                            Vec::new()
+                        }
+                    };
+                    for a in &actions {
+                        if let SenderAction::Emit { id, .. } = *a {
+                            out.push(id);
+                        }
+                    }
+                    let frames: Vec<_> = out.iter().map(|&id| (id, seq(&s, &pool, id))).collect();
+                    seen.push(format!(
+                        "{actions:?} {frames:?} {:?} {:?} {} {} {} {}",
+                        s.stats(),
+                        s.tx_buffer_stats(),
+                        s.tx_buffer_bytes(),
+                        s.last_sent() - by,
+                        s.acked() - by,
+                        s.has_unacked(),
+                    ));
+                    out.into_iter().for_each(|id| pool.release(id));
+                }
+                seen
+            });
+            proptest::prop_assert_eq!(&runs[0], &runs[1]);
+        }
     }
 }

@@ -388,8 +388,10 @@ impl Periodic for ChainWorld {
         &mut self.cycle
     }
 
+    /// A batch runs no handler, so it would leave out a trace's
+    /// control-level rows.
     fn batches(&self) -> bool {
-        true
+        !lg_obs::trace::enabled(lg_obs::trace::Level::Ctl)
     }
 
     fn pairs(&self) -> usize {

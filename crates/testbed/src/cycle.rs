@@ -1,15 +1,18 @@
-//! The periodic-state seam of both testbed loops: the mark, the
-//! comparison and the advance that compute the clean trials of a serial
-//! trial series (DESIGN.md §23, "Computed trials"), and the [`Mark`] and
-//! [`shift`] that [`crate::World`]'s stress stretch builds on.
+//! The periodic-state seam of both testbed loops: the one mark, the one
+//! comparison and the one advance that compute a run's clean periods
+//! (DESIGN.md §23). A period's unit is a forward departure under
+//! line-rate stress (a computed stretch) or a `TrialStart` in a serial
+//! trial series (a computed batch of trials); the driver is the same for
+//! both.
 //!
-//! A loop lists what a trial moves through [`Periodic`]: its
+//! A loop lists what a period moves through [`Periodic`]: its
 //! LinkGuardian pairs, switches, link directions, host ports and extra
-//! counters. Everything else — which instants a batch may keep, how `K`
-//! is bounded, what a batch advances — is the same for every topology.
+//! counters, and, under stress, the hooks of host1's leg, which drains a
+//! backlog at its own rate and is computed as a train. Everything else —
+//! the event walk, which instants a batch may keep, how `K` is bounded,
+//! what a batch advances — is the same for every unit and topology.
 
 use lg_link::LinkDirection;
-use lg_obs::trace::Level;
 use lg_obs::Counters;
 use lg_packet::{FlowId, Packet, Payload, PktId};
 use lg_sim::{Duration, Time};
@@ -17,14 +20,16 @@ use lg_switch::{PortId, Switch};
 use lg_transport::{FlowTrace, RdmaTrace};
 use linkguardian::{LgReceiver, LgSender};
 
+use crate::host;
 use crate::port::{self, Ev, PortLoop};
 
-/// A testbed loop as a computed trial batch sees it: what a trial moves.
+/// A testbed loop as a computed period sees it: what a period moves.
 pub(crate) trait Periodic: PortLoop {
     /// The loop's marks, census and event count.
     fn cycle(&mut self) -> &mut Cycle;
-    /// Whether a trial start may be marked at all, beyond the refusals
-    /// every loop shares.
+    /// Whether the period at hand may be marked at all, beyond the
+    /// refusals every loop shares. A batch runs no handler, so a loop
+    /// refuses while a trace would miss the rows its periods write.
     fn batches(&self) -> bool;
     /// LinkGuardian pairs (one per protected or protectable link).
     fn pairs(&self) -> usize;
@@ -39,9 +44,9 @@ pub(crate) trait Periodic: PortLoop {
     fn switches(&self) -> usize;
     /// Switch `i`.
     fn switch(&mut self, i: usize) -> &mut Switch;
-    /// Whether a period moves the counters of `port` (every port unless
-    /// a stress period computes them otherwise).
-    fn moves_counters(_port: PortId, _trial: bool) -> bool {
+    /// Whether a period steps the counters of `port` (every port unless
+    /// a train computes them).
+    fn moves_counters(&self, _port: PortId) -> bool {
         true
     }
     /// Link directions.
@@ -52,13 +57,31 @@ pub(crate) trait Periodic: PortLoop {
     fn traces(&mut self) -> Option<(&mut Vec<FlowTrace>, &mut Vec<RdmaTrace>)> {
         None
     }
-    /// Visit the loop's own counters a period, or if `trial` a trial,
-    /// moves by a fixed step.
-    fn extras(&mut self, _trial: bool, _f: &mut dyn FnMut(&mut u64)) {}
+    /// Visit the loop's own counters a period moves by a fixed step.
+    fn extras(&mut self, _f: &mut dyn FnMut(&mut u64)) {}
     /// The sequence the next stress datagram carries.
     fn udp_seq(&self) -> u64 {
         0
     }
+    /// Whether a batch computes host1's leg itself, as a train: the
+    /// host-facing ports, the hosts' counters and the frames bound for a
+    /// host (consumed at the batch's end, not moved), and the receivers'
+    /// drain. The mark then leaves them out.
+    fn trains(&self) -> bool {
+        false
+    }
+    /// Whether a batch counts the events it stands for.
+    fn counts_events(&self) -> bool {
+        true
+    }
+    /// A batch of `k` clean periods from `now` is about to run: false
+    /// refuses it, changing nothing.
+    fn admit(&mut self, _now: Time, _k: u64, _period: Duration) -> bool {
+        true
+    }
+    /// The batch moved the world `k` periods on, to `end`, each the step
+    /// from `prev` to `cur`: the loop's own part of it.
+    fn land(&mut self, _prev: &Mark, _cur: &Mark, _k: u64, _end: Time) {}
 }
 
 /// How a loop's `run_until` spent a run: the census of the stretches
@@ -83,18 +106,18 @@ pub struct StretchCensus {
     pub trials: u64,
     /// Batches of trials computed.
     pub batches: u64,
-    /// Batches that took the step of the last batch before them: their
-    /// trial mark repeated that batch's, not the mark a trial before.
+    /// Stretches and batches that took the step of the last one before
+    /// them: their mark repeated its, not the mark a period before.
     pub resumed: u64,
-    /// The unequal trial marks, by what first differed.
+    /// The unequal marks, by what first differed.
     pub causes: Causes,
 }
 
-/// The trial marks that did not repeat the one a trial before, by the
-/// first thing found to differ, in the order the comparison looks.
+/// The marks that did not repeat the one a period before, by the first
+/// thing found to differ, in the order the comparison looks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Causes {
-    /// A link lost a frame between the two marks (or not exactly one
+    /// A link lost a frame between the two marks (or more than one
     /// trial completed).
     pub lost: u64,
     /// The shape of a LinkGuardian pair: sequences in flight, refresh
@@ -110,9 +133,9 @@ pub struct Causes {
     pub host_port: u64,
     /// The pool: live packets, their reference counts or contents.
     pub packets: u64,
-    /// An instant a trial moves, not a trial on.
+    /// An instant a period moves, not a period on.
     pub moved: u64,
-    /// An instant that may stay, neither where it was nor a trial on.
+    /// An instant that may stay, neither where it was nor a period on.
     pub kept: u64,
 }
 
@@ -150,12 +173,14 @@ pub(crate) struct Cycle {
     pub mark: Option<Mark>,
     /// Marks done with, whose buffers the next ones reuse.
     pub spare: Vec<Mark>,
-    /// The last batch's marks and what it repeated: a later trial mark
-    /// that matches them batches with their step. Kept across `run_until`
+    /// The last batch's marks and what it repeated: a later mark that
+    /// matches them batches with their step. Kept across `run_until`
     /// calls, since its step was measured inside one.
     template: Option<Template>,
-    /// Which instants of a trial mark a batch keeps in place (a buffer).
+    /// Which instants of a mark a batch keeps in place (a buffer).
     kept: Vec<bool>,
+    /// The frames a batch consumed, with their hosts (a buffer).
+    consumed: Vec<(usize, PktId)>,
     pub census: StretchCensus,
     /// Events `run_until` handled, and those the computed trials stand
     /// for.
@@ -191,58 +216,47 @@ impl Cycle {
 /// stress datagram's sequence and the next flow id; then each pair's
 /// sender and receiver sequences ([`Mark::data`], [`Mark::ack`]), then
 /// each link direction's frame count ([`Mark::frames`]).
-pub(crate) const UID: usize = 0;
+const UID: usize = 0;
 pub(crate) const NOW: usize = 1;
 const UDP: usize = 2;
 const FLOW: usize = 3;
 
-/// The world at a forward departure or at a trial start, made relative
-/// to the instant, the sequences, the uid counter and the next flow id,
-/// so two marks a period or a trial apart compare equal exactly when the
-/// world repeats (DESIGN.md §23). A stress mark leaves host1's port and
-/// arrivals out: that port drains a backlog at its own rate, so a
-/// stretch computes it frame by frame.
+/// The world at a period's start, made relative to the instant, the
+/// sequences, the uid counter and the next flow id, so two marks a
+/// period apart compare equal exactly when the world repeats (DESIGN.md
+/// §23).
 #[derive(Default)]
 pub(crate) struct Mark {
     /// Everything compared that is not a packet.
-    pub shape: Vec<u64>,
-    /// Where a trial mark's shape of the pairs, the switches, the
-    /// pending events, the hosts and the host-facing ports ends (the
-    /// pool's follows).
+    shape: Vec<u64>,
+    /// Where the shape of the pairs, the switches, the pending events,
+    /// the hosts and the host-facing ports ends (the pool's follows).
     ends: [usize; 5],
     pkts: Vec<Packet>,
     /// The frames `pkts` normalizes (a buffer, not compared), and the
     /// pair whose sequences each carries.
     ids: Vec<PktId>,
     owners: Vec<usize>,
-    /// A trial mark's live pool slots in index order, each with its pair.
+    /// The live pool slots the mark holds, in index order, each with its
+    /// pair.
     slots: Vec<(u32, usize)>,
     /// The loop's scalars, in visiting order.
     scalars: Vec<u64>,
     /// What [`shift`] moves packets by (see [`UID`]).
     refs: Vec<u64>,
     pairs: usize,
-    /// A trial mark's instants, which a batch moves or keeps in place:
-    /// the first `pending` are the pending events in filing order, then
-    /// each host's.
+    /// The instants a batch moves or keeps in place: the first `pending`
+    /// are the pending events in filing order, then each host's.
     instants: Vec<(Time, Hold)>,
     pending: usize,
     /// FCT samples, TCP and RDMA traces recorded, and frames the links
     /// lost, so far.
     done: [u64; 4],
-    /// The first pending event a stretch keeps in place, the latest one
-    /// it moves falls, and the last pending host1 arrival.
-    pub horizon: Time,
-    pub lead: Duration,
-    pub host_last: Time,
-    /// The next frame to reach the receiver switch, and when (its
-    /// receiver files link arrivals in time order).
-    pub next_rx: Option<(Time, PktId)>,
 }
 
 impl Mark {
     /// The reference of pair `pair`'s sender sequence.
-    pub fn data(pair: usize) -> usize {
+    fn data(pair: usize) -> usize {
         FLOW + 1 + 2 * pair
     }
 
@@ -252,7 +266,7 @@ impl Mark {
     }
 
     /// The reference of link direction `label`'s frame count.
-    pub fn frames(&self, label: usize) -> usize {
+    fn frames(&self, label: usize) -> usize {
         Mark::data(self.pairs) + label
     }
 
@@ -262,20 +276,16 @@ impl Mark {
         self.pkts.clear();
         self.ids.clear();
         self.owners.clear();
+        self.slots.clear();
         self.scalars.clear();
         self.refs.clear();
         self.instants.clear();
     }
 
     /// Hold frame `id`, whose LinkGuardian sequences are pair `pair`'s.
-    pub fn hold(&mut self, id: PktId, pair: usize) {
+    fn hold(&mut self, id: PktId, pair: usize) {
         self.ids.push(id);
         self.owners.push(pair);
-    }
-
-    /// Equal shapes and normalized frames.
-    pub fn same(&self, other: &Mark) -> bool {
-        (&self.shape, &self.pkts) == (&other.shape, &other.pkts)
     }
 }
 
@@ -288,14 +298,15 @@ pub(crate) fn steps<'a>(
     move |i| k.wrapping_mul(cur.refs[i].wrapping_sub(prev.refs[i]))
 }
 
-/// Whether a batch of trials moves an instant of its mark with the
-/// clock or keeps it in place: whichever the mark a trial earlier
-/// shows, where a rule allows both.
+/// Whether a batch moves an instant of its mark with the clock or keeps
+/// it in place: whichever the mark a period earlier shows, where a rule
+/// allows both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Hold {
-    /// Repeats a trial later.
+    /// Repeats a period later.
     Moves,
-    /// Stays where it is: a control event, never part of a trial.
+    /// Stays where it is: a control event or a recovery's timer, never
+    /// part of a period.
     Stays,
     /// Either: a transport wake an earlier trial may have armed.
     Either,
@@ -328,34 +339,24 @@ pub(crate) fn shift(p: &mut Packet, by: impl Fn(usize) -> u64, pair: usize) {
     }
 }
 
-/// The world as [`Mark`] compares it at `now`, a forward departure or, if
-/// `trial`, a trial start before the trial's event runs; `events` marks
-/// the pending events (and whatever else the kind of mark holds) and
-/// returns how many live packets it leaves out. `None` while a recovery
-/// is under way, and for a trial also while a receiver still drains.
-pub(crate) fn mark<L: Periodic>(
-    w: &mut L,
-    now: Time,
-    trial: bool,
-    events: impl FnOnce(&mut L, &mut Mark) -> Option<u64>,
-) -> Option<Mark> {
+/// The world as [`Mark`] compares it at `now`, a period's start: a
+/// forward departure just handled, or a trial start before its event
+/// runs. `None` while a recovery is under way, while a receiver drains
+/// that no train computes, or if a live packet is held where the mark
+/// does not look.
+pub(crate) fn mark<L: Periodic>(w: &mut L, now: Time) -> Option<Mark> {
     let mut m = w.cycle().spare.pop().unwrap_or_default();
-    if fill(w, now, trial, &mut m, events).is_some() {
+    if fill(w, now, &mut m).is_some() {
         return Some(m);
     }
     w.cycle().spare.push(m);
     None
 }
 
-fn fill<L: Periodic>(
-    w: &mut L,
-    now: Time,
-    trial: bool,
-    m: &mut Mark,
-    events: impl FnOnce(&mut L, &mut Mark) -> Option<u64>,
-) -> Option<()> {
+fn fill<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<()> {
     m.clear();
     m.pairs = w.pairs();
+    let trains = w.trains();
     let next_flow = w.parts().trials.next_flow();
     m.refs.extend([
         lg_packet::peek_next_uid(),
@@ -369,7 +370,7 @@ fn fill<L: Periodic>(
         m.shape
             .extend([tx_seq.wrapping_sub(rx_seq), u64::from(*armed)]);
         rx.forget_drained(now);
-        if !rx.shape(now, &mut m.shape) || trial && rx.is_draining(now) {
+        if !rx.shape(now, &mut m.shape) || !trains && rx.is_draining(now) {
             return None;
         }
         tx.shape(now, &mut m.shape, &mut m.ids);
@@ -386,7 +387,31 @@ fn fill<L: Periodic>(
         }
     }
     m.ends[1] = m.shape.len();
-    let hosted = events(w, m)?;
+    let consumed = events(w, trains, m);
+    m.ends[2] = m.shape.len();
+    let p = w.parts();
+    for h in p.hosts.iter() {
+        h.shape(now, &mut m.shape, &mut m.instants);
+    }
+    m.ends[3] = m.shape.len();
+    if !trains {
+        // Count the frames already finished, so that no port holds a
+        // past completion: what a port shapes is then what a later event
+        // reads.
+        port::settle_host_ports(w, Time(now.as_ps().saturating_sub(1)));
+        for host in 0..2 {
+            w.host_port(host).2.shape(now, &mut m.shape);
+        }
+    }
+    m.ends[4] = m.shape.len();
+    m.slots.extend(
+        m.ids
+            .iter()
+            .zip(&m.owners)
+            .map(|(id, &pair)| (id.index(), pair)),
+    );
+    m.slots.sort_unstable();
+    m.slots.dedup();
     let mut drops = 0;
     for l in 0..w.directions() {
         let loss = w.direction(l).loss();
@@ -395,7 +420,11 @@ fn fill<L: Periodic>(
     }
     let p = w.parts();
     let (pool, fct) = (&*p.pool, p.fct.len() as u64);
-    m.shape.push(pool.live() as u64 - hosted);
+    let held = pool.live() as u64 - consumed;
+    if m.slots.len() as u64 != held {
+        return None;
+    }
+    m.shape.push(held);
     m.shape
         .extend(m.ids.iter().map(|&id| u64::from(pool.refcount(id))));
     let refs = &m.refs;
@@ -409,65 +438,21 @@ fn fill<L: Periodic>(
     let traced = w.traces().map_or([0, 0], |(t, r)| [t.len(), r.len()]);
     m.done = [fct, traced[0] as u64, traced[1] as u64, drops];
     let scalars = &mut m.scalars;
-    visit_scalars(w, trial, &mut |x| scalars.push(*x));
+    visit_scalars(w, &mut |x| scalars.push(*x));
     Some(())
 }
 
-/// Visit every counter and sequence field a stress period, or if `trial`
-/// a trial, moves by a fixed step.
-fn visit_scalars<L: Periodic>(w: &mut L, trial: bool, f: &mut dyn FnMut(&mut u64)) {
-    for i in 0..w.pairs() {
-        let (tx, rx, _) = w.pair(i);
-        tx.scalars(f);
-        rx.scalars(f);
-    }
-    for s in 0..w.switches() {
-        let sw = w.switch(s);
-        for p in (0..sw.n_ports()).filter(|&p| L::moves_counters(p, trial)) {
-            sw.counters_mut(p).each_counter(f);
-        }
-    }
-    w.extras(trial, f);
-    if trial {
-        let p = w.parts();
-        for h in p.hosts.iter_mut() {
-            h.counters().into_iter().for_each(&mut *f);
-        }
-        f(p.e2e_retx);
-        f(&mut w.cycle().events);
-    }
-}
-
-/// Move every scalar `k` steps of its change from `prev` to `cur`, the
-/// scalars of two marks a period or a trial apart.
-pub(crate) fn advance_scalars<L: Periodic>(
-    w: &mut L,
-    trial: bool,
-    prev: &Mark,
-    cur: &Mark,
-    k: u64,
-) {
-    let mut i = 0;
-    visit_scalars(w, trial, &mut |x| {
-        let step = cur.scalars[i].wrapping_sub(prev.scalars[i]);
-        *x = x.wrapping_add(k.wrapping_mul(step));
-        i += 1;
-    });
-}
-
-/// A trial mark's pending events, in filing order: kind and place into
-/// its shape, frames into its ids, and each instant with what a batch
-/// may do with it; then each host and host port, and the live pool
-/// slots. `None` if a receiver timer or a pause is pending (they belong
-/// to a recovery), or if a live packet is held where the mark does not
-/// look.
-fn trial_events<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<u64> {
-    let mut recovering = false;
+/// The one event walk: each pending event, in filing order, gives its
+/// kind and place to the shape, its frame to the ids, and its instant
+/// with what a batch may do with it. A frame bound for a host that a
+/// train computes is consumed instead: returns how many are.
+fn events<L: Periodic>(w: &mut L, trains: bool, m: &mut Mark) -> u64 {
     let last = m.pairs - 1;
     let port = |at: L::Port| {
         let (sw, port) = L::locate(at);
         ((sw * 2 + port) as u64, L::pair_at(sw, port).min(last))
     };
+    let mut consumed = 0;
     w.parts().q.for_each_pending(|at, ev| {
         let (place, hold) = match *ev {
             Ev::PortEnqueue { at, class, id } => {
@@ -480,6 +465,10 @@ fn trial_events<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<u64> 
                 m.hold(id, pair);
                 ([place, 0], Hold::Moves)
             }
+            Ev::HostArrive { .. } if trains => {
+                consumed += 1;
+                return;
+            }
             Ev::HostArrive { host, id } => {
                 // A frame for a host carries no LinkGuardian header.
                 m.hold(id, 0);
@@ -487,54 +476,64 @@ fn trial_events<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<u64> 
             }
             Ev::HostWake { host } => ([host as u64, 0], Hold::Either),
             Ev::DummyRefresh { at } => ([port(at).0, 0], Hold::Moves),
-            Ev::ActivateLg | Ev::SetLoss(_) | Ev::Sample | Ev::TrialStart => ([0, 0], Hold::Stays),
-            Ev::LgTimeout { .. } | Ev::LgBpTimer { .. } | Ev::PauseApply { .. } => {
-                recovering = true;
-                ([0, 0], Hold::Stays)
-            }
+            // A control event or a recovery's timer.
+            _ => ([0, 0], Hold::Stays),
         };
         m.shape.extend([ev.kind_idx() as u64, place[0], place[1]]);
         m.instants.push((at, hold));
     });
-    if recovering {
-        return None;
-    }
     m.pending = m.instants.len();
-    m.ends[2] = m.shape.len();
-    let p = w.parts();
-    for h in p.hosts.iter() {
-        h.shape(now, &mut m.shape, &mut m.instants);
-    }
-    m.ends[3] = m.shape.len();
-    let live = p.pool.live();
-    // Count the frames already finished, so that no port holds a past
-    // completion: what a port shapes is then what a later event reads.
-    port::settle_host_ports(w, Time(now.as_ps().saturating_sub(1)));
-    for host in 0..2 {
-        w.host_port(host).2.shape(now, &mut m.shape);
-    }
-    m.ends[4] = m.shape.len();
-    m.slots.clear();
-    m.slots.extend(
-        m.ids
-            .iter()
-            .zip(&m.owners)
-            .map(|(id, &pair)| (id.index(), pair)),
-    );
-    m.slots.sort_unstable();
-    m.slots.dedup();
-    (m.slots.len() == live).then_some(0)
+    consumed
 }
 
-/// Whether the world at `cur` repeats the one at `prev` a trial later:
-/// equal shapes and frames; one trial completed, with no frame lost;
-/// and each instant either a trial on (it moves) or, where its rule
-/// allows, where it was (it is kept, as `kept` records in order).
+/// Visit every counter and sequence field a period moves by a fixed
+/// step.
+fn visit_scalars<L: Periodic>(w: &mut L, f: &mut dyn FnMut(&mut u64)) {
+    for i in 0..w.pairs() {
+        let (tx, rx, _) = w.pair(i);
+        tx.scalars(f);
+        rx.scalars(f);
+    }
+    for s in 0..w.switches() {
+        for p in 0..w.switch(s).n_ports() {
+            if w.moves_counters(p) {
+                w.switch(s).counters_mut(p).each_counter(f);
+            }
+        }
+    }
+    w.extras(f);
+    if !w.trains() {
+        let p = w.parts();
+        for h in p.hosts.iter_mut() {
+            h.counters().into_iter().for_each(&mut *f);
+        }
+        f(p.e2e_retx);
+    }
+    if w.counts_events() {
+        f(&mut w.cycle().events);
+    }
+}
+
+/// Move every scalar `k` steps of its change from `prev` to `cur`, the
+/// scalars of two marks a period apart.
+fn advance_scalars<L: Periodic>(w: &mut L, prev: &Mark, cur: &Mark, k: u64) {
+    let mut i = 0;
+    visit_scalars(w, &mut |x| {
+        let step = cur.scalars[i].wrapping_sub(prev.scalars[i]);
+        *x = x.wrapping_add(k.wrapping_mul(step));
+        i += 1;
+    });
+}
+
+/// Whether the world at `cur` repeats the one at `prev` a period later:
+/// equal shapes and frames; at most one trial completed, with no frame
+/// lost; and each instant either a period on (it moves) or, where its
+/// rule allows, where it was (it is kept, as `kept` records in order).
 /// Otherwise the first thing found to differ.
 fn repeats(prev: &Mark, cur: &Mark, kept: &mut Vec<bool>) -> Result<(), Cause> {
     let (p, c) = (prev.refs[NOW], cur.refs[NOW]);
     let done: [u64; 4] = std::array::from_fn(|i| cur.done[i] - prev.done[i]);
-    if done[0] != 1 || done[3] != 0 {
+    if done[0] > 1 || done[3] != 0 {
         return Err(Cause::Lost);
     }
     if prev.shape != cur.shape {
@@ -568,30 +567,30 @@ fn repeats(prev: &Mark, cur: &Mark, kept: &mut Vec<bool>) -> Result<(), Cause> {
     Ok(())
 }
 
-/// The last batch's step: the two trial marks it was taken between,
-/// which of their instants it kept, and what the marked trial recorded.
+/// The last batch's step: the two marks it was taken between, which of
+/// their instants it kept, and what the marked period recorded.
 struct Template {
     prev: Mark,
     cur: Mark,
     kept: Vec<bool>,
     /// The marked trial's FCT sample (µs), and its TCP and RDMA traces
-    /// where the loop keeps them.
-    fct_us: f64,
+    /// where the loop keeps them; none for a stress period.
+    fct_us: Option<f64>,
     tcp: Option<FlowTrace>,
     rdma: Option<RdmaTrace>,
 }
 
 impl Template {
-    /// `prev` repeats as `cur` a trial later, keeping the instants
-    /// `kept` says: the step, with the sample and traces the trial
+    /// `prev` repeats as `cur` a period later, keeping the instants
+    /// `kept` says: the step, with the sample and traces the period
     /// between them recorded.
     fn new<L: Periodic>(w: &mut L, prev: Mark, cur: Mark, kept: Vec<bool>) -> Template {
-        let fct_us = w.parts().fct.last_us();
-        let traced = |i: usize| cur.done[i] > prev.done[i];
+        let recorded = |i: usize| cur.done[i] > prev.done[i];
+        let fct_us = recorded(0).then(|| w.parts().fct.last_us());
         let (tcp, rdma) = match w.traces() {
             Some((tcp, rdma)) => (
-                tcp.last().copied().filter(|_| traced(1)),
-                rdma.last().copied().filter(|_| traced(2)),
+                tcp.last().copied().filter(|_| recorded(1)),
+                rdma.last().copied().filter(|_| recorded(2)),
             ),
             None => (None, None),
         };
@@ -605,16 +604,16 @@ impl Template {
         }
     }
 
-    /// Whether the world at `m`, a trial start that did not repeat the
-    /// one before, repeats this template's: a batch may then take its
-    /// step. Equal shapes and frames; every instant the template moved
-    /// at its offset into the trial; and every one it kept where it kept
-    /// it, or a deadline already past, or a wake no later into the trial
+    /// Whether the world at `m`, a mark that did not repeat the one
+    /// before, repeats this template's: a batch may then take its step.
+    /// Equal shapes and frames; every instant the template moved at its
+    /// offset into the period; and every one it kept where it kept it,
+    /// or a deadline already past, or a wake no later into the trial
     /// than the template's marked trial found its own. That trial filed
     /// no request before its wake, and each later trial repeats its
     /// requests at the same offsets, so none files one before `m`'s.
     fn resumes(&self, m: &Mark) -> bool {
-        if !self.cur.same(m) {
+        if (&self.cur.shape, &self.cur.pkts) != (&m.shape, &m.pkts) {
             return false;
         }
         let (start, now) = (self.prev.refs[NOW], m.refs[NOW]);
@@ -634,95 +633,120 @@ impl Template {
     }
 }
 
-/// A trial is due at `now`: inside `run_until`, mark the world before it
-/// starts; if it repeats the mark of the trial start before, or else the
-/// last batch's template, advance it by the whole trials that end before
-/// the next lost frame, the first pending event kept in place and
-/// `until`, in one step, leaving the last trial to the event path
-/// (DESIGN.md §23). Returns the instant the trial at hand starts at. The
-/// mark is refused while a trace is on: a batch runs no handler, so it
-/// would leave control-level rows out.
-pub(crate) fn trial_start<L: Periodic>(w: &mut L, now: Time) -> Time {
-    let Some(until) = w.cycle().until else {
-        return now;
+/// How far [`period`] reached from a period's start.
+pub(crate) struct Reach {
+    /// Periods computed (0: none), and the instant the world is at
+    /// afterwards.
+    pub k: u64,
+    pub end: Time,
+    /// Whether the mark missed (refused, or repeating neither the mark
+    /// before it nor the template) or a lost frame cut the batch short.
+    pub missed: bool,
+    /// Whole periods from the mark to the first kept instant or `until`
+    /// (0 where no batch was sized).
+    pub to_kept: u64,
+}
+
+/// A period's unit is due at `now` inside `run_until`: mark the world;
+/// if it repeats the mark a period before, or else the last batch's
+/// template, advance it by the whole periods that end before the next
+/// lost frame, the first pending event kept in place and `until`, in one
+/// step (DESIGN.md §23). A mark that does not repeat, and has no template
+/// to resume, is what the next one compares with.
+pub(crate) fn period<L: Periodic>(w: &mut L, now: Time) -> Reach {
+    let until = w.cycle().until.expect("a period inside run_until");
+    let none = |missed| Reach {
+        k: 0,
+        end: now,
+        missed,
+        to_kept: 0,
     };
-    if !w.parts().trials.is_series() {
-        return now;
-    }
-    w.cycle().census.trial_marks += 1;
-    let marked = (w.batches() && !lg_obs::trace::enabled(Level::Ctl))
-        .then(|| mark(w, now, true, |w, m| trial_events(w, now, m)))
-        .flatten();
+    let marked = w.batches().then(|| mark(w, now)).flatten();
     let Some(cur) = marked else {
         let c = w.cycle();
         c.census.refused += 1;
         c.forget();
-        return now;
+        return none(true);
     };
     let c = w.cycle();
     let mut kept = std::mem::take(&mut c.kept);
     let prev = c.mark.take();
     let repeat = prev.as_ref().map(|prev| repeats(prev, &cur, &mut kept));
-    let start = match (prev, repeat) {
-        (Some(prev), Some(Ok(()))) => {
-            let t = Template::new(w, prev, cur, kept);
-            match batch(w, &t, &t.cur, until) {
-                Some(start) => {
-                    let c = w.cycle();
-                    if let Some(old) = c.template.replace(t) {
-                        c.spare.extend([old.prev, old.cur]);
-                        c.kept = old.kept;
-                    }
-                    start
-                }
-                None => {
-                    let c = w.cycle();
-                    c.spare.push(t.prev);
-                    c.mark = Some(t.cur);
-                    c.kept = t.kept;
-                    return now;
-                }
-            }
-        }
+    // The step the batch takes, and the world's own mark if that step is
+    // the template's.
+    let (t, own) = match (prev, repeat) {
+        (Some(prev), Some(Ok(()))) => (Template::new(w, prev, cur, kept), None),
         (prev, repeat) => {
-            let c = w.cycle();
             c.kept = kept;
             c.spare.extend(prev);
             if let Some(Err(cause)) = repeat {
                 c.census.unequal += 1;
                 c.census.causes.count(cause);
             }
-            let t = c.template.take();
-            let resumed = t.as_ref().filter(|t| t.resumes(&cur));
-            let start = resumed.and_then(|t| batch(w, t, &cur, until));
-            let c = w.cycle();
-            c.template = t;
-            let Some(start) = start else {
-                c.mark = Some(cur);
-                return now;
-            };
-            c.census.resumed += 1;
-            c.spare.push(cur);
-            start
+            match c.template.take() {
+                Some(t) if t.resumes(&cur) => (t, Some(cur)),
+                t => {
+                    c.template = t;
+                    c.mark = Some(cur);
+                    return none(repeat.is_some());
+                }
+            }
         }
     };
-    // The world at the trial start the batch ends on: what the next
-    // trial start compares with.
-    let next = mark(w, start, true, |w, m| trial_events(w, start, m));
-    w.cycle().mark = next;
-    start
+    let reach = batch(w, &t, own.as_ref().unwrap_or(&t.cur), until);
+    let c = w.cycle();
+    match own {
+        Some(own) if reach.k > 0 => {
+            c.census.resumed += 1;
+            c.template = Some(t);
+            c.spare.push(own);
+        }
+        Some(own) => {
+            c.template = Some(t);
+            c.mark = Some(own);
+        }
+        None if reach.k > 0 => {
+            if let Some(old) = c.template.replace(t) {
+                c.spare.extend([old.prev, old.cur]);
+                c.kept = old.kept;
+            }
+        }
+        None => {
+            c.spare.push(t.prev);
+            c.mark = Some(t.cur);
+            c.kept = t.kept;
+        }
+    }
+    reach
 }
 
-/// The world at `at` repeats the template's marks: compute the trials
-/// that follow, each a step of the template's, and return the instant
-/// the first trial not computed starts at, or `None` if none is.
-fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Option<Time> {
+/// A trial is due at `now`: inside `run_until`, compute the clean
+/// trials from it (see [`period`]) and mark the world at the trial start
+/// a batch ends on, which the next compares with. Returns the instant the
+/// trial at hand starts at.
+pub(crate) fn trial_start<L: Periodic>(w: &mut L, now: Time) -> Time {
+    if w.cycle().until.is_none() || !w.parts().trials.is_series() {
+        return now;
+    }
+    w.cycle().census.trial_marks += 1;
+    let Reach { k, end, .. } = period(w, now);
+    if k > 0 {
+        let c = &mut w.cycle().census;
+        c.batches += 1;
+        c.trials += k;
+        let next = mark(w, end);
+        w.cycle().mark = next;
+    }
+    end
+}
+
+/// The world at `at` repeats the template's marks: compute the periods
+/// that follow, each a step of the template's, unless the loop refuses
+/// them.
+fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Reach {
     let (prev, cur) = (&t.prev, &t.cur);
     let step = steps(prev, cur, 1);
-    let (now, trial) = (Time(at.refs[NOW]), step(NOW));
-    // The last trial runs as events, so the run ends on its clock.
-    let mut k = u64::from(w.parts().trials.left().saturating_sub(1));
-    k = k.min(until.saturating_since(now).as_ps() / trial);
+    let (now, period) = (Time(at.refs[NOW]), step(NOW));
     // Moved events must all land before a kept one: no tie to order.
     let (mut horizon, mut lead) = (Time::MAX, 0);
     for (&(at, _), &kept) in at.instants[..at.pending].iter().zip(&t.kept) {
@@ -732,24 +756,29 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Option
             lead = lead.max((at - now).as_ps());
         }
     }
-    let before_kept = horizon
-        .saturating_since(now)
-        .as_ps()
-        .saturating_sub(lead + 1);
-    k = k.min(before_kept / trial);
-    // Every frame of the `k` trials must cross its link.
+    let before_kept = horizon.saturating_since(now).as_ps();
+    let mut clear = (before_kept.saturating_sub(lead + 1) / period)
+        .min(until.saturating_since(now).as_ps() / period);
+    // The last trial runs as events, so the run ends on its clock.
+    let left = u64::from(w.parts().trials.left().saturating_sub(1));
+    clear = clear.min(left.checked_div(step(FLOW)).unwrap_or(u64::MAX));
+    // Every frame of the periods must cross its link.
+    let mut k = clear;
     for l in 0..w.directions() {
         let per = step(cur.frames(l));
         if per > 0 && k > 0 {
             k = k.min(w.direction(l).loss().clone().skip_clean(k * per) / per);
         }
     }
-    if k == 0 {
-        return None;
+    let mut reach = Reach {
+        k: 0,
+        end: now,
+        missed: k < clear,
+        to_kept: horizon.min(until).saturating_since(now).as_ps() / period,
+    };
+    if k == 0 || !w.admit(now, k, Duration::from_ps(period)) {
+        return reach;
     }
-    let c = &mut w.cycle().census;
-    c.batches += 1;
-    c.trials += k;
     for l in 0..w.directions() {
         w.direction(l)
             .loss_mut()
@@ -757,16 +786,31 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Option
     }
     let by = steps(prev, cur, k);
     let dt = Duration::from_ps(by(NOW));
-    advance_scalars(w, true, prev, cur, k);
+    (reach.k, reach.end) = (k, now + dt);
+    advance_scalars(w, prev, cur, k);
     lg_packet::skip_uids(by(UID));
+    let trains = w.trains();
+    let mut consumed = std::mem::take(&mut w.cycle().consumed);
     let p = w.parts();
     p.trials
-        .skip(u32::try_from(k).expect("fewer than the trials left"));
+        .skip(u32::try_from(by(FLOW)).expect("fewer than the trials left"));
     let mut kept = t.kept.iter();
-    p.q.translate(dt, |ev| Some((ev, !kept.next().expect("marked"))));
+    p.q.translate(dt, |ev| match ev {
+        Ev::HostArrive { host, id } if trains => {
+            consumed.push((host, id));
+            None
+        }
+        ev => Some((ev, !kept.next().expect("marked"))),
+    });
     for h in p.hosts.iter_mut() {
         h.advance(dt, &mut kept);
     }
+    // The frames a train computes all arrive inside the batch.
+    for (host, id) in consumed.drain(..) {
+        host::arrive(w, host, id, reach.end);
+    }
+    w.cycle().consumed = consumed;
+    let p = w.parts();
     let mut slots = at.slots.iter();
     p.pool.for_each_indexed_mut(|slot, pkt| {
         let &(marked, pair) = slots.next().expect("every live packet marked");
@@ -774,9 +818,13 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Option
         shift(pkt, by, pair);
     });
     // Each trial records the marked one's sample and trace.
-    p.fct.repeat_us(t.fct_us, k as usize);
-    for host in 0..2 {
-        w.host_port(host).2.advance(dt);
+    if let Some(us) = t.fct_us {
+        p.fct.repeat_us(us, k as usize);
+    }
+    if !trains {
+        for host in 0..2 {
+            w.host_port(host).2.advance(dt);
+        }
     }
     for i in 0..w.pairs() {
         w.pair(i).0.advance(by(Mark::data(i)), dt);
@@ -789,5 +837,6 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Option
             rdma.extend(std::iter::repeat_n(r, k as usize));
         }
     }
-    Some(now + dt)
+    w.land(prev, cur, k, reach.end);
+    reach
 }

@@ -16,16 +16,18 @@
 //! simulated (DESIGN.md §19).
 //!
 //! Under line-rate stress the world repeats itself one frame period
-//! later until a frame is lost, so [`World::run_until`] computes those
-//! clean stretches instead of paying five events per frame: at a
-//! forward departure it compares the world with the one a period
-//! earlier and, if they match up to the shift, advances every pending
-//! instant, sequence, counter and uid by whole periods, drawing the
-//! wire losses ahead in order (DESIGN.md §23). A serial trial series
-//! repeats itself one trial later the same way, so at a trial start it
-//! computes the clean trials alike. [`World::handle_pub`] and everything
-//! that is neither a clean stress period nor a clean trial stay event by
-//! event.
+//! later until a frame is lost, and a serial trial series one trial
+//! later, so [`World::run_until`] computes those clean periods instead
+//! of simulating them, through the one driver both loops share (the
+//! `cycle` module, DESIGN.md §23): at a forward departure or a trial
+//! start it compares the world with the one a period earlier and, if
+//! they match up to the shift, advances every pending instant, sequence,
+//! counter and uid by whole periods, drawing the wire losses ahead in
+//! order. This module keeps only what is stress-specific, as the
+//! driver's hooks: when to mark, the stretch's floor, host1's leg as a
+//! [`Train`], the receiver's drain, and that a stretch counts no events.
+//! [`World::handle_pub`] and everything that is neither a clean stress
+//! period nor a clean trial stay event by event.
 
 use lg_guardd::{GuardAction, GuardInput, GuardManager};
 use lg_link::{LinkConfig, LinkDirection, LinkSpeed, LossModel};
@@ -33,14 +35,14 @@ use lg_obs::health::{HealthConfig, HealthEstimator, HealthEvent};
 use lg_obs::timeseries::SeriesBank;
 use lg_obs::trace::{Comp, Kind, Level};
 use lg_obs::{lg_trace, MetricsRegistry};
-use lg_packet::{FlowId, NodeId, Packet, PacketPool, PktId};
+use lg_packet::{FlowId, NodeId, Packet, PacketPool};
 use lg_sim::{Duration, EventQueue, Rng, Time};
 use lg_switch::{Class, EgressPort, PortId, SerialLink, Switch, Train};
 use lg_transport::{CcVariant, FlowTrace, RdmaTrace};
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender};
 
-use crate::cycle::{self, shift, Cycle, Mark, Periodic, NOW, UID};
+use crate::cycle::{self, shift, Cycle, Mark, Periodic, NOW};
 pub use crate::cycle::{Causes, StretchCensus};
 use crate::host::{self, Trials};
 pub use crate::host::{Host, HOST_HOP};
@@ -364,11 +366,11 @@ pub struct World {
     /// before the next stress mark.
     cycle: Cycle,
     stretch_wait: u64,
-    /// A stretch's host1 arrivals and late frames, kept for the next.
-    arrived: Vec<PktId>,
+    /// The admitted stretch's frame as delivered to host1, how many of
+    /// its frames reach host1 inside it, and their length on the link.
+    carried: Option<(Packet, u64, u32)>,
+    /// The stretch's late frames (a buffer).
     late: Vec<(u64, Time)>,
-    /// Events `run_until` handled that are not a stress period's.
-    off_cycle: u64,
 }
 
 /// A stretch is worth its entry cost from this many periods on.
@@ -474,9 +476,8 @@ impl World {
             lg_scratch: PortScratch::default(),
             cycle: Cycle::default(),
             stretch_wait: 0,
-            arrived: Vec::new(),
+            carried: None,
             late: Vec::new(),
-            off_cycle: 0,
         }
     }
 
@@ -534,7 +535,6 @@ impl World {
         while let Some((now, ev)) = self.q.pop_if_before(until) {
             self.cycle.events += 1;
             let fwd_done = matches!(ev, Ev::PortTxDone { at: Side::Tx, .. });
-            self.off_cycle += cycle_place(&ev).is_none() as u64;
             let timed = self.obs.profile_seen.as_mut().is_some_and(|seen| {
                 *seen += 1;
                 *seen % lg_obs::sink::PROFILE_STRIDE == 0
@@ -547,7 +547,7 @@ impl World {
             if fwd_done && self.stress.is_some() {
                 match self.stretch_wait.checked_sub(1) {
                     Some(wait) => self.stretch_wait = wait,
-                    None => self.try_stretch(until),
+                    None => self.stretch_wait = self.try_stretch(),
                 }
             }
         }
@@ -556,162 +556,27 @@ impl World {
         ran
     }
 
-    /// At a forward departure, mark the world; if it repeats the mark
-    /// of the departure before, advance it by the clean periods that
-    /// end before the next lost frame, the first pending event that is
-    /// not a period's, and `until`, in one step (DESIGN.md §23). No
-    /// stretch is computed with host traffic (host0 then receives
-    /// nothing), a corrupting reverse link, the reverse instance or a
-    /// packet-level trace (a stretch runs no handler).
-    fn try_stretch(&mut self, until: Time) {
-        let now = self.q.now();
+    /// At a forward departure, run the period driver (DESIGN.md §23);
+    /// returns the forward departures to let pass before the next mark.
+    /// A stretch cut short by a kept event or `until` tries again once
+    /// it has run; one cut by a lost frame, and a mark that missed, a
+    /// few periods on.
+    fn try_stretch(&mut self) -> u64 {
         self.cycle.census.marks += 1;
-        let plain = matches!(self.cfg.app, App::None)
-            && *self.rev_link.loss().model() == LossModel::None
-            && self.lg2_tx.is_none()
-            && !lg_obs::trace::enabled(Level::Pkt);
-        let marked = plain
-            .then(|| cycle::mark(self, now, false, |w, m| w.mark_period(now, m)))
-            .flatten();
-        let Some(mark) = marked else {
-            self.cycle.census.refused += 1;
-            return self.miss();
-        };
-        let Some(prev) = self.cycle.mark.replace(mark) else {
-            return;
-        };
-        let cur = self.cycle.mark.take().expect("just marked");
-        if prev.same(&cur) {
-            self.stretch(&prev, &cur, now, until);
-        } else {
-            self.cycle.census.unequal += 1;
-            self.miss();
-        }
-        self.cycle.spare.extend([prev, cur]);
-    }
-
-    /// A stress mark's pending events: each departure and link arrival
-    /// as (kind, side, lead) with its frame, the first event a stretch
-    /// keeps in place, the lead of the latest it moves, the last host1
-    /// arrival and the next link arrival at the receiver switch; and the
-    /// events handled off the period. Returns the host1 arrivals, which
-    /// the mark leaves out.
-    fn mark_period(&mut self, now: Time, m: &mut Mark) -> Option<u64> {
-        m.shape.push(self.off_cycle);
-        let mut hosted = 0;
-        (m.horizon, m.lead, m.host_last, m.next_rx) = (Time::MAX, Duration::ZERO, now, None);
-        self.q.for_each_pending(|at, ev| match cycle_place(ev) {
-            None => m.horizon = m.horizon.min(at),
-            Some((3, _, _)) => (m.host_last, hosted) = (m.host_last.max(at), hosted + 1),
-            Some((kind, place, id)) => {
-                if (kind, place) == (2, 1) && m.next_rx.is_none() {
-                    m.next_rx = Some((at, id));
-                }
-                m.lead = m.lead.max(at - now);
-                m.shape.extend([kind, place, (at - now).as_ps()]);
-                m.hold(id, 0);
-            }
-        });
-        Some(hosted)
-    }
-
-    /// The world at `now` repeats `prev`: compute the stretch.
-    fn stretch(&mut self, prev: &Mark, cur: &Mark, now: Time, until: Time) {
-        let period = cycle::steps(prev, cur, 1)(NOW);
-        // Moved events must all land before a kept one: no tie to order.
-        let mut end = until;
-        if cur.horizon != Time::MAX {
-            end = end.min(cur.horizon - cur.lead - Duration::from_ps(1));
-        }
-        let most = end.saturating_since(now).as_ps() / period;
-        // Every pending host1 arrival must fall inside the stretch.
-        let least = MIN_STRETCH.max(cur.host_last.saturating_since(now).as_ps() / period + 1);
-        // Cut short by a kept event or `until`, try again once it has
-        // run; by a lost frame, a few periods on.
-        let kept = cur.horizon.min(until);
-        let periods_to = |from: Time| kept.saturating_since(from).as_ps() / period;
-        self.stretch_wait = periods_to(now);
-        if most < least {
-            return;
-        }
-        let mut ahead = self.fwd_link.loss().clone();
-        let k = ahead.skip_clean(most);
-        let end = now + Duration::from_ps(k * period);
-        self.stretch_wait = if k < most {
+        let r = cycle::period(self, self.q.now());
+        let c = &mut self.cycle.census;
+        c.stretches += u64::from(r.k > 0);
+        c.periods += r.k;
+        let wait = if r.missed {
             RETRY_PERIODS
         } else {
-            periods_to(end)
+            r.to_kept - r.k
         };
-        let Some((first, next)) = cur.next_rx.filter(|_| k >= least) else {
-            return;
-        };
-        // The frame as it arrives at the receiver switch, and as delivered.
-        let arriving_len = self.pool.get(next).frame_len();
-        let tmpl = Packet {
-            lg_data: None,
-            ..self.pool.get(next).clone()
-        };
-        // Host1's port is handed the stretch's frames one a period, the
-        // first at `first`.
-        let train = Train {
-            first,
-            n: k,
-            period: Duration::from_ps(period),
-            pipe: self.sw_rx.pipeline_latency,
-            ser: self.cfg.speed.serialize(tmpl.wire_len()),
-            len: tmpl.frame_len(),
-        };
-        self.late.clear();
-        let Some(delivered) = self.host_ports[1].enqueue_train(
-            &train,
-            self.sw_rx.counters_mut(PORT_HOST),
-            HOST_HOP,
-            end,
-            &mut self.late,
-        ) else {
-            return;
-        };
-        self.cycle.census.stretches += 1;
-        self.cycle.census.periods += k;
-        *self.fwd_link.loss_mut() = ahead;
-        let by = cycle::steps(prev, cur, k);
-        cycle::advance_scalars(self, false, prev, cur, k);
-        lg_packet::skip_uids(by(UID));
-        self.rev_link.loss_mut().skip_clean(by(cur.frames(1)));
-        // Host1's pending arrivals all fall inside the stretch.
-        let mut arrived = std::mem::take(&mut self.arrived);
-        arrived.clear();
-        self.q.translate(end - now, |ev| match cycle_place(&ev) {
-            Some((3, _, id)) => {
-                arrived.push(id);
-                None
-            }
-            moved => Some((ev, moved.is_some())),
-        });
-        for &id in &arrived {
-            host::arrive(self, 1, id, end);
+        if wait > 0 {
+            // The next mark is periods away: it compares with none.
+            self.cycle.forget();
         }
-        self.arrived = arrived;
-        self.pool.for_each_mut(|p| shift(p, by, 0));
-        self.lg_tx.advance(by(Mark::data(0)), end - now);
-        self.lg_rx
-            .advance(k, Duration::from_ps(period), arriving_len);
-        // The stretch's own frames: delivered inside it — all alike, so
-        // host1 counts one and then the rest at once — or filed.
-        if delivered > 0 {
-            let before = self.host1_counts().map(|c| *c);
-            let id = self.pool.insert(tmpl.clone());
-            host::arrive(self, 1, id, end);
-            for (c, b) in self.host1_counts().into_iter().zip(before) {
-                *c += (delivered - 1) * (*c - b);
-            }
-        }
-        for &(j, at) in &self.late {
-            let mut p = tmpl.clone();
-            shift(&mut p, cycle::steps(prev, cur, j), 0);
-            let id = self.pool.insert(p);
-            self.q.schedule_at(at, Ev::HostArrive { host: 1, id });
-        }
+        wait
     }
 
     /// What host1 counts per frame it receives.
@@ -719,12 +584,6 @@ impl World {
         let [g0, g1] = &mut self.goodput_bytes;
         let [bytes, frames, wire] = self.hosts[1].counters();
         [bytes, frames, wire, g0, g1]
-    }
-
-    /// The world does not repeat yet: mark it again a few periods on.
-    fn miss(&mut self) {
-        self.cycle.forget();
-        self.stretch_wait = RETRY_PERIODS;
     }
 
     /// Handle one event and charge its wall-clock time to its kind.
@@ -967,17 +826,6 @@ impl World {
     }
 }
 
-/// Kind (1-3), side or host, and frame of an event a stress period
-/// repeats: a departure, a link arrival or a host1 arrival.
-fn cycle_place(ev: &Ev) -> Option<(u64, u64, PktId)> {
-    match *ev {
-        Ev::PortTxDone { at, id } => Some((1, at as u64, id)),
-        Ev::WireArrive { at, id } => Some((2, at as u64, id)),
-        Ev::HostArrive { host: 1, id } => Some((3, 1, id)),
-        _ => None,
-    }
-}
-
 /// The testbed's topology for the shared event path: one link port per
 /// switch, facing the other's; each switch's other port faces its host.
 /// The forward instance is the outer tunnel, so the Tx port's sender
@@ -1108,18 +956,27 @@ impl PortLoop for World {
     }
 }
 
-/// What a trial moves in the testbed: its one forward pair (the reverse
-/// instance refuses every mark), both switches and both link directions.
-/// A world under stress or that profiles itself (built while the metrics
-/// sink is on: its profile samples every 64th event handled) computes no
-/// trial.
+/// What a period moves in the testbed: its one forward pair (the
+/// reverse instance refuses every mark), both switches and both link
+/// directions. Under stress a stretch computes host1's leg as a
+/// [`Train`] and counts no events. A world that profiles itself (built
+/// while the metrics sink is on: its profile samples every 64th event
+/// handled) computes no trial.
 impl Periodic for World {
     fn cycle(&mut self) -> &mut Cycle {
         &mut self.cycle
     }
 
+    /// No stretch with host traffic (host0 then receives nothing) or
+    /// under a packet-level trace, and no trial batch under a
+    /// control-level one: a batch runs no handler, so it would leave out
+    /// the rows its periods write.
     fn batches(&self) -> bool {
-        self.stress.is_none() && self.obs.profile_seen.is_none() && self.lg2_tx.is_none()
+        let (unit, level) = match self.stress {
+            Some(_) => (matches!(self.cfg.app, App::None), Level::Pkt),
+            None => (self.obs.profile_seen.is_none(), Level::Ctl),
+        };
+        unit && self.lg2_tx.is_none() && !lg_obs::trace::enabled(level)
     }
 
     fn pairs(&self) -> usize {
@@ -1150,10 +1007,10 @@ impl Periodic for World {
         }
     }
 
-    /// A stress period leaves out the host ports' counters, which
+    /// A stretch leaves out the host ports' counters, which
     /// [`SerialLink::enqueue_train`] computes (high-water marks hold).
-    fn moves_counters(port: PortId, trial: bool) -> bool {
-        trial || port == PORT_LINK
+    fn moves_counters(&self, port: PortId) -> bool {
+        self.stress.is_none() || port == PORT_LINK
     }
 
     fn directions(&self) -> usize {
@@ -1171,17 +1028,100 @@ impl Periodic for World {
         Some((&mut self.out.tcp_traces, &mut self.out.rdma_traces))
     }
 
-    fn extras(&mut self, trial: bool, f: &mut dyn FnMut(&mut u64)) {
+    /// The stress generator's refill counters, and the goodput window
+    /// unless a train computes it.
+    fn extras(&mut self, f: &mut dyn FnMut(&mut u64)) {
         [&mut self.stress_seq, &mut self.out.stress_tx_frames]
             .into_iter()
             .for_each(&mut *f);
-        if trial {
-            let [g0, g1] = &mut self.goodput_bytes;
-            [g0, g1, &mut self.off_cycle].into_iter().for_each(f);
+        if self.stress.is_none() {
+            self.goodput_bytes.iter_mut().for_each(f);
         }
     }
 
     fn udp_seq(&self) -> u64 {
         self.stress_seq
+    }
+
+    /// Host1's port drains a backlog at its own rate (the data header
+    /// is stripped before it), so a stretch computes it as a train.
+    fn trains(&self) -> bool {
+        self.stress.is_some()
+    }
+
+    fn counts_events(&self) -> bool {
+        self.stress.is_none()
+    }
+
+    /// A stretch is worth its entry cost from [`MIN_STRETCH`] periods
+    /// on, and must be long enough that every pending host1 arrival
+    /// falls inside it. Host1's port is handed its frames one a period,
+    /// the first at the next link arrival at the receiver switch, and
+    /// refuses a train it cannot compute.
+    fn admit(&mut self, now: Time, k: u64, period: Duration) -> bool {
+        if self.stress.is_none() {
+            return true;
+        }
+        let (mut last, mut next_rx) = (now, None);
+        // The receiver files link arrivals in time order.
+        self.q.for_each_pending(|t, ev| match *ev {
+            Ev::HostArrive { host: 1, .. } => last = last.max(t),
+            Ev::WireArrive { at: Side::Rx, id } if next_rx.is_none() => next_rx = Some((t, id)),
+            _ => {}
+        });
+        let least = MIN_STRETCH.max(last.saturating_since(now).as_ps() / period.as_ps() + 1);
+        let Some((first, next)) = next_rx.filter(|_| k >= least) else {
+            return false;
+        };
+        // The frame as it arrives at the receiver switch, and as delivered.
+        let arriving = self.pool.get(next);
+        let tmpl = Packet {
+            lg_data: None,
+            ..arriving.clone()
+        };
+        let train = Train {
+            first,
+            n: k,
+            period,
+            pipe: self.sw_rx.pipeline_latency,
+            ser: self.cfg.speed.serialize(tmpl.wire_len()),
+            len: tmpl.frame_len(),
+        };
+        self.late.clear();
+        let arriving_len = arriving.frame_len();
+        let delivered = self.host_ports[1].enqueue_train(
+            &train,
+            self.sw_rx.counters_mut(PORT_HOST),
+            HOST_HOP,
+            now + Duration::from_ps(k * period.as_ps()),
+            &mut self.late,
+        );
+        self.carried = delivered.map(|n| (tmpl, n, arriving_len));
+        delivered.is_some()
+    }
+
+    /// The receiver drains through the stretch's arrivals; its frames
+    /// reach host1 inside it — all alike, so host1 counts one and then
+    /// the rest at once — or are filed.
+    fn land(&mut self, prev: &Mark, cur: &Mark, k: u64, end: Time) {
+        let Some((tmpl, delivered, arriving_len)) = self.carried.take() else {
+            return;
+        };
+        let period = Duration::from_ps(cycle::steps(prev, cur, 1)(NOW));
+        self.lg_rx.advance(k, period, arriving_len);
+        if delivered > 0 {
+            let before = self.host1_counts().map(|c| *c);
+            let id = self.pool.insert(tmpl.clone());
+            host::arrive(self, 1, id, end);
+            for (c, b) in self.host1_counts().into_iter().zip(before) {
+                *c += (delivered - 1) * (*c - b);
+            }
+        }
+        for &(j, at) in &self.late {
+            let mut p = tmpl.clone();
+            shift(&mut p, cycle::steps(prev, cur, j), 0);
+            let id = self.pool.insert(p);
+            self.q.schedule_at(at, Ev::HostArrive { host: 1, id });
+        }
     }
 }

@@ -82,9 +82,10 @@ fn compare(cfg: &WorldConfig, frame_len: u32, run: Duration, cuts: usize) -> (u6
     at.sort();
     at.push(Time::ZERO + run);
     let label = format!(
-        "{:?} {:?} lg={} sample={:?}",
+        "{:?} {:?} reverse {:?} lg={} sample={:?}",
         cfg.speed,
         cfg.loss,
+        cfg.rev_loss,
         cfg.lg.is_some(),
         cfg.sample_interval
     );
@@ -151,14 +152,19 @@ fn computed_stretches_equal_simulated_frames() {
         });
         for p in [Protection::Lg, Protection::LgNb, Protection::Off] {
             for loss in &losses {
-                seed += 1;
-                let cfg = config(speed, loss.clone(), p, seed % 2 == 0, seed);
-                let (sim, comp) = compare(&cfg, 1518, run, 4);
-                if loss.mean_rate() <= 1e-4 {
-                    assert!(
-                        comp * 3 < sim,
-                        "{cfg:?}: {comp} of {sim} events: too few stretches"
-                    );
+                // A corrupting reverse link: a stretch must find every
+                // explicit ACK clean as well.
+                for rev in [LossModel::None, LossModel::Iid { rate: 1e-3 }] {
+                    seed += 1;
+                    let mut cfg = config(speed, loss.clone(), p, seed % 2 == 0, seed);
+                    cfg.rev_loss = rev;
+                    let (sim, comp) = compare(&cfg, 1518, run, 4);
+                    if loss.mean_rate() <= 1e-4 {
+                        assert!(
+                            comp * 3 < sim,
+                            "{cfg:?}: {comp} of {sim} events: too few stretches"
+                        );
+                    }
                 }
             }
         }

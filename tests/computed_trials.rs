@@ -1,23 +1,29 @@
-//! Computed trials equal simulated trials, on both testbed loops
-//! (DESIGN.md §23, "Computed trials").
+//! Computed periods equal simulated ones, on both testbed loops and for
+//! both period units (DESIGN.md §23): the clean trials of a serial trial
+//! series, and the clean stretches of a line-rate stress run.
 //!
-//! `World::run_until` and `ChainWorld::run_until` compute the clean
-//! trials of a serial trial series; the same loop stepped through
-//! `pop_if_before` + `handle_pub` never does, so it is the oracle. Each
-//! world is drawn from a seeded generator — the loop (the two-switch
+//! `World::run_until` and `ChainWorld::run_until` compute them; the same
+//! loop stepped through `pop_if_before` + `handle_pub` never does, so it
+//! is the oracle. Each world is drawn from a seeded generator, and both
+//! sides are cut at the same random instants, mid-batch included, and
+//! compared at every cut. A trial world draws the loop (the two-switch
 //! testbed, or a chain of one to three hops, all protected or mixed),
 //! the transport (RDMA go-back-N or DCTCP), the message size (143 B or
 //! 24,387 B) and the loss (none, i.i.d. 1e-3 or 1e-2, Gilbert–Elliott)
-//! of every forward link and of the testbed's reverse link — and both sides are cut at the same random instants, mid-batch
-//! included, and compared at every cut.
+//! of every forward link and of the testbed's reverse link. A stress
+//! world draws the speed (25 or 100 G), the protection (LG, LG_NB or
+//! none), the forward and reverse losses, a 100 µs sample interval or
+//! none, and 1518 B or 64 B frames; after its cuts, stress stops and the
+//! tail drains.
 
 use lg_link::{LinkSpeed, LossModel};
 use lg_packet::peek_next_uid;
-use lg_sim::{Rng, Time};
+use lg_sim::{Duration, Rng, Time};
 use lg_testbed::chain::{PORT_LEFT, PORT_RIGHT};
 use lg_testbed::world::{PORT_HOST, PORT_LINK};
 use lg_testbed::{
     fct_config, ChainApp, ChainConfig, ChainWorld, FctTransport, Protection, StretchCensus, World,
+    WorldConfig,
 };
 use lg_transport::CcVariant;
 
@@ -269,5 +275,141 @@ fn computed_trials_equal_simulated_trials_on_both_loops() {
         computed += c.trials;
     }
     assert!(chains >= 10, "only {chains} chains drawn");
+    assert!(computed > 0);
+}
+
+/// The simulated path of a stress world: every event handled, then the
+/// host ports settled as the run loop settles them.
+fn step(w: &mut World, until: Time) {
+    while let Some((now, ev)) = w.q.pop_if_before(until) {
+        w.handle_pub(ev, now);
+    }
+    assert_eq!(w.run_until(until), 0);
+}
+
+/// Everything a stretch must leave exactly as the frames would: the
+/// clock, queue, pool and uid count; the stress generator and host1's
+/// counters; the sender and receiver with their buffers, retx delays and
+/// recirculation occupancy (drained to the cut on both sides alike);
+/// every switch port and queue; and the probes.
+fn observe_stress(w: &mut World, uid0: u64) -> String {
+    let ports: Vec<_> = [&w.sw_tx, &w.sw_rx]
+        .iter()
+        .flat_map(|sw| [PORT_LINK, PORT_HOST].map(|p| sw.counters(p)))
+        .collect();
+    let queues: Vec<_> = [&w.sw_tx, &w.sw_rx]
+        .iter()
+        .map(|sw| {
+            let q = sw.port(PORT_LINK).queue(lg_switch::Class::Normal);
+            (q.len(), q.bytes(), q.high_watermark(), q.drops())
+        })
+        .collect();
+    let recirc = w.lg_rx.recirc_occupancy(w.q.now());
+    let (tx, rx) = (&w.lg_tx, &w.lg_rx);
+    let rx_hist = rx.retx_delay_histogram();
+    format!(
+        "now {:?} len {} live {} uids {}\n\
+         stress {} delivered {} host1 {} {}\n\
+         tx {:?} {:?} {} sent {} acked {}\n\
+         rx {:?} {:?} {} ack_no {} latest {} retx_delay {} {:?}\n\
+         recirc {recirc}\nports {ports:?}\nqueues {queues:?}\nprobes {:?}",
+        w.q.now(),
+        w.q.len(),
+        w.pool.live(),
+        peek_next_uid() - uid0,
+        w.out.stress_tx_frames,
+        w.stress_delivered(),
+        w.hosts[1].payload_rx_bytes,
+        w.hosts[1].stress_rx_wire_bytes,
+        tx.stats(),
+        tx.tx_buffer_stats(),
+        tx.tx_buffer_bytes(),
+        tx.last_sent(),
+        tx.acked(),
+        rx.stats(),
+        rx.rx_buffer_stats(),
+        rx.rx_buffer_bytes(),
+        rx.ack_no(),
+        rx.latest_rx(),
+        rx_hist.len(),
+        rx_hist.summary(),
+        w.probes,
+    )
+}
+
+/// Draw a stress world: its label, configuration, frame length and run.
+fn draw_stress(rng: &mut Rng, seed: u64) -> (String, WorldConfig, u32, Duration) {
+    let speed = [LinkSpeed::G25, LinkSpeed::G100][pick(rng, 2)];
+    let p = [Protection::Lg, Protection::LgNb, Protection::Off][pick(rng, 3)];
+    let (fwd, rev) = (loss(pick(rng, LOSSES)), loss(pick(rng, LOSSES)));
+    let sample = pick(rng, 2) == 1;
+    // Short frames come ≈20 times as fast: a run of as many frames.
+    let (len, run) = match pick(rng, 2) {
+        0 => (1518, Duration::from_ms(2)),
+        _ => (64, Duration::from_us(100)),
+    };
+    let mut cfg = WorldConfig::new(speed, fwd.clone());
+    cfg.lg = p.lg_config(speed, fwd.mean_rate());
+    cfg.rev_loss = rev;
+    cfg.sample_interval = sample.then(|| Duration::from_us(100));
+    cfg.seed = seed;
+    let label = format!(
+        "stress {speed:?} {p:?} {fwd:?} reverse {:?} sample {sample} {len} B seed {seed}",
+        cfg.rev_loss
+    );
+    (label, cfg, len, run)
+}
+
+/// Cut both sides of a stress world at `cuts` random instants of its
+/// run, then stop the stress and drain the tail, comparing at each cut;
+/// returns the computed side's census.
+fn compare_stress(rng: &mut Rng, seed: u64, cuts: usize) -> (String, StretchCensus) {
+    let (label, cfg, len, run) = draw_stress(rng, seed);
+    let mut at: Vec<Time> = (0..cuts)
+        .map(|_| Time::from_ps(rng.range(0, run.as_ps())))
+        .collect();
+    at.sort();
+    at.push(Time::ZERO + run);
+    let drained = Time::ZERO + run + Duration::from_ms(1);
+    let mut sides = Vec::new();
+    let mut census = StretchCensus::default();
+    for computed in [false, true] {
+        let uid0 = peek_next_uid();
+        let mut w = World::new(cfg.clone());
+        w.enable_stress(len);
+        let mut seen = Vec::new();
+        for (i, &t) in at.iter().chain([&drained]).enumerate() {
+            if i == cuts + 1 {
+                w.disable_stress();
+            }
+            // A stretch counts no events, so the counts differ.
+            if computed {
+                w.run_until(t);
+            } else {
+                step(&mut w, t);
+            }
+            seen.push(observe_stress(&mut w, uid0));
+        }
+        assert!(w.pool.is_drained(), "{label}: pool not drained");
+        census = w.stretch_census();
+        sides.push(seen);
+    }
+    for (i, (sim, comp)) in sides[0].iter().zip(&sides[1]).enumerate() {
+        assert_eq!(sim, comp, "{label}: diverged at cut {i}");
+    }
+    (label, census)
+}
+
+#[test]
+fn computed_stretches_equal_simulated_frames() {
+    let mut rng = Rng::new(0x57_2e55);
+    let mut computed = 0;
+    for seed in 1..=16 {
+        let (label, c) = compare_stress(&mut rng, seed, 4);
+        if label.contains("None reverse None") {
+            assert!(c.stretches > 0, "{label}: {c:?}: no stretch computed");
+        }
+        computed += c.periods;
+    }
     assert!(computed > 0);
 }
