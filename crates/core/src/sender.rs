@@ -400,8 +400,9 @@ impl LgSender {
     /// How long before `now` the last dummy burst went out, as far as
     /// the pacing reads it: [`DUMMY_PACE`] or more is as good as never.
     fn since_dummy(&self, now: Time) -> Duration {
-        self.last_dummy_at
-            .map_or(DUMMY_PACE, |last| now.saturating_since(last).min(DUMMY_PACE))
+        self.last_dummy_at.map_or(DUMMY_PACE, |last| {
+            now.saturating_since(last).min(DUMMY_PACE)
+        })
     }
 
     /// What a periodic run must find unchanged, relative to this

@@ -14,8 +14,9 @@
 //!
 //! This module is the chain's topology only; its events run through the
 //! event path the two-switch [`crate::world`] runs through, and its clean
-//! trials are computed by the trial batches `World` computes (DESIGN.md
-//! §23, "Computed trials"). Only the forward direction is protected
+//! trials are computed by the period code `World` computes its
+//! stretches and trials with (the `cycle` module, DESIGN.md §23). Only
+//! the forward direction is protected
 //! (like the main testbed); reverse traffic carries ACKs and
 //! LinkGuardian control.
 

@@ -2,7 +2,7 @@
 //! comparison and the one advance that compute a run's clean periods
 //! (DESIGN.md §23). A period's unit is a forward departure under
 //! line-rate stress (a computed stretch) or a `TrialStart` in a serial
-//! trial series (a computed batch of trials); the driver is the same for
+//! trial series (a computed batch of trials); the code is the same for
 //! both.
 //!
 //! A loop lists what a period moves through [`Periodic`]: its
@@ -63,24 +63,21 @@ pub(crate) trait Periodic: PortLoop {
     fn udp_seq(&self) -> u64 {
         0
     }
-    /// Whether a batch computes host1's leg itself, as a train: the
-    /// host-facing ports, the hosts' counters and the frames bound for a
-    /// host (consumed at the batch's end, not moved), and the receivers'
-    /// drain. The mark then leaves them out.
+    /// Whether a batch computes host1's leg itself, as a train (`admit`,
+    /// `land`): the host-facing ports, the hosts' counters and the frames
+    /// bound for a host (consumed at the batch's end, not moved), and the
+    /// receivers' drain. The mark then leaves them out, and the batch
+    /// counts no events.
     fn trains(&self) -> bool {
         false
     }
-    /// Whether a batch counts the events it stands for.
-    fn counts_events(&self) -> bool {
-        true
-    }
-    /// A batch of `k` clean periods from `now` is about to run: false
+    /// A train of `k` clean periods from `now` is about to run: false
     /// refuses it, changing nothing.
     fn admit(&mut self, _now: Time, _k: u64, _period: Duration) -> bool {
         true
     }
     /// The batch moved the world `k` periods on, to `end`, each the step
-    /// from `prev` to `cur`: the loop's own part of it.
+    /// from `prev` to `cur`: the train's part of it.
     fn land(&mut self, _prev: &Mark, _cur: &Mark, _k: u64, _end: Time) {}
 }
 
@@ -508,8 +505,6 @@ fn visit_scalars<L: Periodic>(w: &mut L, f: &mut dyn FnMut(&mut u64)) {
             h.counters().into_iter().for_each(&mut *f);
         }
         f(p.e2e_retx);
-    }
-    if w.counts_events() {
         f(&mut w.cycle().events);
     }
 }
@@ -723,7 +718,10 @@ pub(crate) fn period<L: Periodic>(w: &mut L, now: Time) -> Reach {
 /// A trial is due at `now`: inside `run_until`, compute the clean
 /// trials from it (see [`period`]) and mark the world at the trial start
 /// a batch ends on, which the next compares with. Returns the instant the
-/// trial at hand starts at.
+/// trial at hand starts at. Kept out of line: inlined into the
+/// dispatcher, it grew it past what the run loop inlines, and every
+/// event paid a call.
+#[inline(never)]
 pub(crate) fn trial_start<L: Periodic>(w: &mut L, now: Time) -> Time {
     if w.cycle().until.is_none() || !w.parts().trials.is_series() {
         return now;
@@ -776,7 +774,8 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Reach 
         missed: k < clear,
         to_kept: horizon.min(until).saturating_since(now).as_ps() / period,
     };
-    if k == 0 || !w.admit(now, k, Duration::from_ps(period)) {
+    let trains = w.trains();
+    if k == 0 || trains && !w.admit(now, k, Duration::from_ps(period)) {
         return reach;
     }
     for l in 0..w.directions() {
@@ -789,7 +788,6 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Reach 
     (reach.k, reach.end) = (k, now + dt);
     advance_scalars(w, prev, cur, k);
     lg_packet::skip_uids(by(UID));
-    let trains = w.trains();
     let mut consumed = std::mem::take(&mut w.cycle().consumed);
     let p = w.parts();
     p.trials
@@ -837,6 +835,8 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Reach 
             rdma.extend(std::iter::repeat_n(r, k as usize));
         }
     }
-    w.land(prev, cur, k, reach.end);
+    if trains {
+        w.land(prev, cur, k, reach.end);
+    }
     reach
 }

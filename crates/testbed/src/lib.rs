@@ -5,7 +5,11 @@
 //! switches, the corrupting link, LinkGuardian sender/receiver, transport
 //! endpoints — into one deterministic event loop, and [`chain::ChainWorld`]
 //! into a multi-hop path. Both run one event enum ([`Ev`]) through one
-//! event path and differ only in struct, constructor and topology.
+//! event path and differ only in struct, constructor and topology. Their
+//! `run_until` computes the clean periods of a run — the stretches of a
+//! line-rate stress run, the batches of a serial trial series — through
+//! one mark/compare/advance module (DESIGN.md §23); `handle_pub` never
+//! does, and is the reference the computed runs are checked against.
 //! [`experiments`] provides one driver per experiment class:
 //!
 //! * [`experiments::stress_test`] — line-rate MTU stress (Fig 8 effective

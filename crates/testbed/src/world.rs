@@ -18,14 +18,14 @@
 //! Under line-rate stress the world repeats itself one frame period
 //! later until a frame is lost, and a serial trial series one trial
 //! later, so [`World::run_until`] computes those clean periods instead
-//! of simulating them, through the one driver both loops share (the
-//! `cycle` module, DESIGN.md §23): at a forward departure or a trial
-//! start it compares the world with the one a period earlier and, if
-//! they match up to the shift, advances every pending instant, sequence,
-//! counter and uid by whole periods, drawing the wire losses ahead in
-//! order. This module keeps only what is stress-specific, as the
-//! driver's hooks: when to mark, the stretch's floor, host1's leg as a
-//! [`Train`], the receiver's drain, and that a stretch counts no events.
+//! of simulating them, through the `cycle` module both loops share
+//! (DESIGN.md §23): at a forward departure or a trial start it compares
+//! the world with the one a period earlier and, if they match up to the
+//! shift, advances every pending instant, sequence, counter and uid by
+//! whole periods, drawing the wire losses ahead in order. This module
+//! keeps only what is stress-specific, as that module's hooks: when to
+//! mark, the stretch's floor, host1's leg as a [`Train`], the receiver's
+//! drain, and that a stretch counts no events.
 //! [`World::handle_pub`] and everything that is neither a clean stress
 //! period nor a clean trial stay event by event.
 
@@ -556,11 +556,13 @@ impl World {
         ran
     }
 
-    /// At a forward departure, run the period driver (DESIGN.md §23);
-    /// returns the forward departures to let pass before the next mark.
-    /// A stretch cut short by a kept event or `until` tries again once
-    /// it has run; one cut by a lost frame, and a mark that missed, a
-    /// few periods on.
+    /// At a forward departure, compute a stretch if the world repeats
+    /// (`cycle::period`, DESIGN.md §23); returns the forward departures
+    /// to let pass before the next mark. A stretch cut short by a kept
+    /// event or `until` tries again once it has run; one cut by a lost
+    /// frame, and a mark that missed, a few periods on. Out of line,
+    /// like [`cycle::trial_start`], to keep the run loop small.
+    #[inline(never)]
     fn try_stretch(&mut self) -> u64 {
         self.cycle.census.marks += 1;
         let r = cycle::period(self, self.q.now());
@@ -1044,13 +1046,10 @@ impl Periodic for World {
     }
 
     /// Host1's port drains a backlog at its own rate (the data header
-    /// is stripped before it), so a stretch computes it as a train.
+    /// is stripped before it), so a stretch computes it as a train; and
+    /// a stretch counts no events.
     fn trains(&self) -> bool {
         self.stress.is_some()
-    }
-
-    fn counts_events(&self) -> bool {
-        self.stress.is_none()
     }
 
     /// A stretch is worth its entry cost from [`MIN_STRETCH`] periods
@@ -1059,9 +1058,6 @@ impl Periodic for World {
     /// the first at the next link arrival at the receiver switch, and
     /// refuses a train it cannot compute.
     fn admit(&mut self, now: Time, k: u64, period: Duration) -> bool {
-        if self.stress.is_none() {
-            return true;
-        }
         let (mut last, mut next_rx) = (now, None);
         // The receiver files link arrivals in time order.
         self.q.for_each_pending(|t, ev| match *ev {
@@ -1104,9 +1100,7 @@ impl Periodic for World {
     /// reach host1 inside it — all alike, so host1 counts one and then
     /// the rest at once — or are filed.
     fn land(&mut self, prev: &Mark, cur: &Mark, k: u64, end: Time) {
-        let Some((tmpl, delivered, arriving_len)) = self.carried.take() else {
-            return;
-        };
+        let (tmpl, delivered, arriving_len) = self.carried.take().expect("admitted");
         let period = Duration::from_ps(cycle::steps(prev, cur, 1)(NOW));
         self.lg_rx.advance(k, period, arriving_len);
         if delivered > 0 {

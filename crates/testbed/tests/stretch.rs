@@ -198,7 +198,8 @@ fn stress_run(cfg: WorldConfig, ms: u64) -> (u64, World) {
 /// The stretches start within a few periods of a recovery: on the
 /// `testbed_stress` configuration (100 G LG, iid 1e-3, seed 1) a frame
 /// cost 0.78 events under the doubling host-hop back-off, and costs
-/// 0.267 with the fixed retry (0.310 if a miss waits one host hop).
+/// 0.257 with the fixed retry and stretches that resume the last one's
+/// step (0.310 if a miss waits one host hop).
 /// The counts repeat exactly.
 #[test]
 fn a_stress_frame_costs_under_three_tenths_of_an_event() {
