@@ -180,15 +180,24 @@ impl LossProcess {
                     n
                 }
             }
+            LossModel::Trace { .. } => self.clean_ahead(max),
+            LossModel::GilbertElliott { .. } => return self.skip_clean_stepwise(max),
+        };
+        self.frame_index += n;
+        n
+    }
+
+    /// What [`LossProcess::skip_clean`] would return, leaving the process
+    /// as it is. A trace answers without a copy of its drop list.
+    pub fn clean_ahead(&self, max: u64) -> u64 {
+        match &self.model {
             LossModel::Trace { drops } => match drops.get(self.trace_pos) {
                 // A drop index already behind the count never matches.
                 Some(&next) if next >= self.frame_index => max.min(next - self.frame_index),
                 _ => max,
             },
-            LossModel::GilbertElliott { .. } => return self.skip_clean_stepwise(max),
-        };
-        self.frame_index += n;
-        n
+            _ => self.clone().skip_clean(max),
+        }
     }
 
     /// [`LossProcess::skip_clean`] one plain draw at a time.
@@ -333,7 +342,9 @@ mod tests {
             );
             for round in 0..200u64 {
                 let max = round % 37;
+                let peeked = ahead.clean_ahead(max);
                 let n = ahead.skip_clean(max);
+                assert_eq!(peeked, n, "{model:?}: peeking moved nothing");
                 assert!(n <= max);
                 assert!(
                     (0..n).all(|_| !plain.should_drop()),

@@ -124,7 +124,7 @@ pub struct Causes {
     pub switch: u64,
     /// The pending events: their kinds and places.
     pub events: u64,
-    /// The shape of a host: transports in place, pending wake, NIC.
+    /// The shape of a host: transports in place, NIC.
     pub host: u64,
     /// The shape of a host-facing switch port.
     pub host_port: u64,
@@ -305,8 +305,6 @@ pub(crate) enum Hold {
     /// Stays where it is: a control event or a recovery's timer, never
     /// part of a period.
     Stays,
-    /// Either: a transport wake an earlier trial may have armed.
-    Either,
     /// Moves, or stays if already past: a latest deadline, which stays
     /// only while no trial asks for a later one.
     Lapsed,
@@ -339,8 +337,8 @@ pub(crate) fn shift(p: &mut Packet, by: impl Fn(usize) -> u64, pair: usize) {
 /// The world as [`Mark`] compares it at `now`, a period's start: a
 /// forward departure just handled, or a trial start before its event
 /// runs. `None` while a recovery is under way, while a receiver drains
-/// that no train computes, or if a live packet is held where the mark
-/// does not look.
+/// that no train computes, while a transport wake is pending, or if a
+/// live packet is held where the mark does not look.
 pub(crate) fn mark<L: Periodic>(w: &mut L, now: Time) -> Option<Mark> {
     let mut m = w.cycle().spare.pop().unwrap_or_default();
     if fill(w, now, &mut m).is_some() {
@@ -384,7 +382,7 @@ fn fill<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<()> {
         }
     }
     m.ends[1] = m.shape.len();
-    let consumed = events(w, trains, m);
+    let consumed = events(w, trains, m)?;
     m.ends[2] = m.shape.len();
     let p = w.parts();
     for h in p.hosts.iter() {
@@ -442,14 +440,16 @@ fn fill<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<()> {
 /// The one event walk: each pending event, in filing order, gives its
 /// kind and place to the shape, its frame to the ids, and its instant
 /// with what a batch may do with it. A frame bound for a host that a
-/// train computes is consumed instead: returns how many are.
-fn events<L: Periodic>(w: &mut L, trains: bool, m: &mut Mark) -> u64 {
+/// train computes is consumed instead: returns how many are, or `None`
+/// if a transport wake is pending (a finished trial retires its own, so
+/// no trial start holds one; DESIGN.md §19).
+fn events<L: Periodic>(w: &mut L, trains: bool, m: &mut Mark) -> Option<u64> {
     let last = m.pairs - 1;
     let port = |at: L::Port| {
         let (sw, port) = L::locate(at);
         ((sw * 2 + port) as u64, L::pair_at(sw, port).min(last))
     };
-    let mut consumed = 0;
+    let (mut consumed, mut woken) = (0, false);
     w.parts().q.for_each_pending(|at, ev| {
         let (place, hold) = match *ev {
             Ev::PortEnqueue { at, class, id } => {
@@ -471,7 +471,10 @@ fn events<L: Periodic>(w: &mut L, trains: bool, m: &mut Mark) -> u64 {
                 m.hold(id, 0);
                 ([host as u64, 0], Hold::Moves)
             }
-            Ev::HostWake { host } => ([host as u64, 0], Hold::Either),
+            Ev::HostWake { .. } => {
+                woken = true;
+                return;
+            }
             Ev::DummyRefresh { at } => ([port(at).0, 0], Hold::Moves),
             // A control event or a recovery's timer.
             _ => ([0, 0], Hold::Stays),
@@ -480,7 +483,7 @@ fn events<L: Periodic>(w: &mut L, trains: bool, m: &mut Mark) -> u64 {
         m.instants.push((at, hold));
     });
     m.pending = m.instants.len();
-    consumed
+    (!woken).then_some(consumed)
 }
 
 /// Visit every counter and sequence field a period moves by a fixed
@@ -547,7 +550,7 @@ fn repeats(prev: &Mark, cur: &Mark, kept: &mut Vec<bool>) -> Result<(), Cause> {
         let stays = a == b
             && match hold {
                 Hold::Moves => false,
-                Hold::Stays | Hold::Either => true,
+                Hold::Stays => true,
                 Hold::Lapsed => b.as_ps() <= c,
             };
         if !(moves && hold != Hold::Stays || stays) {
@@ -603,27 +606,19 @@ impl Template {
     /// before, repeats this template's: a batch may then take its step.
     /// Equal shapes and frames; every instant the template moved at its
     /// offset into the period; and every one it kept where it kept it,
-    /// or a deadline already past, or a wake no later into the trial
-    /// than the template's marked trial found its own. That trial filed
-    /// no request before its wake, and each later trial repeats its
-    /// requests at the same offsets, so none files one before `m`'s.
+    /// or a deadline already past.
     fn resumes(&self, m: &Mark) -> bool {
         if (&self.cur.shape, &self.cur.pkts) != (&m.shape, &m.pkts) {
             return false;
         }
-        let (start, now) = (self.prev.refs[NOW], m.refs[NOW]);
+        let now = m.refs[NOW];
         let into = |at: Time, from: u64| at.as_ps().wrapping_sub(from);
         let pairs = self.cur.instants.iter().zip(&m.instants);
         pairs.zip(&self.kept).all(|((&(a, hold), &(b, _)), &kept)| {
             if !kept {
                 return into(b, now) == into(a, self.cur.refs[NOW]);
             }
-            b == a
-                || match hold {
-                    Hold::Lapsed => b.as_ps() <= now,
-                    Hold::Either => into(b, now) <= into(a, start),
-                    Hold::Moves | Hold::Stays => false,
-                }
+            b == a || hold == Hold::Lapsed && b.as_ps() <= now
         })
     }
 }
@@ -765,7 +760,7 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Reach 
     for l in 0..w.directions() {
         let per = step(cur.frames(l));
         if per > 0 && k > 0 {
-            k = k.min(w.direction(l).loss().clone().skip_clean(k * per) / per);
+            k = k.min(w.direction(l).loss().clean_ahead(k * per) / per);
         }
     }
     let mut reach = Reach {

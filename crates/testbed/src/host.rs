@@ -6,7 +6,7 @@
 use lg_obs::lg_trace;
 use lg_obs::trace::{Comp, Kind, Level};
 use lg_packet::{FlowId, NodeId, Packet, Payload, PktId};
-use lg_sim::{Duration, Time};
+use lg_sim::{Duration, EventHandle, EventQueue, Time};
 use lg_switch::{Class, SerialLink};
 use lg_transport::{
     CcVariant, RdmaConfig, RdmaRequester, RdmaResponder, TcpConfig, TcpReceiver, TcpSender,
@@ -34,14 +34,17 @@ pub struct Host {
     pub node: NodeId,
     /// The NIC: an unbounded FIFO serializer, computed at hand-over.
     pub(crate) nic: SerialLink,
-    /// Instant of the one live pending wake-up. Transports re-arm a
-    /// ≈1 ms timer on every ACK; only a deadline *earlier* than the
-    /// pending wake needs an event of its own, because a wake that
-    /// fires early re-arms from the transports' current deadline.
-    wake_at: Option<Time>,
-    /// Latest deadline ever requested: the last wake fires there, as
-    /// the last stale per-ACK wake used to, so a drained run ends on
-    /// the same clock.
+    /// The one pending wake-up, its instant and its event. Transports
+    /// re-arm a ≈1 ms timer on every ACK; a deadline later than the
+    /// pending wake needs no event, since a wake that fires early re-arms
+    /// from the transports' current deadline, and a sooner one cancels
+    /// the pending event and files its own. A series' wake belongs to the
+    /// trial that armed it and is cancelled when that trial finishes, so
+    /// no trial start finds one pending (DESIGN.md §19).
+    wake_at: Option<(Time, EventHandle)>,
+    /// Latest deadline ever requested: the wake a series' last trial
+    /// files fires there, as the last stale per-ACK wake used to, so a
+    /// drained run ends on the same clock.
     wake_latest: Time,
     /// TCP sender of the current trial.
     pub tcp_tx: Option<TcpSender>,
@@ -99,22 +102,38 @@ impl Host {
         self.tcp_tx = Some(tx);
     }
 
-    /// A transport asked to be woken at `at`; true if a wake event must
-    /// be filed for it (the pending one, if any, is later).
-    pub(crate) fn request_wake(&mut self, at: Time) -> bool {
+    /// A transport asked to be woken at `at`: file `ev` there, unless
+    /// the pending wake is no later, cancelling it if it is.
+    pub(crate) fn request_wake<E>(&mut self, at: Time, q: &mut EventQueue<E>, ev: E) {
         self.wake_latest = self.wake_latest.max(at);
-        let earlier = self.wake_at.is_none_or(|pending| at < pending);
-        if earlier {
-            self.wake_at = Some(at);
+        if self.wake_at.is_none_or(|(pending, _)| at < pending) {
+            self.cancel_wake(q);
+            self.wake_at = Some((at, q.schedule_at(at, ev)));
         }
-        earlier
+    }
+
+    /// Cancel the pending wake. A handle `EventQueue::translate` spent
+    /// cancels nothing, and its event pops as a no-op ([`Host::on_wake`]).
+    fn cancel_wake<E>(&mut self, q: &mut EventQueue<E>) {
+        if let Some((_, event)) = self.wake_at.take() {
+            q.cancel(event);
+        }
+    }
+
+    /// A trial of a series finished: its wake goes with it. The `last`
+    /// one files `ev` at the latest deadline, where a drained run ends.
+    pub(crate) fn retire_wake<E>(&mut self, q: &mut EventQueue<E>, last: bool, ev: E) {
+        self.cancel_wake(q);
+        if last {
+            self.rearm_wake(q.now(), None, q, ev);
+        }
     }
 
     /// A wake event fired at `now`: run the transport timers into
-    /// `actions`. False (nothing run) if an earlier request superseded
-    /// the event. Apply the actions, then call [`Host::rearm_wake`].
+    /// `actions`. False (nothing run) if it is not the pending wake.
+    /// Apply the actions, then call [`Host::rearm_wake`].
     pub(crate) fn on_wake(&mut self, now: Time, actions: &mut Vec<TransportAction>) -> bool {
-        if self.wake_at != Some(now) {
+        if self.wake_at.map(|(at, _)| at) != Some(now) {
             return false;
         }
         self.wake_at = None;
@@ -127,26 +146,33 @@ impl Host {
         true
     }
 
-    /// The instant to file the next wake at, unless the timers that
-    /// just ran already requested one or nothing is outstanding.
-    pub(crate) fn rearm_wake(&mut self, now: Time) -> Option<Time> {
+    /// The transports' next timer deadline, if any is armed.
+    pub(crate) fn deadline(&self) -> Option<Time> {
         let tcp = self.tcp_tx.as_ref().and_then(|t| t.next_deadline());
         let rdma = self.rdma_tx.as_ref().and_then(|r| r.next_deadline());
-        let at = tcp
-            .into_iter()
-            .chain(rdma)
-            .min()
-            .unwrap_or(self.wake_latest);
-        (self.wake_at.is_none() && at > now).then(|| {
-            self.wake_at = Some(at);
-            at
-        })
+        tcp.into_iter().chain(rdma).min()
+    }
+
+    /// File `ev` at `deadline`, or else at the latest deadline, unless
+    /// the timers that just ran already requested a wake or that instant
+    /// is not after `now`.
+    pub(crate) fn rearm_wake<E>(
+        &mut self,
+        now: Time,
+        deadline: Option<Time>,
+        q: &mut EventQueue<E>,
+        ev: E,
+    ) {
+        let at = deadline.unwrap_or(self.wake_latest);
+        if self.wake_at.is_none() && at > now {
+            self.wake_at = Some((at, q.schedule_at(at, ev)));
+        }
     }
 
     /// What a repeating trial series must find unchanged at a trial
     /// start, relative to `now`: which transports are in place and the
-    /// NIC. The pending wake and the latest deadline go to `instants`: a
-    /// batch of trials may keep them where they are (DESIGN.md §23).
+    /// NIC. The latest deadline goes to `instants`: a batch of trials may
+    /// keep it where it is (DESIGN.md §23). No wake is pending there.
     pub(crate) fn shape(&self, now: Time, out: &mut Vec<u64>, instants: &mut Vec<(Time, Hold)>) {
         let held = [
             self.tcp_tx.is_some(),
@@ -154,23 +180,18 @@ impl Host {
             self.tcp_rx.is_some(),
             self.rdma_tx.is_some(),
             self.rdma_rx.is_some(),
-            self.wake_at.is_some(),
         ];
         out.extend(held.map(u64::from));
         self.nic.shape(now, out);
-        instants.extend(self.wake_at.map(|at| (at, Hold::Either)));
         instants.push((self.wake_latest, Hold::Lapsed));
     }
 
-    /// Move the NIC `d` later, and the instants [`Host::shape`] listed
-    /// unless `kept` (in the same order) says they stay.
+    /// Move the NIC `d` later, and the latest deadline unless `kept`
+    /// (next in the order [`Host::shape`] listed it) says it stays.
     pub(crate) fn advance<'a>(&mut self, d: Duration, kept: &mut impl Iterator<Item = &'a bool>) {
         self.nic.advance(d);
-        let wakes = self.wake_at.iter_mut().chain([&mut self.wake_latest]);
-        for (at, &stays) in wakes.zip(kept) {
-            if !stays {
-                *at += d;
-            }
+        if !kept.next().expect("marked") {
+            self.wake_latest += d;
         }
     }
 
@@ -321,9 +342,8 @@ pub(crate) fn wake<L: PortLoop>(w: &mut L, host: usize, now: Time) {
     if p.hosts[host].on_wake(now, &mut actions) {
         apply(w, host, &mut actions, now);
         let p = w.parts();
-        if let Some(at) = p.hosts[host].rearm_wake(now) {
-            p.q.schedule_at(at, Ev::HostWake { host });
-        }
+        let h = &mut p.hosts[host];
+        h.rearm_wake(now, h.deadline(), p.q, Ev::HostWake { host });
     }
     w.parts().trials.scratch = actions;
 }
@@ -350,11 +370,9 @@ fn apply<L: PortLoop>(w: &mut L, host: usize, actions: &mut Vec<TransportAction>
                 send(w, host, pkt);
             }
             TransportAction::WakeAt { deadline } => {
-                let at = deadline.max(now);
                 let p = w.parts();
-                if p.hosts[host].request_wake(at) {
-                    p.q.schedule_at(at, Ev::HostWake { host });
-                }
+                let ev = Ev::HostWake { host };
+                p.hosts[host].request_wake(deadline.max(now), p.q, ev);
             }
             TransportAction::Complete {
                 started, completed, ..
@@ -441,6 +459,9 @@ fn finish_trial<L: PortLoop>(w: &mut L, host: usize) {
     let t = &mut *p.trials;
     if t.remaining != u32::MAX {
         t.remaining = t.remaining.saturating_sub(1);
+        // A stream keeps one wake across its chunks: only the next
+        // chunk's start finds that it has ended.
+        h.retire_wake(p.q, t.remaining == 0, Ev::HostWake { host });
     }
     if t.remaining > 0 {
         let gap = match t.app {
@@ -455,6 +476,7 @@ fn finish_trial<L: PortLoop>(w: &mut L, host: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn host() -> Host {
         Host::new(NodeId(0))
@@ -472,62 +494,86 @@ mod tests {
         )
     }
 
-    /// File the wakes `actions` ask for, as the loops do; returns the
-    /// instants that needed an event.
-    fn request_all(h: &mut Host, actions: &[TransportAction]) -> Vec<Time> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                TransportAction::WakeAt { deadline } => Some(*deadline),
-                _ => None,
-            })
-            .filter(|&at| h.request_wake(at))
-            .collect()
+    /// What a test queue holds: a host's wake, or a tick that moves the
+    /// clock.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum E {
+        Wake,
+        Tick,
+    }
+
+    /// File the wakes `actions` ask for, as the loops do.
+    fn request_all(h: &mut Host, q: &mut EventQueue<E>, actions: &[TransportAction]) {
+        for a in actions {
+            if let TransportAction::WakeAt { deadline } = *a {
+                h.request_wake(deadline.max(q.now()), q, E::Wake);
+            }
+        }
+    }
+
+    /// Pop the next wake, which must be the live one, and run it as the
+    /// loops do; returns its instant.
+    fn fire(h: &mut Host, q: &mut EventQueue<E>, actions: &mut Vec<TransportAction>) -> Time {
+        let (now, e) = q.pop().expect("a wake pending");
+        assert_eq!(e, E::Wake);
+        assert!(h.on_wake(now, actions), "a stale wake at {now:?}");
+        now
     }
 
     #[test]
-    fn a_sooner_deadline_armed_later_supersedes_the_pending_wake() {
-        let mut h = host();
+    fn a_sooner_deadline_armed_later_cancels_the_pending_wake() {
+        let (mut h, mut q) = (host(), EventQueue::new());
         let mut actions = Vec::new();
         let (rto, later_rto, tlp) = (Time::from_ms(1), Time::from_ms(2), Time::from_us(100));
-        assert!(h.request_wake(rto), "first deadline: needs its event");
-        assert!(!h.request_wake(later_rto), "later than pending: no event");
-        assert!(
-            h.request_wake(tlp),
-            "a TLP sooner than the pending RTO wake"
-        );
-        // the TLP wake is the live one ...
-        assert!(h.on_wake(tlp, &mut actions));
-        assert_eq!(h.rearm_wake(tlp), Some(later_rto), "latest request kept");
-        // ... and the RTO event it superseded pops as a no-op
-        assert!(!h.on_wake(rto, &mut actions));
-        assert!(h.on_wake(later_rto, &mut actions));
-        assert_eq!(h.rearm_wake(later_rto), None, "nothing outstanding");
+        h.request_wake(rto, &mut q, E::Wake);
+        h.request_wake(later_rto, &mut q, E::Wake);
+        assert_eq!(q.len(), 1, "later than pending: no event");
+        h.request_wake(tlp, &mut q, E::Wake);
+        assert_eq!(q.len(), 1, "a sooner TLP replaces the RTO wake");
+        assert_eq!(fire(&mut h, &mut q, &mut actions), tlp);
+        h.rearm_wake(tlp, h.deadline(), &mut q, E::Wake);
+        assert_eq!(fire(&mut h, &mut q, &mut actions), later_rto, "latest kept");
+        h.rearm_wake(later_rto, h.deadline(), &mut q, E::Wake);
+        assert!(q.is_empty(), "nothing outstanding");
         assert!(actions.is_empty(), "no transport: nothing to do");
     }
 
     #[test]
-    fn a_wake_between_trials_re_arms_from_the_next_senders_deadline() {
-        let mut h = host();
+    fn a_finished_trial_takes_its_wake_with_it() {
+        let (mut h, mut q) = (host(), EventQueue::new());
         let mut actions = Vec::new();
         let first = Time::from_us(50);
-        assert!(h.request_wake(first));
-        // trial over (`tcp_tx == None`) when the wake fires: a no-op
-        assert!(h.on_wake(first, &mut actions));
-        assert!(actions.is_empty());
-        assert_eq!(h.rearm_wake(first), None);
-        // the next trial's timer is later than anything pending
+        h.request_wake(first, &mut q, E::Wake);
+        h.retire_wake(&mut q, false, E::Wake);
+        assert!(
+            q.is_empty() && h.wake_at.is_none(),
+            "no wake outlives its trial"
+        );
+        // the next trial's first deadline files its own wake
         let mut tx = sender(24_387);
         tx.start_into(first, &mut actions);
         let deadline = tx.next_deadline().expect("RTO armed at start");
         h.tcp_tx = Some(tx);
-        assert_eq!(request_all(&mut h, &actions), vec![deadline]);
-        // an early (spurious) live wake re-arms at the armed deadline
-        h.wake_at = Some(first + Duration::from_us(1));
+        request_all(&mut h, &mut q, &actions);
+        assert_eq!(h.wake_at.map(|w| w.0), Some(deadline));
+        // an early (spurious) wake re-arms at the armed deadline
+        let early = first + Duration::from_us(1);
+        h.request_wake(early, &mut q, E::Wake);
         actions.clear();
-        assert!(h.on_wake(first + Duration::from_us(1), &mut actions));
+        assert_eq!(fire(&mut h, &mut q, &mut actions), early);
         assert!(actions.is_empty(), "deadline not reached: no-op");
-        assert_eq!(h.rearm_wake(first + Duration::from_us(1)), Some(deadline));
+        h.rearm_wake(early, h.deadline(), &mut q, E::Wake);
+        assert_eq!(h.wake_at.map(|w| w.0), Some(deadline));
+        assert_eq!(q.len(), 1);
+        // the series' last trial files the wake a drained run ends on
+        h.tcp_tx = None;
+        h.retire_wake(&mut q, true, E::Wake);
+        assert_eq!(
+            h.wake_at.map(|w| w.0),
+            Some(deadline),
+            "the latest deadline"
+        );
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -535,16 +581,165 @@ mod tests {
         // `rto_at == tlp_at == None` on a live sender: the spurious-wake
         // branch of `on_timer_into` arms the RTO, and the request it
         // emits is what re-arms the host (not `rearm_wake`).
-        let mut h = host();
+        let (mut h, mut q) = (host(), EventQueue::new());
         h.tcp_tx = Some(sender(24_387));
-        assert_eq!(h.tcp_tx.as_ref().unwrap().next_deadline(), None);
+        assert_eq!(h.deadline(), None);
         let now = Time::from_us(10);
-        assert!(h.request_wake(now));
+        h.request_wake(now, &mut q, E::Wake);
         let mut actions = Vec::new();
-        assert!(h.on_wake(now, &mut actions));
-        let armed = h.tcp_tx.as_ref().unwrap().next_deadline();
+        assert_eq!(fire(&mut h, &mut q, &mut actions), now);
+        let armed = h.deadline();
         assert!(armed.is_some_and(|d| d > now));
-        assert_eq!(request_all(&mut h, &actions), vec![armed.unwrap()]);
-        assert_eq!(h.rearm_wake(now), None, "the request already re-armed");
+        request_all(&mut h, &mut q, &actions);
+        assert_eq!(h.wake_at.map(|w| w.0), armed);
+        h.rearm_wake(now, h.deadline(), &mut q, E::Wake);
+        assert_eq!(q.len(), 1, "the request already re-armed");
+    }
+
+    /// One step of a law script, at the script's clock.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// The transport re-arms its timer this many ps ahead, sooner or
+        /// later than before, and asks for a wake there.
+        Request(u64),
+        /// Time passes: every event due by then runs.
+        Pass(u64),
+        /// The trial finishes; the next request is the next trial's.
+        Finish,
+    }
+
+    /// The wake-up of a host as a script drives it.
+    trait Wakes {
+        fn request(&mut self, at: Time, q: &mut EventQueue<E>);
+        fn on_wake(&mut self, now: Time) -> bool;
+        fn rearm(&mut self, now: Time, deadline: Option<Time>, q: &mut EventQueue<E>);
+        fn finish(&mut self, q: &mut EventQueue<E>, last: bool);
+    }
+
+    impl Wakes for Host {
+        fn request(&mut self, at: Time, q: &mut EventQueue<E>) {
+            self.request_wake(at, q, E::Wake);
+        }
+        fn on_wake(&mut self, now: Time) -> bool {
+            Host::on_wake(self, now, &mut Vec::new())
+        }
+        fn rearm(&mut self, now: Time, deadline: Option<Time>, q: &mut EventQueue<E>) {
+            self.rearm_wake(now, deadline, q, E::Wake);
+        }
+        fn finish(&mut self, q: &mut EventQueue<E>, last: bool) {
+            self.retire_wake(q, last, E::Wake);
+        }
+    }
+
+    /// The mechanism `Host` replaced: every sooner request files its own
+    /// event, a superseded one pops as a no-op, and a finished trial's
+    /// wake stays pending into the trials after it.
+    #[derive(Default)]
+    struct Reference {
+        wake_at: Option<Time>,
+        wake_latest: Time,
+    }
+
+    impl Wakes for Reference {
+        fn request(&mut self, at: Time, q: &mut EventQueue<E>) {
+            self.wake_latest = self.wake_latest.max(at);
+            if self.wake_at.is_none_or(|pending| at < pending) {
+                self.wake_at = Some(at);
+                q.schedule_at(at, E::Wake);
+            }
+        }
+        fn on_wake(&mut self, now: Time) -> bool {
+            let live = self.wake_at == Some(now);
+            if live {
+                self.wake_at = None;
+            }
+            live
+        }
+        fn rearm(&mut self, now: Time, deadline: Option<Time>, q: &mut EventQueue<E>) {
+            let at = deadline.unwrap_or(self.wake_latest);
+            if self.wake_at.is_none() && at > now {
+                self.wake_at = Some(at);
+                q.schedule_at(at, E::Wake);
+            }
+        }
+        fn finish(&mut self, _: &mut EventQueue<E>, _: bool) {}
+    }
+
+    /// Run `script`, then the series' end and every event left, with a
+    /// transport whose one timer is the deadline it last asked for;
+    /// returns the instants its timer ran at and the final clock. After
+    /// every step `check` sees the host, its queue and whether a trial
+    /// just finished.
+    fn run<W: Wakes>(
+        w: &mut W,
+        script: &[Step],
+        check: impl Fn(&W, &mut EventQueue<E>, bool),
+    ) -> (Vec<Time>, Time) {
+        let mut q = EventQueue::new();
+        let (mut now, mut due, mut ran) = (Time::ZERO, None, Vec::new());
+        let mut pass = |w: &mut W, q: &mut EventQueue<E>, due: &mut Option<Time>, until| {
+            while let Some((at, e)) = q.pop_if_before(until) {
+                if e == E::Wake && w.on_wake(at) {
+                    if due.is_some_and(|d| d <= at) {
+                        ran.push(at);
+                        *due = None;
+                    }
+                    w.rearm(at, *due, q);
+                }
+            }
+        };
+        for step in script {
+            match *step {
+                Step::Request(ahead) => {
+                    let at = now + Duration::from_ps(ahead);
+                    due = Some(at);
+                    w.request(at, &mut q);
+                }
+                Step::Pass(d) => {
+                    now += Duration::from_ps(d);
+                    q.schedule_at(now, E::Tick);
+                    pass(w, &mut q, &mut due, now);
+                }
+                Step::Finish => {
+                    due = None;
+                    w.finish(&mut q, false);
+                }
+            }
+            check(w, &mut q, matches!(step, Step::Finish));
+        }
+        due = None;
+        w.finish(&mut q, true);
+        check(w, &mut q, false);
+        pass(w, &mut q, &mut due, Time::MAX);
+        (ran, q.now())
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            4 => (0..3_000u64).prop_map(Step::Request),
+            4 => (0..2_000u64).prop_map(Step::Pass),
+            1 => Just(Step::Finish),
+        ]
+    }
+
+    proptest! {
+        /// Cancelling a superseded wake and retiring a finished trial's
+        /// runs the timers at the instants the old mechanism did and ends
+        /// on its clock; the live wake is the one pending event, and a
+        /// finished trial leaves none.
+        #[test]
+        fn cancelled_wakes_run_the_timers_the_stale_ones_did(
+            script in proptest::collection::vec(step(), 1..60),
+        ) {
+            let live = |h: &Host, q: &mut EventQueue<E>, finished: bool| {
+                let mut wakes = 0;
+                q.for_each_pending(|_, e| wakes += usize::from(*e == E::Wake));
+                assert_eq!(wakes, usize::from(h.wake_at.is_some()), "{:?}", h.wake_at);
+                assert!(!finished || wakes == 0, "a finished trial's wake");
+            };
+            let (ran, end) = run(&mut host(), &script, live);
+            let mut old = Reference::default();
+            prop_assert_eq!((ran, end), run(&mut old, &script, |_, _, _| {}));
+        }
     }
 }

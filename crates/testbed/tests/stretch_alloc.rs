@@ -68,13 +68,20 @@ fn growth(before: usize, after: usize) -> u64 {
     u64::from((after / before.max(1)).max(1).ilog2()) + 2
 }
 
+/// A drop every 50th forward frame: at 143 B, one every ≈25 trials.
+fn cuts() -> LossModel {
+    LossModel::Trace {
+        drops: (1..200).map(|i| i * 50).collect(),
+    }
+}
+
 fn trial_batches() {
-    // A 143 B DCTCP series: a wake the first trial armed ≈1 ms ahead
-    // cuts a batch every millisecond, so batches alternate with the
-    // trials that run as events.
+    // A 143 B DCTCP series whose forward link drops a frame every ≈25
+    // trials: each recovered loss cuts a batch, so batches alternate
+    // with the trials that run as events.
     let cfg = fct_config(
         LinkSpeed::G100,
-        LossModel::None,
+        cuts(),
         Protection::Lg,
         FctTransport::Tcp(CcVariant::Dctcp),
         143,
@@ -99,11 +106,12 @@ fn trial_batches() {
 }
 
 fn chain_batches() {
-    // The same series across three protected hops: every hop's pair,
-    // switch and link is marked, compared and advanced per batch.
+    // The same series across three protected hops, the first one cut
+    // alike: every hop's pair, switch and link is marked, compared and
+    // advanced per batch.
     let cfg = ChainConfig::protected_chain(
         LinkSpeed::G100,
-        vec![LossModel::None; 3],
+        vec![cuts(), LossModel::None, LossModel::None],
         ChainApp::TcpTrials {
             variant: CcVariant::Dctcp,
             msg_len: 143,

@@ -203,9 +203,9 @@ fn computed_trials_equal_simulated_trials() {
     }
 }
 
-/// A trial's own shape: the wake an earlier trial armed ≈1 ms ahead is
-/// kept in place (143 B), sampling stops a batch short of each tick,
-/// and the three congestion controls under every protection.
+/// A trial's own shape: 143 B and 24,387 B trials, sampling that stops
+/// a batch short of each tick, and the three congestion controls under
+/// every protection.
 #[test]
 fn computed_trials_hold_under_every_protection() {
     let mut seed = 100;
@@ -232,8 +232,8 @@ fn computed_trials_hold_under_every_protection() {
 }
 
 /// The `testbed_fct` configuration (100 G LG, iid 1e-3, 24,387 B DCTCP,
-/// seed 1): most trials are computed (1,816 of 2,000), the last one
-/// never is, and no trial mark is refused.
+/// seed 1): most trials are computed (1,954 of 2,000), the last one
+/// never is, and no trial mark is refused (none finds a wake pending).
 #[test]
 fn most_testbed_fct_trials_are_computed() {
     let cfg = config(
@@ -249,21 +249,25 @@ fn most_testbed_fct_trials_are_computed() {
     let c = w.stretch_census();
     assert_eq!(w.out.fct.len(), 2_000);
     assert!(c.trials < 2_000 - 1, "{c:?}: the last trial runs as events");
-    assert!(c.trials * 100 >= 2_000 * 90, "{c:?}: under 90 % computed");
+    assert!(c.trials * 100 >= 2_000 * 97, "{c:?}: under 97 % computed");
     // A drain that ended long ago does not refuse the next mark.
     assert_eq!(c.refused, 0, "{c:?}");
 }
 
-/// Fig 10's 143 B RDMA series (100 G LG, iid 1e-3, seed 1): the ≈1 ms
-/// wake the first trial arms cuts a batch every ≈25 trials, and the
-/// trial start after it resumes from the last batch's step, so almost
-/// every trial is computed (1,914 of 2,000).
+/// Fig 10's 143 B RDMA series (100 G LG, seed 1), its forward link
+/// dropping every 100th frame: each recovered loss cuts a batch every
+/// ≈50 trials, and the trial start after it resumes from the last
+/// batch's step, so almost every trial is computed (1,957 of 2,000).
+/// (At iid 1e-3 this seed loses no frame in 2,000 trials, which then
+/// run as one batch and never resume.)
 #[test]
 fn most_short_rdma_trials_are_computed() {
     let cfg = config(
         FctTransport::Rdma,
         (143, 2_000),
-        LossModel::Iid { rate: 1e-3 },
+        LossModel::Trace {
+            drops: (1..100).map(|i| i * 100).collect(),
+        },
         Protection::Lg,
         false,
         1,
@@ -278,7 +282,7 @@ fn most_short_rdma_trials_are_computed() {
 }
 
 /// The `chain_rdma` shape (100 G, three protected hops at iid 1e-3 each,
-/// 24,387 B RDMA go-back-N, seed 1): most trials are computed (1,771 of
+/// 24,387 B RDMA go-back-N, seed 1): most trials are computed (1,856 of
 /// 2,000), and the last one never is.
 #[test]
 fn most_chain_rdma_trials_are_computed() {
@@ -287,7 +291,7 @@ fn most_chain_rdma_trials_are_computed() {
     let c = w.stretch_census();
     assert_eq!(w.fct.len(), 2_000);
     assert!(c.trials < 2_000 - 1, "{c:?}: the last trial runs as events");
-    assert!(c.trials * 100 >= 2_000 * 88, "{c:?}: under 88 % computed");
+    assert!(c.trials * 100 >= 2_000 * 92, "{c:?}: under 92 % computed");
 }
 
 /// The `chain_rdma` chain: three hops at iid 1e-3, every hop protected,
