@@ -82,6 +82,15 @@ impl LossModel {
     }
 }
 
+/// The integer form of an i.i.d. loss draw at `rate`: a draw `x` is a
+/// loss, `Rng::f64() < rate`, exactly when `x >> 11 < iid_bound(rate)`.
+/// `f64()` is `(x >> 11) · 2^-53` without rounding and `rate · 2^53` is
+/// exact (a power-of-two scaling), so for an integer `m`,
+/// `m · 2^-53 < rate` iff `m < ceil(rate · 2^53)`.
+fn iid_bound(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// A running loss process: stateful application of a [`LossModel`].
 #[derive(Debug, Clone)]
 pub struct LossProcess {
@@ -166,11 +175,12 @@ impl LossProcess {
                 } else if rate >= 1.0 {
                     0
                 } else {
+                    let bound = iid_bound(rate);
                     let mut rng = self.rng.clone();
                     let mut n = 0;
                     while n < max {
                         let mut next = rng.clone();
-                        if next.f64() < rate {
+                        if next.next_u64() >> 11 < bound {
                             break;
                         }
                         rng = next;
@@ -315,6 +325,25 @@ impl RunLengthStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The integer comparison `skip_clean` makes is the float one
+    /// `Rng::bernoulli` makes, draw for draw, and at the bound itself,
+    /// which no random draw hits.
+    #[test]
+    fn iid_bound_is_the_float_comparison() {
+        let two53 = (1u64 << 53) as f64;
+        let rates = [1e-5, 1e-3, 0.5, 1.0 - 1.0 / two53, f64::from_bits(1)];
+        for rate in rates {
+            let bound = iid_bound(rate);
+            let (mut a, mut b) = (Rng::new(11), Rng::new(11));
+            for _ in 0..100_000 {
+                assert_eq!(a.next_u64() >> 11 < bound, b.f64() < rate, "{rate:e}");
+            }
+            for m in bound.saturating_sub(2)..=(bound + 1).min((1 << 53) - 1) {
+                assert_eq!(m < bound, m as f64 / two53 < rate, "{rate:e} at {m}");
+            }
+        }
+    }
 
     /// Drawing ahead leaves the process where as many plain draws would,
     /// with the lost frame's draw still to come.

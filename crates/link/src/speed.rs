@@ -30,9 +30,24 @@ impl LinkSpeed {
         }
     }
 
-    /// Time to put `wire_bytes` (frame + preamble + IFG) on the wire.
+    /// Time to put `wire_bytes` (frame + preamble + IFG) on the wire:
+    /// every speed takes a whole number of picoseconds per byte, so this
+    /// is [`Rate::serialize`] of [`LinkSpeed::rate`] without its `u128`
+    /// division.
+    #[inline]
     pub fn serialize(self, wire_bytes: u32) -> Duration {
-        self.rate().serialize(wire_bytes as u64)
+        Duration::from_ps(u64::from(wire_bytes) * self.ps_per_byte())
+    }
+
+    /// Picoseconds one byte takes on the wire.
+    fn ps_per_byte(self) -> u64 {
+        match self {
+            LinkSpeed::G10 => 800,
+            LinkSpeed::G25 => 320,
+            LinkSpeed::G50 => 160,
+            LinkSpeed::G100 => 80,
+            LinkSpeed::G400 => 20,
+        }
     }
 
     /// Human-readable name.
@@ -63,6 +78,26 @@ mod tests {
         assert_eq!(LinkSpeed::G10.serialize(1538).as_ps(), 1_230_400);
         assert_eq!(LinkSpeed::G100.serialize(1538).as_ps(), 123_040);
         assert_eq!(LinkSpeed::G25.serialize(1538).as_ps(), 492_160);
+    }
+
+    #[test]
+    fn serialize_is_the_rate_division() {
+        let speeds = [
+            LinkSpeed::G10,
+            LinkSpeed::G25,
+            LinkSpeed::G50,
+            LinkSpeed::G100,
+            LinkSpeed::G400,
+        ];
+        for s in speeds {
+            for n in (0..=u32::from(u16::MAX)).chain([u32::MAX]) {
+                assert_eq!(
+                    s.serialize(n),
+                    s.rate().serialize(u64::from(n)),
+                    "{s} {n} B"
+                );
+            }
+        }
     }
 
     #[test]

@@ -173,6 +173,18 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Visit every pending event with its instant, in filing order.
+    /// Mirrors [`super::EventQueue::for_each_pending`], read-only.
+    pub fn for_each_pending(&self, mut f: impl FnMut(Time, &E)) {
+        let mut live: Vec<&Scheduled<E>> = (self.heap.iter())
+            .filter(|s| self.pending_seqs.contains(&s.seq))
+            .collect();
+        live.sort_by_key(|s| s.seq);
+        for s in live {
+            f(s.at, &s.payload);
+        }
+    }
+
     /// Peek at the timestamp of the next pending event without popping it.
     pub fn peek_time(&mut self) -> Option<Time> {
         // Drop cancelled events from the head so the peek is accurate.

@@ -48,10 +48,11 @@ proptest! {
     /// binary-heap queue agree on every observable (popped events, clock,
     /// cancel results, lengths, peeks) under arbitrary interleavings of
     /// schedule / cancel / peek / pop / translate across all wheel levels
-    /// and the overflow horizon.
+    /// and the overflow horizon, and visit the same pending events in the
+    /// same filing order.
     #[test]
     fn wheel_matches_reference_oracle(
-        ops in proptest::collection::vec((0u8..18, any::<u64>(), any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..22, any::<u64>(), any::<u64>()), 1..400),
     ) {
         use lg_sim::event::reference;
         let mut wheel = EventQueue::new();
@@ -65,8 +66,11 @@ proptest! {
                 // Schedule with horizons spanning sub-slot distances,
                 // every wheel level and the overflow heap; op 0 lands on
                 // one of four instants, so same-instant ties are common.
-                0..=5 => {
-                    let horizon_bits = [10, 14, 24, 34, 44, 60][op as usize];
+                // Two ops in eight schedule within about one drained run
+                // (2^21 ps) of the clock, so they land mid-window, below
+                // the cursor, among entries due both before and after.
+                0..=7 => {
+                    let horizon_bits = [10, 14, 21, 21, 24, 34, 44, 60][op as usize];
                     let d = if op == 0 { (a % 4) << 10 } else { a % (1u64 << horizon_bits) };
                     let at = Time::from_ps(wheel.now().as_ps().saturating_add(d));
                     let tag = wheel_handles.len();
@@ -75,7 +79,7 @@ proptest! {
                 }
                 // Cancel a random handle — possibly already fired or
                 // already cancelled.
-                6 | 7 => {
+                8 | 9 => {
                     if !wheel_handles.is_empty() {
                         let i = (b as usize) % wheel_handles.len();
                         prop_assert_eq!(
@@ -84,8 +88,16 @@ proptest! {
                         );
                     }
                 }
-                8 => {
+                10 => {
                     prop_assert_eq!(wheel.peek_time(), oracle.peek_time());
+                }
+                // The pending walk: exactly the oracle's pending events,
+                // with their instants, in filing order.
+                11 => {
+                    let (mut w, mut o) = (Vec::new(), Vec::new());
+                    wheel.for_each_pending(|at, &tag| w.push((at, tag)));
+                    oracle.for_each_pending(|at, &tag| o.push((at, tag)));
+                    prop_assert_eq!(w, o);
                 }
                 // Bounded pop: a horizon at, before, or after the next
                 // pending event.

@@ -71,14 +71,26 @@ pub(crate) trait Periodic: PortLoop {
     fn trains(&self) -> bool {
         false
     }
-    /// A train of `k` clean periods from `now` is about to run: false
-    /// refuses it, changing nothing.
-    fn admit(&mut self, _now: Time, _k: u64, _period: Duration) -> bool {
+    /// A train of `k` clean periods from `now` is about to run, with
+    /// host1's leg as the mark's event walk saw it: false refuses it,
+    /// changing nothing.
+    fn admit(&mut self, _now: Time, _k: u64, _period: Duration, _feed: &Feed) -> bool {
         true
     }
     /// The batch moved the world `k` periods on, to `end`, each the step
     /// from `prev` to `cur`: the train's part of it.
     fn land(&mut self, _prev: &Mark, _cur: &Mark, _k: u64, _end: Time) {}
+}
+
+/// What a mark's event walk saw of host1's leg, for a loop that
+/// computes it as a train (see [`Periodic::admit`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Feed {
+    /// The latest pending arrival at host1, if any.
+    pub last: Option<Time>,
+    /// The first pending link arrival at host1's switch (the last one),
+    /// in filing order, and its frame.
+    pub next: Option<(Time, PktId)>,
 }
 
 /// How a loop's `run_until` spent a run: the census of the stretches
@@ -246,6 +258,8 @@ pub(crate) struct Mark {
     /// are the pending events in filing order, then each host's.
     instants: Vec<(Time, Hold)>,
     pending: usize,
+    /// Host1's leg, when a train computes it.
+    feed: Feed,
     /// FCT samples, TCP and RDMA traces recorded, and frames the links
     /// lost, so far.
     done: [u64; 4],
@@ -277,6 +291,7 @@ impl Mark {
         self.scalars.clear();
         self.refs.clear();
         self.instants.clear();
+        self.feed = Feed::default();
     }
 
     /// Hold frame `id`, whose LinkGuardian sequences are pair `pair`'s.
@@ -440,11 +455,13 @@ fn fill<L: Periodic>(w: &mut L, now: Time, m: &mut Mark) -> Option<()> {
 /// The one event walk: each pending event, in filing order, gives its
 /// kind and place to the shape, its frame to the ids, and its instant
 /// with what a batch may do with it. A frame bound for a host that a
-/// train computes is consumed instead: returns how many are, or `None`
-/// if a transport wake is pending (a finished trial retires its own, so
-/// no trial start holds one; DESIGN.md §19).
+/// train computes is consumed instead, and the walk notes what the
+/// train's admission reads ([`Feed`]): returns how many are consumed,
+/// or `None` if a transport wake is pending (a finished trial retires
+/// its own, so no trial start holds one; DESIGN.md §19).
 fn events<L: Periodic>(w: &mut L, trains: bool, m: &mut Mark) -> Option<u64> {
     let last = m.pairs - 1;
+    let host1_switch = w.switches() - 1;
     let port = |at: L::Port| {
         let (sw, port) = L::locate(at);
         ((sw * 2 + port) as u64, L::pair_at(sw, port).min(last))
@@ -462,8 +479,11 @@ fn events<L: Periodic>(w: &mut L, trains: bool, m: &mut Mark) -> Option<u64> {
                 m.hold(id, pair);
                 ([place, 0], Hold::Moves)
             }
-            Ev::HostArrive { .. } if trains => {
+            Ev::HostArrive { host, .. } if trains => {
                 consumed += 1;
+                if host == 1 {
+                    m.feed.last = m.feed.last.max(Some(at));
+                }
                 return;
             }
             Ev::HostArrive { host, id } => {
@@ -481,6 +501,11 @@ fn events<L: Periodic>(w: &mut L, trains: bool, m: &mut Mark) -> Option<u64> {
         };
         m.shape.extend([ev.kind_idx() as u64, place[0], place[1]]);
         m.instants.push((at, hold));
+        if let Ev::WireArrive { at: port, id } = *ev {
+            if trains && m.feed.next.is_none() && L::locate(port).0 == host1_switch {
+                m.feed.next = Some((at, id));
+            }
+        }
     });
     m.pending = m.instants.len();
     (!woken).then_some(consumed)
@@ -770,7 +795,7 @@ fn batch<L: Periodic>(w: &mut L, t: &Template, at: &Mark, until: Time) -> Reach 
         to_kept: horizon.min(until).saturating_since(now).as_ps() / period,
     };
     let trains = w.trains();
-    if k == 0 || trains && !w.admit(now, k, Duration::from_ps(period)) {
+    if k == 0 || trains && !w.admit(now, k, Duration::from_ps(period), &at.feed) {
         return reach;
     }
     for l in 0..w.directions() {

@@ -42,7 +42,7 @@ use lg_transport::{CcVariant, FlowTrace, RdmaTrace};
 use lg_workload::FctCollector;
 use linkguardian::{LgConfig, LgReceiver, LgSender};
 
-use crate::cycle::{self, shift, Cycle, Mark, Periodic, NOW};
+use crate::cycle::{self, shift, Cycle, Feed, Mark, Periodic, NOW};
 pub use crate::cycle::{Causes, StretchCensus};
 use crate::host::{self, Trials};
 pub use crate::host::{Host, HOST_HOP};
@@ -1057,16 +1057,12 @@ impl Periodic for World {
     /// falls inside it. Host1's port is handed its frames one a period,
     /// the first at the next link arrival at the receiver switch, and
     /// refuses a train it cannot compute.
-    fn admit(&mut self, now: Time, k: u64, period: Duration) -> bool {
-        let (mut last, mut next_rx) = (now, None);
-        // The receiver files link arrivals in time order.
-        self.q.for_each_pending(|t, ev| match *ev {
-            Ev::HostArrive { host: 1, .. } => last = last.max(t),
-            Ev::WireArrive { at: Side::Rx, id } if next_rx.is_none() => next_rx = Some((t, id)),
-            _ => {}
-        });
+    fn admit(&mut self, now: Time, k: u64, period: Duration, feed: &Feed) -> bool {
+        let last = feed.last.map_or(now, |t| t.max(now));
         let least = MIN_STRETCH.max(last.saturating_since(now).as_ps() / period.as_ps() + 1);
-        let Some((first, next)) = next_rx.filter(|_| k >= least) else {
+        // The receiver files link arrivals in time order, so the first
+        // filed is the next.
+        let Some((first, next)) = feed.next.filter(|_| k >= least) else {
             return false;
         };
         // The frame as it arrives at the receiver switch, and as delivered.
